@@ -200,6 +200,7 @@ class DataNormReport:
 
 def _panel_rule(max_mode: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule on [0,1] resolving modes up to max_mode."""
+    _check_depth(max_mode)
     panels = max(8, math.ceil(max_mode / 4))
     nodes, weights = np.polynomial.legendre.leggauss(QUAD_NODES_PER_PANEL)
     h = 1.0 / panels
@@ -221,19 +222,29 @@ def project(g, family: BasisFamily, max_mode: int) -> Spectrum:
     max_mode) or a callable on [0,1] sampled by the fixed quadrature rule.
     Exactly-zero coefficients are dropped.
     """
-    if max_mode < 0:
-        raise ValueError("max_mode must be nonnegative")
-    if max_mode > MAX_MODE:
-        raise ValueError(f"max_mode {max_mode} exceeds cap {MAX_MODE}")
+    _check_depth(max_mode)
     if isinstance(g, Spectrum):
         if g.family is not family:
             raise ValueError(f"spectrum family {g.family} does not match {family}")
         return Spectrum(family, tuple((n, c) for n, c in g.coeffs if n <= max_mode))
 
-    t, w = _panel_rule(max_mode)
-    samples = np.asarray([g(ti) for ti in t], dtype=complex)
+    t, _ = _panel_rule(max_mode)
+    return _project_samples(np.asarray([g(ti) for ti in t], dtype=complex), family, max_mode)
+
+
+def _check_depth(max_mode: int) -> None:
+    if max_mode < 0:
+        raise ValueError("max_mode must be nonnegative")
+    if max_mode > MAX_MODE:
+        raise ValueError(f"max_mode {max_mode} exceeds cap {MAX_MODE}")
+
+
+def _project_samples(samples: np.ndarray, family: BasisFamily, max_mode: int) -> Spectrum:
+    """Modal coefficients up to max_mode of a function given by its samples
+    on the nodes of quadrature_rule(max_mode)."""
     if not np.all(np.isfinite(samples.view(float))):
         raise ValueError("boundary datum produced non-finite samples")
+    t, w = _panel_rule(max_mode)
     wsamp = w * samples
     pairs = []
     for n in range(max_mode + 1):

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .eigenbasis import BoundaryOperator, Spectrum
 from .modal1d import Side
@@ -52,6 +50,11 @@ def fdm_solve(
     or a Spectrum); missing sides are homogeneous.  Dirichlet corners take
     the horizontal side's datum when both adjacent sides are Dirichlet.
     """
+    # scipy is imported here, not at module level: it is most of the cost of
+    # `import helmstab`, and only the oracle needs it.
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     if n < 17:
         raise ValueError("oracle grids start at 17x17")
     if k <= 0:

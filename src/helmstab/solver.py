@@ -23,9 +23,9 @@ from .eigenbasis import (
     Spectrum,
     basis_derivative,
     basis_value,
-    project,
     quadrature_rule,
     select_eigenpairs,
+    _project_samples,
 )
 from .modal1d import (
     Regime,
@@ -261,24 +261,43 @@ def superpose(parts: Sequence[SeriesSolution]) -> SeriesSolution:
 
 
 def _kahan_add(total, comp, term):
-    y = term - comp
-    t = total + y
-    comp = (t - total) - y
-    return t, comp
+    """Compensated total + term, in place.
+
+    Overwrites `term`; the returned (total, comp) reuse the buffers of
+    (comp, total).  The arithmetic is y = term - comp, t = total + y,
+    comp = (t - total) - y.
+    """
+    np.subtract(term, comp, out=term)
+    np.add(total, term, out=comp)
+    np.subtract(comp, total, out=total)
+    np.subtract(total, term, out=total)
+    return comp, total
+
+
+def _factor_values(fn, coords: np.ndarray) -> np.ndarray:
+    """A factor's values at the distinct coordinates, as a complex array."""
+    return np.broadcast_to(np.asarray(fn(coords), dtype=complex), coords.shape)
 
 
 def evaluate(u: SeriesSolution, points) -> list[tuple[complex, tuple[complex, complex]]]:
     """Values and gradients at points inside the closed unit square.
 
-    Terms accumulate in ascending mode order with compensated summation, so
-    the result is independent of how the series was put together.
+    Each 1D factor is evaluated once per distinct x (or y) coordinate and
+    gathered to the points, so a tensor grid costs O(terms * (nx + ny))
+    factor evaluations.  Terms accumulate in ascending mode order with
+    compensated summation, so the result is independent of how the series
+    was put together.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[-1] != 2:
         raise ValueError("points must be (x, y) pairs")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("evaluation points must be finite")
     xs, ys = pts[:, 0], pts[:, 1]
     if np.any((xs < 0) | (xs > 1) | (ys < 0) | (ys > 1)):
         raise ValueError("evaluation points must lie inside the closed unit square")
+    ux, ix = np.unique(xs, return_inverse=True)
+    uy, iy = np.unique(ys, return_inverse=True)
     val = np.zeros(len(xs), dtype=complex)
     gx = np.zeros(len(xs), dtype=complex)
     gy = np.zeros(len(xs), dtype=complex)
@@ -287,14 +306,16 @@ def evaluate(u: SeriesSolution, points) -> list[tuple[complex, tuple[complex, co
     cgy = np.zeros_like(gy)
     for term in sorted(u.terms, key=lambda t: t.mode):
         c = term.coefficient
-        xv = np.asarray(term.x_factor.value(xs))
-        xd = np.asarray(term.x_factor.derivative(xs))
-        yv = np.asarray(term.y_factor.value(ys))
-        yd = np.asarray(term.y_factor.derivative(ys))
-        val, cval = _kahan_add(val, cval, c * xv * yv)
-        gx, cgx = _kahan_add(gx, cgx, c * xd * yv)
-        gy, cgy = _kahan_add(gy, cgy, c * xv * yd)
-    return [(complex(v), (complex(dx), complex(dy))) for v, dx, dy in zip(val, gx, gy)]
+        cxv = (c * _factor_values(term.x_factor.value, ux))[ix]
+        cxd = (c * _factor_values(term.x_factor.derivative, ux))[ix]
+        yv = _factor_values(term.y_factor.value, uy)[iy]
+        yd = _factor_values(term.y_factor.derivative, uy)[iy]
+        # Each product c*X*Y is formed once per point; the last two are
+        # written over a gathered operand that is not needed again.
+        val, cval = _kahan_add(val, cval, cxv * yv)
+        gx, cgx = _kahan_add(gx, cgx, np.multiply(cxd, yv, out=cxd))
+        gy, cgy = _kahan_add(gy, cgy, np.multiply(cxv, yd, out=yd))
+    return [(v, (dx, dy)) for v, dx, dy in zip(val.tolist(), gx.tolist(), gy.tolist())]
 
 
 def energy_parseval(u: SeriesSolution) -> EnergyReport:
@@ -381,21 +402,24 @@ def residual_traces(
             original_left.top_mode,
         )
 
+    # Each trace is sum_n c_n * B(X_n) * Y_n(y) on the projection nodes; one
+    # pass over the terms, in their stored order, fills both sides.
+    t, w = quadrature_rule(depth)
+    sides = (Side.RIGHT, Side.LEFT)
+    ops = {side: aux.config.operator(side) for side in sides}
+    traces = {side: np.zeros(len(t), dtype=complex) for side in sides}
+    for term in aux.terms:
+        yv = term.y_factor.value(t)
+        for side, op in ops.items():
+            traces[side] = traces[side] + (
+                term.coefficient * _trace_scalar(op, side, term.x_factor, aux.k)
+            ) * yv
+
     residuals = []
-    for side, original in ((Side.RIGHT, original_right), (Side.LEFT, original_left)):
-        op = aux.config.operator(side)
-        pieces = [
-            (term.coefficient * _trace_scalar(op, side, term.x_factor, aux.k), term.y_factor)
-            for term in aux.terms
-        ]
-
-        def trace(y, pieces=pieces):
-            return sum(c * yf.value(y) for c, yf in pieces) if pieces else 0.0 + 0.0j
-
-        projected = project(trace, family, depth)
-        if pieces:
-            t, w = quadrature_rule(depth)
-            samples = np.asarray([trace(ti) for ti in t])
+    for side, original in zip(sides, (original_right, original_left)):
+        samples = traces[side]
+        projected = _project_samples(samples, family, depth)
+        if aux.terms:
             total_sq = float(np.sum(w * np.abs(samples) ** 2))
             captured_sq = math.fsum(abs(c) ** 2 for _, c in projected)
             if total_sq > 0 and total_sq - captured_sq > 1e-8 * total_sq:
@@ -417,7 +441,9 @@ def residual_traces(
 _KERNEL_NODES, _KERNEL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-def _local_nodes(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel nodes and weights of every panel, one row per panel."""
+    a, b = edges[:-1, None], edges[1:, None]
     h = 0.5 * (b - a)
     return a + h * (_KERNEL_NODES + 1.0), h * _KERNEL_WEIGHTS
 
@@ -481,19 +507,18 @@ class SourceProfile:
     def _build_tables(self):
         m = self._panels
         s = self.sigma
+        t, w = _panel_nodes(self._edges)
+        f = np.asarray(self.fx(t.ravel()), dtype=complex).reshape(t.shape)
+        a, b = self._edges[:-1, None], self._edges[1:, None]
+        p_panel = np.sum(w * self._v1(t) * f * np.exp(s * (b - t)), axis=1)
+        q_panel = np.sum(w * self._v2(t) * f * np.exp(s * (t - a)), axis=1)
         p = np.zeros(m + 1, dtype=complex)
         q = np.zeros(m + 1, dtype=complex)
         step = np.exp(s * (self._edges[1] - self._edges[0]))
         for j in range(m):
-            a, b = self._edges[j], self._edges[j + 1]
-            t, w = _local_nodes(a, b)
-            f = np.asarray(self.fx(t), dtype=complex)
-            p[j + 1] = step * p[j] + np.sum(w * self._v1(t) * f * np.exp(s * (b - t)))
+            p[j + 1] = step * p[j] + p_panel[j]
         for j in range(m - 1, -1, -1):
-            a, b = self._edges[j], self._edges[j + 1]
-            t, w = _local_nodes(a, b)
-            f = np.asarray(self.fx(t), dtype=complex)
-            q[j] = step * q[j + 1] + np.sum(w * self._v2(t) * f * np.exp(s * (t - a)))
+            q[j] = step * q[j + 1] + q_panel[j]
         return p, q
 
     def _batch_partials(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -536,23 +561,23 @@ class SourceProfile:
         return der.reshape(np.shape(t)) if np.ndim(t) else complex(der[0])
 
     def _quadrature_norms(self) -> tuple[float, float]:
-        vsq: list[float] = []
-        dsq: list[float] = []
-        for j in range(self._panels):
-            t, w = _local_nodes(self._edges[j], self._edges[j + 1])
-            val, der = self._batch_value_deriv(t)
-            vsq.extend(w * np.abs(val) ** 2)
-            dsq.extend(w * np.abs(der) ** 2)
-        return math.fsum(vsq), math.fsum(dsq)
+        t, w = _panel_nodes(self._edges)
+        val, der = self._batch_value_deriv(t.ravel())
+        w = w.ravel()
+        return math.fsum(w * np.abs(val) ** 2), math.fsum(w * np.abs(der) ** 2)
 
 
 def _vector_capable(fx: Callable) -> Callable:
-    """Return fx if it maps arrays to arrays, else an elementwise wrapper."""
+    """Return fx if it maps arrays to arrays, else an elementwise wrapper.
+
+    Only TypeError and ValueError, what a scalar-only callable raises on an
+    array, select the wrapper; any other error from fx propagates.
+    """
     try:
         probe = np.asarray(fx(np.array([0.25, 0.75])), dtype=complex)
         if probe.shape == (2,):
             return fx
-    except Exception:
+    except (TypeError, ValueError):
         pass
 
     def wrapped(t):
@@ -626,14 +651,12 @@ def source_l2_norm(f, config: BoundaryConfig, resolution: int = 48) -> float:
     """L2 norm of a modal source (mode, profile) list: Parseval across the
     vertical eigenbasis, panel quadrature along x."""
     family = config.vertical_family()
-    edges = np.linspace(0.0, 1.0, resolution + 1)
+    t, w = _panel_nodes(np.linspace(0.0, 1.0, resolution + 1))
+    t, w = t.ravel(), w.ravel()
     parts = []
     for n, fx in f:
         if family is BasisFamily.SIN_INT and n == 0:
             continue
-        acc = []
-        for j in range(resolution):
-            t, w = _local_nodes(edges[j], edges[j + 1])
-            acc.extend(wi * abs(complex(fx(ti))) ** 2 for ti, wi in zip(t, w))
-        parts.append(math.fsum(acc))
+        vals = np.asarray(_vector_capable(fx)(t), dtype=complex)
+        parts.append(math.fsum(w * np.abs(vals) ** 2))
     return math.sqrt(math.fsum(parts))

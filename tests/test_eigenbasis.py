@@ -119,6 +119,9 @@ def test_project_rejects_nonfinite_and_cap():
         project(lambda t: math.inf, BasisFamily.SIN_INT, 4)
     with pytest.raises(ValueError):
         project(lambda t: 1.0, BasisFamily.SIN_INT, MAX_MODE + 1)
+    for bad_depth in (-1, MAX_MODE + 1):
+        with pytest.raises(ValueError):
+            quadrature_rule(bad_depth)
 
 
 def test_spectrum_invariants():

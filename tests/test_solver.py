@@ -16,12 +16,13 @@ from helmstab.eigenbasis import (
     basis_value,
     project,
 )
-from helmstab.modal1d import Side, choose_lifting_family, EigenvalueFamily
+from helmstab.modal1d import Regime, Side, choose_lifting_family, EigenvalueFamily
 from helmstab.solver import (
     BoundaryConfig,
     ProjectionTruncationWarning,
     Provenance,
     SeriesSolution,
+    SourceProfile,
     energy_parseval,
     energy_quadrature,
     evaluate,
@@ -203,6 +204,74 @@ def test_evaluate_rejects_outside_domain():
         evaluate(u, [(1.2, 0.5)])
     with pytest.raises(ValueError):
         evaluate(u, [(0.5, -0.01)])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            evaluate(u, [(bad, 0.5)])
+        with pytest.raises(ValueError):
+            evaluate(u, [(0.25, 0.25), (0.5, bad)])
+
+
+def pointwise_reference(u, pts):
+    """One point at a time, scalar factor calls: the reference that the
+    per-coordinate evaluation in `evaluate` must reproduce."""
+    out = []
+    for x, y in pts:
+        v = gx = gy = 0.0 + 0.0j
+        for term in sorted(u.terms, key=lambda t: t.mode):
+            xv, xd = complex(term.x_factor.value(x)), complex(term.x_factor.derivative(x))
+            yv, yd = complex(term.y_factor.value(y)), complex(term.y_factor.derivative(y))
+            v += term.coefficient * xv * yv
+            gx += term.coefficient * xd * yv
+            gy += term.coefficient * xv * yd
+        out.append((v, gx, gy))
+    return np.array(out)
+
+
+def reference_cases():
+    k_cut = 2 * PI  # COS_INT mode 2 sits exactly at the cutoff
+    cfg_cut = BoundaryConfig(bottom=N, right=N, top=N)
+    cut = solve_vertical_data(
+        cfg_cut, Side.LEFT,
+        Spectrum.from_pairs(BasisFamily.COS_INT, [(0, 1.0), (2, 0.5 - 1j), (5, 0.25j)]), k_cut,
+    )
+    assert any(t.x_factor.regime.kind is Regime.CUTOFF for t in cut.terms)
+
+    k = 9.1
+    cfg = BoundaryConfig(bottom=N, right=D, top=D)
+    choice = choose_lifting_family(k, N, D)
+    fam_x = BasisFamily.COS_INT if choice.family is EigenvalueFamily.INTEGER else BasisFamily.COS_HALF
+    aux = lift_horizontal_data(Spectrum.from_pairs(fam_x, [(0, 1.0), (3, -0.5j)]), Side.BOTTOM, cfg, k)
+    vert = solve_vertical_data(
+        cfg, Side.LEFT, Spectrum.from_pairs(cfg.vertical_family(), [(0, 0.3), (4, 1j)]), k
+    )
+    superposed = superpose([aux, vert])
+
+    k_src = 4.2
+    cfg_src = BoundaryConfig(bottom=D, right=D, top=D)
+    _, fhat = manufactured_source(k_src, cfg_src, n=1)
+    source = solve_source([(1, fhat), (3, lambda x: np.cos(2.0 * np.asarray(x)))], cfg_src, k_src)
+    return {"cutoff": cut, "superposed": superposed, "source": source}
+
+
+@pytest.mark.parametrize("case", ["cutoff", "superposed", "source"])
+def test_evaluate_matches_pointwise_reference(case):
+    u = reference_cases()[case]
+    t = np.linspace(0.0, 1.0, 11)
+    X, Y = np.meshgrid(t, t[::2], indexing="ij")
+    grid = np.column_stack([X.ravel(), Y.ravel()])
+    rng = np.random.default_rng(11)
+    scattered = rng.uniform(0.0, 1.0, size=(40, 2))
+    duplicated = np.vstack([scattered[:5], grid[:7], scattered[:5], [[0.3, 0.7]] * 3])
+    for pts in (grid, scattered, duplicated):
+        got = np.array([(v, gx, gy) for v, (gx, gy) in evaluate(u, pts)])
+        want = pointwise_reference(u, pts)
+        for col in range(3):
+            scale = np.max(np.abs(want[:, col]))
+            assert scale > 0
+            assert np.max(np.abs(got[:, col] - want[:, col])) <= 1e-13 * scale
+    # a repeated point gets the same value each time
+    out = evaluate(u, [(0.3, 0.7)] * 3)
+    assert out[0] == out[1] == out[2]
 
 
 # --------------------------------------------------------------------------
@@ -508,6 +577,50 @@ def test_source_energy_bound_random():
         lhs = energy_parseval(u).energy
         fnorm = source_l2_norm(source, cfg)
         assert lhs <= math.sqrt(30) * max(k * k, 1.0) * fnorm
+
+
+def test_source_norms_batched_equal_scalar_wrapped():
+    """A source fx evaluated on whole node arrays gives the same norms as the
+    same function called one scalar at a time through the wrapper."""
+    cfg = BoundaryConfig(bottom=D, right=D, top=D)
+    _, fhat = manufactured_source(4.2, cfg, n=1)
+
+    def scalar_only(x):
+        return complex(fhat(float(x)))
+
+    with pytest.raises(TypeError):
+        scalar_only(np.array([0.25, 0.75]))
+    batched = source_l2_norm([(1, fhat), (2, np.cos)], cfg)
+    wrapped = source_l2_norm([(1, scalar_only), (2, math.cos)], cfg)
+    assert abs(batched - wrapped) <= 1e-14 * batched
+    for k in (4.2, 3 * PI, 40.0):
+        for mu in (PI, 3 * PI, 20 * PI):
+            a = SourceProfile(fhat, k, mu)
+            b = SourceProfile(scalar_only, k, mu)
+            assert abs(a.norm_sq - b.norm_sq) <= 1e-14 * a.norm_sq
+            assert abs(a.dnorm_sq - b.dnorm_sq) <= 1e-14 * a.dnorm_sq
+
+
+def test_source_fx_errors_propagate():
+    """Only the TypeError/ValueError of a scalar-only callable selects the
+    elementwise wrapper; other errors from fx are not swallowed."""
+    cfg = BoundaryConfig(bottom=D, right=D, top=D)
+
+    def broken(x):
+        if np.ndim(x):
+            raise ZeroDivisionError("broken on arrays")
+        return 1.0
+
+    with pytest.raises(ZeroDivisionError):
+        solve_source([(1, broken)], cfg, 3.0)
+    with pytest.raises(ZeroDivisionError):
+        source_l2_norm([(1, broken)], cfg)
+
+    def truthy(x):  # ValueError on arrays: the scalar-only case
+        return 1.0 if x < 0.5 else 2.0
+
+    u = solve_source([(1, truthy)], cfg, 3.0)
+    assert energy_parseval(u).energy > 0
 
 
 def test_source_boundary_and_interior_residuals():
