@@ -22,23 +22,27 @@ from .modal1d import (
     LiftingFamilyChoice,
     ModalSolution1D,
     ModeRegime,
+    ModeTable,
     ProofQuantities,
     Regime,
     ResonantLiftingError,
     Side,
     classify_mode,
     choose_lifting_family,
+    energy_densities,
     gap_lower_bound,
     proof_quantities,
-    stable_hyperbolic_ratios,
     x_mode,
+    x_modes,
     y_mode_lifting,
+    y_modes_lifting,
 )
 from .solver import (
     BasisMember,
     BoundaryConfig,
     EnergyMethod,
     EnergyReport,
+    ProjectionTail,
     Provenance,
     SeriesSolution,
     SourceProfile,

@@ -29,6 +29,7 @@ from .modal1d import (
     Side,
     choose_lifting_family,
     mode_from_amplitudes,
+    _check_wavenumber,
 )
 from .solver import (
     BasisMember,
@@ -68,8 +69,7 @@ _2SQRT43 = 2.0 * math.sqrt(43.0)
 
 def rhs_bound(theorem: TheoremId, k: float, norms: DataNormReport) -> float:
     """Right-hand side of the theorem's stability inequality."""
-    if k <= 0:
-        raise ValueError("wavenumber k must be positive")
+    k = _check_wavenumber(k)
     mk = max(k, 1.0)
     mk2 = max(k * k, 1.0)
     mk_half = max(math.sqrt(k), 1.0)
@@ -140,8 +140,20 @@ def certify(
 
     `data` is a Spectrum for the boundary theorems and a list of
     (mode, profile) pairs for the source theorem.  The datum side is implied
-    by the theorem; all other sides are homogeneous.
+    by the theorem; all other sides are homogeneous.  A datum mode above
+    `truncation` raises ValueError instead of being dropped from the solve.
     """
+    k = _check_wavenumber(k)
+    if truncation is not None:
+        if isinstance(data, Spectrum):
+            dropped = [n for n, c in data if n > truncation and c != 0]
+        else:
+            dropped = [int(n) for n, _ in data if int(n) > truncation]
+        if dropped:
+            raise ValueError(
+                f"datum mode {dropped[0]} lies above truncation {truncation}; "
+                "the solve would drop it"
+            )
     if theorem is TheoremId.TF_SOURCE:
         if config.right is not BoundaryOperator.DIRICHLET:
             raise ValueError("the source bound requires a Dirichlet right side")
@@ -431,6 +443,8 @@ def sweep(
     unless collect_failures is set, in which case all failures land in the
     report.
     """
+    for k in k_grid:
+        _check_wavenumber(k)
     rng = np.random.default_rng(seed)
     failures: list[BoundCertificate] = []
     max_ratio = -1.0

@@ -215,8 +215,11 @@ def _datum_spectrum(parsed, family: BasisFamily, depth: int) -> Spectrum:
     return project(lambda t: payload, family, depth)
 
 
-def _assemble(run: RunConfig) -> SeriesSolution:
-    """Full pipeline: lift horizontal data, subtract traces, solve vertical."""
+def _assemble(run: RunConfig, tails: Optional[list] = None) -> SeriesSolution:
+    """Full pipeline: lift horizontal data, subtract traces, solve vertical.
+
+    Each residual trace's ProjectionTail is appended to `tails` if given.
+    """
     cfg, k = run.config, run.k
     vfam = cfg.vertical_family()
     depth = run.truncation if run.truncation is not None else (
@@ -236,7 +239,7 @@ def _assemble(run: RunConfig) -> SeriesSolution:
                 else BasisFamily.COS_HALF)
         g = _datum_spectrum(run.data[side], hfam, depth)
         aux = lift_horizontal_data(g, side, cfg, k, run.truncation)
-        g_right, g_left = residual_traces(aux, g_right, g_left)
+        g_right, g_left = residual_traces(aux, g_right, g_left, tails=tails)
         parts.append(aux)
     if len(g_right):
         parts.append(solve_vertical_data(cfg, Side.RIGHT, g_right, k, run.truncation))
@@ -305,6 +308,15 @@ def _norms_payload(report) -> dict:
     }
 
 
+def _diagnostics_payload(tails) -> dict:
+    """How far to trust the answer: each residual trace's projection tail."""
+    return {
+        "projection_tail": [
+            {"side": t.side.value, "depth": t.depth, "tail": t.fraction} for t in tails
+        ],
+    }
+
+
 def _certificate_payload(cert) -> dict:
     return {
         "theorem": cert.theorem.value,
@@ -347,7 +359,8 @@ def _theorem(tag: str) -> TheoremId:
 
 def _cmd_solve(args) -> int:
     run = _load_config(args.config)
-    u = _assemble(run)
+    tails: list = []
+    u = _assemble(run, tails)
     csv_path = args.csv or run.outputs.get("csv")
     if csv_path:
         _write_csv(csv_path, _sample_rows(u, run.grid))
@@ -360,6 +373,7 @@ def _cmd_solve(args) -> int:
         "seed": run.seed,
         "energy": _energy_payload(u, run.grid),
         "csv": csv_path,
+        "diagnostics": _diagnostics_payload(tails),
     }
     _write_report(args.report or run.outputs.get("report"), payload)
     return 0
@@ -480,10 +494,11 @@ def _cmd_lift(args) -> int:
     g_left = _datum_spectrum(run.data[Side.LEFT], vfam, depth) if Side.LEFT in run.data \
         else Spectrum.zero(vfam)
     auxes = []
+    tails: list = []
     for side in sides:
         g = _datum_spectrum(run.data[side], hfam, depth)
         aux = lift_horizontal_data(g, side, cfg, k, run.truncation)
-        g_right, g_left = residual_traces(aux, g_right, g_left)
+        g_right, g_left = residual_traces(aux, g_right, g_left, tails=tails)
         auxes.append(aux)
     u = auxes[0] if len(auxes) == 1 else superpose(auxes)
     csv_path = args.csv or run.outputs.get("csv")
@@ -501,6 +516,7 @@ def _cmd_lift(args) -> int:
         "energy": _energy_payload(u, run.grid),
         "csv": csv_path,
         "seed": run.seed,
+        "diagnostics": _diagnostics_payload(tails),
     }
     _write_report(args.report or run.outputs.get("report"), payload)
     return 0
@@ -508,7 +524,8 @@ def _cmd_lift(args) -> int:
 
 def _cmd_oracle(args) -> int:
     run = _load_config(args.config)
-    u = _assemble(run)
+    tails: list = []
+    u = _assemble(run, tails)
     n = args.n or max(run.grid, 65)
     vfam = run.config.vertical_family()
     depth = run.truncation if run.truncation is not None else 64
@@ -543,6 +560,7 @@ def _cmd_oracle(args) -> int:
         "rel_l2": comparison.rel_l2,
         "fdm_energy": fdm_energy(gs).energy,
         "seed": run.seed,
+        "diagnostics": _diagnostics_payload(tails),
     }
     _write_report(args.report or run.outputs.get("report"), payload)
     return 0

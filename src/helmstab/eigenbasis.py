@@ -8,6 +8,7 @@ callable projected by composite Gauss-Legendre quadrature.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -121,7 +122,8 @@ class Spectrum:
     """Finitely supported modal coefficients in one basis family.
 
     Indices are strictly increasing; a SIN_INT index 0 is dropped silently
-    (that family's zeroth member is the zero function).
+    (that family's zeroth member is the zero function).  Coefficients must
+    be finite.
     """
 
     family: BasisFamily
@@ -139,9 +141,12 @@ class Spectrum:
             if n <= last:
                 raise ValueError("mode indices must be strictly increasing and unique")
             last = n
+            c = complex(c)
+            if not cmath.isfinite(c):
+                raise ValueError(f"coefficient of mode {n} is not finite ({c})")
             if self.family is BasisFamily.SIN_INT and n == 0:
                 continue
-            cleaned.append((n, complex(c)))
+            cleaned.append((n, c))
         object.__setattr__(self, "coeffs", tuple(cleaned))
 
     @classmethod

@@ -6,6 +6,10 @@ oscillatory), evanescent (mu^2 > k^2, exponential), and cutoff (mu^2 = k^2
 within tolerance, polynomial).  Norms are evaluated from cancellation-free
 regroupings of the closed forms, stable from the cutoff through z ~ 800.
 
+All modes of one problem at one k are built together as a ModeTable, a
+struct of arrays with one row per mode index; x_mode and y_mode_lifting
+return a single row as a ModalSolution1D.
+
 Also provides the lifting eigenvalue-family selection driven by the distance
 of k^2 to the two eigenvalue lattices, the resonance-gap lower bound, and the
 energy-density quantities phi/theta/psi used by the certification sweeps.
@@ -17,7 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -59,6 +63,11 @@ class Regime(Enum):
     EVANESCENT = "evanescent"
 
 
+#: Regime codes of ModeTable.regime; _REGIMES[code] is the Regime.
+PROPAGATING, CUTOFF, EVANESCENT = 0, 1, 2
+_REGIMES = (Regime.PROPAGATING, Regime.CUTOFF, Regime.EVANESCENT)
+
+
 @dataclass(frozen=True)
 class ModeRegime:
     kind: Regime
@@ -66,125 +75,39 @@ class ModeRegime:
     z: float    # k * lam = sqrt(|k^2 - mu^2|)
 
 
-def classify_mode(k: float, mu: float) -> ModeRegime:
-    """Regime of the mode with transverse eigenvalue mu at wavenumber k."""
-    if k <= 0:
-        raise ValueError("wavenumber k must be positive")
+def _check_wavenumber(k) -> float:
+    k = float(k)
+    if not (k > 0 and math.isfinite(k)):
+        raise ValueError(f"wavenumber k must be positive and finite, got k={k!r}")
+    return k
+
+
+#: sigma / z per regime code: sigma is i*z, 0 or -z.
+_SIGMA_PER_Z = np.array([1j, 0.0, -1.0])
+
+
+def _regimes(k: float, mu: np.ndarray):
+    """Regime code, z = sqrt|k^2 - mu^2| and sigma of each mode."""
     # (k-mu)(k+mu) avoids the catastrophic cancellation of k*k - mu*mu near
     # the cutoff (the difference k-mu is exact there).
-    gap = abs((k - mu) * (k + mu))
-    z = math.sqrt(gap)
-    lam = z / k
-    if gap <= EPS_CUTOFF * max(k * k, mu * mu):
-        return ModeRegime(Regime.CUTOFF, lam, z)
-    if mu * mu < k * k:
-        return ModeRegime(Regime.PROPAGATING, lam, z)
-    return ModeRegime(Regime.EVANESCENT, lam, z)
+    gap = np.abs((k - mu) * (k + mu))
+    z = np.sqrt(gap)
+    code = np.where(mu * mu < k * k, PROPAGATING, EVANESCENT)
+    code[gap <= EPS_CUTOFF * np.maximum(k * k, mu * mu)] = CUTOFF
+    return code, z, z * _SIGMA_PER_Z[code]
 
 
-# --------------------------------------------------------------------------
-# stable scalar primitives
-# --------------------------------------------------------------------------
-
-# (2z - sin 2z)/2 = z^3 * sum c_m (2z)^(2m); c_0 = 2/3 after normalization.
-_ODD_FACT_INV = [1.0 / math.factorial(2 * m + 3) for m in range(9)]
+def classify_mode(k: float, mu: float) -> ModeRegime:
+    """Regime of the mode with transverse eigenvalue mu at wavenumber k."""
+    return _classify(k, mu)[0]
 
 
-def _a_minus(z: float) -> float:
-    """z - sin(z)cos(z), computed without cancellation for small z."""
-    if z < _SERIES_Z:
-        w2 = (2.0 * z) ** 2
-        acc = 0.0
-        for m in range(len(_ODD_FACT_INV) - 1, -1, -1):
-            acc = acc * w2 + (-1.0) ** m * _ODD_FACT_INV[m]
-        return 4.0 * z**3 * acc
-    return z - 0.5 * math.sin(2.0 * z)
-
-
-def _a_plus(z: float) -> float:
-    """z + sin(z)cos(z)."""
-    return z + 0.5 * math.sin(2.0 * z)
-
-
-@dataclass(frozen=True)
-class _Hyp:
-    """Hyperbolic building blocks sharing one scale factor.
-
-    Fields hold {1, sinh^2 z, cosh^2 z, sinh z cosh z - z, sinh z cosh z + z}
-    all multiplied by the same scale (1 for moderate z, e^(-2z) beyond);
-    ratios of homogeneous combinations are therefore exact.
-    """
-
-    one: float
-    h2: float
-    ch2: float
-    hm: float
-    hp: float
-
-
-def _hyp_bundle(z: float) -> _Hyp:
-    if z < _HYP_SCALE_Z:
-        sh = math.sinh(z)
-        ch = math.cosh(z)
-        hc = sh * ch
-        if z < _SERIES_Z:
-            w2 = (2.0 * z) ** 2
-            acc = 0.0
-            for m in range(len(_ODD_FACT_INV) - 1, -1, -1):
-                acc = acc * w2 + _ODD_FACT_INV[m]
-            hm = 4.0 * z**3 * acc
-        else:
-            hm = hc - z
-        return _Hyp(one=1.0, h2=sh * sh, ch2=ch * ch, hm=hm, hp=hc + z)
-    e2 = math.exp(-2.0 * z)
-    e4 = e2 * e2
-    hc = 0.25 * (1.0 - e4)  # sinh z cosh z * e^(-2z)
-    return _Hyp(
-        one=e2,
-        h2=0.25 * (1.0 - e2) ** 2,
-        ch2=0.25 * (1.0 + e2) ** 2,
-        hm=hc - z * e2,
-        hp=hc + z * e2,
-    )
-
-
-@dataclass(frozen=True)
-class HyperbolicRatios:
-    """Stabilized forms of the hyperbolic ratios used by the norm formulas."""
-
-    sinh2z_over_2z: float
-    cosh2z: float
-    sinh2z_over_cosh2z_minus_1: float
-    sinh2z_over_cosh2z_plus_1: float
-    sinh2z_minus_2z_over_z3_cosh2z_plus_1: float
-
-
-def stable_hyperbolic_ratios(z: float) -> HyperbolicRatios:
-    """Evaluate the five hyperbolic ratios without overflow or cancellation.
-
-    Entries that genuinely exceed float64 range (sinh(2z)/(2z) and cosh(2z)
-    for z > ~354.9) saturate to inf; the singular-ratio entries stay finite
-    and accurate for all z >= 0.  At z = 0 the coth-form entry is inf (its
-    1/z singularity) and the composite-limit entry equals 2/3.
-    """
-    if z < 0:
-        raise ValueError("z must be nonnegative")
-    if z == 0.0:
-        return HyperbolicRatios(1.0, 1.0, math.inf, 0.0, 2.0 / 3.0)
-    try:
-        sinh_lin = math.sinh(2.0 * z) / (2.0 * z)
-    except OverflowError:
-        sinh_lin = math.inf
-    try:
-        cosh2z = math.cosh(2.0 * z)
-    except OverflowError:
-        cosh2z = math.inf
-    coth = 1.0 / math.tanh(z)
-    tanh = math.tanh(z)
-    b = _hyp_bundle(z)
-    # (sinh 2z - 2z) / (z^3 (cosh 2z + 1)) = 2*hm / (z^3 * 2*ch2), same scale.
-    cubic = b.hm / (z**3 * b.ch2)
-    return HyperbolicRatios(sinh_lin, cosh2z, coth, tanh, cubic)
+def _classify(k: float, mu: float) -> tuple[ModeRegime, complex]:
+    """classify_mode, plus the mode's sigma."""
+    k = _check_wavenumber(k)
+    code, z, sigma = _regimes(k, np.array([mu], dtype=float))
+    z0 = float(z[0])
+    return ModeRegime(_REGIMES[code[0]], z0 / k, z0), complex(sigma[0])
 
 
 # --------------------------------------------------------------------------
@@ -197,8 +120,7 @@ class TrigHyperbolic:
     """Amplitudes of exp(sigma*t) and exp(sigma*(1-t)).
 
     The anchored pair keeps both exponents nonpositive in the evanescent
-    regime; the conventional exp(+/- sigma*t) amplitudes are recovered as
-    c_plus = forward, c_minus = backward * exp(sigma).
+    regime.
     """
 
     forward: complex
@@ -222,33 +144,63 @@ class ModalSolution1D:
     norm_sq: float
     dnorm_sq: float
 
-    @property
-    def c_plus(self) -> complex:
-        if isinstance(self.branch, Polynomial):
-            raise TypeError("polynomial branch has no exponential amplitudes")
-        return self.branch.forward
-
-    @property
-    def c_minus(self) -> complex:
-        if isinstance(self.branch, Polynomial):
-            raise TypeError("polynomial branch has no exponential amplitudes")
-        return self.branch.backward * cmath.exp(self.sigma)
-
     def value(self, t):
-        if isinstance(self.branch, Polynomial):
-            return _poly_value(self.branch.coeffs, t)
-        if np.ndim(t):
-            t = np.asarray(t)
-        a, b = self.branch.forward, self.branch.backward
-        return a * np.exp(self.sigma * t) + b * np.exp(self.sigma * (1.0 - t))
+        return self.value_and_derivative(t)[0]
 
     def derivative(self, t):
+        return self.value_and_derivative(t)[1]
+
+    def value_and_derivative(self, t):
+        """(X(t), X'(t)), sharing the exponentials between the two."""
         if isinstance(self.branch, Polynomial):
-            return _poly_value(_poly_deriv(self.branch.coeffs), t)
+            coeffs = self.branch.coeffs
+            return _poly_value(coeffs, t), _poly_value(_poly_deriv(coeffs), t)
         if np.ndim(t):
             t = np.asarray(t)
         a, b = self.branch.forward, self.branch.backward
-        return self.sigma * (a * np.exp(self.sigma * t) - b * np.exp(self.sigma * (1.0 - t)))
+        ef, eb = np.exp(self.sigma * t), np.exp(self.sigma * (1.0 - t))
+        return a * ef + b * eb, self.sigma * (a * ef - b * eb)
+
+
+@dataclass(frozen=True)
+class ModeTable:
+    """The closed-form modes of one 1D problem at one k, one row per index.
+
+    `regime` holds the codes PROPAGATING/CUTOFF/EVANESCENT.  Exponential
+    rows carry sigma and the anchored amplitudes of exp(sigma*t) and
+    exp(sigma*(1-t)); cutoff rows carry polynomial coefficients (constant
+    term first) in `poly`.  Fields a row's branch does not use are zero.
+    """
+
+    k: float
+    n: np.ndarray
+    mu: np.ndarray
+    regime: np.ndarray
+    z: np.ndarray
+    sigma: np.ndarray
+    forward: np.ndarray
+    backward: np.ndarray
+    poly: np.ndarray  # (rows, 3)
+    norm_sq: np.ndarray
+    dnorm_sq: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def row(self, i: int) -> ModalSolution1D:
+        """Row i as a one-mode object."""
+        kind = _REGIMES[self.regime[i]]
+        z = float(self.z[i])
+        if kind is Regime.CUTOFF:
+            branch: TrigHyperbolic | Polynomial = Polynomial(
+                tuple(complex(c) for c in self.poly[i])
+            )
+        else:
+            branch = TrigHyperbolic(complex(self.forward[i]), complex(self.backward[i]))
+        return ModalSolution1D(
+            self.k, float(self.mu[i]), ModeRegime(kind, z / self.k, z),
+            complex(self.sigma[i]), branch, float(self.norm_sq[i]), float(self.dnorm_sq[i]),
+        )
 
 
 def _poly_value(coeffs, t):
@@ -271,157 +223,202 @@ def _poly_l2_sq(coeffs) -> float:
     return total
 
 
-def _operator_row(op: BoundaryOperator, end: int, sigma: complex, k: float):
-    """Row of the 2x2 system applying op at an endpoint.
+def _reflect_poly(coeffs: tuple[complex, ...]) -> tuple[complex, ...]:
+    """Coefficients of p(1-t) given those of p(t)."""
+    out = [0.0 + 0.0j] * len(coeffs)
+    for i, c in enumerate(coeffs):
+        for j in range(i + 1):
+            out[j] += c * math.comb(i, j) * (-1.0) ** j
+    return tuple(out)
+
+
+def _operator_row(op: BoundaryOperator, end: int, sigma, k: float):
+    """Row of the 2x2 system applying op at an endpoint, per sigma.
 
     Acts on (forward, backward) amplitudes of exp(sigma*t), exp(sigma*(1-t)).
     Normal derivatives point outward: -d/dt at t=0, +d/dt at t=1.
     """
-    es = cmath.exp(sigma)
+    es = np.exp(sigma)
     if end == 0:
-        v = (1.0 + 0.0j, es)
-        d = (sigma, -sigma * es)
-        nrm = (-d[0], -d[1])
-    else:
-        v = (es, 1.0 + 0.0j)
-        d = (sigma * es, -sigma)
-        nrm = d
-    if op is BoundaryOperator.DIRICHLET:
-        return v
-    if op is BoundaryOperator.NEUMANN:
-        return nrm
-    return (nrm[0] - 1j * k * v[0], nrm[1] - 1j * k * v[1])
+        return _apply(op, (1.0 + 0.0j, es), (-sigma, sigma * es), k)
+    return _apply(op, (es, 1.0 + 0.0j), (sigma * es, -sigma), k)
 
 
 def _poly_operator_row(op: BoundaryOperator, end: int, k: float):
-    """Same as _operator_row for the degenerate branch p0 + p1*t."""
-    if end == 0:
-        v, d = (1.0 + 0.0j, 0.0 + 0.0j), (0.0 + 0.0j, 1.0 + 0.0j)
-        nrm = (-d[0], -d[1])
-    else:
-        v, d = (1.0 + 0.0j, 1.0 + 0.0j), (0.0 + 0.0j, 1.0 + 0.0j)
-        nrm = d
+    """Same as _operator_row for the degenerate branch p0 + p1*t: the value
+    row is (1, t) and the outward derivative row (0, -1) at t=0, (0, 1) at 1."""
+    return _apply(op, (1.0 + 0.0j, float(end)), (0.0, 2.0 * end - 1.0), k)
+
+
+def _apply(op: BoundaryOperator, value, normal, k: float):
+    """Row of op from the rows of the value and the outward normal derivative."""
     if op is BoundaryOperator.DIRICHLET:
-        return v
+        return value
     if op is BoundaryOperator.NEUMANN:
-        return nrm
-    return (nrm[0] - 1j * k * v[0], nrm[1] - 1j * k * v[1])
+        return normal
+    return (normal[0] - 1j * k * value[0], normal[1] - 1j * k * value[1])
 
 
-def _solve_2x2(r0, r1, d0: complex, d1: complex) -> tuple[complex, complex]:
+def _solve_2x2(r0, r1, d0: float, d1: float, ns: np.ndarray):
+    """Solve the rows' 2x2 systems for the data (d0, d1).
+
+    Entries may be scalars or arrays over the modes `ns`; a numerically
+    singular system raises ResonantLiftingError naming its mode.
+    """
     det = r0[0] * r1[1] - r0[1] * r1[0]
-    scale = max(abs(r0[0]), abs(r0[1])) * max(abs(r1[0]), abs(r1[1]))
-    if abs(det) <= _DET_TOL * max(scale, 1e-300):
+    scale = np.maximum(abs(r0[0]), abs(r0[1])) * np.maximum(abs(r1[0]), abs(r1[1]))
+    singular = abs(det) <= _DET_TOL * np.maximum(scale, 1e-300)
+    if np.count_nonzero(singular):
+        i = int(np.argmax(singular))
         raise ResonantLiftingError(
-            f"boundary-value system is singular (|det|={abs(det):.3e}, scale={scale:.3e})"
+            f"boundary-value system of mode {int(ns[i])} is singular "
+            f"(|det|={np.ravel(np.abs(det))[i]:.3e}, scale={np.ravel(scale)[i]:.3e})"
         )
     return (d0 * r1[1] - d1 * r0[1]) / det, (r0[0] * d1 - r1[0] * d0) / det
-
-
-def _sigma(k: float, reg: ModeRegime) -> complex:
-    if reg.kind is Regime.CUTOFF:
-        return 0.0 + 0.0j
-    if reg.kind is Regime.PROPAGATING:
-        return 1j * reg.z
-    return complex(-reg.z, 0.0)
 
 
 # --------------------------------------------------------------------------
 # closed-form norms (verified against 50-digit quadrature)
 # --------------------------------------------------------------------------
 
+# (2z - sin 2z)/2 = z^3 * sum c_m (2z)^(2m); c_0 = 2/3 after normalization.
+_ODD_FACT_INV = [1.0 / math.factorial(2 * m + 3) for m in range(9)]
 
-def _xnorms_impedance_pair(k: float, reg: ModeRegime) -> tuple[float, float]:
-    """Norms for the impedance/impedance mode (unit datum on either side)."""
-    lam, z = reg.lam, reg.z
-    l2 = lam * lam
-    if reg.kind is Regime.PROPAGATING:
-        am, ap = _a_minus(z), _a_plus(z)
-        den = 4.0 * l2 + (1.0 - l2) ** 2 * math.sin(z) ** 2
-        return (
-            (am + l2 * ap) / (2.0 * k**3 * lam * den),
-            lam * (ap + l2 * am) / (2.0 * k * den),
-        )
-    b = _hyp_bundle(z)
-    den = 4.0 * l2 * b.one + (1.0 + l2) ** 2 * b.h2
-    return (
-        (b.hm + l2 * b.hp) / (2.0 * k**3 * lam * den),
-        lam * (b.hp + l2 * b.hm) / (2.0 * k * den),
+
+def _trig_blocks(z):
+    sc = 0.5 * np.sin(2.0 * z)
+    return np.ones(len(z)), np.sin(z) ** 2, np.cos(z) ** 2, z - sc, z + sc
+
+
+def _hyp_blocks(z):
+    sh, ch = np.sinh(z), np.cosh(z)
+    hc = sh * ch
+    return np.ones(len(z)), sh * sh, ch * ch, hc - z, hc + z
+
+
+def _scaled_hyp_blocks(z):
+    e2 = np.exp(-2.0 * z)
+    hc = 0.25 * (1.0 - e2 * e2)  # sinh z cosh z * e^(-2z)
+    return e2, 0.25 * (1.0 - e2) ** 2, 0.25 * (1.0 + e2) ** 2, hc - z * e2, hc + z * e2
+
+
+def _bundle(z: np.ndarray, evanescent: np.ndarray):
+    """Building blocks of the norm formulas, one entry per mode.
+
+    Returns (one, s2, c2, m, p, eps).  Propagating modes get
+    {1, sin^2 z, cos^2 z, z - sin z cos z, z + sin z cos z} and eps = -1;
+    evanescent modes the hyperbolic counterparts {1, sinh^2 z, cosh^2 z,
+    sinh z cosh z - z, sinh z cosh z + z} and eps = +1, all multiplied by
+    one scale (1 for moderate z, e^(-2z) beyond), so ratios of homogeneous
+    combinations are exact.  m is summed from its series for small z.
+    """
+    near = z < _HYP_SCALE_Z
+    branches = (
+        (~evanescent, _trig_blocks),
+        (evanescent & near, _hyp_blocks),
+        (evanescent & ~near, _scaled_hyp_blocks),
     )
+    blocks = np.empty((5, len(z)))
+    for rows, blocks_of in branches:
+        if np.count_nonzero(rows):
+            blocks[:, rows] = blocks_of(z[rows])
+    one, s2, c2, m, p = blocks
+    eps = np.where(evanescent, 1.0, -1.0)
+    small = z < _SERIES_Z
+    if np.count_nonzero(small):
+        zs, sign = z[small], eps[small]
+        w2 = (2.0 * zs) ** 2
+        acc = np.zeros_like(zs)
+        for j in range(len(_ODD_FACT_INV) - 1, -1, -1):
+            acc = acc * w2 + sign**j * _ODD_FACT_INV[j]
+        m[small] = 4.0 * zs**3 * acc
+    return one, s2, c2, m, p, eps
 
 
-def _xnorms_left_datum(k: float, reg: ModeRegime, alpha: int) -> tuple[float, float]:
-    """Unit impedance datum at x=0; homogeneous Dirichlet (alpha=0) or
-    Neumann (alpha=1) at x=1."""
-    lam, z = reg.lam, reg.z
-    l2 = lam * lam
-    if reg.kind is Regime.PROPAGATING:
-        s2, c2 = math.sin(z) ** 2, math.cos(z) ** 2
-        if alpha == 1:
-            den = c2 + l2 * s2
-            return _a_plus(z) / (2.0 * k**3 * lam * den), lam * _a_minus(z) / (2.0 * k * den)
-        den = s2 + l2 * c2
-        return _a_minus(z) / (2.0 * k**3 * lam * den), lam * _a_plus(z) / (2.0 * k * den)
-    b = _hyp_bundle(z)
-    if alpha == 1:
-        den = b.ch2 + l2 * b.h2
-        return b.hp / (2.0 * k**3 * lam * den), lam * b.hm / (2.0 * k * den)
-    den = b.h2 + l2 * b.ch2
-    return b.hm / (2.0 * k**3 * lam * den), lam * b.hp / (2.0 * k * den)
-
-
-def _xnorms_right_datum(k: float, reg: ModeRegime, alpha: int) -> tuple[float, float]:
-    """Homogeneous impedance at x=0; unit Dirichlet (alpha=0) or Neumann
-    (alpha=1) datum at x=1."""
-    lam, z = reg.lam, reg.z
-    l2 = lam * lam
-    if reg.kind is Regime.PROPAGATING:
-        am, ap = _a_minus(z), _a_plus(z)
-        s2, c2 = math.sin(z) ** 2, math.cos(z) ** 2
-        if alpha == 1:
-            den = c2 + l2 * s2
-            return (am + l2 * ap) / (2.0 * z**3 * den), (ap + l2 * am) / (2.0 * z * den)
-        den = s2 + l2 * c2
-        return (am + l2 * ap) / (2.0 * z * den), z * (ap + l2 * am) / (2.0 * den)
-    b = _hyp_bundle(z)
-    if alpha == 1:
-        den = b.ch2 + l2 * b.h2
-        return (b.hm + l2 * b.hp) / (2.0 * z**3 * den), (b.hp + l2 * b.hm) / (2.0 * z * den)
-    den = b.h2 + l2 * b.ch2
-    return (b.hm + l2 * b.hp) / (2.0 * z * den), z * (b.hp + l2 * b.hm) / (2.0 * den)
-
-
-def _ynorms_neumann_datum(reg: ModeRegime, alpha: int) -> tuple[float, float]:
-    """Unit Neumann datum at y=0; alpha-operator homogeneous at y=1."""
-    z = reg.z
-    if reg.kind is Regime.PROPAGATING:
-        am, ap = _a_minus(z), _a_plus(z)
-        den = math.sin(z) ** 2 if alpha == 1 else math.cos(z) ** 2
-        num0, num1 = (ap, am) if alpha == 1 else (am, ap)
-        return num0 / (2.0 * z**3 * den), num1 / (2.0 * z * den)
-    b = _hyp_bundle(z)
-    den = b.h2 if alpha == 1 else b.ch2
-    num0, num1 = (b.hp, b.hm) if alpha == 1 else (b.hm, b.hp)
-    return num0 / (2.0 * z**3 * den), num1 / (2.0 * z * den)
-
-
-def _ynorms_dirichlet_datum(reg: ModeRegime, alpha: int) -> tuple[float, float]:
-    """Unit Dirichlet datum at y=0; alpha-operator homogeneous at y=1."""
-    z = reg.z
-    if reg.kind is Regime.PROPAGATING:
-        am, ap = _a_minus(z), _a_plus(z)
-        den = math.cos(z) ** 2 if alpha == 1 else math.sin(z) ** 2
-        num0, num1 = (ap, am) if alpha == 1 else (am, ap)
-        return num0 / (2.0 * z * den), z * num1 / (2.0 * den)
-    b = _hyp_bundle(z)
-    den = b.ch2 if alpha == 1 else b.h2
-    num0, num1 = (b.hp, b.hm) if alpha == 1 else (b.hm, b.hp)
-    return num0 / (2.0 * z * den), z * num1 / (2.0 * den)
+def _new_table(ns, k: float, family) -> ModeTable:
+    """A table of the modes `ns` with regimes filled in and zeroed branch
+    data and norms, for the constructors to fill."""
+    k = _check_wavenumber(k)
+    n = np.asarray(ns, dtype=np.int64).reshape(-1)
+    mu = np.fromiter((family.eigenvalue(int(m)) for m in n), dtype=float, count=len(n))
+    code, z, sigma = _regimes(k, mu)
+    rows = len(n)
+    return ModeTable(
+        k, n, mu, code, z, sigma,
+        forward=np.zeros(rows, dtype=complex), backward=np.zeros(rows, dtype=complex),
+        poly=np.zeros((rows, 3), dtype=complex), norm_sq=np.zeros(rows), dnorm_sq=np.zeros(rows),
+    )
 
 
 # --------------------------------------------------------------------------
 # mode constructors
 # --------------------------------------------------------------------------
+
+
+def x_modes(
+    ns: Sequence[int],
+    k: float,
+    b_right: BoundaryOperator,
+    data_side: Side,
+    family: BasisFamily,
+    b_left: BoundaryOperator = BoundaryOperator.IMPEDANCE,
+) -> ModeTable:
+    """Horizontal modal profiles with a unit datum on the given vertical side.
+
+    One row per mode index in `ns`.  The left side always carries the
+    impedance operator.  With b_right impedance the impedance/impedance
+    profile serves either datum side; otherwise the datum side selects which
+    closed form applies.
+    """
+    if b_left is not BoundaryOperator.IMPEDANCE:
+        raise ValueError("the left side must carry the impedance operator")
+    if data_side not in (Side.LEFT, Side.RIGHT):
+        raise ValueError("x-direction data lives on the LEFT or RIGHT side")
+    t = _new_table(ns, k, family)
+    k = t.k
+    d_left = 1.0 if data_side is Side.LEFT else 0.0
+    d_right = 1.0 - d_left
+
+    cut = t.regime == CUTOFF
+    if np.count_nonzero(cut):
+        # Every cutoff row solves the same polynomial problem.
+        r0 = _poly_operator_row(BoundaryOperator.IMPEDANCE, 0, k)
+        r1 = _poly_operator_row(b_right, 1, k)
+        p0, p1 = _solve_2x2(r0, r1, d_left, d_right, t.n[cut])
+        t.poly[cut, 0], t.poly[cut, 1] = p0, p1
+        t.norm_sq[cut] = _poly_l2_sq((p0, p1))
+        t.dnorm_sq[cut] = _poly_l2_sq((p1,))
+
+    live = ~cut
+    s = t.sigma[live]
+    r0 = _operator_row(BoundaryOperator.IMPEDANCE, 0, s, k)
+    r1 = _operator_row(b_right, 1, s, k)
+    t.forward[live], t.backward[live] = _solve_2x2(r0, r1, d_left, d_right, t.n[live])
+
+    z = t.z[live]
+    one, s2, c2, m, p, eps = _bundle(z, t.regime[live] == EVANESCENT)
+    lam = z / k
+    l2 = lam * lam
+    if b_right is BoundaryOperator.IMPEDANCE:
+        den = 4.0 * l2 * one + (1.0 + eps * l2) ** 2 * s2
+        norm_sq = (m + l2 * p) / (2.0 * k**3 * lam * den)
+        dnorm_sq = lam * (p + l2 * m) / (2.0 * k * den)
+    else:
+        # homogeneous Neumann (alpha = 1) or Dirichlet (alpha = 0) right side
+        neumann = b_right is BoundaryOperator.NEUMANN
+        den = c2 + l2 * s2 if neumann else s2 + l2 * c2
+        if data_side is Side.LEFT:
+            num0, num1 = (p, m) if neumann else (m, p)
+            norm_sq = num0 / (2.0 * k**3 * lam * den)
+            dnorm_sq = lam * num1 / (2.0 * k * den)
+        elif neumann:
+            norm_sq = (m + l2 * p) / (2.0 * z**3 * den)
+            dnorm_sq = (p + l2 * m) / (2.0 * z * den)
+        else:
+            norm_sq = (m + l2 * p) / (2.0 * z * den)
+            dnorm_sq = z * (p + l2 * m) / (2.0 * den)
+    t.norm_sq[live], t.dnorm_sq[live] = norm_sq, dnorm_sq
+    return t
 
 
 def x_mode(
@@ -432,43 +429,8 @@ def x_mode(
     family: BasisFamily,
     b_left: BoundaryOperator = BoundaryOperator.IMPEDANCE,
 ) -> ModalSolution1D:
-    """Horizontal modal profile with a unit datum on the given vertical side.
-
-    The left side always carries the impedance operator.  With b_right
-    impedance the impedance/impedance profile serves either datum side;
-    otherwise the datum side selects which closed form applies.
-    """
-    if b_left is not BoundaryOperator.IMPEDANCE:
-        raise ValueError("the left side must carry the impedance operator")
-    if data_side not in (Side.LEFT, Side.RIGHT):
-        raise ValueError("x-direction data lives on the LEFT or RIGHT side")
-    mu = family.eigenvalue(n)
-    reg = classify_mode(k, mu)
-    d_left = 1.0 if data_side is Side.LEFT else 0.0
-    d_right = 1.0 - d_left
-
-    if reg.kind is Regime.CUTOFF:
-        r0 = _poly_operator_row(BoundaryOperator.IMPEDANCE, 0, k)
-        r1 = _poly_operator_row(b_right, 1, k)
-        p0, p1 = _solve_2x2(r0, r1, d_left, d_right)
-        branch: TrigHyperbolic | Polynomial = Polynomial((p0, p1))
-        norm_sq = _poly_l2_sq((p0, p1))
-        dnorm_sq = _poly_l2_sq((p1,))
-        return ModalSolution1D(k, mu, reg, 0.0 + 0.0j, branch, norm_sq, dnorm_sq)
-
-    sigma = _sigma(k, reg)
-    r0 = _operator_row(BoundaryOperator.IMPEDANCE, 0, sigma, k)
-    r1 = _operator_row(b_right, 1, sigma, k)
-    a, b = _solve_2x2(r0, r1, d_left, d_right)
-    if b_right is BoundaryOperator.IMPEDANCE:
-        norm_sq, dnorm_sq = _xnorms_impedance_pair(k, reg)
-    elif data_side is Side.LEFT:
-        alpha = 1 if b_right is BoundaryOperator.NEUMANN else 0
-        norm_sq, dnorm_sq = _xnorms_left_datum(k, reg, alpha)
-    else:
-        alpha = 1 if b_right is BoundaryOperator.NEUMANN else 0
-        norm_sq, dnorm_sq = _xnorms_right_datum(k, reg, alpha)
-    return ModalSolution1D(k, mu, reg, sigma, TrigHyperbolic(a, b), norm_sq, dnorm_sq)
+    """One horizontal modal profile: the single row of x_modes([n], ...)."""
+    return x_modes([n], k, b_right, data_side, family, b_left).row(0)
 
 
 class EigenvalueFamily(Enum):
@@ -507,8 +469,7 @@ def choose_lifting_family(
     eigenvalue-squared lattices (they sum to pi^2/2 exactly); the lattice is
     chosen by closed-interval membership of d0.
     """
-    if k <= 0:
-        raise ValueError("wavenumber k must be positive")
+    k = _check_wavenumber(k)
     for op in (b_bottom, b_top):
         if op not in (BoundaryOperator.DIRICHLET, BoundaryOperator.NEUMANN):
             raise ValueError("horizontal operators must be Dirichlet or Neumann")
@@ -531,21 +492,22 @@ def choose_lifting_family(
     return LiftingFamilyChoice(d0=d0, d1=d1, family=fam, case_index=case)
 
 
-def y_mode_lifting(
-    n: int,
+def y_modes_lifting(
+    ns: Sequence[int],
     k: float,
     b_bottom: BoundaryOperator,
     b_top: BoundaryOperator,
     data_side: Side,
     family_choice: LiftingFamilyChoice,
-) -> ModalSolution1D:
-    """Vertical auxiliary profile with a unit datum on a horizontal side.
+) -> ModeTable:
+    """Vertical auxiliary profiles with a unit datum on a horizontal side.
 
-    The datum side's operator fixes the closed form (Neumann vs Dirichlet
-    datum); the opposite operator supplies alpha.  Data on TOP solves the
-    reflected problem.  A Dirichlet-datum mode at the cutoff, or any mode
-    whose boundary system is numerically singular, raises
-    ResonantLiftingError: the lifting family choice provably avoids these.
+    One row per mode index in `ns`.  The datum side's operator fixes the
+    closed form (Neumann vs Dirichlet datum); the opposite operator supplies
+    alpha.  Data on TOP solves the reflected problem.  A Dirichlet-datum mode
+    at the cutoff, or any mode whose boundary system is numerically singular,
+    raises ResonantLiftingError naming the mode: the lifting family choice
+    provably avoids these.
     """
     if data_side not in (Side.BOTTOM, Side.TOP):
         raise ValueError("lifting data lives on the BOTTOM or TOP side")
@@ -555,38 +517,57 @@ def y_mode_lifting(
     reflected = data_side is Side.TOP
     datum_op, other_op = (b_top, b_bottom) if reflected else (b_bottom, b_top)
     alpha = 1 if other_op is BoundaryOperator.NEUMANN else 0
-    mu = family_choice.eigenvalue(n)
-    reg = classify_mode(k, mu)
+    t = _new_table(ns, k, family_choice)
+    k = t.k
 
-    if reg.kind is Regime.CUTOFF:
+    cut = t.regime == CUTOFF
+    if np.count_nonzero(cut):
         if datum_op is BoundaryOperator.DIRICHLET:
+            i = int(np.argmax(cut))
             raise ResonantLiftingError(
-                f"Dirichlet-datum lifting mode hit the cutoff (k={k}, mu={mu}); "
+                f"Dirichlet-datum lifting mode {int(t.n[i])} hit the cutoff "
+                f"(k={k}, mu={float(t.mu[i])}); "
                 "the eigenvalue-family selection should have avoided this"
             )
         # Neumann datum, degenerate branch: alpha*(t^2/2 - t) - (1-alpha)*(t-1)
-        coeffs = (
-            complex(1.0 - alpha),
-            complex(-1.0),
-            complex(0.5 * alpha),
-        )
+        coeffs = (complex(1.0 - alpha), complex(-1.0), complex(0.5 * alpha))
         if reflected:
             coeffs = _reflect_poly(coeffs)
-        norm_sq = (1.0 - alpha) / 3.0 + 2.0 * alpha / 15.0
-        dnorm_sq = (1.0 - alpha) + alpha / 3.0
-        return ModalSolution1D(k, mu, reg, 0.0 + 0.0j, Polynomial(coeffs), norm_sq, dnorm_sq)
+        t.poly[cut] = coeffs
+        t.norm_sq[cut] = (1.0 - alpha) / 3.0 + 2.0 * alpha / 15.0
+        t.dnorm_sq[cut] = (1.0 - alpha) + alpha / 3.0
 
-    sigma = _sigma(k, reg)
-    r0 = _operator_row(datum_op, 0, sigma, k)
-    r1 = _operator_row(other_op, 1, sigma, k)
-    a, b = _solve_2x2(r0, r1, 1.0, 0.0)
-    if reflected:
-        a, b = b, a
+    live = ~cut
+    s = t.sigma[live]
+    r0 = _operator_row(datum_op, 0, s, k)
+    r1 = _operator_row(other_op, 1, s, k)
+    a, b = _solve_2x2(r0, r1, 1.0, 0.0, t.n[live])
+    t.forward[live], t.backward[live] = (b, a) if reflected else (a, b)
+
+    z = t.z[live]
+    _, s2, c2, m, p, _ = _bundle(z, t.regime[live] == EVANESCENT)
+    num0, num1 = (p, m) if alpha == 1 else (m, p)
     if datum_op is BoundaryOperator.NEUMANN:
-        norm_sq, dnorm_sq = _ynorms_neumann_datum(reg, alpha)
+        den = s2 if alpha == 1 else c2
+        t.norm_sq[live] = num0 / (2.0 * z**3 * den)
+        t.dnorm_sq[live] = num1 / (2.0 * z * den)
     else:
-        norm_sq, dnorm_sq = _ynorms_dirichlet_datum(reg, alpha)
-    return ModalSolution1D(k, mu, reg, sigma, TrigHyperbolic(a, b), norm_sq, dnorm_sq)
+        den = c2 if alpha == 1 else s2
+        t.norm_sq[live] = num0 / (2.0 * z * den)
+        t.dnorm_sq[live] = z * num1 / (2.0 * den)
+    return t
+
+
+def y_mode_lifting(
+    n: int,
+    k: float,
+    b_bottom: BoundaryOperator,
+    b_top: BoundaryOperator,
+    data_side: Side,
+    family_choice: LiftingFamilyChoice,
+) -> ModalSolution1D:
+    """One vertical auxiliary profile: the single row of y_modes_lifting([n], ...)."""
+    return y_modes_lifting([n], k, b_bottom, b_top, data_side, family_choice).row(0)
 
 
 def _expm1_over(c: complex) -> complex:
@@ -605,10 +586,9 @@ def mode_from_amplitudes(
     constructor is independent of the tabulated norm formulas; it backs
     hand-transcribed reference solutions and test oracles.
     """
-    reg = classify_mode(k, mu)
+    reg, sigma = _classify(k, mu)
     if reg.kind is Regime.CUTOFF:
         raise ValueError("cutoff modes are polynomial; amplitudes do not apply")
-    sigma = _sigma(k, reg)
     a, b = complex(forward), complex(backward)
     es = cmath.exp(sigma)
     e_same = _expm1_over(2.0 * sigma.real).real  # int_0^1 e^{2 Re(sigma) t} dt
@@ -616,24 +596,6 @@ def mode_from_amplitudes(
     norm_sq = (abs(a) ** 2 + abs(b) ** 2) * e_same + cross
     dnorm_sq = abs(sigma) ** 2 * ((abs(a) ** 2 + abs(b) ** 2) * e_same - cross)
     return ModalSolution1D(k, mu, reg, sigma, TrigHyperbolic(a, b), norm_sq, dnorm_sq)
-
-
-def mode_from_polynomial(k: float, mu: float, coeffs) -> ModalSolution1D:
-    """Build a cutoff-branch mode from polynomial coefficients."""
-    reg = classify_mode(k, mu)
-    cs = tuple(complex(c) for c in coeffs)
-    return ModalSolution1D(
-        k, mu, reg, 0.0 + 0.0j, Polynomial(cs), _poly_l2_sq(cs), _poly_l2_sq(_poly_deriv(cs))
-    )
-
-
-def _reflect_poly(coeffs: tuple[complex, ...]) -> tuple[complex, ...]:
-    """Coefficients of p(1-t) given those of p(t)."""
-    out = [0.0 + 0.0j] * len(coeffs)
-    for i, c in enumerate(coeffs):
-        for j in range(i + 1):
-            out[j] += c * math.comb(i, j) * (-1.0) ** j
-    return tuple(out)
 
 
 def gap_lower_bound(k: float, mu_tilde: float, same_ops: bool) -> tuple[float, float]:
@@ -687,70 +649,19 @@ def proof_quantities(
     family: BasisFamily,
 ) -> ProofQuantities:
     """phi/theta/psi for the horizontal-profile problem named by (b_right,
-    data_side), in stably regrouped ratio form."""
-    mu = family.eigenvalue(n)
-    reg = classify_mode(k, mu)
-    lam, z = reg.lam, reg.z
-    l2 = lam * lam
-    k2 = k * k
+    data_side): the energy density of mode n, tagged by its regime."""
+    density, regime = energy_densities([n], k, b_right, data_side, family)
+    tag = ("phi", "theta", "psi")[regime[0]]
+    return ProofQuantities(**{tag: float(density[0])})
 
-    if b_right is BoundaryOperator.IMPEDANCE:
-        if reg.kind is Regime.CUTOFF:
-            return ProofQuantities(theta=(2.0 * k2 + 9.0) / (3.0 * k2 + 12.0))
-        if reg.kind is Regime.PROPAGATING:
-            den = 4.0 * l2 + (1.0 - l2) ** 2 * math.sin(z) ** 2
-            num = l2 * (3.0 - l2) + (_a_minus(z) / z) * (1.0 - l2) ** 2
-            return ProofQuantities(phi=num / den)
-        b = _hyp_bundle(z)
-        num = 2.0 * (l2 * (3.0 + l2) * b.one + (b.hm / z) * (1.0 + l2) ** 2)
-        den = 2.0 * (1.0 + l2) ** 2 * b.h2 + 8.0 * l2 * b.one
-        return ProofQuantities(psi=num / den)
 
-    alpha = 1 if b_right is BoundaryOperator.NEUMANN else 0
-
-    if data_side is Side.LEFT:
-        if alpha == 1:
-            if reg.kind is Regime.CUTOFF:
-                return ProofQuantities(theta=2.0)
-            if reg.kind is Regime.PROPAGATING:
-                s2z = math.sin(2.0 * z) / (2.0 * z)
-                num = 1.0 + (1.0 - l2) * s2z
-                den = math.cos(z) ** 2 + l2 * math.sin(z) ** 2
-                return ProofQuantities(phi=num / den)
-            b = _hyp_bundle(z)
-            sh_lin = (b.hp + b.hm) / (2.0 * z)  # sinh(2z)/(2z), bundle scale
-            num = 2.0 * (sh_lin * (1.0 + l2) + b.one)
-            den = 2.0 * ((1.0 + l2) * b.h2 + b.one)
-            return ProofQuantities(psi=num / den)
-        if reg.kind is Regime.CUTOFF:
-            return ProofQuantities(theta=(2.0 * k2 + 3.0) / (3.0 * k2 + 3.0))
-        if reg.kind is Regime.PROPAGATING:
-            num = l2 + (_a_minus(z) / z) * (1.0 - l2)
-            den = math.sin(z) ** 2 + l2 * math.cos(z) ** 2
-            return ProofQuantities(phi=num / den)
-        b = _hyp_bundle(z)
-        sh_lin = (b.hp + b.hm) / (2.0 * z)
-        num = 2.0 * (b.hm / z + l2 * sh_lin)
-        den = 2.0 * ((1.0 + l2) * b.h2 + l2 * b.one)
-        return ProofQuantities(psi=num / den)
-
-    # datum on the RIGHT side
-    if alpha == 1:
-        if reg.kind is Regime.CUTOFF:
-            return ProofQuantities(theta=(2.0 / 3.0) * k2 + 3.0)
-        if reg.kind is Regime.PROPAGATING:
-            num = l2 * (3.0 - l2) + (_a_minus(z) / z) * (1.0 - l2) ** 2
-            den = l2 * (math.cos(z) ** 2 + l2 * math.sin(z) ** 2)
-            return ProofQuantities(phi=num / den)
-        b = _hyp_bundle(z)
-        num = 2.0 * (l2 * (3.0 + l2) * b.one + (b.hm / z) * (1.0 + l2) ** 2)
-        den = 2.0 * l2 * ((1.0 + l2) * b.h2 + b.one)
-        return ProofQuantities(psi=num / den)
-    if reg.kind is Regime.CUTOFF:
-        return ProofQuantities(theta=k2 * (2.0 * k2 + 9.0) / (3.0 * (k2 + 1.0)))
-    if reg.kind is Regime.PROPAGATING:
-        num = k2 * (l2 * (3.0 - l2) + (_a_minus(z) / z) * (1.0 - l2) ** 2)
-        den = math.sin(z) ** 2 + l2 * math.cos(z) ** 2
-        return ProofQuantities(phi=num / den)
-    n0, n1 = _xnorms_right_datum(k, reg, 0)
-    return ProofQuantities(psi=n1 + (mu * mu + k2) * n0)
+def energy_densities(
+    ns: Sequence[int],
+    k: float,
+    b_right: BoundaryOperator,
+    data_side: Side,
+    family: BasisFamily,
+) -> tuple[np.ndarray, np.ndarray]:
+    """|X'|^2 + (mu^2 + k^2)|X|^2 of each x_modes row, and its regime code."""
+    t = x_modes(ns, k, b_right, data_side, family)
+    return t.dnorm_sq + (t.mu * t.mu + t.k * t.k) * t.norm_sq, t.regime

@@ -28,18 +28,27 @@ from .eigenbasis import (
     _project_samples,
 )
 from .modal1d import (
+    ModeTable,
     Regime,
     Side,
-    classify_mode,
     choose_lifting_family,
-    x_mode,
-    y_mode_lifting,
-    _sigma,
+    x_modes,
+    y_modes_lifting,
+    _classify,
 )
 
 
 class ProjectionTruncationWarning(UserWarning):
     """Residual-trace projection left more than the allowed tail energy."""
+
+
+@dataclass(frozen=True)
+class ProjectionTail:
+    """Share of a residual trace's energy left beyond the projection depth."""
+
+    side: Side
+    depth: int
+    fraction: float
 
 
 @dataclass(frozen=True)
@@ -123,6 +132,9 @@ class BasisMember:
     def derivative(self, t):
         return basis_derivative(self.family, self.n, t)
 
+    def value_and_derivative(self, t):
+        return self.value(t), self.derivative(t)
+
 
 @dataclass(frozen=True)
 class Term:
@@ -132,13 +144,41 @@ class Term:
     y_factor: object
 
 
+class ModeTerms(Sequence):
+    """Terms c_n * profile_n * basis_n whose closed-form profiles are the
+    rows of one ModeTable.
+
+    The coefficients and the table stay arrays; indexing builds a Term on
+    demand, with the profile as a ModalSolution1D.  The profile is the x
+    factor, or the y factor when `lifted`.
+    """
+
+    def __init__(self, coefficients: np.ndarray, table: ModeTable, basis: BasisFamily,
+                 lifted: bool):
+        self.coefficients = coefficients
+        self.table = table
+        self.basis = basis
+        self.lifted = lifted
+
+    def __len__(self) -> int:
+        return len(self.coefficients)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        n = int(self.table.n[i])
+        profile, member = self.table.row(i), BasisMember(self.basis, n)
+        x, y = (member, profile) if self.lifted else (profile, member)
+        return Term(n, complex(self.coefficients[i]), x, y)
+
+
 @dataclass(frozen=True)
 class SeriesSolution:
     config: BoundaryConfig
     k: float
     truncation: int
     provenance: Provenance
-    terms: tuple[Term, ...]
+    terms: Sequence[Term]  # a tuple, or ModeTerms for a single closed-form solve
 
     def scaled(self, factor: complex) -> "SeriesSolution":
         terms = tuple(
@@ -198,13 +238,16 @@ def solve_vertical_data(
             f"(expected {family})"
         )
     n_cap = default_truncation(k, data.top_mode) if truncation is None else truncation
-    terms = []
-    for n, c in data:
-        if n > n_cap or c == 0:
-            continue
-        xf = x_mode(n, k, config.right, side, family)
-        terms.append(Term(n, c, xf, BasisMember(family, n)))
-    return SeriesSolution(config.bare(), k, n_cap, Provenance.VERTICAL_DATA, tuple(terms))
+    ns, cs = _retained(data, n_cap)
+    table = x_modes(ns, k, config.right, side, family)
+    terms = ModeTerms(cs, table, family, lifted=False)
+    return SeriesSolution(config.bare(), k, n_cap, Provenance.VERTICAL_DATA, terms)
+
+
+def _retained(data: Spectrum, n_cap: int) -> tuple[list[int], np.ndarray]:
+    """Indices and coefficients of the datum's nonzero modes up to n_cap."""
+    kept = [(n, c) for n, c in data if n <= n_cap and c != 0]
+    return [n for n, _ in kept], np.array([c for _, c in kept], dtype=complex)
 
 
 def lift_horizontal_data(
@@ -229,15 +272,10 @@ def lift_horizontal_data(
             f"resonance-avoiding eigenvalue family is {choice.family.value}"
         )
     n_cap = default_truncation(k, g.top_mode) if truncation is None else truncation
-    terms = []
-    for n, c in g:
-        if n > n_cap or c == 0:
-            continue
-        yf = y_mode_lifting(n, k, config.bottom, config.top, side, choice)
-        terms.append(Term(n, c, BasisMember(g.family, n), yf))
-    return SeriesSolution(
-        config.bare(), k, n_cap, Provenance.LIFTED_HORIZONTAL_DATA, tuple(terms)
-    )
+    ns, cs = _retained(g, n_cap)
+    table = y_modes_lifting(ns, k, config.bottom, config.top, side, choice)
+    terms = ModeTerms(cs, table, g.family, lifted=True)
+    return SeriesSolution(config.bare(), k, n_cap, Provenance.LIFTED_HORIZONTAL_DATA, terms)
 
 
 def superpose(parts: Sequence[SeriesSolution]) -> SeriesSolution:
@@ -274,9 +312,12 @@ def _kahan_add(total, comp, term):
     return comp, total
 
 
-def _factor_values(fn, coords: np.ndarray) -> np.ndarray:
-    """A factor's values at the distinct coordinates, as a complex array."""
-    return np.broadcast_to(np.asarray(fn(coords), dtype=complex), coords.shape)
+def _factor_values(factor, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A factor's values and derivatives at the distinct coordinates, as
+    complex arrays, from one call."""
+    value, derivative = factor.value_and_derivative(coords)
+    return (np.broadcast_to(np.asarray(value, dtype=complex), coords.shape),
+            np.broadcast_to(np.asarray(derivative, dtype=complex), coords.shape))
 
 
 def evaluate(u: SeriesSolution, points) -> list[tuple[complex, tuple[complex, complex]]]:
@@ -306,10 +347,15 @@ def evaluate(u: SeriesSolution, points) -> list[tuple[complex, tuple[complex, co
     cgy = np.zeros_like(gy)
     for term in sorted(u.terms, key=lambda t: t.mode):
         c = term.coefficient
-        cxv = (c * _factor_values(term.x_factor.value, ux))[ix]
-        cxd = (c * _factor_values(term.x_factor.derivative, ux))[ix]
-        yv = _factor_values(term.y_factor.value, uy)[iy]
-        yd = _factor_values(term.y_factor.derivative, uy)[iy]
+        xv, xd = _factor_values(term.x_factor, ux)
+        yv_u, yd_u = _factor_values(term.y_factor, uy)
+        # Gather and bind one point-length array at a time: replacing them in
+        # pairs keeps two more of them alive per term, and the allocator then
+        # maps fresh pages for every term (20x the page faults at 129^2).
+        cxv = (c * xv)[ix]
+        cxd = (c * xd)[ix]
+        yv = yv_u[iy]
+        yd = yd_u[iy]
         # Each product c*X*Y is formed once per point; the last two are
         # written over a gathered operand that is not needed again.
         val, cval = _kahan_add(val, cval, cxv * yv)
@@ -325,18 +371,22 @@ def energy_parseval(u: SeriesSolution) -> EnergyReport:
         raise ValueError(
             "superposed series mix factor bases; use energy_quadrature instead"
         )
-    l2_parts: list[float] = []
-    grad_parts: list[float] = []
-    for term in sorted(u.terms, key=lambda t: t.mode):
-        w = abs(term.coefficient) ** 2
-        if u.provenance is Provenance.LIFTED_HORIZONTAL_DATA:
-            basis, profile = term.x_factor, term.y_factor
-        else:
-            profile, basis = term.x_factor, term.y_factor
-        mu = basis.mu
-        l2_parts.append(w * profile.norm_sq)
-        grad_parts.append(w * (profile.dnorm_sq + mu * mu * profile.norm_sq))
-    return _energy_report(math.fsum(grad_parts), math.fsum(l2_parts), u.k, EnergyMethod.PARSEVAL)
+    if isinstance(u.terms, ModeTerms):
+        t = u.terms.table
+        w, mu, norm_sq, dnorm_sq = np.abs(u.terms.coefficients) ** 2, t.mu, t.norm_sq, t.dnorm_sq
+    else:
+        lifted = u.provenance is Provenance.LIFTED_HORIZONTAL_DATA
+        rows = []
+        for term in u.terms:
+            basis, profile = (
+                (term.x_factor, term.y_factor) if lifted else (term.y_factor, term.x_factor)
+            )
+            rows.append((abs(term.coefficient) ** 2, basis.mu, profile.norm_sq, profile.dnorm_sq))
+        w, mu, norm_sq, dnorm_sq = np.array(rows, dtype=float).reshape(-1, 4).T
+    # fsum is correctly rounded, so the order of the modes does not matter.
+    l2_sq = math.fsum(w * norm_sq)
+    grad_sq = math.fsum(w * (dnorm_sq + mu * mu * norm_sq))
+    return _energy_report(grad_sq, l2_sq, u.k, EnergyMethod.PARSEVAL)
 
 
 def energy_quadrature(u: SeriesSolution, grid_n: int = 65) -> EnergyReport:
@@ -366,8 +416,7 @@ def energy_quadrature(u: SeriesSolution, grid_n: int = 65) -> EnergyReport:
 def _trace_scalar(op: BoundaryOperator, side: Side, factor, k: float) -> complex:
     """Apply a vertical-side operator to an x-factor at its endpoint."""
     x0 = 1.0 if side is Side.RIGHT else 0.0
-    v = complex(factor.value(x0))
-    d = complex(factor.derivative(x0))
+    v, d = (complex(f) for f in factor.value_and_derivative(x0))
     nrm = d if side is Side.RIGHT else -d
     if op is BoundaryOperator.DIRICHLET:
         return v
@@ -381,12 +430,14 @@ def residual_traces(
     original_right: Spectrum,
     original_left: Spectrum,
     depth: Optional[int] = None,
+    tails: Optional[list] = None,
 ) -> tuple[Spectrum, Spectrum]:
     """Vertical-side data left over after subtracting the auxiliary field.
 
     Returns the right-side and left-side residual spectra in the vertical
     eigenbasis.  Warns when the projected trace leaves more than 1e-8 of its
-    energy beyond the projection depth.
+    energy beyond the projection depth.  When `tails` is a list, one
+    ProjectionTail per side is appended to it.
     """
     if aux.provenance is not Provenance.LIFTED_HORIZONTAL_DATA:
         raise ValueError("residual traces are defined for lifted solutions")
@@ -419,17 +470,21 @@ def residual_traces(
     for side, original in zip(sides, (original_right, original_left)):
         samples = traces[side]
         projected = _project_samples(samples, family, depth)
+        fraction = 0.0
         if aux.terms:
             total_sq = float(np.sum(w * np.abs(samples) ** 2))
             captured_sq = math.fsum(abs(c) ** 2 for _, c in projected)
-            if total_sq > 0 and total_sq - captured_sq > 1e-8 * total_sq:
+            if total_sq > 0:
+                fraction = (total_sq - captured_sq) / total_sq
+            if fraction > 1e-8:
                 warnings.warn(
                     f"trace projection on the {side.value} side left "
-                    f"{(total_sq - captured_sq) / total_sq:.2e} of its energy "
-                    f"beyond mode {depth}",
+                    f"{fraction:.2e} of its energy beyond mode {depth}",
                     ProjectionTruncationWarning,
                     stacklevel=2,
                 )
+        if tails is not None:
+            tails.append(ProjectionTail(side, depth, fraction))
         residuals.append(original.minus(projected))
     return residuals[0], residuals[1]
 
@@ -462,10 +517,9 @@ class SourceProfile:
         self.k = float(k)
         self.mu = float(mu)
         self.fx = _vector_capable(fx)
-        self.regime = classify_mode(k, mu)
+        self.regime, self.sigma = _classify(k, mu)
         self._panels = int(panels)
         self._edges = np.linspace(0.0, 1.0, self._panels + 1)
-        self.sigma = _sigma(k, self.regime)
         self._cutoff = self.regime.kind is Regime.CUTOFF
         if self._cutoff:
             self._wbar = 1j * k - 1.0
@@ -551,14 +605,18 @@ class SourceProfile:
         return val, der
 
     def value(self, t):
-        xs = np.atleast_1d(np.asarray(t, dtype=float))
-        val, _ = self._batch_value_deriv(xs.ravel())
-        return val.reshape(np.shape(t)) if np.ndim(t) else complex(val[0])
+        return self.value_and_derivative(t)[0]
 
     def derivative(self, t):
+        return self.value_and_derivative(t)[1]
+
+    def value_and_derivative(self, t):
+        """(X(t), X'(t)) from one pass over the kernel integrals."""
         xs = np.atleast_1d(np.asarray(t, dtype=float))
-        _, der = self._batch_value_deriv(xs.ravel())
-        return der.reshape(np.shape(t)) if np.ndim(t) else complex(der[0])
+        val, der = self._batch_value_deriv(xs.ravel())
+        if np.ndim(t):
+            return val.reshape(np.shape(t)), der.reshape(np.shape(t))
+        return complex(val[0]), complex(der[0])
 
     def _quadrature_norms(self) -> tuple[float, float]:
         t, w = _panel_nodes(self._edges)

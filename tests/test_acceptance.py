@@ -18,9 +18,12 @@ from helmstab.eigenbasis import (
     project,
 )
 from helmstab.modal1d import (
+    EVANESCENT,
+    PROPAGATING,
     EigenvalueFamily,
     Side,
     choose_lifting_family,
+    energy_densities,
     gap_lower_bound,
     proof_quantities,
     x_mode,
@@ -137,12 +140,12 @@ def test_criterion_4_proof_quantity_sweeps():
         for (b2, side), (phi_cap, psi_cap) in bounds.items():
             for k in ks:
                 k = float(k)
-                for n in range(257):
-                    pq = proof_quantities(n, k, b2, side, family)
-                    if pq.phi is not None and pq.phi > phi_cap(k) * slack:
-                        ok = False
-                    if pq.psi is not None and pq.psi > psi_cap(k) * slack:
-                        ok = False
+                # phi/psi of modes 0..256: the densities proof_quantities tags
+                density, regime = energy_densities(range(257), k, b2, side, family)
+                if np.any(density[regime == PROPAGATING] > phi_cap(k) * slack):
+                    ok = False
+                if np.any(density[regime == EVANESCENT] > psi_cap(k) * slack):
+                    ok = False
     # cutoff energy densities match the stated constants
     fam = BasisFamily.SIN_INT
     for n in (1, 5):

@@ -269,3 +269,36 @@ def test_sweep_deterministic():
     a = sweep(TheoremId.T2_G2_DIR, ks, modes=8, trials=3, seed=21)
     b = sweep(TheoremId.T2_G2_DIR, ks, modes=8, trials=3, seed=21)
     assert a.max_ratio == b.max_ratio and a.argmax_k == b.argmax_k
+
+
+def test_certify_rejects_datum_modes_above_truncation():
+    """Modes {0, 40} with truncation 10 used to certify mode 0 alone against
+    the norm of both (lhs 1.0 against l2 sqrt 2)."""
+    cfg = BoundaryConfig(bottom=N, right=I, top=N)
+    data = Spectrum.from_pairs(BasisFamily.COS_INT, [(0, 1.0), (40, 1.0)])
+    with pytest.raises(ValueError, match="mode 40.*truncation 10"):
+        certify(TheoremId.T1_G4, cfg, data, 2.0, truncation=10)
+    assert certify(TheoremId.T1_G4, cfg, data, 2.0, truncation=40).passed
+    # a zero coefficient above the truncation drops nothing
+    zero_tail = Spectrum.from_pairs(BasisFamily.COS_INT, [(0, 1.0), (40, 0.0)])
+    assert certify(TheoremId.T1_G4, cfg, zero_tail, 2.0, truncation=10).passed
+    lifted = BoundaryConfig(bottom=N, right=D, top=D)
+    with pytest.raises(ValueError, match="mode 12.*truncation 3"):
+        certify(TheoremId.T3_LIFT_NEU, lifted,
+                Spectrum.from_pairs(BasisFamily.COS_INT, [(1, 1.0), (12, 1.0)]), 2.0,
+                truncation=3)
+    source_cfg = BoundaryConfig(bottom=D, right=D, top=D)
+    with pytest.raises(ValueError, match="mode 9.*truncation 4"):
+        certify(TheoremId.TF_SOURCE, source_cfg, [(1, np.cos), (9, np.cos)], 2.0,
+                truncation=4)
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+def test_certify_and_sweep_reject_nonfinite_k(k):
+    cfg = BoundaryConfig(bottom=N, right=I, top=N)
+    data = Spectrum.from_pairs(BasisFamily.COS_INT, [(0, 1.0)])
+    with pytest.raises(ValueError, match="k="):
+        certify(TheoremId.T1_G4, cfg, data, k)
+    for theorem in (TheoremId.T1_G4, TheoremId.T3_LIFT_DIR, TheoremId.TF_SOURCE):
+        with pytest.raises(ValueError, match="k="):
+            sweep(theorem, [1.0, k], modes=4, trials=1)

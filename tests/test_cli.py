@@ -200,3 +200,51 @@ def test_named_data_forms(tmp_path):
     assert run_cli(["solve", "--config", str(cfg2)]) == 0
     cfg3 = plane_wave_doc(tmp_path, data={"left": "wavelet:3"})
     assert run_cli(["solve", "--config", str(cfg3)]) == 1
+
+
+def field_doc(tmp_path, data):
+    doc = {
+        "k": 60.0,
+        "boundary": {"bottom": "dirichlet", "right": "dirichlet", "top": "neumann",
+                     "left": "impedance"},
+        "data": data,
+        "grid": 9,
+        "outputs": {},
+    }
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command", ["solve", "lift", "oracle"])
+def test_reports_carry_projection_tails(tmp_path, command):
+    """At k = 60 the lifted traces leave energy beyond the default depth;
+    the report says how much, per residual trace, as the warning does."""
+    cfg = field_doc(tmp_path, {"left": [[1, 1.0, 0.0]], "bottom": [[2, 0.5, -1.0]],
+                               "top": [[3, 1.0, 1.0]]})
+    report = tmp_path / "report.json"
+    args = [command, "--config", str(cfg), "--report", str(report)]
+    if command == "oracle":
+        args += ["--n", "33"]
+    with pytest.warns(Warning, match="beyond mode 72"):
+        assert run_cli(args) == 0
+    tails = json.loads(report.read_text())["diagnostics"]["projection_tail"]
+    assert [t["side"] for t in tails] == ["right", "left", "right", "left"]
+    assert all(t["depth"] == 72 for t in tails)
+    assert all(t["tail"] > 1e-8 for t in tails)
+
+
+def test_reports_without_lifting_have_no_tails(tmp_path):
+    cfg = plane_wave_doc(tmp_path)
+    for command in ("solve", "oracle"):
+        report = tmp_path / f"{command}.json"
+        assert run_cli([command, "--config", str(cfg), "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["diagnostics"] == {"projection_tail": []}
+
+
+def test_nonfinite_datum_is_an_input_error(tmp_path):
+    """A NaN coefficient exits 1 with the mode named, not 2 (bound violated)."""
+    path = tmp_path / "nan.json"
+    path.write_text(plane_wave_doc(tmp_path).read_text().replace("-10.0", "NaN"),
+                    encoding="utf-8")
+    assert run_cli(["certify", "--theorem", "T1", "--config", str(path)]) == 1

@@ -135,6 +135,15 @@ def test_spectrum_invariants():
         Spectrum(BasisFamily.SIN_INT, ((MAX_MODE + 1, 1.0),))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf),
+                                 complex(math.nan, 0.0)])
+def test_spectrum_rejects_nonfinite_coefficients(bad):
+    with pytest.raises(ValueError, match="mode 3"):
+        Spectrum.from_pairs(BasisFamily.COS_INT, [(1, 1.0), (3, bad)])
+    with pytest.raises(ValueError, match="mode 0"):
+        Spectrum(BasisFamily.SIN_INT, ((0, bad),))
+
+
 def test_data_norms_examples():
     single = Spectrum.from_pairs(BasisFamily.SIN_INT, [(2, 1.0)])
     rep = data_norms(single)

@@ -2,8 +2,8 @@
 
 import cmath
 import math
+import re
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from helmstab.eigenbasis import BasisFamily, BoundaryOperator
 from helmstab.modal1d import (
+    CUTOFF,
     EigenvalueFamily,
+    LiftingFamilyChoice,
     Polynomial,
     Regime,
     ResonantLiftingError,
@@ -21,9 +23,10 @@ from helmstab.modal1d import (
     gap_lower_bound,
     mode_from_amplitudes,
     proof_quantities,
-    stable_hyperbolic_ratios,
     x_mode,
+    x_modes,
     y_mode_lifting,
+    y_modes_lifting,
 )
 
 D, N, I = BoundaryOperator.DIRICHLET, BoundaryOperator.NEUMANN, BoundaryOperator.IMPEDANCE
@@ -349,8 +352,11 @@ def test_theta_examples():
 
 
 def test_proof_quantities_match_mode_assembly():
+    """The densities equal the exact exponential integrals of the same mode
+    (mode_from_amplitudes), which do not use the closed-form norms."""
     rng = np.random.default_rng(42)
     fams = list(BasisFamily)
+    checked = 0
     for _ in range(150):
         fam = fams[int(rng.integers(0, 4))]
         n = int(rng.integers(0, 40))
@@ -362,8 +368,14 @@ def test_proof_quantities_match_mode_assembly():
         pq = proof_quantities(n, k, b2, side, fam)
         mode = x_mode(n, k, b2, side, fam)
         mu = fam.eigenvalue(n)
-        assembled = mode.dnorm_sq + (mu * mu + k * k) * mode.norm_sq
+        assert pq.value == mode.dnorm_sq + (mu * mu + k * k) * mode.norm_sq
+        if mode.regime.kind is Regime.CUTOFF:
+            continue
+        ref = mode_from_amplitudes(k, mu, mode.branch.forward, mode.branch.backward)
+        assembled = ref.dnorm_sq + (mu * mu + k * k) * ref.norm_sq
         assert abs(pq.value - assembled) <= 1e-10 * assembled
+        checked += 1
+    assert checked > 140
 
 
 def test_proof_quantity_sweep_bounds_small():
@@ -381,50 +393,155 @@ def test_proof_quantity_sweep_bounds_small():
 
 
 # --------------------------------------------------------------------------
-# stable hyperbolic ratios
+# mode tables
 # --------------------------------------------------------------------------
 
+X_PROBLEMS = [(b2, side) for b2 in (I, N, D) for side in (Side.LEFT, Side.RIGHT)]
+LIFT_PAIRS = [(bb, bt) for bb in (D, N) for bt in (D, N)]
+TABLE_FIELDS = ("n", "mu", "regime", "z", "sigma", "forward", "backward", "poly",
+                "norm_sq", "dnorm_sq")
 
-def test_stable_ratios_limits():
-    r = stable_hyperbolic_ratios(0.0)
-    assert r.sinh2z_over_2z == 1.0
-    assert r.cosh2z == 1.0
-    assert math.isinf(r.sinh2z_over_cosh2z_minus_1)
-    assert r.sinh2z_over_cosh2z_plus_1 == 0.0
-    assert r.sinh2z_minus_2z_over_z3_cosh2z_plus_1 == pytest.approx(2 / 3, rel=1e-15)
-
-    r = stable_hyperbolic_ratios(1e-8)
-    assert r.sinh2z_over_2z == pytest.approx(1.0, abs=1e-15)
-
-    r = stable_hyperbolic_ratios(350.0)
-    assert r.sinh2z_over_cosh2z_minus_1 == pytest.approx(1.0, abs=1e-15)
-    assert math.isfinite(r.sinh2z_over_cosh2z_minus_1)
-
-
-@pytest.mark.parametrize("z", [1e-6, 1e-3, 0.1, 0.5, 2.0, 20.0, 200.0, 700.0])
-def test_stable_ratios_against_mpmath(z):
-    mp.mp.dps = 40
-    zm = mp.mpf(z)
-    r = stable_hyperbolic_ratios(z)
-    want = {
-        "coth": mp.sinh(2 * zm) / (mp.cosh(2 * zm) - 1),
-        "tanh": mp.sinh(2 * zm) / (mp.cosh(2 * zm) + 1),
-        "cubic": (mp.sinh(2 * zm) - 2 * zm) / (zm**3 * (mp.cosh(2 * zm) + 1)),
-    }
-    assert abs(r.sinh2z_over_cosh2z_minus_1 - float(want["coth"])) <= 1e-12 * float(want["coth"])
-    assert abs(r.sinh2z_over_cosh2z_plus_1 - float(want["tanh"])) <= 1e-12 * float(want["tanh"])
-    assert abs(
-        r.sinh2z_minus_2z_over_z3_cosh2z_plus_1 - float(want["cubic"])
-    ) <= 1e-12 * float(want["cubic"])
-    if z <= 350.0:
-        direct = float(mp.sinh(2 * zm) / (2 * zm))
-        assert abs(r.sinh2z_over_2z - direct) <= 1e-12 * direct
-        assert abs(r.cosh2z - float(mp.cosh(2 * zm))) <= 1e-12 * float(mp.cosh(2 * zm))
-    else:
-        # beyond float64 range these entries saturate
-        assert math.isinf(r.sinh2z_over_2z) and math.isinf(r.cosh2z)
+#: Exact cutoffs of either eigenvalue lattice: j*pi/2 is n*pi or (n+1/2)*pi.
+cutoff_k = st.integers(1, 160).map(lambda j: j * PI / 2)
+#: Relative gaps inside (1e-9) and just outside (1e-7 and up) the cutoff band.
+near_cutoff_k = st.builds(
+    lambda k, gap, sign: k * math.sqrt(1.0 + sign * gap),
+    cutoff_k, st.sampled_from([1e-9, 1e-7, 1e-6, 1e-4]), st.sampled_from([-1.0, 1.0]),
+)
+wavenumbers = st.one_of(
+    st.floats(-1.3, 2.4).map(lambda e: 10.0**e), cutoff_k, near_cutoff_k
+)
 
 
-def test_stable_ratios_rejects_negative():
-    with pytest.raises(ValueError):
-        stable_hyperbolic_ratios(-1.0)
+def amplitude_scale(sigma, a, b):
+    """||X||^2 with the two exponentials' magnitudes added instead of their
+    values: the size of the terms mode_from_amplitudes sums.  Its rounding
+    error is ~1e-16 of this, which near a cutoff, where large amplitudes
+    cancel, exceeds 1e-12 of the norm itself."""
+    r = -sigma.real
+    e_same = 1.0 if r == 0 else -math.expm1(-2.0 * r) / (2.0 * r)
+    return (abs(a) ** 2 + abs(b) ** 2) * e_same + 2.0 * abs(a) * abs(b) * math.exp(-r)
+
+
+def assert_rows_match_exact_integrals(table):
+    exponential = np.flatnonzero(table.regime != CUTOFF)
+    for i in exponential:
+        a, b, sigma = complex(table.forward[i]), complex(table.backward[i]), complex(table.sigma[i])
+        ref = mode_from_amplitudes(table.k, float(table.mu[i]), a, b)
+        scale = amplitude_scale(sigma, a, b)
+        for got, want, size in ((table.norm_sq[i], ref.norm_sq, scale),
+                                (table.dnorm_sq[i], ref.dnorm_sq, abs(sigma) ** 2 * scale)):
+            assert abs(got - want) <= 1e-12 * max(got, size), (table.k, int(table.n[i]))
+
+
+def assert_row_equals(whole, n, one):
+    """Row n of `whole` equals the one-row table `one`, bit for bit."""
+    for field in TABLE_FIELDS:
+        assert np.array_equal(getattr(whole, field)[n], getattr(one, field)[0]), (field, n)
+
+
+def build_or_error(build, *args):
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("family", list(BasisFamily))
+@settings(max_examples=12, deadline=None)
+@given(k=wavenumbers)
+def test_x_table_rows_match_exact_integrals(family, k):
+    for b2, side in X_PROBLEMS:
+        assert_rows_match_exact_integrals(x_modes(range(257), k, b2, side, family))
+
+
+@pytest.mark.parametrize("bb,bt", LIFT_PAIRS)
+@settings(max_examples=12, deadline=None)
+@given(k=wavenumbers)
+def test_lifting_table_rows_match_exact_integrals(bb, bt, k):
+    choice = choose_lifting_family(k, bb, bt)
+    for side in (Side.BOTTOM, Side.TOP):
+        table = build_or_error(y_modes_lifting, range(257), k, bb, bt, side, choice)
+        if table is ResonantLiftingError:  # the cutoff of a Dirichlet datum
+            continue
+        assert_rows_match_exact_integrals(table)
+
+
+@pytest.mark.parametrize("b2,side", X_PROBLEMS)
+@settings(max_examples=3, deadline=None)
+@given(k=wavenumbers, family=st.sampled_from(list(BasisFamily)))
+def test_x_table_equals_one_mode_tables(b2, side, k, family):
+    whole = x_modes(range(257), k, b2, side, family)
+    for n in range(257):
+        assert_row_equals(whole, n, x_modes([n], k, b2, side, family))
+
+
+@pytest.mark.parametrize("bb,bt", LIFT_PAIRS)
+@settings(max_examples=4, deadline=None)
+@given(k=wavenumbers, side=st.sampled_from([Side.BOTTOM, Side.TOP]))
+def test_lifting_table_equals_one_mode_tables(bb, bt, k, side):
+    choice = choose_lifting_family(k, bb, bt)
+    whole = build_or_error(y_modes_lifting, range(257), k, bb, bt, side, choice)
+    ones = [build_or_error(y_modes_lifting, [n], k, bb, bt, side, choice) for n in range(257)]
+    if whole is ResonantLiftingError:
+        assert ResonantLiftingError in ones
+        return
+    for n, one in enumerate(ones):
+        assert_row_equals(whole, n, one)
+
+
+@pytest.mark.parametrize("bb,bt", LIFT_PAIRS)
+@pytest.mark.parametrize("lattice", list(EigenvalueFamily))
+@pytest.mark.parametrize("j", [1, 2, 3, 7])
+def test_lifting_tables_raise_where_one_mode_builds_raise(bb, bt, lattice, j):
+    """At exact lattice wavenumbers, with either lattice forced, some modes
+    are resonant or Dirichlet-datum cutoffs; the batch raises exactly when a
+    one-mode build does, and names one of those modes."""
+    k = j * PI / 2
+    forced = LiftingFamilyChoice(d0=0.0, d1=0.0, family=lattice, case_index=0)
+    for side in (Side.BOTTOM, Side.TOP):
+        failing = [n for n in range(12)
+                   if build_or_error(y_mode_lifting, n, k, bb, bt, side, forced)
+                   is ResonantLiftingError]
+        if failing:
+            with pytest.raises(ResonantLiftingError) as info:
+                y_modes_lifting(range(12), k, bb, bt, side, forced)
+            assert int(re.search(r"mode (\d+) ", str(info.value)).group(1)) in failing
+        else:
+            y_modes_lifting(range(12), k, bb, bt, side, forced)
+
+
+def test_tables_reject_what_one_mode_builds_reject():
+    fam = BasisFamily.COS_INT
+    choice = choose_lifting_family(3.0, N, D)
+    bad = [
+        (x_modes, x_mode, ([2, -1], 3.0, D, Side.LEFT, fam)),
+        (x_modes, x_mode, ([2], 3.0, D, Side.TOP, fam)),
+        (y_modes_lifting, y_mode_lifting, ([0, -2], 3.0, N, D, Side.BOTTOM, choice)),
+        (y_modes_lifting, y_mode_lifting, ([0], 3.0, N, I, Side.BOTTOM, choice)),
+        (y_modes_lifting, y_mode_lifting, ([0], 3.0, N, D, Side.LEFT, choice)),
+    ]
+    for k in (math.nan, math.inf, 0.0, -1.0):
+        bad.append((x_modes, x_mode, ([1], k, D, Side.LEFT, fam)))
+        bad.append((y_modes_lifting, y_mode_lifting, ([1], k, N, D, Side.BOTTOM, choice)))
+    for batched, single, (ns, *rest) in bad:
+        with pytest.raises(ValueError):
+            batched(ns, *rest)
+        with pytest.raises(ValueError):
+            for n in ns:
+                single(n, *rest)
+
+
+def test_empty_tables():
+    table = x_modes([], 3.0, I, Side.LEFT, BasisFamily.COS_INT)
+    assert len(table) == 0 and table.norm_sq.shape == (0,)
+    choice = choose_lifting_family(3.0, N, D)
+    assert len(y_modes_lifting([], 3.0, N, D, Side.TOP, choice)) == 0
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+def test_nonfinite_wavenumber_is_rejected_by_name(k):
+    with pytest.raises(ValueError, match="k="):
+        classify_mode(k, 1.0)
+    with pytest.raises(ValueError, match="k="):
+        choose_lifting_family(k, N, D)

@@ -663,3 +663,19 @@ def test_boundary_residuals_match_data(b2, side):
     for s, op in ((Side.LEFT, I), (Side.RIGHT, b2), (Side.BOTTOM, N), (Side.TOP, D)):
         want = datum if s is side else zero
         assert side_residual(u, s, op, k, want) <= 1e-6 * (1 + k) * max(norm, 1.0)
+
+
+def test_evaluate_gets_source_value_and_derivative_from_one_pass():
+    """Each source factor's kernel integrals are computed once per evaluate:
+    one fx call for the left and one for the right local integrals."""
+    cfg = BoundaryConfig(bottom=D, right=D, top=D)
+    calls = []
+
+    def fx(t):
+        calls.append(np.size(t))
+        return np.cos(3.0 * np.asarray(t))
+
+    u = solve_source([(1, fx), (2, fx)], cfg, 5.0)
+    calls.clear()
+    evaluate(u, [(0.3, 0.4), (0.7, 0.4), (0.3, 0.9)])
+    assert len(calls) == 2 * len(u.terms)
