@@ -113,7 +113,8 @@ class BoundCertificate:
         return BoundCertificate(theorem, k, lhs, rhs, ratio, passed, norms)
 
 
-_DATUM_SIDE = {
+#: The side carrying each boundary theorem's datum.
+DATUM_SIDE = {
     TheoremId.T1_G4: Side.LEFT,
     TheoremId.T2_G2_IMP: Side.RIGHT,
     TheoremId.T2_G2_NEU: Side.RIGHT,
@@ -141,19 +142,9 @@ def certify(
     `data` is a Spectrum for the boundary theorems and a list of
     (mode, profile) pairs for the source theorem.  The datum side is implied
     by the theorem; all other sides are homogeneous.  A datum mode above
-    `truncation` raises ValueError instead of being dropped from the solve.
+    `truncation` raises ValueError from the solve instead of being dropped.
     """
     k = _check_wavenumber(k)
-    if truncation is not None:
-        if isinstance(data, Spectrum):
-            dropped = [n for n, c in data if n > truncation and c != 0]
-        else:
-            dropped = [int(n) for n, _ in data if int(n) > truncation]
-        if dropped:
-            raise ValueError(
-                f"datum mode {dropped[0]} lies above truncation {truncation}; "
-                "the solve would drop it"
-            )
     if theorem is TheoremId.TF_SOURCE:
         if config.right is not BoundaryOperator.DIRICHLET:
             raise ValueError("the source bound requires a Dirichlet right side")
@@ -164,7 +155,7 @@ def certify(
         lhs = max(lhs_par, lhs_quad)  # quadrature cross-check folded in
         return BoundCertificate.from_sides(theorem, k, lhs, rhs_bound(theorem, k, norms), norms)
 
-    side = _DATUM_SIDE[theorem]
+    side = DATUM_SIDE[theorem]
     want_right = _RIGHT_OP_REQUIRED.get(theorem)
     if want_right is not None and config.right is not want_right:
         raise ValueError(f"{theorem.value} requires the right operator {want_right.value}")

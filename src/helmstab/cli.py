@@ -22,6 +22,7 @@ import numpy as np
 
 from . import eigenbasis
 from .bounds import (
+    DATUM_SIDE,
     SHARPNESS_IDS,
     TheoremId,
     certify,
@@ -29,12 +30,13 @@ from .bounds import (
     sweep,
 )
 from .eigenbasis import BasisFamily, BoundaryOperator, Spectrum, project
-from .modal1d import Side, choose_lifting_family, EigenvalueFamily
+from .modal1d import EigenvalueFamily, LiftingFamilyChoice, Side, choose_lifting_family
 from .oracle import compare, fdm_energy, fdm_solve
 from .solver import (
     BoundaryConfig,
     Provenance,
     SeriesSolution,
+    default_projection_depth,
     energy_parseval,
     energy_quadrature,
     evaluate,
@@ -49,19 +51,6 @@ from .solver import (
 class ConfigError(ValueError):
     """Malformed run configuration; message carries the field path."""
 
-
-_OPERATORS = {
-    "dirichlet": BoundaryOperator.DIRICHLET,
-    "neumann": BoundaryOperator.NEUMANN,
-    "impedance": BoundaryOperator.IMPEDANCE,
-}
-
-_SIDES = {
-    "bottom": Side.BOTTOM,
-    "right": Side.RIGHT,
-    "top": Side.TOP,
-    "left": Side.LEFT,
-}
 
 _THEOREM_ALIASES = {
     "T1": TheoremId.T1_G4,
@@ -121,11 +110,11 @@ def parse_run_config(doc: dict) -> RunConfig:
         if raw is None:
             raise ConfigError(f"config.boundary.{name}: missing")
         try:
-            ops[name] = _OPERATORS[str(raw).lower()]
-        except KeyError:
+            ops[name] = BoundaryOperator(str(raw).lower())
+        except ValueError:
             raise ConfigError(
                 f"config.boundary.{name}: unknown operator {raw!r} "
-                f"(expected one of {sorted(_OPERATORS)})"
+                f"(expected one of {sorted(op.value for op in BoundaryOperator)})"
             ) from None
     try:
         config = BoundaryConfig(ops["bottom"], ops["right"], ops["top"], ops["left"])
@@ -135,9 +124,11 @@ def parse_run_config(doc: dict) -> RunConfig:
     cap = mode_cap()
     data = {}
     for name, raw in (doc.get("data") or {}).items():
-        if name not in _SIDES:
-            raise ConfigError(f"config.data.{name}: unknown side")
-        data[_SIDES[name]] = _parse_datum(f"config.data.{name}", raw, cap)
+        try:
+            side = Side(name)
+        except ValueError:
+            raise ConfigError(f"config.data.{name}: unknown side") from None
+        data[side] = _parse_datum(f"config.data.{name}", raw, cap)
 
     source = None
     if doc.get("source") is not None:
@@ -145,13 +136,13 @@ def parse_run_config(doc: dict) -> RunConfig:
 
     truncation = doc.get("truncation")
     if truncation is not None:
-        truncation = int(truncation)
+        truncation = _integer("config.truncation", truncation)
         if truncation < 0 or truncation > cap:
             raise ConfigError(f"config.truncation: must lie in [0, {cap}]")
-    grid = int(doc.get("grid", 33))
+    grid = _integer("config.grid", doc.get("grid", 33))
     if grid < 2:
         raise ConfigError("config.grid: must be at least 2")
-    seed = int(doc.get("seed", 0))
+    seed = _integer("config.seed", doc.get("seed", 0))
     outputs = doc.get("outputs") or {}
     if not isinstance(outputs, dict):
         raise ConfigError("config.outputs: expected an object")
@@ -159,99 +150,154 @@ def parse_run_config(doc: dict) -> RunConfig:
                      truncation=truncation, grid=grid, seed=seed, outputs=outputs)
 
 
+def _integer(path: str, raw) -> int:
+    """An integer field: an int, an integral float or a decimal string."""
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise ConfigError(f"{path}: not an integer ({raw!r})")
+    try:
+        return int(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{path}: not an integer ({raw!r})") from None
+
+
+def _mode_index(path: str, raw, cap: int) -> int:
+    """A mode index in [0, cap]: a triple's first entry or the N of "mode:N"."""
+    n = _integer(path, raw)
+    if n < 0 or n > cap:
+        raise ConfigError(f"{path}: mode {n} outside [0, {cap}]")
+    return n
+
+
 def _parse_datum(path: str, raw, cap: int):
-    """A datum is a [n, re, im] triple list or a named analytic form."""
+    """A [n, re, im] triple list or a named form, as (mode, coefficient)
+    pairs or, for a constant datum, its complex value."""
     if isinstance(raw, str):
         if raw.startswith("mode:"):
-            try:
-                n = int(raw.split(":", 1)[1])
-            except ValueError:
-                raise ConfigError(f"{path}: bad mode index in {raw!r}") from None
-            if n < 0 or n > cap:
-                raise ConfigError(f"{path}: mode {n} outside [0, {cap}]")
-            return ("mode", n)
+            return [(_mode_index(path, raw[len("mode:"):], cap), 1.0)]
         if raw.startswith("constant:"):
-            parts = raw.split(":", 1)[1].split(",")
+            fields = raw.split(":", 1)[1].split(",")
             try:
-                re_part = float(parts[0])
-                im_part = float(parts[1]) if len(parts) > 1 else 0.0
+                re_part = float(fields[0])
+                im_part = float(fields[1]) if len(fields) > 1 else 0.0
             except (ValueError, IndexError):
                 raise ConfigError(f"{path}: bad constant datum {raw!r}") from None
-            return ("constant", complex(re_part, im_part))
+            return complex(re_part, im_part)
         raise ConfigError(f"{path}: unknown named datum {raw!r}")
     if isinstance(raw, list):
         triples = []
         for i, item in enumerate(raw):
             if not (isinstance(item, list) and len(item) == 3):
                 raise ConfigError(f"{path}[{i}]: expected an [index, re, im] triple")
-            n = int(item[0])
-            if n < 0 or n > cap:
-                raise ConfigError(f"{path}[{i}]: mode {n} outside [0, {cap}]")
-            triples.append((n, complex(float(item[1]), float(item[2]))))
-        return ("triples", triples)
+            n = _mode_index(f"{path}[{i}]", item[0], cap)
+            try:
+                triples.append((n, complex(float(item[1]), float(item[2]))))
+            except (TypeError, ValueError):
+                raise ConfigError(f"{path}[{i}]: coefficient is not a number") from None
+        return triples
     raise ConfigError(f"{path}: expected a triple list or a named datum string")
 
 
 def _parse_source(path: str, raw, cap: int):
     if isinstance(raw, str):
         if raw.startswith("mode:"):
-            try:
-                n = int(raw.split(":", 1)[1])
-            except ValueError:
-                raise ConfigError(f"{path}: bad mode index in {raw!r}") from None
-            if n > cap:
-                raise ConfigError(f"{path}: mode {n} outside [0, {cap}]")
+            n = _mode_index(path, raw[len("mode:"):], cap)
             return [(n, lambda x: np.ones_like(np.asarray(x, dtype=float)))]
         raise ConfigError(f"{path}: unknown named source {raw!r}")
     raise ConfigError(f"{path}: expected a named source string")
 
 
 def _datum_spectrum(parsed, family: BasisFamily, depth: int) -> Spectrum:
-    kind, payload = parsed
-    if kind == "triples":
-        return Spectrum.from_pairs(family, payload)
-    if kind == "mode":
-        return Spectrum.from_pairs(family, [(payload, 1.0)])
-    return project(lambda t: payload, family, depth)
+    """A parsed datum's spectrum; a constant is projected at `depth`."""
+    if isinstance(parsed, list):
+        return Spectrum.from_pairs(family, parsed)
+    return project(lambda t: parsed, family, depth)
 
 
-def _assemble(run: RunConfig, tails: Optional[list] = None) -> SeriesSolution:
-    """Full pipeline: lift horizontal data, subtract traces, solve vertical.
+# --------------------------------------------------------------------------
+# the config-to-solution pipeline of solve, lift, certify and oracle
+# --------------------------------------------------------------------------
 
-    Each residual trace's ProjectionTail is appended to `tails` if given.
+
+def _lifting(run: RunConfig) -> tuple[LiftingFamilyChoice, BasisFamily]:
+    """The resonance-avoiding lifting lattice, and the cosine basis on it in
+    which bottom and top data expand."""
+    choice = choose_lifting_family(run.k, run.config.bottom, run.config.top)
+    integer = choice.family is EigenvalueFamily.INTEGER
+    return choice, BasisFamily.COS_INT if integer else BasisFamily.COS_HALF
+
+
+def _family(run: RunConfig, side: Side) -> BasisFamily:
+    """The basis family of a datum on `side`."""
+    if side in (Side.LEFT, Side.RIGHT):
+        return run.config.vertical_family()
+    return _lifting(run)[1]
+
+
+def spectra(run: RunConfig) -> dict[Side, Spectrum]:
+    """Stage 1: each side's datum as a Spectrum in that side's family.
+
+    Named constant data are projected at one depth: `truncation` if given,
+    else the solver's default projection depth.
     """
-    cfg, k = run.config, run.k
-    vfam = cfg.vertical_family()
-    depth = run.truncation if run.truncation is not None else (
-        2 * math.ceil(k / math.pi) + 32
-    )
-    g_right = _datum_spectrum(run.data[Side.RIGHT], vfam, depth) if Side.RIGHT in run.data \
-        else Spectrum.zero(vfam)
-    g_left = _datum_spectrum(run.data[Side.LEFT], vfam, depth) if Side.LEFT in run.data \
-        else Spectrum.zero(vfam)
+    depth = default_projection_depth(run.k) if run.truncation is None else run.truncation
+    return {side: _datum_spectrum(parsed, _family(run, side), depth)
+            for side, parsed in run.data.items()}
 
-    parts: list[SeriesSolution] = []
+
+@dataclass(frozen=True)
+class Parts:
+    """Stage 2: the pieces whose sum solves the problem.
+
+    The right, left and source solves run only when `solves` is called, so
+    `lift`, which sums the lifts alone, never runs them.
+    """
+
+    run: RunConfig
+    lifts: list  # bottom, then top
+    residual_right: Spectrum
+    residual_left: Spectrum
+    choice: Optional[LiftingFamilyChoice]  # None without bottom or top data
+
+    def solves(self) -> list:
+        """The right residual, left residual and source solves, in order."""
+        run = self.run
+        pieces = [solve_vertical_data(run.config, side, g, run.k, run.truncation)
+                  for side, g in ((Side.RIGHT, self.residual_right),
+                                  (Side.LEFT, self.residual_left)) if len(g)]
+        if run.source is not None:
+            pieces.append(solve_source(run.source, run.config, run.k, run.truncation))
+        return pieces
+
+    def solution(self) -> SeriesSolution:
+        return _sum(self.run, self.lifts + self.solves())
+
+
+def parts(run: RunConfig, data: dict[Side, Spectrum], tails: Optional[list] = None) -> Parts:
+    """Stage 2: lift the bottom then the top datum and subtract their traces
+    from the right and left data.
+
+    The traces are projected at `truncation` when one is given, so no
+    residual mode lies beyond it.  Each trace's ProjectionTail is appended
+    to `tails` if given.
+    """
+    cfg, k, truncation = run.config, run.k, run.truncation
+    zero = Spectrum.zero(cfg.vertical_family())
+    right, left = data.get(Side.RIGHT, zero), data.get(Side.LEFT, zero)
+    lifts = []
     for side in (Side.BOTTOM, Side.TOP):
-        if side not in run.data:
-            continue
-        choice = choose_lifting_family(k, cfg.bottom, cfg.top)
-        hfam = (BasisFamily.COS_INT if choice.family is EigenvalueFamily.INTEGER
-                else BasisFamily.COS_HALF)
-        g = _datum_spectrum(run.data[side], hfam, depth)
-        aux = lift_horizontal_data(g, side, cfg, k, run.truncation)
-        g_right, g_left = residual_traces(aux, g_right, g_left, tails=tails)
-        parts.append(aux)
-    if len(g_right):
-        parts.append(solve_vertical_data(cfg, Side.RIGHT, g_right, k, run.truncation))
-    if len(g_left):
-        parts.append(solve_vertical_data(cfg, Side.LEFT, g_left, k, run.truncation))
-    if run.source is not None:
-        parts.append(solve_source(run.source, cfg, k, run.truncation))
-    if not parts:
-        parts.append(
-            SeriesSolution(cfg.bare(), k, 0, Provenance.VERTICAL_DATA, ())
-        )
-    return parts[0] if len(parts) == 1 else superpose(parts)
+        if side in data:
+            aux = lift_horizontal_data(data[side], side, cfg, k, truncation)
+            right, left = residual_traces(aux, right, left, depth=truncation, tails=tails)
+            lifts.append(aux)
+    return Parts(run, lifts, right, left, _lifting(run)[0] if lifts else None)
+
+
+def _sum(run: RunConfig, pieces: list) -> SeriesSolution:
+    """The superposition of the pieces; a single piece is returned as it is,
+    so its Parseval energy stays available."""
+    if not pieces:
+        return SeriesSolution(run.config.bare(), run.k, 0, Provenance.VERTICAL_DATA, ())
+    return pieces[0] if len(pieces) == 1 else superpose(pieces)
 
 
 # --------------------------------------------------------------------------
@@ -360,7 +406,7 @@ def _theorem(tag: str) -> TheoremId:
 def _cmd_solve(args) -> int:
     run = _load_config(args.config)
     tails: list = []
-    u = _assemble(run, tails)
+    u = parts(run, spectra(run), tails).solution()
     csv_path = args.csv or run.outputs.get("csv")
     if csv_path:
         _write_csv(csv_path, _sample_rows(u, run.grid))
@@ -385,24 +431,8 @@ def _cmd_certify(args) -> int:
     if theorem is TheoremId.TF_SOURCE:
         data = run.source or []
     else:
-        side = {
-            TheoremId.T1_G4: Side.LEFT,
-            TheoremId.T2_G2_IMP: Side.RIGHT,
-            TheoremId.T2_G2_NEU: Side.RIGHT,
-            TheoremId.T2_G2_DIR: Side.RIGHT,
-            TheoremId.T3_LIFT_NEU: Side.BOTTOM,
-            TheoremId.T3_LIFT_DIR: Side.BOTTOM,
-        }[theorem]
-        if side in (Side.LEFT, Side.RIGHT):
-            family = run.config.vertical_family()
-        else:
-            choice = choose_lifting_family(run.k, run.config.bottom, run.config.top)
-            family = (BasisFamily.COS_INT if choice.family is EigenvalueFamily.INTEGER
-                      else BasisFamily.COS_HALF)
-        parsed = run.data.get(side)
-        depth = run.truncation if run.truncation is not None else 64
-        data = _datum_spectrum(parsed, family, depth) if parsed is not None \
-            else Spectrum.zero(family)
+        side = DATUM_SIDE[theorem]
+        data = spectra(run).get(side, Spectrum.zero(_family(run, side)))
     cert = certify(theorem, run.config, data, run.k, run.truncation)
     payload = _certificate_payload(cert)
     payload["seed"] = run.seed
@@ -478,41 +508,24 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_lift(args) -> int:
     run = _load_config(args.config)
-    sides = [s for s in (Side.BOTTOM, Side.TOP) if s in run.data]
-    if not sides:
+    if Side.BOTTOM not in run.data and Side.TOP not in run.data:
         raise ConfigError("config.data: lift needs a bottom or top datum")
-    cfg, k = run.config, run.k
-    choice = choose_lifting_family(k, cfg.bottom, cfg.top)
-    hfam = (BasisFamily.COS_INT if choice.family is EigenvalueFamily.INTEGER
-            else BasisFamily.COS_HALF)
-    vfam = cfg.vertical_family()
-    depth = run.truncation if run.truncation is not None else (
-        2 * math.ceil(k / math.pi) + 32
-    )
-    g_right = _datum_spectrum(run.data[Side.RIGHT], vfam, depth) if Side.RIGHT in run.data \
-        else Spectrum.zero(vfam)
-    g_left = _datum_spectrum(run.data[Side.LEFT], vfam, depth) if Side.LEFT in run.data \
-        else Spectrum.zero(vfam)
-    auxes = []
     tails: list = []
-    for side in sides:
-        g = _datum_spectrum(run.data[side], hfam, depth)
-        aux = lift_horizontal_data(g, side, cfg, k, run.truncation)
-        g_right, g_left = residual_traces(aux, g_right, g_left, tails=tails)
-        auxes.append(aux)
-    u = auxes[0] if len(auxes) == 1 else superpose(auxes)
+    lifted = parts(run, spectra(run), tails)
+    u = _sum(run, lifted.lifts)
     csv_path = args.csv or run.outputs.get("csv")
     if csv_path:
         _write_csv(csv_path, _sample_rows(u, run.grid))
+    choice = lifted.choice
     payload = {
         "command": "lift",
-        "k": k,
+        "k": run.k,
         "eigenvalue_family": choice.family.value,
         "case_index": choice.case_index,
         "d0": choice.d0,
         "d1": choice.d1,
-        "residual_right": [[n, c.real, c.imag] for n, c in g_right],
-        "residual_left": [[n, c.real, c.imag] for n, c in g_left],
+        "residual_right": [[n, c.real, c.imag] for n, c in lifted.residual_right],
+        "residual_left": [[n, c.real, c.imag] for n, c in lifted.residual_left],
         "energy": _energy_payload(u, run.grid),
         "csv": csv_path,
         "seed": run.seed,
@@ -525,28 +538,17 @@ def _cmd_lift(args) -> int:
 def _cmd_oracle(args) -> int:
     run = _load_config(args.config)
     tails: list = []
-    u = _assemble(run, tails)
+    data = spectra(run)
+    u = parts(run, data, tails).solution()
     n = args.n or max(run.grid, 65)
-    vfam = run.config.vertical_family()
-    depth = run.truncation if run.truncation is not None else 64
-    data = {}
-    for side, parsed in run.data.items():
-        if side in (Side.LEFT, Side.RIGHT):
-            data[side] = _datum_spectrum(parsed, vfam, depth)
-        else:
-            choice = choose_lifting_family(run.k, run.config.bottom, run.config.top)
-            hfam = (BasisFamily.COS_INT if choice.family is EigenvalueFamily.INTEGER
-                    else BasisFamily.COS_HALF)
-            data[side] = _datum_spectrum(parsed, hfam, depth)
     fsrc = None
     if run.source is not None:
-        profiles = dict(run.source)
         family = run.config.vertical_family()
 
-        def fsrc(x, y, profiles=profiles, family=family):
+        def fsrc(x, y):
             return sum(
                 complex(np.asarray(fx(x)).item()) * float(eigenbasis.basis_value(family, m, y))
-                for m, fx in profiles.items()
+                for m, fx in run.source
             )
 
     gs = fdm_solve(run.config, data, fsrc, run.k, n)
@@ -595,14 +597,13 @@ def _cmd_selftest(args) -> int:
                    and abs(np.sum(w * z3 * z5)) < 1e-12))
     # plane wave
     run = parse_run_config(_SELFTEST_CONFIG)
-    u = _assemble(run)
+    u = parts(run, spectra(run)).solution()
     out = evaluate(u, [(0.5, 0.25)])[0][0]
     checks.append(("plane-wave value", abs(out - np.exp(1j * 5.0 * 0.5)) < 1e-10))
     rep = energy_parseval(u)
     checks.append(("plane-wave energy", abs(rep.energy - 10.0) < 1e-9))
     # one certificate and one sharpness case
-    g = Spectrum.from_pairs(BasisFamily.COS_INT, [(0, -10j)])
-    cert = certify(TheoremId.T1_G4, run.config, g, 5.0)
+    cert = certify(TheoremId.T1_G4, run.config, spectra(run)[Side.LEFT], run.k)
     checks.append(("certificate", cert.passed))
     case = sharpness_case("ex2.3-2", 2)
     sol = solve_vertical_data(case.config, case.data_side, case.datum, case.k)

@@ -181,9 +181,6 @@ class Spectrum:
             total = total + c * basis_value(self.family, n, t)
         return total
 
-    def scaled(self, factor: complex) -> "Spectrum":
-        return Spectrum(self.family, tuple((n, factor * c) for n, c in self.coeffs))
-
     def minus(self, other: "Spectrum") -> "Spectrum":
         """Coefficient-wise difference; families must match."""
         if other.family is not self.family:

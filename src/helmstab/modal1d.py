@@ -504,8 +504,8 @@ def y_modes_lifting(
 
     One row per mode index in `ns`.  The datum side's operator fixes the
     closed form (Neumann vs Dirichlet datum); the opposite operator supplies
-    alpha.  Data on TOP solves the reflected problem.  A Dirichlet-datum mode
-    at the cutoff, or any mode whose boundary system is numerically singular,
+    alpha.  Data on TOP solves the reflected problem.  Cutoff rows are
+    polynomials.  A mode whose boundary system is numerically singular
     raises ResonantLiftingError naming the mode: the lifting family choice
     provably avoids these.
     """
@@ -523,19 +523,18 @@ def y_modes_lifting(
     cut = t.regime == CUTOFF
     if np.count_nonzero(cut):
         if datum_op is BoundaryOperator.DIRICHLET:
-            i = int(np.argmax(cut))
-            raise ResonantLiftingError(
-                f"Dirichlet-datum lifting mode {int(t.n[i])} hit the cutoff "
-                f"(k={k}, mu={float(t.mu[i])}); "
-                "the eigenvalue-family selection should have avoided this"
-            )
-        # Neumann datum, degenerate branch: alpha*(t^2/2 - t) - (1-alpha)*(t-1)
-        coeffs = (complex(1.0 - alpha), complex(-1.0), complex(0.5 * alpha))
+            # Y'' = 0 with Y(0) = 1 and the opposite condition: 1 - (1-alpha)*t
+            coeffs = (complex(1.0), complex(alpha - 1.0), complex(0.0))
+            norm_sq, dnorm_sq = 1.0 - 2.0 * (1.0 - alpha) / 3.0, 1.0 - alpha
+        else:
+            # Neumann datum, degenerate branch: alpha*(t^2/2 - t) - (1-alpha)*(t-1)
+            coeffs = (complex(1.0 - alpha), complex(-1.0), complex(0.5 * alpha))
+            norm_sq = (1.0 - alpha) / 3.0 + 2.0 * alpha / 15.0
+            dnorm_sq = (1.0 - alpha) + alpha / 3.0
         if reflected:
             coeffs = _reflect_poly(coeffs)
         t.poly[cut] = coeffs
-        t.norm_sq[cut] = (1.0 - alpha) / 3.0 + 2.0 * alpha / 15.0
-        t.dnorm_sq[cut] = (1.0 - alpha) + alpha / 3.0
+        t.norm_sq[cut], t.dnorm_sq[cut] = norm_sq, dnorm_sq
 
     live = ~cut
     s = t.sigma[live]

@@ -85,12 +85,6 @@ class BoundaryConfig:
             Side.LEFT: self.left,
         }[side]
 
-    def datum(self, side: Side) -> Optional[Spectrum]:
-        for s, g in self.data:
-            if s is side:
-                return g
-        return None
-
     def vertical_family(self) -> BasisFamily:
         return select_eigenpairs(self.bottom, self.top)
 
@@ -211,6 +205,19 @@ def default_truncation(k: float, top_mode: int) -> int:
     return max(top_mode, math.ceil(k / math.pi) + 16)
 
 
+def default_projection_depth(k: float) -> int:
+    """Projection depth of traces and named data without a truncation."""
+    return 2 * math.ceil(k / math.pi) + 32
+
+
+def _check_truncation(modes, truncation: int) -> None:
+    """Raise ValueError for a mode above the truncation: a solve would drop it."""
+    above = [n for n in modes if n > truncation]
+    if above:
+        raise ValueError(f"datum mode {above[0]} lies above truncation {truncation}; "
+                         "the solve would drop it")
+
+
 # --------------------------------------------------------------------------
 # assembly
 # --------------------------------------------------------------------------
@@ -225,9 +232,10 @@ def solve_vertical_data(
 ) -> SeriesSolution:
     """Series solution for a single vertical-side datum.
 
-    Each retained coefficient pairs with the closed-form horizontal profile
+    Each nonzero coefficient pairs with the closed-form horizontal profile
     carrying a unit datum on `side` (applied through that side's operator)
-    and the matching vertical eigenfunction.
+    and the matching vertical eigenfunction.  A nonzero mode above
+    `truncation` raises ValueError.
     """
     if side not in (Side.LEFT, Side.RIGHT):
         raise ValueError("vertical data lives on the LEFT or RIGHT side")
@@ -245,8 +253,9 @@ def solve_vertical_data(
 
 
 def _retained(data: Spectrum, n_cap: int) -> tuple[list[int], np.ndarray]:
-    """Indices and coefficients of the datum's nonzero modes up to n_cap."""
-    kept = [(n, c) for n, c in data if n <= n_cap and c != 0]
+    """Indices and coefficients of the datum's nonzero modes, all <= n_cap."""
+    kept = [(n, c) for n, c in data if c != 0]
+    _check_truncation((n for n, _ in kept), n_cap)
     return [n for n, _ in kept], np.array([c for _, c in kept], dtype=complex)
 
 
@@ -261,7 +270,8 @@ def lift_horizontal_data(
 
     The datum expands in a basis whose eigenvalue lattice is the
     resonance-avoiding choice for this k; each term multiplies that basis
-    member in x with the vertical auxiliary profile.
+    member in x with the vertical auxiliary profile.  A nonzero mode above
+    `truncation` raises ValueError.
     """
     if side not in (Side.BOTTOM, Side.TOP):
         raise ValueError("horizontal data lives on the BOTTOM or TOP side")
@@ -448,7 +458,7 @@ def residual_traces(
     if depth is None:
         depth = max(
             aux.truncation,
-            2 * math.ceil(aux.k / math.pi) + 32,
+            default_projection_depth(aux.k),
             original_right.top_mode,
             original_left.top_mode,
         )
@@ -658,7 +668,8 @@ def solve_source(
     Requires the right side Dirichlet (the impedance side is always the
     left).  `f` is either a list of (mode, profile callable) pairs giving the
     source's expansion over the vertical eigenbasis, or a callable f(x, y)
-    projected onto that basis by quadrature.
+    projected onto that basis by quadrature.  A listed mode above
+    `truncation` raises ValueError.
     """
     if config.right is not BoundaryOperator.DIRICHLET:
         raise ValueError("the source bound is stated for a Dirichlet right side")
@@ -686,14 +697,13 @@ def solve_source(
     else:
         top = max((int(n) for n, _ in f), default=0)
         n_cap = default_truncation(k, top) if truncation is None else truncation
+        _check_truncation((int(n) for n, _ in f), n_cap)
         seen = set()
         for n, fx in f:
             n = int(n)
             if n in seen:
                 raise ValueError("duplicate source mode")
             seen.add(n)
-            if n > n_cap:
-                continue
             if family is BasisFamily.SIN_INT and n == 0:
                 continue
             profiles.append((n, fx))

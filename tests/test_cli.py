@@ -5,7 +5,10 @@ import json
 
 import pytest
 
-from helmstab.cli import main, mode_cap, parse_run_config, ConfigError
+from helmstab.cli import main, mode_cap, parse_run_config, parts, spectra, ConfigError
+from helmstab.eigenbasis import data_norms
+from helmstab.modal1d import Side
+from helmstab.solver import ProjectionTruncationWarning
 
 
 def run_cli(args):
@@ -172,6 +175,19 @@ def test_config_error_messages_carry_field_path(tmp_path):
         parse_run_config({"k": 1.0, "boundary": {"bottom": "neumann",
                                                  "right": "impedance",
                                                  "left": "impedance"}})
+    for field, value, path in [
+        ("truncation", "abc", r"config\.truncation: not an integer"),
+        ("truncation", 3.7, r"config\.truncation: not an integer"),
+        ("grid", "x", r"config\.grid: not an integer"),
+        ("seed", "s", r"config\.seed: not an integer"),
+        ("data", {"left": [["a", 1, 0]]}, r"config\.data\.left\[0\]: not an integer"),
+        ("data", {"left": [[1, "b", 0]]}, r"config\.data\.left\[0\]: coefficient"),
+        ("data", {"bottom": "mode:x"}, r"config\.data\.bottom: not an integer"),
+        ("source", "mode:-1", r"config\.source: mode -1 outside"),
+    ]:
+        with pytest.raises(ConfigError, match=path):
+            parse_run_config({**doc, "data": {}, field: value})
+    assert parse_run_config({**doc, "data": {}, "truncation": 24.0}).truncation == 24
 
 
 def test_mode_cap_env(tmp_path, monkeypatch):
@@ -248,3 +264,83 @@ def test_nonfinite_datum_is_an_input_error(tmp_path):
     path.write_text(plane_wave_doc(tmp_path).read_text().replace("-10.0", "NaN"),
                     encoding="utf-8")
     assert run_cli(["certify", "--theorem", "T1", "--config", str(path)]) == 1
+
+
+def test_datum_mode_above_truncation_exits_1(tmp_path):
+    cfg = plane_wave_doc(tmp_path, data={"left": [[40, 1.0, 0.0]]}, truncation=10)
+    assert run_cli(["solve", "--config", str(cfg)]) == 1
+
+
+def write_doc(tmp_path, doc):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def test_oracle_constant_datum_converges_at_second_order(tmp_path):
+    """Both solvers get one projected datum, so halving h quarters the error."""
+    cfg = write_doc(tmp_path, {
+        "k": 6.5,
+        "boundary": {"bottom": "dirichlet", "right": "impedance", "top": "dirichlet",
+                     "left": "impedance"},
+        "data": {"left": "constant:1,0"},
+    })
+    errors = []
+    for n in (65, 129):
+        report = tmp_path / f"oracle{n}.json"
+        assert run_cli(["oracle", "--config", str(cfg), "--n", str(n),
+                        "--report", str(report)]) == 0
+        errors.append(json.loads(report.read_text())["rel_l2"])
+    assert errors[0] / errors[1] >= 3.5
+
+
+@pytest.mark.parametrize("command", ["solve", "lift"])
+def test_truncation_bounds_every_mode(tmp_path, command):
+    """An explicit truncation also caps the residual traces' projection, so
+    no term and no residual mode lies beyond it."""
+    doc = {
+        "k": 20.0,
+        "boundary": {"bottom": "dirichlet", "right": "dirichlet", "top": "neumann",
+                     "left": "impedance"},
+        "data": {"bottom": [[2, 1.0, 0.0], [5, 0.5, -0.5]], "left": [[1, 1.0, 0.0], [7, 0.0, 1.0]]},
+        "truncation": 10,
+        "grid": 9,
+    }
+    cfg = write_doc(tmp_path, doc)
+    report = tmp_path / "report.json"
+    with pytest.warns(ProjectionTruncationWarning, match="beyond mode 10"):
+        assert run_cli([command, "--config", str(cfg), "--report", str(report)]) == 0
+        run = parse_run_config(doc)
+        pieces = parts(run, spectra(run))
+    out = json.loads(report.read_text())
+    assert [t["depth"] for t in out["diagnostics"]["projection_tail"]] == [10, 10]
+    solved = pieces.lifts + pieces.solves()
+    assert all(t.mode <= 10 for u in solved for t in u.terms)
+    assert all(n <= 10 for n, _ in pieces.residual_right)
+    assert all(n <= 10 for n, _ in pieces.residual_left)
+    if command == "lift":
+        assert out["residual_left"] == [[n, c.real, c.imag] for n, c in pieces.residual_left]
+    else:
+        assert out["truncation"] == 10
+        assert out["terms"] == sum(len(u.terms) for u in solved)
+
+
+def test_certify_uses_the_datum_spectrum_of_solve(tmp_path):
+    """A projected datum is the same spectrum for certify as for solve, so the
+    certified energy is the solve's Parseval energy."""
+    doc = {
+        "k": 6.5,
+        "boundary": {"bottom": "dirichlet", "right": "impedance", "top": "dirichlet",
+                     "left": "impedance"},
+        "data": {"left": "constant:1,0"},
+    }
+    cfg = write_doc(tmp_path, doc)
+    solved, certified = tmp_path / "solve.json", tmp_path / "cert.json"
+    assert run_cli(["solve", "--config", str(cfg), "--report", str(solved)]) == 0
+    assert run_cli(["certify", "--theorem", "T1", "--config", str(cfg),
+                    "--report", str(certified)]) == 0
+    cert = json.loads(certified.read_text())
+    datum = spectra(parse_run_config(doc))[Side.LEFT]
+    assert len(datum) > 30  # the sine series of a constant: the depth matters
+    assert cert["norms"]["l2"] == data_norms(datum).l2
+    assert cert["lhs"] == json.loads(solved.read_text())["energy"]["parseval"]["energy"]

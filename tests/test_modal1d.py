@@ -266,14 +266,30 @@ def test_y_mode_cutoff_neumann_polynomial_norms():
     assert abs(mode.dnorm_sq - quad_norm_sq(mode.derivative)) < 1e-12
 
 
-def test_y_mode_cutoff_dirichlet_raises():
+@pytest.mark.parametrize("other", [N, D])
+@pytest.mark.parametrize("side", [Side.BOTTOM, Side.TOP])
+def test_y_mode_cutoff_dirichlet_polynomial(other, side):
+    """At the cutoff a Dirichlet datum's profile solves Y'' = 0: measured
+    from the datum side, Y = 1 - (1-alpha)*t, with alpha = 1 when the other
+    side is Neumann."""
     k = 2.5 * PI
-    from helmstab.modal1d import LiftingFamilyChoice
-
     forced = LiftingFamilyChoice(d0=0.0, d1=0.0, family=EigenvalueFamily.HALF_INTEGER,
                                  case_index=4)
-    with pytest.raises(ResonantLiftingError):
-        y_mode_lifting(2, k, D, N, Side.BOTTOM, forced)
+    bb, bt = (D, other) if side is Side.BOTTOM else (other, D)
+    mode = y_mode_lifting(2, k, bb, bt, side, forced)  # mu = 2.5*pi = k
+    assert mode.regime.kind is Regime.CUTOFF
+    assert isinstance(mode.branch, Polynomial)
+    alpha = 1.0 if other is N else 0.0
+    s = np.linspace(0.0, 1.0, 9)
+    from_datum = s if side is Side.BOTTOM else 1.0 - s
+    assert np.max(np.abs(mode.value(s) - (1.0 - (1.0 - alpha) * from_datum))) < 1e-15
+    datum_end, other_end = (0, 1) if side is Side.BOTTOM else (1, 0)
+    assert abs(boundary_residual(mode, D, datum_end, k) - 1.0) < 1e-15
+    assert abs(boundary_residual(mode, other, other_end, k)) < 1e-15
+    assert mode.norm_sq == pytest.approx(1.0 - 2.0 * (1.0 - alpha) / 3.0, rel=1e-15)
+    assert mode.dnorm_sq == 1.0 - alpha
+    assert abs(mode.norm_sq - quad_norm_sq(mode.value)) < 1e-12
+    assert abs(mode.dnorm_sq - quad_norm_sq(mode.derivative)) < 1e-12
 
 
 def test_y_mode_propagating_boundary_residuals():

@@ -16,7 +16,15 @@ from helmstab.eigenbasis import (
     basis_value,
     project,
 )
-from helmstab.modal1d import Regime, Side, choose_lifting_family, EigenvalueFamily
+from helmstab.modal1d import (
+    CUTOFF,
+    EVANESCENT,
+    PROPAGATING,
+    EigenvalueFamily,
+    Regime,
+    Side,
+    choose_lifting_family,
+)
 from helmstab.solver import (
     BoundaryConfig,
     ProjectionTruncationWarning,
@@ -150,6 +158,31 @@ def test_truncation_monotonicity_bit_identical():
     a = evaluate(u1, pts)
     b = evaluate(u2, pts)
     assert all(x[0] == y[0] and x[1] == y[1] for x, y in zip(a, b))
+
+
+def test_solves_reject_datum_modes_above_truncation():
+    """An explicit truncation below a nonzero datum mode, or below any source
+    mode, raises instead of dropping that mode from the series."""
+    k = 4.4
+    cfg = BoundaryConfig(bottom=D, right=N, top=N)
+    fam = cfg.vertical_family()
+    with pytest.raises(ValueError, match="mode 40 lies above truncation 10"):
+        solve_vertical_data(cfg, Side.LEFT, Spectrum.from_pairs(fam, [(0, 1.0), (40, 1.0)]),
+                            k, truncation=10)
+    zero_tail = Spectrum.from_pairs(fam, [(0, 1.0), (40, 0.0)])
+    assert [t.mode for t in solve_vertical_data(cfg, Side.LEFT, zero_tail, k, 10).terms] == [0]
+
+    lifted = BoundaryConfig(bottom=N, right=D, top=D)
+    choice = choose_lifting_family(k, N, D)
+    hfam = BasisFamily.COS_INT if choice.family is EigenvalueFamily.INTEGER else BasisFamily.COS_HALF
+    with pytest.raises(ValueError, match="mode 12 lies above truncation 3"):
+        lift_horizontal_data(Spectrum.from_pairs(hfam, [(1, 1.0), (12, 1.0)]), Side.TOP,
+                             lifted, k, truncation=3)
+
+    source_cfg = BoundaryConfig(bottom=D, right=D, top=D)
+    with pytest.raises(ValueError, match="mode 9 lies above truncation 4"):
+        solve_source([(1, np.cos), (9, np.cos)], source_cfg, k, truncation=4)
+    assert [t.mode for t in solve_source([(1, np.cos)], source_cfg, k, truncation=4).terms] == [1]
 
 
 @settings(max_examples=20, deadline=None)
@@ -404,6 +437,20 @@ def test_lift_termwise_pde_residual():
         ) / (h * h)
         resid = lap + k * k * val(x, y)
         assert abs(resid) < 1e-5 * (1 + k * k) * max(abs(val(x, y)), 1.0)
+
+
+def test_lift_at_dirichlet_cutoff_reproduces_datum():
+    """At k = pi the lattice chosen for a Dirichlet bottom and a Neumann top
+    is the integer one, whose mode 1 sits exactly at the cutoff; its
+    polynomial row keeps the lifted field on the bottom datum."""
+    k = PI
+    cfg = BoundaryConfig(bottom=D, right=D, top=N)
+    assert choose_lifting_family(k, D, N).family is EigenvalueFamily.INTEGER
+    g = Spectrum.from_pairs(BasisFamily.COS_INT, [(0, 1.0), (1, 0.5 - 0.25j), (3, 0.2j)])
+    aux = lift_horizontal_data(g, Side.BOTTOM, cfg, k)
+    assert aux.terms.table.regime.tolist() == [PROPAGATING, CUTOFF, EVANESCENT]
+    assert side_residual(aux, Side.BOTTOM, D, k, g.expand) < 1e-12
+    assert side_residual(aux, Side.TOP, N, k, lambda t: 0.0) < 1e-12
 
 
 def test_residual_traces_zero_aux():
