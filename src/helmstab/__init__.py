@@ -49,6 +49,7 @@ from .solver import (
     energy_parseval,
     energy_quadrature,
     evaluate,
+    evaluate_grid,
     lift_horizontal_data,
     residual_traces,
     solve_source,

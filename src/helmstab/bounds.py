@@ -285,7 +285,7 @@ def sharpness_case(
             expected = (sqrt2 / pi) * math.sqrt(k**4 + pi**2 * k**2)
             theorem = TheoremId.T2_G2_DIR
         exact = SeriesSolution(
-            cfg.bare(), k, n, Provenance.VERTICAL_DATA,
+            cfg, k, n, Provenance.VERTICAL_DATA,
             (Term(n, 1.0 + 0.0j, prof, BasisMember(family, n)),),
         )
         return SharpnessCase(case_id, n, k, theorem, cfg, side, datum, exact,
@@ -332,7 +332,7 @@ def sharpness_case(
         lower = (pi**2 / (2.0 * sqrt2 * (pi**2 + 1.0))) * (k * k + math.sqrt(k) * math.sqrt(theta))
         theorem = TheoremId.T3_LIFT_DIR
     exact = SeriesSolution(
-        cfg.bare(), k, n, Provenance.LIFTED_HORIZONTAL_DATA,
+        cfg, k, n, Provenance.LIFTED_HORIZONTAL_DATA,
         (Term(n, 1.0 + 0.0j, BasisMember(family, n), prof),),
     )
     return SharpnessCase(case_id, n, k, theorem, cfg, Side.BOTTOM, datum, exact,

@@ -9,12 +9,12 @@ mismatch, 1 usage/config errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 from typing import Optional
 
@@ -40,6 +40,7 @@ from .solver import (
     energy_parseval,
     energy_quadrature,
     evaluate,
+    evaluate_grid,
     lift_horizontal_data,
     residual_traces,
     solve_source,
@@ -92,12 +93,16 @@ class RunConfig:
 def parse_run_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config: expected a JSON object")
+    if "k" not in doc:
+        raise ConfigError("config.k: missing")
+    raw_k = doc["k"]
+    not_a_number = ConfigError(f"config.k: not a number ({raw_k!r})")
+    if isinstance(raw_k, bool):
+        raise not_a_number
     try:
-        k = float(doc["k"])
-    except KeyError:
-        raise ConfigError("config.k: missing") from None
+        k = float(raw_k)
     except (TypeError, ValueError):
-        raise ConfigError(f"config.k: not a number ({doc.get('k')!r})") from None
+        raise not_a_number from None
     if not (k > 0 and math.isfinite(k)):
         raise ConfigError(f"config.k: must be a positive finite number, got {k}")
 
@@ -122,8 +127,13 @@ def parse_run_config(doc: dict) -> RunConfig:
         raise ConfigError(f"config.boundary: {exc}") from None
 
     cap = mode_cap()
+    data_doc = doc.get("data")
+    if data_doc is None:
+        data_doc = {}
+    if not isinstance(data_doc, dict):
+        raise ConfigError("config.data: expected an object mapping sides to data")
     data = {}
-    for name, raw in (doc.get("data") or {}).items():
+    for name, raw in data_doc.items():
         try:
             side = Side(name)
         except ValueError:
@@ -189,6 +199,8 @@ def _parse_datum(path: str, raw, cap: int):
             if not (isinstance(item, list) and len(item) == 3):
                 raise ConfigError(f"{path}[{i}]: expected an [index, re, im] triple")
             n = _mode_index(f"{path}[{i}]", item[0], cap)
+            if any(m == n for m, _ in triples):
+                raise ConfigError(f"{path}[{i}]: duplicate mode {n}")
             try:
                 triples.append((n, complex(float(item[1]), float(item[2]))))
             except (TypeError, ValueError):
@@ -296,7 +308,7 @@ def _sum(run: RunConfig, pieces: list) -> SeriesSolution:
     """The superposition of the pieces; a single piece is returned as it is,
     so its Parseval energy stays available."""
     if not pieces:
-        return SeriesSolution(run.config.bare(), run.k, 0, Provenance.VERTICAL_DATA, ())
+        return SeriesSolution(run.config, run.k, 0, Provenance.VERTICAL_DATA, ())
     return pieces[0] if len(pieces) == 1 else superpose(pieces)
 
 
@@ -305,11 +317,22 @@ def _sum(run: RunConfig, pieces: list) -> SeriesSolution:
 # --------------------------------------------------------------------------
 
 
-def _write_csv(path: str, rows) -> None:
+def _write_csv(path: str, t: np.ndarray, values: np.ndarray) -> None:
+    """x,y,re,im rows of values[i, j] at (t[i], t[j]), i-major: each number
+    as %.17g, with csv.writer's \\r\\n line ends."""
+    coords = [f"{c:.17g}" for c in t.tolist()]
+    real = [f"{v:.17g}" for v in values.real.ravel().tolist()]
+    imag = [f"{v:.17g}" for v in values.imag.ravel().tolist()]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "re", "im"])
-        writer.writerows(rows)
+        fh.write("x,y,re,im\r\n")
+        fh.writelines(f"{x},{y},{r},{i}\r\n"
+                      for (x, y), r, i in zip(product(coords, coords), real, imag))
+
+
+def _write_samples(path: str, u: SeriesSolution, grid: int) -> None:
+    """The CSV of u on the grid x, y = linspace(0, 1, grid)."""
+    t = np.linspace(0.0, 1.0, grid)
+    _write_csv(path, t, evaluate_grid(u, t, t)[0])
 
 
 def _write_report(path: Optional[str], payload: dict) -> None:
@@ -318,17 +341,6 @@ def _write_report(path: Optional[str], payload: dict) -> None:
         Path(path).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
-
-
-def _sample_rows(u: SeriesSolution, grid: int):
-    t = np.linspace(0.0, 1.0, grid)
-    X, Y = np.meshgrid(t, t, indexing="ij")
-    pts = np.column_stack([X.ravel(), Y.ravel()])
-    out = evaluate(u, pts)
-    return [
-        [f"{p[0]:.17g}", f"{p[1]:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}"]
-        for p, (v, _) in zip(pts, out)
-    ]
 
 
 def _energy_payload(u: SeriesSolution, grid: int) -> dict:
@@ -409,7 +421,7 @@ def _cmd_solve(args) -> int:
     u = parts(run, spectra(run), tails).solution()
     csv_path = args.csv or run.outputs.get("csv")
     if csv_path:
-        _write_csv(csv_path, _sample_rows(u, run.grid))
+        _write_samples(csv_path, u, run.grid)
     payload = {
         "command": "solve",
         "k": run.k,
@@ -515,7 +527,7 @@ def _cmd_lift(args) -> int:
     u = _sum(run, lifted.lifts)
     csv_path = args.csv or run.outputs.get("csv")
     if csv_path:
-        _write_csv(csv_path, _sample_rows(u, run.grid))
+        _write_samples(csv_path, u, run.grid)
     choice = lifted.choice
     payload = {
         "command": "lift",

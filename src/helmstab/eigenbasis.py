@@ -50,29 +50,34 @@ class BasisFamily(Enum):
     def half_integer(self) -> bool:
         return self in (BasisFamily.SIN_HALF, BasisFamily.COS_HALF)
 
-    def eigenvalue(self, n: int) -> float:
-        """mu_n: n*pi for integer families, (n+1/2)*pi for half-integer."""
-        if n < 0:
+    def eigenvalue(self, n):
+        """mu_n: n*pi for integer families, (n+1/2)*pi for half-integer.
+        An integer array n gives the array of eigenvalues."""
+        negative = np.any(n < 0) if isinstance(n, np.ndarray) else n < 0
+        if negative:
             raise ValueError(f"mode index must be nonnegative, got {n}")
         return (n + 0.5) * math.pi if self.half_integer else n * math.pi
 
 
-def basis_value(family: BasisFamily, n: int, t):
-    """Evaluate Z_{family,n}(t); accepts scalars or arrays."""
-    if n < 0:
-        raise ValueError(f"mode index must be nonnegative, got {n}")
+def basis_value(family: BasisFamily, n, t):
+    """Evaluate Z_{family,n}(t); accepts scalars or arrays.
+
+    Array n and t broadcast, so basis_value(family, ns, t[:, None]) is the
+    matrix of the members ns (columns) on the nodes t (rows).
+    """
     mu = family.eigenvalue(n)
-    if family is BasisFamily.SIN_INT:
-        if n == 0:
-            return np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0
-        return SQRT2 * np.sin(mu * np.asarray(t)) if np.ndim(t) else SQRT2 * math.sin(mu * t)
-    if family is BasisFamily.COS_INT:
-        if n == 0:
-            return np.ones_like(np.asarray(t, dtype=float)) if np.ndim(t) else 1.0
-        return SQRT2 * np.cos(mu * np.asarray(t)) if np.ndim(t) else SQRT2 * math.cos(mu * t)
-    if family is BasisFamily.SIN_HALF:
-        return SQRT2 * np.sin(mu * np.asarray(t)) if np.ndim(t) else SQRT2 * math.sin(mu * t)
-    return SQRT2 * np.cos(mu * np.asarray(t)) if np.ndim(t) else SQRT2 * math.cos(mu * t)
+    # Every member is sqrt(2) times a sine or cosine except COS_INT's
+    # constant member 0; SIN_INT's member 0 is sqrt(2) sin(0) = 0.
+    if family is not BasisFamily.COS_INT:
+        scale = SQRT2
+    elif isinstance(n, np.ndarray):
+        scale = np.where(n == 0, 1.0, SQRT2)
+    else:
+        scale = 1.0 if n == 0 else SQRT2
+    sine = family in (BasisFamily.SIN_INT, BasisFamily.SIN_HALF)
+    if np.ndim(n) or np.ndim(t):
+        return scale * (np.sin if sine else np.cos)(mu * np.asarray(t))
+    return scale * (math.sin if sine else math.cos)(mu * t)
 
 
 def basis_derivative(family: BasisFamily, n: int, t):
@@ -231,7 +236,7 @@ def project(g, family: BasisFamily, max_mode: int) -> Spectrum:
         return Spectrum(family, tuple((n, c) for n, c in g.coeffs if n <= max_mode))
 
     t, _ = _panel_rule(max_mode)
-    return _project_samples(np.asarray([g(ti) for ti in t], dtype=complex), family, max_mode)
+    return _project_samples(np.asarray([g(ti) for ti in t], dtype=complex), family, max_mode)[0]
 
 
 def _check_depth(max_mode: int) -> None:
@@ -241,20 +246,28 @@ def _check_depth(max_mode: int) -> None:
         raise ValueError(f"max_mode {max_mode} exceeds cap {MAX_MODE}")
 
 
-def _project_samples(samples: np.ndarray, family: BasisFamily, max_mode: int) -> Spectrum:
-    """Modal coefficients up to max_mode of a function given by its samples
-    on the nodes of quadrature_rule(max_mode)."""
-    if not np.all(np.isfinite(samples.view(float))):
+def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_t a[t, i] * b[t, j], as an array indexed [i, j].
+
+    numpy's own einsum loop, never BLAS: its order of summation does not
+    depend on a BLAS thread count, so the result is the same bytes however
+    many threads BLAS is given, which a GEMM does not promise.
+    """
+    return np.einsum("ti,tj->ij", a, b, optimize=False)
+
+
+def _project_samples(samples: np.ndarray, family: BasisFamily, max_mode: int) -> list[Spectrum]:
+    """Modal coefficients up to max_mode of functions given by their samples
+    on the nodes of quadrature_rule(max_mode), one row of samples per
+    function.  Exactly-zero coefficients are dropped."""
+    samples = np.atleast_2d(samples)
+    if not np.all(np.isfinite(samples)):
         raise ValueError("boundary datum produced non-finite samples")
     t, w = _panel_rule(max_mode)
-    wsamp = w * samples
-    pairs = []
-    for n in range(max_mode + 1):
-        zn = basis_value(family, n, t)
-        c = complex(math.fsum((wsamp * zn).real), math.fsum((wsamp * zn).imag))
-        if c != 0:
-            pairs.append((n, c))
-    return Spectrum(family, tuple(pairs))
+    basis = basis_value(family, np.arange(max_mode + 1), t[:, None])
+    coeffs = _contract((w * samples).T, basis)
+    return [Spectrum(family, tuple((n, c) for n, c in enumerate(row.tolist()) if c != 0))
+            for row in coeffs]
 
 
 def data_norms(s: Spectrum) -> DataNormReport:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .eigenbasis import BoundaryOperator, Spectrum
 from .modal1d import Side
-from .solver import BoundaryConfig, SeriesSolution, EnergyMethod, EnergyReport, evaluate
+from .solver import BoundaryConfig, SeriesSolution, EnergyMethod, EnergyReport, evaluate_grid
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,6 @@ def fdm_solve(
     if k <= 0:
         raise ValueError("wavenumber k must be positive")
     data = dict(data or {})
-    for side, g in list(config.data):
-        data.setdefault(side, g)
     gfun = {side: _as_callable(data.get(side)) for side in Side}
     ffun = (lambda x, y: 0.0 + 0.0j) if f is None else f
 
@@ -146,7 +144,7 @@ def fdm_solve(
             f"discrete solve residual {residual:.3e} exceeds 1e-8*|rhs| "
             f"(growth indicator {cond_hint:.3e}); system likely ill-conditioned"
         )
-    return GridSolution(h=h, values=u.reshape(n, n), config=config.bare(), k=k)
+    return GridSolution(h=h, values=u.reshape(n, n), config=config, k=k)
 
 
 def _grad_grid(values: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -188,13 +186,10 @@ def compare(spectral: SeriesSolution, gs: GridSolution) -> ComparisonReport:
     """Nodewise spectral-vs-grid comparison at the oracle's nodes."""
     if spectral.k != gs.k:
         raise ValueError("solutions have different wavenumbers")
-    if spectral.config.bare() != gs.config.bare():
+    if spectral.config != gs.config:
         raise ValueError("solutions have different boundary configurations")
-    n = gs.values.shape[0]
-    t = np.arange(n) * gs.h
-    X, Y = np.meshgrid(t, t, indexing="ij")
-    pts = np.column_stack([X.ravel(), Y.ravel()])
-    ref = np.array([v for v, _ in evaluate(spectral, pts)]).reshape(n, n)
+    t = np.arange(gs.values.shape[0]) * gs.h
+    ref = evaluate_grid(spectral, t, t)[0]
     diff = np.abs(ref - gs.values)
     denom = math.sqrt(float(np.sum(np.abs(ref) ** 2)))
     rel = math.sqrt(float(np.sum(diff**2))) / max(denom, 1e-300)

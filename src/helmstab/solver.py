@@ -25,6 +25,7 @@ from .eigenbasis import (
     basis_value,
     quadrature_rule,
     select_eigenpairs,
+    _contract,
     _project_samples,
 )
 from .modal1d import (
@@ -53,7 +54,7 @@ class ProjectionTail:
 
 @dataclass(frozen=True)
 class BoundaryConfig:
-    """Boundary operators per side, with optional attached data spectra.
+    """Boundary operators per side.
 
     The left side always carries the impedance operator; the right side may
     carry any of the three; top and bottom are Dirichlet or Neumann.  Outward
@@ -65,7 +66,6 @@ class BoundaryConfig:
     right: BoundaryOperator
     top: BoundaryOperator
     left: BoundaryOperator = BoundaryOperator.IMPEDANCE
-    data: tuple[tuple[Side, Spectrum], ...] = ()
 
     def __post_init__(self):
         if self.left is not BoundaryOperator.IMPEDANCE:
@@ -73,9 +73,6 @@ class BoundaryConfig:
         for side_name, op in (("bottom", self.bottom), ("top", self.top)):
             if op is BoundaryOperator.IMPEDANCE:
                 raise ValueError(f"impedance is not admissible on the {side_name} side")
-        sides = [s for s, _ in self.data]
-        if len(sides) != len(set(sides)):
-            raise ValueError("at most one datum per side")
 
     def operator(self, side: Side) -> BoundaryOperator:
         return {
@@ -87,9 +84,6 @@ class BoundaryConfig:
 
     def vertical_family(self) -> BasisFamily:
         return select_eigenpairs(self.bottom, self.top)
-
-    def bare(self) -> "BoundaryConfig":
-        return replace(self, data=())
 
 
 class Provenance(Enum):
@@ -249,7 +243,7 @@ def solve_vertical_data(
     ns, cs = _retained(data, n_cap)
     table = x_modes(ns, k, config.right, side, family)
     terms = ModeTerms(cs, table, family, lifted=False)
-    return SeriesSolution(config.bare(), k, n_cap, Provenance.VERTICAL_DATA, terms)
+    return SeriesSolution(config, k, n_cap, Provenance.VERTICAL_DATA, terms)
 
 
 def _retained(data: Spectrum, n_cap: int) -> tuple[list[int], np.ndarray]:
@@ -285,7 +279,7 @@ def lift_horizontal_data(
     ns, cs = _retained(g, n_cap)
     table = y_modes_lifting(ns, k, config.bottom, config.top, side, choice)
     terms = ModeTerms(cs, table, g.family, lifted=True)
-    return SeriesSolution(config.bare(), k, n_cap, Provenance.LIFTED_HORIZONTAL_DATA, terms)
+    return SeriesSolution(config, k, n_cap, Provenance.LIFTED_HORIZONTAL_DATA, terms)
 
 
 def superpose(parts: Sequence[SeriesSolution]) -> SeriesSolution:
@@ -296,30 +290,16 @@ def superpose(parts: Sequence[SeriesSolution]) -> SeriesSolution:
     for p in parts[1:]:
         if p.k != first.k:
             raise ValueError("superposed parts must share the same wavenumber")
-        if p.config.bare() != first.config.bare():
+        if p.config != first.config:
             raise ValueError("superposed parts must share the same boundary operators")
     terms = tuple(t for p in parts for t in p.terms)
     trunc = max(p.truncation for p in parts)
-    return SeriesSolution(first.config.bare(), first.k, trunc, Provenance.SUPERPOSITION, terms)
+    return SeriesSolution(first.config, first.k, trunc, Provenance.SUPERPOSITION, terms)
 
 
 # --------------------------------------------------------------------------
 # evaluation and energies
 # --------------------------------------------------------------------------
-
-
-def _kahan_add(total, comp, term):
-    """Compensated total + term, in place.
-
-    Overwrites `term`; the returned (total, comp) reuse the buffers of
-    (comp, total).  The arithmetic is y = term - comp, t = total + y,
-    comp = (t - total) - y.
-    """
-    np.subtract(term, comp, out=term)
-    np.add(total, term, out=comp)
-    np.subtract(comp, total, out=total)
-    np.subtract(total, term, out=total)
-    return comp, total
 
 
 def _factor_values(factor, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -330,31 +310,30 @@ def _factor_values(factor, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.broadcast_to(np.asarray(derivative, dtype=complex), coords.shape))
 
 
+def _check_inside(coords: np.ndarray) -> None:
+    if not np.all(np.isfinite(coords)):
+        raise ValueError("evaluation points must be finite")
+    if np.any((coords < 0) | (coords > 1)):
+        raise ValueError("evaluation points must lie inside the closed unit square")
+
+
 def evaluate(u: SeriesSolution, points) -> list[tuple[complex, tuple[complex, complex]]]:
     """Values and gradients at points inside the closed unit square.
 
     Each 1D factor is evaluated once per distinct x (or y) coordinate and
-    gathered to the points, so a tensor grid costs O(terms * (nx + ny))
-    factor evaluations.  Terms accumulate in ascending mode order with
-    compensated summation, so the result is independent of how the series
-    was put together.
+    gathered to the points.  Terms accumulate in ascending mode order, so
+    the result is independent of how the series was put together.  On a
+    tensor grid, evaluate_grid does the same work as a few array products.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[-1] != 2:
         raise ValueError("points must be (x, y) pairs")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("evaluation points must be finite")
-    xs, ys = pts[:, 0], pts[:, 1]
-    if np.any((xs < 0) | (xs > 1) | (ys < 0) | (ys > 1)):
-        raise ValueError("evaluation points must lie inside the closed unit square")
-    ux, ix = np.unique(xs, return_inverse=True)
-    uy, iy = np.unique(ys, return_inverse=True)
-    val = np.zeros(len(xs), dtype=complex)
-    gx = np.zeros(len(xs), dtype=complex)
-    gy = np.zeros(len(xs), dtype=complex)
-    cval = np.zeros_like(val)
-    cgx = np.zeros_like(gx)
-    cgy = np.zeros_like(gy)
+    _check_inside(pts)
+    ux, ix = np.unique(pts[:, 0], return_inverse=True)
+    uy, iy = np.unique(pts[:, 1], return_inverse=True)
+    val = np.zeros(len(pts), dtype=complex)
+    gx = np.zeros(len(pts), dtype=complex)
+    gy = np.zeros(len(pts), dtype=complex)
     for term in sorted(u.terms, key=lambda t: t.mode):
         c = term.coefficient
         xv, xd = _factor_values(term.x_factor, ux)
@@ -366,12 +345,39 @@ def evaluate(u: SeriesSolution, points) -> list[tuple[complex, tuple[complex, co
         cxd = (c * xd)[ix]
         yv = yv_u[iy]
         yd = yd_u[iy]
-        # Each product c*X*Y is formed once per point; the last two are
-        # written over a gathered operand that is not needed again.
-        val, cval = _kahan_add(val, cval, cxv * yv)
-        gx, cgx = _kahan_add(gx, cgx, np.multiply(cxd, yv, out=cxd))
-        gy, cgy = _kahan_add(gy, cgy, np.multiply(cxv, yd, out=yd))
+        # Each product c*X*Y is formed once per point, over a gathered
+        # operand that is not needed again.
+        gx += np.multiply(cxd, yv, out=cxd)
+        gy += np.multiply(cxv, yd, out=yd)
+        val += np.multiply(cxv, yv, out=cxv)
     return [(v, (dx, dy)) for v, dx, dy in zip(val.tolist(), gx.tolist(), gy.tolist())]
+
+
+def evaluate_grid(u: SeriesSolution, tx, ty) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values, d/dx and d/dy on the tensor grid tx by ty, each an (nx, ny)
+    complex array whose [i, j] entry belongs to the point (tx[i], ty[j]).
+
+    Sum factorization: the terms' factors are tabulated once, c*X and c*X'
+    on tx and Y and Y' on ty, one row per term in ascending mode order,
+    and each field is one contraction of two tables over the terms.  The
+    contraction's order of summation is fixed, so the arrays are the same
+    bytes whatever BLAS's thread count.
+    """
+    tx, ty = np.asarray(tx, dtype=float), np.asarray(ty, dtype=float)
+    if tx.ndim != 1 or ty.ndim != 1:
+        raise ValueError("grid coordinates must be one-dimensional arrays")
+    _check_inside(tx)
+    _check_inside(ty)
+    terms = sorted(u.terms, key=lambda t: t.mode)
+    cx = np.empty((len(terms), len(tx)), dtype=complex)
+    cdx = np.empty_like(cx)
+    y = np.empty((len(terms), len(ty)), dtype=complex)
+    dy = np.empty_like(y)
+    for row, term in enumerate(terms):
+        xv, xd = _factor_values(term.x_factor, tx)
+        cx[row], cdx[row] = term.coefficient * xv, term.coefficient * xd
+        y[row], dy[row] = _factor_values(term.y_factor, ty)
+    return _contract(cx, y), _contract(cdx, y), _contract(cx, dy)
 
 
 def energy_parseval(u: SeriesSolution) -> EnergyReport:
@@ -406,15 +412,10 @@ def energy_quadrature(u: SeriesSolution, grid_n: int = 65) -> EnergyReport:
     nodes, weights = np.polynomial.legendre.leggauss(grid_n)
     t = 0.5 * (nodes + 1.0)
     w = 0.5 * weights
-    X, Y = np.meshgrid(t, t, indexing="ij")
-    W = np.outer(w, w).ravel()
-    pts = np.column_stack([X.ravel(), Y.ravel()])
-    out = evaluate(u, pts)
-    vals = np.array([v for v, _ in out])
-    gxs = np.array([g[0] for _, g in out])
-    gys = np.array([g[1] for _, g in out])
-    l2_sq = math.fsum(W * np.abs(vals) ** 2)
-    grad_sq = math.fsum(W * (np.abs(gxs) ** 2 + np.abs(gys) ** 2))
+    W = np.outer(w, w)
+    vals, gxs, gys = evaluate_grid(u, t, t)
+    l2_sq = math.fsum((W * np.abs(vals) ** 2).ravel())
+    grad_sq = math.fsum((W * (np.abs(gxs) ** 2 + np.abs(gys) ** 2)).ravel())
     return _energy_report(grad_sq, l2_sq, u.k, EnergyMethod.QUADRATURE)
 
 
@@ -477,9 +478,9 @@ def residual_traces(
             ) * yv
 
     residuals = []
-    for side, original in zip(sides, (original_right, original_left)):
+    projections = _project_samples(np.stack([traces[side] for side in sides]), family, depth)
+    for side, original, projected in zip(sides, (original_right, original_left), projections):
         samples = traces[side]
-        projected = _project_samples(samples, family, depth)
         fraction = 0.0
         if aux.terms:
             total_sq = float(np.sum(w * np.abs(samples) ** 2))
@@ -673,8 +674,6 @@ def solve_source(
     """
     if config.right is not BoundaryOperator.DIRICHLET:
         raise ValueError("the source bound is stated for a Dirichlet right side")
-    if config.data:
-        raise ValueError("the source bound assumes homogeneous boundary data")
     family = config.vertical_family()
 
     profiles: list[tuple[int, Callable[[float], complex]]] = []
@@ -712,7 +711,7 @@ def solve_source(
     for n, fx in sorted(profiles):
         prof = SourceProfile(fx, k, family.eigenvalue(n), panels=resolution)
         terms.append(Term(n, 1.0 + 0.0j, prof, BasisMember(family, n)))
-    return SeriesSolution(config.bare(), k, n_cap, Provenance.SOURCE_TERM, tuple(terms))
+    return SeriesSolution(config, k, n_cap, Provenance.SOURCE_TERM, tuple(terms))
 
 
 def source_l2_norm(f, config: BoundaryConfig, resolution: int = 48) -> float:

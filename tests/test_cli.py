@@ -2,10 +2,24 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from helmstab.cli import main, mode_cap, parse_run_config, parts, spectra, ConfigError
+import helmstab
+from helmstab.cli import (
+    ConfigError,
+    _write_csv,
+    main,
+    mode_cap,
+    parse_run_config,
+    parts,
+    spectra,
+)
 from helmstab.eigenbasis import data_norms
 from helmstab.modal1d import Side
 from helmstab.solver import ProjectionTruncationWarning
@@ -48,6 +62,26 @@ def test_solve_writes_csv_and_report(tmp_path):
     assert float(rows[1][3]) == pytest.approx(0.0, abs=1e-9)
     report = json.loads(report_path.read_text())
     assert report["energy"]["parseval"]["energy"] == pytest.approx(10.0, rel=1e-9)
+
+
+def test_csv_bytes_equal_csv_writer(tmp_path):
+    """The CSV writer's bytes are csv.writer's on %.17g rows, i-major."""
+    rng = np.random.default_rng(7)
+    t = np.linspace(0.0, 1.0, 6)
+    values = (rng.standard_normal((6, 6)) * 10.0 ** rng.integers(-300, 300, (6, 6))
+              + 1j * rng.standard_normal((6, 6)))
+    values[0, 0] = 0.0
+    values[1, 2] = complex(-0.0, 5e-324)
+    values[5, 4] = complex(1.0, -1e300)
+    got = tmp_path / "new.csv"
+    _write_csv(str(got), t, values)
+    want = tmp_path / "reference.csv"
+    with open(want, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "re", "im"])
+        writer.writerows([f"{t[i]:.17g}", f"{t[j]:.17g}", f"{values[i, j].real:.17g}",
+                          f"{values[i, j].imag:.17g}"] for i in range(6) for j in range(6))
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_reports_are_deterministic(tmp_path):
@@ -150,6 +184,8 @@ def test_config_errors_exit_1(tmp_path):
     missing_k.write_text(json.dumps({"boundary": {}}), encoding="utf-8")
     assert run_cli(["solve", "--config", str(missing_k)]) == 1
 
+    assert run_cli(["solve", "--config", str(plane_wave_doc(tmp_path, data=[1]))]) == 1
+
     bad_op = plane_wave_doc(
         tmp_path, boundary={"bottom": "magnetic", "right": "impedance",
                             "top": "neumann", "left": "impedance"}
@@ -184,6 +220,10 @@ def test_config_error_messages_carry_field_path(tmp_path):
         ("data", {"left": [[1, "b", 0]]}, r"config\.data\.left\[0\]: coefficient"),
         ("data", {"bottom": "mode:x"}, r"config\.data\.bottom: not an integer"),
         ("source", "mode:-1", r"config\.source: mode -1 outside"),
+        ("data", [1], r"config\.data: expected an object"),
+        ("data", "x", r"config\.data: expected an object"),
+        ("data", {"left": [[1, 1, 0], [1, 2, 0]]}, r"config\.data\.left\[1\]: duplicate mode 1"),
+        ("k", True, r"config\.k: not a number"),
     ]:
         with pytest.raises(ConfigError, match=path):
             parse_run_config({**doc, "data": {}, field: value})
@@ -344,3 +384,54 @@ def test_certify_uses_the_datum_spectrum_of_solve(tmp_path):
     assert len(datum) > 30  # the sine series of a constant: the depth matters
     assert cert["norms"]["l2"] == data_norms(datum).l2
     assert cert["lhs"] == json.loads(solved.read_text())["energy"]["parseval"]["energy"]
+
+
+def test_field_solve_keeps_every_residual_mode(tmp_path):
+    """k = 60 with left, bottom and top data: 2 lifts plus the left and the
+    right residual solves of 73 modes each; no projected mode is dropped."""
+    cfg = field_doc(tmp_path, {"left": [[1, 1.0, 0.0]], "bottom": [[2, 0.5, -1.0]],
+                               "top": [[3, 1.0, 1.0]]})
+    report = tmp_path / "report.json"
+    with pytest.warns(ProjectionTruncationWarning):
+        assert run_cli(["solve", "--config", str(cfg), "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["terms"] == 148
+
+
+def _with_blas_threads(threads: int, args: list) -> subprocess.CompletedProcess:
+    """Run `python <args>` with helmstab importable and BLAS given `threads`."""
+    src = str(Path(helmstab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, check=True)
+
+
+_CONTRACT_DIGEST = """
+import hashlib
+import numpy as np
+from helmstab.eigenbasis import _contract
+rng = np.random.default_rng(5)
+a, b = (rng.standard_normal((300, 257)) + 1j * rng.standard_normal((300, 257)) for _ in "ab")
+print(hashlib.sha256(_contract(a, b).tobytes()).hexdigest())
+"""
+
+
+def test_outputs_identical_across_blas_thread_counts(tmp_path):
+    """A k = 60 solve on a 257 grid writes the same CSV and report bytes with
+    one BLAS thread as with two, and so does the contraction behind it on a
+    random complex 300 x 257 pair (a GEMM gives different bytes here)."""
+    doc = json.loads(field_doc(tmp_path, {"left": [[1, 1.0, 0.0]], "bottom": [[2, 0.5, -1.0]],
+                                          "top": [[3, 1.0, 1.0]]}).read_text())
+    cfg = tmp_path / "field257.json"
+    cfg.write_text(json.dumps({**doc, "grid": 257}), encoding="utf-8")
+    csv_path, report = tmp_path / "u.csv", tmp_path / "report.json"
+    outputs, digests = [], []
+    for threads in (1, 2):
+        _with_blas_threads(threads, ["-m", "helmstab", "solve", "--config", str(cfg),
+                                     "--csv", str(csv_path), "--report", str(report)])
+        outputs.append((csv_path.read_bytes(), report.read_bytes()))
+        digests.append(_with_blas_threads(threads, ["-c", _CONTRACT_DIGEST]).stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].count(b"\r\n") == 1 + 257 * 257
+    assert digests[0] == digests[1]

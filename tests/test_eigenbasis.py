@@ -19,6 +19,7 @@ from helmstab.eigenbasis import (
     project,
     quadrature_rule,
     select_eigenpairs,
+    _project_samples,
 )
 
 D, N = BoundaryOperator.DIRICHLET, BoundaryOperator.NEUMANN
@@ -29,6 +30,23 @@ def test_basis_value_examples():
     assert basis_value(BasisFamily.COS_INT, 0, 0.37) == 1.0
     assert basis_value(BasisFamily.SIN_INT, 0, 0.5) == 0.0
     assert basis_value(BasisFamily.SIN_INT, 1, 0.5) == pytest.approx(math.sqrt(2), abs=1e-15)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_basis_matrix_equals_member_rows(family):
+    """basis_value over an array of modes is the one-member evaluation, bit
+    for bit, column by column; negative modes are rejected in both forms."""
+    t, _ = quadrature_rule(12)
+    ns = np.arange(13)
+    matrix = basis_value(family, ns, t[:, None])
+    assert matrix.shape == (len(t), 13)
+    for n in ns:
+        assert np.array_equal(matrix[:, n], basis_value(family, int(n), t))
+        assert matrix[3, n] == basis_value(family, int(n), float(t[3]))
+    with pytest.raises(ValueError):
+        basis_value(family, np.array([0, -1]), t)
+    with pytest.raises(ValueError):
+        basis_value(family, -1, 0.5)
 
 
 def test_eigenvalue_rule():
@@ -100,6 +118,36 @@ def test_project_constant_against_analytic_and_adaptive_quadrature():
         adaptive, _ = quad(lambda t, n=n: math.sqrt(2) * math.sin(n * math.pi * t), 0, 1)
         assert abs(analytic - adaptive) < 1e-13
         assert abs(spec.coefficient(n) - analytic) < 1e-13
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_project_samples_match_fsum_reference(family):
+    """The basis-matrix projection of several sample rows at once equals the
+    correctly rounded per-mode sums to 1e-14 of the largest coefficient, and
+    drops exactly the coefficients that are exactly zero."""
+    depth = 72
+    t, w = quadrature_rule(depth)
+    rows = np.stack([
+        np.exp(60j * t) * (1.0 + t * t),
+        np.cos(7.3 * t) - 2j * t ** 3,
+        np.zeros_like(t, dtype=complex),
+    ])
+    projected = _project_samples(rows, family, depth)
+    assert len(projected) == len(rows)
+    for row, spectrum in zip(rows, projected):
+        assert spectrum.family is family
+        reference = {}
+        for n in range(depth + 1):
+            products = w * row * basis_value(family, n, t)
+            c = complex(math.fsum(products.real), math.fsum(products.imag))
+            if c != 0:
+                reference[n] = c
+        assert [n for n, _ in spectrum] == sorted(reference)
+        scale = max((abs(c) for c in reference.values()), default=0.0)
+        for n, c in spectrum:
+            assert abs(c - reference[n]) <= 1e-14 * scale
+    assert len(projected[2]) == 0
+    assert (0 in dict(projected[0])) is (family is not BasisFamily.SIN_INT)
 
 
 def test_project_zero_gives_empty():

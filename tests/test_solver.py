@@ -34,6 +34,7 @@ from helmstab.solver import (
     energy_parseval,
     energy_quadrature,
     evaluate,
+    evaluate_grid,
     lift_horizontal_data,
     residual_traces,
     solve_source,
@@ -125,6 +126,8 @@ def test_empty_data_zero_solution():
     assert len(u.terms) == 0
     assert energy_parseval(u).energy == 0.0
     assert all(v == 0 for v, _ in evaluate(u, GRID))
+    t = np.linspace(0.0, 1.0, 5)
+    assert all(np.array_equal(f, np.zeros((5, 5))) for f in evaluate_grid(u, t, t))
 
 
 def test_example_dirichlet_case_profile():
@@ -222,7 +225,7 @@ def test_evaluate_examples():
     assert abs(v - cmath.exp(1j * k / 2)) < 1e-10
 
     single = SeriesSolution(
-        cfg.bare(), k, 3, Provenance.VERTICAL_DATA, u.terms
+        cfg, k, 3, Provenance.VERTICAL_DATA, u.terms
     )
     term = u.terms[0]
     x, y = 0.37, 0.81
@@ -242,6 +245,10 @@ def test_evaluate_rejects_outside_domain():
             evaluate(u, [(bad, 0.5)])
         with pytest.raises(ValueError):
             evaluate(u, [(0.25, 0.25), (0.5, bad)])
+    for tx, ty in (([1.2], [0.5]), ([0.5], [0.0, -0.01]), ([math.nan], [0.5]),
+                   ([0.5], [math.inf]), ([[0.5]], [0.5])):
+        with pytest.raises(ValueError):
+            evaluate_grid(u, tx, ty)
 
 
 def pointwise_reference(u, pts):
@@ -289,6 +296,14 @@ def reference_cases():
 @pytest.mark.parametrize("case", ["cutoff", "superposed", "source"])
 def test_evaluate_matches_pointwise_reference(case):
     u = reference_cases()[case]
+
+    def check(got, pts):
+        want = pointwise_reference(u, pts)
+        for col in range(3):
+            scale = np.max(np.abs(want[:, col]))
+            assert scale > 0
+            assert np.max(np.abs(got[:, col] - want[:, col])) <= 1e-13 * scale
+
     t = np.linspace(0.0, 1.0, 11)
     X, Y = np.meshgrid(t, t[::2], indexing="ij")
     grid = np.column_stack([X.ravel(), Y.ravel()])
@@ -296,12 +311,13 @@ def test_evaluate_matches_pointwise_reference(case):
     scattered = rng.uniform(0.0, 1.0, size=(40, 2))
     duplicated = np.vstack([scattered[:5], grid[:7], scattered[:5], [[0.3, 0.7]] * 3])
     for pts in (grid, scattered, duplicated):
-        got = np.array([(v, gx, gy) for v, (gx, gy) in evaluate(u, pts)])
-        want = pointwise_reference(u, pts)
-        for col in range(3):
-            scale = np.max(np.abs(want[:, col]))
-            assert scale > 0
-            assert np.max(np.abs(got[:, col] - want[:, col])) <= 1e-13 * scale
+        check(np.array([(v, gx, gy) for v, (gx, gy) in evaluate(u, pts)]), pts)
+    # tensor grids: nx != ny with both ends, 1 x n and n x 1
+    for tx, ty in ((t, t[::2]), (t[4:5], t), (t, t[7:8])):
+        fields = evaluate_grid(u, tx, ty)
+        assert all(f.shape == (len(tx), len(ty)) for f in fields)
+        X, Y = np.meshgrid(tx, ty, indexing="ij")
+        check(np.column_stack([f.ravel() for f in fields]), np.column_stack([X.ravel(), Y.ravel()]))
     # a repeated point gets the same value each time
     out = evaluate(u, [(0.3, 0.7)] * 3)
     assert out[0] == out[1] == out[2]
