@@ -36,11 +36,11 @@ from .solver import (
     BoundaryConfig,
     Provenance,
     SeriesSolution,
+    _grid_values,
     default_projection_depth,
     energy_parseval,
     energy_quadrature,
     evaluate,
-    evaluate_grid,
     lift_horizontal_data,
     residual_traces,
     solve_source,
@@ -332,7 +332,7 @@ def _write_csv(path: str, t: np.ndarray, values: np.ndarray) -> None:
 def _write_samples(path: str, u: SeriesSolution, grid: int) -> None:
     """The CSV of u on the grid x, y = linspace(0, 1, grid)."""
     t = np.linspace(0.0, 1.0, grid)
-    _write_csv(path, t, evaluate_grid(u, t, t)[0])
+    _write_csv(path, t, _grid_values(u, t, t))
 
 
 def _write_report(path: Optional[str], payload: dict) -> None:
@@ -558,10 +558,8 @@ def _cmd_oracle(args) -> int:
         family = run.config.vertical_family()
 
         def fsrc(x, y):
-            return sum(
-                complex(np.asarray(fx(x)).item()) * float(eigenbasis.basis_value(family, m, y))
-                for m, fx in run.source
-            )
+            return sum(np.asarray(fx(x), dtype=complex) * eigenbasis.basis_value(family, m, y)
+                       for m, fx in run.source)
 
     gs = fdm_solve(run.config, data, fsrc, run.k, n)
     comparison = compare(u, gs)

@@ -353,16 +353,9 @@ def evaluate(u: SeriesSolution, points) -> list[tuple[complex, tuple[complex, co
     return [(v, (dx, dy)) for v, dx, dy in zip(val.tolist(), gx.tolist(), gy.tolist())]
 
 
-def evaluate_grid(u: SeriesSolution, tx, ty) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values, d/dx and d/dy on the tensor grid tx by ty, each an (nx, ny)
-    complex array whose [i, j] entry belongs to the point (tx[i], ty[j]).
-
-    Sum factorization: the terms' factors are tabulated once, c*X and c*X'
-    on tx and Y and Y' on ty, one row per term in ascending mode order,
-    and each field is one contraction of two tables over the terms.  The
-    contraction's order of summation is fixed, so the arrays are the same
-    bytes whatever BLAS's thread count.
-    """
+def _grid_tables(u: SeriesSolution, tx, ty):
+    """The factor tables of u's terms on the tensor grid tx by ty: c*X and
+    c*X' on tx, Y and Y' on ty, one row per term in ascending mode order."""
     tx, ty = np.asarray(tx, dtype=float), np.asarray(ty, dtype=float)
     if tx.ndim != 1 or ty.ndim != 1:
         raise ValueError("grid coordinates must be one-dimensional arrays")
@@ -377,7 +370,27 @@ def evaluate_grid(u: SeriesSolution, tx, ty) -> tuple[np.ndarray, np.ndarray, np
         xv, xd = _factor_values(term.x_factor, tx)
         cx[row], cdx[row] = term.coefficient * xv, term.coefficient * xd
         y[row], dy[row] = _factor_values(term.y_factor, ty)
+    return cx, cdx, y, dy
+
+
+def evaluate_grid(u: SeriesSolution, tx, ty) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values, d/dx and d/dy on the tensor grid tx by ty, each an (nx, ny)
+    complex array whose [i, j] entry belongs to the point (tx[i], ty[j]).
+
+    Sum factorization: the terms' factors are tabulated once, c*X and c*X'
+    on tx and Y and Y' on ty, one row per term in ascending mode order,
+    and each field is one contraction of two tables over the terms.  The
+    contraction's order of summation is fixed, so the arrays are the same
+    bytes whatever BLAS's thread count.
+    """
+    cx, cdx, y, dy = _grid_tables(u, tx, ty)
     return _contract(cx, y), _contract(cdx, y), _contract(cx, dy)
+
+
+def _grid_values(u: SeriesSolution, tx, ty) -> np.ndarray:
+    """evaluate_grid's values alone, without the two gradient contractions."""
+    cx, _, y, _ = _grid_tables(u, tx, ty)
+    return _contract(cx, y)
 
 
 def energy_parseval(u: SeriesSolution) -> EnergyReport:

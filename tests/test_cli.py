@@ -420,18 +420,48 @@ print(hashlib.sha256(_contract(a, b).tobytes()).hexdigest())
 def test_outputs_identical_across_blas_thread_counts(tmp_path):
     """A k = 60 solve on a 257 grid writes the same CSV and report bytes with
     one BLAS thread as with two, and so does the contraction behind it on a
-    random complex 300 x 257 pair (a GEMM gives different bytes here)."""
+    random complex 300 x 257 pair (a GEMM gives different bytes here), and
+    so does an oracle report on a 129 grid."""
     doc = json.loads(field_doc(tmp_path, {"left": [[1, 1.0, 0.0]], "bottom": [[2, 0.5, -1.0]],
                                           "top": [[3, 1.0, 1.0]]}).read_text())
     cfg = tmp_path / "field257.json"
     cfg.write_text(json.dumps({**doc, "grid": 257}), encoding="utf-8")
     csv_path, report = tmp_path / "u.csv", tmp_path / "report.json"
-    outputs, digests = [], []
+    oracle_cfg = tmp_path / "oracle-config.json"
+    oracle_cfg.write_text(json.dumps({
+        "k": 6.5,
+        "boundary": {"bottom": "neumann", "right": "impedance", "top": "neumann",
+                     "left": "impedance"},
+        "data": {"left": [[1, 0.5, -1.0], [3, 1.0, 0.2]], "bottom": [[2, -0.7, 0.4]]},
+    }), encoding="utf-8")
+    oracle_report = tmp_path / "oracle.json"
+    outputs, digests, oracles = [], [], []
     for threads in (1, 2):
         _with_blas_threads(threads, ["-m", "helmstab", "solve", "--config", str(cfg),
                                      "--csv", str(csv_path), "--report", str(report)])
         outputs.append((csv_path.read_bytes(), report.read_bytes()))
         digests.append(_with_blas_threads(threads, ["-c", _CONTRACT_DIGEST]).stdout)
+        _with_blas_threads(threads, ["-m", "helmstab", "oracle", "--config", str(oracle_cfg),
+                                     "--n", "129", "--report", str(oracle_report)])
+        oracles.append(oracle_report.read_bytes())
+    assert oracles[0] == oracles[1]
     assert outputs[0] == outputs[1]
     assert outputs[0][0].count(b"\r\n") == 1 + 257 * 257
     assert digests[0] == digests[1]
+
+
+def test_oracle_runs_without_scipy(tmp_path):
+    """The oracle needs numpy alone: it runs with scipy made unimportable."""
+    cfg = write_doc(tmp_path, {
+        "k": 6.5,
+        "boundary": {"bottom": "dirichlet", "right": "dirichlet", "top": "neumann",
+                     "left": "impedance"},
+        "data": {"left": [[1, 1.0, 0.0]], "top": [[2, 0.5, -1.0]]},
+        "source": "mode:1",
+    })
+    report = tmp_path / "oracle.json"
+    script = ("import sys; sys.modules['scipy'] = None; from helmstab.cli import main; "
+              f"raise SystemExit(main(['oracle', '--config', {str(cfg)!r}, '--n', '33', "
+              f"'--report', {str(report)!r}]))")
+    _with_blas_threads(1, ["-c", script])
+    assert json.loads(report.read_text())["grid_n"] == 33
