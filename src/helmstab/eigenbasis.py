@@ -25,6 +25,8 @@ MAX_MODE = 16384
 #: Gauss-Legendre nodes per quadrature panel.
 QUAD_NODES_PER_PANEL = 32
 
+_QUAD_NODES, _QUAD_WEIGHTS = np.polynomial.legendre.leggauss(QUAD_NODES_PER_PANEL)
+
 
 class BoundaryOperator(Enum):
     DIRICHLET = "dirichlet"
@@ -209,11 +211,10 @@ def _panel_rule(max_mode: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule on [0,1] resolving modes up to max_mode."""
     _check_depth(max_mode)
     panels = max(8, math.ceil(max_mode / 4))
-    nodes, weights = np.polynomial.legendre.leggauss(QUAD_NODES_PER_PANEL)
     h = 1.0 / panels
     offsets = (np.arange(panels) + 0.5) * h
-    t = (offsets[:, None] + 0.5 * h * nodes[None, :]).ravel()
-    w = np.tile(0.5 * h * weights, panels)
+    t = (offsets[:, None] + 0.5 * h * _QUAD_NODES[None, :]).ravel()
+    w = np.tile(0.5 * h * _QUAD_WEIGHTS, panels)
     return t, w
 
 
@@ -256,18 +257,23 @@ def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ti,tj->ij", a, b, optimize=False)
 
 
-def _project_samples(samples: np.ndarray, family: BasisFamily, max_mode: int) -> list[Spectrum]:
-    """Modal coefficients up to max_mode of functions given by their samples
-    on the nodes of quadrature_rule(max_mode), one row of samples per
-    function.  Exactly-zero coefficients are dropped."""
+def _coefficients(samples: np.ndarray, family: BasisFamily, max_mode: int) -> np.ndarray:
+    """Modal coefficients 0..max_mode of functions given by their samples
+    on the nodes of quadrature_rule(max_mode), one row of samples (and of
+    coefficients) per function."""
     samples = np.atleast_2d(samples)
     if not np.all(np.isfinite(samples)):
         raise ValueError("boundary datum produced non-finite samples")
     t, w = _panel_rule(max_mode)
     basis = basis_value(family, np.arange(max_mode + 1), t[:, None])
-    coeffs = _contract((w * samples).T, basis)
+    return _contract((w * samples).T, basis)
+
+
+def _project_samples(samples: np.ndarray, family: BasisFamily, max_mode: int) -> list[Spectrum]:
+    """_coefficients as one Spectrum per row; exactly-zero coefficients are
+    dropped."""
     return [Spectrum(family, tuple((n, c) for n, c in enumerate(row.tolist()) if c != 0))
-            for row in coeffs]
+            for row in _coefficients(samples, family, max_mode)]
 
 
 def data_norms(s: Spectrum) -> DataNormReport:

@@ -30,6 +30,7 @@ from .solver import (
     EnergyReport,
     SeriesSolution,
     _grid_values,
+    _sample_source,
     _vector_capable,
 )
 
@@ -55,23 +56,6 @@ def _sample_datum(datum, t: np.ndarray, side: Side) -> np.ndarray:
         values = np.asarray(_vector_capable(datum)(t), dtype=complex)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"the {side.value} datum has non-finite samples")
-    return values
-
-
-def _sample_source(f: Callable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """f on the grid x by y: one array call f(x[:, None], y[None, :]), or one
-    scalar call per node when f raises TypeError or ValueError on arrays or
-    returns the wrong shape."""
-    shape = (len(x), len(y))
-    try:
-        values = np.asarray(f(x[:, None], y[None, :]), dtype=complex)
-    except (TypeError, ValueError):
-        values = None
-    if values is None or values.shape != shape:
-        values = np.array([[f(float(xi), float(yj)) for yj in y] for xi in x],
-                          dtype=complex).reshape(shape)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("the source f has non-finite samples")
     return values
 
 

@@ -9,6 +9,7 @@ of the evaluated field.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -25,6 +26,7 @@ from .eigenbasis import (
     basis_value,
     quadrature_rule,
     select_eigenpairs,
+    _coefficients,
     _contract,
     _project_samples,
 )
@@ -418,14 +420,24 @@ def energy_parseval(u: SeriesSolution) -> EnergyReport:
     return _energy_report(grad_sq, l2_sq, u.k, EnergyMethod.PARSEVAL)
 
 
-def energy_quadrature(u: SeriesSolution, grid_n: int = 65) -> EnergyReport:
-    """Tensor Gauss-Legendre energy of the evaluated field on an n-by-n grid."""
-    if grid_n < 17:
-        raise ValueError("energy quadrature needs at least a 17x17 grid")
+@functools.lru_cache(maxsize=8)
+def _gauss_grid(grid_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes on [0, 1] and the n-by-n tensor weights, built
+    once per n; read-only, so no caller can alter a later quadrature."""
     nodes, weights = np.polynomial.legendre.leggauss(grid_n)
     t = 0.5 * (nodes + 1.0)
     w = 0.5 * weights
     W = np.outer(w, w)
+    t.setflags(write=False)
+    W.setflags(write=False)
+    return t, W
+
+
+def energy_quadrature(u: SeriesSolution, grid_n: int = 65) -> EnergyReport:
+    """Tensor Gauss-Legendre energy of the evaluated field on an n-by-n grid."""
+    if grid_n < 17:
+        raise ValueError("energy quadrature needs at least a 17x17 grid")
+    t, W = _gauss_grid(grid_n)
     vals, gxs, gys = evaluate_grid(u, t, t)
     l2_sq = math.fsum((W * np.abs(vals) ** 2).ravel())
     grad_sq = math.fsum((W * (np.abs(gxs) ** 2 + np.abs(gys) ** 2)).ravel())
@@ -520,6 +532,28 @@ def residual_traces(
 _KERNEL_NODES, _KERNEL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
+def _lagrange(tau: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Values at tau of the Lagrange polynomials of `nodes`, as an array
+    tau.shape + (len(nodes),); exactly the identity at the nodes."""
+    off = ~np.eye(len(nodes), dtype=bool)
+    num = np.where(off, (tau[..., None] - nodes)[..., None, :], 1.0).prod(axis=-1)
+    den = np.where(off, nodes[:, None] - nodes, 1.0).prod(axis=-1)
+    return num / den
+
+
+# A panel [a, a + h] is a + h*eta for eta in [0, 1], with the kernel nodes at
+# _ETA.  Row i < 16 of the sub-rule is the 16-point rule on [0, eta_i], for
+# the local integral up to node i; row 16 is the rule on [0, 1], whose
+# sub-nodes are the panel nodes.  _SUB_LAGRANGE[i, l, m] is sub-node l's
+# weight times the Lagrange value of panel node m there, so a row of it
+# integrates a panel's interpolated samples.
+_ETA = 0.5 * (_KERNEL_NODES + 1.0)
+_SUB_ENDS = np.append(_ETA, 1.0)
+_SUB_NODES = _SUB_ENDS[:, None] * _ETA
+_SUB_LAGRANGE = ((0.5 * _SUB_ENDS[:, None] * _KERNEL_WEIGHTS)[:, :, None]
+                 * _lagrange(_SUB_NODES, _ETA))
+
+
 def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Kernel nodes and weights of every panel, one row per panel."""
     a, b = edges[:-1, None], edges[1:, None]
@@ -531,10 +565,12 @@ class SourceProfile:
     """Horizontal profile solving X'' + (k^2 - mu^2) X = -fx with the
     homogeneous impedance (left) / Dirichlet (right) pair.
 
-    Built by integrating fx against the two one-sided homogeneous solutions;
-    the cumulative kernel integrals are carried in exponentially rescaled
-    form so evanescent modes never overflow.  fx should accept node arrays
-    (scalar-only callables are wrapped).
+    Built by integrating fx against the two one-sided homogeneous solutions,
+    P(x) = int_0^x v1 f e^{s(x-t)} and Q(x) = int_x^1 v2 f e^{s(t-x)}; the
+    cumulative kernel integrals are carried in exponentially rescaled form
+    so evanescent modes never overflow.  fx is sampled once on the panel
+    nodes (scalar-only callables are wrapped); the norms integrate those
+    samples through fixed per-panel kernels.
     """
 
     def __init__(self, fx: Callable, k: float, mu: float, panels: int = 48):
@@ -557,8 +593,19 @@ class SourceProfile:
                     "source kernel is numerically singular; the impedance pair "
                     "should prevent this"
                 )
-        self._ptable, self._qtable = self._build_tables()
-        self.norm_sq, self.dnorm_sq = self._quadrature_norms()
+        t, w = _panel_nodes(self._edges)
+        f = np.asarray(self.fx(t.ravel()), dtype=complex).reshape(t.shape)
+        p_local, q_local = self._local_integrals(f)
+        self._ptable, self._qtable = self._prefix_tables(p_local[:, -1], q_local[:, 0])
+        # P and Q at the panel nodes: the edge table carried in, plus the
+        # local integral; the norms are the panel quadrature of X and X'.
+        s, a, b = self.sigma, self._edges[:-1, None], self._edges[1:, None]
+        p = np.exp(s * (t - a)) * self._ptable[:-1, None] + p_local[:, :-1]
+        q = np.exp(s * (b - t)) * self._qtable[1:, None] + q_local[:, 1:]
+        val, der = self._value_deriv(t.ravel(), p.ravel(), q.ravel())
+        w = w.ravel()
+        self.norm_sq = math.fsum(w * np.abs(val) ** 2)
+        self.dnorm_sq = math.fsum(w * np.abs(der) ** 2)
 
     # homogeneous factors, bounded for Re(sigma) <= 0 ----------------------
     def _v1(self, t):
@@ -582,17 +629,41 @@ class SourceProfile:
         return -2.0 * self.sigma * np.exp(2.0 * self.sigma * (1.0 - np.asarray(t)))
 
     # kernel tables ---------------------------------------------------------
-    def _build_tables(self):
-        m = self._panels
-        s = self.sigma
-        t, w = _panel_nodes(self._edges)
-        f = np.asarray(self.fx(t.ravel()), dtype=complex).reshape(t.shape)
+    def _local_integrals(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each panel's local integrals from its samples f (panels x 16).
+
+        Column i < 16 of P is the integral from the panel's start to node i,
+        column 16 the whole panel; column 0 of Q is the whole panel and
+        column i + 1 the integral from node i to the panel's end.
+
+        On a panel, v1(a + h*eta) = p1*g1(eta) + p0 with g1 = e^{2sh*eta}
+        (cutoff: g1 = eta), so only f is interpolated and each kernel, g1 or
+        1 times the exponential of P, is one contraction with the sub-rule.
+        Reflecting eta -> 1 - eta turns Q's integrand into P's, with
+        v2(a + h*eta) = q1*g1(1 - eta) + q0, so Q takes P's kernels with
+        rows and columns reversed.
+        """
+        s, h = self.sigma, 1.0 / self._panels
         a, b = self._edges[:-1, None], self._edges[1:, None]
-        p_panel = np.sum(w * self._v1(t) * f * np.exp(s * (b - t)), axis=1)
-        q_panel = np.sum(w * self._v2(t) * f * np.exp(s * (t - a)), axis=1)
+        ends, nodes = _SUB_ENDS[:, None], _SUB_NODES
+        if self._cutoff:
+            g = np.stack([nodes, np.ones_like(nodes)])
+            (p1, p0), (q1, q0) = (-1j * self.k * h, 1.0 - 1j * self.k * a), (h, 1.0 - b)
+        else:
+            g = np.exp(s * h * np.stack([ends + nodes, ends - nodes]))
+            p1, p0 = self._v1_c1 * np.exp(2.0 * s * a), self._v1_c0
+            q1, q0 = np.exp(2.0 * s * (1.0 - b)), -1.0
+        kernels = np.einsum("cil,ilm->cim", g, _SUB_LAGRANGE, optimize=False)
+        (fp1, fp0), (fq1, fq0) = np.einsum("rjm,cim->rcji", np.stack([f, f[:, ::-1]]),
+                                           kernels, optimize=False)
+        return h * (p1 * fp1 + p0 * fp0), h * (q1 * fq1 + q0 * fq0)[:, ::-1]
+
+    def _prefix_tables(self, p_panel: np.ndarray, q_panel: np.ndarray):
+        """P at every panel edge from the left, Q from the right."""
+        m = self._panels
         p = np.zeros(m + 1, dtype=complex)
         q = np.zeros(m + 1, dtype=complex)
-        step = np.exp(s * (self._edges[1] - self._edges[0]))
+        step = np.exp(self.sigma * (self._edges[1] - self._edges[0]))
         for j in range(m):
             p[j + 1] = step * p[j] + p_panel[j]
         for j in range(m - 1, -1, -1):
@@ -600,7 +671,8 @@ class SourceProfile:
         return p, q
 
     def _batch_partials(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """P(x), Q(x) for an array of x: panel prefix plus a local integral."""
+        """P(x), Q(x) for an array of x: panel prefix plus a local integral
+        by a fresh 16-point rule on each side of x."""
         s = self.sigma
         j = np.minimum((xs * self._panels).astype(int), self._panels - 1)
         a, b = self._edges[j], self._edges[j + 1]
@@ -620,8 +692,8 @@ class SourceProfile:
         )
         return p, q
 
-    def _batch_value_deriv(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p, q = self._batch_partials(xs)
+    def _value_deriv(self, xs: np.ndarray, p: np.ndarray, q: np.ndarray):
+        """X and X' at xs from the kernel integrals P and Q there."""
         s = self.sigma
         v1, v2 = self._v1(xs), self._v2(xs)
         val = -(v2 * p + v1 * q) / self._wbar
@@ -636,17 +708,11 @@ class SourceProfile:
 
     def value_and_derivative(self, t):
         """(X(t), X'(t)) from one pass over the kernel integrals."""
-        xs = np.atleast_1d(np.asarray(t, dtype=float))
-        val, der = self._batch_value_deriv(xs.ravel())
+        xs = np.atleast_1d(np.asarray(t, dtype=float)).ravel()
+        val, der = self._value_deriv(xs, *self._batch_partials(xs))
         if np.ndim(t):
             return val.reshape(np.shape(t)), der.reshape(np.shape(t))
         return complex(val[0]), complex(der[0])
-
-    def _quadrature_norms(self) -> tuple[float, float]:
-        t, w = _panel_nodes(self._edges)
-        val, der = self._batch_value_deriv(t.ravel())
-        w = w.ravel()
-        return math.fsum(w * np.abs(val) ** 2), math.fsum(w * np.abs(der) ** 2)
 
 
 def _vector_capable(fx: Callable) -> Callable:
@@ -670,6 +736,23 @@ def _vector_capable(fx: Callable) -> Callable:
     return wrapped
 
 
+def _sample_source(f: Callable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """f on the grid x by y: one array call f(x[:, None], y[None, :]), or one
+    scalar call per node when f raises TypeError or ValueError on arrays or
+    returns the wrong shape."""
+    shape = (len(x), len(y))
+    try:
+        values = np.asarray(f(x[:, None], y[None, :]), dtype=complex)
+    except (TypeError, ValueError):
+        values = None
+    if values is None or values.shape != shape:
+        values = np.array([[f(float(xi), float(yj)) for yj in y] for xi in x],
+                          dtype=complex).reshape(shape)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("the source f has non-finite samples")
+    return values
+
+
 def solve_source(
     f,
     config: BoundaryConfig,
@@ -689,23 +772,18 @@ def solve_source(
         raise ValueError("the source bound is stated for a Dirichlet right side")
     family = config.vertical_family()
 
-    profiles: list[tuple[int, Callable[[float], complex]]] = []
+    profiles: list[tuple[int, Callable]] = []
     if callable(f):
+        # Each mode's profile is the Chebyshev interpolant of its projected
+        # samples on 65 Chebyshev points in x.
         n_cap = default_truncation(k, 0) if truncation is None else truncation
         cheb_x = 0.5 * (1.0 - np.cos(np.pi * np.arange(65) / 64))
-        t, w = quadrature_rule(n_cap)
-        fgrid = np.asarray([[f(float(x), float(yi)) for yi in t] for x in cheb_x], dtype=complex)
-        for n in range(n_cap + 1):
-            if family is BasisFamily.SIN_INT and n == 0:
-                continue
-            yn = basis_value(family, n, t)
-            samples = fgrid @ (w * yn)
-            if np.max(np.abs(samples)) == 0.0:
-                continue
-            coeffs = np.polynomial.chebyshev.chebfit(2.0 * cheb_x - 1.0, samples, 64)
-            profiles.append(
-                (n, (lambda x, c=coeffs: complex(np.polynomial.chebyshev.chebval(2.0 * x - 1.0, c))))
-            )
+        t, _ = quadrature_rule(n_cap)
+        samples = _coefficients(_sample_source(f, cheb_x, t), family, n_cap)
+        series = np.polynomial.chebyshev.chebfit(2.0 * cheb_x - 1.0, samples, 64)
+        for n in np.flatnonzero(np.any(samples != 0, axis=0)):
+            profiles.append((int(n), (lambda x, c=series[:, n]:
+                                      np.polynomial.chebyshev.chebval(2.0 * np.asarray(x) - 1.0, c))))
     else:
         top = max((int(n) for n, _ in f), default=0)
         n_cap = default_truncation(k, top) if truncation is None else truncation

@@ -41,6 +41,8 @@ from helmstab.solver import (
     solve_vertical_data,
     source_l2_norm,
     superpose,
+    _gauss_grid,
+    _panel_nodes,
 )
 
 D, N, I = BoundaryOperator.DIRICHLET, BoundaryOperator.NEUMANN, BoundaryOperator.IMPEDANCE
@@ -662,6 +664,88 @@ def test_source_norms_batched_equal_scalar_wrapped():
             b = SourceProfile(scalar_only, k, mu)
             assert abs(a.norm_sq - b.norm_sq) <= 1e-14 * a.norm_sq
             assert abs(a.dnorm_sq - b.dnorm_sq) <= 1e-14 * a.dnorm_sq
+
+
+def smooth_source(x):
+    x = np.asarray(x)
+    return (1.0 + 2.0j) + np.sin(4.1 * x) - 0.7j * x**2
+
+
+@pytest.mark.parametrize("k,mu", [
+    (5.0, PI),                      # propagating
+    (3 * PI, 3 * PI),               # cutoff
+    (4.2, 3 * PI),                  # evanescent
+    (3 * PI * (1 + 1e-6), 3 * PI),  # propagating, relative gap 1e-6
+    (3 * PI * (1 - 1e-6), 3 * PI),  # evanescent, relative gap 1e-6
+    (4.2, 20 * PI),
+    (0.05, PI / 2),
+])
+def test_source_kernel_norms_match_pointwise_path(k, mu):
+    """The norms from the fixed per-panel kernels equal a panel quadrature of
+    value_and_derivative, whose local integrals are fresh Gauss rules."""
+    profile = SourceProfile(smooth_source, k, mu)
+    t, w = _panel_nodes(profile._edges)
+    val, der = profile.value_and_derivative(t.ravel())
+    w = w.ravel()
+    norm_sq = math.fsum(w * np.abs(val) ** 2)
+    dnorm_sq = math.fsum(w * np.abs(der) ** 2)
+    assert abs(profile.norm_sq - norm_sq) <= 1e-13 * norm_sq
+    assert abs(profile.dnorm_sq - dnorm_sq) <= 1e-13 * dnorm_sq
+
+
+def test_source_profile_samples_fx_once():
+    """Construction calls fx once on the 48 x 16 panel nodes after the
+    two-point probe; the kernel tables and the norms share those samples."""
+    calls = []
+
+    def fx(t):
+        calls.append(np.size(t))
+        return smooth_source(t)
+
+    for k, mu in ((5.0, PI), (3 * PI, 3 * PI), (4.2, 20 * PI)):
+        calls.clear()
+        SourceProfile(fx, k, mu)
+        assert calls == [2, 48 * 16]
+
+
+def test_callable_source_is_sampled_in_one_array_call():
+    """An array-capable f(x, y) is called once on the whole Chebyshev by
+    projection-node grid; a scalar-only f gives the same solution."""
+    cfg = BoundaryConfig(bottom=N, right=D, top=D)
+    calls = []
+
+    def f(x, y):
+        calls.append(np.shape(np.broadcast(x, y)))
+        return np.exp(-20.0 * ((x - 0.4) ** 2 + (y - 0.6) ** 2)) * (1.0 + 1j * x)
+
+    def scalar_only(x, y):
+        if np.ndim(x) or np.ndim(y):
+            raise TypeError("scalars only")
+        return f(x, y)
+
+    u = solve_source(f, cfg, 20.0)
+    assert len(calls) == 1 and calls[0][0] == 65
+    v = solve_source(scalar_only, cfg, 20.0)
+    assert [t.mode for t in u.terms] == [t.mode for t in v.terms]
+    a, b = energy_parseval(u).energy, energy_parseval(v).energy
+    assert abs(a - b) <= 1e-13 * a
+
+
+def test_memoized_energy_rule_is_read_only():
+    """The memoized Gauss-Legendre arrays of energy_quadrature cannot be
+    written, so no caller can alter a later quadrature."""
+    cfg, data = plane_wave_problem(3.0)
+    u = solve_vertical_data(cfg, Side.LEFT, data, 3.0)
+    before = energy_quadrature(u, 25)
+    t, W = _gauss_grid(25)
+    assert _gauss_grid(25)[0] is t
+    with pytest.raises(ValueError):
+        t[0] = 0.5
+    with pytest.raises(ValueError):
+        W[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        t *= 2.0
+    assert energy_quadrature(u, 25) == before
 
 
 def test_source_fx_errors_propagate():
