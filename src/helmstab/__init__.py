@@ -20,7 +20,6 @@ from .modal1d import (
     EPS_CUTOFF,
     EigenvalueFamily,
     LiftingFamilyChoice,
-    ModalSolution1D,
     ModeRegime,
     ModeTable,
     ProofQuantities,
@@ -32,13 +31,11 @@ from .modal1d import (
     energy_densities,
     gap_lower_bound,
     proof_quantities,
-    x_mode,
     x_modes,
-    y_mode_lifting,
     y_modes_lifting,
 )
 from .solver import (
-    BasisMember,
+    Block,
     BoundaryConfig,
     EnergyMethod,
     EnergyReport,

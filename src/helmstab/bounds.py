@@ -23,6 +23,7 @@ from .eigenbasis import (
     Spectrum,
     data_norms,
     select_eigenpairs,
+    _EIGENPAIRS,
 )
 from .modal1d import (
     EigenvalueFamily,
@@ -32,11 +33,10 @@ from .modal1d import (
     _check_wavenumber,
 )
 from .solver import (
-    BasisMember,
+    Block,
     BoundaryConfig,
     Provenance,
     SeriesSolution,
-    Term,
     energy_parseval,
     energy_quadrature,
     lift_horizontal_data,
@@ -59,14 +59,6 @@ class TheoremId(Enum):
     T3_LIFT_DIR = "T3_LIFT_DIR"  # Dirichlet datum, bottom side (lifting)
 
 
-_SQRT12 = math.sqrt(12.0)
-_SQRT20 = math.sqrt(20.0)
-_SQRT14 = math.sqrt(14.0)
-_SQRT30 = math.sqrt(30.0)
-_2SQRT717 = 2.0 * math.sqrt(717.0)
-_2SQRT43 = 2.0 * math.sqrt(43.0)
-
-
 def rhs_bound(theorem: TheoremId, k: float, norms: DataNormReport) -> float:
     """Right-hand side of the theorem's stability inequality."""
     k = _check_wavenumber(k)
@@ -74,19 +66,19 @@ def rhs_bound(theorem: TheoremId, k: float, norms: DataNormReport) -> float:
     mk2 = max(k * k, 1.0)
     mk_half = max(math.sqrt(k), 1.0)
     if theorem is TheoremId.T1_G4 or theorem is TheoremId.T2_G2_IMP:
-        return _SQRT12 * mk * norms.l2
+        return math.sqrt(12.0) * mk * norms.l2
     if theorem is TheoremId.T2_G2_NEU:
-        return _SQRT20 * mk2 * norms.l2
+        return math.sqrt(20.0) * mk2 * norms.l2
     if theorem is TheoremId.T2_G2_DIR:
         _require_fractional(norms)
-        return _SQRT14 * (mk2 * norms.l2 + mk_half * norms.fractional_half)
+        return math.sqrt(14.0) * (mk2 * norms.l2 + mk_half * norms.fractional_half)
     if theorem is TheoremId.TF_SOURCE:
-        return _SQRT30 * mk2 * norms.l2
+        return math.sqrt(30.0) * mk2 * norms.l2
     if theorem is TheoremId.T3_LIFT_NEU:
-        return _2SQRT717 * mk * norms.l2
+        return 2.0 * math.sqrt(717.0) * mk * norms.l2
     if theorem is TheoremId.T3_LIFT_DIR:
         _require_fractional(norms)
-        return _2SQRT43 * (mk2 * norms.l2 + mk_half * norms.fractional_half)
+        return 2.0 * math.sqrt(43.0) * (mk2 * norms.l2 + mk_half * norms.fractional_half)
     raise ValueError(f"unknown theorem {theorem}")
 
 
@@ -206,27 +198,32 @@ class SharpnessCase:
     lower_bound: Optional[float]
 
 
-def _trig_profile(k: float, mu: float, w: float, A: complex, B: complex):
-    """Mode equal to A sin(w t) + B cos(w t) (propagating, w = k*lam)."""
-    fwd = (B - 1j * A) / 2.0
+def _trig_profile(w: float, A: complex, B: complex):
+    """Mode equal to A sin(w t) + B cos(w t) (propagating, w = k*lam), as
+    (forward, backward) amplitudes."""
     c_minus = (B + 1j * A) / 2.0
-    backward = c_minus * cmath.exp(-1j * w)
-    return mode_from_amplitudes(k, mu, fwd, backward)
+    return (B - 1j * A) / 2.0, c_minus * cmath.exp(-1j * w)
 
 
-def _trig_profile_from_end(k: float, mu: float, w: float, A: complex, B: complex):
-    """Mode equal to A sin(w (1-t)) + B cos(w (1-t))."""
-    backward = (B - 1j * A) / 2.0
-    fwd = (B + 1j * A) / 2.0 * cmath.exp(-1j * w)
-    return mode_from_amplitudes(k, mu, fwd, backward)
+def _trig_profile_from_end(w: float, A: complex, B: complex):
+    """Mode equal to A sin(w (1-t)) + B cos(w (1-t)), as (forward, backward)
+    amplitudes."""
+    return (B + 1j * A) / 2.0 * cmath.exp(-1j * w), (B - 1j * A) / 2.0
 
 
-_VERTICAL_OPS = {
-    BasisFamily.SIN_INT: (BoundaryOperator.DIRICHLET, BoundaryOperator.DIRICHLET),
-    BasisFamily.COS_INT: (BoundaryOperator.NEUMANN, BoundaryOperator.NEUMANN),
-    BasisFamily.SIN_HALF: (BoundaryOperator.DIRICHLET, BoundaryOperator.NEUMANN),
-    BasisFamily.COS_HALF: (BoundaryOperator.NEUMANN, BoundaryOperator.DIRICHLET),
-}
+def _one_term(cfg: BoundaryConfig, k: float, n: int, provenance: Provenance,
+              family: BasisFamily, mu: float, amplitudes) -> SeriesSolution:
+    """The solution 1 * profile * member n of `family`, the profile a
+    one-row table built from its (forward, backward) amplitudes; the profile
+    is the y factor of a lifted solution."""
+    profile = mode_from_amplitudes(k, mu, *amplitudes, n=n)
+    block = Block(np.array([n], dtype=np.int64), np.ones(1, dtype=complex), profile, family,
+                  lifted=provenance is Provenance.LIFTED_HORIZONTAL_DATA)
+    return SeriesSolution(cfg, k, n, provenance, (block,))
+
+
+#: The (bottom, top) operator pair of each vertical basis family.
+_VERTICAL_OPS = {family: pair for pair, family in _EIGENPAIRS.items()}
 
 
 def sharpness_case(
@@ -253,41 +250,38 @@ def sharpness_case(
             k = math.sqrt(mu * mu + pi * pi)
             cfg = BoundaryConfig(b_bottom, BoundaryOperator.IMPEDANCE, b_top)
             side = Side.LEFT
-            prof = _trig_profile(k, mu, pi, -1.0 / (2.0 * pi), 1j / (2.0 * k))
+            prof = _trig_profile(pi, -1.0 / (2.0 * pi), 1j / (2.0 * k))
             expected = (sqrt2 / 2.0) * k * math.sqrt(1.0 / pi**2 + 1.0 / k**2)
             theorem = TheoremId.T1_G4
         elif case_id == "ex2.3-2":
             k = math.sqrt(mu * mu + pi * pi / 4.0)
             cfg = BoundaryConfig(b_bottom, BoundaryOperator.NEUMANN, b_top)
             side = Side.LEFT
-            prof = _trig_profile(k, mu, pi / 2.0, -2.0 / pi, 0.0)
+            prof = _trig_profile(pi / 2.0, -2.0 / pi, 0.0)
             expected = (2.0 * sqrt2 / pi) * k
             theorem = TheoremId.T1_G4
         elif case_id == "ex2.3-3":
             k = math.sqrt(mu * mu + pi * pi)
             cfg = BoundaryConfig(b_bottom, BoundaryOperator.DIRICHLET, b_top)
             side = Side.LEFT
-            prof = _trig_profile(k, mu, pi, -1.0 / pi, 0.0)
+            prof = _trig_profile(pi, -1.0 / pi, 0.0)
             expected = (sqrt2 / pi) * k
             theorem = TheoremId.T1_G4
         elif case_id == "ex2.5-neumann":
             k = math.sqrt(mu * mu + pi * pi / 4.0)
             cfg = BoundaryConfig(b_bottom, BoundaryOperator.NEUMANN, b_top)
             side = Side.RIGHT
-            prof = _trig_profile(k, mu, pi / 2.0, 4j * k / pi**2, -2.0 / pi)
+            prof = _trig_profile(pi / 2.0, 4j * k / pi**2, -2.0 / pi)
             expected = (4.0 * sqrt2 / pi) * k * k * math.sqrt(1.0 / pi**2 + 1.0 / (4.0 * k * k))
             theorem = TheoremId.T2_G2_NEU
         else:  # ex2.5-dirichlet
             k = math.sqrt(mu * mu + pi * pi)
             cfg = BoundaryConfig(b_bottom, BoundaryOperator.DIRICHLET, b_top)
             side = Side.RIGHT
-            prof = _trig_profile(k, mu, pi, 1j * k / pi, -1.0)
+            prof = _trig_profile(pi, 1j * k / pi, -1.0)
             expected = (sqrt2 / pi) * math.sqrt(k**4 + pi**2 * k**2)
             theorem = TheoremId.T2_G2_DIR
-        exact = SeriesSolution(
-            cfg, k, n, Provenance.VERTICAL_DATA,
-            (Term(n, 1.0 + 0.0j, prof, BasisMember(family, n)),),
-        )
+        exact = _one_term(cfg, k, n, Provenance.VERTICAL_DATA, family, mu, prof)
         return SharpnessCase(case_id, n, k, theorem, cfg, side, datum, exact,
                              expected, None, None)
 
@@ -300,13 +294,13 @@ def sharpness_case(
     if case_id == "lift-nn":
         k = math.sqrt(mu * mu + pi * pi / 4.0)
         cfg = BoundaryConfig(N, D, N)
-        prof = _trig_profile_from_end(k, mu, pi / 2.0, 0.0, -2.0 / pi)
+        prof = _trig_profile_from_end(pi / 2.0, 0.0, -2.0 / pi)
         expected, expected_sq, lower = (2.0 * sqrt2 / pi) * k, None, None
         theorem = TheoremId.T3_LIFT_NEU
     elif case_id == "lift-nd":
         k = math.sqrt(mu * mu + pi * pi)
         cfg = BoundaryConfig(N, D, D)
-        prof = _trig_profile_from_end(k, mu, pi, -1.0 / pi, 0.0)
+        prof = _trig_profile_from_end(pi, -1.0 / pi, 0.0)
         expected, expected_sq, lower = (sqrt2 / pi) * k, None, None
         theorem = TheoremId.T3_LIFT_NEU
     elif case_id == "lift-dn":
@@ -314,7 +308,7 @@ def sharpness_case(
         w = theta + 1.0 / theta
         k = math.sqrt(w * w + mu * mu)
         cfg = BoundaryConfig(D, D, N)
-        prof = _trig_profile_from_end(k, mu, w, 0.0, 1.0 / math.cos(w))
+        prof = _trig_profile_from_end(w, 0.0, 1.0 / math.cos(w))
         expected = None
         expected_sq = (k * k + mu * mu * math.sin(2.0 * w) / (2.0 * w)) / math.cos(w) ** 2
         lower = (9.0 * pi**2 / (2.0 * sqrt2 * (9.0 * pi**2 + 4.0))) * (
@@ -326,15 +320,12 @@ def sharpness_case(
         w = theta + 1.0 / theta
         k = math.sqrt(w * w + theta * theta)
         cfg = BoundaryConfig(D, D, D)
-        prof = _trig_profile_from_end(k, mu, w, 1.0 / math.sin(w), 0.0)
+        prof = _trig_profile_from_end(w, 1.0 / math.sin(w), 0.0)
         expected = None
         expected_sq = (k * k - theta * theta * math.sin(2.0 * w) / (2.0 * w)) / math.sin(w) ** 2
         lower = (pi**2 / (2.0 * sqrt2 * (pi**2 + 1.0))) * (k * k + math.sqrt(k) * math.sqrt(theta))
         theorem = TheoremId.T3_LIFT_DIR
-    exact = SeriesSolution(
-        cfg, k, n, Provenance.LIFTED_HORIZONTAL_DATA,
-        (Term(n, 1.0 + 0.0j, BasisMember(family, n), prof),),
-    )
+    exact = _one_term(cfg, k, n, Provenance.LIFTED_HORIZONTAL_DATA, family, mu, prof)
     return SharpnessCase(case_id, n, k, theorem, cfg, Side.BOTTOM, datum, exact,
                          expected, expected_sq, lower)
 
@@ -373,12 +364,8 @@ class SweepReport:
     failures: tuple[BoundCertificate, ...]
 
 
-_HORIZONTAL_PAIRS = (
-    (BoundaryOperator.DIRICHLET, BoundaryOperator.DIRICHLET),
-    (BoundaryOperator.NEUMANN, BoundaryOperator.NEUMANN),
-    (BoundaryOperator.DIRICHLET, BoundaryOperator.NEUMANN),
-    (BoundaryOperator.NEUMANN, BoundaryOperator.DIRICHLET),
-)
+#: D/D, N/N, D/N and N/D, in that order.
+_HORIZONTAL_PAIRS = tuple(_EIGENPAIRS)
 
 _B2_CHOICES = (
     BoundaryOperator.IMPEDANCE,
@@ -389,12 +376,9 @@ _B2_CHOICES = (
 
 def _random_spectrum(rng: np.random.Generator, family: BasisFamily, modes: int) -> Spectrum:
     start = 1 if family is BasisFamily.SIN_INT else 0
-    idx = list(range(start, start + modes))
-    re = rng.standard_normal(len(idx))
-    im = rng.standard_normal(len(idx))
-    coeffs = re + 1j * im
+    coeffs = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
     coeffs /= np.linalg.norm(coeffs)
-    return Spectrum.from_pairs(family, list(zip(idx, coeffs)))
+    return Spectrum(family, np.arange(start, start + modes), coeffs)
 
 
 def _trial_config(theorem: TheoremId, trial: int, k: float) -> tuple[BoundaryConfig, BasisFamily]:
@@ -428,8 +412,9 @@ def sweep(
 ) -> SweepReport:
     """Seeded randomized certification sweep over a wavenumber grid.
 
-    Every (k, trial) pair draws unit-norm data (or a unit-norm smooth modal
-    source for the source theorem) and certifies the bound.  A failing
+    Every (k, trial) pair draws unit-norm data (or a smooth modal source of
+    random norm for the source theorem; its bound is homogeneous of degree
+    one in the source) and certifies the bound.  A failing
     certificate aborts with CertificateViolation carrying the certificate,
     unless collect_failures is set, in which case all failures land in the
     report.
@@ -473,8 +458,8 @@ def sweep(
 
 
 def _source_trial(rng: np.random.Generator, k: float, modes: int) -> BoundCertificate:
-    """Random smooth modal source with unit L2 norm."""
-    D, N = BoundaryOperator.DIRICHLET, BoundaryOperator.NEUMANN
+    """Certificate of a random smooth modal source.  Both sides of the
+    bound scale with the source, so it is certified as drawn."""
     pair = _HORIZONTAL_PAIRS[int(rng.integers(0, 4))]
     cfg = BoundaryConfig(pair[0], BoundaryOperator.DIRICHLET, pair[1])
     fam = select_eigenpairs(*pair)
@@ -489,6 +474,4 @@ def _source_trial(rng: np.random.Generator, k: float, modes: int) -> BoundCertif
             (int(n), (lambda x, c=c, f=freq: c[0] + c[1] * np.sin(f * np.asarray(x))
                       + c[2] * np.asarray(x) ** 2))
         )
-    norm = source_l2_norm(source, cfg)
-    source = [(n, (lambda x, fx=fx, s=norm: np.asarray(fx(x)) / s)) for n, fx in source]
     return certify(TheoremId.TF_SOURCE, cfg, source, k)

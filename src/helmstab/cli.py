@@ -222,7 +222,7 @@ def _datum_spectrum(parsed, family: BasisFamily, depth: int) -> Spectrum:
     """A parsed datum's spectrum; a constant is projected at `depth`."""
     if isinstance(parsed, list):
         return Spectrum.from_pairs(family, parsed)
-    return project(lambda t: parsed, family, depth)
+    return project(lambda t: np.full(np.shape(t), parsed, dtype=complex), family, depth)
 
 
 # --------------------------------------------------------------------------
@@ -356,14 +356,8 @@ def _energy_payload(u: SeriesSolution, grid: int) -> dict:
 
 
 def _norms_payload(report) -> dict:
-    def clean(v):
-        return None if (isinstance(v, float) and math.isnan(v)) else v
-
-    return {
-        "l2": clean(report.l2),
-        "fractional_half": clean(report.fractional_half),
-        "fractional_three_half": clean(report.fractional_three_half),
-    }
+    """The data norms, a norm the theorem does not use (NaN) as null."""
+    return {name: None if math.isnan(v) else v for name, v in vars(report).items()}
 
 
 def _diagnostics_payload(tails) -> dict:
@@ -426,7 +420,7 @@ def _cmd_solve(args) -> int:
         "command": "solve",
         "k": run.k,
         "truncation": u.truncation,
-        "terms": len(u.terms),
+        "terms": len(u.modes),
         "grid": run.grid,
         "seed": run.seed,
         "energy": _energy_payload(u, run.grid),

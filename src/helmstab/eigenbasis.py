@@ -8,11 +8,10 @@ callable projected by composite Gauss-Legendre quadrature.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -55,9 +54,10 @@ class BasisFamily(Enum):
     def eigenvalue(self, n):
         """mu_n: n*pi for integer families, (n+1/2)*pi for half-integer.
         An integer array n gives the array of eigenvalues."""
-        negative = np.any(n < 0) if isinstance(n, np.ndarray) else n < 0
-        if negative:
-            raise ValueError(f"mode index must be nonnegative, got {n}")
+        negative = n < 0
+        if np.count_nonzero(negative):
+            bad = np.ravel(n)[np.argmax(negative)]
+            raise ValueError(f"mode index must be nonnegative, got {bad}")
         return (n + 0.5) * math.pi if self.half_integer else n * math.pi
 
 
@@ -70,36 +70,29 @@ def basis_value(family: BasisFamily, n, t):
     mu = family.eigenvalue(n)
     # Every member is sqrt(2) times a sine or cosine except COS_INT's
     # constant member 0; SIN_INT's member 0 is sqrt(2) sin(0) = 0.
-    if family is not BasisFamily.COS_INT:
-        scale = SQRT2
-    elif isinstance(n, np.ndarray):
-        scale = np.where(n == 0, 1.0, SQRT2)
-    else:
-        scale = 1.0 if n == 0 else SQRT2
+    cos_int = family is BasisFamily.COS_INT
+    scale = np.where(np.asarray(n) == 0, 1.0, SQRT2) if cos_int else SQRT2
     sine = family in (BasisFamily.SIN_INT, BasisFamily.SIN_HALF)
     if np.ndim(n) or np.ndim(t):
         return scale * (np.sin if sine else np.cos)(mu * np.asarray(t))
     return scale * (math.sin if sine else math.cos)(mu * t)
 
 
-def basis_derivative(family: BasisFamily, n: int, t):
-    """Evaluate d/dt Z_{family,n}(t)."""
-    if n < 0:
-        raise ValueError(f"mode index must be nonnegative, got {n}")
-    mu = family.eigenvalue(n)
-    arr = bool(np.ndim(t))
-    tt = np.asarray(t) if arr else t
-    if family is BasisFamily.SIN_INT:
-        if n == 0:
-            return np.zeros_like(np.asarray(t, dtype=float)) if arr else 0.0
-        return SQRT2 * mu * (np.cos(mu * tt) if arr else math.cos(mu * tt))
-    if family is BasisFamily.COS_INT:
-        if n == 0:
-            return np.zeros_like(np.asarray(t, dtype=float)) if arr else 0.0
-        return -SQRT2 * mu * (np.sin(mu * tt) if arr else math.sin(mu * tt))
-    if family is BasisFamily.SIN_HALF:
-        return SQRT2 * mu * (np.cos(mu * tt) if arr else math.cos(mu * tt))
-    return -SQRT2 * mu * (np.sin(mu * tt) if arr else math.sin(mu * tt))
+def basis_derivative(family: BasisFamily, n, t):
+    """Evaluate d/dt Z_{family,n}(t): mu_n times the member a quarter period
+    ahead, Z_{family,n}(t + pi/(2 mu_n)); zero for a member with mu_n = 0.
+    Broadcasts like basis_value."""
+    mu = np.asarray(family.eigenvalue(n), dtype=float)
+    quarter = np.divide(0.5 * math.pi, mu, out=np.zeros_like(mu), where=mu > 0)
+    return mu * basis_value(family, n, np.asarray(t) + quarter)
+
+
+_EIGENPAIRS = {
+    (BoundaryOperator.DIRICHLET, BoundaryOperator.DIRICHLET): BasisFamily.SIN_INT,
+    (BoundaryOperator.NEUMANN, BoundaryOperator.NEUMANN): BasisFamily.COS_INT,
+    (BoundaryOperator.DIRICHLET, BoundaryOperator.NEUMANN): BasisFamily.SIN_HALF,
+    (BoundaryOperator.NEUMANN, BoundaryOperator.DIRICHLET): BasisFamily.COS_HALF,
+}
 
 
 def select_eigenpairs(b_bottom: BoundaryOperator, b_top: BoundaryOperator) -> BasisFamily:
@@ -108,15 +101,8 @@ def select_eigenpairs(b_bottom: BoundaryOperator, b_top: BoundaryOperator) -> Ba
     (Dirichlet, Dirichlet) -> SIN_INT, (Neumann, Neumann) -> COS_INT,
     (Dirichlet, Neumann) -> SIN_HALF, (Neumann, Dirichlet) -> COS_HALF.
     """
-    D, N = BoundaryOperator.DIRICHLET, BoundaryOperator.NEUMANN
-    table = {
-        (D, D): BasisFamily.SIN_INT,
-        (N, N): BasisFamily.COS_INT,
-        (D, N): BasisFamily.SIN_HALF,
-        (N, D): BasisFamily.COS_HALF,
-    }
     try:
-        return table[(b_bottom, b_top)]
+        return _EIGENPAIRS[(b_bottom, b_top)]
     except KeyError:
         raise ValueError(
             "horizontal operators must be Dirichlet or Neumann, got "
@@ -124,78 +110,88 @@ def select_eigenpairs(b_bottom: BoundaryOperator, b_top: BoundaryOperator) -> Ba
         ) from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Finitely supported modal coefficients in one basis family.
+    """Finitely supported modal coefficients in one basis family: the mode
+    indices `n` (int64) and their coefficients `c` (complex).
 
     Indices are strictly increasing; a SIN_INT index 0 is dropped silently
     (that family's zeroth member is the zero function).  Coefficients must
-    be finite.
+    be finite.  The arrays are read-only.
     """
 
     family: BasisFamily
-    coeffs: tuple[tuple[int, complex], ...]
+    n: np.ndarray
+    c: Optional[np.ndarray] = None  # None: `n` holds (index, coefficient) pairs
 
     def __post_init__(self):
-        cleaned = []
-        last = -1
-        for n, c in self.coeffs:
-            n = int(n)
-            if n < 0:
-                raise ValueError(f"mode index must be nonnegative, got {n}")
-            if n > MAX_MODE:
-                raise ValueError(f"mode index {n} exceeds cap {MAX_MODE}")
-            if n <= last:
-                raise ValueError("mode indices must be strictly increasing and unique")
-            last = n
-            c = complex(c)
-            if not cmath.isfinite(c):
-                raise ValueError(f"coefficient of mode {n} is not finite ({c})")
-            if self.family is BasisFamily.SIN_INT and n == 0:
-                continue
-            cleaned.append((n, c))
-        object.__setattr__(self, "coeffs", tuple(cleaned))
+        n, c = (self.n, self.c) if self.c is not None else (
+            [m for m, _ in self.n], [c for _, c in self.n])
+        n = np.array(n, dtype=np.int64).reshape(-1)
+        c = np.array(c, dtype=complex).reshape(-1)
+        if len(n) != len(c):
+            raise ValueError(f"{len(n)} mode indices for {len(c)} coefficients")
+        bad = (n < 0) | (n > MAX_MODE)
+        if np.count_nonzero(bad):
+            raise ValueError(f"mode index {n[np.argmax(bad)]} lies outside [0, {MAX_MODE}]")
+        if np.count_nonzero(n[1:] <= n[:-1]):
+            raise ValueError("mode indices must be strictly increasing and unique")
+        bad = ~np.isfinite(c)
+        if np.count_nonzero(bad):
+            i = np.argmax(bad)
+            raise ValueError(f"coefficient of mode {n[i]} is not finite ({c[i]})")
+        if self.family is BasisFamily.SIN_INT and len(n) and n[0] == 0:
+            n, c = n[1:], c[1:]
+        n.setflags(write=False)
+        c.setflags(write=False)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "c", c)
 
     @classmethod
     def from_pairs(cls, family: BasisFamily, pairs: Iterable[tuple[int, complex]]) -> "Spectrum":
-        return cls(family, tuple(sorted(((int(n), complex(c)) for n, c in pairs))))
+        """The spectrum of (index, coefficient) pairs in any order."""
+        return cls(family, tuple(sorted(pairs, key=lambda pair: pair[0])))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Spectrum) and other.family is self.family
+                and np.array_equal(self.n, other.n) and np.array_equal(self.c, other.c))
 
     @classmethod
     def zero(cls, family: BasisFamily) -> "Spectrum":
-        return cls(family, ())
+        return cls(family, (), ())
 
     def __iter__(self):
-        return iter(self.coeffs)
+        """The (index, coefficient) pairs as Python numbers."""
+        return zip(self.n.tolist(), self.c.tolist())
 
     def __len__(self):
-        return len(self.coeffs)
+        return len(self.n)
 
     @property
     def top_mode(self) -> int:
-        return self.coeffs[-1][0] if self.coeffs else 0
+        return int(self.n[-1]) if len(self.n) else 0
 
     def coefficient(self, n: int) -> complex:
-        for m, c in self.coeffs:
-            if m == n:
-                return c
-        return 0.0 + 0.0j
+        i = int(np.searchsorted(self.n, n))
+        return complex(self.c[i]) if i < len(self.n) and self.n[i] == n else 0.0 + 0.0j
 
     def expand(self, t):
         """Pointwise value of the represented function at t."""
-        arr = bool(np.ndim(t))
-        total = np.zeros(np.shape(t), dtype=complex) if arr else 0.0 + 0.0j
-        for n, c in self.coeffs:
-            total = total + c * basis_value(self.family, n, t)
-        return total
+        basis = basis_value(self.family, self.n, np.asarray(t, dtype=float)[..., None])
+        total = np.einsum("...m,m->...", basis, self.c, optimize=False)
+        return total if np.ndim(t) else complex(total)
 
     def minus(self, other: "Spectrum") -> "Spectrum":
         """Coefficient-wise difference; families must match."""
         if other.family is not self.family:
             raise ValueError("spectra belong to different basis families")
-        merged: dict[int, complex] = dict(self.coeffs)
-        for n, c in other.coeffs:
-            merged[n] = merged.get(n, 0.0 + 0.0j) - c
-        return Spectrum.from_pairs(self.family, merged.items())
+        # The sorted union of the indices; np.union1d would import numpy.ma.
+        n = np.sort(np.concatenate([self.n, other.n]))
+        n = n[np.diff(n, prepend=-1) != 0]
+        c = np.zeros(len(n), dtype=complex)
+        c[np.searchsorted(n, self.n)] = self.c
+        c[np.searchsorted(n, other.n)] -= other.c
+        return Spectrum(self.family, n, c)
 
 
 @dataclass(frozen=True)
@@ -207,8 +203,9 @@ class DataNormReport:
     fractional_three_half: float
 
 
-def _panel_rule(max_mode: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule on [0,1] resolving modes up to max_mode."""
+def quadrature_rule(max_mode: int) -> tuple[np.ndarray, np.ndarray]:
+    """The module's fixed projection rule (nodes, weights): composite
+    Gauss-Legendre on [0,1], resolving modes up to max_mode."""
     _check_depth(max_mode)
     panels = max(8, math.ceil(max_mode / 4))
     h = 1.0 / panels
@@ -218,26 +215,24 @@ def _panel_rule(max_mode: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def quadrature_rule(max_mode: int) -> tuple[np.ndarray, np.ndarray]:
-    """Public handle on the module's fixed projection rule (nodes, weights)."""
-    return _panel_rule(max_mode)
-
-
 def project(g, family: BasisFamily, max_mode: int) -> Spectrum:
     """Modal coefficients of g up to max_mode.
 
     g may be a Spectrum in the same family (returned unchanged, truncated to
-    max_mode) or a callable on [0,1] sampled by the fixed quadrature rule.
+    max_mode) or a callable on [0,1] sampled on the nodes of the fixed
+    quadrature rule, in one array call where it accepts arrays.
     Exactly-zero coefficients are dropped.
     """
     _check_depth(max_mode)
     if isinstance(g, Spectrum):
         if g.family is not family:
             raise ValueError(f"spectrum family {g.family} does not match {family}")
-        return Spectrum(family, tuple((n, c) for n, c in g.coeffs if n <= max_mode))
+        kept = g.n <= max_mode
+        return Spectrum(family, g.n[kept], g.c[kept])
 
-    t, _ = _panel_rule(max_mode)
-    return _project_samples(np.asarray([g(ti) for ti in t], dtype=complex), family, max_mode)[0]
+    t, _ = quadrature_rule(max_mode)
+    samples = np.asarray(_vector_capable(g)(t), dtype=complex)
+    return _project_samples(samples, family, max_mode)[0]
 
 
 def _check_depth(max_mode: int) -> None:
@@ -264,7 +259,7 @@ def _coefficients(samples: np.ndarray, family: BasisFamily, max_mode: int) -> np
     samples = np.atleast_2d(samples)
     if not np.all(np.isfinite(samples)):
         raise ValueError("boundary datum produced non-finite samples")
-    t, w = _panel_rule(max_mode)
+    t, w = quadrature_rule(max_mode)
     basis = basis_value(family, np.arange(max_mode + 1), t[:, None])
     return _contract((w * samples).T, basis)
 
@@ -272,15 +267,38 @@ def _coefficients(samples: np.ndarray, family: BasisFamily, max_mode: int) -> np
 def _project_samples(samples: np.ndarray, family: BasisFamily, max_mode: int) -> list[Spectrum]:
     """_coefficients as one Spectrum per row; exactly-zero coefficients are
     dropped."""
-    return [Spectrum(family, tuple((n, c) for n, c in enumerate(row.tolist()) if c != 0))
+    return [Spectrum(family, np.flatnonzero(row), row[row != 0])
             for row in _coefficients(samples, family, max_mode)]
 
 
 def data_norms(s: Spectrum) -> DataNormReport:
     """L2 and fractional-order norms of the expanded datum (Parseval sums)."""
-    sq = [abs(c) ** 2 for _, c in s.coeffs]
-    mus = [s.family.eigenvalue(n) for n, _ in s.coeffs]
-    l2 = math.sqrt(math.fsum(sq))
-    half = math.sqrt(math.fsum(q * m for q, m in zip(sq, mus)))
-    three_half = math.sqrt(math.fsum(q * m**3 for q, m in zip(sq, mus)))
+    sq = np.abs(s.c) ** 2
+    mu = s.family.eigenvalue(s.n)
+    l2 = math.sqrt(math.fsum(sq.tolist()))
+    half = math.sqrt(math.fsum((sq * mu).tolist()))
+    three_half = math.sqrt(math.fsum((sq * mu**3).tolist()))
     return DataNormReport(l2=l2, fractional_half=half, fractional_three_half=three_half)
+
+
+def _vector_capable(fx: Callable) -> Callable:
+    """Return fx if it maps arrays to arrays, else an elementwise wrapper.
+
+    The one sampling rule for callables of one coordinate: a probe on two
+    points decides.  Only TypeError and ValueError, what a scalar-only
+    callable raises on an array, select the wrapper; any other error from
+    fx propagates.
+    """
+    try:
+        probe = np.asarray(fx(np.array([0.25, 0.75])), dtype=complex)
+        if probe.shape == (2,):
+            return fx
+    except (TypeError, ValueError):
+        pass
+
+    def wrapped(t):
+        tt = np.atleast_1d(np.asarray(t, dtype=float))
+        out = np.asarray([fx(float(x)) for x in tt.ravel()], dtype=complex)
+        return out.reshape(np.shape(t)) if np.ndim(t) else out[0]
+
+    return wrapped

@@ -7,8 +7,8 @@ within tolerance, polynomial).  Norms are evaluated from cancellation-free
 regroupings of the closed forms, stable from the cutoff through z ~ 800.
 
 All modes of one problem at one k are built together as a ModeTable, a
-struct of arrays with one row per mode index; x_mode and y_mode_lifting
-return a single row as a ModalSolution1D.
+struct of arrays with one row per mode index, which tabulates every row's
+profile on a set of nodes in one broadcast.
 
 Also provides the lifting eigenvalue-family selection driven by the distance
 of k^2 to the two eigenvalue lattices, the resonance-gap lower bound, and the
@@ -116,53 +116,6 @@ def _classify(k: float, mu: float) -> tuple[ModeRegime, complex]:
 
 
 @dataclass(frozen=True)
-class TrigHyperbolic:
-    """Amplitudes of exp(sigma*t) and exp(sigma*(1-t)).
-
-    The anchored pair keeps both exponents nonpositive in the evanescent
-    regime.
-    """
-
-    forward: complex
-    backward: complex
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    coeffs: tuple[complex, ...]
-
-
-@dataclass(frozen=True)
-class ModalSolution1D:
-    """One closed-form 1D mode with its exact squared L2 norms."""
-
-    k: float
-    mu: float
-    regime: ModeRegime
-    sigma: complex  # i * k * ringlam; 0 in the cutoff branch
-    branch: TrigHyperbolic | Polynomial
-    norm_sq: float
-    dnorm_sq: float
-
-    def value(self, t):
-        return self.value_and_derivative(t)[0]
-
-    def derivative(self, t):
-        return self.value_and_derivative(t)[1]
-
-    def value_and_derivative(self, t):
-        """(X(t), X'(t)), sharing the exponentials between the two."""
-        if isinstance(self.branch, Polynomial):
-            coeffs = self.branch.coeffs
-            return _poly_value(coeffs, t), _poly_value(_poly_deriv(coeffs), t)
-        if np.ndim(t):
-            t = np.asarray(t)
-        a, b = self.branch.forward, self.branch.backward
-        ef, eb = np.exp(self.sigma * t), np.exp(self.sigma * (1.0 - t))
-        return a * ef + b * eb, self.sigma * (a * ef - b * eb)
-
-
-@dataclass(frozen=True)
 class ModeTable:
     """The closed-form modes of one 1D problem at one k, one row per index.
 
@@ -187,31 +140,30 @@ class ModeTable:
     def __len__(self) -> int:
         return len(self.n)
 
-    def row(self, i: int) -> ModalSolution1D:
-        """Row i as a one-mode object."""
-        kind = _REGIMES[self.regime[i]]
-        z = float(self.z[i])
-        if kind is Regime.CUTOFF:
-            branch: TrigHyperbolic | Polynomial = Polynomial(
-                tuple(complex(c) for c in self.poly[i])
-            )
-        else:
-            branch = TrigHyperbolic(complex(self.forward[i]), complex(self.backward[i]))
-        return ModalSolution1D(
-            self.k, float(self.mu[i]), ModeRegime(kind, z / self.k, z),
-            complex(self.sigma[i]), branch, float(self.norm_sq[i]), float(self.dnorm_sq[i]),
-        )
+    def value_and_derivative(self, t):
+        """X and X' of every row on the nodes t, as (rows, len(t)) arrays.
 
-
-def _poly_value(coeffs, t):
-    acc = np.zeros(np.shape(t), dtype=complex) if np.ndim(t) else 0.0 + 0.0j
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
-
-
-def _poly_deriv(coeffs):
-    return tuple((i + 1) * c for i, c in enumerate(coeffs[1:]))
+        Exponential rows are forward*e^{sigma t} + backward*e^{sigma(1-t)}
+        and its derivative, built in one broadcast; cutoff rows evaluate
+        their polynomials.
+        """
+        t = np.asarray(t, dtype=float)
+        sigma = self.sigma[:, None]
+        forward = np.multiply(sigma, t)
+        np.exp(forward, out=forward)
+        forward *= self.forward[:, None]
+        value = np.multiply(sigma, 1.0 - t)
+        np.exp(value, out=value)
+        value *= self.backward[:, None]
+        derivative = forward - value
+        derivative *= sigma
+        value += forward
+        cut = np.flatnonzero(self.regime == CUTOFF)
+        if len(cut):
+            p0, p1, p2 = (self.poly[cut, j, None] for j in range(3))
+            value[cut] = (p2 * t + p1) * t + p0
+            derivative[cut] = 2.0 * p2 * t + p1
+        return value, derivative
 
 
 def _poly_l2_sq(coeffs) -> float:
@@ -240,23 +192,25 @@ def _operator_row(op: BoundaryOperator, end: int, sigma, k: float):
     """
     es = np.exp(sigma)
     if end == 0:
-        return _apply(op, (1.0 + 0.0j, es), (-sigma, sigma * es), k)
-    return _apply(op, (es, 1.0 + 0.0j), (sigma * es, -sigma), k)
+        return _apply(op, 1.0 + 0.0j, -sigma, k), _apply(op, es, sigma * es, k)
+    return _apply(op, es, sigma * es, k), _apply(op, 1.0 + 0.0j, -sigma, k)
 
 
 def _poly_operator_row(op: BoundaryOperator, end: int, k: float):
     """Same as _operator_row for the degenerate branch p0 + p1*t: the value
     row is (1, t) and the outward derivative row (0, -1) at t=0, (0, 1) at 1."""
-    return _apply(op, (1.0 + 0.0j, float(end)), (0.0, 2.0 * end - 1.0), k)
+    return _apply(op, 1.0 + 0.0j, 0.0, k), _apply(op, float(end), 2.0 * end - 1.0, k)
 
 
 def _apply(op: BoundaryOperator, value, normal, k: float):
-    """Row of op from the rows of the value and the outward normal derivative."""
+    """op applied to values and outward normal derivatives (scalars or
+    arrays)."""
     if op is BoundaryOperator.DIRICHLET:
         return value
     if op is BoundaryOperator.NEUMANN:
         return normal
-    return (normal[0] - 1j * k * value[0], normal[1] - 1j * k * value[1])
+    return normal - 1j * k * value
+
 
 
 def _solve_2x2(r0, r1, d0: float, d1: float, ns: np.ndarray):
@@ -335,12 +289,25 @@ def _bundle(z: np.ndarray, evanescent: np.ndarray):
     return one, s2, c2, m, p, eps
 
 
-def _new_table(ns, k: float, family) -> ModeTable:
-    """A table of the modes `ns` with regimes filled in and zeroed branch
-    data and norms, for the constructors to fill."""
+def _split(t: ModeTable):
+    """The cutoff rows of t (None if there are none) and a selector of the
+    others: a boolean mask, or every row as a slice."""
+    cut = t.regime == CUTOFF
+    return (cut, ~cut) if np.count_nonzero(cut) else (None, slice(None))
+
+
+def _datum_norms(num0, num1, z, den, neumann: bool):
+    """||Y||^2 and ||Y'||^2 of a profile carrying a unit Neumann or
+    Dirichlet datum, from the numerators and denominator of its case."""
+    if neumann:
+        return num0 / (2.0 * z**3 * den), num1 / (2.0 * z * den)
+    return num0 / (2.0 * z * den), z * num1 / (2.0 * den)
+
+
+def _new_table(n: np.ndarray, mu: np.ndarray, k: float) -> ModeTable:
+    """A table of the modes n with eigenvalues mu, regimes filled in and
+    zeroed branch data and norms, for the constructors to fill."""
     k = _check_wavenumber(k)
-    n = np.asarray(ns, dtype=np.int64).reshape(-1)
-    mu = np.fromiter((family.eigenvalue(int(m)) for m in n), dtype=float, count=len(n))
     code, z, sigma = _regimes(k, mu)
     rows = len(n)
     return ModeTable(
@@ -374,13 +341,14 @@ def x_modes(
         raise ValueError("the left side must carry the impedance operator")
     if data_side not in (Side.LEFT, Side.RIGHT):
         raise ValueError("x-direction data lives on the LEFT or RIGHT side")
-    t = _new_table(ns, k, family)
+    n = np.asarray(ns, dtype=np.int64).reshape(-1)
+    t = _new_table(n, family.eigenvalue(n), k)
     k = t.k
     d_left = 1.0 if data_side is Side.LEFT else 0.0
     d_right = 1.0 - d_left
 
-    cut = t.regime == CUTOFF
-    if np.count_nonzero(cut):
+    cut, live = _split(t)
+    if cut is not None:
         # Every cutoff row solves the same polynomial problem.
         r0 = _poly_operator_row(BoundaryOperator.IMPEDANCE, 0, k)
         r1 = _poly_operator_row(b_right, 1, k)
@@ -389,7 +357,6 @@ def x_modes(
         t.norm_sq[cut] = _poly_l2_sq((p0, p1))
         t.dnorm_sq[cut] = _poly_l2_sq((p1,))
 
-    live = ~cut
     s = t.sigma[live]
     r0 = _operator_row(BoundaryOperator.IMPEDANCE, 0, s, k)
     r1 = _operator_row(b_right, 1, s, k)
@@ -411,36 +378,20 @@ def x_modes(
             num0, num1 = (p, m) if neumann else (m, p)
             norm_sq = num0 / (2.0 * k**3 * lam * den)
             dnorm_sq = lam * num1 / (2.0 * k * den)
-        elif neumann:
-            norm_sq = (m + l2 * p) / (2.0 * z**3 * den)
-            dnorm_sq = (p + l2 * m) / (2.0 * z * den)
         else:
-            norm_sq = (m + l2 * p) / (2.0 * z * den)
-            dnorm_sq = z * (p + l2 * m) / (2.0 * den)
+            norm_sq, dnorm_sq = _datum_norms(m + l2 * p, p + l2 * m, z, den, neumann)
     t.norm_sq[live], t.dnorm_sq[live] = norm_sq, dnorm_sq
     return t
-
-
-def x_mode(
-    n: int,
-    k: float,
-    b_right: BoundaryOperator,
-    data_side: Side,
-    family: BasisFamily,
-    b_left: BoundaryOperator = BoundaryOperator.IMPEDANCE,
-) -> ModalSolution1D:
-    """One horizontal modal profile: the single row of x_modes([n], ...)."""
-    return x_modes([n], k, b_right, data_side, family, b_left).row(0)
 
 
 class EigenvalueFamily(Enum):
     INTEGER = "integer"        # mu_n = n*pi
     HALF_INTEGER = "half-integer"  # mu_n = (n + 1/2)*pi
 
-    def eigenvalue(self, n: int) -> float:
-        if n < 0:
-            raise ValueError("mode index must be nonnegative")
-        return ((n + 0.5) if self is EigenvalueFamily.HALF_INTEGER else n) * math.pi
+    def eigenvalue(self, n):
+        """mu_n of the basis families on this lattice; accepts arrays."""
+        half = self is EigenvalueFamily.HALF_INTEGER
+        return (BasisFamily.COS_HALF if half else BasisFamily.COS_INT).eigenvalue(n)
 
 
 @dataclass(frozen=True)
@@ -452,7 +403,7 @@ class LiftingFamilyChoice:
     family: EigenvalueFamily
     case_index: int
 
-    def eigenvalue(self, n: int) -> float:
+    def eigenvalue(self, n):
         return self.family.eigenvalue(n)
 
     def admits(self, basis: BasisFamily) -> bool:
@@ -517,11 +468,12 @@ def y_modes_lifting(
     reflected = data_side is Side.TOP
     datum_op, other_op = (b_top, b_bottom) if reflected else (b_bottom, b_top)
     alpha = 1 if other_op is BoundaryOperator.NEUMANN else 0
-    t = _new_table(ns, k, family_choice)
+    n = np.asarray(ns, dtype=np.int64).reshape(-1)
+    t = _new_table(n, family_choice.eigenvalue(n), k)
     k = t.k
 
-    cut = t.regime == CUTOFF
-    if np.count_nonzero(cut):
+    cut, live = _split(t)
+    if cut is not None:
         if datum_op is BoundaryOperator.DIRICHLET:
             # Y'' = 0 with Y(0) = 1 and the opposite condition: 1 - (1-alpha)*t
             coeffs = (complex(1.0), complex(alpha - 1.0), complex(0.0))
@@ -536,7 +488,6 @@ def y_modes_lifting(
         t.poly[cut] = coeffs
         t.norm_sq[cut], t.dnorm_sq[cut] = norm_sq, dnorm_sq
 
-    live = ~cut
     s = t.sigma[live]
     r0 = _operator_row(datum_op, 0, s, k)
     r1 = _operator_row(other_op, 1, s, k)
@@ -546,27 +497,10 @@ def y_modes_lifting(
     z = t.z[live]
     _, s2, c2, m, p, _ = _bundle(z, t.regime[live] == EVANESCENT)
     num0, num1 = (p, m) if alpha == 1 else (m, p)
-    if datum_op is BoundaryOperator.NEUMANN:
-        den = s2 if alpha == 1 else c2
-        t.norm_sq[live] = num0 / (2.0 * z**3 * den)
-        t.dnorm_sq[live] = num1 / (2.0 * z * den)
-    else:
-        den = c2 if alpha == 1 else s2
-        t.norm_sq[live] = num0 / (2.0 * z * den)
-        t.dnorm_sq[live] = z * num1 / (2.0 * den)
+    neumann = datum_op is BoundaryOperator.NEUMANN
+    den = (s2 if alpha == 1 else c2) if neumann else (c2 if alpha == 1 else s2)
+    t.norm_sq[live], t.dnorm_sq[live] = _datum_norms(num0, num1, z, den, neumann)
     return t
-
-
-def y_mode_lifting(
-    n: int,
-    k: float,
-    b_bottom: BoundaryOperator,
-    b_top: BoundaryOperator,
-    data_side: Side,
-    family_choice: LiftingFamilyChoice,
-) -> ModalSolution1D:
-    """One vertical auxiliary profile: the single row of y_modes_lifting([n], ...)."""
-    return y_modes_lifting([n], k, b_bottom, b_top, data_side, family_choice).row(0)
 
 
 def _expm1_over(c: complex) -> complex:
@@ -577,24 +511,26 @@ def _expm1_over(c: complex) -> complex:
 
 
 def mode_from_amplitudes(
-    k: float, mu: float, forward: complex, backward: complex
-) -> ModalSolution1D:
-    """Build a mode directly from anchored amplitudes.
+    k: float, mu: float, forward: complex, backward: complex, n: int = 0
+) -> ModeTable:
+    """A one-row table built directly from anchored amplitudes; `n` labels
+    the row.
 
     The squared norms come from the exact exponential integrals, so this
     constructor is independent of the tabulated norm formulas; it backs
     hand-transcribed reference solutions and test oracles.
     """
-    reg, sigma = _classify(k, mu)
-    if reg.kind is Regime.CUTOFF:
+    t = _new_table(np.array([n], dtype=np.int64), np.array([mu], dtype=float), k)
+    if t.regime[0] == CUTOFF:
         raise ValueError("cutoff modes are polynomial; amplitudes do not apply")
-    a, b = complex(forward), complex(backward)
+    a, b, sigma = complex(forward), complex(backward), complex(t.sigma[0])
     es = cmath.exp(sigma)
     e_same = _expm1_over(2.0 * sigma.real).real  # int_0^1 e^{2 Re(sigma) t} dt
     cross = 2.0 * (a * b.conjugate() * es.conjugate() * _expm1_over(sigma - sigma.conjugate())).real
-    norm_sq = (abs(a) ** 2 + abs(b) ** 2) * e_same + cross
-    dnorm_sq = abs(sigma) ** 2 * ((abs(a) ** 2 + abs(b) ** 2) * e_same - cross)
-    return ModalSolution1D(k, mu, reg, sigma, TrigHyperbolic(a, b), norm_sq, dnorm_sq)
+    t.forward[0], t.backward[0] = a, b
+    t.norm_sq[0] = (abs(a) ** 2 + abs(b) ** 2) * e_same + cross
+    t.dnorm_sq[0] = abs(sigma) ** 2 * ((abs(a) ** 2 + abs(b) ** 2) * e_same - cross)
+    return t
 
 
 def gap_lower_bound(k: float, mu_tilde: float, same_ops: bool) -> tuple[float, float]:

@@ -22,7 +22,8 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .eigenbasis import BasisFamily, BoundaryOperator, Spectrum, _contract, basis_value
+from .eigenbasis import (BasisFamily, BoundaryOperator, Spectrum, _contract, _vector_capable,
+                         basis_value)
 from .modal1d import Side
 from .solver import (
     BoundaryConfig,
@@ -31,7 +32,6 @@ from .solver import (
     SeriesSolution,
     _grid_values,
     _sample_source,
-    _vector_capable,
 )
 
 

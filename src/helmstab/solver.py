@@ -2,9 +2,11 @@
 
 A solution is a finite sum of terms coeff * X(x) * Y(y) where one factor is
 an orthonormal basis member and the other is a closed-form 1D mode (or, for
-volumetric sources, a kernel-built profile).  Energies are available both
-through modal sums (Parseval) and through tensor Gauss-Legendre quadrature
-of the evaluated field.
+volumetric sources, a kernel-built profile).  The terms are held in blocks
+of arrays: a block is the coefficients, the profiles (a ModeTable, or the
+SourceProfiles of a source solve), the basis family and the orientation.
+Energies are available both through modal sums (Parseval) and through
+tensor Gauss-Legendre quadrature of the evaluated field.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -29,6 +31,7 @@ from .eigenbasis import (
     _coefficients,
     _contract,
     _project_samples,
+    _vector_capable,
 )
 from .modal1d import (
     ModeTable,
@@ -37,6 +40,7 @@ from .modal1d import (
     choose_lifting_family,
     x_modes,
     y_modes_lifting,
+    _apply,
     _classify,
 )
 
@@ -77,12 +81,7 @@ class BoundaryConfig:
                 raise ValueError(f"impedance is not admissible on the {side_name} side")
 
     def operator(self, side: Side) -> BoundaryOperator:
-        return {
-            Side.BOTTOM: self.bottom,
-            Side.RIGHT: self.right,
-            Side.TOP: self.top,
-            Side.LEFT: self.left,
-        }[side]
+        return getattr(self, side.value)
 
     def vertical_family(self) -> BasisFamily:
         return select_eigenpairs(self.bottom, self.top)
@@ -95,71 +94,41 @@ class Provenance(Enum):
     SUPERPOSITION = "superposition"
 
 
-@dataclass(frozen=True)
-class BasisMember:
-    """One orthonormal basis function used as a separable factor."""
+@dataclass(frozen=True, eq=False)
+class Block:
+    """The terms c_i * P_i * Z_i of one solve, as arrays.
 
-    family: BasisFamily
-    n: int
-
-    @property
-    def mu(self) -> float:
-        return self.family.eigenvalue(self.n)
-
-    @property
-    def norm_sq(self) -> float:
-        if self.family is BasisFamily.SIN_INT and self.n == 0:
-            return 0.0
-        return 1.0
-
-    @property
-    def dnorm_sq(self) -> float:
-        return self.mu**2 * self.norm_sq
-
-    def value(self, t):
-        return basis_value(self.family, self.n, t)
-
-    def derivative(self, t):
-        return basis_derivative(self.family, self.n, t)
-
-    def value_and_derivative(self, t):
-        return self.value(t), self.derivative(t)
-
-
-@dataclass(frozen=True)
-class Term:
-    mode: int
-    coefficient: complex
-    x_factor: object
-    y_factor: object
-
-
-class ModeTerms(Sequence):
-    """Terms c_n * profile_n * basis_n whose closed-form profiles are the
-    rows of one ModeTable.
-
-    The coefficients and the table stay arrays; indexing builds a Term on
-    demand, with the profile as a ModalSolution1D.  The profile is the x
-    factor, or the y factor when `lifted`.
+    Row i is mode n[i] with coefficient c[i]; P_i is row i of `profiles`
+    (a ModeTable, or a tuple of SourceProfiles) and Z_i the member n[i] of
+    the basis family.  The profile is the x factor, or the y factor when
+    `lifted`.  Rows are in ascending mode order.
     """
 
-    def __init__(self, coefficients: np.ndarray, table: ModeTable, basis: BasisFamily,
-                 lifted: bool):
-        self.coefficients = coefficients
-        self.table = table
-        self.basis = basis
-        self.lifted = lifted
+    n: np.ndarray
+    c: np.ndarray
+    profiles: object  # a ModeTable, or a tuple of SourceProfiles
+    basis: BasisFamily
+    lifted: bool
 
-    def __len__(self) -> int:
-        return len(self.coefficients)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(len(self))))
-        n = int(self.table.n[i])
-        profile, member = self.table.row(i), BasisMember(self.basis, n)
-        x, y = (member, profile) if self.lifted else (profile, member)
-        return Term(n, complex(self.coefficients[i]), x, y)
+def _profile_tables(profiles, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The profiles' values and derivatives on the nodes t, one row each."""
+    if isinstance(profiles, ModeTable):
+        return profiles.value_and_derivative(t)
+    value = np.empty((len(profiles), len(t)), dtype=complex)
+    derivative = np.empty_like(value)
+    for i, profile in enumerate(profiles):
+        value[i], derivative[i] = profile.value_and_derivative(t)
+    return value, derivative
+
+
+def _profile_norms(profiles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The profiles' transverse eigenvalues mu, squared L2 norms and squared
+    norms of their derivatives."""
+    if isinstance(profiles, ModeTable):
+        return profiles.mu, profiles.norm_sq, profiles.dnorm_sq
+    return tuple(np.array([getattr(p, name) for p in profiles], dtype=float)
+                 for name in ("mu", "norm_sq", "dnorm_sq"))
 
 
 @dataclass(frozen=True)
@@ -168,13 +137,12 @@ class SeriesSolution:
     k: float
     truncation: int
     provenance: Provenance
-    terms: Sequence[Term]  # a tuple, or ModeTerms for a single closed-form solve
+    blocks: tuple  # of Block
 
-    def scaled(self, factor: complex) -> "SeriesSolution":
-        terms = tuple(
-            Term(t.mode, factor * t.coefficient, t.x_factor, t.y_factor) for t in self.terms
-        )
-        return replace(self, terms=terms)
+    @property
+    def modes(self) -> np.ndarray:
+        """The mode index of every term, block after block."""
+        return np.concatenate([b.n for b in self.blocks] or [np.zeros(0, dtype=np.int64)])
 
 
 class EnergyMethod(Enum):
@@ -206,12 +174,12 @@ def default_projection_depth(k: float) -> int:
     return 2 * math.ceil(k / math.pi) + 32
 
 
-def _check_truncation(modes, truncation: int) -> None:
+def _check_truncation(modes: np.ndarray, truncation: int) -> None:
     """Raise ValueError for a mode above the truncation: a solve would drop it."""
-    above = [n for n in modes if n > truncation]
-    if above:
-        raise ValueError(f"datum mode {above[0]} lies above truncation {truncation}; "
-                         "the solve would drop it")
+    above = modes > truncation
+    if np.count_nonzero(above):
+        raise ValueError(f"datum mode {modes[np.argmax(above)]} lies above truncation "
+                         f"{truncation}; the solve would drop it")
 
 
 # --------------------------------------------------------------------------
@@ -243,16 +211,16 @@ def solve_vertical_data(
         )
     n_cap = default_truncation(k, data.top_mode) if truncation is None else truncation
     ns, cs = _retained(data, n_cap)
-    table = x_modes(ns, k, config.right, side, family)
-    terms = ModeTerms(cs, table, family, lifted=False)
-    return SeriesSolution(config, k, n_cap, Provenance.VERTICAL_DATA, terms)
+    block = Block(ns, cs, x_modes(ns, k, config.right, side, family), family, lifted=False)
+    return SeriesSolution(config, k, n_cap, Provenance.VERTICAL_DATA, (block,))
 
 
-def _retained(data: Spectrum, n_cap: int) -> tuple[list[int], np.ndarray]:
+def _retained(data: Spectrum, n_cap: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices and coefficients of the datum's nonzero modes, all <= n_cap."""
-    kept = [(n, c) for n, c in data if c != 0]
-    _check_truncation((n for n, _ in kept), n_cap)
-    return [n for n, _ in kept], np.array([c for _, c in kept], dtype=complex)
+    kept = data.c != 0
+    ns = data.n[kept]
+    _check_truncation(ns, n_cap)
+    return ns, data.c[kept]
 
 
 def lift_horizontal_data(
@@ -280,8 +248,8 @@ def lift_horizontal_data(
     n_cap = default_truncation(k, g.top_mode) if truncation is None else truncation
     ns, cs = _retained(g, n_cap)
     table = y_modes_lifting(ns, k, config.bottom, config.top, side, choice)
-    terms = ModeTerms(cs, table, g.family, lifted=True)
-    return SeriesSolution(config, k, n_cap, Provenance.LIFTED_HORIZONTAL_DATA, terms)
+    block = Block(ns, cs, table, g.family, lifted=True)
+    return SeriesSolution(config, k, n_cap, Provenance.LIFTED_HORIZONTAL_DATA, (block,))
 
 
 def superpose(parts: Sequence[SeriesSolution]) -> SeriesSolution:
@@ -294,22 +262,14 @@ def superpose(parts: Sequence[SeriesSolution]) -> SeriesSolution:
             raise ValueError("superposed parts must share the same wavenumber")
         if p.config != first.config:
             raise ValueError("superposed parts must share the same boundary operators")
-    terms = tuple(t for p in parts for t in p.terms)
+    blocks = tuple(b for p in parts for b in p.blocks)
     trunc = max(p.truncation for p in parts)
-    return SeriesSolution(first.config, first.k, trunc, Provenance.SUPERPOSITION, terms)
+    return SeriesSolution(first.config, first.k, trunc, Provenance.SUPERPOSITION, blocks)
 
 
 # --------------------------------------------------------------------------
 # evaluation and energies
 # --------------------------------------------------------------------------
-
-
-def _factor_values(factor, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A factor's values and derivatives at the distinct coordinates, as
-    complex arrays, from one call."""
-    value, derivative = factor.value_and_derivative(coords)
-    return (np.broadcast_to(np.asarray(value, dtype=complex), coords.shape),
-            np.broadcast_to(np.asarray(derivative, dtype=complex), coords.shape))
 
 
 def _check_inside(coords: np.ndarray) -> None:
@@ -319,60 +279,67 @@ def _check_inside(coords: np.ndarray) -> None:
         raise ValueError("evaluation points must lie inside the closed unit square")
 
 
-def evaluate(u: SeriesSolution, points) -> list[tuple[complex, tuple[complex, complex]]]:
-    """Values and gradients at points inside the closed unit square.
+#: Points per chunk of evaluate: bounds its tables at rows x _CHUNK.
+_CHUNK = 1024
 
-    Each 1D factor is evaluated once per distinct x (or y) coordinate and
-    gathered to the points.  Terms accumulate in ascending mode order, so
-    the result is independent of how the series was put together.  On a
-    tensor grid, evaluate_grid does the same work as a few array products.
+
+def evaluate(u: SeriesSolution, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values, d/dx and d/dy at points inside the closed unit square, as
+    three complex arrays with one entry per point.
+
+    Each chunk of points tabulates the factors once per distinct x (or y)
+    coordinate and gathers them to the points.  Terms accumulate in
+    ascending mode order, so the result is independent of how the series
+    was put together.  On a tensor grid, evaluate_grid does the same work
+    as a few array products.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[-1] != 2:
         raise ValueError("points must be (x, y) pairs")
     _check_inside(pts)
-    ux, ix = np.unique(pts[:, 0], return_inverse=True)
-    uy, iy = np.unique(pts[:, 1], return_inverse=True)
-    val = np.zeros(len(pts), dtype=complex)
-    gx = np.zeros(len(pts), dtype=complex)
-    gy = np.zeros(len(pts), dtype=complex)
-    for term in sorted(u.terms, key=lambda t: t.mode):
-        c = term.coefficient
-        xv, xd = _factor_values(term.x_factor, ux)
-        yv_u, yd_u = _factor_values(term.y_factor, uy)
-        # Gather and bind one point-length array at a time: replacing them in
-        # pairs keeps two more of them alive per term, and the allocator then
-        # maps fresh pages for every term (20x the page faults at 129^2).
-        cxv = (c * xv)[ix]
-        cxd = (c * xd)[ix]
-        yv = yv_u[iy]
-        yd = yd_u[iy]
-        # Each product c*X*Y is formed once per point, over a gathered
-        # operand that is not needed again.
-        gx += np.multiply(cxd, yv, out=cxd)
-        gy += np.multiply(cxv, yd, out=yd)
-        val += np.multiply(cxv, yv, out=cxv)
-    return [(v, (dx, dy)) for v, dx, dy in zip(val.tolist(), gx.tolist(), gy.tolist())]
+    fields = np.empty((3, len(pts)), dtype=complex)
+    for lo in range(0, len(pts), _CHUNK):
+        part = slice(lo, lo + _CHUNK)
+        ux, ix = np.unique(pts[part, 0], return_inverse=True)
+        uy, iy = np.unique(pts[part, 1], return_inverse=True)
+        cx, cdx, y, dy = _grid_tables(u, ux, uy)
+        cx, cdx, y, dy = cx[:, ix], cdx[:, ix], y[:, iy], dy[:, iy]
+        for field, a, b in zip(fields, (cx, cdx, cx), (y, y, dy)):
+            field[part] = np.einsum("rp,rp->p", a, b, optimize=False)
+    return fields[0], fields[1], fields[2]
+
+
+def _block_tables(block: Block, tx: np.ndarray, ty: np.ndarray):
+    """c*X and c*X' on tx, Y and Y' on ty, for the rows of one block, from
+    one build of its profiles and one of its basis members."""
+    basis_t, profile_t = (tx, ty) if block.lifted else (ty, tx)
+    p, dp = _profile_tables(block.profiles, profile_t)
+    n = block.n[:, None]
+    b, db = basis_value(block.basis, n, basis_t), basis_derivative(block.basis, n, basis_t)
+    x, dx, y, dy = (b, db, p, dp) if block.lifted else (p, dp, b, db)
+    return block.c[:, None] * x, block.c[:, None] * dx, y, dy
 
 
 def _grid_tables(u: SeriesSolution, tx, ty):
     """The factor tables of u's terms on the tensor grid tx by ty: c*X and
-    c*X' on tx, Y and Y' on ty, one row per term in ascending mode order."""
+    c*X' on tx, Y and Y' on ty, one row per term in ascending mode order
+    (terms of equal mode in block order)."""
     tx, ty = np.asarray(tx, dtype=float), np.asarray(ty, dtype=float)
     if tx.ndim != 1 or ty.ndim != 1:
         raise ValueError("grid coordinates must be one-dimensional arrays")
     _check_inside(tx)
     _check_inside(ty)
-    terms = sorted(u.terms, key=lambda t: t.mode)
-    cx = np.empty((len(terms), len(tx)), dtype=complex)
-    cdx = np.empty_like(cx)
-    y = np.empty((len(terms), len(ty)), dtype=complex)
-    dy = np.empty_like(y)
-    for row, term in enumerate(terms):
-        xv, xd = _factor_values(term.x_factor, tx)
-        cx[row], cdx[row] = term.coefficient * xv, term.coefficient * xd
-        y[row], dy[row] = _factor_values(term.y_factor, ty)
-    return cx, cdx, y, dy
+    modes = u.modes
+    row = np.empty(len(modes), dtype=np.intp)  # each term's row in the tables
+    row[np.argsort(modes, kind="stable")] = np.arange(len(modes))
+    tables = [np.empty((len(modes), len(t)), dtype=complex) for t in (tx, tx, ty, ty)]
+    start = 0
+    for block in u.blocks:
+        rows = row[start:start + len(block.n)]
+        start += len(block.n)
+        for table, part in zip(tables, _block_tables(block, tx, ty)):
+            table[rows] = part
+    return tables
 
 
 def evaluate_grid(u: SeriesSolution, tx, ty) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -402,22 +369,14 @@ def energy_parseval(u: SeriesSolution) -> EnergyReport:
         raise ValueError(
             "superposed series mix factor bases; use energy_quadrature instead"
         )
-    if isinstance(u.terms, ModeTerms):
-        t = u.terms.table
-        w, mu, norm_sq, dnorm_sq = np.abs(u.terms.coefficients) ** 2, t.mu, t.norm_sq, t.dnorm_sq
-    else:
-        lifted = u.provenance is Provenance.LIFTED_HORIZONTAL_DATA
-        rows = []
-        for term in u.terms:
-            basis, profile = (
-                (term.x_factor, term.y_factor) if lifted else (term.y_factor, term.x_factor)
-            )
-            rows.append((abs(term.coefficient) ** 2, basis.mu, profile.norm_sq, profile.dnorm_sq))
-        w, mu, norm_sq, dnorm_sq = np.array(rows, dtype=float).reshape(-1, 4).T
+    l2_parts, grad_parts = [], []
+    for block in u.blocks:
+        w = np.abs(block.c) ** 2
+        mu, norm_sq, dnorm_sq = _profile_norms(block.profiles)
+        l2_parts += (w * norm_sq).tolist()
+        grad_parts += (w * (dnorm_sq + mu * mu * norm_sq)).tolist()
     # fsum is correctly rounded, so the order of the modes does not matter.
-    l2_sq = math.fsum(w * norm_sq)
-    grad_sq = math.fsum(w * (dnorm_sq + mu * mu * norm_sq))
-    return _energy_report(grad_sq, l2_sq, u.k, EnergyMethod.PARSEVAL)
+    return _energy_report(math.fsum(grad_parts), math.fsum(l2_parts), u.k, EnergyMethod.PARSEVAL)
 
 
 @functools.lru_cache(maxsize=8)
@@ -449,18 +408,6 @@ def energy_quadrature(u: SeriesSolution, grid_n: int = 65) -> EnergyReport:
 # --------------------------------------------------------------------------
 
 
-def _trace_scalar(op: BoundaryOperator, side: Side, factor, k: float) -> complex:
-    """Apply a vertical-side operator to an x-factor at its endpoint."""
-    x0 = 1.0 if side is Side.RIGHT else 0.0
-    v, d = (complex(f) for f in factor.value_and_derivative(x0))
-    nrm = d if side is Side.RIGHT else -d
-    if op is BoundaryOperator.DIRICHLET:
-        return v
-    if op is BoundaryOperator.NEUMANN:
-        return nrm
-    return nrm - 1j * k * v
-
-
 def residual_traces(
     aux: SeriesSolution,
     original_right: Spectrum,
@@ -489,27 +436,25 @@ def residual_traces(
             original_left.top_mode,
         )
 
-    # Each trace is sum_n c_n * B(X_n) * Y_n(y) on the projection nodes; one
-    # pass over the terms, in their stored order, fills both sides.
+    # Each trace is sum_n c_n * B(X_n) * Y_n(y) on the projection nodes: one
+    # contraction of the operators applied to the x tables at x = 1 and 0
+    # with the y values.  Outward normals are +d/dx on the right, -d/dx on
+    # the left.
     t, w = quadrature_rule(depth)
     sides = (Side.RIGHT, Side.LEFT)
-    ops = {side: aux.config.operator(side) for side in sides}
-    traces = {side: np.zeros(len(t), dtype=complex) for side in sides}
-    for term in aux.terms:
-        yv = term.y_factor.value(t)
-        for side, op in ops.items():
-            traces[side] = traces[side] + (
-                term.coefficient * _trace_scalar(op, side, term.x_factor, aux.k)
-            ) * yv
+    cx, cdx, y, _ = _grid_tables(aux, [1.0, 0.0], t)
+    weights = np.stack([_apply(aux.config.operator(side), cx[:, j], sign * cdx[:, j], aux.k)
+                        for j, (side, sign) in enumerate(zip(sides, (1.0, -1.0)))], axis=1)
+    traces = _contract(weights, y)
 
     residuals = []
-    projections = _project_samples(np.stack([traces[side] for side in sides]), family, depth)
-    for side, original, projected in zip(sides, (original_right, original_left), projections):
-        samples = traces[side]
+    projections = _project_samples(traces, family, depth)
+    for side, original, projected, samples in zip(
+            sides, (original_right, original_left), projections, traces):
         fraction = 0.0
-        if aux.terms:
+        if len(aux.modes):
             total_sq = float(np.sum(w * np.abs(samples) ** 2))
-            captured_sq = math.fsum(abs(c) ** 2 for _, c in projected)
+            captured_sq = math.fsum((np.abs(projected.c) ** 2).tolist())
             if total_sq > 0:
                 fraction = (total_sq - captured_sq) / total_sq
             if fraction > 1e-8:
@@ -700,12 +645,6 @@ class SourceProfile:
         der = -((self._v2p(xs) + s * v2) * p + (self._v1p(xs) - s * v1) * q) / self._wbar
         return val, der
 
-    def value(self, t):
-        return self.value_and_derivative(t)[0]
-
-    def derivative(self, t):
-        return self.value_and_derivative(t)[1]
-
     def value_and_derivative(self, t):
         """(X(t), X'(t)) from one pass over the kernel integrals."""
         xs = np.atleast_1d(np.asarray(t, dtype=float)).ravel()
@@ -713,27 +652,6 @@ class SourceProfile:
         if np.ndim(t):
             return val.reshape(np.shape(t)), der.reshape(np.shape(t))
         return complex(val[0]), complex(der[0])
-
-
-def _vector_capable(fx: Callable) -> Callable:
-    """Return fx if it maps arrays to arrays, else an elementwise wrapper.
-
-    Only TypeError and ValueError, what a scalar-only callable raises on an
-    array, select the wrapper; any other error from fx propagates.
-    """
-    try:
-        probe = np.asarray(fx(np.array([0.25, 0.75])), dtype=complex)
-        if probe.shape == (2,):
-            return fx
-    except (TypeError, ValueError):
-        pass
-
-    def wrapped(t):
-        tt = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.asarray([fx(float(x)) for x in tt.ravel()], dtype=complex)
-        return out.reshape(np.shape(t)) if np.ndim(t) else out[0]
-
-    return wrapped
 
 
 def _sample_source(f: Callable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -785,9 +703,10 @@ def solve_source(
             profiles.append((int(n), (lambda x, c=series[:, n]:
                                       np.polynomial.chebyshev.chebval(2.0 * np.asarray(x) - 1.0, c))))
     else:
-        top = max((int(n) for n, _ in f), default=0)
+        listed = np.array([int(n) for n, _ in f], dtype=np.int64)
+        top = int(listed.max(initial=0))
         n_cap = default_truncation(k, top) if truncation is None else truncation
-        _check_truncation((int(n) for n, _ in f), n_cap)
+        _check_truncation(listed, n_cap)
         seen = set()
         for n, fx in f:
             n = int(n)
@@ -798,11 +717,12 @@ def solve_source(
                 continue
             profiles.append((n, fx))
 
-    terms = []
-    for n, fx in sorted(profiles):
-        prof = SourceProfile(fx, k, family.eigenvalue(n), panels=resolution)
-        terms.append(Term(n, 1.0 + 0.0j, prof, BasisMember(family, n)))
-    return SeriesSolution(config, k, n_cap, Provenance.SOURCE_TERM, tuple(terms))
+    profiles.sort(key=lambda pair: pair[0])
+    ns = np.array([n for n, _ in profiles], dtype=np.int64)
+    built = tuple(SourceProfile(fx, k, family.eigenvalue(n), panels=resolution)
+                  for n, fx in profiles)
+    block = Block(ns, np.ones(len(ns), dtype=complex), built, family, lifted=False)
+    return SeriesSolution(config, k, n_cap, Provenance.SOURCE_TERM, (block,))
 
 
 def source_l2_norm(f, config: BoundaryConfig, resolution: int = 48) -> float:

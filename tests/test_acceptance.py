@@ -26,8 +26,8 @@ from helmstab.modal1d import (
     energy_densities,
     gap_lower_bound,
     proof_quantities,
-    x_mode,
-    y_mode_lifting,
+    x_modes,
+    y_modes_lifting,
 )
 from helmstab.oracle import compare, fdm_solve
 from helmstab.solver import (
@@ -181,19 +181,20 @@ def test_criterion_6_closed_form_vs_quadrature_norms():
     x_cases = [(I, Side.LEFT), (I, Side.RIGHT), (N, Side.LEFT), (N, Side.RIGHT),
                (D, Side.LEFT), (D, Side.RIGHT)]
 
-    def check(mode):
+    def check(table):
+        """Every row's closed-form norms against quadrature of the row."""
         nonlocal worst
-        r0 = abs(mode.norm_sq - quad_norm_sq(mode.value)) / mode.norm_sq
-        r1 = abs(mode.dnorm_sq - quad_norm_sq(mode.derivative)) / mode.dnorm_sq
-        worst = max(worst, r0, r1)
+        for i in range(len(table)):
+            r0 = quad_norm_sq(lambda t: table.value_and_derivative(t)[0][i])
+            r1 = quad_norm_sq(lambda t: table.value_and_derivative(t)[1][i])
+            worst = max(worst, abs(table.norm_sq[i] - r0) / table.norm_sq[i],
+                        abs(table.dnorm_sq[i] - r1) / table.dnorm_sq[i])
 
     for family in (BasisFamily.SIN_INT, BasisFamily.COS_HALF):
+        ns = (1, 4, 11) if family is BasisFamily.SIN_INT else (0, 1, 4, 11)
         for b2, side in x_cases:
             for k in (0.3, 2.7, 9.4, 33.0):
-                for n in (0, 1, 4, 11):
-                    if family is BasisFamily.SIN_INT and n == 0:
-                        continue
-                    check(x_mode(n, k, b2, side, family))
+                check(x_modes(ns, k, b2, side, family))
     # near-cutoff gaps from both sides
     fam = BasisFamily.SIN_INT
     mu = fam.eigenvalue(3)
@@ -201,13 +202,12 @@ def test_criterion_6_closed_form_vs_quadrature_norms():
         for sign in (+1, -1):
             k = mu * math.sqrt(1 + sign * relgap)
             for b2, side in x_cases:
-                check(x_mode(3, k, b2, side, fam))
+                check(x_modes([3], k, b2, side, fam))
     # lifting profiles
     for bb, bt in ((N, N), (N, D), (D, N), (D, D)):
         for k in (0.7, 9.1, 44.0):
             ch = choose_lifting_family(k, bb, bt)
-            for n in (0, 2, 9, 17):
-                check(y_mode_lifting(n, k, bb, bt, Side.BOTTOM, ch))
+            check(y_modes_lifting((0, 2, 9, 17), k, bb, bt, Side.BOTTOM, ch))
     dt = time.time() - t0
     _report(6, "closed-form vs quadrature norms", worst <= 1e-10 and dt < 30.0,
             f"(worst rel {worst:.2e}, {dt:.1f}s)")
@@ -302,11 +302,10 @@ def test_criterion_9_lifting_round_trip():
     u_star = superpose([aux_star, vert_star])
 
     def right_trace(y):
-        v, _ = evaluate(u_star, [(1.0, y)])[0]
-        return v  # Dirichlet
+        return evaluate(u_star, np.column_stack([np.ones_like(y), y]))[0]  # Dirichlet
 
     def left_trace(y):
-        v, (gx, _) = evaluate(u_star, [(0.0, y)])[0]
+        v, gx, _ = evaluate(u_star, np.column_stack([np.zeros_like(y), y]))
         return -gx - 1j * k * v
 
     depth = 48
@@ -327,7 +326,7 @@ def test_criterion_9_lifting_round_trip():
     pts = [(x, y) for x in np.linspace(0, 1, 33) for y in np.linspace(0, 1, 33)]
     a = evaluate(u_star, pts)
     b = evaluate(u_rec, pts)
-    perr = max(abs(x[0] - y[0]) for x, y in zip(a, b))
+    perr = float(np.max(np.abs(a[0] - b[0])))
 
     # boundary residuals of the reconstruction against the manufactured data
     ts = np.linspace(0.0, 1.0, 65)
@@ -344,7 +343,7 @@ def test_criterion_9_lifting_round_trip():
         rec = evaluate(u_rec, pts_b)
         star = evaluate(u_star, pts_b)
         op = cfg.operator(side)
-        for t, (vr, (gxr, gyr)), (vs, (gxs, gys)) in zip(ts, rec, star):
+        for t, vr, gxr, gyr, vs, gxs, gys in zip(ts, *rec, *star):
             if side is Side.BOTTOM:
                 br, bs = -gyr, -gys
             elif side is Side.TOP:

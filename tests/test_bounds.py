@@ -185,8 +185,8 @@ def test_sharpness_transcription_consistency(case_id):
             pts = [(x, y) for x in np.linspace(0, 1, 5) for y in np.linspace(0, 1, 5)]
             a = evaluate(case.exact, pts)
             b = evaluate(sol, pts)
-            scale = max(1.0, max(abs(v) for v, _ in a))
-            assert max(abs(x[0] - y[0]) for x, y in zip(a, b)) < 1e-8 * scale
+            scale = max(1.0, np.max(np.abs(a[0])))
+            assert np.max(np.abs(a[0] - b[0])) < 1e-8 * scale
 
 
 # --------------------------------------------------------------------------
@@ -302,3 +302,18 @@ def test_certify_and_sweep_reject_nonfinite_k(k):
     for theorem in (TheoremId.T1_G4, TheoremId.T3_LIFT_DIR, TheoremId.TF_SOURCE):
         with pytest.raises(ValueError, match="k="):
             sweep(theorem, [1.0, k], modes=4, trials=1)
+
+
+def test_source_certificate_is_homogeneous_in_the_source():
+    """Both sides of the source bound scale with the source, so a sweep may
+    certify its random draws as drawn: the ratio of a source and of the same
+    source divided by a constant agree to rounding."""
+    cfg = BoundaryConfig(D, D, N)
+    source = [(0, lambda x: (1.0 + 2.0j) + np.sin(3.0 * np.asarray(x))),
+              (3, lambda x: np.asarray(x) ** 2 - 0.5j)]
+    for k in (0.5, 5.0, 60.0):
+        raw = certify(TheoremId.TF_SOURCE, cfg, source, k)
+        scaled = certify(TheoremId.TF_SOURCE, cfg,
+                         [(n, lambda x, f=f: f(x) / 7.25) for n, f in source], k)
+        assert raw.ratio == pytest.approx(scaled.ratio, rel=1e-12)
+        assert raw.passed is scaled.passed is True

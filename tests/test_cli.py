@@ -21,8 +21,8 @@ from helmstab.cli import (
     spectra,
 )
 from helmstab.eigenbasis import data_norms
-from helmstab.modal1d import Side
-from helmstab.solver import ProjectionTruncationWarning
+from helmstab.modal1d import ModeTable, Side
+from helmstab.solver import ProjectionTruncationWarning, evaluate_grid
 
 
 def run_cli(args):
@@ -272,6 +272,34 @@ def field_doc(tmp_path, data):
     return path
 
 
+def test_one_factor_table_build_per_block(tmp_path, monkeypatch):
+    """On the field problem (k = 60, data on the left, bottom and top)
+    residual_traces tabulates each lift's profiles in one build, and
+    evaluate_grid each block's profiles in one build, however many terms a
+    block holds."""
+    cfg = field_doc(tmp_path, {"left": [[1, 0.3, -0.2], [4, 1.0, 0.5], [7, -0.4, 0.1]],
+                               "bottom": [[2, 0.5, -1.0], [3, 0.1, 0.2], [8, 1.0, 0.0]],
+                               "top": [[1, 1.0, 1.0], [5, -0.3, 0.7], [6, 0.2, 0.2]]})
+    run = parse_run_config(json.loads(cfg.read_text()))
+    builds = []
+    build = ModeTable.value_and_derivative
+
+    def counted(table, t):
+        builds.append(len(table))
+        return build(table, t)
+
+    monkeypatch.setattr(ModeTable, "value_and_derivative", counted)
+    with pytest.warns(ProjectionTruncationWarning):
+        pieces = parts(run, spectra(run))
+    assert builds == [len(lift.modes) for lift in pieces.lifts] == [3, 3]
+    builds.clear()
+    u = pieces.solution()
+    t = np.linspace(0.0, 1.0, 129)
+    evaluate_grid(u, t, t)
+    assert len(u.blocks) == 4 and len(u.modes) > 100
+    assert builds == [len(block.n) for block in u.blocks]
+
+
 @pytest.mark.parametrize("command", ["solve", "lift", "oracle"])
 def test_reports_carry_projection_tails(tmp_path, command):
     """At k = 60 the lifted traces leave energy beyond the default depth;
@@ -355,14 +383,14 @@ def test_truncation_bounds_every_mode(tmp_path, command):
     out = json.loads(report.read_text())
     assert [t["depth"] for t in out["diagnostics"]["projection_tail"]] == [10, 10]
     solved = pieces.lifts + pieces.solves()
-    assert all(t.mode <= 10 for u in solved for t in u.terms)
+    assert all(np.all(u.modes <= 10) for u in solved)
     assert all(n <= 10 for n, _ in pieces.residual_right)
     assert all(n <= 10 for n, _ in pieces.residual_left)
     if command == "lift":
         assert out["residual_left"] == [[n, c.real, c.imag] for n, c in pieces.residual_left]
     else:
         assert out["truncation"] == 10
-        assert out["terms"] == sum(len(u.terms) for u in solved)
+        assert out["terms"] == sum(len(u.modes) for u in solved)
 
 
 def test_certify_uses_the_datum_spectrum_of_solve(tmp_path):

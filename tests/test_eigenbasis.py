@@ -254,3 +254,100 @@ def test_l2_norm_converges_for_smooth_function():
     assert errs[2] < errs[1] < errs[0]
     assert errs[2] < 2e-4 * ref_sq
     assert errs[0] / errs[2] > 8.0  # consistent with the 1/M energy tail
+
+
+# --------------------------------------------------------------------------
+# array spectra against a plain-dict reference
+# --------------------------------------------------------------------------
+
+coefficient_maps = st.dictionaries(
+    st.integers(0, 40),
+    st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+    max_size=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=coefficient_maps, b=coefficient_maps, family=st.sampled_from(FAMILIES),
+       t=st.floats(0.0, 1.0))
+def test_array_spectrum_matches_dict_reference(a, b, family, t):
+    """from_pairs, minus, expand, coefficient and data_norms of the array
+    Spectrum against the same operations on a dict of Python numbers."""
+    def reference(pairs):
+        return {n: complex(c) for n, c in pairs.items()
+                if not (family is BasisFamily.SIN_INT and n == 0)}
+
+    ra, rb = reference(a), reference(b)
+    sa = Spectrum.from_pairs(family, a.items())
+    sb = Spectrum.from_pairs(family, reversed(list(b.items())))
+    assert list(sa) == sorted(ra.items())
+    assert sa.n.dtype == np.int64 and sa.c.dtype == complex
+    assert sa.top_mode == max(ra, default=0)
+    for n in range(42):
+        assert sa.coefficient(n) == ra.get(n, 0j)
+    diff = {n: ra.get(n, 0j) - rb.get(n, 0j) for n in ra.keys() | rb.keys()}
+    assert list(sa.minus(sb)) == sorted(diff.items())
+    want = sum((c * basis_value(family, n, t) for n, c in ra.items()), 0j)
+    scale = 1.0 + sum(abs(c) for c in ra.values())
+    assert abs(sa.expand(t) - want) <= 1e-14 * scale
+    grid = np.linspace(0.0, 1.0, 5)
+    assert np.max(np.abs(sa.expand(grid) - [complex(sa.expand(x)) for x in grid])) <= 1e-14 * scale
+    sq = [abs(c) ** 2 for c in ra.values()]
+    mu = [family.eigenvalue(n) for n in ra]
+    rep = data_norms(sa)
+    # numpy's complex abs and Python's hypot may differ in the last bit
+    assert rep.l2 == pytest.approx(math.sqrt(math.fsum(sq)), rel=1e-15)
+    assert rep.fractional_half == pytest.approx(
+        math.sqrt(math.fsum(q * m for q, m in zip(sq, mu))), rel=1e-15)
+    assert rep.fractional_three_half == pytest.approx(
+        math.sqrt(math.fsum(q * m**3 for q, m in zip(sq, mu))), rel=1e-15)
+
+
+def test_spectrum_arrays_are_read_only_copies():
+    n, c = np.array([1, 4]), np.array([1.0, 2.0j])
+    s = Spectrum(BasisFamily.COS_INT, n, c)
+    n[0], c[0] = 7, 9.0
+    assert list(s) == [(1, 1.0), (4, 2j)]
+    with pytest.raises(ValueError):
+        s.c[0] = 3.0
+    with pytest.raises(ValueError, match="2 mode indices for 1 coefficients"):
+        Spectrum(BasisFamily.COS_INT, [1, 2], [1.0])
+
+
+def test_project_samples_a_callable_in_one_array_call():
+    """An array-capable datum is called once on all quadrature nodes after
+    the two-point probe; a scalar-only one gives the same coefficients."""
+    calls = []
+
+    def g(t):
+        calls.append(np.shape(t))
+        return np.exp(2j * t) * (1.0 + t)
+
+    def scalar_only(t):
+        return complex(np.exp(2j * float(t)) * (1.0 + float(t)))
+
+    with pytest.raises(TypeError):
+        scalar_only(np.array([0.25, 0.75]))
+    depth = 64
+    got = project(g, BasisFamily.COS_HALF, depth)
+    assert calls == [(2,), quadrature_rule(depth)[0].shape]
+    ref = project(scalar_only, BasisFamily.COS_HALF, depth)
+    assert np.array_equal(got.n, ref.n)
+    assert np.max(np.abs(got.c - ref.c)) <= 1e-14 * np.max(np.abs(ref.c))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_basis_derivative_is_the_calculus_derivative(family):
+    """mu times the member a quarter period ahead equals the derivative of
+    sqrt(2) sin / sqrt(2) cos written out, for arrays and scalars."""
+    t = np.linspace(0.0, 1.0, 33)
+    ns = np.arange(0, 40)
+    mu = family.eigenvalue(ns)[:, None]
+    scale = np.where((ns == 0) & (family is BasisFamily.COS_INT), 1.0, math.sqrt(2.0))[:, None]
+    if family in (BasisFamily.SIN_INT, BasisFamily.SIN_HALF):
+        want = scale * mu * np.cos(mu * t)
+    else:
+        want = -scale * mu * np.sin(mu * t)
+    got = basis_derivative(family, ns[:, None], t)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert float(basis_derivative(family, 3, float(t[13]))) == pytest.approx(got[3, 13], rel=1e-13)

@@ -1,6 +1,5 @@
 """1D modal solutions: norms, residuals, regimes, lifting selection."""
 
-import cmath
 import math
 import re
 
@@ -14,7 +13,6 @@ from helmstab.modal1d import (
     CUTOFF,
     EigenvalueFamily,
     LiftingFamilyChoice,
-    Polynomial,
     Regime,
     ResonantLiftingError,
     Side,
@@ -23,9 +21,7 @@ from helmstab.modal1d import (
     gap_lower_bound,
     mode_from_amplitudes,
     proof_quantities,
-    x_mode,
     x_modes,
-    y_mode_lifting,
     y_modes_lifting,
 )
 
@@ -45,9 +41,16 @@ def quad_norm_sq(f, panels=256, nodes=12):
     return total
 
 
-def boundary_residual(mode, op, end, k):
-    v = complex(mode.value(float(end)))
-    d = complex(mode.derivative(float(end)))
+def row_functions(table, i=0):
+    """Row i of a table as its value and derivative, functions of an array t."""
+    return (lambda t: table.value_and_derivative(t)[0][i],
+            lambda t: table.value_and_derivative(t)[1][i])
+
+
+def boundary_residual(table, op, end, k):
+    """op applied to row 0 of a table at t = end."""
+    value, derivative = table.value_and_derivative([float(end)])
+    v, d = complex(value[0, 0]), complex(derivative[0, 0])
     nrm = d if end == 1 else -d
     if op is D:
         return v
@@ -90,10 +93,10 @@ def test_cutoff_tolerance_band():
 
 def test_plane_wave_mode():
     k = 3.7
-    mode = x_mode(0, k, I, Side.LEFT, BasisFamily.COS_INT)
-    for x in (0.0, 0.31, 0.77, 1.0):
-        expect = (1j / (2 * k)) * cmath.exp(1j * k * x)
-        assert abs(complex(mode.value(x)) - expect) < 1e-14
+    mode = x_modes([0], k, I, Side.LEFT, BasisFamily.COS_INT)
+    x = np.array([0.0, 0.31, 0.77, 1.0])
+    expect = (1j / (2 * k)) * np.exp(1j * k * x)
+    assert np.max(np.abs(mode.value_and_derivative(x)[0][0] - expect)) < 1e-14
 
 
 CASES = [
@@ -112,16 +115,17 @@ CASES = [
     (60.0, 22, BasisFamily.SIN_INT),      # evanescent, large z
 ])
 def test_x_mode_norms_match_quadrature(b2, side, k, n, family):
-    mode = x_mode(n, k, b2, side, family)
-    assert abs(mode.norm_sq - quad_norm_sq(mode.value)) <= 1e-10 * mode.norm_sq
-    assert abs(mode.dnorm_sq - quad_norm_sq(mode.derivative)) <= 1e-10 * mode.dnorm_sq
+    mode = x_modes([n], k, b2, side, family)
+    value, derivative = row_functions(mode)
+    assert abs(mode.norm_sq[0] - quad_norm_sq(value)) <= 1e-10 * mode.norm_sq[0]
+    assert abs(mode.dnorm_sq[0] - quad_norm_sq(derivative)) <= 1e-10 * mode.dnorm_sq[0]
 
 
 @pytest.mark.parametrize("b2,side", CASES)
 def test_x_mode_boundary_conditions(b2, side):
     k = 6.1
     for n, family in ((1, BasisFamily.SIN_INT), (4, BasisFamily.COS_HALF)):
-        mode = x_mode(n, k, b2, side, family)
+        mode = x_modes([n], k, b2, side, family)
         datum_at_left = 1.0 if side is Side.LEFT else 0.0
         assert abs(boundary_residual(mode, I, 0, k) - datum_at_left) < 1e-10 * (1 + k)
         assert abs(boundary_residual(mode, b2, 1, k) - (1.0 - datum_at_left)) < 1e-10 * (1 + k)
@@ -131,22 +135,18 @@ def test_x_mode_boundary_conditions(b2, side):
 def test_x_mode_ode_residual(b2, side):
     """Fourth-order finite differences of the closed form satisfy the ODE."""
     k, n, family = 8.3, 2, BasisFamily.COS_INT
-    mode = x_mode(n, k, b2, side, family)
+    value, _ = row_functions(x_modes([n], k, b2, side, family))
     mu = family.eigenvalue(n)
     h = 1e-3
     ts = 0.5 * (1.0 - np.cos(PI * np.arange(33) / 32))
     ts = np.clip(ts, 2 * h, 1.0 - 2 * h)
-    scale = max(abs(complex(mode.value(t))) for t in ts)
-    for t in ts:
-        stencil = (
-            -complex(mode.value(t - 2 * h))
-            + 16 * complex(mode.value(t - h))
-            - 30 * complex(mode.value(t))
-            + 16 * complex(mode.value(t + h))
-            - complex(mode.value(t + 2 * h))
-        ) / (12 * h * h)
-        resid = stencil + (k * k - mu * mu) * complex(mode.value(t))
-        assert abs(resid) < 1e-8 * (1 + k * k) * scale
+    scale = np.max(np.abs(value(ts)))
+    stencil = (
+        -value(ts - 2 * h) + 16 * value(ts - h) - 30 * value(ts) + 16 * value(ts + h)
+        - value(ts + 2 * h)
+    ) / (12 * h * h)
+    resid = stencil + (k * k - mu * mu) * value(ts)
+    assert np.max(np.abs(resid)) < 1e-8 * (1 + k * k) * scale
 
 
 def test_x_mode_cutoff_theta_values():
@@ -156,19 +156,19 @@ def test_x_mode_cutoff_theta_values():
     k = fam.eigenvalue(n)
 
     def theta(mode):
-        return mode.dnorm_sq + (fam.eigenvalue(n) ** 2 + k * k) * mode.norm_sq
+        return mode.dnorm_sq[0] + (fam.eigenvalue(n) ** 2 + k * k) * mode.norm_sq[0]
 
-    assert theta(x_mode(n, k, I, Side.LEFT, fam)) == pytest.approx(
+    assert theta(x_modes([n], k, I, Side.LEFT, fam)) == pytest.approx(
         (2 * k**2 + 9) / (3 * k**2 + 12), rel=1e-12
     )
-    assert theta(x_mode(n, k, N, Side.LEFT, fam)) == pytest.approx(2.0, rel=1e-12)
-    assert theta(x_mode(n, k, D, Side.LEFT, fam)) == pytest.approx(
+    assert theta(x_modes([n], k, N, Side.LEFT, fam)) == pytest.approx(2.0, rel=1e-12)
+    assert theta(x_modes([n], k, D, Side.LEFT, fam)) == pytest.approx(
         (2 * k**2 + 3) / (3 * k**2 + 3), rel=1e-12
     )
-    assert theta(x_mode(n, k, N, Side.RIGHT, fam)) == pytest.approx(
+    assert theta(x_modes([n], k, N, Side.RIGHT, fam)) == pytest.approx(
         (2 / 3) * k**2 + 3, rel=1e-12
     )
-    assert theta(x_mode(n, k, D, Side.RIGHT, fam)) == pytest.approx(
+    assert theta(x_modes([n], k, D, Side.RIGHT, fam)) == pytest.approx(
         k**2 * (2 * k**2 + 9) / (3 * (k**2 + 1)), rel=1e-12
     )
 
@@ -177,14 +177,15 @@ def test_x_mode_continuity_across_cutoff():
     fam = BasisFamily.SIN_INT
     n = 2
     mu = fam.eigenvalue(n)
-    cut = x_mode(n, mu, D, Side.LEFT, fam)
+    cut = x_modes([n], mu, D, Side.LEFT, fam)
+    assert cut.regime[0] == CUTOFF
     for relgap, tol in ((1e-4, 1e-3), (1e-6, 1e-5)):
         for sign in (+1, -1):
             k = mu * math.sqrt(1.0 + sign * relgap)
-            near = x_mode(n, k, D, Side.LEFT, fam)
-            assert near.regime.kind is not Regime.CUTOFF
-            assert abs(near.norm_sq - cut.norm_sq) <= tol * cut.norm_sq
-            assert abs(near.dnorm_sq - cut.dnorm_sq) <= tol * cut.dnorm_sq
+            near = x_modes([n], k, D, Side.LEFT, fam)
+            assert near.regime[0] != CUTOFF
+            assert abs(near.norm_sq[0] - cut.norm_sq[0]) <= tol * cut.norm_sq[0]
+            assert abs(near.dnorm_sq[0] - cut.dnorm_sq[0]) <= tol * cut.dnorm_sq[0]
 
 
 def test_x_mode_near_cutoff_norms_match_quadrature():
@@ -195,25 +196,29 @@ def test_x_mode_near_cutoff_norms_match_quadrature():
         for sign in (+1, -1):
             k = mu * math.sqrt(1.0 + sign * relgap)
             for b2, side in CASES:
-                mode = x_mode(n, k, b2, side, fam)
-                assert abs(mode.norm_sq - quad_norm_sq(mode.value)) <= 1e-10 * mode.norm_sq
-                assert abs(mode.dnorm_sq - quad_norm_sq(mode.derivative)) <= 1e-10 * mode.dnorm_sq
+                mode = x_modes([n], k, b2, side, fam)
+                value, derivative = row_functions(mode)
+                assert abs(mode.norm_sq[0] - quad_norm_sq(value)) <= 1e-10 * mode.norm_sq[0]
+                assert abs(mode.dnorm_sq[0] - quad_norm_sq(derivative)) <= 1e-10 * mode.dnorm_sq[0]
 
 
 def test_x_mode_rejects_non_impedance_left():
     with pytest.raises(ValueError):
-        x_mode(1, 2.0, D, Side.LEFT, BasisFamily.SIN_INT, b_left=D)
+        x_modes([1], 2.0, D, Side.LEFT, BasisFamily.SIN_INT, b_left=D)
     with pytest.raises(ValueError):
-        x_mode(1, 2.0, D, Side.BOTTOM, BasisFamily.SIN_INT)
+        x_modes([1], 2.0, D, Side.BOTTOM, BasisFamily.SIN_INT)
 
 
 def test_mode_from_amplitudes_matches_lemma_norms():
     k, n, family = 7.7, 1, BasisFamily.COS_INT
-    mode = x_mode(n, k, I, Side.LEFT, family)
-    rebuilt = mode_from_amplitudes(k, family.eigenvalue(n), mode.branch.forward,
-                                   mode.branch.backward)
-    assert rebuilt.norm_sq == pytest.approx(mode.norm_sq, rel=1e-12)
-    assert rebuilt.dnorm_sq == pytest.approx(mode.dnorm_sq, rel=1e-12)
+    mode = x_modes([n], k, I, Side.LEFT, family)
+    rebuilt = mode_from_amplitudes(k, family.eigenvalue(n), mode.forward[0], mode.backward[0])
+    assert len(rebuilt) == 1
+    assert rebuilt.norm_sq[0] == pytest.approx(mode.norm_sq[0], rel=1e-12)
+    assert rebuilt.dnorm_sq[0] == pytest.approx(mode.dnorm_sq[0], rel=1e-12)
+    x = np.linspace(0.0, 1.0, 7)
+    for got, want in zip(rebuilt.value_and_derivative(x), mode.value_and_derivative(x)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # --------------------------------------------------------------------------
@@ -247,11 +252,11 @@ def test_y_mode_cutoff_neumann_polynomial_norms():
     k = 2.5 * PI
     ch = choose_lifting_family(k, N, D)
     assert ch.family is EigenvalueFamily.HALF_INTEGER
-    mode = y_mode_lifting(2, k, N, D, Side.BOTTOM, ch)  # mu = 2.5*pi = k
-    assert mode.regime.kind is Regime.CUTOFF
-    assert isinstance(mode.branch, Polynomial)
-    assert mode.norm_sq == pytest.approx(1.0 / 3.0, rel=1e-14)
-    assert mode.dnorm_sq == pytest.approx(1.0, rel=1e-14)
+    mode = y_modes_lifting([2], k, N, D, Side.BOTTOM, ch)  # mu = 2.5*pi = k
+    assert mode.regime[0] == CUTOFF
+    assert np.any(mode.poly[0] != 0) and mode.forward[0] == mode.backward[0] == 0
+    assert mode.norm_sq[0] == pytest.approx(1.0 / 3.0, rel=1e-14)
+    assert mode.dnorm_sq[0] == pytest.approx(1.0, rel=1e-14)
 
     ch_nn = choose_lifting_family(k, N, N)
     # force the degenerate alpha=1 branch by constructing the choice by hand
@@ -259,11 +264,12 @@ def test_y_mode_cutoff_neumann_polynomial_norms():
 
     forced = LiftingFamilyChoice(d0=ch_nn.d0, d1=ch_nn.d1,
                                  family=EigenvalueFamily.HALF_INTEGER, case_index=1)
-    mode = y_mode_lifting(2, k, N, N, Side.BOTTOM, forced)
-    assert mode.norm_sq == pytest.approx(2.0 / 15.0, rel=1e-14)
-    assert mode.dnorm_sq == pytest.approx(1.0 / 3.0, rel=1e-14)
-    assert abs(mode.norm_sq - quad_norm_sq(mode.value)) < 1e-12
-    assert abs(mode.dnorm_sq - quad_norm_sq(mode.derivative)) < 1e-12
+    mode = y_modes_lifting([2], k, N, N, Side.BOTTOM, forced)
+    value, derivative = row_functions(mode)
+    assert mode.norm_sq[0] == pytest.approx(2.0 / 15.0, rel=1e-14)
+    assert mode.dnorm_sq[0] == pytest.approx(1.0 / 3.0, rel=1e-14)
+    assert abs(mode.norm_sq[0] - quad_norm_sq(value)) < 1e-12
+    assert abs(mode.dnorm_sq[0] - quad_norm_sq(derivative)) < 1e-12
 
 
 @pytest.mark.parametrize("other", [N, D])
@@ -276,20 +282,21 @@ def test_y_mode_cutoff_dirichlet_polynomial(other, side):
     forced = LiftingFamilyChoice(d0=0.0, d1=0.0, family=EigenvalueFamily.HALF_INTEGER,
                                  case_index=4)
     bb, bt = (D, other) if side is Side.BOTTOM else (other, D)
-    mode = y_mode_lifting(2, k, bb, bt, side, forced)  # mu = 2.5*pi = k
-    assert mode.regime.kind is Regime.CUTOFF
-    assert isinstance(mode.branch, Polynomial)
+    mode = y_modes_lifting([2], k, bb, bt, side, forced)  # mu = 2.5*pi = k
+    value, derivative = row_functions(mode)
+    assert mode.regime[0] == CUTOFF
+    assert np.any(mode.poly[0] != 0) and mode.forward[0] == mode.backward[0] == 0
     alpha = 1.0 if other is N else 0.0
     s = np.linspace(0.0, 1.0, 9)
     from_datum = s if side is Side.BOTTOM else 1.0 - s
-    assert np.max(np.abs(mode.value(s) - (1.0 - (1.0 - alpha) * from_datum))) < 1e-15
+    assert np.max(np.abs(value(s) - (1.0 - (1.0 - alpha) * from_datum))) < 1e-15
     datum_end, other_end = (0, 1) if side is Side.BOTTOM else (1, 0)
     assert abs(boundary_residual(mode, D, datum_end, k) - 1.0) < 1e-15
     assert abs(boundary_residual(mode, other, other_end, k)) < 1e-15
-    assert mode.norm_sq == pytest.approx(1.0 - 2.0 * (1.0 - alpha) / 3.0, rel=1e-15)
-    assert mode.dnorm_sq == 1.0 - alpha
-    assert abs(mode.norm_sq - quad_norm_sq(mode.value)) < 1e-12
-    assert abs(mode.dnorm_sq - quad_norm_sq(mode.derivative)) < 1e-12
+    assert mode.norm_sq[0] == pytest.approx(1.0 - 2.0 * (1.0 - alpha) / 3.0, rel=1e-15)
+    assert mode.dnorm_sq[0] == 1.0 - alpha
+    assert abs(mode.norm_sq[0] - quad_norm_sq(value)) < 1e-12
+    assert abs(mode.dnorm_sq[0] - quad_norm_sq(derivative)) < 1e-12
 
 
 def test_y_mode_propagating_boundary_residuals():
@@ -297,17 +304,17 @@ def test_y_mode_propagating_boundary_residuals():
     for bb, bt in ((N, N), (N, D), (D, N), (D, D)):
         ch = choose_lifting_family(k, bb, bt)
         for n in (0, 1, 2):
-            mode = y_mode_lifting(n, k, bb, bt, Side.BOTTOM, ch)
+            mode = y_modes_lifting([n], k, bb, bt, Side.BOTTOM, ch)
             datum = boundary_residual(mode, bb, 0, k)
             hom = boundary_residual(mode, bt, 1, k)
-            assert abs(datum - 1.0) <= 1e-12 * (1 + k * mode.regime.lam + k)
-            assert abs(hom) <= 1e-12 * (1 + k * mode.regime.lam + k)
+            assert abs(datum - 1.0) <= 1e-12 * (1 + mode.z[0] + k)
+            assert abs(hom) <= 1e-12 * (1 + mode.z[0] + k)
 
 
 def test_y_mode_top_datum_reflection():
     k = 9.1
     ch = choose_lifting_family(k, N, D)
-    mode = y_mode_lifting(1, k, N, D, Side.TOP, ch)
+    mode = y_modes_lifting([1], k, N, D, Side.TOP, ch)
     # datum rides on the top side through the top operator (Dirichlet here)
     assert abs(boundary_residual(mode, D, 1, k) - 1.0) < 1e-12 * (1 + k)
     assert abs(boundary_residual(mode, N, 0, k)) < 1e-12 * (1 + k)
@@ -317,10 +324,11 @@ def test_y_mode_top_datum_reflection():
 def test_y_mode_norms_match_quadrature(bb, bt):
     for k in (0.7, 9.1, 44.0):
         ch = choose_lifting_family(k, bb, bt)
-        for n in (0, 3, 17):
-            mode = y_mode_lifting(n, k, bb, bt, Side.BOTTOM, ch)
-            assert abs(mode.norm_sq - quad_norm_sq(mode.value)) <= 1e-10 * mode.norm_sq
-            assert abs(mode.dnorm_sq - quad_norm_sq(mode.derivative)) <= 1e-10 * mode.dnorm_sq
+        table = y_modes_lifting((0, 3, 17), k, bb, bt, Side.BOTTOM, ch)
+        for i in range(len(table)):
+            value, derivative = row_functions(table, i)
+            assert abs(table.norm_sq[i] - quad_norm_sq(value)) <= 1e-10 * table.norm_sq[i]
+            assert abs(table.dnorm_sq[i] - quad_norm_sq(derivative)) <= 1e-10 * table.dnorm_sq[i]
 
 
 # --------------------------------------------------------------------------
@@ -382,13 +390,13 @@ def test_proof_quantities_match_mode_assembly():
         b2 = (I, N, D)[int(rng.integers(0, 3))]
         side = Side.LEFT if b2 is I else (Side.LEFT, Side.RIGHT)[int(rng.integers(0, 2))]
         pq = proof_quantities(n, k, b2, side, fam)
-        mode = x_mode(n, k, b2, side, fam)
+        mode = x_modes([n], k, b2, side, fam)
         mu = fam.eigenvalue(n)
-        assert pq.value == mode.dnorm_sq + (mu * mu + k * k) * mode.norm_sq
-        if mode.regime.kind is Regime.CUTOFF:
+        assert pq.value == mode.dnorm_sq[0] + (mu * mu + k * k) * mode.norm_sq[0]
+        if mode.regime[0] == CUTOFF:
             continue
-        ref = mode_from_amplitudes(k, mu, mode.branch.forward, mode.branch.backward)
-        assembled = ref.dnorm_sq + (mu * mu + k * k) * ref.norm_sq
+        ref = mode_from_amplitudes(k, mu, mode.forward[0], mode.backward[0])
+        assembled = ref.dnorm_sq[0] + (mu * mu + k * k) * ref.norm_sq[0]
         assert abs(pq.value - assembled) <= 1e-10 * assembled
         checked += 1
     assert checked > 140
@@ -445,8 +453,8 @@ def assert_rows_match_exact_integrals(table):
         a, b, sigma = complex(table.forward[i]), complex(table.backward[i]), complex(table.sigma[i])
         ref = mode_from_amplitudes(table.k, float(table.mu[i]), a, b)
         scale = amplitude_scale(sigma, a, b)
-        for got, want, size in ((table.norm_sq[i], ref.norm_sq, scale),
-                                (table.dnorm_sq[i], ref.dnorm_sq, abs(sigma) ** 2 * scale)):
+        for got, want, size in ((table.norm_sq[i], ref.norm_sq[0], scale),
+                                (table.dnorm_sq[i], ref.dnorm_sq[0], abs(sigma) ** 2 * scale)):
             assert abs(got - want) <= 1e-12 * max(got, size), (table.k, int(table.n[i]))
 
 
@@ -517,7 +525,7 @@ def test_lifting_tables_raise_where_one_mode_builds_raise(bb, bt, lattice, j):
     forced = LiftingFamilyChoice(d0=0.0, d1=0.0, family=lattice, case_index=0)
     for side in (Side.BOTTOM, Side.TOP):
         failing = [n for n in range(12)
-                   if build_or_error(y_mode_lifting, n, k, bb, bt, side, forced)
+                   if build_or_error(y_modes_lifting, [n], k, bb, bt, side, forced)
                    is ResonantLiftingError]
         if failing:
             with pytest.raises(ResonantLiftingError) as info:
@@ -531,21 +539,26 @@ def test_tables_reject_what_one_mode_builds_reject():
     fam = BasisFamily.COS_INT
     choice = choose_lifting_family(3.0, N, D)
     bad = [
-        (x_modes, x_mode, ([2, -1], 3.0, D, Side.LEFT, fam)),
-        (x_modes, x_mode, ([2], 3.0, D, Side.TOP, fam)),
-        (y_modes_lifting, y_mode_lifting, ([0, -2], 3.0, N, D, Side.BOTTOM, choice)),
-        (y_modes_lifting, y_mode_lifting, ([0], 3.0, N, I, Side.BOTTOM, choice)),
-        (y_modes_lifting, y_mode_lifting, ([0], 3.0, N, D, Side.LEFT, choice)),
+        (x_modes, ([2, -1], 3.0, D, Side.LEFT, fam)),
+        (x_modes, ([2], 3.0, D, Side.TOP, fam)),
+        (y_modes_lifting, ([0, -2], 3.0, N, D, Side.BOTTOM, choice)),
+        (y_modes_lifting, ([0], 3.0, N, I, Side.BOTTOM, choice)),
+        (y_modes_lifting, ([0], 3.0, N, D, Side.LEFT, choice)),
     ]
     for k in (math.nan, math.inf, 0.0, -1.0):
-        bad.append((x_modes, x_mode, ([1], k, D, Side.LEFT, fam)))
-        bad.append((y_modes_lifting, y_mode_lifting, ([1], k, N, D, Side.BOTTOM, choice)))
-    for batched, single, (ns, *rest) in bad:
+        bad.append((x_modes, ([1], k, D, Side.LEFT, fam)))
+        bad.append((y_modes_lifting, ([1], k, N, D, Side.BOTTOM, choice)))
+    for build, (ns, *rest) in bad:
         with pytest.raises(ValueError):
-            batched(ns, *rest)
+            build(ns, *rest)
         with pytest.raises(ValueError):
             for n in ns:
-                single(n, *rest)
+                build([n], *rest)
+    # a negative index is named in the error
+    with pytest.raises(ValueError, match="got -1"):
+        x_modes([2, -1], 3.0, D, Side.LEFT, fam)
+    with pytest.raises(ValueError, match="got -2"):
+        y_modes_lifting([0, -2], 3.0, N, D, Side.BOTTOM, choice)
 
 
 def test_empty_tables():
@@ -561,3 +574,15 @@ def test_nonfinite_wavenumber_is_rejected_by_name(k):
         classify_mode(k, 1.0)
     with pytest.raises(ValueError, match="k="):
         choose_lifting_family(k, N, D)
+
+
+def test_lattice_eigenvalues_come_from_the_basis_families():
+    """A lifting lattice's eigenvalues are those of the basis families on
+    it, for scalar and array indices alike."""
+    ns = np.arange(9)
+    for lattice, basis in ((EigenvalueFamily.INTEGER, BasisFamily.SIN_INT),
+                           (EigenvalueFamily.HALF_INTEGER, BasisFamily.COS_HALF)):
+        assert np.array_equal(lattice.eigenvalue(ns), basis.eigenvalue(ns))
+        assert lattice.eigenvalue(4) == basis.eigenvalue(4)
+        with pytest.raises(ValueError, match="got -3"):
+            lattice.eigenvalue(np.array([1, -3]))

@@ -21,7 +21,7 @@ from helmstab.modal1d import (
     EVANESCENT,
     PROPAGATING,
     EigenvalueFamily,
-    Regime,
+    ModeTable,
     Side,
     choose_lifting_family,
 )
@@ -74,7 +74,7 @@ def side_residual(u, side, op, k, datum_fn):
         pts = [(t, 1.0) for t in ts]
     out = evaluate(u, pts)
     worst = 0.0
-    for t, (v, (gx, gy)) in zip(ts, out):
+    for t, v, gx, gy in zip(ts, *out):
         if side is Side.LEFT:
             nrm = -gx
         elif side is Side.RIGHT:
@@ -116,18 +116,17 @@ def test_plane_wave_solution():
     k = 3 * PI
     cfg, data = plane_wave_problem(k)
     u = solve_vertical_data(cfg, Side.LEFT, data, k)
-    pts = [(x, y) for x in np.linspace(0, 1, 33) for y in np.linspace(0, 1, 33)]
-    out = evaluate(u, pts)
-    err = max(abs(v - cmath.exp(1j * k * p[0])) for (v, _), p in zip(out, pts))
-    assert err <= 1e-10
+    pts = np.array([(x, y) for x in np.linspace(0, 1, 33) for y in np.linspace(0, 1, 33)])
+    values, _, _ = evaluate(u, pts)
+    assert np.max(np.abs(values - np.exp(1j * k * pts[:, 0]))) <= 1e-10
 
 
 def test_empty_data_zero_solution():
     cfg, _ = plane_wave_problem(2.0)
     u = solve_vertical_data(cfg, Side.LEFT, Spectrum.zero(BasisFamily.COS_INT), 2.0)
-    assert len(u.terms) == 0
+    assert len(u.modes) == 0
     assert energy_parseval(u).energy == 0.0
-    assert all(v == 0 for v, _ in evaluate(u, GRID))
+    assert all(np.all(f == 0) for f in evaluate(u, GRID))
     t = np.linspace(0.0, 1.0, 5)
     assert all(np.array_equal(f, np.zeros((5, 5))) for f in evaluate_grid(u, t, t))
 
@@ -162,7 +161,7 @@ def test_truncation_monotonicity_bit_identical():
     pts = GRID
     a = evaluate(u1, pts)
     b = evaluate(u2, pts)
-    assert all(x[0] == y[0] and x[1] == y[1] for x, y in zip(a, b))
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_solves_reject_datum_modes_above_truncation():
@@ -175,7 +174,7 @@ def test_solves_reject_datum_modes_above_truncation():
         solve_vertical_data(cfg, Side.LEFT, Spectrum.from_pairs(fam, [(0, 1.0), (40, 1.0)]),
                             k, truncation=10)
     zero_tail = Spectrum.from_pairs(fam, [(0, 1.0), (40, 0.0)])
-    assert [t.mode for t in solve_vertical_data(cfg, Side.LEFT, zero_tail, k, 10).terms] == [0]
+    assert solve_vertical_data(cfg, Side.LEFT, zero_tail, k, 10).modes.tolist() == [0]
 
     lifted = BoundaryConfig(bottom=N, right=D, top=D)
     choice = choose_lifting_family(k, N, D)
@@ -187,7 +186,7 @@ def test_solves_reject_datum_modes_above_truncation():
     source_cfg = BoundaryConfig(bottom=D, right=D, top=D)
     with pytest.raises(ValueError, match="mode 9 lies above truncation 4"):
         solve_source([(1, np.cos), (9, np.cos)], source_cfg, k, truncation=4)
-    assert [t.mode for t in solve_source([(1, np.cos)], source_cfg, k, truncation=4).terms] == [1]
+    assert solve_source([(1, np.cos)], source_cfg, k, truncation=4).modes.tolist() == [1]
 
 
 @settings(max_examples=20, deadline=None)
@@ -206,12 +205,12 @@ def test_solve_linearity(alpha, beta):
         {n: alpha * g.coefficient(n) + beta * h.coefficient(n) for n in (1, 2, 4)}.items(),
     )
     pts = [(0.3, 0.2), (0.8, 0.9), (0.0, 0.5), (1.0, 0.1)]
-    lhs = evaluate(solve_vertical_data(cfg, Side.RIGHT, combo, k), pts)
-    ug = evaluate(solve_vertical_data(cfg, Side.RIGHT, g, k), pts)
-    uh = evaluate(solve_vertical_data(cfg, Side.RIGHT, h, k), pts)
-    scale = 1.0 + max(abs(v) for v, _ in ug) + max(abs(v) for v, _ in uh)
-    for (vc, _), (vg, _), (vh, _) in zip(lhs, ug, uh):
-        assert abs(vc - (alpha * vg + beta * vh)) <= 1e-12 * scale * (abs(alpha) + abs(beta) + 1)
+    vc = evaluate(solve_vertical_data(cfg, Side.RIGHT, combo, k), pts)[0]
+    vg = evaluate(solve_vertical_data(cfg, Side.RIGHT, g, k), pts)[0]
+    vh = evaluate(solve_vertical_data(cfg, Side.RIGHT, h, k), pts)[0]
+    scale = 1.0 + np.max(np.abs(vg)) + np.max(np.abs(vh))
+    assert (np.max(np.abs(vc - (alpha * vg + beta * vh)))
+            <= 1e-12 * scale * (abs(alpha) + abs(beta) + 1))
 
 
 # --------------------------------------------------------------------------
@@ -223,15 +222,14 @@ def test_evaluate_examples():
     k = 2 * PI
     cfg, data = plane_wave_problem(k)
     u = solve_vertical_data(cfg, Side.LEFT, data, k)
-    v, _ = evaluate(u, [(0.5, 0.25)])[0]
+    v = evaluate(u, [(0.5, 0.25)])[0][0]
     assert abs(v - cmath.exp(1j * k / 2)) < 1e-10
 
-    single = SeriesSolution(
-        cfg, k, 3, Provenance.VERTICAL_DATA, u.terms
-    )
-    term = u.terms[0]
+    single = SeriesSolution(cfg, k, 3, Provenance.VERTICAL_DATA, u.blocks)
+    block = u.blocks[0]
     x, y = 0.37, 0.81
-    expect = term.coefficient * complex(term.x_factor.value(x)) * complex(term.y_factor.value(y))
+    expect = (block.c[0] * profile_at(block.profiles, 0, x)[0]
+              * member_at(block.basis, int(block.n[0]), y)[0])
     assert abs(evaluate(single, [(x, y)])[0][0] - expect) < 1e-14
 
 
@@ -253,18 +251,47 @@ def test_evaluate_rejects_outside_domain():
             evaluate_grid(u, tx, ty)
 
 
+def profile_at(profiles, i, t):
+    """Profile i of a block and its derivative at the scalar t, from the
+    closed form of its table row (or the SourceProfile itself)."""
+    if not isinstance(profiles, ModeTable):
+        value, derivative = profiles[i].value_and_derivative(t)
+        return complex(value), complex(derivative)
+    if profiles.regime[i] == CUTOFF:
+        p0, p1, p2 = (complex(c) for c in profiles.poly[i])
+        return p0 + p1 * t + p2 * t * t, p1 + 2.0 * p2 * t
+    s = complex(profiles.sigma[i])
+    a, b = complex(profiles.forward[i]), complex(profiles.backward[i])
+    ef, eb = cmath.exp(s * t), cmath.exp(s * (1.0 - t))
+    return a * ef + b * eb, s * (a * ef - b * eb)
+
+
+def member_at(family, n, t):
+    """Basis member n and its derivative at the scalar t, by the calculus
+    formulas for sqrt(2) sin(mu t) and sqrt(2) cos(mu t)."""
+    mu = family.eigenvalue(n)
+    scale = 1.0 if family is BasisFamily.COS_INT and n == 0 else math.sqrt(2.0)
+    if family in (BasisFamily.SIN_INT, BasisFamily.SIN_HALF):
+        return scale * math.sin(mu * t), scale * mu * math.cos(mu * t)
+    return scale * math.cos(mu * t), -scale * mu * math.sin(mu * t)
+
+
 def pointwise_reference(u, pts):
-    """One point at a time, scalar factor calls: the reference that the
-    per-coordinate evaluation in `evaluate` must reproduce."""
+    """One point at a time, one term at a time, scalar closed forms: the
+    reference that the tabulated evaluation must reproduce."""
+    rows = sorted(((int(b.n[i]), b, i) for b in u.blocks for i in range(len(b.n))),
+                  key=lambda row: row[0])
     out = []
     for x, y in pts:
         v = gx = gy = 0.0 + 0.0j
-        for term in sorted(u.terms, key=lambda t: t.mode):
-            xv, xd = complex(term.x_factor.value(x)), complex(term.x_factor.derivative(x))
-            yv, yd = complex(term.y_factor.value(y)), complex(term.y_factor.derivative(y))
-            v += term.coefficient * xv * yv
-            gx += term.coefficient * xd * yv
-            gy += term.coefficient * xv * yd
+        for n, block, i in rows:
+            p = profile_at(block.profiles, i, y if block.lifted else x)
+            m = member_at(block.basis, n, x if block.lifted else y)
+            (xv, xd), (yv, yd) = (m, p) if block.lifted else (p, m)
+            c = complex(block.c[i])
+            v += c * xv * yv
+            gx += c * xd * yv
+            gy += c * xv * yd
         out.append((v, gx, gy))
     return np.array(out)
 
@@ -276,7 +303,7 @@ def reference_cases():
         cfg_cut, Side.LEFT,
         Spectrum.from_pairs(BasisFamily.COS_INT, [(0, 1.0), (2, 0.5 - 1j), (5, 0.25j)]), k_cut,
     )
-    assert any(t.x_factor.regime.kind is Regime.CUTOFF for t in cut.terms)
+    assert np.any(cut.blocks[0].profiles.regime == CUTOFF)
 
     k = 9.1
     cfg = BoundaryConfig(bottom=N, right=D, top=D)
@@ -313,7 +340,7 @@ def test_evaluate_matches_pointwise_reference(case):
     scattered = rng.uniform(0.0, 1.0, size=(40, 2))
     duplicated = np.vstack([scattered[:5], grid[:7], scattered[:5], [[0.3, 0.7]] * 3])
     for pts in (grid, scattered, duplicated):
-        check(np.array([(v, gx, gy) for v, (gx, gy) in evaluate(u, pts)]), pts)
+        check(np.column_stack(evaluate(u, pts)), pts)
     # tensor grids: nx != ny with both ends, 1 x n and n x 1
     for tx, ty in ((t, t[::2]), (t[4:5], t), (t, t[7:8])):
         fields = evaluate_grid(u, tx, ty)
@@ -322,7 +349,7 @@ def test_evaluate_matches_pointwise_reference(case):
         check(np.column_stack([f.ravel() for f in fields]), np.column_stack([X.ravel(), Y.ravel()]))
     # a repeated point gets the same value each time
     out = evaluate(u, [(0.3, 0.7)] * 3)
-    assert out[0] == out[1] == out[2]
+    assert all(f[0] == f[1] == f[2] for f in out)
 
 
 # --------------------------------------------------------------------------
@@ -346,8 +373,8 @@ def test_energy_single_mode_equals_density():
     k, n = 6.6, 4
     u = solve_vertical_data(cfg, Side.LEFT, Spectrum.from_pairs(fam, [(n, 1.0)]), k)
     rep = energy_parseval(u)
-    term = u.terms[0]
-    density = term.x_factor.dnorm_sq + (fam.eigenvalue(n) ** 2 + k * k) * term.x_factor.norm_sq
+    table = u.blocks[0].profiles
+    density = table.dnorm_sq[0] + (fam.eigenvalue(n) ** 2 + k * k) * table.norm_sq[0]
     assert rep.grad_norm**2 + k * k * rep.l2_norm**2 == pytest.approx(density, rel=1e-12)
 
 
@@ -394,10 +421,11 @@ def test_superpose_identity_and_cancellation():
     s1 = superpose([u])
     a = evaluate(u, GRID)
     b = evaluate(s1, GRID)
-    assert all(x[0] == y[0] for x, y in zip(a, b))
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
-    zero = superpose([u, u.scaled(-1.0)])
-    assert max(abs(v) for v, _ in evaluate(zero, GRID)) < 1e-12
+    negated = solve_vertical_data(cfg, Side.LEFT, Spectrum(data.family, data.n, -data.c), k)
+    zero = superpose([u, negated])
+    assert np.max(np.abs(evaluate(zero, GRID)[0])) < 1e-12
 
 
 def test_superpose_rejects_mismatch():
@@ -434,7 +462,7 @@ def test_lift_family_admissibility():
 def test_lift_zero_datum():
     cfg = BoundaryConfig(bottom=N, right=D, top=N)
     aux = lift_horizontal_data(Spectrum.zero(BasisFamily.COS_HALF), Side.BOTTOM, cfg, PI)
-    assert len(aux.terms) == 0
+    assert len(aux.modes) == 0
     assert energy_parseval(aux).energy == 0.0
 
 
@@ -466,7 +494,7 @@ def test_lift_at_dirichlet_cutoff_reproduces_datum():
     assert choose_lifting_family(k, D, N).family is EigenvalueFamily.INTEGER
     g = Spectrum.from_pairs(BasisFamily.COS_INT, [(0, 1.0), (1, 0.5 - 0.25j), (3, 0.2j)])
     aux = lift_horizontal_data(g, Side.BOTTOM, cfg, k)
-    assert aux.terms.table.regime.tolist() == [PROPAGATING, CUTOFF, EVANESCENT]
+    assert aux.blocks[0].profiles.regime.tolist() == [PROPAGATING, CUTOFF, EVANESCENT]
     assert side_residual(aux, Side.BOTTOM, D, k, g.expand) < 1e-12
     assert side_residual(aux, Side.TOP, N, k, lambda t: 0.0) < 1e-12
 
@@ -496,12 +524,15 @@ def test_residual_traces_single_mode_analytic():
     aux = lift_horizontal_data(g1, Side.BOTTOM, cfg, k)
     r2, r4 = residual_traces(aux, Spectrum.zero(fam_v), Spectrum.zero(fam_v))
     # analytic: residual_2[m] = -X~_n(1) * int Y~_n(y) Y_m(y) dy
-    term = aux.terms[0]
-    xn_at_1 = complex(term.x_factor.value(1.0))
-    yfun = term.y_factor
+    block = aux.blocks[0]
+    xn_at_1 = member_at(fam_x, n, 1.0)[0]
+
+    def yfun(y):
+        return profile_at(block.profiles, 0, y)[0]
+
     for m in (0, 1, 5):
-        integrand_re = lambda y: (complex(yfun.value(y)) * basis_value(fam_v, m, y)).real
-        integrand_im = lambda y: (complex(yfun.value(y)) * basis_value(fam_v, m, y)).imag
+        integrand_re = lambda y: (yfun(y) * basis_value(fam_v, m, y)).real
+        integrand_im = lambda y: (yfun(y) * basis_value(fam_v, m, y)).imag
         cm = complex(quad(integrand_re, 0, 1, epsabs=1e-13)[0],
                      quad(integrand_im, 0, 1, epsabs=1e-13)[0])
         assert abs(r2.coefficient(m) - (-(xn_at_1) * cm)) < 1e-10
@@ -526,7 +557,7 @@ def lifted_round_trip(k, cfg, g1, vert_spec):
     u_star = superpose([aux_star, vert_star])
 
     def right_trace(y):
-        v, (gx, gy) = evaluate(u_star, [(1.0, y)])[0]
+        v, gx, _ = evaluate(u_star, np.column_stack([np.ones_like(y), y]))
         if cfg.right is D:
             return v
         if cfg.right is N:
@@ -534,7 +565,7 @@ def lifted_round_trip(k, cfg, g1, vert_spec):
         return gx - 1j * k * v
 
     def left_trace(y):
-        v, (gx, _) = evaluate(u_star, [(0.0, y)])[0]
+        v, gx, _ = evaluate(u_star, np.column_stack([np.zeros_like(y), y]))
         return -gx - 1j * k * v
 
     depth = 48
@@ -561,7 +592,7 @@ def test_full_round_trip_reproduces_manufactured_solution():
     pts = [(x, y) for x in np.linspace(0, 1, 33) for y in np.linspace(0, 1, 33)]
     a = evaluate(u_star, pts)
     b = evaluate(u_rec, pts)
-    assert max(abs(x[0] - y[0]) for x, y in zip(a, b)) < 1e-6
+    assert np.max(np.abs(a[0] - b[0])) < 1e-6
 
 
 # --------------------------------------------------------------------------
@@ -587,7 +618,7 @@ def manufactured_source(k, cfg, n=1):
 def test_solve_source_zero():
     cfg = BoundaryConfig(bottom=D, right=D, top=D)
     u = solve_source([], cfg, 3.0)
-    assert len(u.terms) == 0
+    assert len(u.modes) == 0
     assert energy_parseval(u).energy == 0.0
 
 
@@ -627,7 +658,7 @@ def test_solve_source_callable_matches_modal():
     pts = [(0.21, 0.13), (0.5, 0.5), (0.83, 0.92)]
     a = evaluate(u_modal, pts)
     b = evaluate(u_callable, pts)
-    assert max(abs(x[0] - y[0]) for x, y in zip(a, b)) < 1e-8
+    assert np.max(np.abs(a[0] - b[0])) < 1e-8
 
 
 def test_source_energy_bound_random():
@@ -726,7 +757,7 @@ def test_callable_source_is_sampled_in_one_array_call():
     u = solve_source(f, cfg, 20.0)
     assert len(calls) == 1 and calls[0][0] == 65
     v = solve_source(scalar_only, cfg, 20.0)
-    assert [t.mode for t in u.terms] == [t.mode for t in v.terms]
+    assert u.modes.tolist() == v.modes.tolist()
     a, b = energy_parseval(u).energy, energy_parseval(v).energy
     assert abs(a - b) <= 1e-13 * a
 
@@ -825,4 +856,4 @@ def test_evaluate_gets_source_value_and_derivative_from_one_pass():
     u = solve_source([(1, fx), (2, fx)], cfg, 5.0)
     calls.clear()
     evaluate(u, [(0.3, 0.4), (0.7, 0.4), (0.3, 0.9)])
-    assert len(calls) == 2 * len(u.terms)
+    assert len(calls) == 2 * len(u.modes)
