@@ -42,7 +42,6 @@ from .solver import (
     ProjectionTail,
     Provenance,
     SeriesSolution,
-    SourceProfile,
     energy_parseval,
     energy_quadrature,
     evaluate,

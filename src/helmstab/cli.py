@@ -485,11 +485,17 @@ def _cmd_sharpness(args) -> int:
 
 def _cmd_sweep(args) -> int:
     theorem = _theorem(args.theorem)
-    if theorem is TheoremId.TF_SOURCE:
-        k_grid = [float(v) for v in (args.k_list.split(",") if args.k_list else
-                                     ("0.5", "1", "5", "20"))]
-    elif args.k_list:
-        k_grid = [float(v) for v in args.k_list.split(",")]
+    # A sweep of no certificates, or of no data, would pass vacuously.
+    for flag, value in (("--k-count", args.k_count), ("--modes", args.modes),
+                        ("--trials", args.trials)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
+    k_list = args.k_list or ("0.5,1,5,20" if theorem is TheoremId.TF_SOURCE else None)
+    if k_list:
+        try:
+            k_grid = [float(v) for v in k_list.split(",")]
+        except ValueError:
+            raise ValueError(f"--k-list must be comma-separated numbers, got {k_list!r}") from None
     else:
         k_grid = list(np.geomspace(args.k_min, args.k_max, args.k_count))
     report = sweep(theorem, k_grid, modes=args.modes, trials=args.trials,

@@ -231,8 +231,7 @@ def project(g, family: BasisFamily, max_mode: int) -> Spectrum:
         return Spectrum(family, g.n[kept], g.c[kept])
 
     t, _ = quadrature_rule(max_mode)
-    samples = np.asarray(_vector_capable(g)(t), dtype=complex)
-    return _project_samples(samples, family, max_mode)[0]
+    return _project_samples(_sample(g, t), family, max_mode)[0]
 
 
 def _check_depth(max_mode: int) -> None:
@@ -281,24 +280,23 @@ def data_norms(s: Spectrum) -> DataNormReport:
     return DataNormReport(l2=l2, fractional_half=half, fractional_three_half=three_half)
 
 
-def _vector_capable(fx: Callable) -> Callable:
-    """Return fx if it maps arrays to arrays, else an elementwise wrapper.
+def _sample(f: Callable, *coords, what: str = "the datum") -> np.ndarray:
+    """f on the broadcast coordinates, as a complex array.
 
-    The one sampling rule for callables of one coordinate: a probe on two
-    points decides.  Only TypeError and ValueError, what a scalar-only
-    callable raises on an array, select the wrapper; any other error from
-    fx propagates.
+    The one sampling rule for callables: one array call f(*coords), or one
+    scalar call per node when f raises TypeError or ValueError on arrays
+    (what a scalar-only callable raises) or returns the wrong shape.  Any
+    other error from f propagates; a non-finite sample raises ValueError
+    naming `what`.
     """
+    shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
     try:
-        probe = np.asarray(fx(np.array([0.25, 0.75])), dtype=complex)
-        if probe.shape == (2,):
-            return fx
+        values = np.asarray(f(*coords), dtype=complex)
     except (TypeError, ValueError):
-        pass
-
-    def wrapped(t):
-        tt = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.asarray([fx(float(x)) for x in tt.ravel()], dtype=complex)
-        return out.reshape(np.shape(t)) if np.ndim(t) else out[0]
-
-    return wrapped
+        values = None
+    if values is None or values.shape != shape:
+        nodes = zip(*(c.ravel().tolist() for c in np.broadcast_arrays(*coords)))
+        values = np.array([f(*node) for node in nodes], dtype=complex).reshape(shape)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} has non-finite samples")
+    return values

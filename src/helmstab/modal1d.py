@@ -99,15 +99,10 @@ def _regimes(k: float, mu: np.ndarray):
 
 def classify_mode(k: float, mu: float) -> ModeRegime:
     """Regime of the mode with transverse eigenvalue mu at wavenumber k."""
-    return _classify(k, mu)[0]
-
-
-def _classify(k: float, mu: float) -> tuple[ModeRegime, complex]:
-    """classify_mode, plus the mode's sigma."""
     k = _check_wavenumber(k)
-    code, z, sigma = _regimes(k, np.array([mu], dtype=float))
+    code, z, _ = _regimes(k, np.array([mu], dtype=float))
     z0 = float(z[0])
-    return ModeRegime(_REGIMES[code[0]], z0 / k, z0), complex(sigma[0])
+    return ModeRegime(_REGIMES[code[0]], z0 / k, z0)
 
 
 # --------------------------------------------------------------------------
@@ -328,7 +323,6 @@ def x_modes(
     b_right: BoundaryOperator,
     data_side: Side,
     family: BasisFamily,
-    b_left: BoundaryOperator = BoundaryOperator.IMPEDANCE,
 ) -> ModeTable:
     """Horizontal modal profiles with a unit datum on the given vertical side.
 
@@ -337,8 +331,6 @@ def x_modes(
     profile serves either datum side; otherwise the datum side selects which
     closed form applies.
     """
-    if b_left is not BoundaryOperator.IMPEDANCE:
-        raise ValueError("the left side must carry the impedance operator")
     if data_side not in (Side.LEFT, Side.RIGHT):
         raise ValueError("x-direction data lives on the LEFT or RIGHT side")
     n = np.asarray(ns, dtype=np.int64).reshape(-1)
@@ -503,11 +495,10 @@ def y_modes_lifting(
     return t
 
 
-def _expm1_over(c: complex) -> complex:
-    """(exp(c) - 1)/c, with the small-argument limit 1."""
-    if abs(c) < 1e-5:
-        return 1.0 + c / 2.0 + c * c / 6.0 + c * c * c / 24.0
-    return (cmath.exp(c) - 1.0) / c
+def _phi(x):
+    """phi(x) = expm1(x)/x, with phi(0) = 1, elementwise on complex x."""
+    x = np.asarray(x, dtype=complex)
+    return np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0)
 
 
 def mode_from_amplitudes(
@@ -525,8 +516,8 @@ def mode_from_amplitudes(
         raise ValueError("cutoff modes are polynomial; amplitudes do not apply")
     a, b, sigma = complex(forward), complex(backward), complex(t.sigma[0])
     es = cmath.exp(sigma)
-    e_same = _expm1_over(2.0 * sigma.real).real  # int_0^1 e^{2 Re(sigma) t} dt
-    cross = 2.0 * (a * b.conjugate() * es.conjugate() * _expm1_over(sigma - sigma.conjugate())).real
+    e_same = complex(_phi(2.0 * sigma.real)).real  # int_0^1 e^{2 Re(sigma) t} dt
+    cross = 2.0 * (a * b.conjugate() * es.conjugate() * complex(_phi(sigma - sigma.conjugate()))).real
     t.forward[0], t.backward[0] = a, b
     t.norm_sq[0] = (abs(a) ** 2 + abs(b) ** 2) * e_same + cross
     t.dnorm_sq[0] = abs(sigma) ** 2 * ((abs(a) ** 2 + abs(b) ** 2) * e_same - cross)

@@ -22,8 +22,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .eigenbasis import (BasisFamily, BoundaryOperator, Spectrum, _contract, _vector_capable,
-                         basis_value)
+from .eigenbasis import BasisFamily, BoundaryOperator, Spectrum, _contract, _sample, basis_value
 from .modal1d import Side
 from .solver import (
     BoundaryConfig,
@@ -31,7 +30,6 @@ from .solver import (
     EnergyReport,
     SeriesSolution,
     _grid_values,
-    _sample_source,
 )
 
 
@@ -51,12 +49,8 @@ def _sample_datum(datum, t: np.ndarray, side: Side) -> np.ndarray:
     if datum is None:
         return np.zeros(len(t), dtype=complex)
     if isinstance(datum, Spectrum):
-        values = np.asarray(datum.expand(t), dtype=complex)
-    else:
-        values = np.asarray(_vector_capable(datum)(t), dtype=complex)
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"the {side.value} datum has non-finite samples")
-    return values
+        return np.asarray(datum.expand(t), dtype=complex)
+    return _sample(datum, t, what=f"the {side.value} datum")
 
 
 def _apply_stencil(u: np.ndarray, h: float, k: float, impedance_right: bool) -> np.ndarray:
@@ -162,7 +156,7 @@ def fdm_solve(
     x, y = t[xs], t[ys]
     rhs = np.zeros((n, n), dtype=complex)
     if f is not None:
-        rhs[xs, ys] = -_sample_source(f, x, y)
+        rhs[xs, ys] = -_sample(f, x[:, None], y[None, :], what="the source f")
     for side, line in ((Side.LEFT, rhs[0, :]), (Side.RIGHT, rhs[-1, :]),
                        (Side.BOTTOM, rhs[:, 0]), (Side.TOP, rhs[:, -1])):
         if not dirichlet[side]:

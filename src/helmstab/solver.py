@@ -4,7 +4,7 @@ A solution is a finite sum of terms coeff * X(x) * Y(y) where one factor is
 an orthonormal basis member and the other is a closed-form 1D mode (or, for
 volumetric sources, a kernel-built profile).  The terms are held in blocks
 of arrays: a block is the coefficients, the profiles (a ModeTable, or the
-SourceProfiles of a source solve), the basis family and the orientation.
+SourceTable of a source solve), the basis family and the orientation.
 Energies are available both through modal sums (Parseval) and through
 tensor Gauss-Legendre quadrature of the evaluated field.
 """
@@ -16,7 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,17 +31,17 @@ from .eigenbasis import (
     _coefficients,
     _contract,
     _project_samples,
-    _vector_capable,
+    _sample,
 )
 from .modal1d import (
-    ModeTable,
-    Regime,
     Side,
     choose_lifting_family,
     x_modes,
     y_modes_lifting,
     _apply,
-    _classify,
+    _check_wavenumber,
+    _phi,
+    _regimes,
 )
 
 
@@ -99,36 +99,16 @@ class Block:
     """The terms c_i * P_i * Z_i of one solve, as arrays.
 
     Row i is mode n[i] with coefficient c[i]; P_i is row i of `profiles`
-    (a ModeTable, or a tuple of SourceProfiles) and Z_i the member n[i] of
+    (a ModeTable, or a SourceTable) and Z_i the member n[i] of
     the basis family.  The profile is the x factor, or the y factor when
     `lifted`.  Rows are in ascending mode order.
     """
 
     n: np.ndarray
     c: np.ndarray
-    profiles: object  # a ModeTable, or a tuple of SourceProfiles
+    profiles: object  # a ModeTable, or a SourceTable
     basis: BasisFamily
     lifted: bool
-
-
-def _profile_tables(profiles, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The profiles' values and derivatives on the nodes t, one row each."""
-    if isinstance(profiles, ModeTable):
-        return profiles.value_and_derivative(t)
-    value = np.empty((len(profiles), len(t)), dtype=complex)
-    derivative = np.empty_like(value)
-    for i, profile in enumerate(profiles):
-        value[i], derivative[i] = profile.value_and_derivative(t)
-    return value, derivative
-
-
-def _profile_norms(profiles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The profiles' transverse eigenvalues mu, squared L2 norms and squared
-    norms of their derivatives."""
-    if isinstance(profiles, ModeTable):
-        return profiles.mu, profiles.norm_sq, profiles.dnorm_sq
-    return tuple(np.array([getattr(p, name) for p in profiles], dtype=float)
-                 for name in ("mu", "norm_sq", "dnorm_sq"))
 
 
 @dataclass(frozen=True)
@@ -313,7 +293,7 @@ def _block_tables(block: Block, tx: np.ndarray, ty: np.ndarray):
     """c*X and c*X' on tx, Y and Y' on ty, for the rows of one block, from
     one build of its profiles and one of its basis members."""
     basis_t, profile_t = (tx, ty) if block.lifted else (ty, tx)
-    p, dp = _profile_tables(block.profiles, profile_t)
+    p, dp = block.profiles.value_and_derivative(profile_t)
     n = block.n[:, None]
     b, db = basis_value(block.basis, n, basis_t), basis_derivative(block.basis, n, basis_t)
     x, dx, y, dy = (b, db, p, dp) if block.lifted else (p, dp, b, db)
@@ -372,9 +352,9 @@ def energy_parseval(u: SeriesSolution) -> EnergyReport:
     l2_parts, grad_parts = [], []
     for block in u.blocks:
         w = np.abs(block.c) ** 2
-        mu, norm_sq, dnorm_sq = _profile_norms(block.profiles)
-        l2_parts += (w * norm_sq).tolist()
-        grad_parts += (w * (dnorm_sq + mu * mu * norm_sq)).tolist()
+        p = block.profiles
+        l2_parts += (w * p.norm_sq).tolist()
+        grad_parts += (w * (p.dnorm_sq + p.mu * p.mu * p.norm_sq)).tolist()
     # fsum is correctly rounded, so the order of the modes does not matter.
     return _energy_report(math.fsum(grad_parts), math.fsum(l2_parts), u.k, EnergyMethod.PARSEVAL)
 
@@ -474,201 +454,195 @@ def residual_traces(
 # volumetric sources
 # --------------------------------------------------------------------------
 
+#: Panels of the source profiles along x, each with 16 Gauss-Legendre nodes.
+SOURCE_PANELS = 48
+
 _KERNEL_NODES, _KERNEL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
-def _lagrange(tau: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Values at tau of the Lagrange polynomials of `nodes`, as an array
-    tau.shape + (len(nodes),); exactly the identity at the nodes."""
-    off = ~np.eye(len(nodes), dtype=bool)
-    num = np.where(off, (tau[..., None] - nodes)[..., None, :], 1.0).prod(axis=-1)
-    den = np.where(off, nodes[:, None] - nodes, 1.0).prod(axis=-1)
-    return num / den
-
-
-# A panel [a, a + h] is a + h*eta for eta in [0, 1], with the kernel nodes at
-# _ETA.  Row i < 16 of the sub-rule is the 16-point rule on [0, eta_i], for
-# the local integral up to node i; row 16 is the rule on [0, 1], whose
-# sub-nodes are the panel nodes.  _SUB_LAGRANGE[i, l, m] is sub-node l's
-# weight times the Lagrange value of panel node m there, so a row of it
-# integrates a panel's interpolated samples.
+_H = 1.0 / SOURCE_PANELS
+_EDGES = np.linspace(0.0, 1.0, SOURCE_PANELS + 1)
+_HALF = 0.5 * np.diff(_EDGES)[:, None]
+#: The panel nodes (panels x 16) and their quadrature weights (raveled).
+_NODES = _EDGES[:-1, None] + _HALF * (_KERNEL_NODES + 1.0)
+_WEIGHTS = (_HALF * _KERNEL_WEIGHTS).ravel()
+#: The nodes on the unit panel, and their barycentric interpolation weights.
 _ETA = 0.5 * (_KERNEL_NODES + 1.0)
-_SUB_ENDS = np.append(_ETA, 1.0)
-_SUB_NODES = _SUB_ENDS[:, None] * _ETA
-_SUB_LAGRANGE = ((0.5 * _SUB_ENDS[:, None] * _KERNEL_WEIGHTS)[:, :, None]
-                 * _lagrange(_SUB_NODES, _ETA))
+_BARY = 1.0 / np.prod(np.where(np.eye(16, dtype=bool), 1.0, _ETA[:, None] - _ETA), axis=1)
 
 
-def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel nodes and weights of every panel, one row per panel."""
-    a, b = edges[:-1, None], edges[1:, None]
-    h = 0.5 * (b - a)
-    return a + h * (_KERNEL_NODES + 1.0), h * _KERNEL_WEIGHTS
+@functools.lru_cache(maxsize=4)
+def _sub_rules(ends: bytes) -> np.ndarray:
+    """The 16-point Gauss rule on [0, end] of the unit panel, for each end
+    of the float64 buffer `ends`, applied to the Lagrange interpolant of
+    samples on the panel nodes: entry [e, l, m] is sub-node l's weight times
+    node m's Lagrange polynomial there (barycentric form, exactly 1 or 0 on
+    a node).  Memoized per set of ends, since an energy quadrature asks for
+    the same points every time; read-only."""
+    ends = np.frombuffer(ends)
+    diff = (ends[:, None] * _ETA)[..., None] - _ETA
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lagrange = _BARY / diff
+    exact = ~np.all(np.isfinite(lagrange), axis=-1)
+    lagrange[exact] = diff[exact] == 0
+    lagrange /= lagrange.sum(axis=-1, keepdims=True)
+    lagrange *= (0.5 * ends[:, None] * _KERNEL_WEIGHTS)[..., None]
+    lagrange.setflags(write=False)
+    return lagrange
 
 
-class SourceProfile:
-    """Horizontal profile solving X'' + (k^2 - mu^2) X = -fx with the
-    homogeneous impedance (left) / Dirichlet (right) pair.
+#: Ends of the sub-rules at the panel nodes: row e < 16 integrates up to
+#: node e, row 16 over the whole panel.
+_NODE_ENDS = np.append(_ETA, 1.0)
 
-    Built by integrating fx against the two one-sided homogeneous solutions,
-    P(x) = int_0^x v1 f e^{s(x-t)} and Q(x) = int_x^1 v2 f e^{s(t-x)}; the
-    cumulative kernel integrals are carried in exponentially rescaled form
-    so evanescent modes never overflow.  fx is sampled once on the panel
-    nodes (scalar-only callables are wrapped); the norms integrate those
-    samples through fixed per-panel kernels.
+
+def _tphi(s, t):
+    """t * phi(2 s t), the integral of e^{2 s tau} over [0, t], smooth
+    through s = 0."""
+    return t * _phi(2.0 * s * t)
+
+
+def _homogeneous(sigma: np.ndarray, k: float, t: np.ndarray):
+    """v1 = 1 + (sigma - ik) t phi(2 sigma t), v2 = (1 - t) phi(2 sigma (1 - t))
+    and their derivatives v1' = (sigma - ik) e^{2 sigma t}, v2' = -e^{2 sigma (1 - t)}
+    on the nodes t, rows x len(t) each.
+
+    v1 meets the homogeneous impedance condition at 0, v2 the Dirichlet
+    condition at 1, and both stay bounded for Re(sigma) <= 0; sigma = 0 is
+    the polynomial cutoff pair 1 - ikt, 1 - t.
+    """
+    s = sigma[:, None]
+    v1 = 1.0 + (s - 1j * k) * _tphi(s, t)
+    dv1 = (s - 1j * k) * np.exp(2.0 * s * t)
+    return v1, dv1, _tphi(s, 1.0 - t), -np.exp(2.0 * s * (1.0 - t))
+
+
+class SourceTable:
+    """Horizontal profiles solving X'' + (k^2 - mu^2) X = -f with the
+    homogeneous impedance (left) / Dirichlet (right) pair, one row per source
+    mode, built from every row's samples f on the panel nodes.
+
+    X = (v2 P + v1 Q) / v1(1) (the Wronskian is W = -v1(1)), with
+    P(x) = int_0^x v1 f e^{sigma(x-t)} and Q(x) = int_x^1 v2 f e^{sigma(t-x)}
+    for the factors of _homogeneous.  P is kept at every panel edge from the
+    left and Q from the right; any x adds the integral of the interpolated
+    samples over its panel's part [a, x] or [x, b], by the same sub-rules
+    at the panel nodes as anywhere else, so f is never sampled again.  Like
+    a ModeTable it has mu, norm_sq, dnorm_sq and value_and_derivative.
+
+    On a panel [a, b] = [a, a + h] the factors split exactly as
+    v1(a + h tau) = v1(a) + v1'(a) h tau phi(2 sigma h tau) and
+    v2(b - h tau) = v2(b) - v2'(b) h tau phi(2 sigma h tau), so the local
+    integrands are the panel's two coefficients times two kernels of tau
+    shared by every panel; Q's is P's on the reflected panel.
     """
 
-    def __init__(self, fx: Callable, k: float, mu: float, panels: int = 48):
-        self.k = float(k)
-        self.mu = float(mu)
-        self.fx = _vector_capable(fx)
-        self.regime, self.sigma = _classify(k, mu)
-        self._panels = int(panels)
-        self._edges = np.linspace(0.0, 1.0, self._panels + 1)
-        self._cutoff = self.regime.kind is Regime.CUTOFF
-        if self._cutoff:
-            self._wbar = 1j * k - 1.0
-        else:
-            s = self.sigma
-            self._v1_c0 = s + 1j * k       # v1(t) = (s - ik) e^{2st} + (s + ik)
-            self._v1_c1 = s - 1j * k
-            self._wbar = complex(-2.0 * s * self._v1(1.0))
-            if abs(self._wbar) <= 1e-12 * max(abs(s) * (abs(s) + k), 1e-300):
-                raise ArithmeticError(
-                    "source kernel is numerically singular; the impedance pair "
-                    "should prevent this"
-                )
-        t, w = _panel_nodes(self._edges)
-        f = np.asarray(self.fx(t.ravel()), dtype=complex).reshape(t.shape)
-        p_local, q_local = self._local_integrals(f)
-        self._ptable, self._qtable = self._prefix_tables(p_local[:, -1], q_local[:, 0])
-        # P and Q at the panel nodes: the edge table carried in, plus the
-        # local integral; the norms are the panel quadrature of X and X'.
-        s, a, b = self.sigma, self._edges[:-1, None], self._edges[1:, None]
-        p = np.exp(s * (t - a)) * self._ptable[:-1, None] + p_local[:, :-1]
-        q = np.exp(s * (b - t)) * self._qtable[1:, None] + q_local[:, 1:]
-        val, der = self._value_deriv(t.ravel(), p.ravel(), q.ravel())
-        w = w.ravel()
-        self.norm_sq = math.fsum(w * np.abs(val) ** 2)
-        self.dnorm_sq = math.fsum(w * np.abs(der) ** 2)
+    def __init__(self, k: float, mu, f: np.ndarray):
+        self.k = _check_wavenumber(k)
+        self.mu = np.asarray(mu, dtype=float).reshape(-1)
+        rows = len(self.mu)
+        self.f = np.asarray(f, dtype=complex).reshape(rows, SOURCE_PANELS, 16)
+        _, _, self.sigma = _regimes(self.k, self.mu)
+        v1, dv1, v2, dv2 = _homogeneous(self.sigma, self.k, _EDGES)
+        self._v1_end = v1[:, -1:]
+        # The kernels' coefficients on each panel, P's then Q's.
+        self._coef = np.stack([np.stack([dv1[:, :-1], v1[:, :-1]], axis=1),
+                               np.stack([-dv2[:, 1:], v2[:, 1:]], axis=1)], axis=1)
+        kernels = np.einsum("rgel,elm->rgem", self._kernels(_NODE_ENDS),
+                            _sub_rules(_NODE_ENDS.tobytes()), optimize=False)
+        sides = np.stack([self.f, self.f[..., ::-1]], axis=1)
+        local = np.einsum("rsgj,rsjge->rsje", self._coef,
+                          np.einsum("rsjm,rgem->rsjge", sides, kernels, optimize=False),
+                          optimize=False)
+        # P at the edges from the left and Q from the right, by the prefix
+        # recurrence E[j + 1] = e^{sigma h} E[j] + (panel j's integral) over
+        # all rows at once, run by recursive doubling: only the powers
+        # e^{sigma h d}, |.| <= 1, appear, where a cumulative sum of
+        # rescaled terms would overflow for evanescent rows.
+        edge = np.zeros((SOURCE_PANELS + 1, 2, rows), dtype=complex)
+        edge[1:, 0] = local[:, 0, :, -1].T
+        edge[1:, 1] = local[:, 1, ::-1, -1].T
+        d = 1
+        while d <= SOURCE_PANELS:
+            edge[d:] += np.exp(self.sigma * (_H * d)) * edge[:-d]
+            d *= 2
+        self._p, self._q = edge[:, 0].T, edge[::-1, 1].T
+        # The factors, P and Q at the panel nodes, by the panel split; the
+        # norms are the panel quadrature of X and X'.
+        s = self.sigma[:, None, None]
+        lift, grow = _tphi(s, _H * _ETA), np.exp(2.0 * s * (_H * _ETA))
+        factors = (v1[:, :-1, None] + dv1[:, :-1, None] * lift, dv1[:, :-1, None] * grow,
+                   v2[:, 1:, None] - dv2[:, 1:, None] * lift[..., ::-1],
+                   dv2[:, 1:, None] * grow[..., ::-1])
+        decay = np.exp(s * (_H * _ETA))
+        p = decay * self._p[:, :-1, None] + local[:, 0, :, :-1]
+        q = decay[..., ::-1] * self._q[:, 1:, None] + local[:, 1, :, -2::-1]
+        value, derivative = self._profile(factors, p, q)
+        self.norm_sq, self.dnorm_sq = _panel_norms_sq(value), _panel_norms_sq(derivative)
 
-    # homogeneous factors, bounded for Re(sigma) <= 0 ----------------------
-    def _v1(self, t):
-        if self._cutoff:
-            return 1.0 - 1j * self.k * np.asarray(t)
-        return self._v1_c1 * np.exp(2.0 * self.sigma * np.asarray(t)) + self._v1_c0
+    def _kernels(self, ends: np.ndarray) -> np.ndarray:
+        """The two local kernels of every row at the sub-nodes tau of each
+        [0, end], times h (dt = h dtau): kernel 0 is
+        h tau phi(2 sigma h tau) e^{sigma h (end - tau)}, kernel 1 the bare
+        exponential; rows x 2 x ends x 16."""
+        s = self.sigma[:, None, None] * _H
+        tau = ends[:, None] * _ETA
+        decay = np.exp(s * (ends[:, None] - tau))
+        return _H * np.stack([_H * _tphi(s, tau) * decay, decay], axis=1)
 
-    def _v1p(self, t):
-        if self._cutoff:
-            return np.full(np.shape(t), -1j * self.k)
-        return 2.0 * self.sigma * self._v1_c1 * np.exp(2.0 * self.sigma * np.asarray(t))
-
-    def _v2(self, t):
-        if self._cutoff:
-            return 1.0 - np.asarray(t)
-        return np.exp(2.0 * self.sigma * (1.0 - np.asarray(t))) - 1.0
-
-    def _v2p(self, t):
-        if self._cutoff:
-            return np.full(np.shape(t), -1.0 + 0.0j)
-        return -2.0 * self.sigma * np.exp(2.0 * self.sigma * (1.0 - np.asarray(t)))
-
-    # kernel tables ---------------------------------------------------------
-    def _local_integrals(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each panel's local integrals from its samples f (panels x 16).
-
-        Column i < 16 of P is the integral from the panel's start to node i,
-        column 16 the whole panel; column 0 of Q is the whole panel and
-        column i + 1 the integral from node i to the panel's end.
-
-        On a panel, v1(a + h*eta) = p1*g1(eta) + p0 with g1 = e^{2sh*eta}
-        (cutoff: g1 = eta), so only f is interpolated and each kernel, g1 or
-        1 times the exponential of P, is one contraction with the sub-rule.
-        Reflecting eta -> 1 - eta turns Q's integrand into P's, with
-        v2(a + h*eta) = q1*g1(1 - eta) + q0, so Q takes P's kernels with
-        rows and columns reversed.
-        """
-        s, h = self.sigma, 1.0 / self._panels
-        a, b = self._edges[:-1, None], self._edges[1:, None]
-        ends, nodes = _SUB_ENDS[:, None], _SUB_NODES
-        if self._cutoff:
-            g = np.stack([nodes, np.ones_like(nodes)])
-            (p1, p0), (q1, q0) = (-1j * self.k * h, 1.0 - 1j * self.k * a), (h, 1.0 - b)
-        else:
-            g = np.exp(s * h * np.stack([ends + nodes, ends - nodes]))
-            p1, p0 = self._v1_c1 * np.exp(2.0 * s * a), self._v1_c0
-            q1, q0 = np.exp(2.0 * s * (1.0 - b)), -1.0
-        kernels = np.einsum("cil,ilm->cim", g, _SUB_LAGRANGE, optimize=False)
-        (fp1, fp0), (fq1, fq0) = np.einsum("rjm,cim->rcji", np.stack([f, f[:, ::-1]]),
-                                           kernels, optimize=False)
-        return h * (p1 * fp1 + p0 * fp0), h * (q1 * fq1 + q0 * fq0)[:, ::-1]
-
-    def _prefix_tables(self, p_panel: np.ndarray, q_panel: np.ndarray):
-        """P at every panel edge from the left, Q from the right."""
-        m = self._panels
-        p = np.zeros(m + 1, dtype=complex)
-        q = np.zeros(m + 1, dtype=complex)
-        step = np.exp(self.sigma * (self._edges[1] - self._edges[0]))
-        for j in range(m):
-            p[j + 1] = step * p[j] + p_panel[j]
-        for j in range(m - 1, -1, -1):
-            q[j] = step * q[j + 1] + q_panel[j]
-        return p, q
-
-    def _batch_partials(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """P(x), Q(x) for an array of x: panel prefix plus a local integral
-        by a fresh 16-point rule on each side of x."""
-        s = self.sigma
-        j = np.minimum((xs * self._panels).astype(int), self._panels - 1)
-        a, b = self._edges[j], self._edges[j + 1]
-        hl = 0.5 * (xs - a)
-        tl = a[:, None] + hl[:, None] * (_KERNEL_NODES + 1.0)
-        wl = hl[:, None] * _KERNEL_WEIGHTS
-        fl = np.asarray(self.fx(tl.ravel()), dtype=complex).reshape(tl.shape)
-        p = np.exp(s * (xs - a)) * self._ptable[j] + np.sum(
-            wl * self._v1(tl) * fl * np.exp(s * (xs[:, None] - tl)), axis=1
-        )
-        hr = 0.5 * (b - xs)
-        tr = xs[:, None] + hr[:, None] * (_KERNEL_NODES + 1.0)
-        wr = hr[:, None] * _KERNEL_WEIGHTS
-        fr = np.asarray(self.fx(tr.ravel()), dtype=complex).reshape(tr.shape)
-        q = np.exp(s * (b - xs)) * self._qtable[j + 1] + np.sum(
-            wr * self._v2(tr) * fr * np.exp(s * (tr - xs[:, None])), axis=1
-        )
-        return p, q
-
-    def _value_deriv(self, xs: np.ndarray, p: np.ndarray, q: np.ndarray):
-        """X and X' at xs from the kernel integrals P and Q there."""
-        s = self.sigma
-        v1, v2 = self._v1(xs), self._v2(xs)
-        val = -(v2 * p + v1 * q) / self._wbar
-        der = -((self._v2p(xs) + s * v2) * p + (self._v1p(xs) - s * v1) * q) / self._wbar
-        return val, der
+    def _profile(self, factors, p: np.ndarray, q: np.ndarray):
+        """X and X' from the factors v1, v1', v2, v2' and P and Q at the
+        same points."""
+        v1, dv1, v2, dv2 = factors
+        s, end = (a.reshape((-1,) + (1,) * (p.ndim - 1)) for a in (self.sigma, self._v1_end))
+        value = (v2 * p + v1 * q) / end
+        # X' carries v2' + sigma v2 = (v2' - 1)/2 and v1' - sigma v1 = (v1' - sigma - ik)/2.
+        derivative = ((dv2 - 1.0) * p + (dv1 - s - 1j * self.k) * q) / (2.0 * end)
+        return value, derivative
 
     def value_and_derivative(self, t):
-        """(X(t), X'(t)) from one pass over the kernel integrals."""
-        xs = np.atleast_1d(np.asarray(t, dtype=float)).ravel()
-        val, der = self._value_deriv(xs, *self._batch_partials(xs))
-        if np.ndim(t):
-            return val.reshape(np.shape(t)), der.reshape(np.shape(t))
-        return complex(val[0]), complex(der[0])
+        """X and X' of every row on the nodes t, as (rows, len(t)) arrays."""
+        x = np.asarray(t, dtype=float).reshape(-1)
+        j = np.minimum((x * SOURCE_PANELS).astype(int), SOURCE_PANELS - 1)
+        eta = x * SOURCE_PANELS - j
+        ends = np.concatenate([eta, 1.0 - eta])
+        # The interpolated samples at the sub-nodes, then the kernels: the
+        # left part of each panel for P, the reflected right part for Q.
+        f = self.f[:, j]
+        sub = np.einsum("elm,rem->rel", _sub_rules(ends.tobytes()),
+                        np.concatenate([f, f[..., ::-1]], axis=1), optimize=False)
+        local = np.einsum("rgel,rel->rge", self._kernels(ends), sub, optimize=False)
+        local = np.einsum("rsge,rgse->rse", self._coef[..., j],
+                          local.reshape(len(self.mu), 2, 2, len(x)), optimize=False)
+        edges = np.stack([self._p[:, j], self._q[:, j + 1]], axis=1)
+        pq = np.exp(self.sigma[:, None, None] * (_H * ends.reshape(2, -1))) * edges + local
+        return self._profile(_homogeneous(self.sigma, self.k, x), pq[:, 0], pq[:, 1])
 
 
-def _sample_source(f: Callable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """f on the grid x by y: one array call f(x[:, None], y[None, :]), or one
-    scalar call per node when f raises TypeError or ValueError on arrays or
-    returns the wrong shape."""
-    shape = (len(x), len(y))
-    try:
-        values = np.asarray(f(x[:, None], y[None, :]), dtype=complex)
-    except (TypeError, ValueError):
-        values = None
-    if values is None or values.shape != shape:
-        values = np.array([[f(float(xi), float(yj)) for yj in y] for xi in x],
-                          dtype=complex).reshape(shape)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("the source f has non-finite samples")
-    return values
+def _panel_norms_sq(values: np.ndarray) -> np.ndarray:
+    """The panel quadrature of |row|^2 for each row of values on the panel
+    nodes, each sum correctly rounded."""
+    rows = (_WEIGHTS * np.abs(values.reshape(len(values), _WEIGHTS.size)) ** 2).tolist()
+    return np.array([math.fsum(row) for row in rows])
+
+
+def _source_norm(samples: np.ndarray) -> float:
+    """L2 norm of a source from its rows' samples on the panel nodes:
+    Parseval across the vertical eigenbasis, panel quadrature along x."""
+    return math.sqrt(math.fsum(_panel_norms_sq(samples).tolist()))
+
+
+def _listed_source(f, family: BasisFamily) -> tuple[np.ndarray, np.ndarray]:
+    """The modes of a (mode, profile) list in ascending order, and each
+    profile sampled once on the panel nodes.  Family SIN_INT's member 0 is
+    the zero function, so its mode contributes no row."""
+    pairs = sorted(((int(n), fx) for n, fx in f), key=lambda pair: pair[0])
+    ns = np.array([n for n, _ in pairs], dtype=np.int64)
+    if np.count_nonzero(ns[1:] == ns[:-1]):
+        raise ValueError("duplicate source mode")
+    if family is BasisFamily.SIN_INT and len(ns) and ns[0] == 0:
+        ns, pairs = ns[1:], pairs[1:]
+    x = _NODES.ravel()
+    samples = [_sample(fx, x, what=f"the profile of source mode {n}") for n, fx in pairs]
+    return ns, np.array(samples, dtype=complex).reshape(len(ns), x.size)
 
 
 def solve_source(
@@ -676,7 +650,6 @@ def solve_source(
     config: BoundaryConfig,
     k: float,
     truncation: Optional[int] = None,
-    resolution: int = 48,
 ) -> SeriesSolution:
     """Series solution for a volumetric source with homogeneous boundaries.
 
@@ -684,57 +657,35 @@ def solve_source(
     left).  `f` is either a list of (mode, profile callable) pairs giving the
     source's expansion over the vertical eigenbasis, or a callable f(x, y)
     projected onto that basis by quadrature.  A listed mode above
-    `truncation` raises ValueError.
+    `truncation` raises ValueError.  The block's profiles are one
+    SourceTable, whose samples `f` also give the source norm.
     """
     if config.right is not BoundaryOperator.DIRICHLET:
         raise ValueError("the source bound is stated for a Dirichlet right side")
     family = config.vertical_family()
 
-    profiles: list[tuple[int, Callable]] = []
     if callable(f):
         # Each mode's profile is the Chebyshev interpolant of its projected
         # samples on 65 Chebyshev points in x.
         n_cap = default_truncation(k, 0) if truncation is None else truncation
         cheb_x = 0.5 * (1.0 - np.cos(np.pi * np.arange(65) / 64))
         t, _ = quadrature_rule(n_cap)
-        samples = _coefficients(_sample_source(f, cheb_x, t), family, n_cap)
+        samples = _coefficients(_sample(f, cheb_x[:, None], t[None, :], what="the source f"),
+                                family, n_cap)
         series = np.polynomial.chebyshev.chebfit(2.0 * cheb_x - 1.0, samples, 64)
-        for n in np.flatnonzero(np.any(samples != 0, axis=0)):
-            profiles.append((int(n), (lambda x, c=series[:, n]:
-                                      np.polynomial.chebyshev.chebval(2.0 * np.asarray(x) - 1.0, c))))
+        ns = np.flatnonzero(np.any(samples != 0, axis=0))
+        profiles = np.polynomial.chebyshev.chebval(2.0 * _NODES.ravel() - 1.0, series[:, ns])
     else:
-        listed = np.array([int(n) for n, _ in f], dtype=np.int64)
-        top = int(listed.max(initial=0))
-        n_cap = default_truncation(k, top) if truncation is None else truncation
-        _check_truncation(listed, n_cap)
-        seen = set()
-        for n, fx in f:
-            n = int(n)
-            if n in seen:
-                raise ValueError("duplicate source mode")
-            seen.add(n)
-            if family is BasisFamily.SIN_INT and n == 0:
-                continue
-            profiles.append((n, fx))
+        ns, profiles = _listed_source(f, family)
+        n_cap = default_truncation(k, int(ns.max(initial=0))) if truncation is None else truncation
+        _check_truncation(ns, n_cap)
 
-    profiles.sort(key=lambda pair: pair[0])
-    ns = np.array([n for n, _ in profiles], dtype=np.int64)
-    built = tuple(SourceProfile(fx, k, family.eigenvalue(n), panels=resolution)
-                  for n, fx in profiles)
-    block = Block(ns, np.ones(len(ns), dtype=complex), built, family, lifted=False)
+    table = SourceTable(k, family.eigenvalue(ns), profiles)
+    block = Block(ns, np.ones(len(ns), dtype=complex), table, family, lifted=False)
     return SeriesSolution(config, k, n_cap, Provenance.SOURCE_TERM, (block,))
 
 
-def source_l2_norm(f, config: BoundaryConfig, resolution: int = 48) -> float:
+def source_l2_norm(f, config: BoundaryConfig) -> float:
     """L2 norm of a modal source (mode, profile) list: Parseval across the
     vertical eigenbasis, panel quadrature along x."""
-    family = config.vertical_family()
-    t, w = _panel_nodes(np.linspace(0.0, 1.0, resolution + 1))
-    t, w = t.ravel(), w.ravel()
-    parts = []
-    for n, fx in f:
-        if family is BasisFamily.SIN_INT and n == 0:
-            continue
-        vals = np.asarray(_vector_capable(fx)(t), dtype=complex)
-        parts.append(math.fsum(w * np.abs(vals) ** 2))
-    return math.sqrt(math.fsum(parts))
+    return _source_norm(_listed_source(f, config.vertical_family())[1])

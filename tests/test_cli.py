@@ -133,6 +133,23 @@ def test_sweep_report(tmp_path):
     assert doc["certificates"] == 6
 
 
+@pytest.mark.parametrize("flags,named", [
+    (["--theorem", "T1", "--k-count", "0"], "--k-count"),
+    (["--theorem", "T1", "--k-list", "5", "--trials", "0"], "--trials"),
+    (["--theorem", "T1", "--k-list", "5", "--modes", "0"], "--modes"),
+    (["--theorem", "T1", "--k-list", "5", "--modes", "-1"], "--modes"),
+    (["--theorem", "TF", "--k-list", "5", "--modes", "0"], "--modes"),
+    (["--theorem", "T1", "--k-list", "0.5,five"], "--k-list"),
+])
+def test_sweep_rejects_flags_that_leave_nothing_to_check(flags, named, tmp_path, capsys):
+    """A sweep flag that would certify nothing, or nothing of its data,
+    exits 1 naming the flag, and writes no report."""
+    report = tmp_path / "sweep.json"
+    assert run_cli(["sweep", *flags, "--report", str(report)]) == 1
+    assert named in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_lift_command(tmp_path):
     doc = {
         "k": 7.3,

@@ -202,13 +202,6 @@ def test_x_mode_near_cutoff_norms_match_quadrature():
                 assert abs(mode.dnorm_sq[0] - quad_norm_sq(derivative)) <= 1e-10 * mode.dnorm_sq[0]
 
 
-def test_x_mode_rejects_non_impedance_left():
-    with pytest.raises(ValueError):
-        x_modes([1], 2.0, D, Side.LEFT, BasisFamily.SIN_INT, b_left=D)
-    with pytest.raises(ValueError):
-        x_modes([1], 2.0, D, Side.BOTTOM, BasisFamily.SIN_INT)
-
-
 def test_mode_from_amplitudes_matches_lemma_norms():
     k, n, family = 7.7, 1, BasisFamily.COS_INT
     mode = x_modes([n], k, I, Side.LEFT, family)

@@ -15,6 +15,7 @@ from helmstab.eigenbasis import (
     Spectrum,
     basis_value,
     project,
+    _sample,
 )
 from helmstab.modal1d import (
     CUTOFF,
@@ -30,7 +31,7 @@ from helmstab.solver import (
     ProjectionTruncationWarning,
     Provenance,
     SeriesSolution,
-    SourceProfile,
+    SourceTable,
     energy_parseval,
     energy_quadrature,
     evaluate,
@@ -41,8 +42,9 @@ from helmstab.solver import (
     solve_vertical_data,
     source_l2_norm,
     superpose,
+    _NODES,
+    _WEIGHTS,
     _gauss_grid,
-    _panel_nodes,
 )
 
 D, N, I = BoundaryOperator.DIRICHLET, BoundaryOperator.NEUMANN, BoundaryOperator.IMPEDANCE
@@ -253,10 +255,10 @@ def test_evaluate_rejects_outside_domain():
 
 def profile_at(profiles, i, t):
     """Profile i of a block and its derivative at the scalar t, from the
-    closed form of its table row (or the SourceProfile itself)."""
+    closed form of its table row (or the SourceTable itself)."""
     if not isinstance(profiles, ModeTable):
-        value, derivative = profiles[i].value_and_derivative(t)
-        return complex(value), complex(derivative)
+        value, derivative = profiles.value_and_derivative([t])
+        return complex(value[i, 0]), complex(derivative[i, 0])
     if profiles.regime[i] == CUTOFF:
         p0, p1, p2 = (complex(c) for c in profiles.poly[i])
         return p0 + p1 * t + p2 * t * t, p1 + 2.0 * p2 * t
@@ -675,6 +677,11 @@ def test_source_energy_bound_random():
         assert lhs <= math.sqrt(30) * max(k * k, 1.0) * fnorm
 
 
+def source_table(fx, k, mu):
+    """The one-row SourceTable of the profile fx, sampled on the panel nodes."""
+    return SourceTable(k, [mu], _sample(fx, _NODES.ravel()))
+
+
 def test_source_norms_batched_equal_scalar_wrapped():
     """A source fx evaluated on whole node arrays gives the same norms as the
     same function called one scalar at a time through the wrapper."""
@@ -691,10 +698,9 @@ def test_source_norms_batched_equal_scalar_wrapped():
     assert abs(batched - wrapped) <= 1e-14 * batched
     for k in (4.2, 3 * PI, 40.0):
         for mu in (PI, 3 * PI, 20 * PI):
-            a = SourceProfile(fhat, k, mu)
-            b = SourceProfile(scalar_only, k, mu)
-            assert abs(a.norm_sq - b.norm_sq) <= 1e-14 * a.norm_sq
-            assert abs(a.dnorm_sq - b.dnorm_sq) <= 1e-14 * a.dnorm_sq
+            a, b = source_table(fhat, k, mu), source_table(scalar_only, k, mu)
+            assert abs(a.norm_sq[0] - b.norm_sq[0]) <= 1e-14 * a.norm_sq[0]
+            assert abs(a.dnorm_sq[0] - b.dnorm_sq[0]) <= 1e-14 * a.dnorm_sq[0]
 
 
 def smooth_source(x):
@@ -702,7 +708,8 @@ def smooth_source(x):
     return (1.0 + 2.0j) + np.sin(4.1 * x) - 0.7j * x**2
 
 
-@pytest.mark.parametrize("k,mu", [
+#: (k, mu) in every regime of a source row, and across the cutoff band.
+SOURCE_REGIMES = [
     (5.0, PI),                      # propagating
     (3 * PI, 3 * PI),               # cutoff
     (4.2, 3 * PI),                  # evanescent
@@ -710,33 +717,100 @@ def smooth_source(x):
     (3 * PI * (1 - 1e-6), 3 * PI),  # evanescent, relative gap 1e-6
     (4.2, 20 * PI),
     (0.05, PI / 2),
-])
+]
+
+
+@pytest.mark.parametrize("k,mu", SOURCE_REGIMES)
 def test_source_kernel_norms_match_pointwise_path(k, mu):
     """The norms from the fixed per-panel kernels equal a panel quadrature of
-    value_and_derivative, whose local integrals are fresh Gauss rules."""
-    profile = SourceProfile(smooth_source, k, mu)
-    t, w = _panel_nodes(profile._edges)
-    val, der = profile.value_and_derivative(t.ravel())
-    w = w.ravel()
-    norm_sq = math.fsum(w * np.abs(val) ** 2)
-    dnorm_sq = math.fsum(w * np.abs(der) ** 2)
-    assert abs(profile.norm_sq - norm_sq) <= 1e-13 * norm_sq
-    assert abs(profile.dnorm_sq - dnorm_sq) <= 1e-13 * dnorm_sq
+    value_and_derivative, whose local integrals are sub-rules built for
+    each point."""
+    table = source_table(smooth_source, k, mu)
+    val, der = table.value_and_derivative(_NODES.ravel())
+    norm_sq = math.fsum((_WEIGHTS * np.abs(val[0]) ** 2).tolist())
+    dnorm_sq = math.fsum((_WEIGHTS * np.abs(der[0]) ** 2).tolist())
+    assert abs(table.norm_sq[0] - norm_sq) <= 1e-13 * norm_sq
+    assert abs(table.dnorm_sq[0] - dnorm_sq) <= 1e-13 * dnorm_sq
 
 
 def test_source_profile_samples_fx_once():
-    """Construction calls fx once on the 48 x 16 panel nodes after the
-    two-point probe; the kernel tables and the norms share those samples."""
+    """A solve calls fx once, on the 48 x 16 panel nodes, with no probe;
+    the kernel tables, the norms and every later evaluation share those
+    samples."""
     calls = []
 
     def fx(t):
         calls.append(np.size(t))
         return smooth_source(t)
 
-    for k, mu in ((5.0, PI), (3 * PI, 3 * PI), (4.2, 20 * PI)):
+    cfg = BoundaryConfig(bottom=D, right=D, top=D)
+    for k in (5.0, 3 * PI, 4.2):
         calls.clear()
-        SourceProfile(fx, k, mu)
-        assert calls == [2, 48 * 16]
+        u = solve_source([(1, fx)], cfg, k)
+        assert calls == [48 * 16]
+        evaluate(u, [(0.3, 0.4), (1.0, 0.5)])
+        assert calls == [48 * 16]
+
+
+def test_source_table_rows_are_independent():
+    """A six-row table at k = 60 equals six one-row tables bit for bit, in
+    its norms and on any nodes."""
+    k = 60.0
+    mu = np.array([0.0, 3 * PI, 19 * PI, k, 20 * PI, 150 * PI])
+    x = _NODES.ravel()
+    f = np.stack([smooth_source(x) * (1.0 + 0.3j * r) + np.cos(r * x) for r in range(len(mu))])
+    table = SourceTable(k, mu, f)
+    t = np.array([0.0, 0.013, 0.5, 0.77, 1.0])
+    value, derivative = table.value_and_derivative(t)
+    for r in range(len(mu)):
+        row = SourceTable(k, mu[r:r + 1], f[r:r + 1])
+        assert row.norm_sq[0] == table.norm_sq[r] and row.dnorm_sq[0] == table.dnorm_sq[r]
+        v, d = row.value_and_derivative(t)
+        assert v[0].tobytes() == value[r].tobytes() and d[0].tobytes() == derivative[r].tobytes()
+
+
+def test_source_rows_are_smooth_across_the_cutoff_band():
+    """Rows at relative gaps 0, +-1e-9 (inside the cutoff band, sigma = 0),
+    +-1e-7 and +-1e-6 (outside) of one eigenvalue differ from the cutoff
+    row by at most the size of k^2 - mu^2, in norms and values: no regime
+    fork."""
+    mu = 3 * PI
+    gaps = np.array([0.0, 1e-9, -1e-9, 1e-7, -1e-7, 1e-6, -1e-6])
+    k = mu * np.sqrt(1.0 + gaps)
+    t = np.linspace(0.0, 1.0, 17)
+    cutoff = source_table(smooth_source, k[0], mu)
+    v0, d0 = cutoff.value_and_derivative(t)
+    for kk, gap in zip(k[1:], gaps[1:]):
+        row = source_table(smooth_source, kk, mu)
+        v, d = row.value_and_derivative(t)
+        size = abs(kk * kk - mu * mu) + 1e-14
+        assert abs(row.norm_sq[0] - cutoff.norm_sq[0]) <= size * cutoff.norm_sq[0]
+        assert abs(row.dnorm_sq[0] - cutoff.dnorm_sq[0]) <= size * cutoff.dnorm_sq[0]
+        assert np.max(np.abs(v - v0)) <= size * np.max(np.abs(v0))
+        assert np.max(np.abs(d - d0)) <= size * np.max(np.abs(d0))
+
+
+def test_source_certificate_samples_each_fx_once():
+    """A TF certificate (solve, source norm, Parseval and the 25^2
+    quadrature cross-check) calls each mode's fx exactly once, on the 768
+    panel nodes."""
+    from helmstab.bounds import TheoremId, certify
+
+    calls = {1: [], 3: []}
+
+    def counted(n):
+        def fx(t):
+            calls[n].append(np.size(t))
+            return smooth_source(t) * n
+        return fx
+
+    cfg = BoundaryConfig(bottom=D, right=D, top=D)
+    for k in (5.0, 60.0):
+        for n in calls:
+            calls[n].clear()
+        cert = certify(TheoremId.TF_SOURCE, cfg, [(n, counted(n)) for n in calls], k)
+        assert cert.passed
+        assert calls == {1: [48 * 16], 3: [48 * 16]}
 
 
 def test_callable_source_is_sampled_in_one_array_call():
@@ -844,8 +918,8 @@ def test_boundary_residuals_match_data(b2, side):
 
 
 def test_evaluate_gets_source_value_and_derivative_from_one_pass():
-    """Each source factor's kernel integrals are computed once per evaluate:
-    one fx call for the left and one for the right local integrals."""
+    """Evaluation integrates the samples taken by the solve: fx is never
+    called again, for any number of points or modes."""
     cfg = BoundaryConfig(bottom=D, right=D, top=D)
     calls = []
 
@@ -856,4 +930,4 @@ def test_evaluate_gets_source_value_and_derivative_from_one_pass():
     u = solve_source([(1, fx), (2, fx)], cfg, 5.0)
     calls.clear()
     evaluate(u, [(0.3, 0.4), (0.7, 0.4), (0.3, 0.9)])
-    assert len(calls) == 2 * len(u.modes)
+    assert calls == []
