@@ -483,6 +483,12 @@ def _cmd_sharpness(args) -> int:
     return 0 if ok else 2
 
 
+def _check_wavenumbers(flag: str, ks) -> None:
+    for k in ks:
+        if not (k > 0 and math.isfinite(k)):
+            raise ValueError(f"{flag}: wavenumbers must be positive and finite, got {k!r}")
+
+
 def _cmd_sweep(args) -> int:
     theorem = _theorem(args.theorem)
     # A sweep of no certificates, or of no data, would pass vacuously.
@@ -496,7 +502,10 @@ def _cmd_sweep(args) -> int:
             k_grid = [float(v) for v in k_list.split(",")]
         except ValueError:
             raise ValueError(f"--k-list must be comma-separated numbers, got {k_list!r}") from None
+        _check_wavenumbers("--k-list", k_grid)
     else:
+        _check_wavenumbers("--k-min", [args.k_min])
+        _check_wavenumbers("--k-max", [args.k_max])
         k_grid = list(np.geomspace(args.k_min, args.k_max, args.k_count))
     report = sweep(theorem, k_grid, modes=args.modes, trials=args.trials,
                    seed=args.seed, collect_failures=True)

@@ -1,10 +1,18 @@
 """Closed-form 1D modal solutions on [0,1] and their exact L2 norms.
 
 Each mode solves X'' + (k^2 - mu^2) X = 0 with one inhomogeneous boundary
-operator carrying a unit datum.  Three regimes: propagating (mu^2 < k^2,
-oscillatory), evanescent (mu^2 > k^2, exponential), and cutoff (mu^2 = k^2
-within tolerance, polynomial).  Norms are evaluated from cancellation-free
-regroupings of the closed forms, stable from the cutoff through z ~ 800.
+operator carrying a unit datum.  With z = sqrt|k^2 - mu^2| its exponent is
+sigma = i z (propagating, mu < k), -z (evanescent, mu > k) or 0 (cutoff,
+|k^2 - mu^2| within EPS_CUTOFF), and every mode is X = A a + B d in one
+basis pair
+
+    a(t) = e^{sigma t},   d(t) = e^{sigma (1-t)} t phi(2 sigma t) = e^sigma sinh(sigma t) / sigma,
+
+with phi(x) = expm1(x)/x.  The pair stays bounded for Re(sigma) <= 0 and is
+{1, t} at sigma = 0, so the regimes share one formula: a cutoff row is the
+case sigma = 0.  X' = (sigma A + e^sigma B) a - sigma B d lies in the same
+pair, so both squared norms are quadratic forms in one 2x2 Gram matrix of
+(a, d), stable from the cutoff through z ~ 800.
 
 All modes of one problem at one k are built together as a ModeTable, a
 struct of arrays with one row per mode index, which tabulates every row's
@@ -30,14 +38,17 @@ from .eigenbasis import BasisFamily, BoundaryOperator
 #: Relative gap |k^2 - mu^2| / max(k^2, mu^2) below which a mode is cutoff.
 EPS_CUTOFF = 1e-8
 
-#: Determinant tolerance (relative) for the 2x2 amplitude systems.
+#: Determinant tolerance (relative) for the 2x2 coefficient systems.
 _DET_TOL = 1e-12
 
-#: Switch the hyperbolic primitives to exp-scaled forms beyond this z.
-_HYP_SCALE_Z = 20.0
-
-#: Switch the cancellation-prone differences to series below this z.
+#: Sum the cancellation-prone Gram entries from their series below this |sigma|.
 _SERIES_Z = 0.25
+
+#: Taylor coefficients, highest power first, of phi_2(x) = (phi(x) - 1)/x
+#: = sum_m x^m / (m+2)!, and of int_0^1 |sinh(s t)/s|^2 dt
+#: = sum_{m>=1} 2^(2m-1) w^(m-1) / (2m+1)! in w = s^2.
+_PHI2_SERIES = [1.0 / math.factorial(m + 2) for m in range(13, -1, -1)]
+_SINH2_SERIES = [2.0 ** (2 * m - 1) / math.factorial(2 * m + 1) for m in range(9, 0, -1)]
 
 
 class ResonantLiftingError(ValueError):
@@ -105,6 +116,18 @@ def classify_mode(k: float, mu: float) -> ModeRegime:
     return ModeRegime(_REGIMES[code[0]], z0 / k, z0)
 
 
+def _phi(x):
+    """phi(x) = expm1(x)/x, with phi(0) = 1, elementwise on complex x."""
+    x = np.asarray(x, dtype=complex)
+    return np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0)
+
+
+def _tphi(s, t):
+    """t * phi(2 s t), the integral of e^{2 s tau} over [0, t], smooth
+    through s = 0."""
+    return t * _phi(2.0 * s * t)
+
+
 # --------------------------------------------------------------------------
 # modal solutions
 # --------------------------------------------------------------------------
@@ -114,10 +137,10 @@ def classify_mode(k: float, mu: float) -> ModeRegime:
 class ModeTable:
     """The closed-form modes of one 1D problem at one k, one row per index.
 
-    `regime` holds the codes PROPAGATING/CUTOFF/EVANESCENT.  Exponential
-    rows carry sigma and the anchored amplitudes of exp(sigma*t) and
-    exp(sigma*(1-t)); cutoff rows carry polynomial coefficients (constant
-    term first) in `poly`.  Fields a row's branch does not use are zero.
+    Row i is X = A[i] a + B[i] d in the pair a(t) = e^{sigma t},
+    d(t) = e^sigma sinh(sigma t)/sigma ({1, t} at the cutoff, sigma = 0).
+    `regime` holds the codes PROPAGATING/CUTOFF/EVANESCENT as a label; no
+    formula depends on it.
     """
 
     k: float
@@ -126,9 +149,8 @@ class ModeTable:
     regime: np.ndarray
     z: np.ndarray
     sigma: np.ndarray
-    forward: np.ndarray
-    backward: np.ndarray
-    poly: np.ndarray  # (rows, 3)
+    A: np.ndarray
+    B: np.ndarray
     norm_sq: np.ndarray
     dnorm_sq: np.ndarray
 
@@ -136,65 +158,14 @@ class ModeTable:
         return len(self.n)
 
     def value_and_derivative(self, t):
-        """X and X' of every row on the nodes t, as (rows, len(t)) arrays.
-
-        Exponential rows are forward*e^{sigma t} + backward*e^{sigma(1-t)}
-        and its derivative, built in one broadcast; cutoff rows evaluate
-        their polynomials.
-        """
+        """X and X' of every row on the nodes t, as (rows, len(t)) arrays:
+        A a + B d and (sigma A + e^sigma B) a - sigma B d."""
         t = np.asarray(t, dtype=float)
-        sigma = self.sigma[:, None]
-        forward = np.multiply(sigma, t)
-        np.exp(forward, out=forward)
-        forward *= self.forward[:, None]
-        value = np.multiply(sigma, 1.0 - t)
-        np.exp(value, out=value)
-        value *= self.backward[:, None]
-        derivative = forward - value
-        derivative *= sigma
-        value += forward
-        cut = np.flatnonzero(self.regime == CUTOFF)
-        if len(cut):
-            p0, p1, p2 = (self.poly[cut, j, None] for j in range(3))
-            value[cut] = (p2 * t + p1) * t + p0
-            derivative[cut] = 2.0 * p2 * t + p1
-        return value, derivative
-
-
-def _poly_l2_sq(coeffs) -> float:
-    """Exact integral of |p(t)|^2 over [0,1]."""
-    total = 0.0
-    for i, ci in enumerate(coeffs):
-        for j, cj in enumerate(coeffs):
-            total += (ci * cj.conjugate()).real / (i + j + 1)
-    return total
-
-
-def _reflect_poly(coeffs: tuple[complex, ...]) -> tuple[complex, ...]:
-    """Coefficients of p(1-t) given those of p(t)."""
-    out = [0.0 + 0.0j] * len(coeffs)
-    for i, c in enumerate(coeffs):
-        for j in range(i + 1):
-            out[j] += c * math.comb(i, j) * (-1.0) ** j
-    return tuple(out)
-
-
-def _operator_row(op: BoundaryOperator, end: int, sigma, k: float):
-    """Row of the 2x2 system applying op at an endpoint, per sigma.
-
-    Acts on (forward, backward) amplitudes of exp(sigma*t), exp(sigma*(1-t)).
-    Normal derivatives point outward: -d/dt at t=0, +d/dt at t=1.
-    """
-    es = np.exp(sigma)
-    if end == 0:
-        return _apply(op, 1.0 + 0.0j, -sigma, k), _apply(op, es, sigma * es, k)
-    return _apply(op, es, sigma * es, k), _apply(op, 1.0 + 0.0j, -sigma, k)
-
-
-def _poly_operator_row(op: BoundaryOperator, end: int, k: float):
-    """Same as _operator_row for the degenerate branch p0 + p1*t: the value
-    row is (1, t) and the outward derivative row (0, -1) at t=0, (0, 1) at 1."""
-    return _apply(op, 1.0 + 0.0j, 0.0, k), _apply(op, float(end), 2.0 * end - 1.0, k)
+        sigma, A, B = self.sigma[:, None], self.A[:, None], self.B[:, None]
+        a = np.exp(sigma * t)
+        d = np.exp(sigma * (1.0 - t))
+        d *= _tphi(sigma, t)
+        return A * a + B * d, (sigma * A + np.exp(sigma) * B) * a - (sigma * B) * d
 
 
 def _apply(op: BoundaryOperator, value, normal, k: float):
@@ -205,7 +176,6 @@ def _apply(op: BoundaryOperator, value, normal, k: float):
     if op is BoundaryOperator.NEUMANN:
         return normal
     return normal - 1j * k * value
-
 
 
 def _solve_2x2(r0, r1, d0: float, d1: float, ns: np.ndarray):
@@ -226,90 +196,55 @@ def _solve_2x2(r0, r1, d0: float, d1: float, ns: np.ndarray):
     return (d0 * r1[1] - d1 * r0[1]) / det, (r0[0] * d1 - r1[0] * d0) / det
 
 
-# --------------------------------------------------------------------------
-# closed-form norms (verified against 50-digit quadrature)
-# --------------------------------------------------------------------------
+def _gram(sigma: np.ndarray, es: np.ndarray, d_end: np.ndarray):
+    """The Gram matrix of the pair on [0, 1], per row, as (int |a|^2,
+    int conj(a) d, int |d|^2), given e^sigma and d(1) = phi(2 sigma).
 
-# (2z - sin 2z)/2 = z^3 * sum c_m (2z)^(2m); c_0 = 2/3 after normalization.
-_ODD_FACT_INV = [1.0 / math.factorial(2 * m + 3) for m in range(9)]
-
-
-def _trig_blocks(z):
-    sc = 0.5 * np.sin(2.0 * z)
-    return np.ones(len(z)), np.sin(z) ** 2, np.cos(z) ** 2, z - sc, z + sc
-
-
-def _hyp_blocks(z):
-    sh, ch = np.sinh(z), np.cosh(z)
-    hc = sh * ch
-    return np.ones(len(z)), sh * sh, ch * ch, hc - z, hc + z
-
-
-def _scaled_hyp_blocks(z):
-    e2 = np.exp(-2.0 * z)
-    hc = 0.25 * (1.0 - e2 * e2)  # sinh z cosh z * e^(-2z)
-    return e2, 0.25 * (1.0 - e2) ** 2, 0.25 * (1.0 + e2) ** 2, hc - z * e2, hc + z * e2
-
-
-def _bundle(z: np.ndarray, evanescent: np.ndarray):
-    """Building blocks of the norm formulas, one entry per mode.
-
-    Returns (one, s2, c2, m, p, eps).  Propagating modes get
-    {1, sin^2 z, cos^2 z, z - sin z cos z, z + sin z cos z} and eps = -1;
-    evanescent modes the hyperbolic counterparts {1, sinh^2 z, cosh^2 z,
-    sinh z cosh z - z, sinh z cosh z + z} and eps = +1, all multiplied by
-    one scale (1 for moderate z, e^(-2z) beyond), so ratios of homogeneous
-    combinations are exact.  m is summed from its series for small z.
+    int |a|^2 = phi(2 Re sigma), int conj(a) d = e^sigma conj(phi_2(2 sigma))
+    and int |d|^2 = (e^{-2i Im sigma} phi(2 sigma)(1 + e^{2 sigma})/2
+    - |e^sigma|^2) / (2 sigma^2), with phi_2(x) = (phi(x) - 1)/x; the last
+    two hold because sigma is real or imaginary.  Below |sigma| = _SERIES_Z
+    they cancel and come from their Taylor series instead.
     """
-    near = z < _HYP_SCALE_Z
-    branches = (
-        (~evanescent, _trig_blocks),
-        (evanescent & near, _hyp_blocks),
-        (evanescent & ~near, _scaled_hyp_blocks),
-    )
-    blocks = np.empty((5, len(z)))
-    for rows, blocks_of in branches:
-        if np.count_nonzero(rows):
-            blocks[:, rows] = blocks_of(z[rows])
-    one, s2, c2, m, p = blocks
-    eps = np.where(evanescent, 1.0, -1.0)
-    small = z < _SERIES_Z
+    x = 2.0 * sigma
+    e2 = es.real * es.real + es.imag * es.imag
+    small = np.abs(sigma) < _SERIES_Z
+    x[small] = 1.0  # keeps the closed forms finite on the series rows
+    phi2 = (d_end - 1.0) / x
+    dd = ((np.exp(-1j * x.imag) * d_end * (1.0 + es * es)).real - 2.0 * e2) / (x * x).real
     if np.count_nonzero(small):
-        zs, sign = z[small], eps[small]
-        w2 = (2.0 * zs) ** 2
-        acc = np.zeros_like(zs)
-        for j in range(len(_ODD_FACT_INV) - 1, -1, -1):
-            acc = acc * w2 + sign**j * _ODD_FACT_INV[j]
-        m[small] = 4.0 * zs**3 * acc
-    return one, s2, c2, m, p, eps
+        s = sigma[small]
+        phi2[small] = np.polyval(_PHI2_SERIES, 2.0 * s)
+        dd[small] = e2[small] * np.polyval(_SINH2_SERIES, (s * s).real)
+    return _phi(2.0 * sigma.real).real, es * phi2.conj(), dd
 
 
-def _split(t: ModeTable):
-    """The cutoff rows of t (None if there are none) and a selector of the
-    others: a boolean mask, or every row as a slice."""
-    cut = t.regime == CUTOFF
-    return (cut, ~cut) if np.count_nonzero(cut) else (None, slice(None))
+def _gram_form(A: np.ndarray, B: np.ndarray, gram) -> np.ndarray:
+    """||A a + B d||^2 per row from the pair's Gram matrix."""
+    aa, ad, dd = gram
+    return ((A.real**2 + A.imag**2) * aa + 2.0 * (A.conj() * B * ad).real
+            + (B.real**2 + B.imag**2) * dd)
 
 
-def _datum_norms(num0, num1, z, den, neumann: bool):
-    """||Y||^2 and ||Y'||^2 of a profile carrying a unit Neumann or
-    Dirichlet datum, from the numerators and denominator of its case."""
-    if neumann:
-        return num0 / (2.0 * z**3 * den), num1 / (2.0 * z * den)
-    return num0 / (2.0 * z * den), z * num1 / (2.0 * den)
+def _modes(n: np.ndarray, mu: np.ndarray, k: float, ops, data) -> ModeTable:
+    """The modes n with eigenvalues mu under the operators ops = (at t=0,
+    at t=1) with the data (d0, d1).
 
-
-def _new_table(n: np.ndarray, mu: np.ndarray, k: float) -> ModeTable:
-    """A table of the modes n with eigenvalues mu, regimes filled in and
-    zeroed branch data and norms, for the constructors to fill."""
+    The rows of the 2x2 system apply each operator to the pair's boundary
+    values a(0) = 1, a'(0) = sigma, d(0) = 0, d'(0) = e^sigma,
+    a(1) = e^sigma, a'(1) = sigma e^sigma, d(1) = phi(2 sigma) and
+    d'(1) = (1 + e^{2 sigma})/2.  Normal derivatives point outward: -d/dt
+    at t=0, +d/dt at t=1.
+    """
     k = _check_wavenumber(k)
     code, z, sigma = _regimes(k, mu)
-    rows = len(n)
-    return ModeTable(
-        k, n, mu, code, z, sigma,
-        forward=np.zeros(rows, dtype=complex), backward=np.zeros(rows, dtype=complex),
-        poly=np.zeros((rows, 3), dtype=complex), norm_sq=np.zeros(rows), dnorm_sq=np.zeros(rows),
-    )
+    es, d_end = np.exp(sigma), _phi(2.0 * sigma)
+    r0 = (_apply(ops[0], 1.0, -sigma, k), _apply(ops[0], 0.0, -es, k))
+    r1 = (_apply(ops[1], es, sigma * es, k), _apply(ops[1], d_end, 0.5 * (1.0 + es * es), k))
+    A, B = _solve_2x2(r0, r1, *data, n)
+    gram = _gram(sigma, es, d_end)
+    return ModeTable(k, n, mu, code, z, sigma, A, B, _gram_form(A, B, gram),
+                     _gram_form(sigma * A + es * B, -sigma * B, gram))
 
 
 # --------------------------------------------------------------------------
@@ -327,53 +262,15 @@ def x_modes(
     """Horizontal modal profiles with a unit datum on the given vertical side.
 
     One row per mode index in `ns`.  The left side always carries the
-    impedance operator.  With b_right impedance the impedance/impedance
-    profile serves either datum side; otherwise the datum side selects which
-    closed form applies.
+    impedance operator, the right side b_right; the datum rides on the
+    operator of `data_side`.
     """
     if data_side not in (Side.LEFT, Side.RIGHT):
         raise ValueError("x-direction data lives on the LEFT or RIGHT side")
     n = np.asarray(ns, dtype=np.int64).reshape(-1)
-    t = _new_table(n, family.eigenvalue(n), k)
-    k = t.k
     d_left = 1.0 if data_side is Side.LEFT else 0.0
-    d_right = 1.0 - d_left
-
-    cut, live = _split(t)
-    if cut is not None:
-        # Every cutoff row solves the same polynomial problem.
-        r0 = _poly_operator_row(BoundaryOperator.IMPEDANCE, 0, k)
-        r1 = _poly_operator_row(b_right, 1, k)
-        p0, p1 = _solve_2x2(r0, r1, d_left, d_right, t.n[cut])
-        t.poly[cut, 0], t.poly[cut, 1] = p0, p1
-        t.norm_sq[cut] = _poly_l2_sq((p0, p1))
-        t.dnorm_sq[cut] = _poly_l2_sq((p1,))
-
-    s = t.sigma[live]
-    r0 = _operator_row(BoundaryOperator.IMPEDANCE, 0, s, k)
-    r1 = _operator_row(b_right, 1, s, k)
-    t.forward[live], t.backward[live] = _solve_2x2(r0, r1, d_left, d_right, t.n[live])
-
-    z = t.z[live]
-    one, s2, c2, m, p, eps = _bundle(z, t.regime[live] == EVANESCENT)
-    lam = z / k
-    l2 = lam * lam
-    if b_right is BoundaryOperator.IMPEDANCE:
-        den = 4.0 * l2 * one + (1.0 + eps * l2) ** 2 * s2
-        norm_sq = (m + l2 * p) / (2.0 * k**3 * lam * den)
-        dnorm_sq = lam * (p + l2 * m) / (2.0 * k * den)
-    else:
-        # homogeneous Neumann (alpha = 1) or Dirichlet (alpha = 0) right side
-        neumann = b_right is BoundaryOperator.NEUMANN
-        den = c2 + l2 * s2 if neumann else s2 + l2 * c2
-        if data_side is Side.LEFT:
-            num0, num1 = (p, m) if neumann else (m, p)
-            norm_sq = num0 / (2.0 * k**3 * lam * den)
-            dnorm_sq = lam * num1 / (2.0 * k * den)
-        else:
-            norm_sq, dnorm_sq = _datum_norms(m + l2 * p, p + l2 * m, z, den, neumann)
-    t.norm_sq[live], t.dnorm_sq[live] = norm_sq, dnorm_sq
-    return t
+    return _modes(n, family.eigenvalue(n), k, (BoundaryOperator.IMPEDANCE, b_right),
+                  (d_left, 1.0 - d_left))
 
 
 class EigenvalueFamily(Enum):
@@ -445,83 +342,50 @@ def y_modes_lifting(
 ) -> ModeTable:
     """Vertical auxiliary profiles with a unit datum on a horizontal side.
 
-    One row per mode index in `ns`.  The datum side's operator fixes the
-    closed form (Neumann vs Dirichlet datum); the opposite operator supplies
-    alpha.  Data on TOP solves the reflected problem.  Cutoff rows are
-    polynomials.  A mode whose boundary system is numerically singular
-    raises ResonantLiftingError naming the mode: the lifting family choice
-    provably avoids these.
+    One row per mode index in `ns`.  The datum rides on the operator of
+    `data_side` (at t = 0 for BOTTOM, t = 1 for TOP); the opposite side is
+    homogeneous.  A mode whose boundary system is numerically singular
+    raises ResonantLiftingError naming the mode: the resonances, and the
+    Neumann/Neumann cutoff, where constants are null solutions.  The lifting
+    family choice provably avoids both.
     """
     if data_side not in (Side.BOTTOM, Side.TOP):
         raise ValueError("lifting data lives on the BOTTOM or TOP side")
     for op in (b_bottom, b_top):
         if op not in (BoundaryOperator.DIRICHLET, BoundaryOperator.NEUMANN):
             raise ValueError("horizontal operators must be Dirichlet or Neumann")
-    reflected = data_side is Side.TOP
-    datum_op, other_op = (b_top, b_bottom) if reflected else (b_bottom, b_top)
-    alpha = 1 if other_op is BoundaryOperator.NEUMANN else 0
     n = np.asarray(ns, dtype=np.int64).reshape(-1)
-    t = _new_table(n, family_choice.eigenvalue(n), k)
-    k = t.k
-
-    cut, live = _split(t)
-    if cut is not None:
-        if datum_op is BoundaryOperator.DIRICHLET:
-            # Y'' = 0 with Y(0) = 1 and the opposite condition: 1 - (1-alpha)*t
-            coeffs = (complex(1.0), complex(alpha - 1.0), complex(0.0))
-            norm_sq, dnorm_sq = 1.0 - 2.0 * (1.0 - alpha) / 3.0, 1.0 - alpha
-        else:
-            # Neumann datum, degenerate branch: alpha*(t^2/2 - t) - (1-alpha)*(t-1)
-            coeffs = (complex(1.0 - alpha), complex(-1.0), complex(0.5 * alpha))
-            norm_sq = (1.0 - alpha) / 3.0 + 2.0 * alpha / 15.0
-            dnorm_sq = (1.0 - alpha) + alpha / 3.0
-        if reflected:
-            coeffs = _reflect_poly(coeffs)
-        t.poly[cut] = coeffs
-        t.norm_sq[cut], t.dnorm_sq[cut] = norm_sq, dnorm_sq
-
-    s = t.sigma[live]
-    r0 = _operator_row(datum_op, 0, s, k)
-    r1 = _operator_row(other_op, 1, s, k)
-    a, b = _solve_2x2(r0, r1, 1.0, 0.0, t.n[live])
-    t.forward[live], t.backward[live] = (b, a) if reflected else (a, b)
-
-    z = t.z[live]
-    _, s2, c2, m, p, _ = _bundle(z, t.regime[live] == EVANESCENT)
-    num0, num1 = (p, m) if alpha == 1 else (m, p)
-    neumann = datum_op is BoundaryOperator.NEUMANN
-    den = (s2 if alpha == 1 else c2) if neumann else (c2 if alpha == 1 else s2)
-    t.norm_sq[live], t.dnorm_sq[live] = _datum_norms(num0, num1, z, den, neumann)
-    return t
-
-
-def _phi(x):
-    """phi(x) = expm1(x)/x, with phi(0) = 1, elementwise on complex x."""
-    x = np.asarray(x, dtype=complex)
-    return np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0)
+    d_bottom = 1.0 if data_side is Side.BOTTOM else 0.0
+    return _modes(n, family_choice.eigenvalue(n), k, (b_bottom, b_top),
+                  (d_bottom, 1.0 - d_bottom))
 
 
 def mode_from_amplitudes(
     k: float, mu: float, forward: complex, backward: complex, n: int = 0
 ) -> ModeTable:
-    """A one-row table built directly from anchored amplitudes; `n` labels
-    the row.
+    """A one-row table of the mode forward e^{sigma t} + backward
+    e^{sigma (1-t)}; `n` labels the row, which holds
+    A = forward + backward e^sigma and B = -2 sigma backward.
 
-    The squared norms come from the exact exponential integrals, so this
-    constructor is independent of the tabulated norm formulas; it backs
-    hand-transcribed reference solutions and test oracles.
+    The squared norms come from the exact integrals of the two
+    exponentials, so this constructor is independent of the Gram matrix of
+    the tables; it backs hand-transcribed reference solutions and test
+    oracles.
     """
-    t = _new_table(np.array([n], dtype=np.int64), np.array([mu], dtype=float), k)
-    if t.regime[0] == CUTOFF:
-        raise ValueError("cutoff modes are polynomial; amplitudes do not apply")
-    a, b, sigma = complex(forward), complex(backward), complex(t.sigma[0])
+    k = _check_wavenumber(k)
+    mu = np.array([mu], dtype=float)
+    code, z, sigmas = _regimes(k, mu)
+    if code[0] == CUTOFF:
+        raise ValueError("at the cutoff the two exponentials coincide; amplitudes do not apply")
+    a, b, sigma = complex(forward), complex(backward), complex(sigmas[0])
     es = cmath.exp(sigma)
     e_same = complex(_phi(2.0 * sigma.real)).real  # int_0^1 e^{2 Re(sigma) t} dt
     cross = 2.0 * (a * b.conjugate() * es.conjugate() * complex(_phi(sigma - sigma.conjugate()))).real
-    t.forward[0], t.backward[0] = a, b
-    t.norm_sq[0] = (abs(a) ** 2 + abs(b) ** 2) * e_same + cross
-    t.dnorm_sq[0] = abs(sigma) ** 2 * ((abs(a) ** 2 + abs(b) ** 2) * e_same - cross)
-    return t
+    norm_sq = (abs(a) ** 2 + abs(b) ** 2) * e_same + cross
+    dnorm_sq = abs(sigma) ** 2 * ((abs(a) ** 2 + abs(b) ** 2) * e_same - cross)
+    return ModeTable(k, np.array([n], dtype=np.int64), mu, code, z, sigmas,
+                     np.array([a + b * es]), np.array([-2.0 * sigma * b]),
+                     np.array([norm_sq]), np.array([dnorm_sq]))
 
 
 def gap_lower_bound(k: float, mu_tilde: float, same_ops: bool) -> tuple[float, float]:

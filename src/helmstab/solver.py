@@ -40,8 +40,8 @@ from .modal1d import (
     y_modes_lifting,
     _apply,
     _check_wavenumber,
-    _phi,
     _regimes,
+    _tphi,
 )
 
 
@@ -492,12 +492,6 @@ def _sub_rules(ends: bytes) -> np.ndarray:
 #: Ends of the sub-rules at the panel nodes: row e < 16 integrates up to
 #: node e, row 16 over the whole panel.
 _NODE_ENDS = np.append(_ETA, 1.0)
-
-
-def _tphi(s, t):
-    """t * phi(2 s t), the integral of e^{2 s tau} over [0, t], smooth
-    through s = 0."""
-    return t * _phi(2.0 * s * t)
 
 
 def _homogeneous(sigma: np.ndarray, k: float, t: np.ndarray):

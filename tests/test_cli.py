@@ -140,6 +140,10 @@ def test_sweep_report(tmp_path):
     (["--theorem", "T1", "--k-list", "5", "--modes", "-1"], "--modes"),
     (["--theorem", "TF", "--k-list", "5", "--modes", "0"], "--modes"),
     (["--theorem", "T1", "--k-list", "0.5,five"], "--k-list"),
+    (["--theorem", "T1", "--k-min", "0"], "--k-min"),
+    (["--theorem", "T1", "--k-min", "-1"], "--k-min"),
+    (["--theorem", "T1", "--k-max", "inf"], "--k-max"),
+    (["--theorem", "T1", "--k-list", "5,nan"], "--k-list"),
 ])
 def test_sweep_rejects_flags_that_leave_nothing_to_check(flags, named, tmp_path, capsys):
     """A sweep flag that would certify nothing, or nothing of its data,

@@ -1,8 +1,10 @@
 """1D modal solutions: norms, residuals, regimes, lifting selection."""
 
+import dataclasses
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from helmstab.modal1d import (
     CUTOFF,
     EigenvalueFamily,
     LiftingFamilyChoice,
+    ModeTable,
     Regime,
     ResonantLiftingError,
     Side,
@@ -45,6 +48,14 @@ def row_functions(table, i=0):
     """Row i of a table as its value and derivative, functions of an array t."""
     return (lambda t: table.value_and_derivative(t)[0][i],
             lambda t: table.value_and_derivative(t)[1][i])
+
+
+def amplitudes(table, i=0):
+    """Row i's (forward, backward) amplitudes of e^{sigma t} and
+    e^{sigma (1-t)}: A a + B d with d = (e^{sigma (1+t)} - e^{sigma (1-t)})/(2 sigma)."""
+    a, b, sigma = complex(table.A[i]), complex(table.B[i]), complex(table.sigma[i])
+    backward = -b / (2.0 * sigma)
+    return a - backward * complex(np.exp(sigma)), backward
 
 
 def boundary_residual(table, op, end, k):
@@ -205,7 +216,7 @@ def test_x_mode_near_cutoff_norms_match_quadrature():
 def test_mode_from_amplitudes_matches_lemma_norms():
     k, n, family = 7.7, 1, BasisFamily.COS_INT
     mode = x_modes([n], k, I, Side.LEFT, family)
-    rebuilt = mode_from_amplitudes(k, family.eigenvalue(n), mode.forward[0], mode.backward[0])
+    rebuilt = mode_from_amplitudes(k, family.eigenvalue(n), *amplitudes(mode))
     assert len(rebuilt) == 1
     assert rebuilt.norm_sq[0] == pytest.approx(mode.norm_sq[0], rel=1e-12)
     assert rebuilt.dnorm_sq[0] == pytest.approx(mode.dnorm_sq[0], rel=1e-12)
@@ -246,23 +257,19 @@ def test_y_mode_cutoff_neumann_polynomial_norms():
     ch = choose_lifting_family(k, N, D)
     assert ch.family is EigenvalueFamily.HALF_INTEGER
     mode = y_modes_lifting([2], k, N, D, Side.BOTTOM, ch)  # mu = 2.5*pi = k
-    assert mode.regime[0] == CUTOFF
-    assert np.any(mode.poly[0] != 0) and mode.forward[0] == mode.backward[0] == 0
+    assert mode.regime[0] == CUTOFF and mode.sigma[0] == 0
+    assert (mode.A[0], mode.B[0]) == (1.0, -1.0)  # Y = 1 - t in the pair {1, t}
     assert mode.norm_sq[0] == pytest.approx(1.0 / 3.0, rel=1e-14)
     assert mode.dnorm_sq[0] == pytest.approx(1.0, rel=1e-14)
 
     ch_nn = choose_lifting_family(k, N, N)
-    # force the degenerate alpha=1 branch by constructing the choice by hand
-    from helmstab.modal1d import LiftingFamilyChoice
-
+    # force the half-integer lattice, which the choice avoids for N/N here
     forced = LiftingFamilyChoice(d0=ch_nn.d0, d1=ch_nn.d1,
                                  family=EigenvalueFamily.HALF_INTEGER, case_index=1)
-    mode = y_modes_lifting([2], k, N, N, Side.BOTTOM, forced)
-    value, derivative = row_functions(mode)
-    assert mode.norm_sq[0] == pytest.approx(2.0 / 15.0, rel=1e-14)
-    assert mode.dnorm_sq[0] == pytest.approx(1.0 / 3.0, rel=1e-14)
-    assert abs(mode.norm_sq[0] - quad_norm_sq(value)) < 1e-12
-    assert abs(mode.dnorm_sq[0] - quad_norm_sq(derivative)) < 1e-12
+    # Neumann on both sides at the cutoff is resonant: constants solve the
+    # homogeneous problem, and Y'' = 0 has no solution with Y'(0) = -1, Y'(1) = 0.
+    with pytest.raises(ResonantLiftingError, match="mode 2 "):
+        y_modes_lifting([2], k, N, N, Side.BOTTOM, forced)
 
 
 @pytest.mark.parametrize("other", [N, D])
@@ -277,9 +284,11 @@ def test_y_mode_cutoff_dirichlet_polynomial(other, side):
     bb, bt = (D, other) if side is Side.BOTTOM else (other, D)
     mode = y_modes_lifting([2], k, bb, bt, side, forced)  # mu = 2.5*pi = k
     value, derivative = row_functions(mode)
-    assert mode.regime[0] == CUTOFF
-    assert np.any(mode.poly[0] != 0) and mode.forward[0] == mode.backward[0] == 0
+    assert mode.regime[0] == CUTOFF and mode.sigma[0] == 0
     alpha = 1.0 if other is N else 0.0
+    # Y = A + B t in the pair {1, t}
+    assert (mode.A[0], mode.B[0]) == ((1.0, alpha - 1.0) if side is Side.BOTTOM
+                                      else (alpha, 1.0 - alpha))
     s = np.linspace(0.0, 1.0, 9)
     from_datum = s if side is Side.BOTTOM else 1.0 - s
     assert np.max(np.abs(value(s) - (1.0 - (1.0 - alpha) * from_datum))) < 1e-15
@@ -388,7 +397,7 @@ def test_proof_quantities_match_mode_assembly():
         assert pq.value == mode.dnorm_sq[0] + (mu * mu + k * k) * mode.norm_sq[0]
         if mode.regime[0] == CUTOFF:
             continue
-        ref = mode_from_amplitudes(k, mu, mode.forward[0], mode.backward[0])
+        ref = mode_from_amplitudes(k, mu, *amplitudes(mode))
         assembled = ref.dnorm_sq[0] + (mu * mu + k * k) * ref.norm_sq[0]
         assert abs(pq.value - assembled) <= 1e-10 * assembled
         checked += 1
@@ -415,8 +424,7 @@ def test_proof_quantity_sweep_bounds_small():
 
 X_PROBLEMS = [(b2, side) for b2 in (I, N, D) for side in (Side.LEFT, Side.RIGHT)]
 LIFT_PAIRS = [(bb, bt) for bb in (D, N) for bt in (D, N)]
-TABLE_FIELDS = ("n", "mu", "regime", "z", "sigma", "forward", "backward", "poly",
-                "norm_sq", "dnorm_sq")
+TABLE_FIELDS = tuple(field.name for field in dataclasses.fields(ModeTable))
 
 #: Exact cutoffs of either eigenvalue lattice: j*pi/2 is n*pi or (n+1/2)*pi.
 cutoff_k = st.integers(1, 160).map(lambda j: j * PI / 2)
@@ -441,9 +449,9 @@ def amplitude_scale(sigma, a, b):
 
 
 def assert_rows_match_exact_integrals(table):
-    exponential = np.flatnonzero(table.regime != CUTOFF)
+    exponential = np.flatnonzero(table.sigma != 0)
     for i in exponential:
-        a, b, sigma = complex(table.forward[i]), complex(table.backward[i]), complex(table.sigma[i])
+        (a, b), sigma = amplitudes(table, i), complex(table.sigma[i])
         ref = mode_from_amplitudes(table.k, float(table.mu[i]), a, b)
         scale = amplitude_scale(sigma, a, b)
         for got, want, size in ((table.norm_sq[i], ref.norm_sq[0], scale),
@@ -454,7 +462,10 @@ def assert_rows_match_exact_integrals(table):
 def assert_row_equals(whole, n, one):
     """Row n of `whole` equals the one-row table `one`, bit for bit."""
     for field in TABLE_FIELDS:
-        assert np.array_equal(getattr(whole, field)[n], getattr(one, field)[0]), (field, n)
+        got, want = getattr(whole, field), getattr(one, field)
+        if np.ndim(got):
+            got, want = got[n], want[0]
+        assert np.array_equal(got, want), (field, n)
 
 
 def build_or_error(build, *args):
@@ -478,10 +489,7 @@ def test_x_table_rows_match_exact_integrals(family, k):
 def test_lifting_table_rows_match_exact_integrals(bb, bt, k):
     choice = choose_lifting_family(k, bb, bt)
     for side in (Side.BOTTOM, Side.TOP):
-        table = build_or_error(y_modes_lifting, range(257), k, bb, bt, side, choice)
-        if table is ResonantLiftingError:  # the cutoff of a Dirichlet datum
-            continue
-        assert_rows_match_exact_integrals(table)
+        assert_rows_match_exact_integrals(y_modes_lifting(range(257), k, bb, bt, side, choice))
 
 
 @pytest.mark.parametrize("b2,side", X_PROBLEMS)
@@ -512,8 +520,8 @@ def test_lifting_table_equals_one_mode_tables(bb, bt, k, side):
 @pytest.mark.parametrize("j", [1, 2, 3, 7])
 def test_lifting_tables_raise_where_one_mode_builds_raise(bb, bt, lattice, j):
     """At exact lattice wavenumbers, with either lattice forced, some modes
-    are resonant or Dirichlet-datum cutoffs; the batch raises exactly when a
-    one-mode build does, and names one of those modes."""
+    are resonant (Neumann/Neumann cutoffs among them); the batch raises
+    exactly when a one-mode build does, and names one of those modes."""
     k = j * PI / 2
     forced = LiftingFamilyChoice(d0=0.0, d1=0.0, family=lattice, case_index=0)
     for side in (Side.BOTTOM, Side.TOP):
@@ -526,6 +534,73 @@ def test_lifting_tables_raise_where_one_mode_builds_raise(bb, bt, lattice, j):
             assert int(re.search(r"mode (\d+) ", str(info.value)).group(1)) in failing
         else:
             y_modes_lifting(range(12), k, bb, bt, side, forced)
+
+
+def mp_norms(k, sigma, ops, data):
+    """||X||^2 and ||X'||^2 of the mode with exponent sigma, solved from its
+    two boundary conditions at 40 digits in the basis e^{+-sigma t} ({1, t}
+    at sigma = 0) and integrated exactly."""
+    with mpmath.workdps(40):
+        s, k = mpmath.mpc(sigma.real, sigma.imag), mpmath.mpf(k)
+        if s == 0:
+            def at(t):  # values and derivatives of 1 and t
+                return (1, t), (0, 1)
+        else:
+            def at(t):
+                ep, em = mpmath.exp(s * t), mpmath.exp(-s * t)
+                return (ep, em), (s * ep, -s * em)
+        rows = []
+        for end, op in enumerate(ops):
+            values, derivatives = at(mpmath.mpf(end))
+            normal = [dv if end else -dv for dv in derivatives]
+            rows.append([v if op is D else dn if op is N else dn - 1j * k * v
+                         for v, dn in zip(values, normal)])
+        c = mpmath.lu_solve(mpmath.matrix(rows), mpmath.matrix(list(data)))
+        if s == 0:
+            return (abs(c[0]) ** 2 + mpmath.re(mpmath.conj(c[0]) * c[1]) + abs(c[1]) ** 2 / 3,
+                    abs(c[1]) ** 2)
+
+        def gram_form(coef):  # int |sum coef_i e^{lam_i t}|^2 over [0, 1]
+            total = 0
+            for ci, li in zip(coef, (s, -s)):
+                for cj, lj in zip(coef, (s, -s)):
+                    e = mpmath.conj(li) + lj
+                    total += mpmath.conj(ci) * cj * (1 if e == 0 else mpmath.expm1(e) / e)
+            return mpmath.re(total)
+
+        return gram_form(c), gram_form([c[0] * s, -c[1] * s])
+
+
+@pytest.mark.parametrize("j", [1, 2, 5, 11])
+def test_table_rows_match_mpmath_through_the_cutoff_band(j):
+    """The row at mu = j pi/2 of every x problem and every lifting problem
+    on the lattice holding that cutoff, at relative gaps 0 (in the band,
+    sigma = 0), +-1e-7, +-1e-6 and +-1e-4, against a 40-digit solve."""
+    mu = j * PI / 2
+    n = j // 2
+    family = BasisFamily.COS_INT if j % 2 == 0 else BasisFamily.COS_HALF
+    lattice = LiftingFamilyChoice(d0=0.0, d1=0.0, case_index=0, family=(
+        EigenvalueFamily.INTEGER if j % 2 == 0 else EigenvalueFamily.HALF_INTEGER))
+    problems = [(x_modes, (b2, side, family), (I, b2), side is Side.LEFT)
+                for b2, side in X_PROBLEMS]
+    problems += [(y_modes_lifting, (bb, bt, side, lattice), (bb, bt), side is Side.BOTTOM)
+                 for bb, bt in LIFT_PAIRS for side in (Side.BOTTOM, Side.TOP)]
+    for gap in (0.0, 1e-7, -1e-7, 1e-6, -1e-6, 1e-4, -1e-4):
+        k = mu * math.sqrt(1.0 + gap)
+        for build, args, ops, datum_at_0 in problems:
+            if gap == 0 and ops == (N, N):
+                with pytest.raises(ResonantLiftingError, match=f"mode {n} "):
+                    build([n], k, *args)
+                continue
+            table = build([n], k, *args)
+            assert float(table.mu[0]) == pytest.approx(mu, rel=1e-15)
+            assert (table.sigma[0] == 0) == (gap == 0)
+            data = (1, 0) if datum_at_0 else (0, 1)
+            norm_sq, dnorm_sq = mp_norms(k, complex(table.sigma[0]), ops, data)
+            density = dnorm_sq + (table.mu[0] ** 2 + k * k) * norm_sq
+            case = (gap, build.__name__, args)
+            assert abs(table.norm_sq[0] - norm_sq) <= 1e-12 * norm_sq, case
+            assert abs(table.dnorm_sq[0] - dnorm_sq) <= 1e-12 * density, case
 
 
 def test_tables_reject_what_one_mode_builds_reject():

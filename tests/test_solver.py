@@ -259,13 +259,13 @@ def profile_at(profiles, i, t):
     if not isinstance(profiles, ModeTable):
         value, derivative = profiles.value_and_derivative([t])
         return complex(value[i, 0]), complex(derivative[i, 0])
-    if profiles.regime[i] == CUTOFF:
-        p0, p1, p2 = (complex(c) for c in profiles.poly[i])
-        return p0 + p1 * t + p2 * t * t, p1 + 2.0 * p2 * t
+    # A e^{st} + B e^s sinh(st)/s, which is A + B t at the cutoff s = 0
     s = complex(profiles.sigma[i])
-    a, b = complex(profiles.forward[i]), complex(profiles.backward[i])
-    ef, eb = cmath.exp(s * t), cmath.exp(s * (1.0 - t))
-    return a * ef + b * eb, s * (a * ef - b * eb)
+    a, b = complex(profiles.A[i]), complex(profiles.B[i])
+    if s == 0:
+        return a + b * t, b
+    ef, es = cmath.exp(s * t), cmath.exp(s)
+    return a * ef + b * es * cmath.sinh(s * t) / s, s * a * ef + b * es * cmath.cosh(s * t)
 
 
 def member_at(family, n, t):
