@@ -37,19 +37,16 @@ from .modal1d import (
 from .solver import (
     Block,
     BoundaryConfig,
-    EnergyMethod,
     EnergyReport,
     ProjectionTail,
-    Provenance,
     SeriesSolution,
     energy_parseval,
     energy_quadrature,
     evaluate,
     evaluate_grid,
-    lift_horizontal_data,
     residual_traces,
+    solve_datum,
     solve_source,
-    solve_vertical_data,
     source_l2_norm,
     superpose,
 )

@@ -35,13 +35,11 @@ from .modal1d import (
 from .solver import (
     Block,
     BoundaryConfig,
-    Provenance,
     SeriesSolution,
     energy_parseval,
     energy_quadrature,
-    lift_horizontal_data,
+    solve_datum,
     solve_source,
-    solve_vertical_data,
     _source_norm,
 )
 
@@ -156,10 +154,7 @@ def certify(
         raise ValueError("T3_LIFT_NEU requires a Neumann bottom operator")
     if theorem is TheoremId.T3_LIFT_DIR and config.bottom is not BoundaryOperator.DIRICHLET:
         raise ValueError("T3_LIFT_DIR requires a Dirichlet bottom operator")
-    if side in (Side.LEFT, Side.RIGHT):
-        u = solve_vertical_data(config, side, data, k, truncation)
-    else:
-        u = lift_horizontal_data(data, side, config, k, truncation)
+    u = solve_datum(config, side, data, k, truncation)
     norms = data_norms(data)
     lhs = energy_parseval(u).energy
     return BoundCertificate.from_sides(theorem, k, lhs, rhs_bound(theorem, k, norms), norms)
@@ -212,15 +207,14 @@ def _trig_profile_from_end(w: float, A: complex, B: complex):
     return (B + 1j * A) / 2.0 * cmath.exp(-1j * w), (B - 1j * A) / 2.0
 
 
-def _one_term(cfg: BoundaryConfig, k: float, n: int, provenance: Provenance,
+def _one_term(cfg: BoundaryConfig, k: float, n: int, lifted: bool,
               family: BasisFamily, mu: float, amplitudes) -> SeriesSolution:
     """The solution 1 * profile * member n of `family`, the profile a
     one-row table built from its (forward, backward) amplitudes; the profile
-    is the y factor of a lifted solution."""
+    is the y factor when `lifted`."""
     profile = mode_from_amplitudes(k, mu, *amplitudes, n=n)
-    block = Block(np.array([n], dtype=np.int64), np.ones(1, dtype=complex), profile, family,
-                  lifted=provenance is Provenance.LIFTED_HORIZONTAL_DATA)
-    return SeriesSolution(cfg, k, n, provenance, (block,))
+    block = Block(np.array([n], dtype=np.int64), np.ones(1, dtype=complex), profile, family, lifted)
+    return SeriesSolution(cfg, k, n, (block,))
 
 
 #: The (bottom, top) operator pair of each vertical basis family.
@@ -282,7 +276,7 @@ def sharpness_case(
             prof = _trig_profile(pi, 1j * k / pi, -1.0)
             expected = (sqrt2 / pi) * math.sqrt(k**4 + pi**2 * k**2)
             theorem = TheoremId.T2_G2_DIR
-        exact = _one_term(cfg, k, n, Provenance.VERTICAL_DATA, family, mu, prof)
+        exact = _one_term(cfg, k, n, False, family, mu, prof)
         return SharpnessCase(case_id, n, k, theorem, cfg, side, datum, exact,
                              expected, None, None)
 
@@ -326,7 +320,7 @@ def sharpness_case(
         expected_sq = (k * k - theta * theta * math.sin(2.0 * w) / (2.0 * w)) / math.sin(w) ** 2
         lower = (pi**2 / (2.0 * sqrt2 * (pi**2 + 1.0))) * (k * k + math.sqrt(k) * math.sqrt(theta))
         theorem = TheoremId.T3_LIFT_DIR
-    exact = _one_term(cfg, k, n, Provenance.LIFTED_HORIZONTAL_DATA, family, mu, prof)
+    exact = _one_term(cfg, k, n, True, family, mu, prof)
     return SharpnessCase(case_id, n, k, theorem, cfg, Side.BOTTOM, datum, exact,
                          expected, expected_sq, lower)
 

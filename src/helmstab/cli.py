@@ -30,21 +30,19 @@ from .bounds import (
     sweep,
 )
 from .eigenbasis import BasisFamily, BoundaryOperator, Spectrum, project
-from .modal1d import EigenvalueFamily, LiftingFamilyChoice, Side, choose_lifting_family
+from .modal1d import LiftingFamilyChoice, Side, choose_lifting_family
 from .oracle import compare, fdm_energy, fdm_solve
 from .solver import (
     BoundaryConfig,
-    Provenance,
     SeriesSolution,
     _grid_values,
     default_projection_depth,
     energy_parseval,
     energy_quadrature,
     evaluate,
-    lift_horizontal_data,
     residual_traces,
+    solve_datum,
     solve_source,
-    solve_vertical_data,
     superpose,
 )
 
@@ -156,6 +154,10 @@ def parse_run_config(doc: dict) -> RunConfig:
     outputs = doc.get("outputs") or {}
     if not isinstance(outputs, dict):
         raise ConfigError("config.outputs: expected an object")
+    for name in ("csv", "report"):
+        path = outputs.get(name)
+        if path is not None and not isinstance(path, str):
+            raise ConfigError(f"config.outputs.{name}: expected a path string, got {path!r}")
     return RunConfig(k=k, config=config, data=data, source=source,
                      truncation=truncation, grid=grid, seed=seed, outputs=outputs)
 
@@ -185,13 +187,14 @@ def _parse_datum(path: str, raw, cap: int):
         if raw.startswith("mode:"):
             return [(_mode_index(path, raw[len("mode:"):], cap), 1.0)]
         if raw.startswith("constant:"):
-            fields = raw.split(":", 1)[1].split(",")
             try:
-                re_part = float(fields[0])
-                im_part = float(fields[1]) if len(fields) > 1 else 0.0
-            except (ValueError, IndexError):
-                raise ConfigError(f"{path}: bad constant datum {raw!r}") from None
-            return complex(re_part, im_part)
+                values = [float(v) for v in raw[len("constant:"):].split(",")]
+            except ValueError:
+                values = []
+            if not (1 <= len(values) <= 2 and all(map(math.isfinite, values))):
+                raise ConfigError(f"{path}: a constant datum is one or two finite "
+                                  f"numbers (re[,im]), got {raw!r}")
+            return complex(*values)
         raise ConfigError(f"{path}: unknown named datum {raw!r}")
     if isinstance(raw, list):
         triples = []
@@ -230,19 +233,17 @@ def _datum_spectrum(parsed, family: BasisFamily, depth: int) -> Spectrum:
 # --------------------------------------------------------------------------
 
 
-def _lifting(run: RunConfig) -> tuple[LiftingFamilyChoice, BasisFamily]:
-    """The resonance-avoiding lifting lattice, and the cosine basis on it in
-    which bottom and top data expand."""
-    choice = choose_lifting_family(run.k, run.config.bottom, run.config.top)
-    integer = choice.family is EigenvalueFamily.INTEGER
-    return choice, BasisFamily.COS_INT if integer else BasisFamily.COS_HALF
+def _lifting(run: RunConfig) -> LiftingFamilyChoice:
+    """The resonance-avoiding lifting lattice of the run."""
+    return choose_lifting_family(run.k, run.config.bottom, run.config.top)
 
 
 def _family(run: RunConfig, side: Side) -> BasisFamily:
-    """The basis family of a datum on `side`."""
+    """The basis family of a datum on `side`: the vertical eigenbasis, or
+    the cosine basis of the lifting lattice on the bottom and top."""
     if side in (Side.LEFT, Side.RIGHT):
         return run.config.vertical_family()
-    return _lifting(run)[1]
+    return _lifting(run).basis
 
 
 def spectra(run: RunConfig) -> dict[Side, Spectrum]:
@@ -273,7 +274,7 @@ class Parts:
     def solves(self) -> list:
         """The right residual, left residual and source solves, in order."""
         run = self.run
-        pieces = [solve_vertical_data(run.config, side, g, run.k, run.truncation)
+        pieces = [solve_datum(run.config, side, g, run.k, run.truncation)
                   for side, g in ((Side.RIGHT, self.residual_right),
                                   (Side.LEFT, self.residual_left)) if len(g)]
         if run.source is not None:
@@ -298,18 +299,17 @@ def parts(run: RunConfig, data: dict[Side, Spectrum], tails: Optional[list] = No
     lifts = []
     for side in (Side.BOTTOM, Side.TOP):
         if side in data:
-            aux = lift_horizontal_data(data[side], side, cfg, k, truncation)
+            aux = solve_datum(cfg, side, data[side], k, truncation)
             right, left = residual_traces(aux, right, left, depth=truncation, tails=tails)
             lifts.append(aux)
-    return Parts(run, lifts, right, left, _lifting(run)[0] if lifts else None)
+    return Parts(run, lifts, right, left, _lifting(run) if lifts else None)
 
 
 def _sum(run: RunConfig, pieces: list) -> SeriesSolution:
-    """The superposition of the pieces; a single piece is returned as it is,
-    so its Parseval energy stays available."""
+    """The superposition of the pieces; no pieces make the zero solution."""
     if not pieces:
-        return SeriesSolution(run.config, run.k, 0, Provenance.VERTICAL_DATA, ())
-    return pieces[0] if len(pieces) == 1 else superpose(pieces)
+        return SeriesSolution(run.config, run.k, 0, ())
+    return superpose(pieces)
 
 
 # --------------------------------------------------------------------------
@@ -349,7 +349,7 @@ def _energy_payload(u: SeriesSolution, grid: int) -> dict:
         "quadrature": {"grad": qr.grad_norm, "l2": qr.l2_norm, "energy": qr.energy},
         "grid": max(17, grid),
     }
-    if u.provenance is not Provenance.SUPERPOSITION:
+    if len(u.blocks) <= 1:
         pr = energy_parseval(u)
         payload["parseval"] = {"grad": pr.grad_norm, "l2": pr.l2_norm, "energy": pr.energy}
     return payload
@@ -449,11 +449,7 @@ def _cmd_certify(args) -> int:
 def _cmd_sharpness(args) -> int:
     family = BasisFamily(args.family)
     case = sharpness_case(args.case, args.n, family)
-    if case.data_side in (Side.LEFT, Side.RIGHT):
-        sol = solve_vertical_data(case.config, case.data_side, case.datum, case.k)
-    else:
-        sol = lift_horizontal_data(case.datum, case.data_side, case.config, case.k)
-    rep = energy_parseval(sol)
+    rep = energy_parseval(solve_datum(case.config, case.data_side, case.datum, case.k))
     if case.expected_energy is not None:
         expected = case.expected_energy
         computed = rep.energy
@@ -496,8 +492,10 @@ def _cmd_sweep(args) -> int:
                         ("--trials", args.trials)):
         if value < 1:
             raise ValueError(f"{flag} must be at least 1, got {value}")
-    k_list = args.k_list or ("0.5,1,5,20" if theorem is TheoremId.TF_SOURCE else None)
-    if k_list:
+    k_list = args.k_list
+    if k_list is None and theorem is TheoremId.TF_SOURCE:
+        k_list = "0.5,1,5,20"
+    if k_list is not None:
         try:
             k_grid = [float(v) for v in k_list.split(",")]
         except ValueError:
@@ -625,7 +623,7 @@ def _cmd_selftest(args) -> int:
     cert = certify(TheoremId.T1_G4, run.config, spectra(run)[Side.LEFT], run.k)
     checks.append(("certificate", cert.passed))
     case = sharpness_case("ex2.3-2", 2)
-    sol = solve_vertical_data(case.config, case.data_side, case.datum, case.k)
+    sol = solve_datum(case.config, case.data_side, case.datum, case.k)
     rel = abs(energy_parseval(sol).energy - case.expected_energy) / case.expected_energy
     checks.append(("sharpness", rel < 1e-9))
     for name, ok in checks:

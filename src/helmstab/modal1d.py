@@ -111,7 +111,10 @@ def _regimes(k: float, mu: np.ndarray):
 def classify_mode(k: float, mu: float) -> ModeRegime:
     """Regime of the mode with transverse eigenvalue mu at wavenumber k."""
     k = _check_wavenumber(k)
-    code, z, _ = _regimes(k, np.array([mu], dtype=float))
+    mu = float(mu)
+    if not (mu >= 0 and math.isfinite(mu)):
+        raise ValueError(f"transverse eigenvalue mu must be nonnegative and finite, got mu={mu!r}")
+    code, z, _ = _regimes(k, np.array([mu]))
     z0 = float(z[0])
     return ModeRegime(_REGIMES[code[0]], z0 / k, z0)
 
@@ -277,11 +280,6 @@ class EigenvalueFamily(Enum):
     INTEGER = "integer"        # mu_n = n*pi
     HALF_INTEGER = "half-integer"  # mu_n = (n + 1/2)*pi
 
-    def eigenvalue(self, n):
-        """mu_n of the basis families on this lattice; accepts arrays."""
-        half = self is EigenvalueFamily.HALF_INTEGER
-        return (BasisFamily.COS_HALF if half else BasisFamily.COS_INT).eigenvalue(n)
-
 
 @dataclass(frozen=True)
 class LiftingFamilyChoice:
@@ -292,12 +290,12 @@ class LiftingFamilyChoice:
     family: EigenvalueFamily
     case_index: int
 
-    def eigenvalue(self, n):
-        return self.family.eigenvalue(n)
-
-    def admits(self, basis: BasisFamily) -> bool:
-        half = basis.half_integer
-        return half == (self.family is EigenvalueFamily.HALF_INTEGER)
+    @property
+    def basis(self) -> BasisFamily:
+        """The cosine basis on the chosen lattice, in which bottom and top
+        data expand."""
+        half = self.family is EigenvalueFamily.HALF_INTEGER
+        return BasisFamily.COS_HALF if half else BasisFamily.COS_INT
 
 
 def choose_lifting_family(
@@ -338,16 +336,17 @@ def y_modes_lifting(
     b_bottom: BoundaryOperator,
     b_top: BoundaryOperator,
     data_side: Side,
-    family_choice: LiftingFamilyChoice,
+    family: BasisFamily,
 ) -> ModeTable:
     """Vertical auxiliary profiles with a unit datum on a horizontal side.
 
-    One row per mode index in `ns`.  The datum rides on the operator of
+    One row per mode index in `ns`, with the eigenvalue of that member of
+    the datum's basis `family`.  The datum rides on the operator of
     `data_side` (at t = 0 for BOTTOM, t = 1 for TOP); the opposite side is
     homogeneous.  A mode whose boundary system is numerically singular
     raises ResonantLiftingError naming the mode: the resonances, and the
-    Neumann/Neumann cutoff, where constants are null solutions.  The lifting
-    family choice provably avoids both.
+    Neumann/Neumann cutoff, where constants are null solutions.  A family on
+    the lattice of choose_lifting_family provably avoids both.
     """
     if data_side not in (Side.BOTTOM, Side.TOP):
         raise ValueError("lifting data lives on the BOTTOM or TOP side")
@@ -356,7 +355,7 @@ def y_modes_lifting(
             raise ValueError("horizontal operators must be Dirichlet or Neumann")
     n = np.asarray(ns, dtype=np.int64).reshape(-1)
     d_bottom = 1.0 if data_side is Side.BOTTOM else 0.0
-    return _modes(n, family_choice.eigenvalue(n), k, (b_bottom, b_top),
+    return _modes(n, family.eigenvalue(n), k, (b_bottom, b_top),
                   (d_bottom, 1.0 - d_bottom))
 
 
@@ -395,6 +394,7 @@ def gap_lower_bound(k: float, mu_tilde: float, same_ops: bool) -> tuple[float, f
     horizontal operators, or the half-integer lattice otherwise, and
     bound = (pi/8) / (1 + (2/pi) * k*lam).
     """
+    k = _check_wavenumber(k)
     z = math.sqrt(abs((k - mu_tilde) * (k + mu_tilde)))
     if same_ops:
         j = round(z / math.pi)

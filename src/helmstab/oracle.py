@@ -23,12 +23,12 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .eigenbasis import BasisFamily, BoundaryOperator, Spectrum, _contract, _sample, basis_value
-from .modal1d import Side
+from .modal1d import Side, _check_wavenumber
 from .solver import (
     BoundaryConfig,
-    EnergyMethod,
     EnergyReport,
     SeriesSolution,
+    _energy_report,
     _grid_values,
 )
 
@@ -132,8 +132,7 @@ def fdm_solve(
     """
     if n < 17:
         raise ValueError("oracle grids start at 17x17")
-    if not (math.isfinite(k) and k > 0):
-        raise ValueError(f"wavenumber k must be positive and finite, got {k}")
+    k = _check_wavenumber(k)
     data = data or {}
     h = 1.0 / (n - 1)
     t = np.arange(n) * h
@@ -228,10 +227,7 @@ def fdm_energy(gs: GridSolution) -> EnergyReport:
     ux, uy = _grad_grid(gs.values, gs.h)
     l2_sq = float(np.sum(w2 * np.abs(gs.values) ** 2))
     grad_sq = float(np.sum(w2 * (np.abs(ux) ** 2 + np.abs(uy) ** 2)))
-    grad = math.sqrt(grad_sq)
-    l2 = math.sqrt(l2_sq)
-    return EnergyReport(grad_norm=grad, l2_norm=l2, energy=grad + gs.k * l2,
-                        method=EnergyMethod.QUADRATURE)
+    return _energy_report(grad_sq, l2_sq, gs.k)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
@@ -87,13 +86,6 @@ class BoundaryConfig:
         return select_eigenpairs(self.bottom, self.top)
 
 
-class Provenance(Enum):
-    VERTICAL_DATA = "vertical-data"
-    LIFTED_HORIZONTAL_DATA = "lifted-horizontal-data"
-    SOURCE_TERM = "source-term"
-    SUPERPOSITION = "superposition"
-
-
 @dataclass(frozen=True, eq=False)
 class Block:
     """The terms c_i * P_i * Z_i of one solve, as arrays.
@@ -116,7 +108,6 @@ class SeriesSolution:
     config: BoundaryConfig
     k: float
     truncation: int
-    provenance: Provenance
     blocks: tuple  # of Block
 
     @property
@@ -125,28 +116,22 @@ class SeriesSolution:
         return np.concatenate([b.n for b in self.blocks] or [np.zeros(0, dtype=np.int64)])
 
 
-class EnergyMethod(Enum):
-    PARSEVAL = "parseval"
-    QUADRATURE = "quadrature"
-
-
 @dataclass(frozen=True)
 class EnergyReport:
     grad_norm: float
     l2_norm: float
     energy: float
-    method: EnergyMethod
 
 
-def _energy_report(grad_sq: float, l2_sq: float, k: float, method: EnergyMethod) -> EnergyReport:
+def _energy_report(grad_sq: float, l2_sq: float, k: float) -> EnergyReport:
     grad = math.sqrt(max(grad_sq, 0.0))
     l2 = math.sqrt(max(l2_sq, 0.0))
-    return EnergyReport(grad_norm=grad, l2_norm=l2, energy=grad + k * l2, method=method)
+    return EnergyReport(grad_norm=grad, l2_norm=l2, energy=grad + k * l2)
 
 
 def default_truncation(k: float, top_mode: int) -> int:
     """Top data mode, or enough modes past the propagating range."""
-    return max(top_mode, math.ceil(k / math.pi) + 16)
+    return max(top_mode, math.ceil(_check_wavenumber(k) / math.pi) + 16)
 
 
 def default_projection_depth(k: float) -> int:
@@ -167,69 +152,46 @@ def _check_truncation(modes: np.ndarray, truncation: int) -> None:
 # --------------------------------------------------------------------------
 
 
-def solve_vertical_data(
+def solve_datum(
     config: BoundaryConfig,
     side: Side,
-    data: Spectrum,
-    k: float,
-    truncation: Optional[int] = None,
-) -> SeriesSolution:
-    """Series solution for a single vertical-side datum.
-
-    Each nonzero coefficient pairs with the closed-form horizontal profile
-    carrying a unit datum on `side` (applied through that side's operator)
-    and the matching vertical eigenfunction.  A nonzero mode above
-    `truncation` raises ValueError.
-    """
-    if side not in (Side.LEFT, Side.RIGHT):
-        raise ValueError("vertical data lives on the LEFT or RIGHT side")
-    family = config.vertical_family()
-    if data.family is not family:
-        raise ValueError(
-            f"data family {data.family} does not match the horizontal operators "
-            f"(expected {family})"
-        )
-    n_cap = default_truncation(k, data.top_mode) if truncation is None else truncation
-    ns, cs = _retained(data, n_cap)
-    block = Block(ns, cs, x_modes(ns, k, config.right, side, family), family, lifted=False)
-    return SeriesSolution(config, k, n_cap, Provenance.VERTICAL_DATA, (block,))
-
-
-def _retained(data: Spectrum, n_cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and coefficients of the datum's nonzero modes, all <= n_cap."""
-    kept = data.c != 0
-    ns = data.n[kept]
-    _check_truncation(ns, n_cap)
-    return ns, data.c[kept]
-
-
-def lift_horizontal_data(
     g: Spectrum,
-    side: Side,
-    config: BoundaryConfig,
     k: float,
     truncation: Optional[int] = None,
 ) -> SeriesSolution:
-    """Auxiliary field absorbing a horizontal-side datum.
+    """Series solution for one boundary datum g on `side`, every other side
+    homogeneous.
 
-    The datum expands in a basis whose eigenvalue lattice is the
-    resonance-avoiding choice for this k; each term multiplies that basis
-    member in x with the vertical auxiliary profile.  A nonzero mode above
-    `truncation` raises ValueError.
+    Each nonzero coefficient pairs a member of g's basis with the 1D profile
+    carrying a unit datum on `side` through that side's operator.  On the
+    left or right the basis is the vertical eigenbasis and the profile the
+    x factor (x_modes).  On the bottom or top the datum is lifted: its basis
+    must lie on the resonance-avoiding lattice for this k, and the profile
+    is the y factor (y_modes_lifting).  A nonzero mode above `truncation`
+    raises ValueError.
     """
-    if side not in (Side.BOTTOM, Side.TOP):
-        raise ValueError("horizontal data lives on the BOTTOM or TOP side")
-    choice = choose_lifting_family(k, config.bottom, config.top)
-    if not choice.admits(g.family):
+    lifted = side in (Side.BOTTOM, Side.TOP)
+    if lifted:
+        choice = choose_lifting_family(k, config.bottom, config.top)
+        if g.family.half_integer != choice.basis.half_integer:
+            raise ValueError(
+                f"data family {g.family} is not admissible for this wavenumber: the "
+                f"resonance-avoiding eigenvalue family is {choice.family.value}"
+            )
+    elif g.family is not config.vertical_family():
         raise ValueError(
-            f"data family {g.family} is not admissible for this wavenumber: the "
-            f"resonance-avoiding eigenvalue family is {choice.family.value}"
+            f"data family {g.family} does not match the horizontal operators "
+            f"(expected {config.vertical_family()})"
         )
     n_cap = default_truncation(k, g.top_mode) if truncation is None else truncation
-    ns, cs = _retained(g, n_cap)
-    table = y_modes_lifting(ns, k, config.bottom, config.top, side, choice)
-    block = Block(ns, cs, table, g.family, lifted=True)
-    return SeriesSolution(config, k, n_cap, Provenance.LIFTED_HORIZONTAL_DATA, (block,))
+    kept = g.c != 0
+    ns = g.n[kept]
+    _check_truncation(ns, n_cap)
+    if lifted:
+        table = y_modes_lifting(ns, k, config.bottom, config.top, side, g.family)
+    else:
+        table = x_modes(ns, k, config.right, side, g.family)
+    return SeriesSolution(config, k, n_cap, (Block(ns, g.c[kept], table, g.family, lifted),))
 
 
 def superpose(parts: Sequence[SeriesSolution]) -> SeriesSolution:
@@ -244,7 +206,7 @@ def superpose(parts: Sequence[SeriesSolution]) -> SeriesSolution:
             raise ValueError("superposed parts must share the same boundary operators")
     blocks = tuple(b for p in parts for b in p.blocks)
     trunc = max(p.truncation for p in parts)
-    return SeriesSolution(first.config, first.k, trunc, Provenance.SUPERPOSITION, blocks)
+    return SeriesSolution(first.config, first.k, trunc, blocks)
 
 
 # --------------------------------------------------------------------------
@@ -345,7 +307,7 @@ def _grid_values(u: SeriesSolution, tx, ty) -> np.ndarray:
 def energy_parseval(u: SeriesSolution) -> EnergyReport:
     """Modal energy: the factor orthogonal in its direction reduces the
     double integral to a sum over that direction's exact 1D norms."""
-    if u.provenance is Provenance.SUPERPOSITION:
+    if len(u.blocks) > 1:
         raise ValueError(
             "superposed series mix factor bases; use energy_quadrature instead"
         )
@@ -356,7 +318,7 @@ def energy_parseval(u: SeriesSolution) -> EnergyReport:
         l2_parts += (w * p.norm_sq).tolist()
         grad_parts += (w * (p.dnorm_sq + p.mu * p.mu * p.norm_sq)).tolist()
     # fsum is correctly rounded, so the order of the modes does not matter.
-    return _energy_report(math.fsum(grad_parts), math.fsum(l2_parts), u.k, EnergyMethod.PARSEVAL)
+    return _energy_report(math.fsum(grad_parts), math.fsum(l2_parts), u.k)
 
 
 @functools.lru_cache(maxsize=8)
@@ -380,7 +342,7 @@ def energy_quadrature(u: SeriesSolution, grid_n: int = 65) -> EnergyReport:
     vals, gxs, gys = evaluate_grid(u, t, t)
     l2_sq = math.fsum((W * np.abs(vals) ** 2).ravel())
     grad_sq = math.fsum((W * (np.abs(gxs) ** 2 + np.abs(gys) ** 2)).ravel())
-    return _energy_report(grad_sq, l2_sq, u.k, EnergyMethod.QUADRATURE)
+    return _energy_report(grad_sq, l2_sq, u.k)
 
 
 # --------------------------------------------------------------------------
@@ -402,7 +364,7 @@ def residual_traces(
     energy beyond the projection depth.  When `tails` is a list, one
     ProjectionTail per side is appended to it.
     """
-    if aux.provenance is not Provenance.LIFTED_HORIZONTAL_DATA:
+    if not all(block.lifted for block in aux.blocks):
         raise ValueError("residual traces are defined for lifted solutions")
     family = aux.config.vertical_family()
     for g in (original_right, original_left):
@@ -676,7 +638,7 @@ def solve_source(
 
     table = SourceTable(k, family.eigenvalue(ns), profiles)
     block = Block(ns, np.ones(len(ns), dtype=complex), table, family, lifted=False)
-    return SeriesSolution(config, k, n_cap, Provenance.SOURCE_TERM, (block,))
+    return SeriesSolution(config, k, n_cap, (block,))
 
 
 def source_l2_norm(f, config: BoundaryConfig) -> float:

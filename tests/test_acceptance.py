@@ -20,7 +20,6 @@ from helmstab.eigenbasis import (
 from helmstab.modal1d import (
     EVANESCENT,
     PROPAGATING,
-    EigenvalueFamily,
     Side,
     choose_lifting_family,
     energy_densities,
@@ -36,9 +35,8 @@ from helmstab.solver import (
     energy_parseval,
     energy_quadrature,
     evaluate,
-    lift_horizontal_data,
     residual_traces,
-    solve_vertical_data,
+    solve_datum,
     superpose,
 )
 
@@ -72,7 +70,7 @@ def test_criterion_1_sharpness_equalities():
         for family in (BasisFamily.SIN_INT, BasisFamily.COS_HALF):
             for n in range(1, 11):
                 case = sharpness_case(case_id, n, family)
-                sol = solve_vertical_data(case.config, case.data_side, case.datum, case.k)
+                sol = solve_datum(case.config, case.data_side, case.datum, case.k)
                 rel = abs(energy_parseval(sol).energy - case.expected_energy) / case.expected_energy
                 worst = max(worst, rel)
                 checks += 1
@@ -80,7 +78,7 @@ def test_criterion_1_sharpness_equalities():
         for family in (BasisFamily.SIN_INT, BasisFamily.COS_INT):
             for n in range(1, 11):
                 case = sharpness_case(case_id, n, family)
-                sol = lift_horizontal_data(case.datum, case.data_side, case.config, case.k)
+                sol = solve_datum(case.config, case.data_side, case.datum, case.k)
                 rel = abs(energy_parseval(sol).energy - case.expected_energy) / case.expected_energy
                 worst = max(worst, rel)
                 checks += 1
@@ -97,7 +95,7 @@ def test_criterion_2_lifting_lower_bounds():
         for family in (BasisFamily.SIN_INT, BasisFamily.COS_INT):
             for n in range(1, 11):
                 case = sharpness_case(case_id, n, family)
-                sol = lift_horizontal_data(case.datum, case.data_side, case.config, case.k)
+                sol = solve_datum(case.config, case.data_side, case.datum, case.k)
                 rep = energy_parseval(sol)
                 esq = rep.grad_norm**2 + case.k**2 * rep.l2_norm**2
                 worst_rel = max(worst_rel, abs(esq - case.expected_energy_sq) / case.expected_energy_sq)
@@ -166,7 +164,7 @@ def test_criterion_5_resonance_gap():
         for k in np.geomspace(0.05, 200.0, 256):
             ch = choose_lifting_family(float(k), *ops)
             for n in range(257):
-                obs, bound = gap_lower_bound(float(k), ch.eigenvalue(n), same)
+                obs, bound = gap_lower_bound(float(k), ch.basis.eigenvalue(n), same)
                 min_margin = min(min_margin, obs - bound)
                 if obs < bound:
                     ok = False
@@ -207,7 +205,7 @@ def test_criterion_6_closed_form_vs_quadrature_norms():
     for bb, bt in ((N, N), (N, D), (D, N), (D, D)):
         for k in (0.7, 9.1, 44.0):
             ch = choose_lifting_family(k, bb, bt)
-            check(y_modes_lifting((0, 2, 9, 17), k, bb, bt, Side.BOTTOM, ch))
+            check(y_modes_lifting((0, 2, 9, 17), k, bb, bt, Side.BOTTOM, ch.basis))
     dt = time.time() - t0
     _report(6, "closed-form vs quadrature norms", worst <= 1e-10 and dt < 30.0,
             f"(worst rel {worst:.2e}, {dt:.1f}s)")
@@ -225,9 +223,7 @@ def test_criterion_7_parseval_vs_grid_energy():
         lifted = count % 5 == 4
         if lifted:
             cfg = BoundaryConfig(pair[0], D, pair[1])
-            ch = choose_lifting_family(k, *pair)
-            fam = (BasisFamily.COS_INT if ch.family is EigenvalueFamily.INTEGER
-                   else BasisFamily.COS_HALF)
+            fam = choose_lifting_family(k, *pair).basis
         else:
             b2 = [I, N, D][int(rng.integers(0, 3))]
             cfg = BoundaryConfig(pair[0], b2, pair[1])
@@ -238,10 +234,10 @@ def test_criterion_7_parseval_vs_grid_energy():
         coeffs = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
         data = Spectrum.from_pairs(fam, list(zip((int(i) for i in idx), coeffs)))
         if lifted:
-            u = lift_horizontal_data(data, Side.BOTTOM, cfg, k)
+            side = Side.BOTTOM
         else:
             side = Side.LEFT if int(rng.integers(0, 2)) else Side.RIGHT
-            u = solve_vertical_data(cfg, side, data, k)
+        u = solve_datum(cfg, side, data, k)
         ep = energy_parseval(u)
         eq = energy_quadrature(u, 65)
         worst = max(worst, abs(ep.energy - eq.energy) / (1.0 + ep.energy))
@@ -258,7 +254,7 @@ def test_criterion_8_oracle_agreement():
     # plane wave at k = 5
     k = 5.0
     cfg = BoundaryConfig(bottom=N, right=I, top=N)
-    spectral = solve_vertical_data(
+    spectral = solve_datum(
         cfg, Side.LEFT, Spectrum.from_pairs(BasisFamily.COS_INT, [(0, -2j * k)]), k
     )
     errs = []
@@ -274,7 +270,7 @@ def test_criterion_8_oracle_agreement():
     k2 = math.sqrt(fam.eigenvalue(1) ** 2 + PI**2)
     cfg2 = BoundaryConfig(bottom=D, right=D, top=D)
     g4 = Spectrum.from_pairs(fam, [(1, 1.0)])
-    spectral2 = solve_vertical_data(cfg2, Side.LEFT, g4, k2)
+    spectral2 = solve_datum(cfg2, Side.LEFT, g4, k2)
     errs2 = []
     for n in (65, 129, 257):
         gs2 = fdm_solve(cfg2, {Side.LEFT: g4}, None, k2, n)
@@ -290,15 +286,13 @@ def test_criterion_9_lifting_round_trip():
     t0 = time.time()
     k = 7.3
     cfg = BoundaryConfig(bottom=N, right=D, top=D)
-    ch = choose_lifting_family(k, N, D)
-    fam_x = (BasisFamily.COS_INT if ch.family is EigenvalueFamily.INTEGER
-             else BasisFamily.COS_HALF)
+    fam_x = choose_lifting_family(k, N, D).basis
     fam_v = cfg.vertical_family()
     g1 = Spectrum.from_pairs(fam_x, [(0, 0.7), (2, -0.3 + 0.45j)])
     vert = Spectrum.from_pairs(fam_v, [(1, 0.4j), (3, 1.2 - 0.8j)])
 
-    aux_star = lift_horizontal_data(g1, Side.BOTTOM, cfg, k)
-    vert_star = solve_vertical_data(cfg, Side.LEFT, vert, k)
+    aux_star = solve_datum(cfg, Side.BOTTOM, g1, k)
+    vert_star = solve_datum(cfg, Side.LEFT, vert, k)
     u_star = superpose([aux_star, vert_star])
 
     def right_trace(y):
@@ -314,13 +308,13 @@ def test_criterion_9_lifting_round_trip():
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ProjectionTruncationWarning)
-        aux = lift_horizontal_data(g1, Side.BOTTOM, cfg, k)
+        aux = solve_datum(cfg, Side.BOTTOM, g1, k)
         r2, r4 = residual_traces(aux, g2, g4)
     parts = [aux]
     if len(r2):
-        parts.append(solve_vertical_data(cfg, Side.RIGHT, r2, k))
+        parts.append(solve_datum(cfg, Side.RIGHT, r2, k))
     if len(r4):
-        parts.append(solve_vertical_data(cfg, Side.LEFT, r4, k))
+        parts.append(solve_datum(cfg, Side.LEFT, r4, k))
     u_rec = superpose(parts)
 
     pts = [(x, y) for x in np.linspace(0, 1, 33) for y in np.linspace(0, 1, 33)]

@@ -21,13 +21,11 @@ from helmstab.eigenbasis import (
     DataNormReport,
     Spectrum,
 )
-from helmstab.modal1d import Side
 from helmstab.solver import (
     BoundaryConfig,
     energy_parseval,
     evaluate,
-    lift_horizontal_data,
-    solve_vertical_data,
+    solve_datum,
 )
 
 D, N, I = BoundaryOperator.DIRICHLET, BoundaryOperator.NEUMANN, BoundaryOperator.IMPEDANCE
@@ -178,10 +176,7 @@ def test_sharpness_transcription_consistency(case_id):
                 esq = rep.grad_norm**2 + case.k**2 * rep.l2_norm**2
                 assert esq == pytest.approx(case.expected_energy_sq, rel=1e-10)
                 assert rep.energy >= case.lower_bound
-            if case.data_side in (Side.LEFT, Side.RIGHT):
-                sol = solve_vertical_data(case.config, case.data_side, case.datum, case.k)
-            else:
-                sol = lift_horizontal_data(case.datum, case.data_side, case.config, case.k)
+            sol = solve_datum(case.config, case.data_side, case.datum, case.k)
             pts = [(x, y) for x in np.linspace(0, 1, 5) for y in np.linspace(0, 1, 5)]
             a = evaluate(case.exact, pts)
             b = evaluate(sol, pts)

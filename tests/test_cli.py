@@ -144,6 +144,8 @@ def test_sweep_report(tmp_path):
     (["--theorem", "T1", "--k-min", "-1"], "--k-min"),
     (["--theorem", "T1", "--k-max", "inf"], "--k-max"),
     (["--theorem", "T1", "--k-list", "5,nan"], "--k-list"),
+    (["--theorem", "T1", "--k-list", ""], "--k-list"),
+    (["--theorem", "TF", "--k-list", ""], "--k-list"),
 ])
 def test_sweep_rejects_flags_that_leave_nothing_to_check(flags, named, tmp_path, capsys):
     """A sweep flag that would certify nothing, or nothing of its data,
@@ -245,6 +247,10 @@ def test_config_error_messages_carry_field_path(tmp_path):
         ("data", "x", r"config\.data: expected an object"),
         ("data", {"left": [[1, 1, 0], [1, 2, 0]]}, r"config\.data\.left\[1\]: duplicate mode 1"),
         ("k", True, r"config\.k: not a number"),
+        ("outputs", {"csv": 1}, r"config\.outputs\.csv: expected a path string"),
+        ("outputs", {"report": 7}, r"config\.outputs\.report: expected a path string"),
+        ("data", {"right": "constant:1,2,3"}, r"config\.data\.right: a constant datum"),
+        ("data", {"top": "constant:nan"}, r"config\.data\.top: a constant datum"),
     ]:
         with pytest.raises(ConfigError, match=path):
             parse_run_config({**doc, "data": {}, field: value})

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helmstab.eigenbasis import BasisFamily, BoundaryOperator
+from helmstab.eigenbasis import BasisFamily, BoundaryOperator, Spectrum
 from helmstab.modal1d import (
     CUTOFF,
     EigenvalueFamily,
@@ -27,6 +27,8 @@ from helmstab.modal1d import (
     x_modes,
     y_modes_lifting,
 )
+from helmstab.oracle import fdm_solve
+from helmstab.solver import BoundaryConfig, solve_datum, solve_source
 
 D, N, I = BoundaryOperator.DIRICHLET, BoundaryOperator.NEUMANN, BoundaryOperator.IMPEDANCE
 PI = math.pi
@@ -256,20 +258,18 @@ def test_y_mode_cutoff_neumann_polynomial_norms():
     k = 2.5 * PI
     ch = choose_lifting_family(k, N, D)
     assert ch.family is EigenvalueFamily.HALF_INTEGER
-    mode = y_modes_lifting([2], k, N, D, Side.BOTTOM, ch)  # mu = 2.5*pi = k
+    mode = y_modes_lifting([2], k, N, D, Side.BOTTOM, ch.basis)  # mu = 2.5*pi = k
     assert mode.regime[0] == CUTOFF and mode.sigma[0] == 0
     assert (mode.A[0], mode.B[0]) == (1.0, -1.0)  # Y = 1 - t in the pair {1, t}
     assert mode.norm_sq[0] == pytest.approx(1.0 / 3.0, rel=1e-14)
     assert mode.dnorm_sq[0] == pytest.approx(1.0, rel=1e-14)
 
-    ch_nn = choose_lifting_family(k, N, N)
     # force the half-integer lattice, which the choice avoids for N/N here
-    forced = LiftingFamilyChoice(d0=ch_nn.d0, d1=ch_nn.d1,
-                                 family=EigenvalueFamily.HALF_INTEGER, case_index=1)
+    assert choose_lifting_family(k, N, N).basis is BasisFamily.COS_INT
     # Neumann on both sides at the cutoff is resonant: constants solve the
     # homogeneous problem, and Y'' = 0 has no solution with Y'(0) = -1, Y'(1) = 0.
     with pytest.raises(ResonantLiftingError, match="mode 2 "):
-        y_modes_lifting([2], k, N, N, Side.BOTTOM, forced)
+        y_modes_lifting([2], k, N, N, Side.BOTTOM, BasisFamily.COS_HALF)
 
 
 @pytest.mark.parametrize("other", [N, D])
@@ -279,10 +279,8 @@ def test_y_mode_cutoff_dirichlet_polynomial(other, side):
     from the datum side, Y = 1 - (1-alpha)*t, with alpha = 1 when the other
     side is Neumann."""
     k = 2.5 * PI
-    forced = LiftingFamilyChoice(d0=0.0, d1=0.0, family=EigenvalueFamily.HALF_INTEGER,
-                                 case_index=4)
     bb, bt = (D, other) if side is Side.BOTTOM else (other, D)
-    mode = y_modes_lifting([2], k, bb, bt, side, forced)  # mu = 2.5*pi = k
+    mode = y_modes_lifting([2], k, bb, bt, side, BasisFamily.COS_HALF)  # mu = 2.5*pi = k
     value, derivative = row_functions(mode)
     assert mode.regime[0] == CUTOFF and mode.sigma[0] == 0
     alpha = 1.0 if other is N else 0.0
@@ -306,7 +304,7 @@ def test_y_mode_propagating_boundary_residuals():
     for bb, bt in ((N, N), (N, D), (D, N), (D, D)):
         ch = choose_lifting_family(k, bb, bt)
         for n in (0, 1, 2):
-            mode = y_modes_lifting([n], k, bb, bt, Side.BOTTOM, ch)
+            mode = y_modes_lifting([n], k, bb, bt, Side.BOTTOM, ch.basis)
             datum = boundary_residual(mode, bb, 0, k)
             hom = boundary_residual(mode, bt, 1, k)
             assert abs(datum - 1.0) <= 1e-12 * (1 + mode.z[0] + k)
@@ -316,7 +314,7 @@ def test_y_mode_propagating_boundary_residuals():
 def test_y_mode_top_datum_reflection():
     k = 9.1
     ch = choose_lifting_family(k, N, D)
-    mode = y_modes_lifting([1], k, N, D, Side.TOP, ch)
+    mode = y_modes_lifting([1], k, N, D, Side.TOP, ch.basis)
     # datum rides on the top side through the top operator (Dirichlet here)
     assert abs(boundary_residual(mode, D, 1, k) - 1.0) < 1e-12 * (1 + k)
     assert abs(boundary_residual(mode, N, 0, k)) < 1e-12 * (1 + k)
@@ -326,7 +324,7 @@ def test_y_mode_top_datum_reflection():
 def test_y_mode_norms_match_quadrature(bb, bt):
     for k in (0.7, 9.1, 44.0):
         ch = choose_lifting_family(k, bb, bt)
-        table = y_modes_lifting((0, 3, 17), k, bb, bt, Side.BOTTOM, ch)
+        table = y_modes_lifting((0, 3, 17), k, bb, bt, Side.BOTTOM, ch.basis)
         for i in range(len(table)):
             value, derivative = row_functions(table, i)
             assert abs(table.norm_sq[i] - quad_norm_sq(value)) <= 1e-10 * table.norm_sq[i]
@@ -349,7 +347,7 @@ def test_gap_example():
 def test_gap_mixed_ops_example():
     k = math.sqrt(PI**2 / 2)
     ch = choose_lifting_family(k, D, N)
-    obs, bound = gap_lower_bound(k, ch.eigenvalue(0), False)
+    obs, bound = gap_lower_bound(k, ch.basis.eigenvalue(0), False)
     assert obs >= bound
 
 
@@ -359,7 +357,7 @@ def test_gap_postcondition_small_sweep():
         for k in np.geomspace(0.05, 200.0, 40):
             ch = choose_lifting_family(float(k), *ops)
             for n in range(0, 64, 7):
-                obs, bound = gap_lower_bound(float(k), ch.eigenvalue(n), same)
+                obs, bound = gap_lower_bound(float(k), ch.basis.eigenvalue(n), same)
                 assert obs >= bound
 
 
@@ -487,9 +485,9 @@ def test_x_table_rows_match_exact_integrals(family, k):
 @settings(max_examples=12, deadline=None)
 @given(k=wavenumbers)
 def test_lifting_table_rows_match_exact_integrals(bb, bt, k):
-    choice = choose_lifting_family(k, bb, bt)
+    basis = choose_lifting_family(k, bb, bt).basis
     for side in (Side.BOTTOM, Side.TOP):
-        assert_rows_match_exact_integrals(y_modes_lifting(range(257), k, bb, bt, side, choice))
+        assert_rows_match_exact_integrals(y_modes_lifting(range(257), k, bb, bt, side, basis))
 
 
 @pytest.mark.parametrize("b2,side", X_PROBLEMS)
@@ -505,9 +503,9 @@ def test_x_table_equals_one_mode_tables(b2, side, k, family):
 @settings(max_examples=4, deadline=None)
 @given(k=wavenumbers, side=st.sampled_from([Side.BOTTOM, Side.TOP]))
 def test_lifting_table_equals_one_mode_tables(bb, bt, k, side):
-    choice = choose_lifting_family(k, bb, bt)
-    whole = build_or_error(y_modes_lifting, range(257), k, bb, bt, side, choice)
-    ones = [build_or_error(y_modes_lifting, [n], k, bb, bt, side, choice) for n in range(257)]
+    basis = choose_lifting_family(k, bb, bt).basis
+    whole = build_or_error(y_modes_lifting, range(257), k, bb, bt, side, basis)
+    ones = [build_or_error(y_modes_lifting, [n], k, bb, bt, side, basis) for n in range(257)]
     if whole is ResonantLiftingError:
         assert ResonantLiftingError in ones
         return
@@ -516,24 +514,23 @@ def test_lifting_table_equals_one_mode_tables(bb, bt, k, side):
 
 
 @pytest.mark.parametrize("bb,bt", LIFT_PAIRS)
-@pytest.mark.parametrize("lattice", list(EigenvalueFamily))
+@pytest.mark.parametrize("lattice", [BasisFamily.COS_INT, BasisFamily.COS_HALF])
 @pytest.mark.parametrize("j", [1, 2, 3, 7])
 def test_lifting_tables_raise_where_one_mode_builds_raise(bb, bt, lattice, j):
     """At exact lattice wavenumbers, with either lattice forced, some modes
     are resonant (Neumann/Neumann cutoffs among them); the batch raises
     exactly when a one-mode build does, and names one of those modes."""
     k = j * PI / 2
-    forced = LiftingFamilyChoice(d0=0.0, d1=0.0, family=lattice, case_index=0)
     for side in (Side.BOTTOM, Side.TOP):
         failing = [n for n in range(12)
-                   if build_or_error(y_modes_lifting, [n], k, bb, bt, side, forced)
+                   if build_or_error(y_modes_lifting, [n], k, bb, bt, side, lattice)
                    is ResonantLiftingError]
         if failing:
             with pytest.raises(ResonantLiftingError) as info:
-                y_modes_lifting(range(12), k, bb, bt, side, forced)
+                y_modes_lifting(range(12), k, bb, bt, side, lattice)
             assert int(re.search(r"mode (\d+) ", str(info.value)).group(1)) in failing
         else:
-            y_modes_lifting(range(12), k, bb, bt, side, forced)
+            y_modes_lifting(range(12), k, bb, bt, side, lattice)
 
 
 def mp_norms(k, sigma, ops, data):
@@ -579,11 +576,9 @@ def test_table_rows_match_mpmath_through_the_cutoff_band(j):
     mu = j * PI / 2
     n = j // 2
     family = BasisFamily.COS_INT if j % 2 == 0 else BasisFamily.COS_HALF
-    lattice = LiftingFamilyChoice(d0=0.0, d1=0.0, case_index=0, family=(
-        EigenvalueFamily.INTEGER if j % 2 == 0 else EigenvalueFamily.HALF_INTEGER))
     problems = [(x_modes, (b2, side, family), (I, b2), side is Side.LEFT)
                 for b2, side in X_PROBLEMS]
-    problems += [(y_modes_lifting, (bb, bt, side, lattice), (bb, bt), side is Side.BOTTOM)
+    problems += [(y_modes_lifting, (bb, bt, side, family), (bb, bt), side is Side.BOTTOM)
                  for bb, bt in LIFT_PAIRS for side in (Side.BOTTOM, Side.TOP)]
     for gap in (0.0, 1e-7, -1e-7, 1e-6, -1e-6, 1e-4, -1e-4):
         k = mu * math.sqrt(1.0 + gap)
@@ -605,17 +600,17 @@ def test_table_rows_match_mpmath_through_the_cutoff_band(j):
 
 def test_tables_reject_what_one_mode_builds_reject():
     fam = BasisFamily.COS_INT
-    choice = choose_lifting_family(3.0, N, D)
+    basis = choose_lifting_family(3.0, N, D).basis
     bad = [
         (x_modes, ([2, -1], 3.0, D, Side.LEFT, fam)),
         (x_modes, ([2], 3.0, D, Side.TOP, fam)),
-        (y_modes_lifting, ([0, -2], 3.0, N, D, Side.BOTTOM, choice)),
-        (y_modes_lifting, ([0], 3.0, N, I, Side.BOTTOM, choice)),
-        (y_modes_lifting, ([0], 3.0, N, D, Side.LEFT, choice)),
+        (y_modes_lifting, ([0, -2], 3.0, N, D, Side.BOTTOM, basis)),
+        (y_modes_lifting, ([0], 3.0, N, I, Side.BOTTOM, basis)),
+        (y_modes_lifting, ([0], 3.0, N, D, Side.LEFT, basis)),
     ]
     for k in (math.nan, math.inf, 0.0, -1.0):
         bad.append((x_modes, ([1], k, D, Side.LEFT, fam)))
-        bad.append((y_modes_lifting, ([1], k, N, D, Side.BOTTOM, choice)))
+        bad.append((y_modes_lifting, ([1], k, N, D, Side.BOTTOM, basis)))
     for build, (ns, *rest) in bad:
         with pytest.raises(ValueError):
             build(ns, *rest)
@@ -626,31 +621,49 @@ def test_tables_reject_what_one_mode_builds_reject():
     with pytest.raises(ValueError, match="got -1"):
         x_modes([2, -1], 3.0, D, Side.LEFT, fam)
     with pytest.raises(ValueError, match="got -2"):
-        y_modes_lifting([0, -2], 3.0, N, D, Side.BOTTOM, choice)
+        y_modes_lifting([0, -2], 3.0, N, D, Side.BOTTOM, basis)
 
 
 def test_empty_tables():
     table = x_modes([], 3.0, I, Side.LEFT, BasisFamily.COS_INT)
     assert len(table) == 0 and table.norm_sq.shape == (0,)
-    choice = choose_lifting_family(3.0, N, D)
-    assert len(y_modes_lifting([], 3.0, N, D, Side.TOP, choice)) == 0
+    basis = choose_lifting_family(3.0, N, D).basis
+    assert len(y_modes_lifting([], 3.0, N, D, Side.TOP, basis)) == 0
 
 
-@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, -3.0])
 def test_nonfinite_wavenumber_is_rejected_by_name(k):
     with pytest.raises(ValueError, match="k="):
         classify_mode(k, 1.0)
     with pytest.raises(ValueError, match="k="):
         choose_lifting_family(k, N, D)
+    with pytest.raises(ValueError, match="k="):
+        gap_lower_bound(k, 1.0, True)
+    with pytest.raises(ValueError, match="k="):
+        fdm_solve(BoundaryConfig(N, I, N), k=k, n=17)
+    # the solves' default truncation names k before any table is built
+    with pytest.raises(ValueError, match="k="):
+        solve_datum(BoundaryConfig(N, I, N), Side.LEFT, Spectrum.zero(BasisFamily.COS_INT), k)
+    with pytest.raises(ValueError, match="k="):
+        solve_source([(1, np.cos)], BoundaryConfig(D, D, D), k)
+    # a non-finite or negative transverse eigenvalue is rejected the same way
+    mu = -1.0 if k < 0 else k
+    with pytest.raises(ValueError, match="mu="):
+        classify_mode(2.0, mu)
 
 
-def test_lattice_eigenvalues_come_from_the_basis_families():
-    """A lifting lattice's eigenvalues are those of the basis families on
-    it, for scalar and array indices alike."""
+def test_lifting_basis_is_the_cosine_family_on_the_chosen_lattice():
+    """A lifting choice's basis is the cosine family on its lattice, whose
+    eigenvalues are n*pi or (n+1/2)*pi, and every choice's basis is on the
+    lattice it names."""
     ns = np.arange(9)
-    for lattice, basis in ((EigenvalueFamily.INTEGER, BasisFamily.SIN_INT),
-                           (EigenvalueFamily.HALF_INTEGER, BasisFamily.COS_HALF)):
-        assert np.array_equal(lattice.eigenvalue(ns), basis.eigenvalue(ns))
-        assert lattice.eigenvalue(4) == basis.eigenvalue(4)
-        with pytest.raises(ValueError, match="got -3"):
-            lattice.eigenvalue(np.array([1, -3]))
+    for lattice, basis, offset in ((EigenvalueFamily.INTEGER, BasisFamily.COS_INT, 0.0),
+                                   (EigenvalueFamily.HALF_INTEGER, BasisFamily.COS_HALF, 0.5)):
+        choice = LiftingFamilyChoice(d0=0.0, d1=0.0, family=lattice, case_index=0)
+        assert choice.basis is basis
+        assert np.array_equal(choice.basis.eigenvalue(ns), (ns + offset) * PI)
+    for k in np.geomspace(0.05, 200.0, 40):
+        for bb, bt in LIFT_PAIRS:
+            choice = choose_lifting_family(float(k), bb, bt)
+            half = choice.family is EigenvalueFamily.HALF_INTEGER
+            assert choice.basis.half_integer is half

@@ -13,8 +13,8 @@ from helmstab.oracle import _solve_tridiagonal, compare, fdm_energy, fdm_solve
 from helmstab.solver import (
     BoundaryConfig,
     energy_parseval,
+    solve_datum,
     solve_source,
-    solve_vertical_data,
 )
 
 D, N, I = BoundaryOperator.DIRICHLET, BoundaryOperator.NEUMANN, BoundaryOperator.IMPEDANCE
@@ -61,7 +61,7 @@ def test_plane_wave_energy_and_compare():
     gs = fdm_solve(cfg, data, None, k, 129)
     rep = fdm_energy(gs)
     assert rep.energy == pytest.approx(2 * k, rel=2e-4)
-    spectral = solve_vertical_data(
+    spectral = solve_datum(
         cfg, Side.LEFT, Spectrum.from_pairs(BasisFamily.COS_INT, [(0, -2j * k)]), k
     )
     cr = compare(spectral, gs)
@@ -74,7 +74,7 @@ def test_compare_identical_grid():
     cfg, data = plane_wave_setup(k)
     gs = fdm_solve(cfg, data, None, k, 33)
     same = compare(
-        solve_vertical_data(
+        solve_datum(
             cfg, Side.LEFT, Spectrum.from_pairs(BasisFamily.COS_INT, [(0, -2j * k)]), k
         ),
         gs,
@@ -91,7 +91,7 @@ def test_mixed_boundary_case_convergence_order():
     k = math.sqrt(fam.eigenvalue(n_mode) ** 2 + PI**2)
     cfg = BoundaryConfig(bottom=D, right=D, top=D)
     g4 = Spectrum.from_pairs(fam, [(n_mode, 1.0)])
-    spectral = solve_vertical_data(cfg, Side.LEFT, g4, k)
+    spectral = solve_datum(cfg, Side.LEFT, g4, k)
     errs = []
     for n in (33, 65, 129):
         gs = fdm_solve(cfg, {Side.LEFT: g4}, None, k, n)
@@ -105,7 +105,7 @@ def test_fdm_energy_matches_parseval_for_single_mode():
     k = 4.0
     cfg = BoundaryConfig(bottom=N, right=N, top=D)
     g4 = Spectrum.from_pairs(fam, [(1, 1.0)])
-    spectral = solve_vertical_data(cfg, Side.LEFT, g4, k)
+    spectral = solve_datum(cfg, Side.LEFT, g4, k)
     gs = fdm_solve(cfg, {Side.LEFT: g4}, None, k, 129)
     e_p = energy_parseval(spectral).energy
     e_f = fdm_energy(gs).energy
@@ -142,7 +142,7 @@ def test_impedance_both_vertical_sides():
     k = 6.0
     cfg = BoundaryConfig(bottom=N, right=I, top=N)
     g2 = Spectrum.from_pairs(fam, [(1, 1.0)])
-    spectral = solve_vertical_data(cfg, Side.RIGHT, g2, k)
+    spectral = solve_datum(cfg, Side.RIGHT, g2, k)
     errs = []
     for n in (65, 129):
         gs = fdm_solve(cfg, {Side.RIGHT: g2}, None, k, n)

@@ -1,0 +1,21 @@
+"""The README's Python quickstart runs against the current API and prints
+what its comments say."""
+
+import cmath
+import re
+from pathlib import Path
+
+from helmstab import energy_parseval
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_quickstart_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert blocks, "the README has no python block"
+    namespace = {}
+    exec(compile(blocks[0], "README quickstart", "exec"), namespace)
+    k, u = namespace["k"], namespace["u"]
+    assert abs(namespace["values"][0] - cmath.exp(0.5j * k)) < 1e-10
+    assert abs(energy_parseval(u).energy - 2 * k) < 1e-9 * k
+    assert namespace["cert"].passed

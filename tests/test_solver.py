@@ -21,7 +21,6 @@ from helmstab.modal1d import (
     CUTOFF,
     EVANESCENT,
     PROPAGATING,
-    EigenvalueFamily,
     ModeTable,
     Side,
     choose_lifting_family,
@@ -29,17 +28,15 @@ from helmstab.modal1d import (
 from helmstab.solver import (
     BoundaryConfig,
     ProjectionTruncationWarning,
-    Provenance,
     SeriesSolution,
     SourceTable,
     energy_parseval,
     energy_quadrature,
     evaluate,
     evaluate_grid,
-    lift_horizontal_data,
     residual_traces,
+    solve_datum,
     solve_source,
-    solve_vertical_data,
     source_l2_norm,
     superpose,
     _NODES,
@@ -117,7 +114,7 @@ def test_config_validation():
 def test_plane_wave_solution():
     k = 3 * PI
     cfg, data = plane_wave_problem(k)
-    u = solve_vertical_data(cfg, Side.LEFT, data, k)
+    u = solve_datum(cfg, Side.LEFT, data, k)
     pts = np.array([(x, y) for x in np.linspace(0, 1, 33) for y in np.linspace(0, 1, 33)])
     values, _, _ = evaluate(u, pts)
     assert np.max(np.abs(values - np.exp(1j * k * pts[:, 0]))) <= 1e-10
@@ -125,7 +122,7 @@ def test_plane_wave_solution():
 
 def test_empty_data_zero_solution():
     cfg, _ = plane_wave_problem(2.0)
-    u = solve_vertical_data(cfg, Side.LEFT, Spectrum.zero(BasisFamily.COS_INT), 2.0)
+    u = solve_datum(cfg, Side.LEFT, Spectrum.zero(BasisFamily.COS_INT), 2.0)
     assert len(u.modes) == 0
     assert energy_parseval(u).energy == 0.0
     assert all(np.all(f == 0) for f in evaluate(u, GRID))
@@ -140,7 +137,7 @@ def test_example_dirichlet_case_profile():
     mu = fam.eigenvalue(n)
     k = math.sqrt(mu * mu + PI * PI)
     cfg = BoundaryConfig(bottom=D, right=D, top=D)
-    u = solve_vertical_data(cfg, Side.LEFT, Spectrum.from_pairs(fam, [(n, 1.0)]), k)
+    u = solve_datum(cfg, Side.LEFT, Spectrum.from_pairs(fam, [(n, 1.0)]), k)
     for x, y in GRID:
         expect = -math.sin(PI * x) / PI * basis_value(fam, n, y)
         got = evaluate(u, [(x, y)])[0][0]
@@ -150,7 +147,7 @@ def test_example_dirichlet_case_profile():
 def test_family_mismatch_rejected():
     cfg, _ = plane_wave_problem(2.0)
     with pytest.raises(ValueError):
-        solve_vertical_data(cfg, Side.LEFT, Spectrum.from_pairs(BasisFamily.SIN_INT, [(1, 1)]), 2.0)
+        solve_datum(cfg, Side.LEFT, Spectrum.from_pairs(BasisFamily.SIN_INT, [(1, 1)]), 2.0)
 
 
 def test_truncation_monotonicity_bit_identical():
@@ -158,8 +155,8 @@ def test_truncation_monotonicity_bit_identical():
     fam = cfg.vertical_family()
     data = Spectrum.from_pairs(fam, [(0, 1.0), (3, 2.0 - 1j)])
     k = 4.4
-    u1 = solve_vertical_data(cfg, Side.LEFT, data, k, truncation=3)
-    u2 = solve_vertical_data(cfg, Side.LEFT, data, k, truncation=50)
+    u1 = solve_datum(cfg, Side.LEFT, data, k, truncation=3)
+    u2 = solve_datum(cfg, Side.LEFT, data, k, truncation=50)
     pts = GRID
     a = evaluate(u1, pts)
     b = evaluate(u2, pts)
@@ -173,17 +170,16 @@ def test_solves_reject_datum_modes_above_truncation():
     cfg = BoundaryConfig(bottom=D, right=N, top=N)
     fam = cfg.vertical_family()
     with pytest.raises(ValueError, match="mode 40 lies above truncation 10"):
-        solve_vertical_data(cfg, Side.LEFT, Spectrum.from_pairs(fam, [(0, 1.0), (40, 1.0)]),
-                            k, truncation=10)
+        solve_datum(cfg, Side.LEFT, Spectrum.from_pairs(fam, [(0, 1.0), (40, 1.0)]),
+                    k, truncation=10)
     zero_tail = Spectrum.from_pairs(fam, [(0, 1.0), (40, 0.0)])
-    assert solve_vertical_data(cfg, Side.LEFT, zero_tail, k, 10).modes.tolist() == [0]
+    assert solve_datum(cfg, Side.LEFT, zero_tail, k, 10).modes.tolist() == [0]
 
     lifted = BoundaryConfig(bottom=N, right=D, top=D)
-    choice = choose_lifting_family(k, N, D)
-    hfam = BasisFamily.COS_INT if choice.family is EigenvalueFamily.INTEGER else BasisFamily.COS_HALF
+    hfam = choose_lifting_family(k, N, D).basis
     with pytest.raises(ValueError, match="mode 12 lies above truncation 3"):
-        lift_horizontal_data(Spectrum.from_pairs(hfam, [(1, 1.0), (12, 1.0)]), Side.TOP,
-                             lifted, k, truncation=3)
+        solve_datum(lifted, Side.TOP, Spectrum.from_pairs(hfam, [(1, 1.0), (12, 1.0)]), k,
+                    truncation=3)
 
     source_cfg = BoundaryConfig(bottom=D, right=D, top=D)
     with pytest.raises(ValueError, match="mode 9 lies above truncation 4"):
@@ -207,9 +203,9 @@ def test_solve_linearity(alpha, beta):
         {n: alpha * g.coefficient(n) + beta * h.coefficient(n) for n in (1, 2, 4)}.items(),
     )
     pts = [(0.3, 0.2), (0.8, 0.9), (0.0, 0.5), (1.0, 0.1)]
-    vc = evaluate(solve_vertical_data(cfg, Side.RIGHT, combo, k), pts)[0]
-    vg = evaluate(solve_vertical_data(cfg, Side.RIGHT, g, k), pts)[0]
-    vh = evaluate(solve_vertical_data(cfg, Side.RIGHT, h, k), pts)[0]
+    vc = evaluate(solve_datum(cfg, Side.RIGHT, combo, k), pts)[0]
+    vg = evaluate(solve_datum(cfg, Side.RIGHT, g, k), pts)[0]
+    vh = evaluate(solve_datum(cfg, Side.RIGHT, h, k), pts)[0]
     scale = 1.0 + np.max(np.abs(vg)) + np.max(np.abs(vh))
     assert (np.max(np.abs(vc - (alpha * vg + beta * vh)))
             <= 1e-12 * scale * (abs(alpha) + abs(beta) + 1))
@@ -223,11 +219,11 @@ def test_solve_linearity(alpha, beta):
 def test_evaluate_examples():
     k = 2 * PI
     cfg, data = plane_wave_problem(k)
-    u = solve_vertical_data(cfg, Side.LEFT, data, k)
+    u = solve_datum(cfg, Side.LEFT, data, k)
     v = evaluate(u, [(0.5, 0.25)])[0][0]
     assert abs(v - cmath.exp(1j * k / 2)) < 1e-10
 
-    single = SeriesSolution(cfg, k, 3, Provenance.VERTICAL_DATA, u.blocks)
+    single = SeriesSolution(cfg, k, 3, u.blocks)
     block = u.blocks[0]
     x, y = 0.37, 0.81
     expect = (block.c[0] * profile_at(block.profiles, 0, x)[0]
@@ -237,7 +233,7 @@ def test_evaluate_examples():
 
 def test_evaluate_rejects_outside_domain():
     cfg, data = plane_wave_problem(1.0)
-    u = solve_vertical_data(cfg, Side.LEFT, data, 1.0)
+    u = solve_datum(cfg, Side.LEFT, data, 1.0)
     with pytest.raises(ValueError):
         evaluate(u, [(1.2, 0.5)])
     with pytest.raises(ValueError):
@@ -301,7 +297,7 @@ def pointwise_reference(u, pts):
 def reference_cases():
     k_cut = 2 * PI  # COS_INT mode 2 sits exactly at the cutoff
     cfg_cut = BoundaryConfig(bottom=N, right=N, top=N)
-    cut = solve_vertical_data(
+    cut = solve_datum(
         cfg_cut, Side.LEFT,
         Spectrum.from_pairs(BasisFamily.COS_INT, [(0, 1.0), (2, 0.5 - 1j), (5, 0.25j)]), k_cut,
     )
@@ -309,10 +305,9 @@ def reference_cases():
 
     k = 9.1
     cfg = BoundaryConfig(bottom=N, right=D, top=D)
-    choice = choose_lifting_family(k, N, D)
-    fam_x = BasisFamily.COS_INT if choice.family is EigenvalueFamily.INTEGER else BasisFamily.COS_HALF
-    aux = lift_horizontal_data(Spectrum.from_pairs(fam_x, [(0, 1.0), (3, -0.5j)]), Side.BOTTOM, cfg, k)
-    vert = solve_vertical_data(
+    fam_x = choose_lifting_family(k, N, D).basis
+    aux = solve_datum(cfg, Side.BOTTOM, Spectrum.from_pairs(fam_x, [(0, 1.0), (3, -0.5j)]), k)
+    vert = solve_datum(
         cfg, Side.LEFT, Spectrum.from_pairs(cfg.vertical_family(), [(0, 0.3), (4, 1j)]), k
     )
     superposed = superpose([aux, vert])
@@ -362,7 +357,7 @@ def test_evaluate_matches_pointwise_reference(case):
 def test_energy_parseval_plane_wave():
     k = 3 * PI
     cfg, data = plane_wave_problem(k)
-    u = solve_vertical_data(cfg, Side.LEFT, data, k)
+    u = solve_datum(cfg, Side.LEFT, data, k)
     rep = energy_parseval(u)
     assert rep.grad_norm == pytest.approx(k, rel=1e-12)
     assert rep.l2_norm == pytest.approx(1.0, rel=1e-12)
@@ -373,7 +368,7 @@ def test_energy_single_mode_equals_density():
     cfg = BoundaryConfig(bottom=D, right=N, top=N)
     fam = cfg.vertical_family()
     k, n = 6.6, 4
-    u = solve_vertical_data(cfg, Side.LEFT, Spectrum.from_pairs(fam, [(n, 1.0)]), k)
+    u = solve_datum(cfg, Side.LEFT, Spectrum.from_pairs(fam, [(n, 1.0)]), k)
     rep = energy_parseval(u)
     table = u.blocks[0].profiles
     density = table.dnorm_sq[0] + (fam.eigenvalue(n) ** 2 + k * k) * table.norm_sq[0]
@@ -383,7 +378,7 @@ def test_energy_single_mode_equals_density():
 def test_energy_quadrature_plane_wave_and_example():
     k = 3 * PI
     cfg, data = plane_wave_problem(k)
-    u = solve_vertical_data(cfg, Side.LEFT, data, k)
+    u = solve_datum(cfg, Side.LEFT, data, k)
     rep = energy_quadrature(u, 33)
     assert rep.energy == pytest.approx(2 * k, rel=1e-8)
     with pytest.raises(ValueError):
@@ -394,7 +389,7 @@ def test_energy_quadrature_plane_wave_and_example():
     n = 2
     k2 = math.sqrt(fam.eigenvalue(n) ** 2 + PI * PI / 4)
     cfg2 = BoundaryConfig(bottom=D, right=N, top=D)
-    u2 = solve_vertical_data(cfg2, Side.LEFT, Spectrum.from_pairs(fam, [(n, 1.0)]), k2)
+    u2 = solve_datum(cfg2, Side.LEFT, Spectrum.from_pairs(fam, [(n, 1.0)]), k2)
     assert energy_quadrature(u2, 33).energy == pytest.approx(
         2 * math.sqrt(2) / PI * k2, rel=1e-8
     )
@@ -405,7 +400,7 @@ def test_parseval_vs_quadrature_mixed_regimes():
     fam = cfg.vertical_family()
     k = 11.0
     data = Spectrum.from_pairs(fam, [(0, 1.0), (2, -1j), (5, 0.3), (9, 0.1j)])
-    u = solve_vertical_data(cfg, Side.LEFT, data, k)
+    u = solve_datum(cfg, Side.LEFT, data, k)
     p = energy_parseval(u)
     q = energy_quadrature(u, 65)
     assert abs(p.energy - q.energy) <= 1e-6 * (1 + p.energy)
@@ -419,26 +414,25 @@ def test_parseval_vs_quadrature_mixed_regimes():
 def test_superpose_identity_and_cancellation():
     k = 4.0
     cfg, data = plane_wave_problem(k)
-    u = solve_vertical_data(cfg, Side.LEFT, data, k)
+    u = solve_datum(cfg, Side.LEFT, data, k)
     s1 = superpose([u])
     a = evaluate(u, GRID)
     b = evaluate(s1, GRID)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
-    negated = solve_vertical_data(cfg, Side.LEFT, Spectrum(data.family, data.n, -data.c), k)
+    negated = solve_datum(cfg, Side.LEFT, Spectrum(data.family, data.n, -data.c), k)
     zero = superpose([u, negated])
     assert np.max(np.abs(evaluate(zero, GRID)[0])) < 1e-12
 
 
 def test_superpose_rejects_mismatch():
     cfg, data = plane_wave_problem(2.0)
-    u1 = solve_vertical_data(cfg, Side.LEFT, data, 2.0)
-    u2 = solve_vertical_data(cfg, Side.LEFT, data, 3.0)
+    u1 = solve_datum(cfg, Side.LEFT, data, 2.0)
+    u2 = solve_datum(cfg, Side.LEFT, data, 3.0)
     with pytest.raises(ValueError):
         superpose([u1, u2])
     cfg2 = BoundaryConfig(bottom=D, right=I, top=D)
-    u3 = solve_vertical_data(cfg2, Side.LEFT,
-                             Spectrum.from_pairs(BasisFamily.SIN_INT, [(1, 1)]), 2.0)
+    u3 = solve_datum(cfg2, Side.LEFT, Spectrum.from_pairs(BasisFamily.SIN_INT, [(1, 1)]), 2.0)
     with pytest.raises(ValueError):
         superpose([u1, u3])
     with pytest.raises(ValueError):
@@ -456,14 +450,17 @@ def test_lift_family_admissibility():
     k = PI  # half-integer family for equal operators
     cfg = BoundaryConfig(bottom=N, right=D, top=N)
     with pytest.raises(ValueError):
-        lift_horizontal_data(Spectrum.from_pairs(BasisFamily.COS_INT, [(1, 1)]), Side.BOTTOM, cfg, k)
-    aux = lift_horizontal_data(Spectrum.from_pairs(BasisFamily.COS_HALF, [(1, 1)]), Side.BOTTOM, cfg, k)
-    assert aux.provenance is Provenance.LIFTED_HORIZONTAL_DATA
+        solve_datum(cfg, Side.BOTTOM, Spectrum.from_pairs(BasisFamily.COS_INT, [(1, 1)]), k)
+    aux = solve_datum(cfg, Side.BOTTOM, Spectrum.from_pairs(BasisFamily.COS_HALF, [(1, 1)]), k)
+    assert [block.lifted for block in aux.blocks] == [True]
+    zero = Spectrum.zero(cfg.vertical_family())
+    with pytest.raises(ValueError, match="lifted"):
+        residual_traces(solve_datum(cfg, Side.LEFT, zero, k), zero, zero)
 
 
 def test_lift_zero_datum():
     cfg = BoundaryConfig(bottom=N, right=D, top=N)
-    aux = lift_horizontal_data(Spectrum.zero(BasisFamily.COS_HALF), Side.BOTTOM, cfg, PI)
+    aux = solve_datum(cfg, Side.BOTTOM, Spectrum.zero(BasisFamily.COS_HALF), PI)
     assert len(aux.modes) == 0
     assert energy_parseval(aux).energy == 0.0
 
@@ -472,10 +469,9 @@ def test_lift_termwise_pde_residual():
     """Each lifted term satisfies the field equation."""
     k = 7.3
     cfg = BoundaryConfig(bottom=N, right=D, top=D)
-    choice = choose_lifting_family(k, N, D)
-    fam = BasisFamily.COS_INT if choice.family is EigenvalueFamily.INTEGER else BasisFamily.COS_HALF
+    fam = choose_lifting_family(k, N, D).basis
     g = Spectrum.from_pairs(fam, [(0, 1.0), (3, 0.5j)])
-    aux = lift_horizontal_data(g, Side.BOTTOM, cfg, k)
+    aux = solve_datum(cfg, Side.BOTTOM, g, k)
     h = 1e-3
     for x, y in [(0.3, 0.4), (0.7, 0.6), (0.5, 0.5)]:
         def val(px, py):
@@ -493,9 +489,9 @@ def test_lift_at_dirichlet_cutoff_reproduces_datum():
     polynomial row keeps the lifted field on the bottom datum."""
     k = PI
     cfg = BoundaryConfig(bottom=D, right=D, top=N)
-    assert choose_lifting_family(k, D, N).family is EigenvalueFamily.INTEGER
+    assert choose_lifting_family(k, D, N).basis is BasisFamily.COS_INT
     g = Spectrum.from_pairs(BasisFamily.COS_INT, [(0, 1.0), (1, 0.5 - 0.25j), (3, 0.2j)])
-    aux = lift_horizontal_data(g, Side.BOTTOM, cfg, k)
+    aux = solve_datum(cfg, Side.BOTTOM, g, k)
     assert aux.blocks[0].profiles.regime.tolist() == [PROPAGATING, CUTOFF, EVANESCENT]
     assert side_residual(aux, Side.BOTTOM, D, k, g.expand) < 1e-12
     assert side_residual(aux, Side.TOP, N, k, lambda t: 0.0) < 1e-12
@@ -505,7 +501,7 @@ def test_residual_traces_zero_aux():
     k = 7.3
     cfg = BoundaryConfig(bottom=N, right=D, top=D)
     fam_v = cfg.vertical_family()
-    aux = lift_horizontal_data(Spectrum.zero(BasisFamily.COS_INT), Side.BOTTOM, cfg, k)
+    aux = solve_datum(cfg, Side.BOTTOM, Spectrum.zero(BasisFamily.COS_INT), k)
     g2 = Spectrum.from_pairs(fam_v, [(1, 2.0), (3, -1j)])
     g4 = Spectrum.from_pairs(fam_v, [(0, 1.0)])
     r2, r4 = residual_traces(aux, g2, g4)
@@ -517,13 +513,12 @@ def test_residual_traces_single_mode_analytic():
     analytic trigonometric projection integrals."""
     k = 7.3
     cfg = BoundaryConfig(bottom=N, right=D, top=D)
-    choice = choose_lifting_family(k, N, D)
-    assert choice.family is EigenvalueFamily.INTEGER
     fam_x = BasisFamily.COS_INT
+    assert choose_lifting_family(k, N, D).basis is fam_x
     fam_v = cfg.vertical_family()
     n = 2
     g1 = Spectrum.from_pairs(fam_x, [(n, 1.0)])
-    aux = lift_horizontal_data(g1, Side.BOTTOM, cfg, k)
+    aux = solve_datum(cfg, Side.BOTTOM, g1, k)
     r2, r4 = residual_traces(aux, Spectrum.zero(fam_v), Spectrum.zero(fam_v))
     # analytic: residual_2[m] = -X~_n(1) * int Y~_n(y) Y_m(y) dy
     block = aux.blocks[0]
@@ -543,9 +538,8 @@ def test_residual_traces_single_mode_analytic():
 def test_residual_traces_warns_on_shallow_depth():
     k = 7.3
     cfg = BoundaryConfig(bottom=D, right=D, top=D)
-    choice = choose_lifting_family(k, D, D)
-    fam_x = BasisFamily.COS_INT if choice.family is EigenvalueFamily.INTEGER else BasisFamily.COS_HALF
-    aux = lift_horizontal_data(Spectrum.from_pairs(fam_x, [(1, 1.0)]), Side.BOTTOM, cfg, k)
+    fam_x = choose_lifting_family(k, D, D).basis
+    aux = solve_datum(cfg, Side.BOTTOM, Spectrum.from_pairs(fam_x, [(1, 1.0)]), k)
     fam_v = cfg.vertical_family()
     with pytest.warns(ProjectionTruncationWarning):
         residual_traces(aux, Spectrum.zero(fam_v), Spectrum.zero(fam_v), depth=3)
@@ -554,8 +548,8 @@ def test_residual_traces_warns_on_shallow_depth():
 def lifted_round_trip(k, cfg, g1, vert_spec):
     """Manufacture aux + vertical solution, run the full pipeline."""
     fam_v = cfg.vertical_family()
-    aux_star = lift_horizontal_data(g1, Side.BOTTOM, cfg, k)
-    vert_star = solve_vertical_data(cfg, Side.LEFT, vert_spec, k)
+    aux_star = solve_datum(cfg, Side.BOTTOM, g1, k)
+    vert_star = solve_datum(cfg, Side.LEFT, vert_spec, k)
     u_star = superpose([aux_star, vert_star])
 
     def right_trace(y):
@@ -573,21 +567,20 @@ def lifted_round_trip(k, cfg, g1, vert_spec):
     depth = 48
     g2 = project(right_trace, fam_v, depth)
     g4 = project(left_trace, fam_v, depth)
-    aux = lift_horizontal_data(g1, Side.BOTTOM, cfg, k)
+    aux = solve_datum(cfg, Side.BOTTOM, g1, k)
     r2, r4 = residual_traces(aux, g2, g4)
     parts = [aux]
     if len(r2):
-        parts.append(solve_vertical_data(cfg, Side.RIGHT, r2, k))
+        parts.append(solve_datum(cfg, Side.RIGHT, r2, k))
     if len(r4):
-        parts.append(solve_vertical_data(cfg, Side.LEFT, r4, k))
+        parts.append(solve_datum(cfg, Side.LEFT, r4, k))
     return u_star, superpose(parts)
 
 
 def test_full_round_trip_reproduces_manufactured_solution():
     k = 7.3
     cfg = BoundaryConfig(bottom=N, right=D, top=D)
-    choice = choose_lifting_family(k, N, D)
-    fam_x = BasisFamily.COS_INT if choice.family is EigenvalueFamily.INTEGER else BasisFamily.COS_HALF
+    fam_x = choose_lifting_family(k, N, D).basis
     g1 = Spectrum.from_pairs(fam_x, [(0, 0.7), (2, -0.3 + 0.45j)])
     vert = Spectrum.from_pairs(cfg.vertical_family(), [(3, 1.2 - 0.8j)])
     u_star, u_rec = lifted_round_trip(k, cfg, g1, vert)
@@ -840,7 +833,7 @@ def test_memoized_energy_rule_is_read_only():
     """The memoized Gauss-Legendre arrays of energy_quadrature cannot be
     written, so no caller can alter a later quadrature."""
     cfg, data = plane_wave_problem(3.0)
-    u = solve_vertical_data(cfg, Side.LEFT, data, 3.0)
+    u = solve_datum(cfg, Side.LEFT, data, 3.0)
     before = energy_quadrature(u, 25)
     t, W = _gauss_grid(25)
     assert _gauss_grid(25)[0] is t
@@ -908,7 +901,7 @@ def test_boundary_residuals_match_data(b2, side):
     fam = cfg.vertical_family()
     k = 6.7
     data = Spectrum.from_pairs(fam, [(0, 1.0), (2, 0.5 - 0.25j)])
-    u = solve_vertical_data(cfg, side, data, k)
+    u = solve_datum(cfg, side, data, k)
     norm = math.sqrt(sum(abs(c) ** 2 for _, c in data))
     datum = lambda t: complex(data.expand(t))
     zero = lambda t: 0.0
