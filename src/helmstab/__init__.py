@@ -52,10 +52,11 @@ from .solver import (
 )
 from .bounds import (
     SHARPNESS_IDS,
+    THEOREMS,
     BoundCertificate,
-    CertificateViolation,
     SharpnessCase,
     SweepReport,
+    Theorem,
     TheoremId,
     certify,
     rhs_bound,

@@ -48,41 +48,59 @@ CERT_SLACK = 1e-9
 
 
 class TheoremId(Enum):
-    T1_G4 = "T1_G4"              # impedance datum, left side
-    T2_G2_IMP = "T2_G2_IMP"      # impedance datum, right side
-    T2_G2_NEU = "T2_G2_NEU"      # Neumann datum, right side
-    T2_G2_DIR = "T2_G2_DIR"      # Dirichlet datum, right side
-    TF_SOURCE = "TF_SOURCE"      # volumetric source, homogeneous data
-    T3_LIFT_NEU = "T3_LIFT_NEU"  # Neumann datum, bottom side (lifting)
-    T3_LIFT_DIR = "T3_LIFT_DIR"  # Dirichlet datum, bottom side (lifting)
+    T1_G4 = "T1_G4"
+    T2_G2_IMP = "T2_G2_IMP"
+    T2_G2_NEU = "T2_G2_NEU"
+    T2_G2_DIR = "T2_G2_DIR"
+    TF_SOURCE = "TF_SOURCE"
+    T3_LIFT_NEU = "T3_LIFT_NEU"
+    T3_LIFT_DIR = "T3_LIFT_DIR"
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """One stability bound: the energy of the solution with datum g on
+    `side` (a volumetric source g when `side` is None) is at most
+
+        constant * max(k, 1)^k_power * ||g||
+        [+ constant * max(sqrt(k), 1) * ||g||_{1/2}   when `half_term`]
+
+    for every configuration with the required `right` and `bottom`
+    operators (None: any operator)."""
+
+    alias: str
+    side: Optional[Side]
+    right: Optional[BoundaryOperator]
+    bottom: Optional[BoundaryOperator]
+    constant: float
+    k_power: int
+    half_term: bool
+
+
+_D, _N, _I = BoundaryOperator.DIRICHLET, BoundaryOperator.NEUMANN, BoundaryOperator.IMPEDANCE
+
+#: Every certified bound, keyed by its id; the CLI accepts the id or the alias.
+THEOREMS: dict[TheoremId, Theorem] = {
+    TheoremId.T1_G4: Theorem("T1", Side.LEFT, None, None, math.sqrt(12.0), 1, False),
+    TheoremId.T2_G2_IMP: Theorem("T2_IMP", Side.RIGHT, _I, None, math.sqrt(12.0), 1, False),
+    TheoremId.T2_G2_NEU: Theorem("T2_NEU", Side.RIGHT, _N, None, math.sqrt(20.0), 2, False),
+    TheoremId.T2_G2_DIR: Theorem("T2_DIR", Side.RIGHT, _D, None, math.sqrt(14.0), 2, True),
+    TheoremId.TF_SOURCE: Theorem("TF", None, _D, None, math.sqrt(30.0), 2, False),
+    TheoremId.T3_LIFT_NEU: Theorem("T3_NEU", Side.BOTTOM, None, _N, 2.0 * math.sqrt(717.0), 1, False),
+    TheoremId.T3_LIFT_DIR: Theorem("T3_DIR", Side.BOTTOM, None, _D, 2.0 * math.sqrt(43.0), 2, True),
+}
 
 
 def rhs_bound(theorem: TheoremId, k: float, norms: DataNormReport) -> float:
     """Right-hand side of the theorem's stability inequality."""
     k = _check_wavenumber(k)
-    mk = max(k, 1.0)
-    mk2 = max(k * k, 1.0)
-    mk_half = max(math.sqrt(k), 1.0)
-    if theorem is TheoremId.T1_G4 or theorem is TheoremId.T2_G2_IMP:
-        return math.sqrt(12.0) * mk * norms.l2
-    if theorem is TheoremId.T2_G2_NEU:
-        return math.sqrt(20.0) * mk2 * norms.l2
-    if theorem is TheoremId.T2_G2_DIR:
-        _require_fractional(norms)
-        return math.sqrt(14.0) * (mk2 * norms.l2 + mk_half * norms.fractional_half)
-    if theorem is TheoremId.TF_SOURCE:
-        return math.sqrt(30.0) * mk2 * norms.l2
-    if theorem is TheoremId.T3_LIFT_NEU:
-        return 2.0 * math.sqrt(717.0) * mk * norms.l2
-    if theorem is TheoremId.T3_LIFT_DIR:
-        _require_fractional(norms)
-        return 2.0 * math.sqrt(43.0) * (mk2 * norms.l2 + mk_half * norms.fractional_half)
-    raise ValueError(f"unknown theorem {theorem}")
-
-
-def _require_fractional(norms: DataNormReport) -> None:
+    row = THEOREMS[theorem]
+    mk = max(k, 1.0) if row.k_power == 1 else max(k * k, 1.0)
+    if not row.half_term:
+        return row.constant * mk * norms.l2
     if norms.fractional_half is None or not math.isfinite(norms.fractional_half):
-        raise ValueError("this bound consumes the fractional-order data norm")
+        raise ValueError(f"{theorem.value} consumes the fractional-order data norm")
+    return row.constant * (mk * norms.l2 + max(math.sqrt(k), 1.0) * norms.fractional_half)
 
 
 @dataclass(frozen=True)
@@ -103,23 +121,6 @@ class BoundCertificate:
         return BoundCertificate(theorem, k, lhs, rhs, ratio, passed, norms)
 
 
-#: The side carrying each boundary theorem's datum.
-DATUM_SIDE = {
-    TheoremId.T1_G4: Side.LEFT,
-    TheoremId.T2_G2_IMP: Side.RIGHT,
-    TheoremId.T2_G2_NEU: Side.RIGHT,
-    TheoremId.T2_G2_DIR: Side.RIGHT,
-    TheoremId.T3_LIFT_NEU: Side.BOTTOM,
-    TheoremId.T3_LIFT_DIR: Side.BOTTOM,
-}
-
-_RIGHT_OP_REQUIRED = {
-    TheoremId.T2_G2_IMP: BoundaryOperator.IMPEDANCE,
-    TheoremId.T2_G2_NEU: BoundaryOperator.NEUMANN,
-    TheoremId.T2_G2_DIR: BoundaryOperator.DIRICHLET,
-}
-
-
 def certify(
     theorem: TheoremId,
     config: BoundaryConfig,
@@ -135,28 +136,21 @@ def certify(
     `truncation` raises ValueError from the solve instead of being dropped.
     """
     k = _check_wavenumber(k)
-    if theorem is TheoremId.TF_SOURCE:
-        if config.right is not BoundaryOperator.DIRICHLET:
-            raise ValueError("the source bound requires a Dirichlet right side")
+    row = THEOREMS[theorem]
+    for name, want in (("right", row.right), ("bottom", row.bottom)):
+        if want is not None and getattr(config, name) is not want:
+            raise ValueError(f"{theorem.value} requires the {name} operator {want.value}, "
+                             f"got {getattr(config, name).value}")
+    if row.side is None:
         u = solve_source(data, config, k, truncation)
         # The norm of the source as solved, from the samples of its table.
         norms = DataNormReport(_source_norm(u.blocks[0].profiles.f), math.nan, math.nan)
-        lhs_par = energy_parseval(u).energy
-        lhs_quad = energy_quadrature(u, 25).energy
-        lhs = max(lhs_par, lhs_quad)  # quadrature cross-check folded in
-        return BoundCertificate.from_sides(theorem, k, lhs, rhs_bound(theorem, k, norms), norms)
-
-    side = DATUM_SIDE[theorem]
-    want_right = _RIGHT_OP_REQUIRED.get(theorem)
-    if want_right is not None and config.right is not want_right:
-        raise ValueError(f"{theorem.value} requires the right operator {want_right.value}")
-    if theorem is TheoremId.T3_LIFT_NEU and config.bottom is not BoundaryOperator.NEUMANN:
-        raise ValueError("T3_LIFT_NEU requires a Neumann bottom operator")
-    if theorem is TheoremId.T3_LIFT_DIR and config.bottom is not BoundaryOperator.DIRICHLET:
-        raise ValueError("T3_LIFT_DIR requires a Dirichlet bottom operator")
-    u = solve_datum(config, side, data, k, truncation)
-    norms = data_norms(data)
-    lhs = energy_parseval(u).energy
+        # quadrature cross-check folded in
+        lhs = max(energy_parseval(u).energy, energy_quadrature(u, 25).energy)
+    else:
+        u = solve_datum(config, row.side, data, k, truncation)
+        norms = data_norms(data)
+        lhs = energy_parseval(u).energy
     return BoundCertificate.from_sides(theorem, k, lhs, rhs_bound(theorem, k, norms), norms)
 
 
@@ -186,12 +180,16 @@ class SharpnessCase:
     k: float
     theorem: TheoremId
     config: BoundaryConfig
-    data_side: Side
     datum: Spectrum
     exact: SeriesSolution
     expected_energy: Optional[float]
     expected_energy_sq: Optional[float]  # grad^2 + k^2 l2^2 for the >=-bounded cases
     lower_bound: Optional[float]
+
+    @property
+    def data_side(self) -> Side:
+        """The side of the datum: the side of the case's theorem."""
+        return THEOREMS[self.theorem].side
 
 
 def _trig_profile(w: float, A: complex, B: complex):
@@ -244,41 +242,35 @@ def sharpness_case(
         if case_id == "ex2.3-1":
             k = math.sqrt(mu * mu + pi * pi)
             cfg = BoundaryConfig(b_bottom, BoundaryOperator.IMPEDANCE, b_top)
-            side = Side.LEFT
             prof = _trig_profile(pi, -1.0 / (2.0 * pi), 1j / (2.0 * k))
             expected = (sqrt2 / 2.0) * k * math.sqrt(1.0 / pi**2 + 1.0 / k**2)
             theorem = TheoremId.T1_G4
         elif case_id == "ex2.3-2":
             k = math.sqrt(mu * mu + pi * pi / 4.0)
             cfg = BoundaryConfig(b_bottom, BoundaryOperator.NEUMANN, b_top)
-            side = Side.LEFT
             prof = _trig_profile(pi / 2.0, -2.0 / pi, 0.0)
             expected = (2.0 * sqrt2 / pi) * k
             theorem = TheoremId.T1_G4
         elif case_id == "ex2.3-3":
             k = math.sqrt(mu * mu + pi * pi)
             cfg = BoundaryConfig(b_bottom, BoundaryOperator.DIRICHLET, b_top)
-            side = Side.LEFT
             prof = _trig_profile(pi, -1.0 / pi, 0.0)
             expected = (sqrt2 / pi) * k
             theorem = TheoremId.T1_G4
         elif case_id == "ex2.5-neumann":
             k = math.sqrt(mu * mu + pi * pi / 4.0)
             cfg = BoundaryConfig(b_bottom, BoundaryOperator.NEUMANN, b_top)
-            side = Side.RIGHT
             prof = _trig_profile(pi / 2.0, 4j * k / pi**2, -2.0 / pi)
             expected = (4.0 * sqrt2 / pi) * k * k * math.sqrt(1.0 / pi**2 + 1.0 / (4.0 * k * k))
             theorem = TheoremId.T2_G2_NEU
         else:  # ex2.5-dirichlet
             k = math.sqrt(mu * mu + pi * pi)
             cfg = BoundaryConfig(b_bottom, BoundaryOperator.DIRICHLET, b_top)
-            side = Side.RIGHT
             prof = _trig_profile(pi, 1j * k / pi, -1.0)
             expected = (sqrt2 / pi) * math.sqrt(k**4 + pi**2 * k**2)
             theorem = TheoremId.T2_G2_DIR
         exact = _one_term(cfg, k, n, False, family, mu, prof)
-        return SharpnessCase(case_id, n, k, theorem, cfg, side, datum, exact,
-                             expected, None, None)
+        return SharpnessCase(case_id, n, k, theorem, cfg, datum, exact, expected, None, None)
 
     # lifting cases: integer eigenvalue lattice, sine or cosine x-basis
     if family not in (BasisFamily.SIN_INT, BasisFamily.COS_INT):
@@ -321,27 +313,13 @@ def sharpness_case(
         lower = (pi**2 / (2.0 * sqrt2 * (pi**2 + 1.0))) * (k * k + math.sqrt(k) * math.sqrt(theta))
         theorem = TheoremId.T3_LIFT_DIR
     exact = _one_term(cfg, k, n, True, family, mu, prof)
-    return SharpnessCase(case_id, n, k, theorem, cfg, Side.BOTTOM, datum, exact,
+    return SharpnessCase(case_id, n, k, theorem, cfg, datum, exact,
                          expected, expected_sq, lower)
 
 
 # --------------------------------------------------------------------------
 # randomized sweeps
 # --------------------------------------------------------------------------
-
-
-class CertificateViolation(AssertionError):
-    """A sweep certificate failed its bound; carries the full certificate."""
-
-    def __init__(self, certificate: BoundCertificate, k: float, trial: int):
-        self.certificate = certificate
-        self.k = k
-        self.trial = trial
-        super().__init__(
-            f"{certificate.theorem.value} violated at k={k!r}, trial {trial}: "
-            f"lhs={certificate.lhs!r} > rhs={certificate.rhs!r} "
-            f"(ratio {certificate.ratio!r})"
-        )
 
 
 @dataclass(frozen=True)
@@ -362,13 +340,6 @@ class SweepReport:
 #: D/D, N/N, D/N and N/D, in that order.
 _HORIZONTAL_PAIRS = tuple(_EIGENPAIRS)
 
-_B2_CHOICES = (
-    BoundaryOperator.IMPEDANCE,
-    BoundaryOperator.NEUMANN,
-    BoundaryOperator.DIRICHLET,
-)
-
-
 def _random_spectrum(rng: np.random.Generator, family: BasisFamily, modes: int) -> Spectrum:
     start = 1 if family is BasisFamily.SIN_INT else 0
     coeffs = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
@@ -377,23 +348,21 @@ def _random_spectrum(rng: np.random.Generator, family: BasisFamily, modes: int) 
 
 
 def _trial_config(theorem: TheoremId, trial: int, k: float) -> tuple[BoundaryConfig, BasisFamily]:
-    D, N = BoundaryOperator.DIRICHLET, BoundaryOperator.NEUMANN
-    if theorem in (TheoremId.T3_LIFT_NEU, TheoremId.T3_LIFT_DIR):
-        b_bottom = N if theorem is TheoremId.T3_LIFT_NEU else D
-        b_top = (D, N)[trial % 2]
-        cfg = BoundaryConfig(b_bottom, BoundaryOperator.DIRICHLET, b_top)
-        choice = choose_lifting_family(k, b_bottom, b_top)
+    row = THEOREMS[theorem]
+    right = row.right or _D
+    if row.side is Side.BOTTOM:
+        b_top = (_D, _N)[trial % 2]
+        cfg = BoundaryConfig(row.bottom, right, b_top)
+        choice = choose_lifting_family(k, row.bottom, b_top)
         if choice.family is EigenvalueFamily.INTEGER:
             fam = (BasisFamily.COS_INT, BasisFamily.SIN_INT)[(trial // 2) % 2]
         else:
             fam = (BasisFamily.COS_HALF, BasisFamily.SIN_HALF)[(trial // 2) % 2]
         return cfg, fam
     pair = _HORIZONTAL_PAIRS[trial % 4]
-    if theorem is TheoremId.T1_G4:
-        b2 = _B2_CHOICES[(trial // 4) % 3]
-    else:
-        b2 = _RIGHT_OP_REQUIRED.get(theorem, BoundaryOperator.DIRICHLET)
-    cfg = BoundaryConfig(pair[0], b2, pair[1])
+    if row.right is None:  # any right operator: cycle through all three
+        right = (_I, _N, _D)[(trial // 4) % 3]
+    cfg = BoundaryConfig(pair[0], right, pair[1])
     return cfg, select_eigenpairs(*pair)
 
 
@@ -403,19 +372,17 @@ def sweep(
     modes: int = 64,
     trials: int = 50,
     seed: int = 0,
-    collect_failures: bool = False,
 ) -> SweepReport:
     """Seeded randomized certification sweep over a wavenumber grid.
 
     Every (k, trial) pair draws unit-norm data (or a smooth modal source of
     random norm for the source theorem; its bound is homogeneous of degree
-    one in the source) and certifies the bound.  A failing
-    certificate aborts with CertificateViolation carrying the certificate,
-    unless collect_failures is set, in which case all failures land in the
-    report.
+    one in the source) and certifies the bound.  Every failing certificate
+    lands in the report.
     """
     for k in k_grid:
         _check_wavenumber(k)
+    source = THEOREMS[theorem].side is None
     rng = np.random.default_rng(seed)
     failures: list[BoundCertificate] = []
     max_ratio = -1.0
@@ -423,8 +390,8 @@ def sweep(
     count = 0
     for k in k_grid:
         for trial in range(trials):
-            if theorem is TheoremId.TF_SOURCE:
-                cert = _source_trial(rng, k, modes)
+            if source:
+                cert = _source_trial(rng, theorem, k, modes)
             else:
                 cfg, fam = _trial_config(theorem, trial, float(k))
                 data = _random_spectrum(rng, fam, modes)
@@ -434,8 +401,6 @@ def sweep(
                 max_ratio = cert.ratio
                 argmax = (float(k), trial)
             if not cert.passed:
-                if not collect_failures:
-                    raise CertificateViolation(cert, float(k), trial)
                 failures.append(cert)
     return SweepReport(
         theorem=theorem,
@@ -452,11 +417,12 @@ def sweep(
     )
 
 
-def _source_trial(rng: np.random.Generator, k: float, modes: int) -> BoundCertificate:
+def _source_trial(rng: np.random.Generator, theorem: TheoremId, k: float,
+                  modes: int) -> BoundCertificate:
     """Certificate of a random smooth modal source.  Both sides of the
     bound scale with the source, so it is certified as drawn."""
     pair = _HORIZONTAL_PAIRS[int(rng.integers(0, 4))]
-    cfg = BoundaryConfig(pair[0], BoundaryOperator.DIRICHLET, pair[1])
+    cfg = BoundaryConfig(pair[0], THEOREMS[theorem].right, pair[1])
     fam = select_eigenpairs(*pair)
     start = 1 if fam is BasisFamily.SIN_INT else 0
     n_modes = int(rng.integers(1, min(6, modes) + 1))
@@ -469,4 +435,4 @@ def _source_trial(rng: np.random.Generator, k: float, modes: int) -> BoundCertif
             (int(n), (lambda x, c=c, f=freq: c[0] + c[1] * np.sin(f * np.asarray(x))
                       + c[2] * np.asarray(x) ** 2))
         )
-    return certify(TheoremId.TF_SOURCE, cfg, source, k)
+    return certify(theorem, cfg, source, k)

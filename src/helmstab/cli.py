@@ -22,8 +22,8 @@ import numpy as np
 
 from . import eigenbasis
 from .bounds import (
-    DATUM_SIDE,
     SHARPNESS_IDS,
+    THEOREMS,
     TheoremId,
     certify,
     sharpness_case,
@@ -49,17 +49,6 @@ from .solver import (
 
 class ConfigError(ValueError):
     """Malformed run configuration; message carries the field path."""
-
-
-_THEOREM_ALIASES = {
-    "T1": TheoremId.T1_G4,
-    "T2_IMP": TheoremId.T2_G2_IMP,
-    "T2_NEU": TheoremId.T2_G2_NEU,
-    "T2_DIR": TheoremId.T2_G2_DIR,
-    "TF": TheoremId.TF_SOURCE,
-    "T3_NEU": TheoremId.T3_LIFT_NEU,
-    "T3_DIR": TheoremId.T3_LIFT_DIR,
-}
 
 
 def mode_cap() -> int:
@@ -91,6 +80,8 @@ class RunConfig:
 def parse_run_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config: expected a JSON object")
+    _known_keys("config", doc, ("k", "boundary", "data", "source", "truncation", "grid",
+                                "seed", "outputs"))
     if "k" not in doc:
         raise ConfigError("config.k: missing")
     raw_k = doc["k"]
@@ -107,8 +98,10 @@ def parse_run_config(doc: dict) -> RunConfig:
     bdoc = doc.get("boundary")
     if not isinstance(bdoc, dict):
         raise ConfigError("config.boundary: expected an object with the four sides")
+    sides = ("bottom", "right", "top", "left")
+    _known_keys("config.boundary", bdoc, sides)
     ops = {}
-    for name in ("bottom", "right", "top", "left"):
+    for name in sides:
         raw = bdoc.get(name, "impedance" if name == "left" else None)
         if raw is None:
             raise ConfigError(f"config.boundary.{name}: missing")
@@ -154,12 +147,21 @@ def parse_run_config(doc: dict) -> RunConfig:
     outputs = doc.get("outputs") or {}
     if not isinstance(outputs, dict):
         raise ConfigError("config.outputs: expected an object")
-    for name in ("csv", "report"):
+    paths = ("csv", "report")
+    _known_keys("config.outputs", outputs, paths)
+    for name in paths:
         path = outputs.get(name)
         if path is not None and not isinstance(path, str):
             raise ConfigError(f"config.outputs.{name}: expected a path string, got {path!r}")
     return RunConfig(k=k, config=config, data=data, source=source,
                      truncation=truncation, grid=grid, seed=seed, outputs=outputs)
+
+
+def _known_keys(path: str, doc: dict, known: tuple) -> None:
+    """Reject a misspelt or unsupported key rather than ignore it."""
+    for key in doc:
+        if key not in known:
+            raise ConfigError(f"{path}.{key}: unknown key (expected one of {sorted(known)})")
 
 
 def _integer(path: str, raw) -> int:
@@ -393,15 +395,13 @@ def _load_config(path: str) -> RunConfig:
 
 def _theorem(tag: str) -> TheoremId:
     norm = tag.strip().upper()
-    if norm in _THEOREM_ALIASES:
-        return _THEOREM_ALIASES[norm]
-    try:
-        return TheoremId(norm)
-    except ValueError:
-        raise ConfigError(
-            f"unknown theorem {tag!r}; expected one of "
-            f"{sorted(t.value for t in TheoremId)} or aliases {sorted(_THEOREM_ALIASES)}"
-        ) from None
+    for theorem, row in THEOREMS.items():
+        if norm in (theorem.value, row.alias):
+            return theorem
+    raise ConfigError(
+        f"unknown theorem {tag!r}; expected one of {sorted(t.value for t in TheoremId)} "
+        f"or aliases {sorted(row.alias for row in THEOREMS.values())}"
+    )
 
 
 # --------------------------------------------------------------------------
@@ -434,10 +434,10 @@ def _cmd_solve(args) -> int:
 def _cmd_certify(args) -> int:
     run = _load_config(args.config)
     theorem = _theorem(args.theorem)
-    if theorem is TheoremId.TF_SOURCE:
+    side = THEOREMS[theorem].side
+    if side is None:
         data = run.source or []
     else:
-        side = DATUM_SIDE[theorem]
         data = spectra(run).get(side, Spectrum.zero(_family(run, side)))
     cert = certify(theorem, run.config, data, run.k, run.truncation)
     payload = _certificate_payload(cert)
@@ -505,8 +505,7 @@ def _cmd_sweep(args) -> int:
         _check_wavenumbers("--k-min", [args.k_min])
         _check_wavenumbers("--k-max", [args.k_max])
         k_grid = list(np.geomspace(args.k_min, args.k_max, args.k_count))
-    report = sweep(theorem, k_grid, modes=args.modes, trials=args.trials,
-                   seed=args.seed, collect_failures=True)
+    report = sweep(theorem, k_grid, modes=args.modes, trials=args.trials, seed=args.seed)
     payload = {
         "command": "sweep",
         "theorem": theorem.value,

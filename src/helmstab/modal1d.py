@@ -93,6 +93,14 @@ def _check_wavenumber(k) -> float:
     return k
 
 
+def _check_eigenvalue(name: str, mu) -> float:
+    mu = float(mu)
+    if not (mu >= 0 and math.isfinite(mu)):
+        raise ValueError(f"transverse eigenvalue {name} must be nonnegative and finite, "
+                         f"got {name}={mu!r}")
+    return mu
+
+
 #: sigma / z per regime code: sigma is i*z, 0 or -z.
 _SIGMA_PER_Z = np.array([1j, 0.0, -1.0])
 
@@ -111,9 +119,7 @@ def _regimes(k: float, mu: np.ndarray):
 def classify_mode(k: float, mu: float) -> ModeRegime:
     """Regime of the mode with transverse eigenvalue mu at wavenumber k."""
     k = _check_wavenumber(k)
-    mu = float(mu)
-    if not (mu >= 0 and math.isfinite(mu)):
-        raise ValueError(f"transverse eigenvalue mu must be nonnegative and finite, got mu={mu!r}")
+    mu = _check_eigenvalue("mu", mu)
     code, z, _ = _regimes(k, np.array([mu]))
     z0 = float(z[0])
     return ModeRegime(_REGIMES[code[0]], z0 / k, z0)
@@ -395,6 +401,7 @@ def gap_lower_bound(k: float, mu_tilde: float, same_ops: bool) -> tuple[float, f
     bound = (pi/8) / (1 + (2/pi) * k*lam).
     """
     k = _check_wavenumber(k)
+    mu_tilde = _check_eigenvalue("mu_tilde", mu_tilde)
     z = math.sqrt(abs((k - mu_tilde) * (k + mu_tilde)))
     if same_ops:
         j = round(z / math.pi)

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 import helmstab
+from helmstab.bounds import THEOREMS, TheoremId
 from helmstab.cli import (
     ConfigError,
+    _theorem,
     _write_csv,
     main,
     mode_cap,
@@ -103,6 +105,17 @@ def test_certify_exit_codes(tmp_path):
     assert set(doc) >= {"theorem", "k", "lhs", "rhs", "ratio", "pass", "norms"}
     assert doc["pass"] is True
     assert doc["theorem"] == "T1_G4"
+
+
+def test_every_theorem_id_and_alias_resolves():
+    aliases = [row.alias for row in THEOREMS.values()]
+    assert len(set(aliases)) == len(THEOREMS) == len(TheoremId)
+    for theorem, row in THEOREMS.items():
+        assert _theorem(theorem.value) is theorem
+        assert _theorem(row.alias) is theorem
+        assert _theorem(f" {row.alias.lower()} ") is theorem
+    with pytest.raises(ConfigError, match="T3_DIR"):
+        _theorem("T4")
 
 
 def test_certify_zero_data(tmp_path):
@@ -251,6 +264,11 @@ def test_config_error_messages_carry_field_path(tmp_path):
         ("outputs", {"report": 7}, r"config\.outputs\.report: expected a path string"),
         ("data", {"right": "constant:1,2,3"}, r"config\.data\.right: a constant datum"),
         ("data", {"top": "constant:nan"}, r"config\.data\.top: a constant datum"),
+        ("truncaton", 3, r"config\.truncaton: unknown key"),
+        ("grdi", 5, r"config\.grdi: unknown key"),
+        ("boundary", {**doc["boundary"], "lfet": "impedance"},
+         r"config\.boundary\.lfet: unknown key"),
+        ("outputs", {"csvv": "u.csv"}, r"config\.outputs\.csvv: unknown key"),
     ]:
         with pytest.raises(ConfigError, match=path):
             parse_run_config({**doc, "data": {}, field: value})

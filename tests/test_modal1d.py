@@ -650,6 +650,8 @@ def test_nonfinite_wavenumber_is_rejected_by_name(k):
     mu = -1.0 if k < 0 else k
     with pytest.raises(ValueError, match="mu="):
         classify_mode(2.0, mu)
+    with pytest.raises(ValueError, match="mu_tilde="):
+        gap_lower_bound(2.0, mu, True)
 
 
 def test_lifting_basis_is_the_cosine_family_on_the_chosen_lattice():

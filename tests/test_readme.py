@@ -5,7 +5,7 @@ import cmath
 import re
 from pathlib import Path
 
-from helmstab import energy_parseval
+from helmstab import THEOREMS, energy_parseval
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -19,3 +19,11 @@ def test_readme_quickstart_runs():
     assert abs(namespace["values"][0] - cmath.exp(0.5j * k)) < 1e-10
     assert abs(energy_parseval(u).energy - 2 * k) < 1e-9 * k
     assert namespace["cert"].passed
+
+
+def test_readme_lists_every_theorem_alias():
+    text = README.read_text(encoding="utf-8")
+    listing = re.search(r"The theorem tags accept short aliases: ((?:`[^`]+`,?\s*)+)", text)
+    assert listing, "the README does not list the theorem aliases"
+    listed = re.findall(r"`([^`]+)`", listing.group(1))
+    assert listed == [row.alias for row in THEOREMS.values()]
