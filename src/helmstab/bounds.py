@@ -24,6 +24,7 @@ from .eigenbasis import (
     data_norms,
     select_eigenpairs,
     _EIGENPAIRS,
+    _weighted_norms,
 )
 from .modal1d import (
     EigenvalueFamily,
@@ -36,10 +37,16 @@ from .solver import (
     Block,
     BoundaryConfig,
     SeriesSolution,
+    default_truncation,
     energy_parseval,
     energy_quadrature,
     solve_datum,
     solve_source,
+    _check_datum_family,
+    _check_truncation,
+    _datum_profiles,
+    _parseval_energy,
+    _profile_ends,
     _source_norm,
 )
 
@@ -137,10 +144,7 @@ def certify(
     """
     k = _check_wavenumber(k)
     row = THEOREMS[theorem]
-    for name, want in (("right", row.right), ("bottom", row.bottom)):
-        if want is not None and getattr(config, name) is not want:
-            raise ValueError(f"{theorem.value} requires the {name} operator {want.value}, "
-                             f"got {getattr(config, name).value}")
+    _check_operators(theorem, config)
     if row.side is None:
         u = solve_source(data, config, k, truncation)
         # The norm of the source as solved, from the samples of its table.
@@ -152,6 +156,16 @@ def certify(
         norms = data_norms(data)
         lhs = energy_parseval(u).energy
     return BoundCertificate.from_sides(theorem, k, lhs, rhs_bound(theorem, k, norms), norms)
+
+
+def _check_operators(theorem: TheoremId, config: BoundaryConfig) -> None:
+    """Raise ValueError naming the operator of `config` that the theorem's
+    row of THEOREMS rules out."""
+    row = THEOREMS[theorem]
+    for name, want in (("right", row.right), ("bottom", row.bottom)):
+        if want is not None and getattr(config, name) is not want:
+            raise ValueError(f"{theorem.value} requires the {name} operator {want.value}, "
+                             f"got {getattr(config, name).value}")
 
 
 # --------------------------------------------------------------------------
@@ -340,13 +354,6 @@ class SweepReport:
 #: D/D, N/N, D/N and N/D, in that order.
 _HORIZONTAL_PAIRS = tuple(_EIGENPAIRS)
 
-def _random_spectrum(rng: np.random.Generator, family: BasisFamily, modes: int) -> Spectrum:
-    start = 1 if family is BasisFamily.SIN_INT else 0
-    coeffs = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
-    coeffs /= np.linalg.norm(coeffs)
-    return Spectrum(family, np.arange(start, start + modes), coeffs)
-
-
 def _trial_config(theorem: TheoremId, trial: int, k: float) -> tuple[BoundaryConfig, BasisFamily]:
     row = THEOREMS[theorem]
     right = row.right or _D
@@ -377,44 +384,103 @@ def sweep(
 
     Every (k, trial) pair draws unit-norm data (or a smooth modal source of
     random norm for the source theorem; its bound is homogeneous of degree
-    one in the source) and certifies the bound.  Every failing certificate
-    lands in the report.
+    one in the source) and certifies the bound.  The boundary theorems
+    certify each k's trials from shared mode tables (_boundary_trials), and
+    every certificate is the one certify gives for the same datum, bit for
+    bit.  Every failing certificate lands in the report, in (k, trial)
+    order.  An empty grid, or fewer than one trial or mode, raises
+    ValueError: such a sweep would pass vacuously.
     """
-    for k in k_grid:
-        _check_wavenumber(k)
+    if len(k_grid) == 0:
+        raise ValueError("sweep k_grid is empty; the sweep would certify nothing")
+    for name, value in (("trials", trials), ("modes", modes)):
+        if value < 1:
+            raise ValueError(f"sweep {name} must be at least 1, got {value}")
+    ks = [_check_wavenumber(k) for k in k_grid]
     source = THEOREMS[theorem].side is None
     rng = np.random.default_rng(seed)
-    failures: list[BoundCertificate] = []
+    certs: list[BoundCertificate] = []
+    for k in ks:
+        if source:
+            certs += [_source_trial(rng, theorem, k, modes) for _ in range(trials)]
+        else:
+            certs += _boundary_trials(rng, theorem, k, modes, trials)
+    failures = tuple(cert for cert in certs if not cert.passed)
     max_ratio = -1.0
     argmax: tuple[Optional[float], Optional[int]] = (None, None)
-    count = 0
-    for k in k_grid:
-        for trial in range(trials):
-            if source:
-                cert = _source_trial(rng, theorem, k, modes)
-            else:
-                cfg, fam = _trial_config(theorem, trial, float(k))
-                data = _random_spectrum(rng, fam, modes)
-                cert = certify(theorem, cfg, data, float(k))
-            count += 1
-            if cert.ratio > max_ratio:
-                max_ratio = cert.ratio
-                argmax = (float(k), trial)
-            if not cert.passed:
-                failures.append(cert)
+    for i, cert in enumerate(certs):
+        if cert.ratio > max_ratio:
+            max_ratio = cert.ratio
+            argmax = (cert.k, i % trials)
     return SweepReport(
         theorem=theorem,
-        k_grid=tuple(float(k) for k in k_grid),
+        k_grid=tuple(ks),
         modes=modes,
         trials=trials,
         seed=seed,
-        certificates=count,
+        certificates=len(certs),
         all_passed=not failures,
-        max_ratio=max_ratio if count else 0.0,
+        max_ratio=max_ratio,
         argmax_k=argmax[0],
         argmax_trial=argmax[1],
-        failures=tuple(failures),
+        failures=failures,
     )
+
+
+def _shared_tables(theorem: TheoremId, k: float, configs, modes: int) -> list:
+    """The mode table and the rows of each trial's datum, as (table, slice)
+    pairs, for trials with the given (config, family) pairs whose data fill
+    the first `modes` members of their family.
+
+    Trials whose configs put the same operators at the ends of the profiles
+    share one table, built once with one block of rows per basis family
+    (modal1d._stacked).  Each (config, family) first passes the checks of
+    certify and solve_datum: the theorem's operators, the family's
+    admissibility and the truncation.
+    """
+    side = THEOREMS[theorem].side
+    groups: dict = {}  # profile ends -> family -> configs
+    for cfg, fam in dict.fromkeys(configs):
+        _check_operators(theorem, cfg)
+        _check_datum_family(cfg, side, fam, k)
+        groups.setdefault(_profile_ends(cfg, side), {}).setdefault(fam, []).append(cfg)
+    tables = {}
+    for members in groups.values():
+        fams = list(members)
+        ns = np.array([np.arange(start, start + modes)
+                       for start in (int(fam is BasisFamily.SIN_INT) for fam in fams)])
+        for row in ns:
+            _check_truncation(row, default_truncation(k, int(row[-1])))
+        table = _datum_profiles(members[fams[0]][0], side, ns, k, fams)
+        for j, fam in enumerate(fams):
+            for cfg in members[fam]:
+                tables[cfg, fam] = (table, slice(j * modes, (j + 1) * modes))
+    return [tables[pair] for pair in configs]
+
+
+def _boundary_trials(rng: np.random.Generator, theorem: TheoremId, k: float, modes: int,
+                     trials: int) -> list[BoundCertificate]:
+    """The certificates of one k's trials of a boundary theorem, in trial
+    order.
+
+    Trial t draws `modes` complex coefficients, real parts then imaginary
+    parts, and scales them to unit norm; all trials draw at once, which is
+    the same stream.  Its certificate reads its rows of a shared table
+    through the Parseval and norm sums of certify, so it is certify's
+    certificate of that datum, bit for bit.
+    """
+    draws = rng.standard_normal((trials, 2, modes))
+    coeffs = draws[:, 0] + 1j * draws[:, 1]
+    configs = [_trial_config(theorem, trial, k) for trial in range(trials)]
+    certs = []
+    for c, (table, rows) in zip(coeffs, _shared_tables(theorem, k, configs, modes)):
+        c /= np.linalg.norm(c)
+        w = np.abs(c) ** 2
+        lhs = _parseval_energy(w, table, k, rows).energy
+        norms = _weighted_norms(w, table.mu[rows])
+        certs.append(BoundCertificate.from_sides(theorem, k, lhs, rhs_bound(theorem, k, norms),
+                                                 norms))
+    return certs
 
 
 def _source_trial(rng: np.random.Generator, theorem: TheoremId, k: float,

@@ -272,8 +272,12 @@ def _project_samples(samples: np.ndarray, family: BasisFamily, max_mode: int) ->
 
 def data_norms(s: Spectrum) -> DataNormReport:
     """L2 and fractional-order norms of the expanded datum (Parseval sums)."""
-    sq = np.abs(s.c) ** 2
-    mu = s.family.eigenvalue(s.n)
+    return _weighted_norms(np.abs(s.c) ** 2, s.family.eigenvalue(s.n))
+
+
+def _weighted_norms(sq: np.ndarray, mu: np.ndarray) -> DataNormReport:
+    """data_norms from the squared coefficient moduli and the eigenvalues
+    of their modes."""
     l2 = math.sqrt(math.fsum(sq.tolist()))
     half = math.sqrt(math.fsum((sq * mu).tolist()))
     three_half = math.sqrt(math.fsum((sq * mu**3).tolist()))

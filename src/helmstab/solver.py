@@ -33,6 +33,7 @@ from .eigenbasis import (
     _sample,
 )
 from .modal1d import (
+    ModeTable,
     Side,
     choose_lifting_family,
     x_modes,
@@ -170,28 +171,51 @@ def solve_datum(
     is the y factor (y_modes_lifting).  A nonzero mode above `truncation`
     raises ValueError.
     """
-    lifted = side in (Side.BOTTOM, Side.TOP)
-    if lifted:
-        choice = choose_lifting_family(k, config.bottom, config.top)
-        if g.family.half_integer != choice.basis.half_integer:
-            raise ValueError(
-                f"data family {g.family} is not admissible for this wavenumber: the "
-                f"resonance-avoiding eigenvalue family is {choice.family.value}"
-            )
-    elif g.family is not config.vertical_family():
-        raise ValueError(
-            f"data family {g.family} does not match the horizontal operators "
-            f"(expected {config.vertical_family()})"
-        )
+    _check_datum_family(config, side, g.family, k)
     n_cap = default_truncation(k, g.top_mode) if truncation is None else truncation
     kept = g.c != 0
     ns = g.n[kept]
     _check_truncation(ns, n_cap)
-    if lifted:
-        table = y_modes_lifting(ns, k, config.bottom, config.top, side, g.family)
-    else:
-        table = x_modes(ns, k, config.right, side, g.family)
-    return SeriesSolution(config, k, n_cap, (Block(ns, g.c[kept], table, g.family, lifted),))
+    block = Block(ns, g.c[kept], _datum_profiles(config, side, ns, k, g.family), g.family,
+                  _lifted(side))
+    return SeriesSolution(config, k, n_cap, (block,))
+
+
+def _lifted(side: Side) -> bool:
+    """Whether a datum on `side` is lifted: its profiles are y factors."""
+    return side in (Side.BOTTOM, Side.TOP)
+
+
+def _check_datum_family(config: BoundaryConfig, side: Side, family: BasisFamily,
+                        k: float) -> None:
+    """Raise ValueError unless a datum on `side` may expand in `family`."""
+    if _lifted(side):
+        choice = choose_lifting_family(k, config.bottom, config.top)
+        if family.half_integer != choice.basis.half_integer:
+            raise ValueError(
+                f"data family {family} is not admissible for this wavenumber: the "
+                f"resonance-avoiding eigenvalue family is {choice.family.value}"
+            )
+    elif family is not config.vertical_family():
+        raise ValueError(
+            f"data family {family} does not match the horizontal operators "
+            f"(expected {config.vertical_family()})"
+        )
+
+
+def _profile_ends(config: BoundaryConfig, side: Side) -> tuple:
+    """The operators at the two ends of the profiles of a datum on `side`,
+    which with k, the side and the rows' families decide its table."""
+    return (config.bottom, config.top) if _lifted(side) else (config.left, config.right)
+
+
+def _datum_profiles(config: BoundaryConfig, side: Side, ns, k: float, family) -> ModeTable:
+    """The profiles of the modes ns carrying a unit datum on `side`, one
+    table row per mode: y factors (y_modes_lifting) on the bottom or top, x
+    factors (x_modes) on the left or right.  `family` is as for those."""
+    if _lifted(side):
+        return y_modes_lifting(ns, k, config.bottom, config.top, side, family)
+    return x_modes(ns, k, config.right, side, family)
 
 
 def superpose(parts: Sequence[SeriesSolution]) -> SeriesSolution:
@@ -311,14 +335,21 @@ def energy_parseval(u: SeriesSolution) -> EnergyReport:
         raise ValueError(
             "superposed series mix factor bases; use energy_quadrature instead"
         )
-    l2_parts, grad_parts = [], []
-    for block in u.blocks:
-        w = np.abs(block.c) ** 2
-        p = block.profiles
-        l2_parts += (w * p.norm_sq).tolist()
-        grad_parts += (w * (p.dnorm_sq + p.mu * p.mu * p.norm_sq)).tolist()
-    # fsum is correctly rounded, so the order of the modes does not matter.
-    return _energy_report(math.fsum(grad_parts), math.fsum(l2_parts), u.k)
+    if not u.blocks:
+        return _energy_report(0.0, 0.0, u.k)
+    block = u.blocks[0]
+    return _parseval_energy(np.abs(block.c) ** 2, block.profiles, u.k)
+
+
+def _parseval_energy(w: np.ndarray, profiles, k: float, rows=slice(None)) -> EnergyReport:
+    """The Parseval energy of the terms with squared coefficient moduli w on
+    the given rows of a profile table: sum w |P|^2 and sum w (|P'|^2 +
+    mu^2 |P|^2), each correctly rounded, so the order of the modes does not
+    matter."""
+    norm_sq, mu = profiles.norm_sq[rows], profiles.mu[rows]
+    l2 = (w * norm_sq).tolist()
+    grad = (w * (profiles.dnorm_sq[rows] + mu * mu * norm_sq)).tolist()
+    return _energy_report(math.fsum(grad), math.fsum(l2), k)
 
 
 @functools.lru_cache(maxsize=8)

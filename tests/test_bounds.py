@@ -15,6 +15,7 @@ from helmstab.bounds import (
     rhs_bound,
     sharpness_case,
     sweep,
+    _trial_config,
 )
 from helmstab.eigenbasis import (
     BasisFamily,
@@ -22,7 +23,7 @@ from helmstab.eigenbasis import (
     DataNormReport,
     Spectrum,
 )
-from helmstab.modal1d import Side
+from helmstab.modal1d import Side, choose_lifting_family
 from helmstab.solver import (
     BoundaryConfig,
     energy_parseval,
@@ -252,9 +253,15 @@ def test_sharpness_floor(case_id, floor):
     assert best >= floor * (1 - 1e-9)
 
 
-def test_zero_trial_sweep_vacuous():
-    rep = sweep(TheoremId.T1_G4, [1.0, 2.0], modes=8, trials=0, seed=1)
-    assert rep.all_passed and rep.certificates == 0 and rep.max_ratio == 0.0
+@pytest.mark.parametrize("theorem", [TheoremId.T1_G4, TheoremId.T3_LIFT_DIR,
+                                     TheoremId.TF_SOURCE], ids=lambda t: t.value)
+@pytest.mark.parametrize("name,value", [("k_grid", []), ("trials", 0), ("modes", 0)])
+def test_sweep_rejects_a_vacuous_sweep(theorem, name, value):
+    """No wavenumbers, no trials or no modes would pass with nothing (or
+    only zero data) certified; each raises, naming its argument."""
+    args = {"k_grid": [1.0, 2.0], "modes": 8, "trials": 3, "seed": 1, name: value}
+    with pytest.raises(ValueError, match=name):
+        sweep(theorem, **args)
 
 
 def test_sweep_reports_every_failing_certificate(monkeypatch):
@@ -270,6 +277,83 @@ def test_sweep_reports_every_failing_certificate(monkeypatch):
     rep = sweep(TheoremId.T1_G4, [2.0], modes=4, trials=2, seed=0)
     assert not rep.all_passed and len(rep.failures) == 2
     assert all(not c.passed and c.lhs > c.rhs for c in rep.failures)
+
+
+def _certified_one_by_one(theorem, k_grid, modes, trials, seed):
+    """The boundary sweep as one certify call per trial, on the sweep's
+    draws: real parts then imaginary parts, scaled to unit norm."""
+    rng = np.random.default_rng(seed)
+    certs = []
+    for k in k_grid:
+        for trial in range(trials):
+            cfg, fam = _trial_config(theorem, trial, float(k))
+            start = 1 if fam is BasisFamily.SIN_INT else 0
+            coeffs = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
+            coeffs /= np.linalg.norm(coeffs)
+            data = Spectrum(fam, np.arange(start, start + modes), coeffs)
+            certs.append((trial, certify(theorem, cfg, data, float(k))))
+    return certs
+
+
+#: A k on each side of the switch of T3's lifting lattice at k^2 = 2.125 pi^2,
+#: a cutoff of the half-integer lattice (mode 2 at k = 2.5 pi) and a k within
+#: 1e-10 of the integer lattice's mode 3.
+_SWITCH_K = PI * math.sqrt(2.125)
+_GROUPED_GRID = [0.05, 0.9, _SWITCH_K * (1 - 1e-9), _SWITCH_K * (1 + 1e-9), 2.5 * PI,
+                 3 * PI * (1 + 1e-10), 40.0]
+
+
+def test_grouped_grid_crosses_the_lifting_switch():
+    for top in (D, N):
+        below, above = (choose_lifting_family(k, D, top).family for k in _GROUPED_GRID[2:4])
+        assert below is not above
+
+
+@pytest.mark.parametrize("sabotage", [False, True], ids=["real", "sabotaged"])
+@pytest.mark.parametrize("theorem", [t for t in TheoremId if THEOREMS[t].side is not None],
+                         ids=lambda t: t.value)
+def test_grouped_sweep_equals_certify(theorem, sabotage, monkeypatch):
+    """The sweep certifies each k's trials from shared tables; every
+    certificate must be certify's, bit for bit.  24 trials repeat T1's
+    12-config cycle within a k.  Sabotaged, every certificate fails, so the
+    failure lists compare every certificate in full."""
+    from helmstab import bounds as bounds_mod
+
+    if sabotage:
+        real_rhs = bounds_mod.rhs_bound
+        monkeypatch.setattr(bounds_mod, "rhs_bound",
+                            lambda theorem, k, norms: real_rhs(theorem, k, norms) * 1e-6)
+    rep = sweep(theorem, _GROUPED_GRID, modes=12, trials=24, seed=5)
+    ref = _certified_one_by_one(theorem, _GROUPED_GRID, 12, 24, 5)
+    best = max(range(len(ref)), key=lambda i: (ref[i][1].ratio, -i))
+    assert rep.certificates == len(ref)
+    assert rep.max_ratio == ref[best][1].ratio
+    assert (rep.argmax_k, rep.argmax_trial) == (ref[best][1].k, ref[best][0])
+    assert rep.failures == tuple(cert for _, cert in ref if not cert.passed)
+    assert len(rep.failures) == (len(ref) if sabotage else 0)
+
+
+def test_sweep_builds_one_table_per_k_and_operator_pair(monkeypatch):
+    """T1 cycles 12 configs over 3 right operators; T3_DIR alternates 2 top
+    operators; T2_NEU has one right operator.  Each (k, operator pair)
+    builds one table, whatever its trials' basis families."""
+    from helmstab import modal1d
+
+    builds = []
+    real_modes = modal1d._modes
+
+    def counted(*args, **kwargs):
+        builds.append(1)
+        return real_modes(*args, **kwargs)
+
+    monkeypatch.setattr(modal1d, "_modes", counted)
+    ks = np.geomspace(0.05, 200.0, 8)
+    for theorem, expected in ((TheoremId.T1_G4, 24), (TheoremId.T3_LIFT_DIR, 16),
+                              (TheoremId.T2_G2_NEU, 8)):
+        builds.clear()
+        rep = sweep(theorem, ks, trials=20)
+        assert rep.certificates == 160 and rep.all_passed
+        assert len(builds) == expected, theorem
 
 
 def test_sweep_reproduces_case_ratio():
