@@ -17,11 +17,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .eigenbasis import (
+    MAX_MODE,
     BasisFamily,
     BoundaryOperator,
     DataNormReport,
     Spectrum,
-    data_norms,
     select_eigenpairs,
     _EIGENPAIRS,
     _weighted_norms,
@@ -37,13 +37,10 @@ from .solver import (
     Block,
     BoundaryConfig,
     SeriesSolution,
-    default_truncation,
     energy_parseval,
     energy_quadrature,
     solve_datum,
     solve_source,
-    _check_datum_family,
-    _check_truncation,
     _datum_profiles,
     _parseval_energy,
     _profile_ends,
@@ -151,10 +148,18 @@ def certify(
         norms = DataNormReport(_source_norm(u.blocks[0].profiles.f), math.nan, math.nan)
         # quadrature cross-check folded in
         lhs = max(energy_parseval(u).energy, energy_quadrature(u, 25).energy)
-    else:
-        u = solve_datum(config, row.side, data, k, truncation)
-        norms = data_norms(data)
-        lhs = energy_parseval(u).energy
+        return BoundCertificate.from_sides(theorem, k, lhs, rhs_bound(theorem, k, norms), norms)
+    block = solve_datum(config, row.side, data, k, truncation).blocks[0]
+    return _certificate(theorem, k, np.abs(block.c) ** 2, block.profiles, slice(None))
+
+
+def _certificate(theorem: TheoremId, k: float, w: np.ndarray, table, rows) -> BoundCertificate:
+    """The certificate of the boundary datum with squared coefficient
+    moduli w on the given rows of its profile table: the Parseval energy of
+    its solution against rhs_bound of its norms.  The one certificate of
+    certify and of every boundary sweep trial."""
+    lhs = _parseval_energy(w, table, k, rows).energy
+    norms = _weighted_norms(w, table.mu[rows])
     return BoundCertificate.from_sides(theorem, k, lhs, rhs_bound(theorem, k, norms), norms)
 
 
@@ -385,18 +390,16 @@ def sweep(
     Every (k, trial) pair draws unit-norm data (or a smooth modal source of
     random norm for the source theorem; its bound is homogeneous of degree
     one in the source) and certifies the bound.  The boundary theorems
-    certify each k's trials from shared mode tables (_boundary_trials), and
-    every certificate is the one certify gives for the same datum, bit for
-    bit.  Every failing certificate lands in the report, in (k, trial)
-    order.  An empty grid, or fewer than one trial or mode, raises
-    ValueError: such a sweep would pass vacuously.
+    certify each k's trials from one mode table per (operator pair,
+    eigenvalue lattice) (_boundary_trials), and every certificate is the
+    one certify gives for the same datum, bit for bit.  Every failing
+    certificate lands in the report, in (k, trial) order.  An empty grid,
+    or an argument _check_sweep refuses, raises ValueError naming it.
     """
     if len(k_grid) == 0:
         raise ValueError("sweep k_grid is empty; the sweep would certify nothing")
-    for name, value in (("trials", trials), ("modes", modes)):
-        if value < 1:
-            raise ValueError(f"sweep {name} must be at least 1, got {value}")
     ks = [_check_wavenumber(k) for k in k_grid]
+    _check_sweep(theorem, ks, modes, trials, seed)
     source = THEOREMS[theorem].side is None
     rng = np.random.default_rng(seed)
     certs: list[BoundCertificate] = []
@@ -427,35 +430,23 @@ def sweep(
     )
 
 
-def _shared_tables(theorem: TheoremId, k: float, configs, modes: int) -> list:
-    """The mode table and the rows of each trial's datum, as (table, slice)
-    pairs, for trials with the given (config, family) pairs whose data fill
-    the first `modes` members of their family.
-
-    Trials whose configs put the same operators at the ends of the profiles
-    share one table, built once with one block of rows per basis family
-    (modal1d._stacked).  Each (config, family) first passes the checks of
-    certify and solve_datum: the theorem's operators, the family's
-    admissibility and the truncation.
-    """
-    side = THEOREMS[theorem].side
-    groups: dict = {}  # profile ends -> family -> configs
-    for cfg, fam in dict.fromkeys(configs):
-        _check_operators(theorem, cfg)
-        _check_datum_family(cfg, side, fam, k)
-        groups.setdefault(_profile_ends(cfg, side), {}).setdefault(fam, []).append(cfg)
-    tables = {}
-    for members in groups.values():
-        fams = list(members)
-        ns = np.array([np.arange(start, start + modes)
-                       for start in (int(fam is BasisFamily.SIN_INT) for fam in fams)])
-        for row in ns:
-            _check_truncation(row, default_truncation(k, int(row[-1])))
-        table = _datum_profiles(members[fams[0]][0], side, ns, k, fams)
-        for j, fam in enumerate(fams):
-            for cfg in members[fam]:
-                tables[cfg, fam] = (table, slice(j * modes, (j + 1) * modes))
-    return [tables[pair] for pair in configs]
+def _check_sweep(theorem: TheoremId, ks, modes: int, trials: int, seed: int,
+                 prefix: str = "sweep ") -> None:
+    """Raise ValueError, naming the argument as `prefix` + its name, for no
+    trials or no modes (the sweep would pass vacuously), a negative seed, or
+    boundary data past MAX_MODE, which certify refuses.  SIN_INT data run
+    1..modes, the other families 0..modes-1."""
+    for name, value in (("trials", trials), ("modes", modes)):
+        if value < 1:
+            raise ValueError(f"{prefix}{name} must be at least 1, got {value}")
+    if seed < 0:
+        raise ValueError(f"{prefix}seed must be nonnegative, got {seed}")
+    if THEOREMS[theorem].side is not None and modes > MAX_MODE:
+        top = max(modes - 1 + (_trial_config(theorem, t, k)[1] is BasisFamily.SIN_INT)
+                  for k in ks for t in range(trials))
+        if top > MAX_MODE:
+            raise ValueError(f"{prefix}modes {modes} puts datum mode {top} past the cap "
+                             f"{MAX_MODE}")
 
 
 def _boundary_trials(rng: np.random.Generator, theorem: TheoremId, k: float, modes: int,
@@ -465,21 +456,30 @@ def _boundary_trials(rng: np.random.Generator, theorem: TheoremId, k: float, mod
 
     Trial t draws `modes` complex coefficients, real parts then imaginary
     parts, and scales them to unit norm; all trials draw at once, which is
-    the same stream.  Its certificate reads its rows of a shared table
-    through the Parseval and norm sums of certify, so it is certify's
-    certificate of that datum, bit for bit.
+    the same stream.  A table row depends only on k, the operators at the
+    profile's ends and its eigenvalue, and the sine and cosine families of
+    a lattice have the same eigenvalues.  So the trials share one table per
+    (operators, lattice), built in the lattice's cosine family over the
+    rows they read: 0..modes on the integer lattice, 0..modes-1 on the
+    half-integer one.  Each certificate comes from _certificate, as
+    certify's does.
     """
     draws = rng.standard_normal((trials, 2, modes))
     coeffs = draws[:, 0] + 1j * draws[:, 1]
-    configs = [_trial_config(theorem, trial, k) for trial in range(trials)]
+    side = THEOREMS[theorem].side
+    tables: dict = {}
     certs = []
-    for c, (table, rows) in zip(coeffs, _shared_tables(theorem, k, configs, modes)):
+    for trial, c in enumerate(coeffs):
+        cfg, fam = _trial_config(theorem, trial, k)
+        half = fam.half_integer
+        key = (_profile_ends(cfg, side), half)
+        if key not in tables:
+            cos = BasisFamily.COS_HALF if half else BasisFamily.COS_INT
+            tables[key] = _datum_profiles(cfg, side, np.arange(modes + (not half)), k, cos)
+        start = int(fam is BasisFamily.SIN_INT)
         c /= np.linalg.norm(c)
-        w = np.abs(c) ** 2
-        lhs = _parseval_energy(w, table, k, rows).energy
-        norms = _weighted_norms(w, table.mu[rows])
-        certs.append(BoundCertificate.from_sides(theorem, k, lhs, rhs_bound(theorem, k, norms),
-                                                 norms))
+        certs.append(_certificate(theorem, k, np.abs(c) ** 2, tables[key],
+                                  slice(start, start + modes)))
     return certs
 
 

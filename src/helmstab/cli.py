@@ -28,6 +28,7 @@ from .bounds import (
     certify,
     sharpness_case,
     sweep,
+    _check_sweep,
 )
 from .eigenbasis import BasisFamily, BoundaryOperator, Spectrum, project
 from .modal1d import LiftingFamilyChoice, Side, choose_lifting_family
@@ -487,11 +488,9 @@ def _check_wavenumbers(flag: str, ks) -> None:
 
 def _cmd_sweep(args) -> int:
     theorem = _theorem(args.theorem)
-    # A sweep of no certificates, or of no data, would pass vacuously.
-    for flag, value in (("--k-count", args.k_count), ("--modes", args.modes),
-                        ("--trials", args.trials)):
-        if value < 1:
-            raise ValueError(f"{flag} must be at least 1, got {value}")
+    # A sweep of no wavenumbers would pass vacuously.
+    if args.k_count < 1:
+        raise ValueError(f"--k-count must be at least 1, got {args.k_count}")
     k_list = args.k_list
     if k_list is None and theorem is TheoremId.TF_SOURCE:
         k_list = "0.5,1,5,20"
@@ -505,6 +504,7 @@ def _cmd_sweep(args) -> int:
         _check_wavenumbers("--k-min", [args.k_min])
         _check_wavenumbers("--k-max", [args.k_max])
         k_grid = list(np.geomspace(args.k_min, args.k_max, args.k_count))
+    _check_sweep(theorem, k_grid, args.modes, args.trials, args.seed, prefix="--")
     report = sweep(theorem, k_grid, modes=args.modes, trials=args.trials, seed=args.seed)
     payload = {
         "command": "sweep",

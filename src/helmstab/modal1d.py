@@ -261,24 +261,6 @@ def _modes(n: np.ndarray, mu: np.ndarray, k: float, ops, data) -> ModeTable:
 # --------------------------------------------------------------------------
 
 
-def _stacked(ns, family) -> tuple[np.ndarray, np.ndarray]:
-    """The mode indices of a table and their eigenvalues.
-
-    `family` is one BasisFamily for every index of `ns`, or a sequence of
-    families with one per row of a 2-D `ns`; the table then holds the rows
-    of `ns` one after the other.  Every row of a table is built alone, so a
-    row is the same bytes whatever families share its table.
-    """
-    n = np.asarray(ns, dtype=np.int64)
-    if isinstance(family, BasisFamily):
-        n = n.reshape(-1)
-        return n, family.eigenvalue(n)
-    if n.ndim != 2 or len(n) != len(family):
-        raise ValueError(f"{len(family)} families need a 2-D ns with one row each, "
-                         f"got shape {n.shape}")
-    return n.reshape(-1), np.concatenate([f.eigenvalue(row) for f, row in zip(family, n)])
-
-
 def x_modes(
     ns: Sequence[int],
     k: float,
@@ -289,15 +271,17 @@ def x_modes(
     """Horizontal modal profiles with a unit datum on the given vertical side.
 
     One row per mode index in `ns`, with the eigenvalue of that member of
-    `family` (see _stacked for several families in one table).  The left
-    side always carries the impedance operator, the right side b_right; the
-    datum rides on the operator of `data_side`.
+    `family`; a row depends on its eigenvalue alone, so the sine and cosine
+    families of one lattice give the same rows.  The left side always
+    carries the impedance operator, the right side b_right; the datum rides
+    on the operator of `data_side`.
     """
     if data_side not in (Side.LEFT, Side.RIGHT):
         raise ValueError("x-direction data lives on the LEFT or RIGHT side")
-    n, mu = _stacked(ns, family)
+    n = np.asarray(ns, dtype=np.int64).reshape(-1)
     d_left = 1.0 if data_side is Side.LEFT else 0.0
-    return _modes(n, mu, k, (BoundaryOperator.IMPEDANCE, b_right), (d_left, 1.0 - d_left))
+    return _modes(n, family.eigenvalue(n), k, (BoundaryOperator.IMPEDANCE, b_right),
+                  (d_left, 1.0 - d_left))
 
 
 class EigenvalueFamily(Enum):
@@ -365,8 +349,8 @@ def y_modes_lifting(
     """Vertical auxiliary profiles with a unit datum on a horizontal side.
 
     One row per mode index in `ns`, with the eigenvalue of that member of
-    the datum's basis `family` (see _stacked for several families in one
-    table).  The datum rides on the operator of
+    the datum's basis `family`; as for x_modes, the sine and cosine families
+    of one lattice give the same rows.  The datum rides on the operator of
     `data_side` (at t = 0 for BOTTOM, t = 1 for TOP); the opposite side is
     homogeneous.  A mode whose boundary system is numerically singular
     raises ResonantLiftingError naming the mode: the resonances, and the
@@ -378,9 +362,9 @@ def y_modes_lifting(
     for op in (b_bottom, b_top):
         if op not in (BoundaryOperator.DIRICHLET, BoundaryOperator.NEUMANN):
             raise ValueError("horizontal operators must be Dirichlet or Neumann")
-    n, mu = _stacked(ns, family)
+    n = np.asarray(ns, dtype=np.int64).reshape(-1)
     d_bottom = 1.0 if data_side is Side.BOTTOM else 0.0
-    return _modes(n, mu, k, (b_bottom, b_top), (d_bottom, 1.0 - d_bottom))
+    return _modes(n, family.eigenvalue(n), k, (b_bottom, b_top), (d_bottom, 1.0 - d_bottom))
 
 
 def mode_from_amplitudes(

@@ -205,7 +205,7 @@ def _check_datum_family(config: BoundaryConfig, side: Side, family: BasisFamily,
 
 def _profile_ends(config: BoundaryConfig, side: Side) -> tuple:
     """The operators at the two ends of the profiles of a datum on `side`,
-    which with k, the side and the rows' families decide its table."""
+    which with k, the side and the rows' eigenvalues decide its table."""
     return (config.bottom, config.top) if _lifted(side) else (config.left, config.right)
 
 

@@ -18,6 +18,7 @@ from helmstab.bounds import (
     _trial_config,
 )
 from helmstab.eigenbasis import (
+    MAX_MODE,
     BasisFamily,
     BoundaryOperator,
     DataNormReport,
@@ -255,13 +256,33 @@ def test_sharpness_floor(case_id, floor):
 
 @pytest.mark.parametrize("theorem", [TheoremId.T1_G4, TheoremId.T3_LIFT_DIR,
                                      TheoremId.TF_SOURCE], ids=lambda t: t.value)
-@pytest.mark.parametrize("name,value", [("k_grid", []), ("trials", 0), ("modes", 0)])
+@pytest.mark.parametrize("name,value", [("k_grid", []), ("trials", 0), ("modes", 0),
+                                        ("seed", -1)])
 def test_sweep_rejects_a_vacuous_sweep(theorem, name, value):
     """No wavenumbers, no trials or no modes would pass with nothing (or
-    only zero data) certified; each raises, naming its argument."""
+    only zero data) certified, and a negative seed draws nothing; each
+    raises, naming its argument."""
     args = {"k_grid": [1.0, 2.0], "modes": 8, "trials": 3, "seed": 1, name: value}
     with pytest.raises(ValueError, match=name):
         sweep(theorem, **args)
+
+
+@pytest.mark.parametrize("theorem", [TheoremId.T1_G4, TheoremId.T3_LIFT_DIR],
+                         ids=lambda t: t.value)
+def test_sweep_rejects_data_past_the_mode_cap(theorem):
+    """certify refuses a datum mode past MAX_MODE; a sweep whose data would
+    reach past it raises, naming modes, instead of certifying them."""
+    with pytest.raises(ValueError, match=f"modes {MAX_MODE + 2} "):
+        sweep(theorem, [1.0, 2.0], modes=MAX_MODE + 2, trials=3, seed=1)
+
+
+def test_sweep_mode_cap_is_the_top_datum_mode():
+    """SIN_INT data run 1..modes, the other families 0..modes-1.  At modes =
+    MAX_MODE + 1, T1's trial 0 (SIN_INT) reaches past the cap, while
+    T3_DIR's first two trials draw cosine data, which end at MAX_MODE."""
+    with pytest.raises(ValueError, match=f"puts datum mode {MAX_MODE + 1} "):
+        sweep(TheoremId.T1_G4, [1.0], modes=MAX_MODE + 1, trials=1)
+    assert sweep(TheoremId.T3_LIFT_DIR, [1.0], modes=MAX_MODE + 1, trials=2).all_passed
 
 
 def test_sweep_reports_every_failing_certificate(monkeypatch):
@@ -333,27 +354,30 @@ def test_grouped_sweep_equals_certify(theorem, sabotage, monkeypatch):
     assert len(rep.failures) == (len(ref) if sabotage else 0)
 
 
-def test_sweep_builds_one_table_per_k_and_operator_pair(monkeypatch):
-    """T1 cycles 12 configs over 3 right operators; T3_DIR alternates 2 top
-    operators; T2_NEU has one right operator.  Each (k, operator pair)
-    builds one table, whatever its trials' basis families."""
+def test_sweep_builds_one_table_per_k_operator_pair_and_lattice(monkeypatch):
+    """T1 cycles 12 configs over 3 right operators and both lattices;
+    T3_DIR alternates 2 top operators on the one lifting lattice of each k;
+    T2_NEU has one right operator and both lattices.  Each (k, operator
+    pair, lattice) builds one table, whatever its trials' basis families,
+    over 0..modes on the integer lattice and 0..modes-1 on the other."""
     from helmstab import modal1d
 
-    builds = []
+    rows = []
     real_modes = modal1d._modes
 
-    def counted(*args, **kwargs):
-        builds.append(1)
-        return real_modes(*args, **kwargs)
+    def counted(n, *args, **kwargs):
+        rows.append(len(n))
+        return real_modes(n, *args, **kwargs)
 
     monkeypatch.setattr(modal1d, "_modes", counted)
     ks = np.geomspace(0.05, 200.0, 8)
-    for theorem, expected in ((TheoremId.T1_G4, 24), (TheoremId.T3_LIFT_DIR, 16),
-                              (TheoremId.T2_G2_NEU, 8)):
-        builds.clear()
+    for theorem, builds, built in ((TheoremId.T1_G4, 48, 3096),
+                                   (TheoremId.T3_LIFT_DIR, 16, 1033),
+                                   (TheoremId.T2_G2_NEU, 16, 1032)):
+        rows.clear()
         rep = sweep(theorem, ks, trials=20)
         assert rep.certificates == 160 and rep.all_passed
-        assert len(builds) == expected, theorem
+        assert (len(rows), sum(rows)) == (builds, built), theorem
 
 
 def test_sweep_reproduces_case_ratio():

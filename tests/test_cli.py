@@ -159,10 +159,13 @@ def test_sweep_report(tmp_path):
     (["--theorem", "T1", "--k-list", "5,nan"], "--k-list"),
     (["--theorem", "T1", "--k-list", ""], "--k-list"),
     (["--theorem", "TF", "--k-list", ""], "--k-list"),
+    (["--theorem", "T1", "--k-count", "1", "--trials", "1", "--modes", "16386"], "--modes"),
+    (["--theorem", "T1", "--k-list", "5", "--seed", "-1"], "--seed"),
 ])
 def test_sweep_rejects_flags_that_leave_nothing_to_check(flags, named, tmp_path, capsys):
-    """A sweep flag that would certify nothing, or nothing of its data,
-    exits 1 naming the flag, and writes no report."""
+    """A sweep flag that would certify nothing, nothing of its data or data
+    certify refuses, and a negative seed, exit 1 naming the flag, and write
+    no report."""
     report = tmp_path / "sweep.json"
     assert run_cli(["sweep", *flags, "--report", str(report)]) == 1
     assert named in capsys.readouterr().err

@@ -513,56 +513,47 @@ def test_lifting_table_equals_one_mode_tables(bb, bt, k, side):
         assert_row_equals(whole, n, one)
 
 
-def assert_blocks_equal(stacked, parts):
-    """The rows of `stacked` are the rows of `parts`, one after the other,
-    bit for bit."""
-    start = 0
-    for part in parts:
-        rows = slice(start, start + len(part))
-        start += len(part)
-        for field in TABLE_FIELDS:
-            got, want = getattr(stacked, field), getattr(part, field)
-            assert np.array_equal(got[rows] if np.ndim(got) else got, want), field
-    assert start == len(stacked)
+def assert_rows_equal(table, rows, part):
+    """The rows `rows` of `table` are the table `part`, every field bit for
+    bit."""
+    for field in TABLE_FIELDS:
+        got, want = getattr(table, field), getattr(part, field)
+        assert np.array_equal(got[rows] if np.ndim(got) else got, want), field
 
 
 #: 67 geometric wavenumbers and the exact cutoffs of both lattices below 20.
 STACK_KS = [*np.geomspace(0.05, 200.0, 67).tolist(), *(j * PI / 2 for j in range(1, 13))]
 
+#: Per lattice (half-integer or not): the sine family and its members, the
+#: cosine family and its members, and the rows of the cosine table that
+#: hold the sine members.
+LATTICES = {
+    False: (BasisFamily.SIN_INT, np.arange(1, 65), BasisFamily.COS_INT, np.arange(65),
+            slice(1, 65)),
+    True: (BasisFamily.SIN_HALF, np.arange(64), BasisFamily.COS_HALF, np.arange(64),
+           slice(0, 64)),
+}
 
-def test_stacked_x_tables_equal_one_family_tables():
-    """A table of several families, one block of rows each, is the tables
-    of the families built alone, row for row: what lets a sweep certify
-    every family of a k from one build."""
-    families = list(BasisFamily)
-    ns = np.array([np.arange(64) + (fam is BasisFamily.SIN_INT) for fam in families])
+
+def test_sine_tables_are_rows_of_the_cosine_table_of_their_lattice():
+    """A row depends on its eigenvalue alone, and the sine and cosine
+    families of a lattice have the same eigenvalues, so the sine table is
+    rows of the cosine table, bit for bit: what lets a sweep certify both
+    families of a lattice from one build."""
     for k in STACK_KS:
-        for b2, side in ((I, Side.LEFT), (N, Side.LEFT), (D, Side.RIGHT)):
-            assert_blocks_equal(x_modes(ns, k, b2, side, families),
-                                [x_modes(row, k, b2, side, fam) for row, fam in zip(ns, families)])
-
-
-def test_stacked_lifting_tables_equal_one_family_tables():
-    for k in STACK_KS:
+        for sin, sin_ns, cos, cos_ns, rows in LATTICES.values():
+            for b2, side in ((I, Side.LEFT), (N, Side.LEFT), (D, Side.RIGHT)):
+                assert_rows_equal(x_modes(cos_ns, k, b2, side, cos), rows,
+                                  x_modes(sin_ns, k, b2, side, sin))
         for bb, bt in LIFT_PAIRS:
-            half = choose_lifting_family(k, bb, bt).basis.half_integer
-            families = ([BasisFamily.COS_HALF, BasisFamily.SIN_HALF] if half
-                        else [BasisFamily.COS_INT, BasisFamily.SIN_INT])
-            ns = np.array([np.arange(64), np.arange(1, 65)])
-            parts = [build_or_error(y_modes_lifting, row, k, bb, bt, Side.BOTTOM, fam)
-                     for row, fam in zip(ns, families)]
-            stacked = build_or_error(y_modes_lifting, ns, k, bb, bt, Side.BOTTOM, families)
-            if stacked is ResonantLiftingError:
-                assert ResonantLiftingError in parts
+            sin, sin_ns, cos, cos_ns, rows = LATTICES[
+                choose_lifting_family(k, bb, bt).basis.half_integer]
+            whole = build_or_error(y_modes_lifting, cos_ns, k, bb, bt, Side.BOTTOM, cos)
+            part = build_or_error(y_modes_lifting, sin_ns, k, bb, bt, Side.BOTTOM, sin)
+            if ResonantLiftingError in (whole, part):
+                assert whole is part is ResonantLiftingError, (k, bb, bt)
                 continue
-            assert_blocks_equal(stacked, parts)
-
-
-def test_stacked_tables_need_one_row_of_ns_per_family():
-    families = [BasisFamily.COS_INT, BasisFamily.SIN_INT]
-    for ns in (np.arange(8), np.zeros((3, 4), dtype=int)):
-        with pytest.raises(ValueError, match="one row each"):
-            x_modes(ns, 3.0, I, Side.LEFT, families)
+            assert_rows_equal(whole, rows, part)
 
 
 @pytest.mark.parametrize("bb,bt", LIFT_PAIRS)
