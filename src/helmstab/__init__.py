@@ -18,19 +18,13 @@ from .eigenbasis import (
 )
 from .modal1d import (
     EPS_CUTOFF,
-    EigenvalueFamily,
     LiftingFamilyChoice,
-    ModeRegime,
     ModeTable,
-    ProofQuantities,
-    Regime,
     ResonantLiftingError,
     Side,
-    classify_mode,
     choose_lifting_family,
     energy_densities,
     gap_lower_bound,
-    proof_quantities,
     x_modes,
     y_modes_lifting,
 )

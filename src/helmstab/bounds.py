@@ -27,7 +27,6 @@ from .eigenbasis import (
     _weighted_norms,
 )
 from .modal1d import (
-    EigenvalueFamily,
     Side,
     choose_lifting_family,
     mode_from_amplitudes,
@@ -365,12 +364,9 @@ def _trial_config(theorem: TheoremId, trial: int, k: float) -> tuple[BoundaryCon
     if row.side is Side.BOTTOM:
         b_top = (_D, _N)[trial % 2]
         cfg = BoundaryConfig(row.bottom, right, b_top)
-        choice = choose_lifting_family(k, row.bottom, b_top)
-        if choice.family is EigenvalueFamily.INTEGER:
-            fam = (BasisFamily.COS_INT, BasisFamily.SIN_INT)[(trial // 2) % 2]
-        else:
-            fam = (BasisFamily.COS_HALF, BasisFamily.SIN_HALF)[(trial // 2) % 2]
-        return cfg, fam
+        cosine = choose_lifting_family(k, row.bottom, b_top).basis
+        sine = BasisFamily.SIN_HALF if cosine.half_integer else BasisFamily.SIN_INT
+        return cfg, (cosine, sine)[(trial // 2) % 2]
     pair = _HORIZONTAL_PAIRS[trial % 4]
     if row.right is None:  # any right operator: cycle through all three
         right = (_I, _N, _D)[(trial // 4) % 3]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from itertools import product
@@ -31,11 +30,12 @@ from .bounds import (
     _check_sweep,
 )
 from .eigenbasis import BasisFamily, BoundaryOperator, Spectrum, project
-from .modal1d import LiftingFamilyChoice, Side, choose_lifting_family
+from .modal1d import Side, choose_lifting_family
 from .oracle import compare, fdm_energy, fdm_solve
 from .solver import (
     BoundaryConfig,
     SeriesSolution,
+    _datum_family,
     _grid_values,
     default_projection_depth,
     energy_parseval,
@@ -50,18 +50,6 @@ from .solver import (
 
 class ConfigError(ValueError):
     """Malformed run configuration; message carries the field path."""
-
-
-def mode_cap() -> int:
-    """Active mode cap; HELMHOLTZ_MAX_MODES may lower the built-in cap."""
-    cap = eigenbasis.MAX_MODE
-    env = os.environ.get("HELMHOLTZ_MAX_MODES")
-    if env is not None:
-        try:
-            cap = min(cap, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"HELMHOLTZ_MAX_MODES: not an integer ({env!r})") from exc
-    return cap
 
 
 @dataclass(frozen=True)
@@ -118,7 +106,7 @@ def parse_run_config(doc: dict) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"config.boundary: {exc}") from None
 
-    cap = mode_cap()
+    cap = eigenbasis.MAX_MODE
     data_doc = doc.get("data")
     if data_doc is None:
         data_doc = {}
@@ -236,19 +224,6 @@ def _datum_spectrum(parsed, family: BasisFamily, depth: int) -> Spectrum:
 # --------------------------------------------------------------------------
 
 
-def _lifting(run: RunConfig) -> LiftingFamilyChoice:
-    """The resonance-avoiding lifting lattice of the run."""
-    return choose_lifting_family(run.k, run.config.bottom, run.config.top)
-
-
-def _family(run: RunConfig, side: Side) -> BasisFamily:
-    """The basis family of a datum on `side`: the vertical eigenbasis, or
-    the cosine basis of the lifting lattice on the bottom and top."""
-    if side in (Side.LEFT, Side.RIGHT):
-        return run.config.vertical_family()
-    return _lifting(run).basis
-
-
 def spectra(run: RunConfig) -> dict[Side, Spectrum]:
     """Stage 1: each side's datum as a Spectrum in that side's family.
 
@@ -256,7 +231,7 @@ def spectra(run: RunConfig) -> dict[Side, Spectrum]:
     else the solver's default projection depth.
     """
     depth = default_projection_depth(run.k) if run.truncation is None else run.truncation
-    return {side: _datum_spectrum(parsed, _family(run, side), depth)
+    return {side: _datum_spectrum(parsed, _datum_family(run.config, side, run.k), depth)
             for side, parsed in run.data.items()}
 
 
@@ -272,7 +247,6 @@ class Parts:
     lifts: list  # bottom, then top
     residual_right: Spectrum
     residual_left: Spectrum
-    choice: Optional[LiftingFamilyChoice]  # None without bottom or top data
 
     def solves(self) -> list:
         """The right residual, left residual and source solves, in order."""
@@ -305,7 +279,7 @@ def parts(run: RunConfig, data: dict[Side, Spectrum], tails: Optional[list] = No
             aux = solve_datum(cfg, side, data[side], k, truncation)
             right, left = residual_traces(aux, right, left, depth=truncation, tails=tails)
             lifts.append(aux)
-    return Parts(run, lifts, right, left, _lifting(run) if lifts else None)
+    return Parts(run, lifts, right, left)
 
 
 def _sum(run: RunConfig, pieces: list) -> SeriesSolution:
@@ -439,7 +413,7 @@ def _cmd_certify(args) -> int:
     if side is None:
         data = run.source or []
     else:
-        data = spectra(run).get(side, Spectrum.zero(_family(run, side)))
+        data = spectra(run).get(side, Spectrum.zero(_datum_family(run.config, side, run.k)))
     cert = certify(theorem, run.config, data, run.k, run.truncation)
     payload = _certificate_payload(cert)
     payload["seed"] = run.seed
@@ -534,11 +508,11 @@ def _cmd_lift(args) -> int:
     csv_path = args.csv or run.outputs.get("csv")
     if csv_path:
         _write_samples(csv_path, u, run.grid)
-    choice = lifted.choice
+    choice = choose_lifting_family(run.k, run.config.bottom, run.config.top)
     payload = {
         "command": "lift",
         "k": run.k,
-        "eigenvalue_family": choice.family.value,
+        "eigenvalue_family": "half-integer" if choice.basis.half_integer else "integer",
         "case_index": choice.case_index,
         "d0": choice.d0,
         "d1": choice.d1,
@@ -554,11 +528,13 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.n is not None and args.n < 17:
+        raise ValueError(f"--n: oracle grids start at 17x17, got {args.n}")
     run = _load_config(args.config)
     tails: list = []
     data = spectra(run)
     u = parts(run, data, tails).solution()
-    n = args.n or max(run.grid, 65)
+    n = max(run.grid, 65) if args.n is None else args.n
     fsrc = None
     if run.source is not None:
         family = run.config.vertical_family()

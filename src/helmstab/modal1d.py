@@ -29,7 +29,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -68,22 +68,8 @@ class Side(Enum):
     LEFT = "left"
 
 
-class Regime(Enum):
-    PROPAGATING = "propagating"
-    CUTOFF = "cutoff"
-    EVANESCENT = "evanescent"
-
-
-#: Regime codes of ModeTable.regime; _REGIMES[code] is the Regime.
+#: The codes of ModeTable.regime, one per mode regime.
 PROPAGATING, CUTOFF, EVANESCENT = 0, 1, 2
-_REGIMES = (Regime.PROPAGATING, Regime.CUTOFF, Regime.EVANESCENT)
-
-
-@dataclass(frozen=True)
-class ModeRegime:
-    kind: Regime
-    lam: float  # sqrt(|1 - mu^2/k^2|)
-    z: float    # k * lam = sqrt(|k^2 - mu^2|)
 
 
 def _check_wavenumber(k) -> float:
@@ -106,23 +92,15 @@ _SIGMA_PER_Z = np.array([1j, 0.0, -1.0])
 
 
 def _regimes(k: float, mu: np.ndarray):
-    """Regime code, z = sqrt|k^2 - mu^2| and sigma of each mode."""
+    """The regime code and sigma of each mode; a mode is at the cutoff where
+    |k^2 - mu^2| <= EPS_CUTOFF max(k^2, mu^2)."""
     # (k-mu)(k+mu) avoids the catastrophic cancellation of k*k - mu*mu near
     # the cutoff (the difference k-mu is exact there).
     gap = np.abs((k - mu) * (k + mu))
     z = np.sqrt(gap)
     code = np.where(mu * mu < k * k, PROPAGATING, EVANESCENT)
     code[gap <= EPS_CUTOFF * np.maximum(k * k, mu * mu)] = CUTOFF
-    return code, z, z * _SIGMA_PER_Z[code]
-
-
-def classify_mode(k: float, mu: float) -> ModeRegime:
-    """Regime of the mode with transverse eigenvalue mu at wavenumber k."""
-    k = _check_wavenumber(k)
-    mu = _check_eigenvalue("mu", mu)
-    code, z, _ = _regimes(k, np.array([mu]))
-    z0 = float(z[0])
-    return ModeRegime(_REGIMES[code[0]], z0 / k, z0)
+    return code, z * _SIGMA_PER_Z[code]
 
 
 def _phi(x):
@@ -156,7 +134,6 @@ class ModeTable:
     n: np.ndarray
     mu: np.ndarray
     regime: np.ndarray
-    z: np.ndarray
     sigma: np.ndarray
     A: np.ndarray
     B: np.ndarray
@@ -246,13 +223,13 @@ def _modes(n: np.ndarray, mu: np.ndarray, k: float, ops, data) -> ModeTable:
     at t=0, +d/dt at t=1.
     """
     k = _check_wavenumber(k)
-    code, z, sigma = _regimes(k, mu)
+    code, sigma = _regimes(k, mu)
     es, d_end = np.exp(sigma), _phi(2.0 * sigma)
     r0 = (_apply(ops[0], 1.0, -sigma, k), _apply(ops[0], 0.0, -es, k))
     r1 = (_apply(ops[1], es, sigma * es, k), _apply(ops[1], d_end, 0.5 * (1.0 + es * es), k))
     A, B = _solve_2x2(r0, r1, *data, n)
     gram = _gram(sigma, es, d_end)
-    return ModeTable(k, n, mu, code, z, sigma, A, B, _gram_form(A, B, gram),
+    return ModeTable(k, n, mu, code, sigma, A, B, _gram_form(A, B, gram),
                      _gram_form(sigma * A + es * B, -sigma * B, gram))
 
 
@@ -284,26 +261,16 @@ def x_modes(
                   (d_left, 1.0 - d_left))
 
 
-class EigenvalueFamily(Enum):
-    INTEGER = "integer"        # mu_n = n*pi
-    HALF_INTEGER = "half-integer"  # mu_n = (n + 1/2)*pi
-
-
 @dataclass(frozen=True)
 class LiftingFamilyChoice:
-    """Resonance-avoiding eigenvalue family for horizontal-data lifting."""
+    """Resonance-avoiding eigenvalue lattice for horizontal-data lifting,
+    named by its cosine basis (COS_INT or COS_HALF), in which bottom and top
+    data expand."""
 
     d0: float
     d1: float
-    family: EigenvalueFamily
+    basis: BasisFamily
     case_index: int
-
-    @property
-    def basis(self) -> BasisFamily:
-        """The cosine basis on the chosen lattice, in which bottom and top
-        data expand."""
-        half = self.family is EigenvalueFamily.HALF_INTEGER
-        return BasisFamily.COS_HALF if half else BasisFamily.COS_INT
 
 
 def choose_lifting_family(
@@ -327,15 +294,15 @@ def choose_lifting_family(
     eighth, three_eighth, half = pi2 / 8.0, 3.0 * pi2 / 8.0, pi2 / 2.0
     if same:
         if 0.0 <= d0 <= eighth:
-            fam, case = EigenvalueFamily.HALF_INTEGER, 1
+            basis, case = BasisFamily.COS_HALF, 1
         else:
-            fam, case = EigenvalueFamily.INTEGER, 2
+            basis, case = BasisFamily.COS_INT, 2
     else:
         if d0 <= eighth or three_eighth <= d0 <= half:
-            fam, case = EigenvalueFamily.INTEGER, 3
+            basis, case = BasisFamily.COS_INT, 3
         else:
-            fam, case = EigenvalueFamily.HALF_INTEGER, 4
-    return LiftingFamilyChoice(d0=d0, d1=d1, family=fam, case_index=case)
+            basis, case = BasisFamily.COS_HALF, 4
+    return LiftingFamilyChoice(d0=d0, d1=d1, basis=basis, case_index=case)
 
 
 def y_modes_lifting(
@@ -381,7 +348,7 @@ def mode_from_amplitudes(
     """
     k = _check_wavenumber(k)
     mu = np.array([mu], dtype=float)
-    code, z, sigmas = _regimes(k, mu)
+    code, sigmas = _regimes(k, mu)
     if code[0] == CUTOFF:
         raise ValueError("at the cutoff the two exponentials coincide; amplitudes do not apply")
     a, b, sigma = complex(forward), complex(backward), complex(sigmas[0])
@@ -390,7 +357,7 @@ def mode_from_amplitudes(
     cross = 2.0 * (a * b.conjugate() * es.conjugate() * complex(_phi(sigma - sigma.conjugate()))).real
     norm_sq = (abs(a) ** 2 + abs(b) ** 2) * e_same + cross
     dnorm_sq = abs(sigma) ** 2 * ((abs(a) ** 2 + abs(b) ** 2) * e_same - cross)
-    return ModeTable(k, np.array([n], dtype=np.int64), mu, code, z, sigmas,
+    return ModeTable(k, np.array([n], dtype=np.int64), mu, code, sigmas,
                      np.array([a + b * es]), np.array([-2.0 * sigma * b]),
                      np.array([norm_sq]), np.array([dnorm_sq]))
 
@@ -416,42 +383,8 @@ def gap_lower_bound(k: float, mu_tilde: float, same_ops: bool) -> tuple[float, f
 
 
 # --------------------------------------------------------------------------
-# proof quantities
+# energy densities
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProofQuantities:
-    """The modal energy density |X'|^2 + (mu^2 + k^2)|X|^2 by regime.
-
-    Exactly one field is populated: phi (propagating), theta (cutoff) or
-    psi (evanescent).
-    """
-
-    phi: Optional[float] = None
-    theta: Optional[float] = None
-    psi: Optional[float] = None
-
-    @property
-    def value(self) -> float:
-        for v in (self.phi, self.theta, self.psi):
-            if v is not None:
-                return v
-        raise ValueError("empty ProofQuantities")
-
-
-def proof_quantities(
-    n: int,
-    k: float,
-    b_right: BoundaryOperator,
-    data_side: Side,
-    family: BasisFamily,
-) -> ProofQuantities:
-    """phi/theta/psi for the horizontal-profile problem named by (b_right,
-    data_side): the energy density of mode n, tagged by its regime."""
-    density, regime = energy_densities([n], k, b_right, data_side, family)
-    tag = ("phi", "theta", "psi")[regime[0]]
-    return ProofQuantities(**{tag: float(density[0])})
 
 
 def energy_densities(
@@ -461,6 +394,8 @@ def energy_densities(
     data_side: Side,
     family: BasisFamily,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """|X'|^2 + (mu^2 + k^2)|X|^2 of each x_modes row, and its regime code."""
+    """|X'|^2 + (mu^2 + k^2)|X|^2 of each x_modes row, and its regime code:
+    the density is phi on a PROPAGATING row, theta on a CUTOFF row and psi
+    on an EVANESCENT row."""
     t = x_modes(ns, k, b_right, data_side, family)
     return t.dnorm_sq + (t.mu * t.mu + t.k * t.k) * t.norm_sq, t.regime

@@ -186,20 +186,30 @@ def _lifted(side: Side) -> bool:
     return side in (Side.BOTTOM, Side.TOP)
 
 
+def _datum_family(config: BoundaryConfig, side: Side, k: float) -> BasisFamily:
+    """The basis family of a datum on `side`: the vertical eigenbasis on the
+    left and right, the cosine basis of the resonance-avoiding lifting
+    lattice on the bottom and top."""
+    if _lifted(side):
+        return choose_lifting_family(k, config.bottom, config.top).basis
+    return config.vertical_family()
+
+
 def _check_datum_family(config: BoundaryConfig, side: Side, family: BasisFamily,
                         k: float) -> None:
-    """Raise ValueError unless a datum on `side` may expand in `family`."""
+    """Raise ValueError unless a datum on `side` may expand in `family`:
+    _datum_family, or on the bottom and top either family of its lattice."""
+    expected = _datum_family(config, side, k)
     if _lifted(side):
-        choice = choose_lifting_family(k, config.bottom, config.top)
-        if family.half_integer != choice.basis.half_integer:
+        if family.half_integer != expected.half_integer:
             raise ValueError(
                 f"data family {family} is not admissible for this wavenumber: the "
-                f"resonance-avoiding eigenvalue family is {choice.family.value}"
+                f"resonance-avoiding lifting lattice is that of {expected.value}"
             )
-    elif family is not config.vertical_family():
+    elif family is not expected:
         raise ValueError(
             f"data family {family} does not match the horizontal operators "
-            f"(expected {config.vertical_family()})"
+            f"(expected {expected})"
         )
 
 
@@ -527,7 +537,7 @@ class SourceTable:
         self.mu = np.asarray(mu, dtype=float).reshape(-1)
         rows = len(self.mu)
         self.f = np.asarray(f, dtype=complex).reshape(rows, SOURCE_PANELS, 16)
-        _, _, self.sigma = _regimes(self.k, self.mu)
+        _, self.sigma = _regimes(self.k, self.mu)
         v1, dv1, v2, dv2 = _homogeneous(self.sigma, self.k, _EDGES)
         self._v1_end = v1[:, -1:]
         # The kernels' coefficients on each panel, P's then Q's.

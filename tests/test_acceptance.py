@@ -18,13 +18,13 @@ from helmstab.eigenbasis import (
     project,
 )
 from helmstab.modal1d import (
+    CUTOFF,
     EVANESCENT,
     PROPAGATING,
     Side,
     choose_lifting_family,
     energy_densities,
     gap_lower_bound,
-    proof_quantities,
     x_modes,
     y_modes_lifting,
 )
@@ -138,7 +138,7 @@ def test_criterion_4_proof_quantity_sweeps():
         for (b2, side), (phi_cap, psi_cap) in bounds.items():
             for k in ks:
                 k = float(k)
-                # phi/psi of modes 0..256: the densities proof_quantities tags
+                # phi/psi of modes 0..256: the propagating and evanescent rows
                 density, regime = energy_densities(range(257), k, b2, side, family)
                 if np.any(density[regime == PROPAGATING] > phi_cap(k) * slack):
                     ok = False
@@ -148,9 +148,11 @@ def test_criterion_4_proof_quantity_sweeps():
     fam = BasisFamily.SIN_INT
     for n in (1, 5):
         k = fam.eigenvalue(n)
-        theta = proof_quantities(n, k, I, Side.LEFT, fam).theta
+        (theta,), (code,) = energy_densities([n], k, I, Side.LEFT, fam)
+        ok = ok and code == CUTOFF
         ok = ok and abs(theta - (2 * k**2 + 9) / (3 * k**2 + 12)) < 1e-12 * theta
-        theta = proof_quantities(n, k, N, Side.RIGHT, fam).theta
+        (theta,), (code,) = energy_densities([n], k, N, Side.RIGHT, fam)
+        ok = ok and code == CUTOFF
         ok = ok and abs(theta - ((2 / 3) * k**2 + 3)) < 1e-12 * theta
     dt = time.time() - t0
     _report(4, "proof-quantity sweeps", ok and dt < 30.0, f"({dt:.1f}s)")

@@ -269,7 +269,7 @@ def test_sweep_rejects_a_vacuous_sweep(theorem, name, value):
 
 @pytest.mark.parametrize("theorem", [TheoremId.T1_G4, TheoremId.T3_LIFT_DIR],
                          ids=lambda t: t.value)
-def test_sweep_rejects_data_past_the_mode_cap(theorem):
+def test_sweep_rejects_data_past_max_mode(theorem):
     """certify refuses a datum mode past MAX_MODE; a sweep whose data would
     reach past it raises, naming modes, instead of certifying them."""
     with pytest.raises(ValueError, match=f"modes {MAX_MODE + 2} "):
@@ -326,7 +326,7 @@ _GROUPED_GRID = [0.05, 0.9, _SWITCH_K * (1 - 1e-9), _SWITCH_K * (1 + 1e-9), 2.5 
 
 def test_grouped_grid_crosses_the_lifting_switch():
     for top in (D, N):
-        below, above = (choose_lifting_family(k, D, top).family for k in _GROUPED_GRID[2:4])
+        below, above = (choose_lifting_family(k, D, top).basis for k in _GROUPED_GRID[2:4])
         assert below is not above
 
 

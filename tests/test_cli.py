@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,12 +18,11 @@ from helmstab.cli import (
     _theorem,
     _write_csv,
     main,
-    mode_cap,
     parse_run_config,
     parts,
     spectra,
 )
-from helmstab.eigenbasis import data_norms
+from helmstab.eigenbasis import MAX_MODE, data_norms
 from helmstab.modal1d import ModeTable, Side
 from helmstab.solver import ProjectionTruncationWarning, evaluate_grid
 
@@ -172,11 +172,19 @@ def test_sweep_rejects_flags_that_leave_nothing_to_check(flags, named, tmp_path,
     assert not report.exists()
 
 
-def test_lift_command(tmp_path):
+@pytest.mark.parametrize("k,bottom,right,top,family,case", [
+    (7.3, "neumann", "dirichlet", "dirichlet", "integer", 3),
+    (3.2, "dirichlet", "impedance", "dirichlet", "half-integer", 1),
+    (3.5, "dirichlet", "impedance", "dirichlet", "integer", 2),
+    (3.2, "dirichlet", "impedance", "neumann", "integer", 3),
+    (3.5, "dirichlet", "impedance", "neumann", "half-integer", 4),
+])
+def test_lift_command(tmp_path, k, bottom, right, top, family, case):
+    """The report names the lifting lattice and the case that chose it:
+    the rows at k = 3.2 and 3.5 cover the four cases."""
     doc = {
-        "k": 7.3,
-        "boundary": {"bottom": "neumann", "right": "dirichlet",
-                     "top": "dirichlet", "left": "impedance"},
+        "k": k,
+        "boundary": {"bottom": bottom, "right": right, "top": top, "left": "impedance"},
         "data": {"bottom": "mode:2"},
         "grid": 17,
         "outputs": {},
@@ -184,10 +192,14 @@ def test_lift_command(tmp_path):
     path = tmp_path / "lift.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     report = tmp_path / "lift_report.json"
-    rc = run_cli(["lift", "--config", str(path), "--report", str(report)])
+    with warnings.catch_warnings():
+        # The lifted traces leave energy beyond the default projection
+        # depth; the report's projection_tail carries it.
+        warnings.simplefilter("ignore", ProjectionTruncationWarning)
+        rc = run_cli(["lift", "--config", str(path), "--report", str(report)])
     assert rc == 0
     out = json.loads(report.read_text())
-    assert out["eigenvalue_family"] in ("integer", "half-integer")
+    assert (out["eigenvalue_family"], out["case_index"]) == (family, case)
     assert out["residual_right"] and out["residual_left"]
 
 
@@ -199,6 +211,16 @@ def test_oracle_command(tmp_path):
     assert rc == 0
     doc = json.loads(report.read_text())
     assert doc["rel_l2"] <= 1e-3
+
+
+@pytest.mark.parametrize("n", [0, 5, -3])
+def test_oracle_refuses_grids_below_17_by_flag(tmp_path, capsys, n):
+    report = tmp_path / "oracle.json"
+    rc = run_cli(["oracle", "--config", str(plane_wave_doc(tmp_path)), "--n", str(n),
+                  "--report", str(report)])
+    assert rc == 1
+    assert "--n" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_selftest_and_dump_roundtrip(tmp_path):
@@ -259,6 +281,8 @@ def test_config_error_messages_carry_field_path(tmp_path):
         ("data", {"left": [[1, "b", 0]]}, r"config\.data\.left\[0\]: coefficient"),
         ("data", {"bottom": "mode:x"}, r"config\.data\.bottom: not an integer"),
         ("source", "mode:-1", r"config\.source: mode -1 outside"),
+        ("data", {"left": [[MAX_MODE + 1, 1, 0]]},
+         rf"config\.data\.left\[0\]: mode {MAX_MODE + 1} outside"),
         ("data", [1], r"config\.data: expected an object"),
         ("data", "x", r"config\.data: expected an object"),
         ("data", {"left": [[1, 1, 0], [1, 2, 0]]}, r"config\.data\.left\[1\]: duplicate mode 1"),
@@ -276,20 +300,6 @@ def test_config_error_messages_carry_field_path(tmp_path):
         with pytest.raises(ConfigError, match=path):
             parse_run_config({**doc, "data": {}, field: value})
     assert parse_run_config({**doc, "data": {}, "truncation": 24.0}).truncation == 24
-
-
-def test_mode_cap_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("HELMHOLTZ_MAX_MODES", "10")
-    assert mode_cap() == 10
-    doc = {"k": 1.0,
-           "boundary": {"bottom": "neumann", "right": "impedance",
-                        "top": "neumann", "left": "impedance"},
-           "data": {"left": [[11, 1.0, 0.0]]}}
-    with pytest.raises(ConfigError, match="outside"):
-        parse_run_config(doc)
-    monkeypatch.setenv("HELMHOLTZ_MAX_MODES", "junk")
-    with pytest.raises(ConfigError):
-        mode_cap()
 
 
 def test_named_data_forms(tmp_path):

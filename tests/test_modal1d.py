@@ -13,19 +13,18 @@ from hypothesis import strategies as st
 from helmstab.eigenbasis import BasisFamily, BoundaryOperator, Spectrum
 from helmstab.modal1d import (
     CUTOFF,
-    EigenvalueFamily,
-    LiftingFamilyChoice,
+    EVANESCENT,
+    PROPAGATING,
     ModeTable,
-    Regime,
     ResonantLiftingError,
     Side,
-    classify_mode,
     choose_lifting_family,
+    energy_densities,
     gap_lower_bound,
     mode_from_amplitudes,
-    proof_quantities,
     x_modes,
     y_modes_lifting,
+    _regimes,
 )
 from helmstab.oracle import fdm_solve
 from helmstab.solver import BoundaryConfig, solve_datum, solve_source
@@ -77,26 +76,32 @@ def boundary_residual(table, op, end, k):
 # --------------------------------------------------------------------------
 
 
-def test_classify_examples():
-    reg = classify_mode(2 * PI, PI)
-    assert reg.kind is Regime.PROPAGATING
-    assert reg.lam == pytest.approx(math.sqrt(3) / 2, rel=1e-15)
+def regime(k, mu):
+    """The regime code and sigma of the one mode mu at k."""
+    code, sigma = _regimes(k, np.array([mu]))
+    return code[0], complex(sigma[0])
 
-    reg = classify_mode(PI, PI)
-    assert reg.kind is Regime.CUTOFF
-    assert reg.lam == 0.0
 
-    reg = classify_mode(1.0, PI)
-    assert reg.kind is Regime.EVANESCENT
-    assert reg.z == pytest.approx(math.sqrt(PI**2 - 1), rel=1e-15)
+def test_regime_examples():
+    code, sigma = regime(2 * PI, PI)
+    assert code == PROPAGATING
+    assert abs(sigma) / (2 * PI) == pytest.approx(math.sqrt(3) / 2, rel=1e-15)
+
+    code, sigma = regime(PI, PI)
+    assert code == CUTOFF
+    assert sigma == 0.0
+
+    code, sigma = regime(1.0, PI)
+    assert code == EVANESCENT
+    assert -sigma.real == pytest.approx(math.sqrt(PI**2 - 1), rel=1e-15)
 
 
 def test_cutoff_tolerance_band():
     k = 10.0
-    assert classify_mode(k, k * (1 + 1e-9)).kind is Regime.CUTOFF
-    assert classify_mode(k, k * (1 + 1e-7)).kind is Regime.EVANESCENT
+    assert regime(k, k * (1 + 1e-9))[0] == CUTOFF
+    assert regime(k, k * (1 + 1e-7))[0] == EVANESCENT
     with pytest.raises(ValueError):
-        classify_mode(0.0, 1.0)
+        energy_densities([1], 0.0, I, Side.LEFT, BasisFamily.COS_INT)
 
 
 # --------------------------------------------------------------------------
@@ -234,14 +239,18 @@ def test_mode_from_amplitudes_matches_lemma_norms():
 
 def test_choose_lifting_family_examples():
     ch = choose_lifting_family(PI, N, N)
-    assert ch.family is EigenvalueFamily.HALF_INTEGER and ch.case_index == 1
+    assert ch.basis is BasisFamily.COS_HALF and ch.case_index == 1
     assert ch.d0 == pytest.approx(0.0, abs=1e-12)
 
     ch = choose_lifting_family(math.sqrt(PI**2 / 2), D, D)
-    assert ch.family is EigenvalueFamily.INTEGER and ch.case_index == 2
+    assert ch.basis is BasisFamily.COS_INT and ch.case_index == 2
 
     ch = choose_lifting_family(math.sqrt(PI**2 / 2), D, N)
-    assert ch.family is EigenvalueFamily.INTEGER and ch.case_index == 3
+    assert ch.basis is BasisFamily.COS_INT and ch.case_index == 3
+
+    # d0 = pi^2 |k^2/pi^2 - 1| lies strictly between pi^2/8 and 3 pi^2/8
+    ch = choose_lifting_family(3.5, D, N)
+    assert ch.basis is BasisFamily.COS_HALF and ch.case_index == 4
 
 
 @settings(max_examples=60, deadline=None)
@@ -257,7 +266,7 @@ def test_y_mode_cutoff_neumann_polynomial_norms():
     # place the cutoff exactly on the half-integer lattice the choice picks
     k = 2.5 * PI
     ch = choose_lifting_family(k, N, D)
-    assert ch.family is EigenvalueFamily.HALF_INTEGER
+    assert ch.basis is BasisFamily.COS_HALF
     mode = y_modes_lifting([2], k, N, D, Side.BOTTOM, ch.basis)  # mu = 2.5*pi = k
     assert mode.regime[0] == CUTOFF and mode.sigma[0] == 0
     assert (mode.A[0], mode.B[0]) == (1.0, -1.0)  # Y = 1 - t in the pair {1, t}
@@ -307,8 +316,8 @@ def test_y_mode_propagating_boundary_residuals():
             mode = y_modes_lifting([n], k, bb, bt, Side.BOTTOM, ch.basis)
             datum = boundary_residual(mode, bb, 0, k)
             hom = boundary_residual(mode, bt, 1, k)
-            assert abs(datum - 1.0) <= 1e-12 * (1 + mode.z[0] + k)
-            assert abs(hom) <= 1e-12 * (1 + mode.z[0] + k)
+            assert abs(datum - 1.0) <= 1e-12 * (1 + abs(mode.sigma[0]) + k)
+            assert abs(hom) <= 1e-12 * (1 + abs(mode.sigma[0]) + k)
 
 
 def test_y_mode_top_datum_reflection():
@@ -362,20 +371,22 @@ def test_gap_postcondition_small_sweep():
 
 
 # --------------------------------------------------------------------------
-# proof quantities
+# energy densities
 # --------------------------------------------------------------------------
 
 
 def test_theta_examples():
     fam = BasisFamily.SIN_INT
     k = fam.eigenvalue(2)
-    pq = proof_quantities(2, k, I, Side.LEFT, fam)
-    assert pq.theta == pytest.approx((2 * k**2 + 9) / (3 * k**2 + 12), rel=1e-14)
-    pq = proof_quantities(2, k, N, Side.RIGHT, fam)
-    assert pq.theta == pytest.approx((2 / 3) * k**2 + 3, rel=1e-14)
+    theta, code = energy_densities([2], k, I, Side.LEFT, fam)
+    assert code[0] == CUTOFF
+    assert theta[0] == pytest.approx((2 * k**2 + 9) / (3 * k**2 + 12), rel=1e-14)
+    theta, code = energy_densities([2], k, N, Side.RIGHT, fam)
+    assert code[0] == CUTOFF
+    assert theta[0] == pytest.approx((2 / 3) * k**2 + 3, rel=1e-14)
 
 
-def test_proof_quantities_match_mode_assembly():
+def test_energy_densities_match_mode_assembly():
     """The densities equal the exact exponential integrals of the same mode
     (mode_from_amplitudes), which do not use the closed-form norms."""
     rng = np.random.default_rng(42)
@@ -389,31 +400,29 @@ def test_proof_quantities_match_mode_assembly():
         k = float(10 ** rng.uniform(-1.3, 2.3))
         b2 = (I, N, D)[int(rng.integers(0, 3))]
         side = Side.LEFT if b2 is I else (Side.LEFT, Side.RIGHT)[int(rng.integers(0, 2))]
-        pq = proof_quantities(n, k, b2, side, fam)
+        density, code = energy_densities([n], k, b2, side, fam)
         mode = x_modes([n], k, b2, side, fam)
         mu = fam.eigenvalue(n)
-        assert pq.value == mode.dnorm_sq[0] + (mu * mu + k * k) * mode.norm_sq[0]
+        assert density[0] == mode.dnorm_sq[0] + (mu * mu + k * k) * mode.norm_sq[0]
+        assert code[0] == mode.regime[0]
         if mode.regime[0] == CUTOFF:
             continue
         ref = mode_from_amplitudes(k, mu, *amplitudes(mode))
         assembled = ref.dnorm_sq[0] + (mu * mu + k * k) * ref.norm_sq[0]
-        assert abs(pq.value - assembled) <= 1e-10 * assembled
+        assert abs(density[0] - assembled) <= 1e-10 * assembled
         checked += 1
     assert checked > 140
 
 
-def test_proof_quantity_sweep_bounds_small():
+def test_energy_density_sweep_bounds_small():
     """Spot versions of the energy-density bounds (full sweep in acceptance)."""
     ks = np.geomspace(0.05, 200.0, 16)
     fam = BasisFamily.COS_INT
     for k in ks:
         k = float(k)
-        for n in range(0, 128, 5):
-            pq = proof_quantities(n, k, I, Side.LEFT, fam)
-            if pq.phi is not None:
-                assert pq.phi <= 3 * max(k * k, 1.0) * (1 + 1e-9)
-            if pq.psi is not None:
-                assert pq.psi <= 3 * (1 + 1e-9)
+        density, code = energy_densities(range(0, 128, 5), k, I, Side.LEFT, fam)
+        assert np.all(density[code == PROPAGATING] <= 3 * max(k * k, 1.0) * (1 + 1e-9))
+        assert np.all(density[code == EVANESCENT] <= 3 * (1 + 1e-9))
 
 
 # --------------------------------------------------------------------------
@@ -677,7 +686,7 @@ def test_empty_tables():
 @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, -3.0])
 def test_nonfinite_wavenumber_is_rejected_by_name(k):
     with pytest.raises(ValueError, match="k="):
-        classify_mode(k, 1.0)
+        energy_densities([1], k, I, Side.LEFT, BasisFamily.COS_INT)
     with pytest.raises(ValueError, match="k="):
         choose_lifting_family(k, N, D)
     with pytest.raises(ValueError, match="k="):
@@ -691,24 +700,17 @@ def test_nonfinite_wavenumber_is_rejected_by_name(k):
         solve_source([(1, np.cos)], BoundaryConfig(D, D, D), k)
     # a non-finite or negative transverse eigenvalue is rejected the same way
     mu = -1.0 if k < 0 else k
-    with pytest.raises(ValueError, match="mu="):
-        classify_mode(2.0, mu)
     with pytest.raises(ValueError, match="mu_tilde="):
         gap_lower_bound(2.0, mu, True)
 
 
 def test_lifting_basis_is_the_cosine_family_on_the_chosen_lattice():
     """A lifting choice's basis is the cosine family on its lattice, whose
-    eigenvalues are n*pi or (n+1/2)*pi, and every choice's basis is on the
-    lattice it names."""
+    eigenvalues are n*pi or (n+1/2)*pi."""
     ns = np.arange(9)
-    for lattice, basis, offset in ((EigenvalueFamily.INTEGER, BasisFamily.COS_INT, 0.0),
-                                   (EigenvalueFamily.HALF_INTEGER, BasisFamily.COS_HALF, 0.5)):
-        choice = LiftingFamilyChoice(d0=0.0, d1=0.0, family=lattice, case_index=0)
-        assert choice.basis is basis
-        assert np.array_equal(choice.basis.eigenvalue(ns), (ns + offset) * PI)
     for k in np.geomspace(0.05, 200.0, 40):
         for bb, bt in LIFT_PAIRS:
-            choice = choose_lifting_family(float(k), bb, bt)
-            half = choice.family is EigenvalueFamily.HALF_INTEGER
-            assert choice.basis.half_integer is half
+            basis = choose_lifting_family(float(k), bb, bt).basis
+            assert basis in (BasisFamily.COS_INT, BasisFamily.COS_HALF)
+            offset = 0.5 if basis.half_integer else 0.0
+            assert np.array_equal(basis.eigenvalue(ns), (ns + offset) * PI)
