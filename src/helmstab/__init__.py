@@ -38,8 +38,10 @@ from .solver import (
     energy_quadrature,
     evaluate,
     evaluate_grid,
+    lift,
     residual_traces,
     solve_datum,
+    solve_problem,
     solve_source,
     source_l2_norm,
     superpose,

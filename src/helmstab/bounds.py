@@ -3,12 +3,11 @@
 Each certified inequality bounds the energy ||grad u|| + k ||u|| by an
 explicit k-power times data norms.  Certificates compare the modal energy of
 an assembled solution against the bound; sharpness cases rebuild the
-closed-form extremal solutions and their exact energies.
+closed-form extremal examples and their exact energies.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -29,13 +28,10 @@ from .eigenbasis import (
 from .modal1d import (
     Side,
     choose_lifting_family,
-    mode_from_amplitudes,
     _check_wavenumber,
 )
 from .solver import (
-    Block,
     BoundaryConfig,
-    SeriesSolution,
     energy_parseval,
     energy_quadrature,
     solve_datum,
@@ -191,7 +187,7 @@ SHARPNESS_IDS = (
 
 @dataclass(frozen=True)
 class SharpnessCase:
-    """One closed-form extremal solution with its exact energy."""
+    """One closed-form extremal example: its problem and its exact energy."""
 
     case_id: str
     n: int
@@ -199,7 +195,6 @@ class SharpnessCase:
     theorem: TheoremId
     config: BoundaryConfig
     datum: Spectrum
-    exact: SeriesSolution
     expected_energy: Optional[float]
     expected_energy_sq: Optional[float]  # grad^2 + k^2 l2^2 for the >=-bounded cases
     lower_bound: Optional[float]
@@ -210,29 +205,6 @@ class SharpnessCase:
         return THEOREMS[self.theorem].side
 
 
-def _trig_profile(w: float, A: complex, B: complex):
-    """Mode equal to A sin(w t) + B cos(w t) (propagating, w = k*lam), as
-    (forward, backward) amplitudes."""
-    c_minus = (B + 1j * A) / 2.0
-    return (B - 1j * A) / 2.0, c_minus * cmath.exp(-1j * w)
-
-
-def _trig_profile_from_end(w: float, A: complex, B: complex):
-    """Mode equal to A sin(w (1-t)) + B cos(w (1-t)), as (forward, backward)
-    amplitudes."""
-    return (B + 1j * A) / 2.0 * cmath.exp(-1j * w), (B - 1j * A) / 2.0
-
-
-def _one_term(cfg: BoundaryConfig, k: float, n: int, lifted: bool,
-              family: BasisFamily, mu: float, amplitudes) -> SeriesSolution:
-    """The solution 1 * profile * member n of `family`, the profile a
-    one-row table built from its (forward, backward) amplitudes; the profile
-    is the y factor when `lifted`."""
-    profile = mode_from_amplitudes(k, mu, *amplitudes, n=n)
-    block = Block(np.array([n], dtype=np.int64), np.ones(1, dtype=complex), profile, family, lifted)
-    return SeriesSolution(cfg, k, n, (block,))
-
-
 #: The (bottom, top) operator pair of each vertical basis family.
 _VERTICAL_OPS = {family: pair for pair, family in _EIGENPAIRS.items()}
 
@@ -240,7 +212,7 @@ _VERTICAL_OPS = {family: pair for pair, family in _EIGENPAIRS.items()}
 def sharpness_case(
     case_id: str, n: int, family: BasisFamily = BasisFamily.SIN_INT
 ) -> SharpnessCase:
-    """Rebuild one extremal example: problem, transcribed solution, energy.
+    """Rebuild one extremal example: its problem, datum and exact energy.
 
     `family` picks the transverse basis where the example leaves it free
     (any of the four for the vertical-datum cases; the sine or cosine
@@ -260,35 +232,29 @@ def sharpness_case(
         if case_id == "ex2.3-1":
             k = math.sqrt(mu * mu + pi * pi)
             cfg = BoundaryConfig(b_bottom, BoundaryOperator.IMPEDANCE, b_top)
-            prof = _trig_profile(pi, -1.0 / (2.0 * pi), 1j / (2.0 * k))
             expected = (sqrt2 / 2.0) * k * math.sqrt(1.0 / pi**2 + 1.0 / k**2)
             theorem = TheoremId.T1_G4
         elif case_id == "ex2.3-2":
             k = math.sqrt(mu * mu + pi * pi / 4.0)
             cfg = BoundaryConfig(b_bottom, BoundaryOperator.NEUMANN, b_top)
-            prof = _trig_profile(pi / 2.0, -2.0 / pi, 0.0)
             expected = (2.0 * sqrt2 / pi) * k
             theorem = TheoremId.T1_G4
         elif case_id == "ex2.3-3":
             k = math.sqrt(mu * mu + pi * pi)
             cfg = BoundaryConfig(b_bottom, BoundaryOperator.DIRICHLET, b_top)
-            prof = _trig_profile(pi, -1.0 / pi, 0.0)
             expected = (sqrt2 / pi) * k
             theorem = TheoremId.T1_G4
         elif case_id == "ex2.5-neumann":
             k = math.sqrt(mu * mu + pi * pi / 4.0)
             cfg = BoundaryConfig(b_bottom, BoundaryOperator.NEUMANN, b_top)
-            prof = _trig_profile(pi / 2.0, 4j * k / pi**2, -2.0 / pi)
             expected = (4.0 * sqrt2 / pi) * k * k * math.sqrt(1.0 / pi**2 + 1.0 / (4.0 * k * k))
             theorem = TheoremId.T2_G2_NEU
         else:  # ex2.5-dirichlet
             k = math.sqrt(mu * mu + pi * pi)
             cfg = BoundaryConfig(b_bottom, BoundaryOperator.DIRICHLET, b_top)
-            prof = _trig_profile(pi, 1j * k / pi, -1.0)
             expected = (sqrt2 / pi) * math.sqrt(k**4 + pi**2 * k**2)
             theorem = TheoremId.T2_G2_DIR
-        exact = _one_term(cfg, k, n, False, family, mu, prof)
-        return SharpnessCase(case_id, n, k, theorem, cfg, datum, exact, expected, None, None)
+        return SharpnessCase(case_id, n, k, theorem, cfg, datum, expected, None, None)
 
     # lifting cases: integer eigenvalue lattice, sine or cosine x-basis
     if family not in (BasisFamily.SIN_INT, BasisFamily.COS_INT):
@@ -299,13 +265,11 @@ def sharpness_case(
     if case_id == "lift-nn":
         k = math.sqrt(mu * mu + pi * pi / 4.0)
         cfg = BoundaryConfig(N, D, N)
-        prof = _trig_profile_from_end(pi / 2.0, 0.0, -2.0 / pi)
         expected, expected_sq, lower = (2.0 * sqrt2 / pi) * k, None, None
         theorem = TheoremId.T3_LIFT_NEU
     elif case_id == "lift-nd":
         k = math.sqrt(mu * mu + pi * pi)
         cfg = BoundaryConfig(N, D, D)
-        prof = _trig_profile_from_end(pi, -1.0 / pi, 0.0)
         expected, expected_sq, lower = (sqrt2 / pi) * k, None, None
         theorem = TheoremId.T3_LIFT_NEU
     elif case_id == "lift-dn":
@@ -313,7 +277,6 @@ def sharpness_case(
         w = theta + 1.0 / theta
         k = math.sqrt(w * w + mu * mu)
         cfg = BoundaryConfig(D, D, N)
-        prof = _trig_profile_from_end(w, 0.0, 1.0 / math.cos(w))
         expected = None
         expected_sq = (k * k + mu * mu * math.sin(2.0 * w) / (2.0 * w)) / math.cos(w) ** 2
         lower = (9.0 * pi**2 / (2.0 * sqrt2 * (9.0 * pi**2 + 4.0))) * (
@@ -325,14 +288,11 @@ def sharpness_case(
         w = theta + 1.0 / theta
         k = math.sqrt(w * w + theta * theta)
         cfg = BoundaryConfig(D, D, D)
-        prof = _trig_profile_from_end(w, 1.0 / math.sin(w), 0.0)
         expected = None
         expected_sq = (k * k - theta * theta * math.sin(2.0 * w) / (2.0 * w)) / math.sin(w) ** 2
         lower = (pi**2 / (2.0 * sqrt2 * (pi**2 + 1.0))) * (k * k + math.sqrt(k) * math.sqrt(theta))
         theorem = TheoremId.T3_LIFT_DIR
-    exact = _one_term(cfg, k, n, True, family, mu, prof)
-    return SharpnessCase(case_id, n, k, theorem, cfg, datum, exact,
-                         expected, expected_sq, lower)
+    return SharpnessCase(case_id, n, k, theorem, cfg, datum, expected, expected_sq, lower)
 
 
 # --------------------------------------------------------------------------

@@ -41,9 +41,9 @@ from .solver import (
     energy_parseval,
     energy_quadrature,
     evaluate,
-    residual_traces,
+    lift,
     solve_datum,
-    solve_source,
+    solve_problem,
     superpose,
 )
 
@@ -58,7 +58,7 @@ class RunConfig:
 
     k: float
     config: BoundaryConfig
-    data: dict
+    data: dict[Side, Spectrum]
     source: Optional[list]
     truncation: Optional[int]
     grid: int
@@ -107,6 +107,12 @@ def parse_run_config(doc: dict) -> RunConfig:
         raise ConfigError(f"config.boundary: {exc}") from None
 
     cap = eigenbasis.MAX_MODE
+    truncation = doc.get("truncation")
+    if truncation is not None:
+        truncation = _integer("config.truncation", truncation)
+        if truncation < 0 or truncation > cap:
+            raise ConfigError(f"config.truncation: must lie in [0, {cap}]")
+    depth = default_projection_depth(k) if truncation is None else truncation
     data_doc = doc.get("data")
     if data_doc is None:
         data_doc = {}
@@ -118,17 +124,19 @@ def parse_run_config(doc: dict) -> RunConfig:
             side = Side(name)
         except ValueError:
             raise ConfigError(f"config.data.{name}: unknown side") from None
-        data[side] = _parse_datum(f"config.data.{name}", raw, cap)
+        data[side] = _parse_datum(f"config.data.{name}", raw, cap,
+                                  _datum_family(config, side, k), depth)
 
     source = None
     if doc.get("source") is not None:
         source = _parse_source(f"config.source", doc["source"], cap)
 
-    truncation = doc.get("truncation")
-    if truncation is not None:
-        truncation = _integer("config.truncation", truncation)
-        if truncation < 0 or truncation > cap:
-            raise ConfigError(f"config.truncation: must lie in [0, {cap}]")
+    if truncation is not None:  # a solve would drop a nonzero mode above it
+        modes = {f"config.data.{side.value}": g.n[g.c != 0] for side, g in data.items()}
+        modes["config.source"] = [n for n, _ in source or ()]
+        for path, ns in modes.items():
+            if max(ns, default=0) > truncation:
+                raise ConfigError(f"{path}: mode {max(ns)} lies above truncation {truncation}")
     grid = _integer("config.grid", doc.get("grid", 33))
     if grid < 2:
         raise ConfigError("config.grid: must be at least 2")
@@ -171,12 +179,12 @@ def _mode_index(path: str, raw, cap: int) -> int:
     return n
 
 
-def _parse_datum(path: str, raw, cap: int):
-    """A [n, re, im] triple list or a named form, as (mode, coefficient)
-    pairs or, for a constant datum, its complex value."""
+def _parse_datum(path: str, raw, cap: int, family: BasisFamily, depth: int) -> Spectrum:
+    """A [n, re, im] triple list or a named form, as a spectrum in `family`;
+    a constant datum is projected at `depth`."""
     if isinstance(raw, str):
         if raw.startswith("mode:"):
-            return [(_mode_index(path, raw[len("mode:"):], cap), 1.0)]
+            return Spectrum.from_pairs(family, [(_mode_index(path, raw[len("mode:"):], cap), 1.0)])
         if raw.startswith("constant:"):
             try:
                 values = [float(v) for v in raw[len("constant:"):].split(",")]
@@ -185,7 +193,7 @@ def _parse_datum(path: str, raw, cap: int):
             if not (1 <= len(values) <= 2 and all(map(math.isfinite, values))):
                 raise ConfigError(f"{path}: a constant datum is one or two finite "
                                   f"numbers (re[,im]), got {raw!r}")
-            return complex(*values)
+            return project(lambda t: np.full(np.shape(t), complex(*values)), family, depth)
         raise ConfigError(f"{path}: unknown named datum {raw!r}")
     if isinstance(raw, list):
         triples = []
@@ -199,7 +207,10 @@ def _parse_datum(path: str, raw, cap: int):
                 triples.append((n, complex(float(item[1]), float(item[2]))))
             except (TypeError, ValueError):
                 raise ConfigError(f"{path}[{i}]: coefficient is not a number") from None
-        return triples
+        try:
+            return Spectrum.from_pairs(family, triples)
+        except ValueError as exc:  # a non-finite coefficient
+            raise ConfigError(f"{path}: {exc}") from None
     raise ConfigError(f"{path}: expected a triple list or a named datum string")
 
 
@@ -210,83 +221,6 @@ def _parse_source(path: str, raw, cap: int):
             return [(n, lambda x: np.ones_like(np.asarray(x, dtype=float)))]
         raise ConfigError(f"{path}: unknown named source {raw!r}")
     raise ConfigError(f"{path}: expected a named source string")
-
-
-def _datum_spectrum(parsed, family: BasisFamily, depth: int) -> Spectrum:
-    """A parsed datum's spectrum; a constant is projected at `depth`."""
-    if isinstance(parsed, list):
-        return Spectrum.from_pairs(family, parsed)
-    return project(lambda t: np.full(np.shape(t), parsed, dtype=complex), family, depth)
-
-
-# --------------------------------------------------------------------------
-# the config-to-solution pipeline of solve, lift, certify and oracle
-# --------------------------------------------------------------------------
-
-
-def spectra(run: RunConfig) -> dict[Side, Spectrum]:
-    """Stage 1: each side's datum as a Spectrum in that side's family.
-
-    Named constant data are projected at one depth: `truncation` if given,
-    else the solver's default projection depth.
-    """
-    depth = default_projection_depth(run.k) if run.truncation is None else run.truncation
-    return {side: _datum_spectrum(parsed, _datum_family(run.config, side, run.k), depth)
-            for side, parsed in run.data.items()}
-
-
-@dataclass(frozen=True)
-class Parts:
-    """Stage 2: the pieces whose sum solves the problem.
-
-    The right, left and source solves run only when `solves` is called, so
-    `lift`, which sums the lifts alone, never runs them.
-    """
-
-    run: RunConfig
-    lifts: list  # bottom, then top
-    residual_right: Spectrum
-    residual_left: Spectrum
-
-    def solves(self) -> list:
-        """The right residual, left residual and source solves, in order."""
-        run = self.run
-        pieces = [solve_datum(run.config, side, g, run.k, run.truncation)
-                  for side, g in ((Side.RIGHT, self.residual_right),
-                                  (Side.LEFT, self.residual_left)) if len(g)]
-        if run.source is not None:
-            pieces.append(solve_source(run.source, run.config, run.k, run.truncation))
-        return pieces
-
-    def solution(self) -> SeriesSolution:
-        return _sum(self.run, self.lifts + self.solves())
-
-
-def parts(run: RunConfig, data: dict[Side, Spectrum], tails: Optional[list] = None) -> Parts:
-    """Stage 2: lift the bottom then the top datum and subtract their traces
-    from the right and left data.
-
-    The traces are projected at `truncation` when one is given, so no
-    residual mode lies beyond it.  Each trace's ProjectionTail is appended
-    to `tails` if given.
-    """
-    cfg, k, truncation = run.config, run.k, run.truncation
-    zero = Spectrum.zero(cfg.vertical_family())
-    right, left = data.get(Side.RIGHT, zero), data.get(Side.LEFT, zero)
-    lifts = []
-    for side in (Side.BOTTOM, Side.TOP):
-        if side in data:
-            aux = solve_datum(cfg, side, data[side], k, truncation)
-            right, left = residual_traces(aux, right, left, depth=truncation, tails=tails)
-            lifts.append(aux)
-    return Parts(run, lifts, right, left)
-
-
-def _sum(run: RunConfig, pieces: list) -> SeriesSolution:
-    """The superposition of the pieces; no pieces make the zero solution."""
-    if not pieces:
-        return SeriesSolution(run.config, run.k, 0, ())
-    return superpose(pieces)
 
 
 # --------------------------------------------------------------------------
@@ -387,7 +321,7 @@ def _theorem(tag: str) -> TheoremId:
 def _cmd_solve(args) -> int:
     run = _load_config(args.config)
     tails: list = []
-    u = parts(run, spectra(run), tails).solution()
+    u = solve_problem(run.config, run.data, run.k, run.source, run.truncation, tails)
     csv_path = args.csv or run.outputs.get("csv")
     if csv_path:
         _write_samples(csv_path, u, run.grid)
@@ -413,7 +347,7 @@ def _cmd_certify(args) -> int:
     if side is None:
         data = run.source or []
     else:
-        data = spectra(run).get(side, Spectrum.zero(_datum_family(run.config, side, run.k)))
+        data = run.data.get(side, Spectrum.zero(_datum_family(run.config, side, run.k)))
     cert = certify(theorem, run.config, data, run.k, run.truncation)
     payload = _certificate_payload(cert)
     payload["seed"] = run.seed
@@ -503,8 +437,9 @@ def _cmd_lift(args) -> int:
     if Side.BOTTOM not in run.data and Side.TOP not in run.data:
         raise ConfigError("config.data: lift needs a bottom or top datum")
     tails: list = []
-    lifted = parts(run, spectra(run), tails)
-    u = _sum(run, lifted.lifts)
+    lifts, residual_right, residual_left = lift(run.config, run.data, run.k, run.truncation,
+                                                tails)
+    u = superpose(lifts)
     csv_path = args.csv or run.outputs.get("csv")
     if csv_path:
         _write_samples(csv_path, u, run.grid)
@@ -516,8 +451,8 @@ def _cmd_lift(args) -> int:
         "case_index": choice.case_index,
         "d0": choice.d0,
         "d1": choice.d1,
-        "residual_right": [[n, c.real, c.imag] for n, c in lifted.residual_right],
-        "residual_left": [[n, c.real, c.imag] for n, c in lifted.residual_left],
+        "residual_right": [[n, c.real, c.imag] for n, c in residual_right],
+        "residual_left": [[n, c.real, c.imag] for n, c in residual_left],
         "energy": _energy_payload(u, run.grid),
         "csv": csv_path,
         "seed": run.seed,
@@ -532,8 +467,7 @@ def _cmd_oracle(args) -> int:
         raise ValueError(f"--n: oracle grids start at 17x17, got {args.n}")
     run = _load_config(args.config)
     tails: list = []
-    data = spectra(run)
-    u = parts(run, data, tails).solution()
+    u = solve_problem(run.config, run.data, run.k, run.source, run.truncation, tails)
     n = max(run.grid, 65) if args.n is None else args.n
     fsrc = None
     if run.source is not None:
@@ -543,7 +477,7 @@ def _cmd_oracle(args) -> int:
             return sum(np.asarray(fx(x), dtype=complex) * eigenbasis.basis_value(family, m, y)
                        for m, fx in run.source)
 
-    gs = fdm_solve(run.config, data, fsrc, run.k, n)
+    gs = fdm_solve(run.config, run.data, fsrc, run.k, n)
     comparison = compare(u, gs)
     payload = {
         "command": "oracle",
@@ -589,13 +523,13 @@ def _cmd_selftest(args) -> int:
                    and abs(np.sum(w * z3 * z5)) < 1e-12))
     # plane wave
     run = parse_run_config(_SELFTEST_CONFIG)
-    u = parts(run, spectra(run)).solution()
+    u = solve_problem(run.config, run.data, run.k, run.source, run.truncation)
     out = evaluate(u, [(0.5, 0.25)])[0][0]
     checks.append(("plane-wave value", abs(out - np.exp(1j * 5.0 * 0.5)) < 1e-10))
     rep = energy_parseval(u)
     checks.append(("plane-wave energy", abs(rep.energy - 10.0) < 1e-9))
     # one certificate and one sharpness case
-    cert = certify(TheoremId.T1_G4, run.config, spectra(run)[Side.LEFT], run.k)
+    cert = certify(TheoremId.T1_G4, run.config, run.data[Side.LEFT], run.k)
     checks.append(("certificate", cert.passed))
     case = sharpness_case("ex2.3-2", 2)
     sol = solve_datum(case.config, case.data_side, case.datum, case.k)

@@ -25,7 +25,6 @@ energy-density quantities phi/theta/psi used by the certification sweeps.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -332,34 +331,6 @@ def y_modes_lifting(
     n = np.asarray(ns, dtype=np.int64).reshape(-1)
     d_bottom = 1.0 if data_side is Side.BOTTOM else 0.0
     return _modes(n, family.eigenvalue(n), k, (b_bottom, b_top), (d_bottom, 1.0 - d_bottom))
-
-
-def mode_from_amplitudes(
-    k: float, mu: float, forward: complex, backward: complex, n: int = 0
-) -> ModeTable:
-    """A one-row table of the mode forward e^{sigma t} + backward
-    e^{sigma (1-t)}; `n` labels the row, which holds
-    A = forward + backward e^sigma and B = -2 sigma backward.
-
-    The squared norms come from the exact integrals of the two
-    exponentials, so this constructor is independent of the Gram matrix of
-    the tables; it backs hand-transcribed reference solutions and test
-    oracles.
-    """
-    k = _check_wavenumber(k)
-    mu = np.array([mu], dtype=float)
-    code, sigmas = _regimes(k, mu)
-    if code[0] == CUTOFF:
-        raise ValueError("at the cutoff the two exponentials coincide; amplitudes do not apply")
-    a, b, sigma = complex(forward), complex(backward), complex(sigmas[0])
-    es = cmath.exp(sigma)
-    e_same = complex(_phi(2.0 * sigma.real)).real  # int_0^1 e^{2 Re(sigma) t} dt
-    cross = 2.0 * (a * b.conjugate() * es.conjugate() * complex(_phi(sigma - sigma.conjugate()))).real
-    norm_sq = (abs(a) ** 2 + abs(b) ** 2) * e_same + cross
-    dnorm_sq = abs(sigma) ** 2 * ((abs(a) ** 2 + abs(b) ** 2) * e_same - cross)
-    return ModeTable(k, np.array([n], dtype=np.int64), mu, code, sigmas,
-                     np.array([a + b * es]), np.array([-2.0 * sigma * b]),
-                     np.array([norm_sq]), np.array([dnorm_sq]))
 
 
 def gap_lower_bound(k: float, mu_tilde: float, same_ops: bool) -> tuple[float, float]:

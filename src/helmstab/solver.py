@@ -686,3 +686,44 @@ def source_l2_norm(f, config: BoundaryConfig) -> float:
     """L2 norm of a modal source (mode, profile) list: Parseval across the
     vertical eigenbasis, panel quadrature along x."""
     return _source_norm(_listed_source(f, config.vertical_family())[1])
+
+
+# --------------------------------------------------------------------------
+# the problem-to-solution pipeline
+# --------------------------------------------------------------------------
+
+
+def lift(config: BoundaryConfig, data: dict, k: float, truncation: Optional[int] = None,
+         tails: Optional[list] = None) -> tuple[list, Spectrum, Spectrum]:
+    """Lift the bottom then the top datum of `data`, a mapping from sides
+    to spectra in each side's family, and subtract their traces from the
+    right and left data.
+
+    Returns the lifts and the right and left residual spectra.  The traces
+    are projected at `truncation` when one is given, so no residual mode
+    lies beyond it.  Each trace's ProjectionTail is appended to `tails` if
+    given.
+    """
+    zero = Spectrum.zero(config.vertical_family())
+    right, left = data.get(Side.RIGHT, zero), data.get(Side.LEFT, zero)
+    lifts = []
+    for side in (Side.BOTTOM, Side.TOP):
+        if side in data:
+            aux = solve_datum(config, side, data[side], k, truncation)
+            right, left = residual_traces(aux, right, left, depth=truncation, tails=tails)
+            lifts.append(aux)
+    return lifts, right, left
+
+
+def solve_problem(config: BoundaryConfig, data: dict, k: float, source=None,
+                  truncation: Optional[int] = None, tails: Optional[list] = None) -> SeriesSolution:
+    """Series solution for `data` (as for lift) and a `source` (as for
+    solve_source): the lifts, the right and left residual solves and the
+    source solve, superposed in that order.  No data and no source make the
+    zero solution."""
+    pieces, right, left = lift(config, data, k, truncation, tails)
+    pieces += [solve_datum(config, side, g, k, truncation)
+               for side, g in ((Side.RIGHT, right), (Side.LEFT, left)) if len(g)]
+    if source is not None:
+        pieces.append(solve_source(source, config, k, truncation))
+    return superpose(pieces) if pieces else SeriesSolution(config, k, 0, ())

@@ -35,8 +35,8 @@ from helmstab.solver import (
     energy_parseval,
     energy_quadrature,
     evaluate,
-    residual_traces,
     solve_datum,
+    solve_problem,
     superpose,
 )
 
@@ -310,14 +310,7 @@ def test_criterion_9_lifting_round_trip():
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ProjectionTruncationWarning)
-        aux = solve_datum(cfg, Side.BOTTOM, g1, k)
-        r2, r4 = residual_traces(aux, g2, g4)
-    parts = [aux]
-    if len(r2):
-        parts.append(solve_datum(cfg, Side.RIGHT, r2, k))
-    if len(r4):
-        parts.append(solve_datum(cfg, Side.LEFT, r4, k))
-    u_rec = superpose(parts)
+        u_rec = solve_problem(cfg, {Side.BOTTOM: g1, Side.RIGHT: g2, Side.LEFT: g4}, k)
 
     pts = [(x, y) for x in np.linspace(0, 1, 33) for y in np.linspace(0, 1, 33)]
     a = evaluate(u_star, pts)

@@ -19,12 +19,10 @@ from helmstab.cli import (
     _write_csv,
     main,
     parse_run_config,
-    parts,
-    spectra,
 )
 from helmstab.eigenbasis import MAX_MODE, data_norms
 from helmstab.modal1d import ModeTable, Side
-from helmstab.solver import ProjectionTruncationWarning, evaluate_grid
+from helmstab.solver import ProjectionTruncationWarning, evaluate_grid, lift, solve_problem
 
 
 def run_cli(args):
@@ -291,6 +289,8 @@ def test_config_error_messages_carry_field_path(tmp_path):
         ("outputs", {"report": 7}, r"config\.outputs\.report: expected a path string"),
         ("data", {"right": "constant:1,2,3"}, r"config\.data\.right: a constant datum"),
         ("data", {"top": "constant:nan"}, r"config\.data\.top: a constant datum"),
+        ("data", {"left": [[1, float("nan"), 0]]},
+         r"config\.data\.left: coefficient of mode 1 is not finite"),
         ("truncaton", 3, r"config\.truncaton: unknown key"),
         ("grdi", 5, r"config\.grdi: unknown key"),
         ("boundary", {**doc["boundary"], "lfet": "impedance"},
@@ -348,10 +348,11 @@ def test_one_factor_table_build_per_block(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ModeTable, "value_and_derivative", counted)
     with pytest.warns(ProjectionTruncationWarning):
-        pieces = parts(run, spectra(run))
-    assert builds == [len(lift.modes) for lift in pieces.lifts] == [3, 3]
+        lifts, _, _ = lift(run.config, run.data, run.k)
+    assert builds == [len(u.modes) for u in lifts] == [3, 3]
+    with pytest.warns(ProjectionTruncationWarning):
+        u = solve_problem(run.config, run.data, run.k)
     builds.clear()
-    u = pieces.solution()
     t = np.linspace(0.0, 1.0, 129)
     evaluate_grid(u, t, t)
     assert len(u.blocks) == 4 and len(u.modes) > 100
@@ -377,11 +378,20 @@ def test_reports_carry_projection_tails(tmp_path, command):
 
 
 def test_reports_without_lifting_have_no_tails(tmp_path):
+    """No horizontal datum, no projected trace; with no data and no source
+    at all, solve reports the zero solution."""
     cfg = plane_wave_doc(tmp_path)
     for command in ("solve", "oracle"):
         report = tmp_path / f"{command}.json"
         assert run_cli([command, "--config", str(cfg), "--report", str(report)]) == 0
         assert json.loads(report.read_text())["diagnostics"] == {"projection_tail": []}
+    report = tmp_path / "zero.json"
+    assert run_cli(["solve", "--config", str(plane_wave_doc(tmp_path, data={})),
+                    "--report", str(report)]) == 0
+    out = json.loads(report.read_text())
+    assert out["diagnostics"] == {"projection_tail": []}
+    assert out["terms"] == 0
+    assert out["energy"]["quadrature"]["energy"] == out["energy"]["parseval"]["energy"] == 0.0
 
 
 def test_nonfinite_datum_is_an_input_error(tmp_path):
@@ -392,9 +402,23 @@ def test_nonfinite_datum_is_an_input_error(tmp_path):
     assert run_cli(["certify", "--theorem", "T1", "--config", str(path)]) == 1
 
 
-def test_datum_mode_above_truncation_exits_1(tmp_path):
-    cfg = plane_wave_doc(tmp_path, data={"left": [[40, 1.0, 0.0]]}, truncation=10)
-    assert run_cli(["solve", "--config", str(cfg)]) == 1
+@pytest.mark.parametrize("command", ["solve", "lift", "certify", "oracle"])
+@pytest.mark.parametrize("field,mode,overrides", [
+    ("config.data.left", 40, {"data": {"bottom": [[2, 1.0, 0.0]], "left": [[40, 1.0, 0.0]]}}),
+    ("config.data.bottom", 40, {"data": {"bottom": [[40, 1.0, 0.0]]}}),
+    ("config.source", 30, {"data": {"bottom": [[2, 1.0, 0.0]]}, "source": "mode:30"}),
+])
+def test_datum_mode_above_truncation_exits_1(tmp_path, capsys, command, field, mode, overrides):
+    """A nonzero datum or source mode above truncation exits 1 naming the
+    field in every subcommand, also in those that never solve that datum;
+    a zero coefficient there is no mode to drop."""
+    doc = {"k": 5.0, "boundary": {"bottom": "neumann", "right": "dirichlet", "top": "neumann"},
+           "truncation": 10, **overrides}
+    flags = ["--theorem", "T1"] if command == "certify" else []
+    assert run_cli([command, *flags, "--config", str(write_doc(tmp_path, doc))]) == 1
+    assert f"{field}: mode {mode} lies above truncation 10" in capsys.readouterr().err
+    zero = {"bottom": [[2, 1.0, 0.0], [40, 0.0, 0.0]], "left": [[40, 0.0, 0.0]]}
+    assert parse_run_config({**doc, "data": zero, "source": None}).truncation == 10
 
 
 def write_doc(tmp_path, doc):
@@ -437,18 +461,18 @@ def test_truncation_bounds_every_mode(tmp_path, command):
     with pytest.warns(ProjectionTruncationWarning, match="beyond mode 10"):
         assert run_cli([command, "--config", str(cfg), "--report", str(report)]) == 0
         run = parse_run_config(doc)
-        pieces = parts(run, spectra(run))
+        _, residual_right, residual_left = lift(run.config, run.data, run.k, run.truncation)
+        u = solve_problem(run.config, run.data, run.k, run.source, run.truncation)
     out = json.loads(report.read_text())
     assert [t["depth"] for t in out["diagnostics"]["projection_tail"]] == [10, 10]
-    solved = pieces.lifts + pieces.solves()
-    assert all(np.all(u.modes <= 10) for u in solved)
-    assert all(n <= 10 for n, _ in pieces.residual_right)
-    assert all(n <= 10 for n, _ in pieces.residual_left)
+    assert np.all(u.modes <= 10)
+    assert all(n <= 10 for n, _ in residual_right)
+    assert all(n <= 10 for n, _ in residual_left)
     if command == "lift":
-        assert out["residual_left"] == [[n, c.real, c.imag] for n, c in pieces.residual_left]
+        assert out["residual_left"] == [[n, c.real, c.imag] for n, c in residual_left]
     else:
         assert out["truncation"] == 10
-        assert out["terms"] == sum(len(u.modes) for u in solved)
+        assert out["terms"] == len(u.modes)
 
 
 def test_certify_uses_the_datum_spectrum_of_solve(tmp_path):
@@ -466,7 +490,7 @@ def test_certify_uses_the_datum_spectrum_of_solve(tmp_path):
     assert run_cli(["certify", "--theorem", "T1", "--config", str(cfg),
                     "--report", str(certified)]) == 0
     cert = json.loads(certified.read_text())
-    datum = spectra(parse_run_config(doc))[Side.LEFT]
+    datum = parse_run_config(doc).data[Side.LEFT]
     assert len(datum) > 30  # the sine series of a constant: the depth matters
     assert cert["norms"]["l2"] == data_norms(datum).l2
     assert cert["lhs"] == json.loads(solved.read_text())["energy"]["parseval"]["energy"]

@@ -21,13 +21,13 @@ from helmstab.modal1d import (
     choose_lifting_family,
     energy_densities,
     gap_lower_bound,
-    mode_from_amplitudes,
     x_modes,
     y_modes_lifting,
     _regimes,
 )
 from helmstab.oracle import fdm_solve
 from helmstab.solver import BoundaryConfig, solve_datum, solve_source
+from transcribed import mode_from_amplitudes
 
 D, N, I = BoundaryOperator.DIRICHLET, BoundaryOperator.NEUMANN, BoundaryOperator.IMPEDANCE
 PI = math.pi

@@ -5,7 +5,10 @@ import cmath
 import re
 from pathlib import Path
 
-from helmstab import THEOREMS, energy_parseval
+import pytest
+
+from helmstab import THEOREMS, energy_parseval, evaluate
+from helmstab.solver import ProjectionTruncationWarning
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -14,11 +17,15 @@ def test_readme_quickstart_runs():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     assert blocks, "the README has no python block"
     namespace = {}
-    exec(compile(blocks[0], "README quickstart", "exec"), namespace)
+    with pytest.warns(ProjectionTruncationWarning):
+        exec(compile(blocks[0], "README quickstart", "exec"), namespace)
     k, u = namespace["k"], namespace["u"]
     assert abs(namespace["values"][0] - cmath.exp(0.5j * k)) < 1e-10
     assert abs(energy_parseval(u).energy - 2 * k) < 1e-9 * k
     assert namespace["cert"].passed
+    w, tails = namespace["w"], namespace["tails"]
+    assert abs(-evaluate(w, [(0.5, 0.0)])[2][0] - 1.0) < 1e-10
+    assert [t.side.value for t in tails] == ["right", "left", "right", "left"]
 
 
 def test_readme_lists_every_theorem_alias():

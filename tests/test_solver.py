@@ -36,6 +36,7 @@ from helmstab.solver import (
     evaluate_grid,
     residual_traces,
     solve_datum,
+    solve_problem,
     solve_source,
     source_l2_norm,
     superpose,
@@ -567,14 +568,7 @@ def lifted_round_trip(k, cfg, g1, vert_spec):
     depth = 48
     g2 = project(right_trace, fam_v, depth)
     g4 = project(left_trace, fam_v, depth)
-    aux = solve_datum(cfg, Side.BOTTOM, g1, k)
-    r2, r4 = residual_traces(aux, g2, g4)
-    parts = [aux]
-    if len(r2):
-        parts.append(solve_datum(cfg, Side.RIGHT, r2, k))
-    if len(r4):
-        parts.append(solve_datum(cfg, Side.LEFT, r4, k))
-    return u_star, superpose(parts)
+    return u_star, solve_problem(cfg, {Side.BOTTOM: g1, Side.RIGHT: g2, Side.LEFT: g4}, k)
 
 
 def test_full_round_trip_reproduces_manufactured_solution():
