@@ -13,7 +13,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from itertools import product
 from pathlib import Path
 from typing import Optional
 
@@ -230,14 +229,18 @@ def _parse_source(path: str, raw, cap: int):
 
 def _write_csv(path: str, t: np.ndarray, values: np.ndarray) -> None:
     """x,y,re,im rows of values[i, j] at (t[i], t[j]), i-major: each number
-    as %.17g, with csv.writer's \\r\\n line ends."""
+    as %.17g, with csv.writer's \\r\\n line ends.  Each grid row i is one
+    % format of a template that holds the y coordinates."""
     coords = [f"{c:.17g}" for c in t.tolist()]
-    real = [f"{v:.17g}" for v in values.real.ravel().tolist()]
-    imag = [f"{v:.17g}" for v in values.imag.ravel().tolist()]
+    template = "".join(f"%s,{y},%.17g,%.17g\r\n" for y in coords)
+    fields = [None] * (3 * len(coords))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("x,y,re,im\r\n")
-        fh.writelines(f"{x},{y},{r},{i}\r\n"
-                      for (x, y), r, i in zip(product(coords, coords), real, imag))
+        for x, row in zip(coords, values):
+            fields[0::3] = [x] * len(coords)
+            fields[1::3] = row.real.tolist()
+            fields[2::3] = row.imag.tolist()
+            fh.write(template % tuple(fields))
 
 
 def _write_samples(path: str, u: SeriesSolution, grid: int) -> None:

@@ -25,6 +25,7 @@ from .eigenbasis import (
     Spectrum,
     basis_derivative,
     basis_value,
+    homogeneous_operators,
     quadrature_rule,
     select_eigenpairs,
     _coefficients,
@@ -391,6 +392,14 @@ def energy_quadrature(u: SeriesSolution, grid_n: int = 65) -> EnergyReport:
 # --------------------------------------------------------------------------
 
 
+def _annihilates(config: BoundaryConfig, side: Side, family: BasisFamily) -> bool:
+    """Whether the operator on the vertical `side` is zero on every member
+    of `family` as the x factor: the homogeneous condition the family meets
+    at that end (x = 1 on the right, x = 0 on the left)."""
+    at_left, at_right = homogeneous_operators(family)
+    return config.operator(side) is (at_right if side is Side.RIGHT else at_left)
+
+
 def residual_traces(
     aux: SeriesSolution,
     original_right: Spectrum,
@@ -403,7 +412,9 @@ def residual_traces(
     Returns the right-side and left-side residual spectra in the vertical
     eigenbasis.  Warns when the projected trace leaves more than 1e-8 of its
     energy beyond the projection depth.  When `tails` is a list, one
-    ProjectionTail per side is appended to it.
+    ProjectionTail per side is appended to it.  A side whose operator
+    annihilates every block's basis family (_annihilates) has the trace 0:
+    its residual is its datum and its tail 0.
     """
     if not all(block.lifted for block in aux.blocks):
         raise ValueError("residual traces are defined for lifted solutions")
@@ -422,35 +433,34 @@ def residual_traces(
     # Each trace is sum_n c_n * B(X_n) * Y_n(y) on the projection nodes: one
     # contraction of the operators applied to the x tables at x = 1 and 0
     # with the y values.  Outward normals are +d/dx on the right, -d/dx on
-    # the left.
+    # the left.  A side whose trace is 0 in closed form is left out.
     t, w = quadrature_rule(depth)
-    sides = (Side.RIGHT, Side.LEFT)
-    cx, cdx, y, _ = _grid_tables(aux, [1.0, 0.0], t)
-    weights = np.stack([_apply(aux.config.operator(side), cx[:, j], sign * cdx[:, j], aux.k)
-                        for j, (side, sign) in enumerate(zip(sides, (1.0, -1.0)))], axis=1)
-    traces = _contract(weights, y)
-
-    residuals = []
-    projections = _project_samples(traces, family, depth)
-    for side, original, projected, samples in zip(
-            sides, (original_right, original_left), projections, traces):
-        fraction = 0.0
-        if len(aux.modes):
+    residuals = {Side.RIGHT: original_right, Side.LEFT: original_left}
+    fractions = dict.fromkeys(residuals, 0.0)
+    live = [(side, end, sign) for side, end, sign in ((Side.RIGHT, 1.0, 1.0), (Side.LEFT, 0.0, -1.0))
+            if not all(_annihilates(aux.config, side, block.basis) for block in aux.blocks)]
+    if live:
+        cx, cdx, y, _ = _grid_tables(aux, [end for _, end, _ in live], t)
+        weights = np.stack([_apply(aux.config.operator(side), cx[:, j], sign * cdx[:, j], aux.k)
+                            for j, (side, _, sign) in enumerate(live)], axis=1)
+        traces = _contract(weights, y)
+        for (side, _, _), samples, projected in zip(live, traces,
+                                                    _project_samples(traces, family, depth)):
+            residuals[side] = residuals[side].minus(projected)
             total_sq = float(np.sum(w * np.abs(samples) ** 2))
             captured_sq = math.fsum((np.abs(projected.c) ** 2).tolist())
             if total_sq > 0:
-                fraction = (total_sq - captured_sq) / total_sq
-            if fraction > 1e-8:
+                fractions[side] = (total_sq - captured_sq) / total_sq
+            if fractions[side] > 1e-8:
                 warnings.warn(
                     f"trace projection on the {side.value} side left "
-                    f"{fraction:.2e} of its energy beyond mode {depth}",
+                    f"{fractions[side]:.2e} of its energy beyond mode {depth}",
                     ProjectionTruncationWarning,
                     stacklevel=2,
                 )
-        if tails is not None:
-            tails.append(ProjectionTail(side, depth, fraction))
-        residuals.append(original.minus(projected))
-    return residuals[0], residuals[1]
+    if tails is not None:
+        tails.extend(ProjectionTail(side, depth, fraction) for side, fraction in fractions.items())
+    return residuals[Side.RIGHT], residuals[Side.LEFT]
 
 
 # --------------------------------------------------------------------------
@@ -720,10 +730,13 @@ def solve_problem(config: BoundaryConfig, data: dict, k: float, source=None,
     """Series solution for `data` (as for lift) and a `source` (as for
     solve_source): the lifts, the right and left residual solves and the
     source solve, superposed in that order.  No data and no source make the
-    zero solution."""
+    zero solution, at `truncation` or the default one."""
     pieces, right, left = lift(config, data, k, truncation, tails)
     pieces += [solve_datum(config, side, g, k, truncation)
                for side, g in ((Side.RIGHT, right), (Side.LEFT, left)) if len(g)]
     if source is not None:
         pieces.append(solve_source(source, config, k, truncation))
-    return superpose(pieces) if pieces else SeriesSolution(config, k, 0, ())
+    if not pieces:
+        n_cap = default_truncation(k, 0) if truncation is None else truncation
+        return SeriesSolution(config, k, n_cap, ())
+    return superpose(pieces)

@@ -334,7 +334,8 @@ def test_one_factor_table_build_per_block(tmp_path, monkeypatch):
     """On the field problem (k = 60, data on the left, bottom and top)
     residual_traces tabulates each lift's profiles in one build, and
     evaluate_grid each block's profiles in one build, however many terms a
-    block holds."""
+    block holds.  The right trace is 0, so the blocks are the two lifts and
+    the left residual solve."""
     cfg = field_doc(tmp_path, {"left": [[1, 0.3, -0.2], [4, 1.0, 0.5], [7, -0.4, 0.1]],
                                "bottom": [[2, 0.5, -1.0], [3, 0.1, 0.2], [8, 1.0, 0.0]],
                                "top": [[1, 1.0, 1.0], [5, -0.3, 0.7], [6, 0.2, 0.2]]})
@@ -355,26 +356,30 @@ def test_one_factor_table_build_per_block(tmp_path, monkeypatch):
     builds.clear()
     t = np.linspace(0.0, 1.0, 129)
     evaluate_grid(u, t, t)
-    assert len(u.blocks) == 4 and len(u.modes) > 100
+    assert len(u.blocks) == 3 and len(u.modes) == 79
     assert builds == [len(block.n) for block in u.blocks]
 
 
 @pytest.mark.parametrize("command", ["solve", "lift", "oracle"])
 def test_reports_carry_projection_tails(tmp_path, command):
-    """At k = 60 the lifted traces leave energy beyond the default depth;
-    the report says how much, per residual trace, as the warning does."""
+    """At k = 60 the lifted left traces leave energy beyond the default
+    depth; the report says how much, per residual trace, as the warning
+    does.  The right traces are 0 in closed form (COS_HALF x factors on a
+    Dirichlet side): tail 0 and no warning."""
     cfg = field_doc(tmp_path, {"left": [[1, 1.0, 0.0]], "bottom": [[2, 0.5, -1.0]],
                                "top": [[3, 1.0, 1.0]]})
     report = tmp_path / "report.json"
     args = [command, "--config", str(cfg), "--report", str(report)]
     if command == "oracle":
         args += ["--n", "33"]
-    with pytest.warns(Warning, match="beyond mode 72"):
+    with pytest.warns(ProjectionTruncationWarning, match="beyond mode 72") as caught:
         assert run_cli(args) == 0
+    assert [str(w.message).split(" side")[0] for w in caught] == ["trace projection on the left"] * 2
     tails = json.loads(report.read_text())["diagnostics"]["projection_tail"]
     assert [t["side"] for t in tails] == ["right", "left", "right", "left"]
     assert all(t["depth"] == 72 for t in tails)
-    assert all(t["tail"] > 1e-8 for t in tails)
+    assert [t["tail"] for t in tails[0::2]] == [0.0, 0.0]
+    assert all(t["tail"] > 1e-8 for t in tails[1::2])
 
 
 def test_reports_without_lifting_have_no_tails(tmp_path):
@@ -390,7 +395,7 @@ def test_reports_without_lifting_have_no_tails(tmp_path):
                     "--report", str(report)]) == 0
     out = json.loads(report.read_text())
     assert out["diagnostics"] == {"projection_tail": []}
-    assert out["terms"] == 0
+    assert out["terms"] == 0 and out["truncation"] == 24
     assert out["energy"]["quadrature"]["energy"] == out["energy"]["parseval"]["energy"] == 0.0
 
 
@@ -497,14 +502,16 @@ def test_certify_uses_the_datum_spectrum_of_solve(tmp_path):
 
 
 def test_field_solve_keeps_every_residual_mode(tmp_path):
-    """k = 60 with left, bottom and top data: 2 lifts plus the left and the
-    right residual solves of 73 modes each; no projected mode is dropped."""
+    """k = 60 with left, bottom and top data: 2 lifts plus the left
+    residual solve of 73 modes; no projected mode is dropped.  The lifts'
+    COS_HALF x factors vanish on the Dirichlet right side, so it has no
+    residual solve."""
     cfg = field_doc(tmp_path, {"left": [[1, 1.0, 0.0]], "bottom": [[2, 0.5, -1.0]],
                                "top": [[3, 1.0, 1.0]]})
     report = tmp_path / "report.json"
     with pytest.warns(ProjectionTruncationWarning):
         assert run_cli(["solve", "--config", str(cfg), "--report", str(report)]) == 0
-    assert json.loads(report.read_text())["terms"] == 148
+    assert json.loads(report.read_text())["terms"] == 75
 
 
 def _with_blas_threads(threads: int, args: list) -> subprocess.CompletedProcess:

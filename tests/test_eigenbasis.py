@@ -16,9 +16,11 @@ from helmstab.eigenbasis import (
     basis_derivative,
     basis_value,
     data_norms,
+    homogeneous_operators,
     project,
     quadrature_rule,
     select_eigenpairs,
+    _contract,
     _project_samples,
 )
 
@@ -63,6 +65,44 @@ def test_select_eigenpairs_table():
     assert select_eigenpairs(N, D) is BasisFamily.COS_HALF
     with pytest.raises(ValueError):
         select_eigenpairs(BoundaryOperator.IMPEDANCE, D)
+
+
+def test_homogeneous_operators_invert_select_eigenpairs():
+    for family in FAMILIES:
+        assert select_eigenpairs(*homogeneous_operators(family)) is family
+
+
+@pytest.mark.parametrize("shape", [(608, 2, 74), (129, 129, 129), (73, 2, 128)])
+def test_contract_against_a_real_operand_is_the_complex_contraction(shape):
+    """With one real operand, in either place, the contraction is the
+    bytes of numpy's complex einsum with that operand made complex: on
+    random data with zeros, signed zeros and negative values, and on a
+    transposed view as the quadrature projection passes it."""
+    rng = np.random.default_rng(11)
+    t, i, j = shape
+
+    def complex_data(rows, cols):
+        z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        z[rng.random((rows, cols)) < 0.2] = 0.0
+        z.real[rng.random((rows, cols)) < 0.1] = -0.0
+        z.imag[rng.random((rows, cols)) < 0.1] = 0.0
+        return z
+
+    def real_data(rows, cols):
+        r = rng.standard_normal((rows, cols))
+        r[rng.random((rows, cols)) < 0.2] = 0.0
+        r[rng.random((rows, cols)) < 0.1] = -0.0
+        return r
+
+    def reference(a, b):
+        return np.einsum("ti,tj->ij", a.astype(complex), b.astype(complex), optimize=False)
+
+    z, r = complex_data(t, i), real_data(t, j)
+    assert _contract(z, r).tobytes() == reference(z, r).tobytes()
+    r2, z2 = real_data(t, i), complex_data(t, j)
+    assert _contract(r2, z2).tobytes() == reference(r2, z2).tobytes()
+    zt = np.ascontiguousarray(z.T).T  # a transposed view, as (w * samples).T
+    assert _contract(zt, r).tobytes() == reference(zt, r).tobytes()
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -1,7 +1,12 @@
 """Series assembly, evaluation, energies, traces, sources, superposition."""
 
 import cmath
+import functools
+import importlib.util
 import math
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from helmstab.cli import parse_run_config
 from helmstab.eigenbasis import (
     BasisFamily,
     BoundaryOperator,
     Spectrum,
+    basis_derivative,
     basis_value,
     project,
     _sample,
@@ -24,12 +31,14 @@ from helmstab.modal1d import (
     ModeTable,
     Side,
     choose_lifting_family,
+    _apply,
 )
 from helmstab.solver import (
     BoundaryConfig,
     ProjectionTruncationWarning,
     SeriesSolution,
     SourceTable,
+    default_truncation,
     energy_parseval,
     energy_quadrature,
     evaluate,
@@ -534,6 +543,89 @@ def test_residual_traces_single_mode_analytic():
         cm = complex(quad(integrand_re, 0, 1, epsabs=1e-13)[0],
                      quad(integrand_im, 0, 1, epsabs=1e-13)[0])
         assert abs(r2.coefficient(m) - (-(xn_at_1) * cm)) < 1e-10
+
+
+@pytest.mark.parametrize("right", [D, N, I])
+@pytest.mark.parametrize("family", list(BasisFamily))
+def test_right_trace_is_zero_iff_the_operator_annihilates_the_family(family, right):
+    """A lift's right trace is exactly 0 (the residual is the datum, the
+    tail 0) when the right operator is the homogeneous condition its x
+    factors meet at x = 1: Dirichlet for SIN_INT and COS_HALF, Neumann for
+    COS_INT and SIN_HALF.  The operator on the members there is roundoff
+    in exactly those cases; otherwise the trace is far above roundoff."""
+    # Dirichlet bottom and top lift on the half-integer lattice at k = 2 pi
+    # and on the integer one at k = sqrt(4.5) pi.
+    k = 2 * PI if family.half_integer else math.sqrt(4.5) * PI
+    assert choose_lifting_family(k, D, D).basis.half_integer == family.half_integer
+    cfg = BoundaryConfig(bottom=D, right=right, top=D)
+    aux = solve_datum(cfg, Side.BOTTOM, Spectrum.from_pairs(family, [(1, 1.0), (3, 0.5j)]), k)
+    fam_v = cfg.vertical_family()
+    datum = Spectrum.from_pairs(fam_v, [(2, 0.25)])
+    tails = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ProjectionTruncationWarning)
+        residual, _ = residual_traces(aux, datum, Spectrum.zero(fam_v), tails=tails)
+    annihilates = (family, right) in {(BasisFamily.SIN_INT, D), (BasisFamily.COS_HALF, D),
+                                      (BasisFamily.COS_INT, N), (BasisFamily.SIN_HALF, N)}
+    n = np.array([1, 3])
+    on_members = _apply(right, basis_value(family, n, 1.0), basis_derivative(family, n, 1.0), k)
+    assert bool(np.all(np.abs(on_members) < 1e-12)) == annihilates
+    assert [t.side for t in tails] == [Side.RIGHT, Side.LEFT]
+    if annihilates:
+        assert residual == datum and tails[0].fraction == 0.0
+    else:
+        assert np.max(np.abs(residual.minus(datum).c)) > 1e-3
+
+
+@functools.cache
+def _bench_workloads():
+    """bench/workloads.py, which builds the benchmark's configs."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+#: The quadrature (grad, l2, energy) of the field solves, seeds 0-3, when the
+#: right trace was projected and solved numerically (152 terms).
+_FIELD_ENERGIES_WITH_ROUNDOFF_RIGHT_SOLVE = [
+    (158.9818666453413, 2.6559102733074003, 318.33648304378534),
+    (180.40175516450356, 3.005636767304963, 360.73996120280134),
+    (197.49604897770527, 3.2988008222853478, 395.4240983148261),
+    (361.0337884542618, 6.017228178937646, 722.0674791905205),
+]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_field_solve_skips_the_zero_right_trace(seed):
+    """On the benchmark's field configs (Dirichlet right side, COS_HALF
+    lifts) the right trace is 0: 6 lift terms plus 73 left residual terms,
+    no warning names the right side, and the energies are those of the
+    152-term solve that carried the right trace's roundoff, to 1e-12."""
+    run = parse_run_config(_bench_workloads().field_config(seed, 129))
+    tails = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        u = solve_problem(run.config, run.data, run.k, run.source, run.truncation, tails)
+    assert not [w for w in caught if "right side" in str(w.message)]
+    assert len(u.modes) == 79
+    assert [t.fraction for t in tails[0::2]] == [0.0, 0.0]
+    rep = energy_quadrature(u, 129)
+    got = (rep.grad_norm, rep.l2_norm, rep.energy)
+    for value, parent in zip(got, _FIELD_ENERGIES_WITH_ROUNDOFF_RIGHT_SOLVE[seed]):
+        assert abs(value - parent) <= 1e-12 * parent
+
+
+def test_zero_solution_keeps_the_truncation():
+    """No data and no source: the zero solution carries the requested
+    truncation, or the default rule's without one."""
+    cfg = BoundaryConfig(bottom=N, right=I, top=N)
+    assert solve_problem(cfg, {}, 5.0, truncation=24).truncation == 24
+    assert solve_problem(cfg, {}, 5.0).truncation == default_truncation(5.0, 0) == 18
+    empty = {Side.LEFT: Spectrum.zero(cfg.vertical_family())}
+    assert solve_problem(cfg, empty, 5.0, truncation=7).truncation == 7
 
 
 def test_residual_traces_warns_on_shallow_depth():
