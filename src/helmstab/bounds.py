@@ -32,14 +32,13 @@ from .modal1d import (
 )
 from .solver import (
     BoundaryConfig,
-    energy_parseval,
-    energy_quadrature,
+    SourceTable,
     solve_datum,
     solve_source,
+    _NODES,
     _datum_profiles,
     _parseval_energy,
     _profile_ends,
-    _source_norm,
 )
 
 #: Relative slack distinguishing roundoff from a genuine bound violation.
@@ -133,28 +132,28 @@ def certify(
     (mode, profile) pairs for the source theorem.  The datum side is implied
     by the theorem; all other sides are homogeneous.  A datum mode above
     `truncation` raises ValueError from the solve instead of being dropped.
+    The solve's block is certified by _certificate, as every sweep trial is.
     """
     k = _check_wavenumber(k)
     row = THEOREMS[theorem]
     _check_operators(theorem, config)
-    if row.side is None:
-        u = solve_source(data, config, k, truncation)
-        # The norm of the source as solved, from the samples of its table.
-        norms = DataNormReport(_source_norm(u.blocks[0].profiles.f), math.nan, math.nan)
-        # quadrature cross-check folded in
-        lhs = max(energy_parseval(u).energy, energy_quadrature(u, 25).energy)
-        return BoundCertificate.from_sides(theorem, k, lhs, rhs_bound(theorem, k, norms), norms)
-    block = solve_datum(config, row.side, data, k, truncation).blocks[0]
+    block = (solve_source(data, config, k, truncation) if row.side is None
+             else solve_datum(config, row.side, data, k, truncation)).blocks[0]
     return _certificate(theorem, k, np.abs(block.c) ** 2, block.profiles, slice(None))
 
 
 def _certificate(theorem: TheoremId, k: float, w: np.ndarray, table, rows) -> BoundCertificate:
-    """The certificate of the boundary datum with squared coefficient
-    moduli w on the given rows of its profile table: the Parseval energy of
-    its solution against rhs_bound of its norms.  The one certificate of
-    certify and of every boundary sweep trial."""
+    """The certificate of the datum with squared coefficient moduli w on the
+    given rows of its profile table: the Parseval energy of its solution
+    against rhs_bound of its norms, a source's from its rows' samples
+    (SourceTable.f_norm_sq).  The one certificate of certify and of every
+    sweep trial."""
     lhs = _parseval_energy(w, table, k, rows).energy
-    norms = _weighted_norms(w, table.mu[rows])
+    if THEOREMS[theorem].side is None:
+        norms = DataNormReport(math.sqrt(math.fsum((w * table.f_norm_sq[rows]).tolist())),
+                               math.nan, math.nan)
+    else:
+        norms = _weighted_norms(w, table.mu[rows])
     return BoundCertificate.from_sides(theorem, k, lhs, rhs_bound(theorem, k, norms), norms)
 
 
@@ -347,8 +346,9 @@ def sweep(
     random norm for the source theorem; its bound is homogeneous of degree
     one in the source) and certifies the bound.  The boundary theorems
     certify each k's trials from one mode table per (operator pair,
-    eigenvalue lattice) (_boundary_trials), and every certificate is the
-    one certify gives for the same datum, bit for bit.  Every failing
+    eigenvalue lattice) (_boundary_trials), the source theorem from one
+    SourceTable per k (_source_trials), and every certificate is the one
+    certify gives for the same datum, bit for bit.  Every failing
     certificate lands in the report, in (k, trial) order.  An empty grid,
     or an argument _check_sweep refuses, raises ValueError naming it.
     """
@@ -356,14 +356,11 @@ def sweep(
         raise ValueError("sweep k_grid is empty; the sweep would certify nothing")
     ks = [_check_wavenumber(k) for k in k_grid]
     _check_sweep(theorem, ks, modes, trials, seed)
-    source = THEOREMS[theorem].side is None
+    trials_at = _source_trials if THEOREMS[theorem].side is None else _boundary_trials
     rng = np.random.default_rng(seed)
     certs: list[BoundCertificate] = []
     for k in ks:
-        if source:
-            certs += [_source_trial(rng, theorem, k, modes) for _ in range(trials)]
-        else:
-            certs += _boundary_trials(rng, theorem, k, modes, trials)
+        certs += trials_at(rng, theorem, k, modes, trials)
     failures = tuple(cert for cert in certs if not cert.passed)
     max_ratio = -1.0
     argmax: tuple[Optional[float], Optional[int]] = (None, None)
@@ -439,22 +436,27 @@ def _boundary_trials(rng: np.random.Generator, theorem: TheoremId, k: float, mod
     return certs
 
 
-def _source_trial(rng: np.random.Generator, theorem: TheoremId, k: float,
-                  modes: int) -> BoundCertificate:
-    """Certificate of a random smooth modal source.  Both sides of the
-    bound scale with the source, so it is certified as drawn."""
-    pair = _HORIZONTAL_PAIRS[int(rng.integers(0, 4))]
-    cfg = BoundaryConfig(pair[0], THEOREMS[theorem].right, pair[1])
-    fam = select_eigenpairs(*pair)
-    start = 1 if fam is BasisFamily.SIN_INT else 0
-    n_modes = int(rng.integers(1, min(6, modes) + 1))
-    idx = sorted(rng.choice(np.arange(start, start + 12), size=n_modes, replace=False))
-    source = []
-    for n in idx:
-        c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        freq = float(rng.uniform(0.5, 2.5)) * math.pi
-        source.append(
-            (int(n), (lambda x, c=c, f=freq: c[0] + c[1] * np.sin(f * np.asarray(x))
-                      + c[2] * np.asarray(x) ** 2))
-        )
-    return certify(theorem, cfg, source, k)
+def _source_trials(rng: np.random.Generator, theorem: TheoremId, k: float, modes: int,
+                   trials: int) -> list[BoundCertificate]:
+    """The certificates of one k's trials of the source theorem, in trial
+    order.  Trial t draws an operator pair, 1 to min(6, modes) of the first
+    12 modes of its family and, mode by mode, the profile
+    c0 + c1 sin(omega x) + c2 x^2 on the panel nodes; both sides of the
+    bound scale with the source, so it is certified as drawn.  A SourceTable
+    row depends only on k, its eigenvalue and its samples, so the trials
+    share one table, and each is certified by _certificate on its rows."""
+    x = _NODES.ravel()
+    samples = np.empty((trials * min(6, modes), x.size), dtype=complex)
+    mu, rows = [], []
+    for _ in range(trials):
+        fam = select_eigenpairs(*_HORIZONTAL_PAIRS[int(rng.integers(0, 4))])
+        count = int(rng.integers(1, min(6, modes) + 1))
+        ns = np.arange(12) + int(fam is BasisFamily.SIN_INT)
+        rows.append(slice(len(mu), len(mu) + count))
+        mu.extend(fam.eigenvalue(np.sort(rng.choice(ns, size=count, replace=False))))
+        for row in samples[rows[-1]]:
+            c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            omega = float(rng.uniform(0.5, 2.5)) * math.pi
+            row[:] = c[0] + c[1] * np.sin(omega * x) + c[2] * x ** 2
+    table = SourceTable(k, mu, samples[:len(mu)])
+    return [_certificate(theorem, k, np.ones(r.stop - r.start), table, r) for r in rows]

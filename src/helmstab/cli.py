@@ -128,7 +128,7 @@ def parse_run_config(doc: dict) -> RunConfig:
 
     source = None
     if doc.get("source") is not None:
-        source = _parse_source(f"config.source", doc["source"], cap)
+        source = _parse_source("config.source", doc["source"], cap, config.vertical_family())
 
     if truncation is not None:  # a solve would drop a nonzero mode above it
         modes = {f"config.data.{side.value}": g.n[g.c != 0] for side, g in data.items()}
@@ -178,12 +178,21 @@ def _mode_index(path: str, raw, cap: int) -> int:
     return n
 
 
+def _check_member(path: str, family: BasisFamily, n: int) -> None:
+    """Reject data on SIN_INT's member 0, the zero function: a solve would
+    drop them."""
+    if family is BasisFamily.SIN_INT and n == 0:
+        raise ConfigError(f"{path}: mode 0 of {family.value} is the zero function")
+
+
 def _parse_datum(path: str, raw, cap: int, family: BasisFamily, depth: int) -> Spectrum:
     """A [n, re, im] triple list or a named form, as a spectrum in `family`;
     a constant datum is projected at `depth`."""
     if isinstance(raw, str):
         if raw.startswith("mode:"):
-            return Spectrum.from_pairs(family, [(_mode_index(path, raw[len("mode:"):], cap), 1.0)])
+            n = _mode_index(path, raw[len("mode:"):], cap)
+            _check_member(path, family, n)
+            return Spectrum.from_pairs(family, [(n, 1.0)])
         if raw.startswith("constant:"):
             try:
                 values = [float(v) for v in raw[len("constant:"):].split(",")]
@@ -206,6 +215,8 @@ def _parse_datum(path: str, raw, cap: int, family: BasisFamily, depth: int) -> S
                 triples.append((n, complex(float(item[1]), float(item[2]))))
             except (TypeError, ValueError):
                 raise ConfigError(f"{path}[{i}]: coefficient is not a number") from None
+            if triples[-1][1] != 0:
+                _check_member(f"{path}[{i}]", family, n)
         try:
             return Spectrum.from_pairs(family, triples)
         except ValueError as exc:  # a non-finite coefficient
@@ -213,10 +224,11 @@ def _parse_datum(path: str, raw, cap: int, family: BasisFamily, depth: int) -> S
     raise ConfigError(f"{path}: expected a triple list or a named datum string")
 
 
-def _parse_source(path: str, raw, cap: int):
+def _parse_source(path: str, raw, cap: int, family: BasisFamily):
     if isinstance(raw, str):
         if raw.startswith("mode:"):
             n = _mode_index(path, raw[len("mode:"):], cap)
+            _check_member(path, family, n)
             return [(n, lambda x: np.ones_like(np.asarray(x, dtype=float)))]
         raise ConfigError(f"{path}: unknown named source {raw!r}")
     raise ConfigError(f"{path}: expected a named source string")
@@ -399,11 +411,12 @@ def _check_wavenumbers(flag: str, ks) -> None:
 
 def _cmd_sweep(args) -> int:
     theorem = _theorem(args.theorem)
-    # A sweep of no wavenumbers would pass vacuously.
-    if args.k_count < 1:
-        raise ValueError(f"--k-count must be at least 1, got {args.k_count}")
+    grid_flags = {"--k-min": args.k_min, "--k-max": args.k_max, "--k-count": args.k_count}
+    given = [flag for flag, value in grid_flags.items() if value is not None]
+    if args.k_list is not None and given:
+        raise ValueError(f"--k-list and {', '.join(given)} both set the k grid; give one")
     k_list = args.k_list
-    if k_list is None and theorem is TheoremId.TF_SOURCE:
+    if k_list is None and not given and theorem is TheoremId.TF_SOURCE:
         k_list = "0.5,1,5,20"
     if k_list is not None:
         try:
@@ -412,9 +425,15 @@ def _cmd_sweep(args) -> int:
             raise ValueError(f"--k-list must be comma-separated numbers, got {k_list!r}") from None
         _check_wavenumbers("--k-list", k_grid)
     else:
-        _check_wavenumbers("--k-min", [args.k_min])
-        _check_wavenumbers("--k-max", [args.k_max])
-        k_grid = list(np.geomspace(args.k_min, args.k_max, args.k_count))
+        k_min = 0.05 if args.k_min is None else args.k_min
+        k_max = 200.0 if args.k_max is None else args.k_max
+        k_count = 64 if args.k_count is None else args.k_count
+        # A sweep of no wavenumbers would pass vacuously.
+        if k_count < 1:
+            raise ValueError(f"--k-count must be at least 1, got {k_count}")
+        _check_wavenumbers("--k-min", [k_min])
+        _check_wavenumbers("--k-max", [k_max])
+        k_grid = list(np.geomspace(k_min, k_max, k_count))
     _check_sweep(theorem, k_grid, args.modes, args.trials, args.seed, prefix="--")
     report = sweep(theorem, k_grid, modes=args.modes, trials=args.trials, seed=args.seed)
     payload = {
@@ -582,10 +601,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="randomized certification sweep")
     p.add_argument("--theorem", required=True)
-    p.add_argument("--k-min", type=float, default=0.05)
-    p.add_argument("--k-max", type=float, default=200.0)
-    p.add_argument("--k-count", type=int, default=64)
-    p.add_argument("--k-list", help="comma-separated explicit k grid")
+    p.add_argument("--k-min", type=float)
+    p.add_argument("--k-max", type=float)
+    p.add_argument("--k-count", type=int)
+    p.add_argument("--k-list", help="comma-separated explicit k grid, instead of the "
+                   "geometric grid of --k-min, --k-max and --k-count")
     p.add_argument("--modes", type=int, default=64)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)

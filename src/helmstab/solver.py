@@ -469,6 +469,8 @@ def residual_traces(
 
 #: Panels of the source profiles along x, each with 16 Gauss-Legendre nodes.
 SOURCE_PANELS = 48
+#: Rows of a SourceTable built at once; the work arrays take about 0.3 MB a row.
+_SOURCE_CHUNK = 8
 
 _KERNEL_NODES, _KERNEL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _H = 1.0 / SOURCE_PANELS
@@ -539,7 +541,8 @@ class SourceTable:
     v1(a + h tau) = v1(a) + v1'(a) h tau phi(2 sigma h tau) and
     v2(b - h tau) = v2(b) - v2'(b) h tau phi(2 sigma h tau), so the local
     integrands are the panel's two coefficients times two kernels of tau
-    shared by every panel; Q's is P's on the reflected panel.
+    shared by every panel; Q's is P's on the reflected panel.  f_norm_sq
+    is each row's panel quadrature of |f|^2.
     """
 
     def __init__(self, k: float, mu, f: np.ndarray):
@@ -547,59 +550,71 @@ class SourceTable:
         self.mu = np.asarray(mu, dtype=float).reshape(-1)
         rows = len(self.mu)
         self.f = np.asarray(f, dtype=complex).reshape(rows, SOURCE_PANELS, 16)
+        self.f_norm_sq = _panel_norms_sq(self.f)
         _, self.sigma = _regimes(self.k, self.mu)
-        v1, dv1, v2, dv2 = _homogeneous(self.sigma, self.k, _EDGES)
+        v1, dv1, v2, dv2 = edges = _homogeneous(self.sigma, self.k, _EDGES)
         self._v1_end = v1[:, -1:]
         # The kernels' coefficients on each panel, P's then Q's.
         self._coef = np.stack([np.stack([dv1[:, :-1], v1[:, :-1]], axis=1),
                                np.stack([-dv2[:, 1:], v2[:, 1:]], axis=1)], axis=1)
-        kernels = np.einsum("rgel,elm->rgem", self._kernels(_NODE_ENDS),
+        self._p, self._q = np.empty((2, rows, SOURCE_PANELS + 1), dtype=complex)
+        self.norm_sq, self.dnorm_sq = np.empty((2, rows))
+        # Rows are independent, so they are built _SOURCE_CHUNK at a time.
+        for start in range(0, rows, _SOURCE_CHUNK):
+            r = slice(start, start + _SOURCE_CHUNK)
+            self._build(r, *(a[r] for a in edges))
+
+    def _build(self, r: slice, v1, dv1, v2, dv2) -> None:
+        """P and Q at the edges and the norms of the rows r, from the
+        factors v1, v1', v2, v2' of those rows at the panel edges."""
+        sigma, f = self.sigma[r], self.f[r]
+        kernels = np.einsum("rgel,elm->rgem", self._kernels(_NODE_ENDS, r),
                             _sub_rules(_NODE_ENDS.tobytes()), optimize=False)
-        sides = np.stack([self.f, self.f[..., ::-1]], axis=1)
-        local = np.einsum("rsgj,rsjge->rsje", self._coef,
+        sides = np.stack([f, f[..., ::-1]], axis=1)
+        local = np.einsum("rsgj,rsjge->rsje", self._coef[r],
                           np.einsum("rsjm,rgem->rsjge", sides, kernels, optimize=False),
                           optimize=False)
         # P at the edges from the left and Q from the right, by the prefix
         # recurrence E[j + 1] = e^{sigma h} E[j] + (panel j's integral) over
-        # all rows at once, run by recursive doubling: only the powers
+        # the rows at once, run by recursive doubling: only the powers
         # e^{sigma h d}, |.| <= 1, appear, where a cumulative sum of
         # rescaled terms would overflow for evanescent rows.
-        edge = np.zeros((SOURCE_PANELS + 1, 2, rows), dtype=complex)
+        edge = np.zeros((SOURCE_PANELS + 1, 2, len(sigma)), dtype=complex)
         edge[1:, 0] = local[:, 0, :, -1].T
         edge[1:, 1] = local[:, 1, ::-1, -1].T
         d = 1
         while d <= SOURCE_PANELS:
-            edge[d:] += np.exp(self.sigma * (_H * d)) * edge[:-d]
+            edge[d:] += np.exp(sigma * (_H * d)) * edge[:-d]
             d *= 2
-        self._p, self._q = edge[:, 0].T, edge[::-1, 1].T
+        self._p[r], self._q[r] = edge[:, 0].T, edge[::-1, 1].T
         # The factors, P and Q at the panel nodes, by the panel split; the
         # norms are the panel quadrature of X and X'.
-        s = self.sigma[:, None, None]
+        s = sigma[:, None, None]
         lift, grow = _tphi(s, _H * _ETA), np.exp(2.0 * s * (_H * _ETA))
         factors = (v1[:, :-1, None] + dv1[:, :-1, None] * lift, dv1[:, :-1, None] * grow,
                    v2[:, 1:, None] - dv2[:, 1:, None] * lift[..., ::-1],
                    dv2[:, 1:, None] * grow[..., ::-1])
         decay = np.exp(s * (_H * _ETA))
-        p = decay * self._p[:, :-1, None] + local[:, 0, :, :-1]
-        q = decay[..., ::-1] * self._q[:, 1:, None] + local[:, 1, :, -2::-1]
-        value, derivative = self._profile(factors, p, q)
-        self.norm_sq, self.dnorm_sq = _panel_norms_sq(value), _panel_norms_sq(derivative)
+        p = decay * self._p[r, :-1, None] + local[:, 0, :, :-1]
+        q = decay[..., ::-1] * self._q[r, 1:, None] + local[:, 1, :, -2::-1]
+        value, derivative = self._profile(factors, p, q, r)
+        self.norm_sq[r], self.dnorm_sq[r] = _panel_norms_sq(value), _panel_norms_sq(derivative)
 
-    def _kernels(self, ends: np.ndarray) -> np.ndarray:
-        """The two local kernels of every row at the sub-nodes tau of each
+    def _kernels(self, ends: np.ndarray, r=slice(None)) -> np.ndarray:
+        """The two local kernels of the rows r at the sub-nodes tau of each
         [0, end], times h (dt = h dtau): kernel 0 is
         h tau phi(2 sigma h tau) e^{sigma h (end - tau)}, kernel 1 the bare
         exponential; rows x 2 x ends x 16."""
-        s = self.sigma[:, None, None] * _H
+        s = self.sigma[r, None, None] * _H
         tau = ends[:, None] * _ETA
         decay = np.exp(s * (ends[:, None] - tau))
         return _H * np.stack([_H * _tphi(s, tau) * decay, decay], axis=1)
 
-    def _profile(self, factors, p: np.ndarray, q: np.ndarray):
-        """X and X' from the factors v1, v1', v2, v2' and P and Q at the
-        same points."""
+    def _profile(self, factors, p: np.ndarray, q: np.ndarray, r=slice(None)):
+        """X and X' of the rows r from the factors v1, v1', v2, v2' and P
+        and Q at the same points."""
         v1, dv1, v2, dv2 = factors
-        s, end = (a.reshape((-1,) + (1,) * (p.ndim - 1)) for a in (self.sigma, self._v1_end))
+        s, end = (a[r].reshape((-1,) + (1,) * (p.ndim - 1)) for a in (self.sigma, self._v1_end))
         value = (v2 * p + v1 * q) / end
         # X' carries v2' + sigma v2 = (v2' - 1)/2 and v1' - sigma v1 = (v1' - sigma - ik)/2.
         derivative = ((dv2 - 1.0) * p + (dv1 - s - 1j * self.k) * q) / (2.0 * end)
@@ -631,12 +646,6 @@ def _panel_norms_sq(values: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(row) for row in rows])
 
 
-def _source_norm(samples: np.ndarray) -> float:
-    """L2 norm of a source from its rows' samples on the panel nodes:
-    Parseval across the vertical eigenbasis, panel quadrature along x."""
-    return math.sqrt(math.fsum(_panel_norms_sq(samples).tolist()))
-
-
 def _listed_source(f, family: BasisFamily) -> tuple[np.ndarray, np.ndarray]:
     """The modes of a (mode, profile) list in ascending order, and each
     profile sampled once on the panel nodes.  Family SIN_INT's member 0 is
@@ -665,7 +674,7 @@ def solve_source(
     source's expansion over the vertical eigenbasis, or a callable f(x, y)
     projected onto that basis by quadrature.  A listed mode above
     `truncation` raises ValueError.  The block's profiles are one
-    SourceTable, whose samples `f` also give the source norm.
+    SourceTable, whose samples `f` also give the source norm (f_norm_sq).
     """
     if config.right is not BoundaryOperator.DIRICHLET:
         raise ValueError("the source bound is stated for a Dirichlet right side")
@@ -695,7 +704,8 @@ def solve_source(
 def source_l2_norm(f, config: BoundaryConfig) -> float:
     """L2 norm of a modal source (mode, profile) list: Parseval across the
     vertical eigenbasis, panel quadrature along x."""
-    return _source_norm(_listed_source(f, config.vertical_family())[1])
+    samples = _listed_source(f, config.vertical_family())[1]
+    return math.sqrt(math.fsum(_panel_norms_sq(samples).tolist()))
 
 
 # --------------------------------------------------------------------------

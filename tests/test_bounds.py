@@ -15,6 +15,8 @@ from helmstab.bounds import (
     rhs_bound,
     sharpness_case,
     sweep,
+    _HORIZONTAL_PAIRS,
+    _source_trials,
     _trial_config,
 )
 from helmstab.eigenbasis import (
@@ -27,9 +29,12 @@ from helmstab.eigenbasis import (
 from helmstab.modal1d import Side, choose_lifting_family
 from helmstab.solver import (
     BoundaryConfig,
+    SourceTable,
     energy_parseval,
+    energy_quadrature,
     evaluate,
     solve_datum,
+    solve_source,
 )
 from transcribed import exact_solution
 
@@ -302,13 +307,35 @@ def test_sweep_reports_every_failing_certificate(monkeypatch):
     assert all(not c.passed and c.lhs > c.rhs for c in rep.failures)
 
 
+def _source_draw(rng, modes):
+    """One source trial's config and (mode, profile) list, drawn as the
+    sweep draws them: an operator pair, the number of modes, the modes, and
+    each mode's c then omega."""
+    pair = _HORIZONTAL_PAIRS[int(rng.integers(0, 4))]
+    cfg = BoundaryConfig(pair[0], D, pair[1])
+    start = int(cfg.vertical_family() is BasisFamily.SIN_INT)
+    count = int(rng.integers(1, min(6, modes) + 1))
+    source = []
+    for n in sorted(rng.choice(np.arange(start, start + 12), size=count, replace=False)):
+        c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        omega = float(rng.uniform(0.5, 2.5)) * PI
+        source.append((int(n), lambda x, c=c, w=omega: c[0] + c[1] * np.sin(w * np.asarray(x))
+                       + c[2] * np.asarray(x) ** 2))
+    return cfg, source
+
+
 def _certified_one_by_one(theorem, k_grid, modes, trials, seed):
-    """The boundary sweep as one certify call per trial, on the sweep's
-    draws: real parts then imaginary parts, scaled to unit norm."""
+    """The sweep as one certify call per trial, on the sweep's draws: for
+    a boundary theorem real parts then imaginary parts, scaled to unit
+    norm; for the source theorem _source_draw's sources."""
     rng = np.random.default_rng(seed)
     certs = []
     for k in k_grid:
         for trial in range(trials):
+            if THEOREMS[theorem].side is None:
+                cfg, source = _source_draw(rng, modes)
+                certs.append((trial, certify(theorem, cfg, source, float(k))))
+                continue
             cfg, fam = _trial_config(theorem, trial, float(k))
             start = 1 if fam is BasisFamily.SIN_INT else 0
             coeffs = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
@@ -333,8 +360,7 @@ def test_grouped_grid_crosses_the_lifting_switch():
 
 
 @pytest.mark.parametrize("sabotage", [False, True], ids=["real", "sabotaged"])
-@pytest.mark.parametrize("theorem", [t for t in TheoremId if THEOREMS[t].side is not None],
-                         ids=lambda t: t.value)
+@pytest.mark.parametrize("theorem", list(TheoremId), ids=lambda t: t.value)
 def test_grouped_sweep_equals_certify(theorem, sabotage, monkeypatch):
     """The sweep certifies each k's trials from shared tables; every
     certificate must be certify's, bit for bit.  24 trials repeat T1's
@@ -380,6 +406,40 @@ def test_sweep_builds_one_table_per_k_operator_pair_and_lattice(monkeypatch):
         rep = sweep(theorem, ks, trials=20)
         assert rep.certificates == 160 and rep.all_passed
         assert (len(rows), sum(rows)) == (builds, built), theorem
+
+
+def test_source_sweep_builds_one_source_table_per_k(monkeypatch):
+    """A TF sweep builds one SourceTable per k, in grid order, over every
+    trial's rows: 50 trials of 1 to 6 modes each."""
+    builds = []
+    real_init = SourceTable.__init__
+
+    def counted(table, k, mu, f):
+        builds.append((k, len(mu)))
+        real_init(table, k, mu, f)
+
+    monkeypatch.setattr(SourceTable, "__init__", counted)
+    ks = [0.5, 1.0, 5.0, 20.0, 60.0]
+    rep = sweep(TheoremId.TF_SOURCE, ks, trials=50)
+    assert rep.certificates == 250 and rep.all_passed
+    assert [k for k, _ in builds] == ks
+    assert all(50 <= rows <= 300 for _, rows in builds)
+
+
+def test_source_certificates_agree_with_a_resolved_quadrature():
+    """Every TF sweep certificate's left side is the Parseval energy of its
+    source's solve, and a 65^2 Gauss-Legendre quadrature of the same solve
+    agrees with it to 1e-12 relative (about 1.5e-15 is seen).  The 25^2
+    rule the certificate once took the max with is off by up to 1.5% at
+    k = 60, so this check can fail."""
+    sweep_rng, draw_rng = np.random.default_rng(0), np.random.default_rng(0)
+    for k in (0.5, 5.0, 20.0, 60.0):
+        for cert in _source_trials(sweep_rng, TheoremId.TF_SOURCE, k, 64, 16):
+            cfg, source = _source_draw(draw_rng, 64)
+            u = solve_source(source, cfg, k)
+            parseval = energy_parseval(u).energy
+            assert cert.lhs == parseval
+            assert abs(energy_quadrature(u, 65).energy - parseval) <= 1e-12 * parseval, k
 
 
 def test_sweep_reproduces_case_ratio():

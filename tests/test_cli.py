@@ -170,6 +170,38 @@ def test_sweep_rejects_flags_that_leave_nothing_to_check(flags, named, tmp_path,
     assert not report.exists()
 
 
+def sweep_grid(tmp_path, *flags):
+    """The k grid of a small TF sweep run with the given flags."""
+    report = tmp_path / "sweep.json"
+    assert run_cli(["sweep", "--theorem", "TF", *flags, "--modes", "2", "--trials", "2",
+                    "--report", str(report)]) == 0
+    return json.loads(report.read_text())["k_grid"]
+
+
+def test_tf_sweep_honours_explicit_grid_flags(tmp_path):
+    """The TF sweep's own list 0.5, 1, 5, 20 applies only without grid
+    flags; any of --k-min, --k-max and --k-count asks for the geometric
+    grid, with the other two at their defaults."""
+    assert sweep_grid(tmp_path) == [0.5, 1.0, 5.0, 20.0]
+    assert sweep_grid(tmp_path, "--k-min", "1", "--k-max", "100", "--k-count", "5") == \
+        list(np.geomspace(1.0, 100.0, 5))
+    assert sweep_grid(tmp_path, "--k-count", "3") == list(np.geomspace(0.05, 200.0, 3))
+    assert sweep_grid(tmp_path, "--k-list", "2,3") == [2.0, 3.0]
+
+
+@pytest.mark.parametrize("theorem", ["T1", "TF"])
+@pytest.mark.parametrize("flags", [["--k-min", "1"], ["--k-max", "9", "--k-count", "3"]])
+def test_sweep_k_list_excludes_the_grid_flags(theorem, flags, tmp_path, capsys):
+    """--k-list with any of --k-min, --k-max and --k-count exits 1 naming
+    the flags, instead of silently dropping one grid."""
+    report = tmp_path / "sweep.json"
+    assert run_cli(["sweep", "--theorem", theorem, "--k-list", "5", *flags,
+                    "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in ["--k-list", *flags[::2]])
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("k,bottom,right,top,family,case", [
     (7.3, "neumann", "dirichlet", "dirichlet", "integer", 3),
     (3.2, "dirichlet", "impedance", "dirichlet", "half-integer", 1),
@@ -424,6 +456,29 @@ def test_datum_mode_above_truncation_exits_1(tmp_path, capsys, command, field, m
     assert f"{field}: mode {mode} lies above truncation 10" in capsys.readouterr().err
     zero = {"bottom": [[2, 1.0, 0.0], [40, 0.0, 0.0]], "left": [[40, 0.0, 0.0]]}
     assert parse_run_config({**doc, "data": zero, "source": None}).truncation == 10
+
+
+@pytest.mark.parametrize("command", ["solve", "lift", "certify", "oracle"])
+@pytest.mark.parametrize("field,overrides", [
+    ("config.data.left[1]", {"data": {"left": [[1, 1.0, 0.0], [0, 0.5, 0.0]]}}),
+    ("config.data.right", {"data": {"right": "mode:0"}}),
+    ("config.source", {"source": "mode:0"}),
+])
+def test_datum_on_the_zero_member_exits_1(tmp_path, capsys, command, field, overrides):
+    """With Dirichlet bottom and top the vertical family is sin-int, whose
+    member 0 is the zero function: a datum or source there exits 1 naming
+    the field in every subcommand, instead of solving nothing.  A zero
+    coefficient there and a constant datum (whose projection on it is 0)
+    still parse."""
+    doc = {"k": 5.0, "boundary": {"bottom": "dirichlet", "right": "dirichlet",
+                                  "top": "dirichlet"}, **overrides}
+    doc["data"] = {"bottom": [[2, 1.0, 0.0]], **doc.get("data", {})}
+    flags = ["--theorem", "T1"] if command == "certify" else []
+    assert run_cli([command, *flags, "--config", str(write_doc(tmp_path, doc))]) == 1
+    assert f"{field}: mode 0 of sin-int is the zero function" in capsys.readouterr().err
+    run = parse_run_config({**doc, "data": {"left": [[0, 0.0, 0.0], [1, 1.0, 0.0]],
+                                            "right": "constant:1"}, "source": "mode:1"})
+    assert all(0 not in g.n[g.c != 0] for g in run.data.values())
 
 
 def write_doc(tmp_path, doc):

@@ -50,6 +50,7 @@ from helmstab.solver import (
     source_l2_norm,
     superpose,
     _NODES,
+    _SOURCE_CHUNK,
     _WEIGHTS,
     _gauss_grid,
 )
@@ -832,10 +833,13 @@ def test_source_profile_samples_fx_once():
 
 
 def test_source_table_rows_are_independent():
-    """A six-row table at k = 60 equals six one-row tables bit for bit, in
-    its norms and on any nodes."""
+    """An eleven-row table at k = 60, more rows than are built at once,
+    equals eleven one-row tables bit for bit, in its norms and on any
+    nodes."""
     k = 60.0
-    mu = np.array([0.0, 3 * PI, 19 * PI, k, 20 * PI, 150 * PI])
+    mu = np.array([0.0, 3 * PI, 19 * PI, k, 20 * PI, 150 * PI, PI / 2, 5 * PI, 18.5 * PI,
+                   2 * PI, 40 * PI])
+    assert len(mu) > _SOURCE_CHUNK
     x = _NODES.ravel()
     f = np.stack([smooth_source(x) * (1.0 + 0.3j * r) + np.cos(r * x) for r in range(len(mu))])
     table = SourceTable(k, mu, f)
@@ -844,6 +848,7 @@ def test_source_table_rows_are_independent():
     for r in range(len(mu)):
         row = SourceTable(k, mu[r:r + 1], f[r:r + 1])
         assert row.norm_sq[0] == table.norm_sq[r] and row.dnorm_sq[0] == table.dnorm_sq[r]
+        assert row.f_norm_sq[0] == table.f_norm_sq[r]
         v, d = row.value_and_derivative(t)
         assert v[0].tobytes() == value[r].tobytes() and d[0].tobytes() == derivative[r].tobytes()
 
@@ -870,9 +875,8 @@ def test_source_rows_are_smooth_across_the_cutoff_band():
 
 
 def test_source_certificate_samples_each_fx_once():
-    """A TF certificate (solve, source norm, Parseval and the 25^2
-    quadrature cross-check) calls each mode's fx exactly once, on the 768
-    panel nodes."""
+    """A TF certificate (solve, source norm and Parseval energy) calls each
+    mode's fx exactly once, on the 768 panel nodes."""
     from helmstab.bounds import TheoremId, certify
 
     calls = {1: [], 3: []}
