@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .eigenbasis import (
     BoundaryOperator,
     DataNormReport,
     Spectrum,
+    homogeneous_operators,
     select_eigenpairs,
     _EIGENPAIRS,
     _weighted_norms,
@@ -114,6 +115,11 @@ class BoundCertificate:
     @staticmethod
     def from_sides(theorem: TheoremId, k: float, lhs: float, rhs: float,
                    norms: DataNormReport) -> "BoundCertificate":
+        """The certificate lhs <= rhs; a non-finite side raises ValueError,
+        as it would read as a violation."""
+        if not (math.isfinite(lhs) and math.isfinite(rhs)):
+            raise ValueError(f"{theorem.value} certificate at k={k!r} has a non-finite side "
+                             f"(lhs={lhs!r}, rhs={rhs!r})")
         ratio = 0.0 if (rhs == 0.0 and lhs == 0.0) else lhs / rhs
         passed = lhs <= rhs * (1.0 + CERT_SLACK)
         return BoundCertificate(theorem, k, lhs, rhs, ratio, passed, norms)
@@ -171,17 +177,43 @@ def _check_operators(theorem: TheoremId, config: BoundaryConfig) -> None:
 # sharpness cases
 # --------------------------------------------------------------------------
 
-SHARPNESS_IDS = (
-    "ex2.3-1",
-    "ex2.3-2",
-    "ex2.3-3",
-    "ex2.5-neumann",
-    "ex2.5-dirichlet",
-    "lift-nn",
-    "lift-nd",
-    "lift-dn",
-    "lift-dd",
-)
+@dataclass(frozen=True)
+class Example:
+    """One extremal example as the paper gives it: its theorem, the operator
+    of its far side (the right side, or the top side of a lifting example),
+    whether its wavenumber is detuned, and its exact energy in (k, mu, w),
+    for a detuned example (grad^2 + k^2 l2^2, a lower bound of the energy)."""
+
+    theorem: TheoremId
+    far: BoundaryOperator
+    detuned: bool
+    energy: Callable
+
+
+_PI, _SQRT2 = math.pi, math.sqrt(2.0)
+
+#: The extremal examples by case id; sharpness_case derives the rest.
+EXAMPLES: dict[str, Example] = {
+    "ex2.3-1": Example(TheoremId.T1_G4, _I, False, lambda k, mu, w: (
+        (_SQRT2 / 2.0) * k * math.sqrt(1.0 / _PI**2 + 1.0 / k**2))),
+    "ex2.3-2": Example(TheoremId.T1_G4, _N, False, lambda k, mu, w: (2.0 * _SQRT2 / _PI) * k),
+    "ex2.3-3": Example(TheoremId.T1_G4, _D, False, lambda k, mu, w: (_SQRT2 / _PI) * k),
+    "ex2.5-neumann": Example(TheoremId.T2_G2_NEU, _N, False, lambda k, mu, w: (
+        (4.0 * _SQRT2 / _PI) * k * k * math.sqrt(1.0 / _PI**2 + 1.0 / (4.0 * k * k)))),
+    "ex2.5-dirichlet": Example(TheoremId.T2_G2_DIR, _D, False, lambda k, mu, w: (
+        (_SQRT2 / _PI) * math.sqrt(k**4 + _PI**2 * k**2))),
+    "lift-nn": Example(TheoremId.T3_LIFT_NEU, _N, False, lambda k, mu, w: (2.0 * _SQRT2 / _PI) * k),
+    "lift-nd": Example(TheoremId.T3_LIFT_NEU, _D, False, lambda k, mu, w: (_SQRT2 / _PI) * k),
+    "lift-dn": Example(TheoremId.T3_LIFT_DIR, _N, True, lambda k, mu, w: (
+        (k * k + mu * mu * math.sin(2.0 * w) / (2.0 * w)) / math.cos(w) ** 2,
+        (9.0 * _PI**2 / (2.0 * _SQRT2 * (9.0 * _PI**2 + 4.0))) * (
+            k * k + math.sqrt(k) * math.sqrt(mu)))),
+    "lift-dd": Example(TheoremId.T3_LIFT_DIR, _D, True, lambda k, mu, w: (
+        (k * k - mu * mu * math.sin(2.0 * w) / (2.0 * w)) / math.sin(w) ** 2,
+        (_PI**2 / (2.0 * _SQRT2 * (_PI**2 + 1.0))) * (k * k + math.sqrt(k) * math.sqrt(mu)))),
+}
+
+SHARPNESS_IDS = tuple(EXAMPLES)
 
 
 @dataclass(frozen=True)
@@ -204,94 +236,37 @@ class SharpnessCase:
         return THEOREMS[self.theorem].side
 
 
-#: The (bottom, top) operator pair of each vertical basis family.
-_VERTICAL_OPS = {family: pair for pair, family in _EIGENPAIRS.items()}
+def sharpness_case(case_id: str, n: int,
+                   family: BasisFamily = BasisFamily.SIN_INT) -> SharpnessCase:
+    """Rebuild one extremal example from its row of EXAMPLES.
 
-
-def sharpness_case(
-    case_id: str, n: int, family: BasisFamily = BasisFamily.SIN_INT
-) -> SharpnessCase:
-    """Rebuild one extremal example: its problem, datum and exact energy.
-
-    `family` picks the transverse basis where the example leaves it free
-    (any of the four for the vertical-datum cases; the sine or cosine
-    integer-eigenvalue basis for the lifting cases).
+    The datum is member n of `family` (any of the four for the
+    vertical-datum cases, the sine or cosine integer-eigenvalue basis for
+    the lifting cases), with eigenvalue mu.  The config is the family's
+    homogeneous operators with the far operator on the right, or for a
+    lifting example the theorem's bottom operator, Dirichlet and the far
+    operator on top.  k = sqrt(mu^2 + w^2) for the wavenumber w = pi/2
+    against a Neumann far side and pi otherwise, or detuned theta + 1/theta
+    for the n-th eigenvalue theta of the config's vertical family.
     """
-    if case_id not in SHARPNESS_IDS:
+    if case_id not in EXAMPLES:
         raise ValueError(f"unknown sharpness case {case_id!r}")
     if n < 1:
         raise ValueError("sharpness cases are stated for mode index n >= 1")
-    pi = math.pi
-    sqrt2 = math.sqrt(2.0)
-
-    if case_id.startswith("ex"):
-        b_bottom, b_top = _VERTICAL_OPS[family]
-        mu = family.eigenvalue(n)
-        datum = Spectrum.from_pairs(family, [(n, 1.0)])
-        if case_id == "ex2.3-1":
-            k = math.sqrt(mu * mu + pi * pi)
-            cfg = BoundaryConfig(b_bottom, BoundaryOperator.IMPEDANCE, b_top)
-            expected = (sqrt2 / 2.0) * k * math.sqrt(1.0 / pi**2 + 1.0 / k**2)
-            theorem = TheoremId.T1_G4
-        elif case_id == "ex2.3-2":
-            k = math.sqrt(mu * mu + pi * pi / 4.0)
-            cfg = BoundaryConfig(b_bottom, BoundaryOperator.NEUMANN, b_top)
-            expected = (2.0 * sqrt2 / pi) * k
-            theorem = TheoremId.T1_G4
-        elif case_id == "ex2.3-3":
-            k = math.sqrt(mu * mu + pi * pi)
-            cfg = BoundaryConfig(b_bottom, BoundaryOperator.DIRICHLET, b_top)
-            expected = (sqrt2 / pi) * k
-            theorem = TheoremId.T1_G4
-        elif case_id == "ex2.5-neumann":
-            k = math.sqrt(mu * mu + pi * pi / 4.0)
-            cfg = BoundaryConfig(b_bottom, BoundaryOperator.NEUMANN, b_top)
-            expected = (4.0 * sqrt2 / pi) * k * k * math.sqrt(1.0 / pi**2 + 1.0 / (4.0 * k * k))
-            theorem = TheoremId.T2_G2_NEU
-        else:  # ex2.5-dirichlet
-            k = math.sqrt(mu * mu + pi * pi)
-            cfg = BoundaryConfig(b_bottom, BoundaryOperator.DIRICHLET, b_top)
-            expected = (sqrt2 / pi) * math.sqrt(k**4 + pi**2 * k**2)
-            theorem = TheoremId.T2_G2_DIR
-        return SharpnessCase(case_id, n, k, theorem, cfg, datum, expected, None, None)
-
-    # lifting cases: integer eigenvalue lattice, sine or cosine x-basis
-    if family not in (BasisFamily.SIN_INT, BasisFamily.COS_INT):
+    row = EXAMPLES[case_id]
+    lifting = THEOREMS[row.theorem].side is Side.BOTTOM
+    if lifting and family.half_integer:
         raise ValueError("the lifting examples use the integer-eigenvalue basis")
-    mu = n * pi
-    datum = Spectrum.from_pairs(family, [(n, 1.0)])
-    D, N = BoundaryOperator.DIRICHLET, BoundaryOperator.NEUMANN
-    if case_id == "lift-nn":
-        k = math.sqrt(mu * mu + pi * pi / 4.0)
-        cfg = BoundaryConfig(N, D, N)
-        expected, expected_sq, lower = (2.0 * sqrt2 / pi) * k, None, None
-        theorem = TheoremId.T3_LIFT_NEU
-    elif case_id == "lift-nd":
-        k = math.sqrt(mu * mu + pi * pi)
-        cfg = BoundaryConfig(N, D, D)
-        expected, expected_sq, lower = (sqrt2 / pi) * k, None, None
-        theorem = TheoremId.T3_LIFT_NEU
-    elif case_id == "lift-dn":
-        theta = (n + 0.5) * pi
-        w = theta + 1.0 / theta
-        k = math.sqrt(w * w + mu * mu)
-        cfg = BoundaryConfig(D, D, N)
-        expected = None
-        expected_sq = (k * k + mu * mu * math.sin(2.0 * w) / (2.0 * w)) / math.cos(w) ** 2
-        lower = (9.0 * pi**2 / (2.0 * sqrt2 * (9.0 * pi**2 + 4.0))) * (
-            k * k + math.sqrt(k) * math.sqrt(mu)
-        )
-        theorem = TheoremId.T3_LIFT_DIR
-    else:  # lift-dd
-        theta = n * pi
-        w = theta + 1.0 / theta
-        k = math.sqrt(w * w + theta * theta)
-        cfg = BoundaryConfig(D, D, D)
-        expected = None
-        expected_sq = (k * k - theta * theta * math.sin(2.0 * w) / (2.0 * w)) / math.sin(w) ** 2
-        lower = (pi**2 / (2.0 * sqrt2 * (pi**2 + 1.0))) * (k * k + math.sqrt(k) * math.sqrt(theta))
-        theorem = TheoremId.T3_LIFT_DIR
-    return SharpnessCase(case_id, n, k, theorem, cfg, datum, expected, expected_sq, lower)
+    b_bottom, b_top = homogeneous_operators(family)
+    cfg = (BoundaryConfig(THEOREMS[row.theorem].bottom, _D, row.far) if lifting
+           else BoundaryConfig(b_bottom, row.far, b_top))
+    mu, theta = family.eigenvalue(n), cfg.vertical_family().eigenvalue(n)
+    w = theta + 1.0 / theta if row.detuned else (_PI / 2.0 if row.far is _N else _PI)
+    k = math.sqrt(mu * mu + w * w)
+    energy = row.energy(k, mu, w)
+    expected, expected_sq, lower = (None, *energy) if row.detuned else (energy, None, None)
+    return SharpnessCase(case_id, n, k, row.theorem, cfg, Spectrum.from_pairs(family, [(n, 1.0)]),
+                         expected, expected_sq, lower)
 
 
 # --------------------------------------------------------------------------
@@ -387,15 +362,15 @@ def _check_sweep(theorem: TheoremId, ks, modes: int, trials: int, seed: int,
                  prefix: str = "sweep ") -> None:
     """Raise ValueError, naming the argument as `prefix` + its name, for no
     trials or no modes (the sweep would pass vacuously), a negative seed, or
-    boundary data past MAX_MODE, which certify refuses.  SIN_INT data run
-    1..modes, the other families 0..modes-1."""
+    boundary data past MAX_MODE, which certify refuses.  Data run over
+    `modes` members from their family's first_nonzero."""
     for name, value in (("trials", trials), ("modes", modes)):
         if value < 1:
             raise ValueError(f"{prefix}{name} must be at least 1, got {value}")
     if seed < 0:
         raise ValueError(f"{prefix}seed must be nonnegative, got {seed}")
     if THEOREMS[theorem].side is not None and modes > MAX_MODE:
-        top = max(modes - 1 + (_trial_config(theorem, t, k)[1] is BasisFamily.SIN_INT)
+        top = max(modes - 1 + _trial_config(theorem, t, k)[1].first_nonzero
                   for k in ks for t in range(trials))
         if top > MAX_MODE:
             raise ValueError(f"{prefix}modes {modes} puts datum mode {top} past the cap "
@@ -429,7 +404,7 @@ def _boundary_trials(rng: np.random.Generator, theorem: TheoremId, k: float, mod
         if key not in tables:
             cos = BasisFamily.COS_HALF if half else BasisFamily.COS_INT
             tables[key] = _datum_profiles(cfg, side, np.arange(modes + (not half)), k, cos)
-        start = int(fam is BasisFamily.SIN_INT)
+        start = fam.first_nonzero
         c /= np.linalg.norm(c)
         certs.append(_certificate(theorem, k, np.abs(c) ** 2, tables[key],
                                   slice(start, start + modes)))
@@ -451,7 +426,7 @@ def _source_trials(rng: np.random.Generator, theorem: TheoremId, k: float, modes
     for _ in range(trials):
         fam = select_eigenpairs(*_HORIZONTAL_PAIRS[int(rng.integers(0, 4))])
         count = int(rng.integers(1, min(6, modes) + 1))
-        ns = np.arange(12) + int(fam is BasisFamily.SIN_INT)
+        ns = np.arange(12) + fam.first_nonzero
         rows.append(slice(len(mu), len(mu) + count))
         mu.extend(fam.eigenvalue(np.sort(rng.choice(ns, size=count, replace=False))))
         for row in samples[rows[-1]]:

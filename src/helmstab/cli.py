@@ -80,8 +80,8 @@ def parse_run_config(doc: dict) -> RunConfig:
         k = float(raw_k)
     except (TypeError, ValueError):
         raise not_a_number from None
-    if not (k > 0 and math.isfinite(k)):
-        raise ConfigError(f"config.k: must be a positive finite number, got {k}")
+    if not (k > 0 and math.isfinite(k * k)):
+        raise ConfigError(f"config.k: must be a positive number with a finite square, got {k}")
 
     bdoc = doc.get("boundary")
     if not isinstance(bdoc, dict):
@@ -179,10 +179,10 @@ def _mode_index(path: str, raw, cap: int) -> int:
 
 
 def _check_member(path: str, family: BasisFamily, n: int) -> None:
-    """Reject data on SIN_INT's member 0, the zero function: a solve would
-    drop them."""
-    if family is BasisFamily.SIN_INT and n == 0:
-        raise ConfigError(f"{path}: mode 0 of {family.value} is the zero function")
+    """Reject data on a member below the family's first_nonzero, the zero
+    function: a solve would drop them."""
+    if n < family.first_nonzero:
+        raise ConfigError(f"{path}: mode {n} of {family.value} is the zero function")
 
 
 def _parse_datum(path: str, raw, cap: int, family: BasisFamily, depth: int) -> Spectrum:
@@ -405,8 +405,9 @@ def _cmd_sharpness(args) -> int:
 
 def _check_wavenumbers(flag: str, ks) -> None:
     for k in ks:
-        if not (k > 0 and math.isfinite(k)):
-            raise ValueError(f"{flag}: wavenumbers must be positive and finite, got {k!r}")
+        if not (k > 0 and math.isfinite(k * k)):
+            raise ValueError(f"{flag}: wavenumbers must be positive with finite squares, "
+                             f"got {k!r}")
 
 
 def _cmd_sweep(args) -> int:

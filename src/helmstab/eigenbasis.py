@@ -51,6 +51,12 @@ class BasisFamily(Enum):
     def half_integer(self) -> bool:
         return self in (BasisFamily.SIN_HALF, BasisFamily.COS_HALF)
 
+    @property
+    def first_nonzero(self) -> int:
+        """The index of the first member that is not the zero function: 1
+        for SIN_INT, whose member 0 is sqrt(2) sin(0) = 0, else 0."""
+        return int(self is BasisFamily.SIN_INT)
+
     def eigenvalue(self, n):
         """mu_n: n*pi for integer families, (n+1/2)*pi for half-integer.
         An integer array n gives the array of eigenvalues."""
@@ -121,9 +127,9 @@ class Spectrum:
     """Finitely supported modal coefficients in one basis family: the mode
     indices `n` (int64) and their coefficients `c` (complex).
 
-    Indices are strictly increasing; a SIN_INT index 0 is dropped silently
-    (that family's zeroth member is the zero function).  Coefficients must
-    be finite.  The arrays are read-only.
+    Indices are strictly increasing; an index below the family's
+    first_nonzero is dropped silently (that member is the zero function).
+    Coefficients must be finite.  The arrays are read-only.
     """
 
     family: BasisFamily
@@ -146,7 +152,7 @@ class Spectrum:
         if np.count_nonzero(bad):
             i = np.argmax(bad)
             raise ValueError(f"coefficient of mode {n[i]} is not finite ({c[i]})")
-        if self.family is BasisFamily.SIN_INT and len(n) and n[0] == 0:
+        if len(n) and n[0] < self.family.first_nonzero:
             n, c = n[1:], c[1:]
         n.setflags(write=False)
         c.setflags(write=False)

@@ -73,8 +73,8 @@ PROPAGATING, CUTOFF, EVANESCENT = 0, 1, 2
 
 def _check_wavenumber(k) -> float:
     k = float(k)
-    if not (k > 0 and math.isfinite(k)):
-        raise ValueError(f"wavenumber k must be positive and finite, got k={k!r}")
+    if not (k > 0 and math.isfinite(k * k)):
+        raise ValueError(f"wavenumber k must be positive with a finite square, got k={k!r}")
     return k
 
 
@@ -91,15 +91,18 @@ _SIGMA_PER_Z = np.array([1j, 0.0, -1.0])
 
 
 def _regimes(k: float, mu: np.ndarray):
-    """The regime code and sigma of each mode; a mode is at the cutoff where
-    |k^2 - mu^2| <= EPS_CUTOFF max(k^2, mu^2)."""
+    """The regime code and sigma of each mode.  sigma is i z below the
+    cutoff, -z above it and 0 at it, where z = 0; the code CUTOFF labels
+    every mode with |k^2 - mu^2| <= EPS_CUTOFF max(k^2, mu^2), and sigma
+    does not depend on it."""
     # (k-mu)(k+mu) avoids the catastrophic cancellation of k*k - mu*mu near
     # the cutoff (the difference k-mu is exact there).
     gap = np.abs((k - mu) * (k + mu))
-    z = np.sqrt(gap)
     code = np.where(mu * mu < k * k, PROPAGATING, EVANESCENT)
+    code[gap == 0] = CUTOFF
+    sigma = np.sqrt(gap) * _SIGMA_PER_Z[code]
     code[gap <= EPS_CUTOFF * np.maximum(k * k, mu * mu)] = CUTOFF
-    return code, z * _SIGMA_PER_Z[code]
+    return code, sigma
 
 
 def _phi(x):

@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .eigenbasis import BasisFamily, BoundaryOperator, Spectrum, _contract, _sample, basis_value
+from .eigenbasis import BoundaryOperator, Spectrum, _contract, _sample, basis_value
 from .modal1d import Side, _check_wavenumber
 from .solver import (
     BoundaryConfig,
@@ -169,7 +169,7 @@ def fdm_solve(
     # y: the vertical family on the unknown rows is the eigenbasis of the
     # ghost-point second difference, orthogonal in the trapezoidal weights.
     family = config.vertical_family()
-    modes = np.arange(len(y)) + (1 if family is BasisFamily.SIN_INT else 0)
+    modes = np.arange(len(y)) + family.first_nonzero
     basis = basis_value(family, modes, y[:, None])
     w = np.full(len(y), h)
     if not dirichlet[Side.BOTTOM]:

@@ -648,13 +648,13 @@ def _panel_norms_sq(values: np.ndarray) -> np.ndarray:
 
 def _listed_source(f, family: BasisFamily) -> tuple[np.ndarray, np.ndarray]:
     """The modes of a (mode, profile) list in ascending order, and each
-    profile sampled once on the panel nodes.  Family SIN_INT's member 0 is
-    the zero function, so its mode contributes no row."""
+    profile sampled once on the panel nodes.  A mode below the family's
+    first_nonzero is the zero function and contributes no row."""
     pairs = sorted(((int(n), fx) for n, fx in f), key=lambda pair: pair[0])
     ns = np.array([n for n, _ in pairs], dtype=np.int64)
     if np.count_nonzero(ns[1:] == ns[:-1]):
         raise ValueError("duplicate source mode")
-    if family is BasisFamily.SIN_INT and len(ns) and ns[0] == 0:
+    if len(ns) and ns[0] < family.first_nonzero:
         ns, pairs = ns[1:], pairs[1:]
     x = _NODES.ravel()
     samples = [_sample(fx, x, what=f"the profile of source mode {n}") for n, fx in pairs]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helmstab.bounds import (
     SHARPNESS_IDS,
     THEOREMS,
+    BoundCertificate,
     TheoremId,
     certify,
     rhs_bound,
@@ -203,6 +204,50 @@ def test_sharpness_unknown_id():
         sharpness_case("ex2.3-1", 0)
     with pytest.raises(ValueError):
         sharpness_case("lift-nn", 2, BasisFamily.SIN_HALF)
+
+
+#: Each example at n = 3 in SIN_INT as the paper states it: its profile's
+#: wavenumber sqrt(k^2 - mu_3^2) and its bottom, right and top operators.
+PAPER_EXAMPLES = {
+    "ex2.3-1": (PI, (D, I, D)),
+    "ex2.3-2": (PI / 2, (D, N, D)),
+    "ex2.3-3": (PI, (D, D, D)),
+    "ex2.5-neumann": (PI / 2, (D, N, D)),
+    "ex2.5-dirichlet": (PI, (D, D, D)),
+    "lift-nn": (PI / 2, (N, D, N)),
+    "lift-nd": (PI, (N, D, D)),
+    "lift-dn": (3.5 * PI + 1 / (3.5 * PI), (D, D, N)),
+    "lift-dd": (3 * PI + 1 / (3 * PI), (D, D, D)),
+}
+
+
+def test_sharpness_cases_are_the_papers_examples():
+    """The wavenumbers and operators sharpness_case derives from each row of
+    EXAMPLES are the ones the paper writes down for that example."""
+    assert SHARPNESS_IDS == tuple(PAPER_EXAMPLES)
+    for case_id, (w, ops) in PAPER_EXAMPLES.items():
+        case = sharpness_case(case_id, 3)
+        assert math.sqrt(case.k**2 - (3 * PI) ** 2) == pytest.approx(w, rel=1e-12), case_id
+        assert (case.config.bottom, case.config.right, case.config.top) == ops, case_id
+    # a vertical-datum example keeps the datum family's own bottom and top
+    case = sharpness_case("ex2.3-2", 3, BasisFamily.COS_HALF)
+    assert (case.config.bottom, case.config.right, case.config.top) == (N, N, D)
+
+
+@pytest.mark.parametrize("n", [5000, 10000, 16384])
+def test_sharpness_cases_hold_up_to_the_mode_cap(n):
+    """Every example matches its closed form to 1e-5 at high modes, whose
+    profiles lie within 1e-4 k of the cutoff: the band labelled CUTOFF keeps
+    its exponent sigma (it used to be set to 0, an error of about 1)."""
+    for case_id in SHARPNESS_IDS:
+        case = sharpness_case(case_id, n)
+        rep = energy_parseval(solve_datum(case.config, case.data_side, case.datum, case.k))
+        if case.expected_energy is not None:
+            assert rep.energy == pytest.approx(case.expected_energy, rel=1e-5), case_id
+        else:
+            esq = rep.grad_norm**2 + case.k**2 * rep.l2_norm**2
+            assert esq == pytest.approx(case.expected_energy_sq, rel=1e-5), case_id
+            assert rep.energy >= case.lower_bound
 
 
 @pytest.mark.parametrize("case_id", SHARPNESS_IDS)
@@ -500,6 +545,22 @@ def test_certify_and_sweep_reject_nonfinite_k(k):
     for theorem in (TheoremId.T1_G4, TheoremId.T3_LIFT_DIR, TheoremId.TF_SOURCE):
         with pytest.raises(ValueError, match="k="):
             sweep(theorem, [1.0, k], modes=4, trials=1)
+
+
+def test_no_certificate_has_a_non_finite_side():
+    """From k = 1e155 on k^2 overflows; certify and sweep refuse such a k,
+    and a certificate refuses a NaN or infinite side instead of reading it
+    as a violation."""
+    cfg = BoundaryConfig(bottom=N, right=I, top=N)
+    data = Spectrum.from_pairs(BasisFamily.COS_INT, [(0, 1.0)])
+    with pytest.raises(ValueError, match="k=1e\\+155"):
+        certify(TheoremId.T1_G4, cfg, data, 1e155)
+    with pytest.raises(ValueError, match="k=1e\\+155"):
+        sweep(TheoremId.T1_G4, [1.0, 1e155], modes=4, trials=1)
+    norms = DataNormReport(1.0, math.nan, math.nan)
+    for lhs, rhs in ((math.nan, 1.0), (1.0, math.inf), (math.inf, math.inf)):
+        with pytest.raises(ValueError, match="non-finite side"):
+            BoundCertificate.from_sides(TheoremId.T1_G4, 2.0, lhs, rhs, norms)
 
 
 def test_source_certificate_is_homogeneous_in_the_source():

@@ -431,6 +431,26 @@ def test_reports_without_lifting_have_no_tails(tmp_path):
     assert out["energy"]["quadrature"]["energy"] == out["energy"]["parseval"]["energy"] == 0.0
 
 
+@pytest.mark.parametrize("args,named", [
+    (["certify", "--theorem", "T1"], "config.k"),
+    (["solve"], "config.k"),
+    (["sweep", "--theorem", "T1", "--k-list", "1e155"], "--k-list"),
+    (["sweep", "--theorem", "T1", "--k-max", "1e155", "--k-count", "2"], "--k-max"),
+])
+def test_wavenumber_with_an_overflowing_square_exits_1(tmp_path, capsys, args, named):
+    """From k = 1e155 on, k^2 overflows and the solve turns NaN: certify
+    used to report lhs NaN as a violation (exit 2), the sweep a max ratio of
+    -1 and solve NaN energies (exit 0).  Each now exits 1 naming the field
+    or flag, and writes no report."""
+    report = tmp_path / "report.json"
+    doc = json.loads(plane_wave_doc(tmp_path).read_text())
+    flags = [] if args[0] == "sweep" else [
+        "--config", str(write_doc(tmp_path, {**doc, "k": 1e155}))]
+    assert run_cli([*args, *flags, "--report", str(report)]) == 1
+    assert f"{named}: " in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_nonfinite_datum_is_an_input_error(tmp_path):
     """A NaN coefficient exits 1 with the mode named, not 2 (bound violated)."""
     path = tmp_path / "nan.json"

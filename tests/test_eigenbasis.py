@@ -35,6 +35,17 @@ def test_basis_value_examples():
 
 
 @pytest.mark.parametrize("family", FAMILIES)
+def test_first_nonzero_is_the_first_member_that_is_not_zero(family):
+    """Every member below first_nonzero vanishes at every node, the member
+    at it does not, and a spectrum drops the members below it."""
+    t = np.linspace(0.0, 1.0, 33)
+    first = family.first_nonzero
+    assert np.all(basis_value(family, np.arange(first), t[:, None]) == 0.0)
+    assert np.any(basis_value(family, first, t) != 0.0)
+    assert Spectrum.from_pairs(family, [(0, 1.0), (2, 1.0)]).n.tolist() == [0, 2][first:]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 def test_basis_matrix_equals_member_rows(family):
     """basis_value over an array of modes is the one-member evaluation, bit
     for bit, column by column; negative modes are rejected in both forms."""

@@ -456,7 +456,7 @@ def amplitude_scale(sigma, a, b):
 
 
 def assert_rows_match_exact_integrals(table):
-    exponential = np.flatnonzero(table.sigma != 0)
+    exponential = np.flatnonzero(table.regime != CUTOFF)
     for i in exponential:
         (a, b), sigma = amplitudes(table, i), complex(table.sigma[i])
         ref = mode_from_amplitudes(table.k, float(table.mu[i]), a, b)

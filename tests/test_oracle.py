@@ -257,11 +257,14 @@ def test_nonfinite_wavenumber_is_rejected(k):
 
 def test_residual_guard_fails_on_nan():
     """Finite inputs whose solve overflows to NaN fail the residual guard
-    instead of returning a NaN grid."""
+    instead of returning a NaN grid.  A k whose square overflows, as
+    k = 1e200 does, is refused before the solve."""
     cfg = BoundaryConfig(bottom=N, right=I, top=N)
     with pytest.raises(ValueError, match="residual nan"):
         with np.errstate(over="ignore", invalid="ignore"):
-            fdm_solve(cfg, {Side.LEFT: lambda y: 1.0}, None, 1e200, 17)
+            fdm_solve(cfg, {Side.LEFT: lambda y: 1e308}, None, 5.0, 17)
+    with pytest.raises(ValueError, match="k=1e\\+200"):
+        fdm_solve(cfg, {Side.LEFT: lambda y: 1.0}, None, 1e200, 17)
 
 
 @pytest.mark.parametrize("side", list(Side))

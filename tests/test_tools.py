@@ -1,0 +1,35 @@
+"""tools/same_results.py: its commands cover every theorem, sharpness case
+and lifting case of the package."""
+
+import importlib.util
+from pathlib import Path
+
+from helmstab.bounds import SHARPNESS_IDS, THEOREMS
+from helmstab.cli import parse_run_config
+from helmstab.modal1d import choose_lifting_family
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "same_results.py"
+_SPEC = importlib.util.spec_from_file_location("same_results", _PATH)
+same_results = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(same_results)
+
+
+def test_same_results_covers_every_theorem_and_case():
+    aliases = {row.alias for row in THEOREMS.values()}
+    assert set(same_results.THEOREMS) == set(same_results.CERTIFY_CONFIG) == aliases
+    assert same_results.CASES == SHARPNESS_IDS
+
+
+def test_same_results_lifts_cover_the_four_lifting_cases():
+    cases = set()
+    for doc in same_results.LIFTING.values():
+        run = parse_run_config(doc)
+        cases.add(choose_lifting_family(run.k, run.config.bottom, run.config.top).case_index)
+    assert cases == {1, 2, 3, 4}
+
+
+def test_same_results_output_names_are_unique(tmp_path):
+    files = [f for _, outputs in same_results.runs(tmp_path) for f in outputs]
+    assert len(files) == len(set(files)) == 68
+    for doc in {**same_results.PIPELINE, **same_results.LIFTING}.values():
+        parse_run_config(doc)  # every config parses

@@ -1,0 +1,155 @@
+#!/usr/bin/env python3
+"""Check that this tree gives the same results as another checkout.
+
+    python3 tools/same_results.py BASE_DIR
+
+BASE_DIR is a checkout of the commit to compare with (a `git worktree` or a
+`git archive` export).  Every command below runs once with BASE_DIR's
+package and once with this tree's, each tree in its own scratch directory,
+so relative output paths echo the same in both reports:
+
+- sweep reports of all seven theorems
+- certify reports of all seven theorems, on three fixed configs
+- lift reports and CSVs of the four (bottom, top) pairs at k = 3.2 and 3.5,
+  which cover the four lifting cases, and of the four pipeline configs
+- solve reports and CSVs and oracle reports of the four pipeline configs
+- sharpness reports of all nine cases at n = 1 and 7
+
+Each output file is compared byte for byte and each exit code exactly.
+Then the benchmark smoke of both workloads runs in each tree, and
+bench/compare.py checks the two records.  Prints every output that differs
+and exits 1 if any does, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+HEAD = Path(__file__).resolve().parents[1]
+THEOREMS = ("T1", "T2_IMP", "T2_NEU", "T2_DIR", "TF", "T3_NEU", "T3_DIR")
+CASES = ("ex2.3-1", "ex2.3-2", "ex2.3-3", "ex2.5-neumann", "ex2.5-dirichlet",
+         "lift-nn", "lift-nd", "lift-dn", "lift-dd")
+
+_DATA = {"left": "constant:1,0.5", "right": [[1, 1.0, 0.0], [3, 0.2, -0.4]],
+         "bottom": [[0, 0.7, 0.0], [2, 0.3, -0.1], [5, 0.0, 0.2]], "top": "constant:0.4"}
+
+
+def _boundary(bottom: str, right: str, top: str) -> dict:
+    return {"bottom": bottom, "right": right, "top": top}
+
+
+#: The pipeline configs: data on every side, the third also a source, and
+#: a k = 60 field on a 129 grid.
+PIPELINE = {
+    "a": {"k": 7.3, "boundary": _boundary("neumann", "impedance", "dirichlet"), "data": _DATA},
+    "b": {"k": 7.3, "boundary": _boundary("dirichlet", "neumann", "neumann"), "data": _DATA},
+    "c": {"k": 7.3, "boundary": _boundary("dirichlet", "dirichlet", "neumann"),
+          "data": _DATA, "source": "mode:3"},
+    "field": {"k": 60.0, "boundary": _boundary("dirichlet", "dirichlet", "neumann"),
+              "data": {"left": [[1, 0.3, -0.2], [4, 1.0, 0.5]],
+                       "bottom": [[2, 0.5, -1.0], [3, 0.1, 0.2]],
+                       "top": [[1, 1.0, 1.0], [5, -0.3, 0.7]]},
+              "grid": 129},
+}
+#: The lifting configs: each (bottom, top) pair at two k.
+LIFTING = {
+    f"{k}-{bottom}-{top}": {
+        "k": k, "boundary": _boundary(bottom, "impedance", top),
+        "data": {"bottom": [[0, 0.7, 0.0], [2, 0.3, -0.1]], "top": "constant:0.4",
+                 "left": "constant:1,0.5"}}
+    for k in (3.2, 3.5)
+    for bottom, top in (("dirichlet", "dirichlet"), ("neumann", "neumann"),
+                        ("dirichlet", "neumann"), ("neumann", "dirichlet"))
+}
+#: The pipeline config each theorem is certified on.
+CERTIFY_CONFIG = {"T1": "a", "T2_IMP": "a", "T3_NEU": "a", "T2_NEU": "b", "T2_DIR": "c",
+                  "TF": "c", "T3_DIR": "c"}
+
+
+def runs(configs: Path) -> list[tuple[list[str], list[str]]]:
+    """Every command as (helmstab arguments, the files it writes)."""
+    out = []
+    for t in THEOREMS:
+        out.append((["sweep", "--theorem", t, "--k-count", "8", "--trials", "24", "--seed", "0",
+                     "--report", f"sweep-{t}.json"], [f"sweep-{t}.json"]))
+    for t, name in CERTIFY_CONFIG.items():
+        out.append((["certify", "--theorem", t, "--config", str(configs / f"{name}.json"),
+                     "--report", f"certify-{t}.json"], [f"certify-{t}.json"]))
+    for name in (*LIFTING, *PIPELINE):
+        files = [f"lift-{name}.json", f"lift-{name}.csv"]
+        out.append((["lift", "--config", str(configs / f"{name}.json"), "--report", files[0],
+                     "--csv", files[1]], files))
+    for name in PIPELINE:
+        files = [f"solve-{name}.json", f"solve-{name}.csv"]
+        out.append((["solve", "--config", str(configs / f"{name}.json"), "--report", files[0],
+                     "--csv", files[1]], files))
+        out.append((["oracle", "--config", str(configs / f"{name}.json"),
+                     "--report", f"oracle-{name}.json"], [f"oracle-{name}.json"]))
+    for case in CASES:
+        for n in ("1", "7"):
+            report = f"sharpness-{case}-{n}.json"
+            out.append((["sharpness", "--case", case, "--n", n, "--report", report], [report]))
+    return out
+
+
+def _run(tree: Path, argv: list[str], cwd: Path, quiet: bool = True) -> int:
+    """The exit code of python argv in cwd, with the package of `tree`."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    out = subprocess.DEVNULL if quiet else None
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env, stdout=out,
+                          stderr=out).returncode
+
+
+def _read(path: Path):
+    return path.read_bytes() if path.exists() else None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base_dir", type=Path)
+    base = parser.parse_args(argv).base_dir.resolve()
+    if not (base / "src" / "helmstab").is_dir():
+        parser.error(f"{base} holds no src/helmstab")
+    trees = (base, HEAD)
+    differ: list[str] = []
+    compared = 0
+    with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(2) as pool:
+        work = Path(tmp)
+        for name, doc in {**PIPELINE, **LIFTING}.items():
+            (work / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+        dirs = [work / "base", work / "head"]
+        for d in dirs:
+            d.mkdir()
+        for args, files in runs(work):
+            codes = list(pool.map(lambda td: _run(td[0], ["-m", "helmstab", *args], td[1]),
+                                  zip(trees, dirs)))
+            compared += 1 + len(files)
+            if codes[0] != codes[1]:
+                differ.append(f"{args[0]} {files[0]}: exit code {codes[0]} vs {codes[1]}")
+            differ += [f for f in files if _read(dirs[0] / f) != _read(dirs[1] / f)]
+        for workload in ("sweep", "field"):
+            smoke = ["bench/run.py", "--workload", workload, "--seed", "0", "--seconds", "1",
+                     "--smoke"]
+            codes = [_run(tree, smoke, tree) for tree in trees]
+            record = f".bench_out/{workload}-seed0-trace0.json"
+            compared += 3
+            if codes != [0, 0]:
+                differ.append(f"bench smoke {workload}: exit codes {codes[0]} and {codes[1]}")
+            elif _run(HEAD, ["bench/compare.py", str(base / record), str(HEAD / record)], HEAD,
+                      quiet=False):
+                differ.append(f"bench/compare.py {workload}: results differ")
+    for line in differ:
+        print(f"DIFFERS: {line}")
+    print(f"{compared} outputs compared, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
