@@ -382,8 +382,8 @@ def energy_quadrature(u: SeriesSolution, grid_n: int = 65) -> EnergyReport:
         raise ValueError("energy quadrature needs at least a 17x17 grid")
     t, W = _gauss_grid(grid_n)
     vals, gxs, gys = evaluate_grid(u, t, t)
-    l2_sq = math.fsum((W * np.abs(vals) ** 2).ravel())
-    grad_sq = math.fsum((W * (np.abs(gxs) ** 2 + np.abs(gys) ** 2)).ravel())
+    l2_sq = math.fsum((W * np.abs(vals) ** 2).ravel().tolist())
+    grad_sq = math.fsum((W * (np.abs(gxs) ** 2 + np.abs(gys) ** 2)).ravel().tolist())
     return _energy_report(grad_sq, l2_sq, u.k)
 
 

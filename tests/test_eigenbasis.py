@@ -87,8 +87,12 @@ def test_homogeneous_operators_invert_select_eigenpairs():
 def test_contract_against_a_real_operand_is_the_complex_contraction(shape):
     """With one real operand, in either place, the contraction is the
     bytes of numpy's complex einsum with that operand made complex: on
-    random data with zeros, signed zeros and negative values, and on a
-    transposed view as the quadrature projection passes it."""
+    random data with zeros, signed zeros and negative values, and on the
+    layouts the projections and the oracle pass: a transposed complex view,
+    (w * samples).T and (reduced * w).T, against a real basis, and coeffs.T
+    against basis.T.  On the last, a copy of the complex operand's parts
+    that made the summed axis contiguous would change the order of
+    summation."""
     rng = np.random.default_rng(11)
     t, i, j = shape
 
@@ -114,6 +118,8 @@ def test_contract_against_a_real_operand_is_the_complex_contraction(shape):
     assert _contract(r2, z2).tobytes() == reference(r2, z2).tobytes()
     zt = np.ascontiguousarray(z.T).T  # a transposed view, as (w * samples).T
     assert _contract(zt, r).tobytes() == reference(zt, r).tobytes()
+    rt = np.ascontiguousarray(r.T).T  # both transposed, as coeffs.T and basis.T
+    assert _contract(zt, rt).tobytes() == reference(zt, rt).tobytes()
 
 
 @pytest.mark.parametrize("family", FAMILIES)
