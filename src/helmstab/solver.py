@@ -288,19 +288,26 @@ def evaluate(u: SeriesSolution, points) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def _block_tables(block: Block, tx: np.ndarray, ty: np.ndarray):
     """c*X and c*X' on tx, Y and Y' on ty, for the rows of one block, from
-    one build of its profiles and one of its basis members."""
+    one build of its profiles and one of its basis members.
+
+    Y and Y' are real: basis members, or the profiles of a lifted block,
+    which solve a real Dirichlet/Neumann problem with real data and real
+    k^2 - mu^2.  Such a profile's imaginary part is roundoff of the complex
+    pair e^{sigma t}, at most 1.4e-12 of the row's largest value, and is
+    dropped.
+    """
     basis_t, profile_t = (tx, ty) if block.lifted else (ty, tx)
     p, dp = block.profiles.value_and_derivative(profile_t)
     n = block.n[:, None]
     b, db = basis_value(block.basis, n, basis_t), basis_derivative(block.basis, n, basis_t)
-    x, dx, y, dy = (b, db, p, dp) if block.lifted else (p, dp, b, db)
+    x, dx, y, dy = (b, db, p.real, dp.real) if block.lifted else (p, dp, b, db)
     return block.c[:, None] * x, block.c[:, None] * dx, y, dy
 
 
 def _grid_tables(u: SeriesSolution, tx, ty):
     """The factor tables of u's terms on the tensor grid tx by ty: c*X and
-    c*X' on tx, Y and Y' on ty, one row per term in ascending mode order
-    (terms of equal mode in block order)."""
+    c*X' on tx (complex), Y and Y' on ty (real), one row per term in
+    ascending mode order (terms of equal mode in block order)."""
     tx, ty = np.asarray(tx, dtype=float), np.asarray(ty, dtype=float)
     if tx.ndim != 1 or ty.ndim != 1:
         raise ValueError("grid coordinates must be one-dimensional arrays")
@@ -309,7 +316,8 @@ def _grid_tables(u: SeriesSolution, tx, ty):
     modes = u.modes
     row = np.empty(len(modes), dtype=np.intp)  # each term's row in the tables
     row[np.argsort(modes, kind="stable")] = np.arange(len(modes))
-    tables = [np.empty((len(modes), len(t)), dtype=complex) for t in (tx, tx, ty, ty)]
+    tables = [np.empty((len(modes), len(t)), dtype=dtype)
+              for t, dtype in ((tx, complex), (tx, complex), (ty, float), (ty, float))]
     start = 0
     for block in u.blocks:
         rows = row[start:start + len(block.n)]

@@ -31,6 +31,7 @@ from helmstab.modal1d import (
     ModeTable,
     Side,
     choose_lifting_family,
+    y_modes_lifting,
     _apply,
 )
 from helmstab.solver import (
@@ -38,6 +39,7 @@ from helmstab.solver import (
     ProjectionTruncationWarning,
     SeriesSolution,
     SourceTable,
+    default_projection_depth,
     default_truncation,
     energy_parseval,
     energy_quadrature,
@@ -53,6 +55,7 @@ from helmstab.solver import (
     _SOURCE_CHUNK,
     _WEIGHTS,
     _gauss_grid,
+    _grid_tables,
 )
 
 D, N, I = BoundaryOperator.DIRICHLET, BoundaryOperator.NEUMANN, BoundaryOperator.IMPEDANCE
@@ -358,6 +361,61 @@ def test_evaluate_matches_pointwise_reference(case):
     # a repeated point gets the same value each time
     out = evaluate(u, [(0.3, 0.7)] * 3)
     assert all(f[0] == f[1] == f[2] for f in out)
+
+
+def test_grid_tables_hold_real_y_factors():
+    """The y factors of every block are float64: the lifted blocks'
+    profiles with their imaginary roundoff dropped, the residual and source
+    blocks' basis members.  The x factors stay complex, and a left datum's
+    impedance profiles keep their imaginary part."""
+    run = parse_run_config({
+        "k": 7.3, "boundary": {"bottom": "dirichlet", "right": "dirichlet", "top": "neumann"},
+        "data": {"left": "constant:1,0.5", "right": [[1, 1.0, 0.0], [3, 0.2, -0.4]],
+                 "bottom": [[0, 0.7, 0.0], [2, 0.3, -0.1]], "top": "constant:0.4"},
+        "source": "mode:3"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ProjectionTruncationWarning)
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        u = solve_problem(run.config, run.data, run.k, run.source, run.truncation)
+        assert [b.lifted for b in u.blocks] == [True, True, False, False, False]
+        assert isinstance(u.blocks[-1].profiles, SourceTable)
+        tx, ty = np.linspace(0.0, 1.0, 17), np.linspace(0.0, 1.0, 9)
+        for part in [SeriesSolution(u.config, u.k, u.truncation, (b,)) for b in u.blocks] + [u]:
+            cx, cdx, y, dy = _grid_tables(part, tx, ty)
+            assert cx.dtype == cdx.dtype == complex and y.dtype == dy.dtype == np.float64
+    left = u.blocks[3]  # the left residual solve
+    cx, cdx, _, _ = _grid_tables(SeriesSolution(u.config, u.k, u.truncation, (left,)), tx, ty)
+    assert np.max(np.abs(cx.imag)) > 0.1 * np.max(np.abs(cx))
+    assert np.max(np.abs(cdx.imag)) > 0.1 * np.max(np.abs(cdx))
+
+
+def _cutoff_band():
+    """Wavenumbers at, and just off, eigenvalues of both lifting lattices,
+    where the mixed pairs' lattice has a CUTOFF row or one beside it."""
+    mus = [PI, 2.5 * PI, 30.0 * PI, 79.5 * PI]
+    return [mu * (1.0 + d) for mu in mus for d in (0.0, 1e-9, -1e-9, 4e-9, -4e-9, 1e-8, -1e-8,
+                                                   1e-7, -1e-7, 1e-5, -1e-5)]
+
+
+@pytest.mark.parametrize("b_bottom,b_top", [(D, D), (N, N), (D, N), (N, D)])
+def test_lifting_profiles_are_real_up_to_roundoff(b_bottom, b_top):
+    """A lifting profile solves a real problem, so the imaginary part that
+    the tables drop is roundoff: per row, max|Im Y| and max|Im Y'| stay
+    below 1e-11 of max|Y| and max|Y'|, for either datum side, on the rows
+    of every projection depth, at geometric k in [0.05, 250] and in the
+    cutoff band."""
+    t = np.linspace(0.0, 1.0, 257)
+    cutoff_rows = 0
+    for k in [*np.geomspace(0.05, 250.0, 41), *_cutoff_band()]:
+        family = choose_lifting_family(k, b_bottom, b_top).basis
+        ns = np.arange(default_projection_depth(k) + 1)
+        for side in (Side.BOTTOM, Side.TOP):
+            table = y_modes_lifting(ns, k, b_bottom, b_top, side, family)
+            cutoff_rows += np.count_nonzero(table.regime == CUTOFF)
+            for f in table.value_and_derivative(t):
+                peak = np.max(np.abs(f), axis=1)  # 0 for Y' = 0 at a Neumann cutoff
+                assert np.all(np.max(np.abs(f.imag), axis=1) <= 1e-11 * peak), (k, side)
+    assert (cutoff_rows > 0) == (b_bottom is not b_top)
 
 
 # --------------------------------------------------------------------------
