@@ -112,6 +112,9 @@ def parse_run_config(doc: dict) -> RunConfig:
         if truncation < 0 or truncation > cap:
             raise ConfigError(f"config.truncation: must lie in [0, {cap}]")
     depth = default_projection_depth(k) if truncation is None else truncation
+    if depth > cap:  # the default truncation lies below the default depth
+        raise ConfigError(f"config.k: {k:g} needs {depth} modes by default, above the cap "
+                          f"{cap}; give a config.truncation <= {cap}")
     data_doc = doc.get("data")
     if data_doc is None:
         data_doc = {}

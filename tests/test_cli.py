@@ -479,6 +479,26 @@ def test_datum_mode_above_truncation_exits_1(tmp_path, capsys, command, field, m
 
 
 @pytest.mark.parametrize("command", ["solve", "lift", "certify", "oracle"])
+@pytest.mark.parametrize("left", ["constant:1", [[1, 1.0, 0.0]]])
+def test_default_depths_above_the_mode_cap_exit_1(tmp_path, capsys, command, left):
+    """Above k ~ 25,700 the default projection depth 2 ceil(k/pi) + 32 (and
+    above k ~ 51,400 the default truncation) passes MAX_MODE.  Without a
+    config.truncation every subcommand exits 1 naming config.k, where a
+    named datum failed naming no field and a listed one solved past the
+    cap; with one the config parses."""
+    doc = {"k": 1e5, "boundary": {"bottom": "neumann", "right": "dirichlet", "top": "neumann"},
+           "data": {"left": left}}
+    flags = ["--theorem", "T1"] if command == "certify" else []
+    report = tmp_path / "report.json"
+    assert run_cli([command, *flags, "--config", str(write_doc(tmp_path, doc)),
+                    "--report", str(report)]) == 1
+    assert (f"config.k: 100000 needs 63694 modes by default, above the cap {MAX_MODE}; "
+            f"give a config.truncation <= {MAX_MODE}") in capsys.readouterr().err
+    assert not report.exists()
+    assert parse_run_config({**doc, "truncation": 64}).truncation == 64
+
+
+@pytest.mark.parametrize("command", ["solve", "lift", "certify", "oracle"])
 @pytest.mark.parametrize("field,overrides", [
     ("config.data.left[1]", {"data": {"left": [[1, 1.0, 0.0], [0, 0.5, 0.0]]}}),
     ("config.data.right", {"data": {"right": "mode:0"}}),
