@@ -29,7 +29,7 @@ from .bounds import (
     _check_sweep,
 )
 from .eigenbasis import BasisFamily, BoundaryOperator, Spectrum, project
-from .modal1d import Side, choose_lifting_family
+from .modal1d import Side, choose_lifting_family, _check_wavenumber
 from .oracle import compare, fdm_energy, fdm_solve
 from .solver import (
     BoundaryConfig,
@@ -43,7 +43,6 @@ from .solver import (
     lift,
     solve_datum,
     solve_problem,
-    superpose,
 )
 
 
@@ -80,8 +79,10 @@ def parse_run_config(doc: dict) -> RunConfig:
         k = float(raw_k)
     except (TypeError, ValueError):
         raise not_a_number from None
-    if not (k > 0 and math.isfinite(k * k)):
-        raise ConfigError(f"config.k: must be a positive number with a finite square, got {k}")
+    try:
+        _check_wavenumber(k)
+    except ValueError as exc:
+        raise ConfigError(f"config.k: {exc}") from None
 
     bdoc = doc.get("boundary")
     if not isinstance(bdoc, dict):
@@ -408,9 +409,10 @@ def _cmd_sharpness(args) -> int:
 
 def _check_wavenumbers(flag: str, ks) -> None:
     for k in ks:
-        if not (k > 0 and math.isfinite(k * k)):
-            raise ValueError(f"{flag}: wavenumbers must be positive with finite squares, "
-                             f"got {k!r}")
+        try:
+            _check_wavenumber(k)
+        except ValueError as exc:
+            raise ValueError(f"{flag}: {exc}") from None
 
 
 def _cmd_sweep(args) -> int:
@@ -463,9 +465,7 @@ def _cmd_lift(args) -> int:
     if Side.BOTTOM not in run.data and Side.TOP not in run.data:
         raise ConfigError("config.data: lift needs a bottom or top datum")
     tails: list = []
-    lifts, residual_right, residual_left = lift(run.config, run.data, run.k, run.truncation,
-                                                tails)
-    u = superpose(lifts)
+    u, residual_right, residual_left = lift(run.config, run.data, run.k, run.truncation, tails)
     csv_path = args.csv or run.outputs.get("csv")
     if csv_path:
         _write_samples(csv_path, u, run.grid)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -134,13 +134,11 @@ class Spectrum:
 
     family: BasisFamily
     n: np.ndarray
-    c: Optional[np.ndarray] = None  # None: `n` holds (index, coefficient) pairs
+    c: np.ndarray
 
     def __post_init__(self):
-        n, c = (self.n, self.c) if self.c is not None else (
-            [m for m, _ in self.n], [c for _, c in self.n])
-        n = np.array(n, dtype=np.int64).reshape(-1)
-        c = np.array(c, dtype=complex).reshape(-1)
+        n = np.array(self.n, dtype=np.int64).reshape(-1)
+        c = np.array(self.c, dtype=complex).reshape(-1)
         if len(n) != len(c):
             raise ValueError(f"{len(n)} mode indices for {len(c)} coefficients")
         bad = (n < 0) | (n > MAX_MODE)
@@ -162,7 +160,8 @@ class Spectrum:
     @classmethod
     def from_pairs(cls, family: BasisFamily, pairs: Iterable[tuple[int, complex]]) -> "Spectrum":
         """The spectrum of (index, coefficient) pairs in any order."""
-        return cls(family, tuple(sorted(pairs, key=lambda pair: pair[0])))
+        pairs = sorted(pairs, key=lambda pair: pair[0])
+        return cls(family, [n for n, _ in pairs], [c for _, c in pairs])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Spectrum) and other.family is self.family

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .eigenbasis import BasisFamily, BoundaryOperator
+from .eigenbasis import BasisFamily, BoundaryOperator, select_eigenpairs
 
 #: Relative gap |k^2 - mu^2| / max(k^2, mu^2) below which a mode is cutoff.
 EPS_CUTOFF = 1e-8
@@ -285,9 +285,7 @@ def choose_lifting_family(
     chosen by closed-interval membership of d0.
     """
     k = _check_wavenumber(k)
-    for op in (b_bottom, b_top):
-        if op not in (BoundaryOperator.DIRICHLET, BoundaryOperator.NEUMANN):
-            raise ValueError("horizontal operators must be Dirichlet or Neumann")
+    select_eigenpairs(b_bottom, b_top)
     pi2 = math.pi * math.pi
     t = (k * k) / pi2
     d0 = pi2 * abs(t - round(t))
@@ -328,9 +326,7 @@ def y_modes_lifting(
     """
     if data_side not in (Side.BOTTOM, Side.TOP):
         raise ValueError("lifting data lives on the BOTTOM or TOP side")
-    for op in (b_bottom, b_top):
-        if op not in (BoundaryOperator.DIRICHLET, BoundaryOperator.NEUMANN):
-            raise ValueError("horizontal operators must be Dirichlet or Neumann")
+    select_eigenpairs(b_bottom, b_top)
     n = np.asarray(ns, dtype=np.int64).reshape(-1)
     d_bottom = 1.0 if data_side is Side.BOTTOM else 0.0
     return _modes(n, family.eigenvalue(n), k, (b_bottom, b_top), (d_bottom, 1.0 - d_bottom))

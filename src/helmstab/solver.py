@@ -138,7 +138,7 @@ def default_truncation(k: float, top_mode: int) -> int:
 
 def default_projection_depth(k: float) -> int:
     """Projection depth of traces and named data without a truncation."""
-    return 2 * math.ceil(k / math.pi) + 32
+    return 2 * default_truncation(k, 0)
 
 
 def _check_truncation(modes: np.ndarray, truncation: int) -> None:
@@ -722,39 +722,39 @@ def source_l2_norm(f, config: BoundaryConfig) -> float:
 
 
 def lift(config: BoundaryConfig, data: dict, k: float, truncation: Optional[int] = None,
-         tails: Optional[list] = None) -> tuple[list, Spectrum, Spectrum]:
-    """Lift the bottom then the top datum of `data`, a mapping from sides
-    to spectra in each side's family, and subtract their traces from the
-    right and left data.
+         tails: Optional[list] = None) -> tuple[SeriesSolution, Spectrum, Spectrum]:
+    """Lift the bottom and top data of `data`, a mapping from sides to
+    spectra in each side's family, as one field, and subtract its traces
+    from the right and left data.
 
-    Returns the lifts and the right and left residual spectra.  The traces
-    are projected at `truncation` when one is given, so no residual mode
-    lies beyond it.  Each trace's ProjectionTail is appended to `tails` if
-    given.
+    Returns the lifted field, at `truncation` or the default one, and the
+    right and left residual spectra.  The traces are projected at
+    `truncation` when one is given, so no residual mode lies beyond it.
+    Each side's ProjectionTail is appended to `tails` if given; with no
+    bottom or top datum nothing is projected.
     """
     zero = Spectrum.zero(config.vertical_family())
     right, left = data.get(Side.RIGHT, zero), data.get(Side.LEFT, zero)
-    lifts = []
-    for side in (Side.BOTTOM, Side.TOP):
-        if side in data:
-            aux = solve_datum(config, side, data[side], k, truncation)
-            right, left = residual_traces(aux, right, left, depth=truncation, tails=tails)
-            lifts.append(aux)
-    return lifts, right, left
+    # The empty part carries the truncation when no datum is lifted; a
+    # datum's default truncation is never below it.
+    n_cap = default_truncation(k, 0) if truncation is None else truncation
+    lifted = superpose([SeriesSolution(config, k, n_cap, ())]
+                       + [solve_datum(config, side, data[side], k, truncation)
+                          for side in (Side.BOTTOM, Side.TOP) if side in data])
+    if lifted.blocks:
+        right, left = residual_traces(lifted, right, left, depth=truncation, tails=tails)
+    return lifted, right, left
 
 
 def solve_problem(config: BoundaryConfig, data: dict, k: float, source=None,
                   truncation: Optional[int] = None, tails: Optional[list] = None) -> SeriesSolution:
     """Series solution for `data` (as for lift) and a `source` (as for
-    solve_source): the lifts, the right and left residual solves and the
-    source solve, superposed in that order.  No data and no source make the
-    zero solution, at `truncation` or the default one."""
-    pieces, right, left = lift(config, data, k, truncation, tails)
-    pieces += [solve_datum(config, side, g, k, truncation)
-               for side, g in ((Side.RIGHT, right), (Side.LEFT, left)) if len(g)]
+    solve_source): the lifted field, the right and left residual solves and
+    the source solve, superposed in that order.  No data and no source make
+    the zero solution, at `truncation` or the default one."""
+    lifted, right, left = lift(config, data, k, truncation, tails)
+    pieces = [lifted] + [solve_datum(config, side, g, k, truncation)
+                         for side, g in ((Side.RIGHT, right), (Side.LEFT, left)) if len(g)]
     if source is not None:
         pieces.append(solve_source(source, config, k, truncation))
-    if not pieces:
-        n_cap = default_truncation(k, 0) if truncation is None else truncation
-        return SeriesSolution(config, k, n_cap, ())
     return superpose(pieces)

@@ -364,10 +364,10 @@ def field_doc(tmp_path, data):
 
 def test_one_factor_table_build_per_block(tmp_path, monkeypatch):
     """On the field problem (k = 60, data on the left, bottom and top)
-    residual_traces tabulates each lift's profiles in one build, and
+    residual_traces tabulates each lifted block's profiles in one build, and
     evaluate_grid each block's profiles in one build, however many terms a
-    block holds.  The right trace is 0, so the blocks are the two lifts and
-    the left residual solve."""
+    block holds.  The right trace is 0, so the blocks are the two lifted
+    data and the left residual solve."""
     cfg = field_doc(tmp_path, {"left": [[1, 0.3, -0.2], [4, 1.0, 0.5], [7, -0.4, 0.1]],
                                "bottom": [[2, 0.5, -1.0], [3, 0.1, 0.2], [8, 1.0, 0.0]],
                                "top": [[1, 1.0, 1.0], [5, -0.3, 0.7], [6, 0.2, 0.2]]})
@@ -381,8 +381,8 @@ def test_one_factor_table_build_per_block(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ModeTable, "value_and_derivative", counted)
     with pytest.warns(ProjectionTruncationWarning):
-        lifts, _, _ = lift(run.config, run.data, run.k)
-    assert builds == [len(u.modes) for u in lifts] == [3, 3]
+        lifted, _, _ = lift(run.config, run.data, run.k)
+    assert builds == [len(block.n) for block in lifted.blocks] == [3, 3]
     with pytest.warns(ProjectionTruncationWarning):
         u = solve_problem(run.config, run.data, run.k)
     builds.clear()
@@ -394,10 +394,10 @@ def test_one_factor_table_build_per_block(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["solve", "lift", "oracle"])
 def test_reports_carry_projection_tails(tmp_path, command):
-    """At k = 60 the lifted left traces leave energy beyond the default
-    depth; the report says how much, per residual trace, as the warning
-    does.  The right traces are 0 in closed form (COS_HALF x factors on a
-    Dirichlet side): tail 0 and no warning."""
+    """At k = 60 the lifted field's left trace leaves energy beyond the
+    default depth; the report says how much, once per vertical side, as the
+    warning does.  The right trace is 0 in closed form (COS_HALF x factors
+    on a Dirichlet side): tail 0 and no warning."""
     cfg = field_doc(tmp_path, {"left": [[1, 1.0, 0.0]], "bottom": [[2, 0.5, -1.0]],
                                "top": [[3, 1.0, 1.0]]})
     report = tmp_path / "report.json"
@@ -406,12 +406,11 @@ def test_reports_carry_projection_tails(tmp_path, command):
         args += ["--n", "33"]
     with pytest.warns(ProjectionTruncationWarning, match="beyond mode 72") as caught:
         assert run_cli(args) == 0
-    assert [str(w.message).split(" side")[0] for w in caught] == ["trace projection on the left"] * 2
+    assert [str(w.message).split(" side")[0] for w in caught] == ["trace projection on the left"]
     tails = json.loads(report.read_text())["diagnostics"]["projection_tail"]
-    assert [t["side"] for t in tails] == ["right", "left", "right", "left"]
+    assert [t["side"] for t in tails] == ["right", "left"]
     assert all(t["depth"] == 72 for t in tails)
-    assert [t["tail"] for t in tails[0::2]] == [0.0, 0.0]
-    assert all(t["tail"] > 1e-8 for t in tails[1::2])
+    assert tails[0]["tail"] == 0.0 and tails[1]["tail"] > 1e-8
 
 
 def test_reports_without_lifting_have_no_tails(tmp_path):

@@ -232,12 +232,12 @@ def test_project_rejects_nonfinite_and_cap():
 def test_spectrum_invariants():
     s = Spectrum.from_pairs(BasisFamily.SIN_INT, [(0, 5.0), (2, 1.0)])
     assert [n for n, _ in s] == [2]  # index 0 dropped silently
-    with pytest.raises(ValueError):
-        Spectrum(BasisFamily.SIN_INT, ((3, 1.0), (3, 2.0)))
-    with pytest.raises(ValueError):
-        Spectrum(BasisFamily.SIN_INT, ((4, 1.0), (2, 2.0)))
-    with pytest.raises(ValueError):
-        Spectrum(BasisFamily.SIN_INT, ((MAX_MODE + 1, 1.0),))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Spectrum(BasisFamily.SIN_INT, [3, 3], [1.0, 2.0])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Spectrum(BasisFamily.SIN_INT, [4, 2], [1.0, 2.0])
+    with pytest.raises(ValueError, match="outside"):
+        Spectrum(BasisFamily.SIN_INT, [MAX_MODE + 1], [1.0])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf),
@@ -246,7 +246,7 @@ def test_spectrum_rejects_nonfinite_coefficients(bad):
     with pytest.raises(ValueError, match="mode 3"):
         Spectrum.from_pairs(BasisFamily.COS_INT, [(1, 1.0), (3, bad)])
     with pytest.raises(ValueError, match="mode 0"):
-        Spectrum(BasisFamily.SIN_INT, ((0, bad),))
+        Spectrum(BasisFamily.SIN_INT, [0], [bad])
 
 
 def test_data_norms_examples():

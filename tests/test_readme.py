@@ -25,7 +25,7 @@ def test_readme_quickstart_runs():
     assert namespace["cert"].passed
     w, tails = namespace["w"], namespace["tails"]
     assert abs(-evaluate(w, [(0.5, 0.0)])[2][0] - 1.0) < 1e-10
-    assert [t.side.value for t in tails] == ["right", "left", "right", "left"]
+    assert [t.side.value for t in tails] == ["right", "left"]
 
 
 def test_readme_lists_every_theorem_alias():

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import helmstab.solver as solver
 from helmstab.cli import parse_run_config
 from helmstab.eigenbasis import (
     BasisFamily,
@@ -45,6 +46,7 @@ from helmstab.solver import (
     energy_quadrature,
     evaluate,
     evaluate_grid,
+    lift,
     residual_traces,
     solve_datum,
     solve_problem,
@@ -637,14 +639,20 @@ def test_right_trace_is_zero_iff_the_operator_annihilates_the_family(family, rig
 
 
 @functools.cache
-def _bench_workloads():
-    """bench/workloads.py, which builds the benchmark's configs."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+def _script(relative: str, name: str):
+    """The script at `relative` in the repository as the module `name`:
+    bench/workloads.py builds the benchmark's configs, and
+    tools/same_results.py holds the lifting configs."""
+    path = Path(__file__).resolve().parents[1] / relative
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
     return module
+
+
+#: The lifting configs of tools/same_results.py.
+_LIFTING = _script("tools/same_results.py", "same_results").LIFTING
 
 
 #: The quadrature (grad, l2, energy) of the field solves, seeds 0-3, when the
@@ -663,18 +671,67 @@ def test_field_solve_skips_the_zero_right_trace(seed):
     lifts) the right trace is 0: 6 lift terms plus 73 left residual terms,
     no warning names the right side, and the energies are those of the
     152-term solve that carried the right trace's roundoff, to 1e-12."""
-    run = parse_run_config(_bench_workloads().field_config(seed, 129))
+    workloads = _script("bench/workloads.py", "bench_workloads")
+    run = parse_run_config(workloads.field_config(seed, 129))
     tails = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         u = solve_problem(run.config, run.data, run.k, run.source, run.truncation, tails)
     assert not [w for w in caught if "right side" in str(w.message)]
     assert len(u.modes) == 79
-    assert [t.fraction for t in tails[0::2]] == [0.0, 0.0]
+    assert [t.side for t in tails] == [Side.RIGHT, Side.LEFT] and tails[0].fraction == 0.0
     rep = energy_quadrature(u, 129)
     got = (rep.grad_norm, rep.l2_norm, rep.energy)
     for value, parent in zip(got, _FIELD_ENERGIES_WITH_ROUNDOFF_RIGHT_SOLVE[seed]):
         assert abs(value - parent) <= 1e-12 * parent
+
+
+@pytest.mark.parametrize("entry", ["lift", "solve_problem"])
+def test_two_sided_lift_projects_each_side_once(entry, monkeypatch):
+    """A bottom and a top datum are lifted as one field: residual_traces
+    runs once, on both lifted blocks, and the tails are one per vertical
+    side, right then left."""
+    k = 7.3
+    cfg = BoundaryConfig(bottom=N, right=I, top=D)
+    lattice = choose_lifting_family(k, N, D).basis
+    data = {Side.BOTTOM: Spectrum.from_pairs(lattice, [(0, 0.7), (2, 0.3 - 0.1j)]),
+            Side.TOP: Spectrum.from_pairs(lattice, [(1, 0.4j)]),
+            Side.LEFT: Spectrum.from_pairs(cfg.vertical_family(), [(1, 1.0)])}
+    calls = []
+
+    def counted(aux, *args, **kwargs):
+        calls.append(len(aux.blocks))
+        return residual_traces(aux, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "residual_traces", counted)
+    tails = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ProjectionTruncationWarning)
+        getattr(solver, entry)(cfg, data, k, tails=tails)
+    assert calls == [2]
+    assert [t.side for t in tails] == [Side.RIGHT, Side.LEFT]
+
+
+@pytest.mark.parametrize("name", list(_LIFTING))
+def test_lift_residuals_are_linear_in_the_lifted_data(name):
+    """On each lifting config, the residuals of the two-sided lift are the
+    data minus the projected traces of the bottom lift alone and of the top
+    lift alone, to 1e-13 of the largest coefficient."""
+    run = parse_run_config(_LIFTING[name])
+    zero = Spectrum.zero(run.config.vertical_family())
+    data = [run.data.get(side, zero) for side in (Side.RIGHT, Side.LEFT)]
+    residuals, tails = {}, []
+    for lifted in ((Side.BOTTOM,), (Side.TOP,), (Side.BOTTOM, Side.TOP)):
+        kept = {side: g for side, g in run.data.items() if side in lifted or side is Side.LEFT}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ProjectionTruncationWarning)
+            residuals[lifted] = lift(run.config, kept, run.k, run.truncation, tails)[1:]
+    assert len({t.depth for t in tails}) == 1
+    bottom, top, both = residuals.values()
+    for datum, r_bottom, r_top, r_both in zip(data, bottom, top, both):
+        scale = max(np.max(np.abs(r.c), initial=0.0) for r in (r_bottom, r_top, r_both))
+        gap = r_both.minus(r_bottom.minus(datum)).minus(r_top)
+        assert np.max(np.abs(gap.c), initial=0.0) <= 1e-13 * scale
 
 
 def test_zero_solution_keeps_the_truncation():

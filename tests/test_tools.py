@@ -30,6 +30,6 @@ def test_same_results_lifts_cover_the_four_lifting_cases():
 
 def test_same_results_output_names_are_unique(tmp_path):
     files = [f for _, outputs in same_results.runs(tmp_path) for f in outputs]
-    assert len(files) == len(set(files)) == 68
+    assert len(files) == len(set(files)) == 73
     for doc in {**same_results.PIPELINE, **same_results.LIFTING}.values():
         parse_run_config(doc)  # every config parses

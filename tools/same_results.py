@@ -11,8 +11,8 @@ so relative output paths echo the same in both reports:
 - sweep reports of all seven theorems
 - certify reports of all seven theorems, on three fixed configs
 - lift reports and CSVs of the four (bottom, top) pairs at k = 3.2 and 3.5,
-  which cover the four lifting cases, and of the four pipeline configs
-- solve reports and CSVs and oracle reports of the four pipeline configs
+  which cover the four lifting cases, and of the five pipeline configs
+- solve reports and CSVs and oracle reports of the five pipeline configs
 - sharpness reports of all nine cases at n = 1 and 7
 
 Each output file is compared byte for byte and each exit code exactly.
@@ -45,13 +45,16 @@ def _boundary(bottom: str, right: str, top: str) -> dict:
     return {"bottom": bottom, "right": right, "top": top}
 
 
-#: The pipeline configs: data on every side, the third also a source, and
-#: a k = 60 field on a 129 grid.
+#: The pipeline configs: data on every side, the third also a source, the
+#: first's data without the top datum (one lifted datum), and a k = 60
+#: field on a 129 grid.
 PIPELINE = {
     "a": {"k": 7.3, "boundary": _boundary("neumann", "impedance", "dirichlet"), "data": _DATA},
     "b": {"k": 7.3, "boundary": _boundary("dirichlet", "neumann", "neumann"), "data": _DATA},
     "c": {"k": 7.3, "boundary": _boundary("dirichlet", "dirichlet", "neumann"),
           "data": _DATA, "source": "mode:3"},
+    "a-bottom": {"k": 7.3, "boundary": _boundary("neumann", "impedance", "dirichlet"),
+                 "data": {side: _DATA[side] for side in ("left", "right", "bottom")}},
     "field": {"k": 60.0, "boundary": _boundary("dirichlet", "dirichlet", "neumann"),
               "data": {"left": [[1, 0.3, -0.2], [4, 1.0, 0.5]],
                        "bottom": [[2, 0.5, -1.0], [3, 0.1, 0.2]],
