@@ -39,7 +39,6 @@ from .solver import (
     evaluate,
     evaluate_grid,
     lift,
-    residual_traces,
     solve_datum,
     solve_problem,
     solve_source,

@@ -290,11 +290,11 @@ def _norms_payload(report) -> dict:
     return {name: None if math.isnan(v) else v for name, v in vars(report).items()}
 
 
-def _diagnostics_payload(tails) -> dict:
+def _diagnostics_payload(u: SeriesSolution) -> dict:
     """How far to trust the answer: each residual trace's projection tail."""
     return {
         "projection_tail": [
-            {"side": t.side.value, "depth": t.depth, "tail": t.fraction} for t in tails
+            {"side": t.side.value, "depth": t.depth, "tail": t.fraction} for t in u.tails
         ],
     }
 
@@ -339,8 +339,7 @@ def _theorem(tag: str) -> TheoremId:
 
 def _cmd_solve(args) -> int:
     run = _load_config(args.config)
-    tails: list = []
-    u = solve_problem(run.config, run.data, run.k, run.source, run.truncation, tails)
+    u = solve_problem(run.config, run.data, run.k, run.source, run.truncation)
     csv_path = args.csv or run.outputs.get("csv")
     if csv_path:
         _write_samples(csv_path, u, run.grid)
@@ -353,7 +352,7 @@ def _cmd_solve(args) -> int:
         "seed": run.seed,
         "energy": _energy_payload(u, run.grid),
         "csv": csv_path,
-        "diagnostics": _diagnostics_payload(tails),
+        "diagnostics": _diagnostics_payload(u),
     }
     _write_report(args.report or run.outputs.get("report"), payload)
     return 0
@@ -363,10 +362,16 @@ def _cmd_certify(args) -> int:
     run = _load_config(args.config)
     theorem = _theorem(args.theorem)
     side = THEOREMS[theorem].side
+    # Without a datum the certificate reads 0 <= 0: a pass that checks nothing.
     if side is None:
-        data = run.source or []
+        data = run.source
+        if data is None:
+            raise ConfigError(f"config.source: {theorem.value} certifies a source; none given")
     else:
-        data = run.data.get(side, Spectrum.zero(_datum_family(run.config, side, run.k)))
+        data = run.data.get(side)
+        if data is None or not np.any(data.c):
+            raise ConfigError(f"config.data.{side.value}: {theorem.value} certifies a nonzero "
+                              f"datum on this side; none given")
     cert = certify(theorem, run.config, data, run.k, run.truncation)
     payload = _certificate_payload(cert)
     payload["seed"] = run.seed
@@ -464,8 +469,7 @@ def _cmd_lift(args) -> int:
     run = _load_config(args.config)
     if Side.BOTTOM not in run.data and Side.TOP not in run.data:
         raise ConfigError("config.data: lift needs a bottom or top datum")
-    tails: list = []
-    u, residual_right, residual_left = lift(run.config, run.data, run.k, run.truncation, tails)
+    u, residual_right, residual_left = lift(run.config, run.data, run.k, run.truncation)
     csv_path = args.csv or run.outputs.get("csv")
     if csv_path:
         _write_samples(csv_path, u, run.grid)
@@ -482,7 +486,7 @@ def _cmd_lift(args) -> int:
         "energy": _energy_payload(u, run.grid),
         "csv": csv_path,
         "seed": run.seed,
-        "diagnostics": _diagnostics_payload(tails),
+        "diagnostics": _diagnostics_payload(u),
     }
     _write_report(args.report or run.outputs.get("report"), payload)
     return 0
@@ -492,8 +496,7 @@ def _cmd_oracle(args) -> int:
     if args.n is not None and args.n < 17:
         raise ValueError(f"--n: oracle grids start at 17x17, got {args.n}")
     run = _load_config(args.config)
-    tails: list = []
-    u = solve_problem(run.config, run.data, run.k, run.source, run.truncation, tails)
+    u = solve_problem(run.config, run.data, run.k, run.source, run.truncation)
     n = max(run.grid, 65) if args.n is None else args.n
     fsrc = None
     if run.source is not None:
@@ -514,7 +517,7 @@ def _cmd_oracle(args) -> int:
         "rel_l2": comparison.rel_l2,
         "fdm_energy": fdm_energy(gs).energy,
         "seed": run.seed,
-        "diagnostics": _diagnostics_payload(tails),
+        "diagnostics": _diagnostics_payload(u),
     }
     _write_report(args.report or run.outputs.get("report"), payload)
     return 0

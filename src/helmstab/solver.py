@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -111,6 +112,7 @@ class SeriesSolution:
     k: float
     truncation: int
     blocks: tuple  # of Block
+    tails: tuple = ()  # of ProjectionTail, one per vertical side of a lift
 
     @property
     def modes(self) -> np.ndarray:
@@ -230,7 +232,8 @@ def _datum_profiles(config: BoundaryConfig, side: Side, ns, k: float, family) ->
 
 
 def superpose(parts: Sequence[SeriesSolution]) -> SeriesSolution:
-    """Concatenate solutions sharing one wavenumber and operator skeleton."""
+    """Concatenate solutions sharing one wavenumber and operator skeleton,
+    their blocks and their projection tails in part order."""
     if not parts:
         raise ValueError("superpose needs at least one part")
     first = parts[0]
@@ -241,7 +244,8 @@ def superpose(parts: Sequence[SeriesSolution]) -> SeriesSolution:
             raise ValueError("superposed parts must share the same boundary operators")
     blocks = tuple(b for p in parts for b in p.blocks)
     trunc = max(p.truncation for p in parts)
-    return SeriesSolution(first.config, first.k, trunc, blocks)
+    return SeriesSolution(first.config, first.k, trunc, blocks,
+                          tuple(t for p in parts for t in p.tails))
 
 
 # --------------------------------------------------------------------------
@@ -408,67 +412,46 @@ def _annihilates(config: BoundaryConfig, side: Side, family: BasisFamily) -> boo
     return config.operator(side) is (at_right if side is Side.RIGHT else at_left)
 
 
-def residual_traces(
-    aux: SeriesSolution,
-    original_right: Spectrum,
-    original_left: Spectrum,
-    depth: Optional[int] = None,
-    tails: Optional[list] = None,
-) -> tuple[Spectrum, Spectrum]:
-    """Vertical-side data left over after subtracting the auxiliary field.
-
-    Returns the right-side and left-side residual spectra in the vertical
-    eigenbasis.  Warns when the projected trace leaves more than 1e-8 of its
-    energy beyond the projection depth.  When `tails` is a list, one
-    ProjectionTail per side is appended to it.  A side whose operator
-    annihilates every block's basis family (_annihilates) has the trace 0:
-    its residual is its datum and its tail 0.
-    """
-    if not all(block.lifted for block in aux.blocks):
-        raise ValueError("residual traces are defined for lifted solutions")
-    family = aux.config.vertical_family()
-    for g in (original_right, original_left):
-        if g.family is not family:
-            raise ValueError("original vertical data must be in the vertical eigenbasis")
-    if depth is None:
-        depth = max(
-            aux.truncation,
-            default_projection_depth(aux.k),
-            original_right.top_mode,
-            original_left.top_mode,
-        )
-
+def _residual_traces(lifted: SeriesSolution, right: Spectrum, left: Spectrum,
+                     depth: int) -> tuple[Spectrum, Spectrum, tuple]:
+    """The right and left data less the traces of the lifted field, each
+    projected on the vertical eigenbasis at `depth`, and one ProjectionTail
+    per side, right then left.  A side whose operator annihilates every
+    block's basis family (_annihilates) has the trace 0: its residual is its
+    datum and its tail 0."""
     # Each trace is sum_n c_n * B(X_n) * Y_n(y) on the projection nodes: one
     # contraction of the operators applied to the x tables at x = 1 and 0
     # with the y values.  Outward normals are +d/dx on the right, -d/dx on
     # the left.  A side whose trace is 0 in closed form is left out.
+    config = lifted.config
     t, w = quadrature_rule(depth)
-    residuals = {Side.RIGHT: original_right, Side.LEFT: original_left}
+    residuals = {Side.RIGHT: right, Side.LEFT: left}
     fractions = dict.fromkeys(residuals, 0.0)
     live = [(side, end, sign) for side, end, sign in ((Side.RIGHT, 1.0, 1.0), (Side.LEFT, 0.0, -1.0))
-            if not all(_annihilates(aux.config, side, block.basis) for block in aux.blocks)]
+            if not all(_annihilates(config, side, block.basis) for block in lifted.blocks)]
     if live:
-        cx, cdx, y, _ = _grid_tables(aux, [end for _, end, _ in live], t)
-        weights = np.stack([_apply(aux.config.operator(side), cx[:, j], sign * cdx[:, j], aux.k)
+        cx, cdx, y, _ = _grid_tables(lifted, [end for _, end, _ in live], t)
+        weights = np.stack([_apply(config.operator(side), cx[:, j], sign * cdx[:, j], lifted.k)
                             for j, (side, _, sign) in enumerate(live)], axis=1)
         traces = _contract(weights, y)
-        for (side, _, _), samples, projected in zip(live, traces,
-                                                    _project_samples(traces, family, depth)):
+        projections = _project_samples(traces, config.vertical_family(), depth)
+        for (side, _, _), samples, projected in zip(live, traces, projections):
             residuals[side] = residuals[side].minus(projected)
             total_sq = float(np.sum(w * np.abs(samples) ** 2))
             captured_sq = math.fsum((np.abs(projected.c) ** 2).tolist())
             if total_sq > 0:
                 fractions[side] = (total_sq - captured_sq) / total_sq
-            if fractions[side] > 1e-8:
-                warnings.warn(
-                    f"trace projection on the {side.value} side left "
-                    f"{fractions[side]:.2e} of its energy beyond mode {depth}",
-                    ProjectionTruncationWarning,
-                    stacklevel=2,
-                )
-    if tails is not None:
-        tails.extend(ProjectionTail(side, depth, fraction) for side, fraction in fractions.items())
-    return residuals[Side.RIGHT], residuals[Side.LEFT]
+    tails = tuple(ProjectionTail(side, depth, fraction) for side, fraction in fractions.items())
+    return residuals[Side.RIGHT], residuals[Side.LEFT], tails
+
+
+def _caller_stacklevel() -> int:
+    """The warnings stacklevel, for a warning issued by the function that
+    calls this one, of the first frame outside the helmstab package."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_globals.get("__name__", "").split(".")[0] == "helmstab":
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 # --------------------------------------------------------------------------
@@ -721,8 +704,8 @@ def source_l2_norm(f, config: BoundaryConfig) -> float:
 # --------------------------------------------------------------------------
 
 
-def lift(config: BoundaryConfig, data: dict, k: float, truncation: Optional[int] = None,
-         tails: Optional[list] = None) -> tuple[SeriesSolution, Spectrum, Spectrum]:
+def lift(config: BoundaryConfig, data: dict, k: float,
+         truncation: Optional[int] = None) -> tuple[SeriesSolution, Spectrum, Spectrum]:
     """Lift the bottom and top data of `data`, a mapping from sides to
     spectra in each side's family, as one field, and subtract its traces
     from the right and left data.
@@ -730,29 +713,43 @@ def lift(config: BoundaryConfig, data: dict, k: float, truncation: Optional[int]
     Returns the lifted field, at `truncation` or the default one, and the
     right and left residual spectra.  The traces are projected at
     `truncation` when one is given, so no residual mode lies beyond it.
-    Each side's ProjectionTail is appended to `tails` if given; with no
-    bottom or top datum nothing is projected.
+    The lifted field's tails hold one ProjectionTail per vertical side,
+    right then left, and a tail above 1e-8 warns; with no bottom or top
+    datum nothing is projected and there are no tails.
     """
-    zero = Spectrum.zero(config.vertical_family())
+    family = config.vertical_family()
+    zero = Spectrum.zero(family)
     right, left = data.get(Side.RIGHT, zero), data.get(Side.LEFT, zero)
+    if right.family is not family or left.family is not family:
+        raise ValueError("original vertical data must be in the vertical eigenbasis")
     # The empty part carries the truncation when no datum is lifted; a
     # datum's default truncation is never below it.
     n_cap = default_truncation(k, 0) if truncation is None else truncation
     lifted = superpose([SeriesSolution(config, k, n_cap, ())]
                        + [solve_datum(config, side, data[side], k, truncation)
                           for side in (Side.BOTTOM, Side.TOP) if side in data])
-    if lifted.blocks:
-        right, left = residual_traces(lifted, right, left, depth=truncation, tails=tails)
-    return lifted, right, left
+    if not lifted.blocks:
+        return lifted, right, left
+    depth = truncation
+    if depth is None:
+        depth = max(lifted.truncation, default_projection_depth(k), right.top_mode, left.top_mode)
+    right, left, tails = _residual_traces(lifted, right, left, depth)
+    for tail in tails:
+        if tail.fraction > 1e-8:
+            warnings.warn(f"trace projection on the {tail.side.value} side left "
+                          f"{tail.fraction:.2e} of its energy beyond mode {depth}",
+                          ProjectionTruncationWarning, stacklevel=_caller_stacklevel())
+    return replace(lifted, tails=tails), right, left
 
 
 def solve_problem(config: BoundaryConfig, data: dict, k: float, source=None,
-                  truncation: Optional[int] = None, tails: Optional[list] = None) -> SeriesSolution:
+                  truncation: Optional[int] = None) -> SeriesSolution:
     """Series solution for `data` (as for lift) and a `source` (as for
     solve_source): the lifted field, the right and left residual solves and
-    the source solve, superposed in that order.  No data and no source make
-    the zero solution, at `truncation` or the default one."""
-    lifted, right, left = lift(config, data, k, truncation, tails)
+    the source solve, superposed in that order, with the lifted field's
+    tails.  No data and no source make the zero solution, at `truncation`
+    or the default one."""
+    lifted, right, left = lift(config, data, k, truncation)
     pieces = [lifted] + [solve_datum(config, side, g, k, truncation)
                          for side, g in ((Side.RIGHT, right), (Side.LEFT, left)) if len(g)]
     if source is not None:

@@ -116,10 +116,26 @@ def test_every_theorem_id_and_alias_resolves():
         _theorem("T4")
 
 
-def test_certify_zero_data(tmp_path):
-    cfg = plane_wave_doc(tmp_path, data={})
-    rc = run_cli(["certify", "--theorem", "T1", "--config", str(cfg)])
-    assert rc == 0
+@pytest.mark.parametrize("theorem,data,field", [
+    ("T1", {}, "config.data.left"),
+    ("T2_DIR", {}, "config.data.right"),
+    ("T3_NEU", {}, "config.data.bottom"),
+    ("TF", {}, "config.source"),
+    ("T1", {"left": [[1, 0, 0]]}, "config.data.left"),
+    ("T1", {"left": "constant:0", "right": [[1, 1, 0]]}, "config.data.left"),
+    ("T3_NEU", {"bottom": [[0, 0, 0], [2, 0, 0]], "left": [[1, 1, 0]]}, "config.data.bottom"),
+])
+def test_certify_zero_data(tmp_path, capsys, theorem, data, field):
+    """A certificate of no datum, only zero coefficients or no source would
+    pass with lhs = rhs = 0: certify exits 1 naming the field and writes no
+    report.  Data on the other sides do not count."""
+    doc = {"k": 5, "boundary": {"bottom": "neumann", "right": "dirichlet", "top": "neumann"},
+           "data": data}
+    report = tmp_path / "report.json"
+    assert run_cli(["certify", "--theorem", theorem, "--config", str(write_doc(tmp_path, doc)),
+                    "--report", str(report)]) == 1
+    assert f"helmstab: config error: {field}: " in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_sharpness_exit_and_report(tmp_path):
@@ -411,6 +427,26 @@ def test_reports_carry_projection_tails(tmp_path, command):
     assert [t["side"] for t in tails] == ["right", "left"]
     assert all(t["depth"] == 72 for t in tails)
     assert tails[0]["tail"] == 0.0 and tails[1]["tail"] > 1e-8
+
+
+@pytest.mark.parametrize("entry", ["lift", "solve_problem", "cli.run"])
+def test_projection_warning_names_the_caller(tmp_path, entry):
+    """A ProjectionTruncationWarning points at the caller's line, the first
+    frame outside the package, whichever entry the caller used."""
+    cfg = field_doc(tmp_path, {"left": [[1, 1.0, 0.0]], "bottom": [[2, 0.5, -1.0]],
+                               "top": [[3, 1.0, 1.0]]})
+    run = parse_run_config(json.loads(cfg.read_text()))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if entry == "lift":
+            lift(run.config, run.data, run.k)
+        elif entry == "solve_problem":
+            solve_problem(run.config, run.data, run.k)
+        else:
+            assert helmstab.cli.run(["solve", "--config", str(cfg),
+                                     "--report", str(tmp_path / "report.json")]) == 0
+    assert [w.category for w in caught] == [ProjectionTruncationWarning]
+    assert all(w.filename == __file__ for w in caught)
 
 
 def test_reports_without_lifting_have_no_tails(tmp_path):

@@ -23,9 +23,9 @@ def test_readme_quickstart_runs():
     assert abs(namespace["values"][0] - cmath.exp(0.5j * k)) < 1e-10
     assert abs(energy_parseval(u).energy - 2 * k) < 1e-9 * k
     assert namespace["cert"].passed
-    w, tails = namespace["w"], namespace["tails"]
+    w = namespace["w"]
     assert abs(-evaluate(w, [(0.5, 0.0)])[2][0] - 1.0) < 1e-10
-    assert [t.side.value for t in tails] == ["right", "left"]
+    assert [t.side.value for t in w.tails] == ["right", "left"]
 
 
 def test_readme_lists_every_theorem_alias():

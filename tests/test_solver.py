@@ -3,6 +3,7 @@
 import cmath
 import functools
 import importlib.util
+import json
 import math
 import sys
 import warnings
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import helmstab.cli as cli
 import helmstab.solver as solver
 from helmstab.cli import parse_run_config
 from helmstab.eigenbasis import (
@@ -37,6 +39,7 @@ from helmstab.modal1d import (
 )
 from helmstab.solver import (
     BoundaryConfig,
+    ProjectionTail,
     ProjectionTruncationWarning,
     SeriesSolution,
     SourceTable,
@@ -47,7 +50,6 @@ from helmstab.solver import (
     evaluate,
     evaluate_grid,
     lift,
-    residual_traces,
     solve_datum,
     solve_problem,
     solve_source,
@@ -512,6 +514,17 @@ def test_superpose_rejects_mismatch():
         energy_parseval(superpose([u1, u1]))
 
 
+def test_superpose_keeps_every_parts_tails_in_part_order():
+    cfg, data = plane_wave_problem(2.0)
+    u = solve_datum(cfg, Side.LEFT, data, 2.0)
+    a = (ProjectionTail(Side.RIGHT, 40, 0.0), ProjectionTail(Side.LEFT, 40, 1e-3))
+    b = (ProjectionTail(Side.RIGHT, 24, 2e-9), ProjectionTail(Side.LEFT, 24, 0.5))
+    parts = [SeriesSolution(cfg, 2.0, 24, u.blocks, a), u, SeriesSolution(cfg, 2.0, 40, (), b)]
+    assert u.tails == ()
+    assert superpose(parts).tails == a + b
+    assert superpose(parts[::-1]).tails == b + a
+
+
 # --------------------------------------------------------------------------
 # lifting and residual traces
 # --------------------------------------------------------------------------
@@ -524,9 +537,6 @@ def test_lift_family_admissibility():
         solve_datum(cfg, Side.BOTTOM, Spectrum.from_pairs(BasisFamily.COS_INT, [(1, 1)]), k)
     aux = solve_datum(cfg, Side.BOTTOM, Spectrum.from_pairs(BasisFamily.COS_HALF, [(1, 1)]), k)
     assert [block.lifted for block in aux.blocks] == [True]
-    zero = Spectrum.zero(cfg.vertical_family())
-    with pytest.raises(ValueError, match="lifted"):
-        residual_traces(solve_datum(cfg, Side.LEFT, zero, k), zero, zero)
 
 
 def test_lift_zero_datum():
@@ -572,11 +582,24 @@ def test_residual_traces_zero_aux():
     k = 7.3
     cfg = BoundaryConfig(bottom=N, right=D, top=D)
     fam_v = cfg.vertical_family()
-    aux = solve_datum(cfg, Side.BOTTOM, Spectrum.zero(BasisFamily.COS_INT), k)
     g2 = Spectrum.from_pairs(fam_v, [(1, 2.0), (3, -1j)])
     g4 = Spectrum.from_pairs(fam_v, [(0, 1.0)])
-    r2, r4 = residual_traces(aux, g2, g4)
+    zero = Spectrum.zero(BasisFamily.COS_INT)
+    lifted, r2, r4 = lift(cfg, {Side.BOTTOM: zero, Side.RIGHT: g2, Side.LEFT: g4}, k)
     assert r2 == g2 and r4 == g4
+    assert [t.fraction for t in lifted.tails] == [0.0, 0.0]
+
+
+def test_lift_without_horizontal_data_has_no_tails():
+    """No bottom or top datum: nothing is projected and there are no tails,
+    also in the whole solve."""
+    k = 7.3
+    cfg = BoundaryConfig(bottom=N, right=D, top=D)
+    g4 = Spectrum.from_pairs(cfg.vertical_family(), [(0, 1.0), (2, 0.5j)])
+    lifted, r2, r4 = lift(cfg, {Side.LEFT: g4}, k)
+    assert lifted.tails == () and lifted.blocks == ()
+    assert len(r2) == 0 and r4 == g4
+    assert solve_problem(cfg, {Side.LEFT: g4}, k).tails == ()
 
 
 def test_residual_traces_single_mode_analytic():
@@ -589,8 +612,7 @@ def test_residual_traces_single_mode_analytic():
     fam_v = cfg.vertical_family()
     n = 2
     g1 = Spectrum.from_pairs(fam_x, [(n, 1.0)])
-    aux = solve_datum(cfg, Side.BOTTOM, g1, k)
-    r2, r4 = residual_traces(aux, Spectrum.zero(fam_v), Spectrum.zero(fam_v))
+    aux, r2, r4 = lift(cfg, {Side.BOTTOM: g1}, k)
     # analytic: residual_2[m] = -X~_n(1) * int Y~_n(y) Y_m(y) dy
     block = aux.blocks[0]
     xn_at_1 = member_at(fam_x, n, 1.0)[0]
@@ -619,13 +641,13 @@ def test_right_trace_is_zero_iff_the_operator_annihilates_the_family(family, rig
     k = 2 * PI if family.half_integer else math.sqrt(4.5) * PI
     assert choose_lifting_family(k, D, D).basis.half_integer == family.half_integer
     cfg = BoundaryConfig(bottom=D, right=right, top=D)
-    aux = solve_datum(cfg, Side.BOTTOM, Spectrum.from_pairs(family, [(1, 1.0), (3, 0.5j)]), k)
-    fam_v = cfg.vertical_family()
-    datum = Spectrum.from_pairs(fam_v, [(2, 0.25)])
-    tails = []
+    data = {Side.BOTTOM: Spectrum.from_pairs(family, [(1, 1.0), (3, 0.5j)]),
+            Side.RIGHT: Spectrum.from_pairs(cfg.vertical_family(), [(2, 0.25)])}
+    datum = data[Side.RIGHT]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ProjectionTruncationWarning)
-        residual, _ = residual_traces(aux, datum, Spectrum.zero(fam_v), tails=tails)
+        lifted, residual, _ = lift(cfg, data, k)
+    tails = lifted.tails
     annihilates = (family, right) in {(BasisFamily.SIN_INT, D), (BasisFamily.COS_HALF, D),
                                       (BasisFamily.COS_INT, N), (BasisFamily.SIN_HALF, N)}
     n = np.array([1, 3])
@@ -673,13 +695,12 @@ def test_field_solve_skips_the_zero_right_trace(seed):
     152-term solve that carried the right trace's roundoff, to 1e-12."""
     workloads = _script("bench/workloads.py", "bench_workloads")
     run = parse_run_config(workloads.field_config(seed, 129))
-    tails = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        u = solve_problem(run.config, run.data, run.k, run.source, run.truncation, tails)
+        u = solve_problem(run.config, run.data, run.k, run.source, run.truncation)
     assert not [w for w in caught if "right side" in str(w.message)]
     assert len(u.modes) == 79
-    assert [t.side for t in tails] == [Side.RIGHT, Side.LEFT] and tails[0].fraction == 0.0
+    assert [t.side for t in u.tails] == [Side.RIGHT, Side.LEFT] and u.tails[0].fraction == 0.0
     rep = energy_quadrature(u, 129)
     got = (rep.grad_norm, rep.l2_norm, rep.energy)
     for value, parent in zip(got, _FIELD_ENERGIES_WITH_ROUNDOFF_RIGHT_SOLVE[seed]):
@@ -688,9 +709,9 @@ def test_field_solve_skips_the_zero_right_trace(seed):
 
 @pytest.mark.parametrize("entry", ["lift", "solve_problem"])
 def test_two_sided_lift_projects_each_side_once(entry, monkeypatch):
-    """A bottom and a top datum are lifted as one field: residual_traces
-    runs once, on both lifted blocks, and the tails are one per vertical
-    side, right then left."""
+    """A bottom and a top datum are lifted as one field: its traces are
+    projected once, on both lifted blocks, and the tails are one per
+    vertical side, right then left."""
     k = 7.3
     cfg = BoundaryConfig(bottom=N, right=I, top=D)
     lattice = choose_lifting_family(k, N, D).basis
@@ -699,17 +720,43 @@ def test_two_sided_lift_projects_each_side_once(entry, monkeypatch):
             Side.LEFT: Spectrum.from_pairs(cfg.vertical_family(), [(1, 1.0)])}
     calls = []
 
-    def counted(aux, *args, **kwargs):
-        calls.append(len(aux.blocks))
-        return residual_traces(aux, *args, **kwargs)
+    original = solver._residual_traces
 
-    monkeypatch.setattr(solver, "residual_traces", counted)
-    tails = []
+    def counted(aux, *args):
+        calls.append(len(aux.blocks))
+        return original(aux, *args)
+
+    monkeypatch.setattr(solver, "_residual_traces", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ProjectionTruncationWarning)
-        getattr(solver, entry)(cfg, data, k, tails=tails)
+        u = getattr(solver, entry)(cfg, data, k)
+    u = u[0] if entry == "lift" else u
     assert calls == [2]
-    assert [t.side for t in tails] == [Side.RIGHT, Side.LEFT]
+    assert [t.side for t in u.tails] == [Side.RIGHT, Side.LEFT]
+
+
+@pytest.mark.parametrize("command", ["solve", "lift", "oracle"])
+@pytest.mark.parametrize("name", ["field", "3.2-neumann-dirichlet"])
+def test_reports_carry_the_solutions_tails(tmp_path, name, command):
+    """The projection tails in the solve, lift and oracle reports are the
+    run's, those of the solution the pipeline returns: on the benchmark's
+    field config (seed 0, a coarse grid) and on a lifting config."""
+    workloads = _script("bench/workloads.py", "bench_workloads")
+    doc = workloads.field_config(0, 17) if name == "field" else _LIFTING[name]
+    config, report = tmp_path / "config.json", tmp_path / "report.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    run = parse_run_config(doc)
+    flags = ["--n", "17"] if command == "oracle" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ProjectionTruncationWarning)
+        assert cli.run([command, "--config", str(config), "--report", str(report), *flags]) == 0
+        u = solve_problem(run.config, run.data, run.k, run.source, run.truncation)
+        lifted = lift(run.config, run.data, run.k, run.truncation)[0]
+    assert u.tails == lifted.tails
+    reported = json.loads(report.read_text())["diagnostics"]["projection_tail"]
+    assert [(t["side"], t["depth"], t["tail"]) for t in reported] == [
+        (t.side.value, t.depth, t.fraction) for t in u.tails]
+    assert len(u.tails) == 2
 
 
 @pytest.mark.parametrize("name", list(_LIFTING))
@@ -725,7 +772,8 @@ def test_lift_residuals_are_linear_in_the_lifted_data(name):
         kept = {side: g for side, g in run.data.items() if side in lifted or side is Side.LEFT}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ProjectionTruncationWarning)
-            residuals[lifted] = lift(run.config, kept, run.k, run.truncation, tails)[1:]
+            field, *residuals[lifted] = lift(run.config, kept, run.k, run.truncation)
+        tails += field.tails
     assert len({t.depth for t in tails}) == 1
     bottom, top, both = residuals.values()
     for datum, r_bottom, r_top, r_both in zip(data, bottom, top, both):
@@ -748,10 +796,8 @@ def test_residual_traces_warns_on_shallow_depth():
     k = 7.3
     cfg = BoundaryConfig(bottom=D, right=D, top=D)
     fam_x = choose_lifting_family(k, D, D).basis
-    aux = solve_datum(cfg, Side.BOTTOM, Spectrum.from_pairs(fam_x, [(1, 1.0)]), k)
-    fam_v = cfg.vertical_family()
     with pytest.warns(ProjectionTruncationWarning):
-        residual_traces(aux, Spectrum.zero(fam_v), Spectrum.zero(fam_v), depth=3)
+        lift(cfg, {Side.BOTTOM: Spectrum.from_pairs(fam_x, [(1, 1.0)])}, k, truncation=3)
 
 
 def lifted_round_trip(k, cfg, g1, vert_spec):

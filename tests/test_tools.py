@@ -33,3 +33,29 @@ def test_same_results_output_names_are_unique(tmp_path):
     assert len(files) == len(set(files)) == 73
     for doc in {**same_results.PIPELINE, **same_results.LIFTING}.values():
         parse_run_config(doc)  # every config parses
+
+
+def test_same_results_compares_warnings_and_errors_without_their_location():
+    stderr = (
+        "/a/src/helmstab/solver.py:745: ProjectionTruncationWarning: trace projection on "
+        "the left side left 5.63e-03 of its energy beyond mode 72\n"
+        "  right, left = residual_traces(lifted, right, left, depth=truncation, tails=tails)\n"
+        "helmstab: config error: config.data.left: mode 40 lies above truncation 10\n"
+        "Traceback (most recent call last):\n"
+        "usage: helmstab [-h]\n"
+    )
+    moved = (
+        "/b/src/helmstab/__main__.py:4: ProjectionTruncationWarning: trace projection on "
+        "the left side left 5.63e-03 of its energy beyond mode 72\n"
+        "  raise SystemExit(main())\n"
+        "helmstab: config error: config.data.left: mode 40 lies above truncation 10\n"
+    )
+    said = same_results.messages(stderr)
+    assert said == [
+        "ProjectionTruncationWarning: trace projection on the left side left 5.63e-03 of "
+        "its energy beyond mode 72",
+        "helmstab: config error: config.data.left: mode 40 lies above truncation 10",
+    ]
+    assert same_results.messages(moved) == said
+    assert same_results.messages(moved.replace("5.63e-03", "5.64e-03")) != said
+    assert same_results.messages("") == []

@@ -15,8 +15,9 @@ so relative output paths echo the same in both reports:
 - solve reports and CSVs and oracle reports of the five pipeline configs
 - sharpness reports of all nine cases at n = 1 and 7
 
-Each output file is compared byte for byte and each exit code exactly.
-Then the benchmark smoke of both workloads runs in each tree, and
+Each output file is compared byte for byte and each exit code exactly,
+and so are each run's warnings (category and text, without the file and
+line they name) and `helmstab: ...` error lines on stderr.  Then the benchmark smoke of both workloads runs in each tree, and
 bench/compare.py checks the two records.  Prints every output that differs
 and exits 1 if any does, 0 otherwise.
 """
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -102,12 +104,33 @@ def runs(configs: Path) -> list[tuple[list[str], list[str]]]:
     return out
 
 
-def _run(tree: Path, argv: list[str], cwd: Path, quiet: bool = True) -> int:
-    """The exit code of python argv in cwd, with the package of `tree`."""
+#: The first line of a warning as Python prints it: "file:line: Category: text".
+_WARNING = re.compile(r"^\S.*?:\d+: (\w+Warning): (.*)$")
+
+
+def messages(stderr: str) -> list[str]:
+    """The warnings (category and text) and `helmstab: ...` error lines of
+    a run's stderr, in order; a warning's file, line and source are left
+    out, as they name where the warning was attributed."""
+    out = []
+    for line in stderr.splitlines():
+        warning = _WARNING.match(line)
+        if warning:
+            out.append(f"{warning[1]}: {warning[2]}")
+        elif line.startswith("helmstab: "):
+            out.append(line)
+    return out
+
+
+def _run(tree: Path, argv: list[str], cwd: Path, quiet: bool = True) -> tuple[int, list[str]]:
+    """The exit code of python argv in cwd, with the package of `tree`, and
+    the messages of its stderr; not quiet, its output is passed through and
+    there are none."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    out = subprocess.DEVNULL if quiet else None
-    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env, stdout=out,
-                          stderr=out).returncode
+    out, err = (subprocess.DEVNULL, subprocess.PIPE) if quiet else (None, None)
+    proc = subprocess.run([sys.executable, *argv], cwd=cwd, env=env, stdout=out, stderr=err,
+                          text=True)
+    return proc.returncode, messages(proc.stderr or "")
 
 
 def _read(path: Path):
@@ -131,22 +154,24 @@ def main(argv=None) -> int:
         for d in dirs:
             d.mkdir()
         for args, files in runs(work):
-            codes = list(pool.map(lambda td: _run(td[0], ["-m", "helmstab", *args], td[1]),
-                                  zip(trees, dirs)))
-            compared += 1 + len(files)
-            if codes[0] != codes[1]:
-                differ.append(f"{args[0]} {files[0]}: exit code {codes[0]} vs {codes[1]}")
+            (code, said), (code_head, said_head) = pool.map(
+                lambda td: _run(td[0], ["-m", "helmstab", *args], td[1]), zip(trees, dirs))
+            compared += 2 + len(files)
+            if code != code_head:
+                differ.append(f"{args[0]} {files[0]}: exit code {code} vs {code_head}")
+            if said != said_head:
+                differ.append(f"{args[0]} {files[0]}: stderr {said} vs {said_head}")
             differ += [f for f in files if _read(dirs[0] / f) != _read(dirs[1] / f)]
         for workload in ("sweep", "field"):
             smoke = ["bench/run.py", "--workload", workload, "--seed", "0", "--seconds", "1",
                      "--smoke"]
-            codes = [_run(tree, smoke, tree) for tree in trees]
+            codes = [_run(tree, smoke, tree)[0] for tree in trees]
             record = f".bench_out/{workload}-seed0-trace0.json"
             compared += 3
             if codes != [0, 0]:
                 differ.append(f"bench smoke {workload}: exit codes {codes[0]} and {codes[1]}")
             elif _run(HEAD, ["bench/compare.py", str(base / record), str(HEAD / record)], HEAD,
-                      quiet=False):
+                      quiet=False)[0]:
                 differ.append(f"bench/compare.py {workload}: results differ")
     for line in differ:
         print(f"DIFFERS: {line}")
