@@ -28,7 +28,7 @@ from .bounds import (
     sweep,
     _check_sweep,
 )
-from .eigenbasis import BasisFamily, BoundaryOperator, Spectrum, project
+from .eigenbasis import BasisFamily, BoundaryOperator, Spectrum, project, _zero_member
 from .modal1d import Side, choose_lifting_family, _check_wavenumber
 from .oracle import compare, fdm_energy, fdm_solve
 from .solver import (
@@ -186,7 +186,7 @@ def _check_member(path: str, family: BasisFamily, n: int) -> None:
     """Reject data on a member below the family's first_nonzero, the zero
     function: a solve would drop them."""
     if n < family.first_nonzero:
-        raise ConfigError(f"{path}: mode {n} of {family.value} is the zero function")
+        raise ConfigError(f"{path}: {_zero_member(family, n)}")
 
 
 def _parse_datum(path: str, raw, cap: int, family: BasisFamily, depth: int) -> Spectrum:
@@ -575,10 +575,12 @@ def _cmd_selftest(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that exits 1 (not 2) on usage errors; 2 means a failed check."""
+    """argparse that exits 1 (not 2) on usage errors, after the usage and
+    the reason; 2 means a failed check."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"helmstab: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
 

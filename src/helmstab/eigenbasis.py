@@ -67,6 +67,11 @@ class BasisFamily(Enum):
         return (n + 0.5) * math.pi if self.half_integer else n * math.pi
 
 
+def _zero_member(family: BasisFamily, n) -> str:
+    """The refusal of data on member n of `family`, the zero function."""
+    return f"mode {n} of {family.value} is the zero function"
+
+
 def basis_value(family: BasisFamily, n, t):
     """Evaluate Z_{family,n}(t); accepts scalars or arrays.
 
@@ -127,9 +132,10 @@ class Spectrum:
     """Finitely supported modal coefficients in one basis family: the mode
     indices `n` (int64) and their coefficients `c` (complex).
 
-    Indices are strictly increasing; an index below the family's
-    first_nonzero is dropped silently (that member is the zero function).
-    Coefficients must be finite.  The arrays are read-only.
+    Indices are strictly increasing and coefficients finite.  A nonzero
+    coefficient below the family's first_nonzero (that member is the zero
+    function) raises ValueError; an exactly zero one is dropped.  The
+    arrays are read-only.
     """
 
     family: BasisFamily
@@ -151,6 +157,8 @@ class Spectrum:
             i = np.argmax(bad)
             raise ValueError(f"coefficient of mode {n[i]} is not finite ({c[i]})")
         if len(n) and n[0] < self.family.first_nonzero:
+            if c[0] != 0:
+                raise ValueError(_zero_member(self.family, n[0]))
             n, c = n[1:], c[1:]
         n.setflags(write=False)
         c.setflags(write=False)
@@ -226,21 +234,15 @@ def quadrature_rule(max_mode: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def project(g, family: BasisFamily, max_mode: int) -> Spectrum:
-    """Modal coefficients of g up to max_mode.
-
-    g may be a Spectrum in the same family (returned unchanged, truncated to
-    max_mode) or a callable on [0,1] sampled on the nodes of the fixed
-    quadrature rule, in one array call where it accepts arrays.
-    Exactly-zero coefficients are dropped.
+def project(g: Callable, family: BasisFamily, max_mode: int) -> Spectrum:
+    """Modal coefficients 0..max_mode of the callable g on [0,1], sampled on
+    the nodes of the fixed quadrature rule, in one array call where it
+    accepts arrays.  Exactly-zero coefficients are dropped.  Anything but a
+    callable raises TypeError.
     """
+    if not callable(g):
+        raise TypeError(f"project takes a callable g(t), not a {type(g).__name__}")
     _check_depth(max_mode)
-    if isinstance(g, Spectrum):
-        if g.family is not family:
-            raise ValueError(f"spectrum family {g.family} does not match {family}")
-        kept = g.n <= max_mode
-        return Spectrum(family, g.n[kept], g.c[kept])
-
     t, _ = quadrature_rule(max_mode)
     return _project_samples(_sample(g, t), family, max_mode)[0]
 

@@ -20,7 +20,8 @@ profile on a set of nodes in one broadcast.
 
 Also provides the lifting eigenvalue-family selection driven by the distance
 of k^2 to the two eigenvalue lattices, the resonance-gap lower bound, and the
-energy-density quantities phi/theta/psi used by the certification sweeps.
+paper's energy-density quantities phi/theta/psi per mode (energy_densities),
+a library export that no solve, certificate or sweep calls.
 """
 
 from __future__ import annotations

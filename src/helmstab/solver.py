@@ -33,6 +33,7 @@ from .eigenbasis import (
     _contract,
     _project_samples,
     _sample,
+    _zero_member,
 )
 from .modal1d import (
     ModeTable,
@@ -640,13 +641,13 @@ def _panel_norms_sq(values: np.ndarray) -> np.ndarray:
 def _listed_source(f, family: BasisFamily) -> tuple[np.ndarray, np.ndarray]:
     """The modes of a (mode, profile) list in ascending order, and each
     profile sampled once on the panel nodes.  A mode below the family's
-    first_nonzero is the zero function and contributes no row."""
+    first_nonzero, the zero function, raises ValueError."""
     pairs = sorted(((int(n), fx) for n, fx in f), key=lambda pair: pair[0])
     ns = np.array([n for n, _ in pairs], dtype=np.int64)
     if np.count_nonzero(ns[1:] == ns[:-1]):
         raise ValueError("duplicate source mode")
     if len(ns) and ns[0] < family.first_nonzero:
-        ns, pairs = ns[1:], pairs[1:]
+        raise ValueError(_zero_member(family, ns[0]))
     x = _NODES.ravel()
     samples = [_sample(fx, x, what=f"the profile of source mode {n}") for n, fx in pairs]
     return ns, np.array(samples, dtype=complex).reshape(len(ns), x.size)
@@ -663,25 +664,24 @@ def solve_source(
     Requires the right side Dirichlet (the impedance side is always the
     left).  `f` is either a list of (mode, profile callable) pairs giving the
     source's expansion over the vertical eigenbasis, or a callable f(x, y)
-    projected onto that basis by quadrature.  A listed mode above
-    `truncation` raises ValueError.  The block's profiles are one
-    SourceTable, whose samples `f` also give the source norm (f_norm_sq).
+    projected onto that basis at every panel node.  Either way each mode's
+    profile is sampled on the panel nodes, once.  A listed mode above
+    `truncation`, or on the family's zero member, raises ValueError.  The
+    block's profiles are one SourceTable, whose samples `f` also give the
+    source norm (f_norm_sq).
     """
     if config.right is not BoundaryOperator.DIRICHLET:
         raise ValueError("the source bound is stated for a Dirichlet right side")
     family = config.vertical_family()
 
     if callable(f):
-        # Each mode's profile is the Chebyshev interpolant of its projected
-        # samples on 65 Chebyshev points in x.
+        # Each mode's profile is f projected at every panel node.
         n_cap = default_truncation(k, 0) if truncation is None else truncation
-        cheb_x = 0.5 * (1.0 - np.cos(np.pi * np.arange(65) / 64))
         t, _ = quadrature_rule(n_cap)
-        samples = _coefficients(_sample(f, cheb_x[:, None], t[None, :], what="the source f"),
+        samples = _coefficients(_sample(f, _NODES.reshape(-1, 1), t, what="the source f"),
                                 family, n_cap)
-        series = np.polynomial.chebyshev.chebfit(2.0 * cheb_x - 1.0, samples, 64)
         ns = np.flatnonzero(np.any(samples != 0, axis=0))
-        profiles = np.polynomial.chebyshev.chebval(2.0 * _NODES.ravel() - 1.0, series[:, ns])
+        profiles = samples[:, ns].T
     else:
         ns, profiles = _listed_source(f, family)
         n_cap = default_truncation(k, int(ns.max(initial=0))) if truncation is None else truncation

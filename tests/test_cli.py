@@ -303,9 +303,20 @@ def test_config_errors_exit_1(tmp_path):
                     str(plane_wave_doc(tmp_path))]) == 1
 
 
-def test_usage_errors_exit_1():
-    assert run_cli(["frobnicate"]) == 1
-    assert run_cli([]) == 1
+def test_usage_errors_exit_1(capsys):
+    """A usage error exits 1 and prints the usage, then its reason."""
+    for argv, reason in [
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        ([], "the following arguments are required: command"),
+        (["sweep", "--theorem", "T1", "--trials", "x"],
+         "argument --trials: invalid int value: 'x'"),
+        (["solve"], "the following arguments are required: --config"),
+        (["sharpness", "--case", "nope", "--n", "3"], "argument --case: invalid choice: 'nope'"),
+    ]:
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: helmstab")
+        assert f"\nhelmstab: error: {reason}" in err
 
 
 def test_config_error_messages_carry_field_path(tmp_path):

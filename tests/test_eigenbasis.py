@@ -34,15 +34,25 @@ def test_basis_value_examples():
     assert basis_value(BasisFamily.SIN_INT, 1, 0.5) == pytest.approx(math.sqrt(2), abs=1e-15)
 
 
+def _zero_member_zeroed(family, pairs):
+    """The pairs with a zero coefficient on the family's zero member, the
+    only coefficient a Spectrum takes there."""
+    return {n: c if n >= family.first_nonzero else 0j for n, c in pairs.items()}
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_first_nonzero_is_the_first_member_that_is_not_zero(family):
     """Every member below first_nonzero vanishes at every node, the member
-    at it does not, and a spectrum drops the members below it."""
+    at it does not, and a spectrum drops a zero coefficient below it and
+    refuses a nonzero one."""
     t = np.linspace(0.0, 1.0, 33)
     first = family.first_nonzero
     assert np.all(basis_value(family, np.arange(first), t[:, None]) == 0.0)
     assert np.any(basis_value(family, first, t) != 0.0)
-    assert Spectrum.from_pairs(family, [(0, 1.0), (2, 1.0)]).n.tolist() == [0, 2][first:]
+    assert Spectrum.from_pairs(family, [(0, 0.0), (2, 1.0)]).n.tolist() == [0, 2][first:]
+    if first:
+        with pytest.raises(ValueError, match=f"mode 0 of {family.value} is the zero function"):
+            Spectrum.from_pairs(family, [(2, 1.0), (0, 1.0)])
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -211,12 +221,13 @@ def test_project_zero_gives_empty():
     assert len(project(lambda t: 0.0, BasisFamily.SIN_HALF, 6)) == 0
 
 
-def test_project_passthrough_and_truncation():
+def test_project_refuses_a_spectrum():
+    """project takes only a callable; a Spectrum is refused by its type,
+    not passed through with its modes above the depth dropped."""
     s = Spectrum.from_pairs(BasisFamily.COS_INT, [(0, 1.0), (5, 2.0), (9, 1j)])
-    assert project(s, BasisFamily.COS_INT, 16) == s
-    assert project(s, BasisFamily.COS_INT, 6).top_mode == 5
-    with pytest.raises(ValueError):
-        project(s, BasisFamily.SIN_INT, 16)
+    for family in (BasisFamily.COS_INT, BasisFamily.SIN_INT):
+        with pytest.raises(TypeError, match=r"project takes a callable g\(t\), not a Spectrum"):
+            project(s, family, 6)
 
 
 def test_project_rejects_nonfinite_and_cap():
@@ -230,8 +241,10 @@ def test_project_rejects_nonfinite_and_cap():
 
 
 def test_spectrum_invariants():
-    s = Spectrum.from_pairs(BasisFamily.SIN_INT, [(0, 5.0), (2, 1.0)])
-    assert [n for n, _ in s] == [2]  # index 0 dropped silently
+    s = Spectrum.from_pairs(BasisFamily.SIN_INT, [(0, 0.0), (2, 1.0)])
+    assert [n for n, _ in s] == [2]  # a zero coefficient on the zero member is dropped
+    with pytest.raises(ValueError, match="mode 0 of sin-int is the zero function"):
+        Spectrum.from_pairs(BasisFamily.SIN_INT, [(0, 5.0), (2, 1.0)])
     with pytest.raises(ValueError, match="strictly increasing"):
         Spectrum(BasisFamily.SIN_INT, [3, 3], [1.0, 2.0])
     with pytest.raises(ValueError, match="strictly increasing"):
@@ -274,7 +287,7 @@ def test_data_norms_examples():
     ),
 )
 def test_project_expand_roundtrip(family, pairs):
-    s = Spectrum.from_pairs(family, pairs.items())
+    s = Spectrum.from_pairs(family, _zero_member_zeroed(family, pairs).items())
     recovered = project(s.expand, family, 24)
     for n in range(25):
         assert abs(recovered.coefficient(n) - s.coefficient(n)) < 1e-12 * (
@@ -330,6 +343,8 @@ coefficient_maps = st.dictionaries(
 def test_array_spectrum_matches_dict_reference(a, b, family, t):
     """from_pairs, minus, expand, coefficient and data_norms of the array
     Spectrum against the same operations on a dict of Python numbers."""
+    a, b = _zero_member_zeroed(family, a), _zero_member_zeroed(family, b)
+
     def reference(pairs):
         return {n: complex(c) for n, c in pairs.items()
                 if not (family is BasisFamily.SIN_INT and n == 0)}

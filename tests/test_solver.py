@@ -887,21 +887,56 @@ def test_solve_source_requires_dirichlet_right():
         solve_source([], cfg, 2.0)
 
 
-def test_solve_source_callable_matches_modal():
-    k = 3.3
+def test_solve_source_refuses_the_zero_member():
+    """Mode 0 of sin-int is the zero function: a source there is refused,
+    not dropped, in the solve and in the source norm."""
+    cfg = BoundaryConfig(bottom=D, right=D, top=D)
+    for call in (lambda: solve_source([(0, np.cos)], cfg, 2.0),
+                 lambda: solve_source([(2, np.sin), (0, np.cos)], cfg, 2.0),
+                 lambda: source_l2_norm([(0, np.cos)], cfg)):
+        with pytest.raises(ValueError, match="mode 0 of sin-int is the zero function"):
+            call()
+
+
+def _sin120(x):
+    return np.sin(120.0 * np.asarray(x))
+
+
+def _kink(x):
+    return np.abs(np.asarray(x) - 0.37)
+
+
+@pytest.mark.parametrize("n,fx,k", [
+    pytest.param(2, None, 3.3, id="manufactured-3.3"),
+    pytest.param(1, _sin120, 5.0, id="sin120x-5"),
+    pytest.param(1, _sin120, 60.0, id="sin120x-60"),
+    pytest.param(1, _kink, 5.0, id="kink-5"),
+    pytest.param(1, _kink, 60.0, id="kink-60"),
+])
+def test_solve_source_callable_matches_modal(n, fx, k):
+    """A callable f(x, y) = fx(x) Z_n(y) solves as the listed source
+    [(n, fx)] however rough fx is: both sample fx on the same panel nodes,
+    so their energies agree to 1e-13.  Without fx it is the manufactured
+    profile, and f takes scalars only."""
     cfg = BoundaryConfig(bottom=N, right=D, top=N)
     fam = cfg.vertical_family()
-    _, fhat = manufactured_source(k, cfg, n=2)
+    if fx is None:
+        fx = manufactured_source(k, cfg, n=n)[1]
 
-    def f2d(x, y):
-        return complex(fhat(x)) * float(basis_value(fam, 2, y))
+        def f2d(x, y):
+            return complex(fx(x)) * float(basis_value(fam, n, y))
+    else:
+        def f2d(x, y):
+            return fx(x) * basis_value(fam, n, y)
 
-    u_modal = solve_source([(2, fhat)], cfg, k)
+    u_modal = solve_source([(n, fx)], cfg, k)
     u_callable = solve_source(f2d, cfg, k, truncation=6)
     pts = [(0.21, 0.13), (0.5, 0.5), (0.83, 0.92)]
     a = evaluate(u_modal, pts)
     b = evaluate(u_callable, pts)
     assert np.max(np.abs(a[0] - b[0])) < 1e-8
+    want = energy_parseval(u_modal).energy
+    assert abs(energy_parseval(u_callable).energy - want) <= 1e-13 * want
 
 
 def test_source_energy_bound_random():
@@ -1058,7 +1093,7 @@ def test_source_certificate_samples_each_fx_once():
 
 
 def test_callable_source_is_sampled_in_one_array_call():
-    """An array-capable f(x, y) is called once on the whole Chebyshev by
+    """An array-capable f(x, y) is called once on the whole panel-node by
     projection-node grid; a scalar-only f gives the same solution."""
     cfg = BoundaryConfig(bottom=N, right=D, top=D)
     calls = []
@@ -1073,7 +1108,7 @@ def test_callable_source_is_sampled_in_one_array_call():
         return f(x, y)
 
     u = solve_source(f, cfg, 20.0)
-    assert len(calls) == 1 and calls[0][0] == 65
+    assert len(calls) == 1 and calls[0][0] == _NODES.size
     v = solve_source(scalar_only, cfg, 20.0)
     assert u.modes.tolist() == v.modes.tolist()
     a, b = energy_parseval(u).energy, energy_parseval(v).energy

@@ -14,10 +14,13 @@ so relative output paths echo the same in both reports:
   which cover the four lifting cases, and of the five pipeline configs
 - solve reports and CSVs and oracle reports of the five pipeline configs
 - sharpness reports of all nine cases at n = 1 and 7
+- selftest, the one command that reaches solver.evaluate, and the config
+  that `selftest --dump-config` writes
 
 Each output file is compared byte for byte and each exit code exactly,
 and so are each run's warnings (category and text, without the file and
-line they name) and `helmstab: ...` error lines on stderr.  Then the benchmark smoke of both workloads runs in each tree, and
+line they name) and `helmstab: ...` error lines on stderr.  Then the
+benchmark smoke of both workloads runs in each tree, and
 bench/compare.py checks the two records.  Prints every output that differs
 and exits 1 if any does, 0 otherwise.
 """
@@ -101,6 +104,8 @@ def runs(configs: Path) -> list[tuple[list[str], list[str]]]:
         for n in ("1", "7"):
             report = f"sharpness-{case}-{n}.json"
             out.append((["sharpness", "--case", case, "--n", n, "--report", report], [report]))
+    out.append((["selftest"], []))
+    out.append((["selftest", "--dump-config", "selftest.json"], ["selftest.json"]))
     return out
 
 
@@ -157,10 +162,11 @@ def main(argv=None) -> int:
             (code, said), (code_head, said_head) = pool.map(
                 lambda td: _run(td[0], ["-m", "helmstab", *args], td[1]), zip(trees, dirs))
             compared += 2 + len(files)
+            label = " ".join(args[:1] + files[:1])
             if code != code_head:
-                differ.append(f"{args[0]} {files[0]}: exit code {code} vs {code_head}")
+                differ.append(f"{label}: exit code {code} vs {code_head}")
             if said != said_head:
-                differ.append(f"{args[0]} {files[0]}: stderr {said} vs {said_head}")
+                differ.append(f"{label}: stderr {said} vs {said_head}")
             differ += [f for f in files if _read(dirs[0] / f) != _read(dirs[1] / f)]
         for workload in ("sweep", "field"):
             smoke = ["bench/run.py", "--workload", workload, "--seed", "0", "--seconds", "1",
