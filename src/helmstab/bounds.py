@@ -8,8 +8,9 @@ closed-form extremal examples and their exact energies.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -24,9 +25,12 @@ from .eigenbasis import (
     homogeneous_operators,
     select_eigenpairs,
     _EIGENPAIRS,
+    _fsums,
+    _sqrt,
     _weighted_norms,
 )
 from .modal1d import (
+    ModeTable,
     Side,
     choose_lifting_family,
     _check_wavenumber,
@@ -90,20 +94,25 @@ THEOREMS: dict[TheoremId, Theorem] = {
 }
 
 
-def rhs_bound(theorem: TheoremId, k: float, norms: DataNormReport) -> float:
-    """Right-hand side of the theorem's stability inequality."""
+def rhs_bound(theorem: TheoremId, k, norms: DataNormReport):
+    """Right-hand side of the theorem's stability inequality: a float, or
+    one per row for a k per row and norms of row arrays."""
     k = _check_wavenumber(k)
     row = THEOREMS[theorem]
-    mk = max(k, 1.0) if row.k_power == 1 else max(k * k, 1.0)
+    mk = np.maximum(k, 1.0) if row.k_power == 1 else np.maximum(k * k, 1.0)
     if not row.half_term:
         return row.constant * mk * norms.l2
-    if norms.fractional_half is None or not math.isfinite(norms.fractional_half):
+    if norms.fractional_half is None or not np.all(np.isfinite(norms.fractional_half)):
         raise ValueError(f"{theorem.value} consumes the fractional-order data norm")
-    return row.constant * (mk * norms.l2 + max(math.sqrt(k), 1.0) * norms.fractional_half)
+    return row.constant * (mk * norms.l2 + np.maximum(_sqrt(k), 1.0) * norms.fractional_half)
 
 
 @dataclass(frozen=True)
 class BoundCertificate:
+    """The check lhs <= rhs of a datum's stability bound.  from_sides makes
+    the certificates of many data at once, every field but the theorem an
+    array over their rows; row(i) is certificate i."""
+
     theorem: TheoremId
     k: float
     lhs: float
@@ -113,16 +122,32 @@ class BoundCertificate:
     datum_norms: DataNormReport
 
     @staticmethod
-    def from_sides(theorem: TheoremId, k: float, lhs: float, rhs: float,
-                   norms: DataNormReport) -> "BoundCertificate":
-        """The certificate lhs <= rhs; a non-finite side raises ValueError,
-        as it would read as a violation."""
-        if not (math.isfinite(lhs) and math.isfinite(rhs)):
+    def from_sides(theorem: TheoremId, k, lhs, rhs, norms: DataNormReport) -> "BoundCertificate":
+        """The certificates lhs <= rhs of rows: k, lhs, rhs and the fields
+        of norms are arrays over the rows.  A non-finite side raises
+        ValueError naming the first such row, as it would read as a
+        violation."""
+        finite = np.isfinite(lhs) & np.isfinite(rhs)
+        if not np.all(finite):
+            k, lhs, rhs = (np.ravel(x)[np.argmin(finite)].item() for x in (k, lhs, rhs))
             raise ValueError(f"{theorem.value} certificate at k={k!r} has a non-finite side "
                              f"(lhs={lhs!r}, rhs={rhs!r})")
-        ratio = 0.0 if (rhs == 0.0 and lhs == 0.0) else lhs / rhs
-        passed = lhs <= rhs * (1.0 + CERT_SLACK)
-        return BoundCertificate(theorem, k, lhs, rhs, ratio, passed, norms)
+        ratio = np.divide(lhs, rhs, out=np.zeros_like(lhs), where=(lhs != 0.0) | (rhs != 0.0))
+        return BoundCertificate(theorem, k, lhs, rhs, ratio, lhs <= rhs * (1.0 + CERT_SLACK),
+                                norms)
+
+    def row(self, i: int) -> "BoundCertificate":
+        """Certificate i of a certificate of rows, in Python scalars; a
+        norm that is one float for every row (a source's unused NaN norms)
+        stays that float."""
+        def pick(x):
+            return x[i].item() if isinstance(x, np.ndarray) else x
+
+        n = self.datum_norms
+        return BoundCertificate(
+            self.theorem, *(pick(x) for x in (self.k, self.lhs, self.rhs, self.ratio,
+                                               self.passed)),
+            DataNormReport(pick(n.l2), pick(n.fractional_half), pick(n.fractional_three_half)))
 
 
 def certify(
@@ -138,26 +163,29 @@ def certify(
     (mode, profile) pairs for the source theorem.  The datum side is implied
     by the theorem; all other sides are homogeneous.  A datum mode above
     `truncation` raises ValueError from the solve instead of being dropped.
-    The solve's block is certified by _certificate, as every sweep trial is.
+    The solve's block is certified by _certificate as one row, the way a
+    sweep certifies all its trials.
     """
     k = _check_wavenumber(k)
     row = THEOREMS[theorem]
     _check_operators(theorem, config)
     block = (solve_source(data, config, k, truncation) if row.side is None
              else solve_datum(config, row.side, data, k, truncation)).blocks[0]
-    return _certificate(theorem, k, np.abs(block.c) ** 2, block.profiles, slice(None))
+    w = np.abs(block.c) ** 2
+    return _certificate(theorem, np.array([k]), w[None], block.profiles, slice(None)).row(0)
 
 
-def _certificate(theorem: TheoremId, k: float, w: np.ndarray, table, rows) -> BoundCertificate:
-    """The certificate of the datum with squared coefficient moduli w on the
-    given rows of its profile table: the Parseval energy of its solution
-    against rhs_bound of its norms, a source's from its rows' samples
-    (SourceTable.f_norm_sq).  The one certificate of certify and of every
-    sweep trial."""
+def _certificate(theorem: TheoremId, k: np.ndarray, w: np.ndarray, table,
+                 rows) -> BoundCertificate:
+    """The certificates of the data with squared coefficient moduli w, one
+    datum per row of w at the k of that row, on the given rows of their
+    profile table (an index array shaped like w, or a slice), as row
+    arrays: the Parseval energy of each solution against rhs_bound of its
+    norms, a source's from its rows' samples (SourceTable.f_norm_sq).  The
+    one certificate of certify and of every sweep trial."""
     lhs = _parseval_energy(w, table, k, rows).energy
     if THEOREMS[theorem].side is None:
-        norms = DataNormReport(math.sqrt(math.fsum((w * table.f_norm_sq[rows]).tolist())),
-                               math.nan, math.nan)
+        norms = DataNormReport(np.sqrt(_fsums(w * table.f_norm_sq[rows])), math.nan, math.nan)
     else:
         norms = _weighted_norms(w, table.mu[rows])
     return BoundCertificate.from_sides(theorem, k, lhs, rhs_bound(theorem, k, norms), norms)
@@ -292,13 +320,26 @@ class SweepReport:
 #: D/D, N/N, D/N and N/D, in that order.
 _HORIZONTAL_PAIRS = tuple(_EIGENPAIRS)
 
-def _trial_config(theorem: TheoremId, trial: int, k: float) -> tuple[BoundaryConfig, BasisFamily]:
+#: Trial t has the config of trial t mod _CYCLE: _trial_config cycles 4
+#: operator pairs and 3 right operators, or 2 top operators and 2 families.
+_CYCLE = 12
+
+#: Drawn coefficients per chunk of a boundary sweep.  A chunk takes
+#: max(1, _SWEEP_CHUNK // (trials * modes)) wavenumbers, which bounds its
+#: draws, weights and tables whatever the grid.
+_SWEEP_CHUNK = 1 << 15
+
+
+def _trial_config(theorem: TheoremId, trial: int, k: float,
+                  lifting=choose_lifting_family) -> tuple[BoundaryConfig, BasisFamily]:
+    """The config and data family of trial `trial` at k; `lifting` picks a
+    lifting lattice as choose_lifting_family does."""
     row = THEOREMS[theorem]
     right = row.right or _D
     if row.side is Side.BOTTOM:
         b_top = (_D, _N)[trial % 2]
         cfg = BoundaryConfig(row.bottom, right, b_top)
-        cosine = choose_lifting_family(k, row.bottom, b_top).basis
+        cosine = lifting(k, row.bottom, b_top).basis
         sine = BasisFamily.SIN_HALF if cosine.half_integer else BasisFamily.SIN_INT
         return cfg, (cosine, sine)[(trial // 2) % 2]
     pair = _HORIZONTAL_PAIRS[trial % 4]
@@ -320,41 +361,45 @@ def sweep(
     Every (k, trial) pair draws unit-norm data (or a smooth modal source of
     random norm for the source theorem; its bound is homogeneous of degree
     one in the source) and certifies the bound.  The boundary theorems
-    certify each k's trials from one mode table per (operator pair,
-    eigenvalue lattice) (_boundary_trials), the source theorem from one
-    SourceTable per k (_source_trials), and every certificate is the one
-    certify gives for the same datum, bit for bit.  Every failing
-    certificate lands in the report, in (k, trial) order.  An empty grid,
-    or an argument _check_sweep refuses, raises ValueError naming it.
+    certify a chunk of k at a time (_SWEEP_CHUNK), all its trials as row
+    arrays from one mode table per (operator pair, eigenvalue lattice) with
+    a k per row (_boundary_chunk); the source theorem certifies one k at a
+    time from one SourceTable (_source_trials).  Every certificate is the
+    one certify gives for the same datum, bit for bit, and only the failing
+    ones are built as BoundCertificate objects: every one lands in the
+    report, in (k, trial) order.  The argmax is the first maximum ratio in
+    that order.  An empty grid, or an argument _check_sweep refuses, raises
+    ValueError naming it.
     """
     if len(k_grid) == 0:
         raise ValueError("sweep k_grid is empty; the sweep would certify nothing")
     ks = [_check_wavenumber(k) for k in k_grid]
     _check_sweep(theorem, ks, modes, trials, seed)
-    trials_at = _source_trials if THEOREMS[theorem].side is None else _boundary_trials
+    source = THEOREMS[theorem].side is None
+    per_chunk = 1 if source else max(1, _SWEEP_CHUNK // (trials * modes))
     rng = np.random.default_rng(seed)
-    certs: list[BoundCertificate] = []
-    for k in ks:
-        certs += trials_at(rng, theorem, k, modes, trials)
-    failures = tuple(cert for cert in certs if not cert.passed)
+    failures: list[BoundCertificate] = []
     max_ratio = -1.0
     argmax: tuple[Optional[float], Optional[int]] = (None, None)
-    for i, cert in enumerate(certs):
-        if cert.ratio > max_ratio:
-            max_ratio = cert.ratio
-            argmax = (cert.k, i % trials)
+    for lo in range(0, len(ks), per_chunk):
+        certs = (_source_trials(rng, theorem, ks[lo], modes, trials) if source
+                 else _boundary_chunk(rng, theorem, ks[lo:lo + per_chunk], modes, trials))
+        best = int(np.argmax(certs.ratio))
+        if certs.ratio[best] > max_ratio:
+            max_ratio, argmax = certs.ratio[best].item(), (ks[lo + best // trials], best % trials)
+        failures += [certs.row(i) for i in np.flatnonzero(~certs.passed)]
     return SweepReport(
         theorem=theorem,
         k_grid=tuple(ks),
         modes=modes,
         trials=trials,
         seed=seed,
-        certificates=len(certs),
+        certificates=len(ks) * trials,
         all_passed=not failures,
         max_ratio=max_ratio,
         argmax_k=argmax[0],
         argmax_trial=argmax[1],
-        failures=failures,
+        failures=tuple(failures),
     )
 
 
@@ -377,61 +422,84 @@ def _check_sweep(theorem: TheoremId, ks, modes: int, trials: int, seed: int,
                              f"{MAX_MODE}")
 
 
-def _boundary_trials(rng: np.random.Generator, theorem: TheoremId, k: float, modes: int,
-                     trials: int) -> list[BoundCertificate]:
-    """The certificates of one k's trials of a boundary theorem, in trial
-    order.
+def _boundary_chunk(rng: np.random.Generator, theorem: TheoremId, ks: list[float],
+                    modes: int, trials: int) -> BoundCertificate:
+    """The certificates of a boundary theorem's trials at the wavenumbers
+    ks, as row arrays in (k, trial) order.
 
     Trial t draws `modes` complex coefficients, real parts then imaginary
-    parts, and scales them to unit norm; all trials draw at once, which is
-    the same stream.  A table row depends only on k, the operators at the
+    parts, and scales them to unit norm; the chunk draws at once, which is
+    the same stream as drawing k by k.  Trial t at k has the config of
+    trial t mod _CYCLE, and choose_lifting_family runs once per (k, top
+    operator).  A table row depends only on its k, the operators at the
     profile's ends and its eigenvalue, and the sine and cosine families of
-    a lattice have the same eigenvalues.  So the trials share one table per
-    (operators, lattice), built in the lattice's cosine family over the
-    rows they read: 0..modes on the integer lattice, 0..modes-1 on the
-    half-integer one.  Each certificate comes from _certificate, as
-    certify's does.
+    a lattice have the same eigenvalues.  So the chunk builds one table per
+    (operators, lattice), in the lattice's cosine family with a k per row,
+    over the rows its trials read at each k that has such a trial: 0..modes
+    on the integer lattice, 0..modes-1 on the half-integer one.  The tables
+    are stacked into one, and _certificate certifies every trial from its
+    rows, as it certifies certify's one datum.
     """
-    draws = rng.standard_normal((trials, 2, modes))
-    coeffs = draws[:, 0] + 1j * draws[:, 1]
     side = THEOREMS[theorem].side
-    tables: dict = {}
-    certs = []
-    for trial, c in enumerate(coeffs):
-        cfg, fam = _trial_config(theorem, trial, k)
-        half = fam.half_integer
-        key = (_profile_ends(cfg, side), half)
-        if key not in tables:
-            cos = BasisFamily.COS_HALF if half else BasisFamily.COS_INT
-            tables[key] = _datum_profiles(cfg, side, np.arange(modes + (not half)), k, cos)
-        start = fam.first_nonzero
-        c /= np.linalg.norm(c)
-        certs.append(_certificate(theorem, k, np.abs(c) ** 2, tables[key],
-                                  slice(start, start + modes)))
-    return certs
+    draws = rng.standard_normal((len(ks), trials, 2, modes)).reshape(-1, 2, modes)
+    coeffs = draws[:, 0] + 1j * draws[:, 1]
+    # One ddot per row, as np.linalg.norm takes it, so each norm keeps its bytes.
+    re, im = coeffs.real[:, None], coeffs.imag[:, None]
+    coeffs /= np.sqrt(re @ np.swapaxes(re, 1, 2) + im @ np.swapaxes(im, 1, 2)).reshape(-1, 1)
+    lifting = functools.cache(choose_lifting_family)
+    cycle = min(trials, _CYCLE)
+    # (operators, lattice) -> (a config with those operators, {k index: its block})
+    found: dict = {}
+    # (operators, lattice, block of the k, data family's first_nonzero) per (k, config)
+    slots = []
+    for i, k in enumerate(ks):
+        for c in range(cycle):
+            cfg, fam = _trial_config(theorem, c, k, lifting)
+            key = (_profile_ends(cfg, side), fam.half_integer)
+            blocks = found.setdefault(key, (cfg, {}))[1]
+            slots.append((key, blocks.setdefault(i, len(blocks)), fam.first_nonzero))
+    tables, first = [], {}  # (operators, lattice) -> (its first row, rows per block)
+    for key, (cfg, blocks) in found.items():
+        size = modes + (not key[1])
+        first[key] = (sum(map(len, tables)), size)
+        cos = BasisFamily.COS_HALF if key[1] else BasisFamily.COS_INT
+        tables.append(_datum_profiles(cfg, side, np.tile(np.arange(size), len(blocks)),
+                                      np.repeat([ks[i] for i in blocks], size), cos))
+    table = ModeTable(*(np.concatenate([getattr(t, f.name) for t in tables])
+                        for f in fields(ModeTable)))
+    base = np.reshape([first[key][0] + block * first[key][1] + start
+                       for key, block, start in slots], (len(ks), cycle))
+    rows = base[:, np.arange(trials) % cycle].reshape(-1, 1) + np.arange(modes)
+    return _certificate(theorem, np.repeat(ks, trials), np.abs(coeffs) ** 2, table, rows)
 
 
 def _source_trials(rng: np.random.Generator, theorem: TheoremId, k: float, modes: int,
-                   trials: int) -> list[BoundCertificate]:
-    """The certificates of one k's trials of the source theorem, in trial
-    order.  Trial t draws an operator pair, 1 to min(6, modes) of the first
-    12 modes of its family and, mode by mode, the profile
-    c0 + c1 sin(omega x) + c2 x^2 on the panel nodes; both sides of the
-    bound scale with the source, so it is certified as drawn.  A SourceTable
-    row depends only on k, its eigenvalue and its samples, so the trials
-    share one table, and each is certified by _certificate on its rows."""
+                   trials: int) -> BoundCertificate:
+    """The certificates of one k's trials of the source theorem, as row
+    arrays in trial order.  Trial t draws an operator pair, 1 to
+    min(6, modes) of the first 12 modes of its family and, mode by mode,
+    the profile c0 + c1 sin(omega x) + c2 x^2 on the panel nodes; both
+    sides of the bound scale with the source, so it is certified as drawn.
+    A SourceTable row depends only on k, its eigenvalue and its samples, so
+    the trials share one table, and _certificate certifies each on its
+    rows: weight 1 on them, 0 on the padding up to min(6, modes) rows."""
     x = _NODES.ravel()
-    samples = np.empty((trials * min(6, modes), x.size), dtype=complex)
-    mu, rows = [], []
+    most = min(6, modes)
+    samples = np.empty((trials * most, x.size), dtype=complex)
+    mu, first, counts = [], [], []
     for _ in range(trials):
         fam = select_eigenpairs(*_HORIZONTAL_PAIRS[int(rng.integers(0, 4))])
-        count = int(rng.integers(1, min(6, modes) + 1))
+        count = int(rng.integers(1, most + 1))
         ns = np.arange(12) + fam.first_nonzero
-        rows.append(slice(len(mu), len(mu) + count))
+        first.append(len(mu))
+        counts.append(count)
         mu.extend(fam.eigenvalue(np.sort(rng.choice(ns, size=count, replace=False))))
-        for row in samples[rows[-1]]:
+        for row in samples[first[-1]:len(mu)]:
             c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             omega = float(rng.uniform(0.5, 2.5)) * math.pi
             row[:] = c[0] + c[1] * np.sin(omega * x) + c[2] * x ** 2
     table = SourceTable(k, mu, samples[:len(mu)])
-    return [_certificate(theorem, k, np.ones(r.stop - r.start), table, r) for r in rows]
+    span = np.arange(most)
+    w = (span < np.array(counts)[:, None]).astype(float)
+    rows = np.minimum(np.array(first)[:, None] + span, len(mu) - 1)
+    return _certificate(theorem, np.full(trials, k), w, table, rows)

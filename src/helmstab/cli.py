@@ -9,6 +9,7 @@ mismatch, 1 usage/config errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -584,7 +585,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing leaves it
+    as it was, so every run shares it."""
     parser = _Parser(prog="helmstab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -302,11 +302,24 @@ def data_norms(s: Spectrum) -> DataNormReport:
 
 def _weighted_norms(sq: np.ndarray, mu: np.ndarray) -> DataNormReport:
     """data_norms from the squared coefficient moduli and the eigenvalues
-    of their modes."""
-    l2 = math.sqrt(math.fsum(sq.tolist()))
-    half = math.sqrt(math.fsum((sq * mu).tolist()))
-    three_half = math.sqrt(math.fsum((sq * mu**3).tolist()))
-    return DataNormReport(l2=l2, fractional_half=half, fractional_three_half=three_half)
+    of their modes, along the last axis: floats for one datum, arrays for a
+    matrix with one datum per row."""
+    return DataNormReport(l2=_sqrt(_fsums(sq)), fractional_half=_sqrt(_fsums(sq * mu)),
+                          fractional_three_half=_sqrt(_fsums(sq * mu**3)))
+
+
+def _fsums(a: np.ndarray):
+    """math.fsum along the last axis, so each sum is correctly rounded and
+    does not depend on the order of the terms: a float for a vector, a float
+    array with one sum per row for a matrix."""
+    if a.ndim == 1:
+        return math.fsum(a.tolist())
+    return np.array([math.fsum(row) for row in a.tolist()])
+
+
+def _sqrt(x):
+    """The square root of a float as a float, of an array per entry."""
+    return math.sqrt(x) if np.ndim(x) == 0 else np.sqrt(x)
 
 
 def _sample(f: Callable, *coords, what: str = "the datum") -> np.ndarray:

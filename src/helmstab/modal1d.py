@@ -14,9 +14,10 @@ case sigma = 0.  X' = (sigma A + e^sigma B) a - sigma B d lies in the same
 pair, so both squared norms are quadratic forms in one 2x2 Gram matrix of
 (a, d), stable from the cutoff through z ~ 800.
 
-All modes of one problem at one k are built together as a ModeTable, a
-struct of arrays with one row per mode index, which tabulates every row's
-profile on a set of nodes in one broadcast.
+All modes of one problem are built together as a ModeTable, a struct of
+arrays with one row per mode index and a k per row, so one table can hold
+the modes of many wavenumbers; it tabulates every row's profile on a set of
+nodes in one broadcast.
 
 Also provides the lifting eigenvalue-family selection driven by the distance
 of k^2 to the two eigenvalue lattices, the resonance-gap lower bound, and the
@@ -72,10 +73,15 @@ class Side(Enum):
 PROPAGATING, CUTOFF, EVANESCENT = 0, 1, 2
 
 
-def _check_wavenumber(k) -> float:
-    k = float(k)
-    if not (k > 0 and math.isfinite(k * k)):
-        raise ValueError(f"wavenumber k must be positive with a finite square, got k={k!r}")
+def _check_wavenumber(k):
+    """k as a float, or as a float array checked entry by entry; a bad entry
+    raises ValueError naming the first one."""
+    k = np.array(k, dtype=float) if np.ndim(k) else float(k)
+    with np.errstate(over="ignore"):
+        bad = np.flatnonzero(~((k > 0) & np.isfinite(k * k)))
+    if bad.size:
+        raise ValueError("wavenumber k must be positive with a finite square, "
+                         f"got k={np.ravel(k)[bad[0]].item()!r}")
     return k
 
 
@@ -91,7 +97,7 @@ def _check_eigenvalue(name: str, mu) -> float:
 _SIGMA_PER_Z = np.array([1j, 0.0, -1.0])
 
 
-def _regimes(k: float, mu: np.ndarray):
+def _regimes(k, mu: np.ndarray):
     """The regime code and sigma of each mode.  sigma is i z below the
     cutoff, -z above it and 0 at it, where z = 0; the code CUTOFF labels
     every mode with |k^2 - mu^2| <= EPS_CUTOFF max(k^2, mu^2), and sigma
@@ -125,7 +131,8 @@ def _tphi(s, t):
 
 @dataclass(frozen=True)
 class ModeTable:
-    """The closed-form modes of one 1D problem at one k, one row per index.
+    """The closed-form modes of one 1D problem, one row per index, each row
+    at its own k.
 
     Row i is X = A[i] a + B[i] d in the pair a(t) = e^{sigma t},
     d(t) = e^sigma sinh(sigma t)/sigma ({1, t} at the cutoff, sigma = 0).
@@ -133,7 +140,7 @@ class ModeTable:
     formula depends on it.
     """
 
-    k: float
+    k: np.ndarray
     n: np.ndarray
     mu: np.ndarray
     regime: np.ndarray
@@ -157,7 +164,7 @@ class ModeTable:
         return A * a + B * d, (sigma * A + np.exp(sigma) * B) * a - (sigma * B) * d
 
 
-def _apply(op: BoundaryOperator, value, normal, k: float):
+def _apply(op: BoundaryOperator, value, normal, k):
     """op applied to values and outward normal derivatives (scalars or
     arrays)."""
     if op is BoundaryOperator.DIRICHLET:
@@ -215,9 +222,11 @@ def _gram_form(A: np.ndarray, B: np.ndarray, gram) -> np.ndarray:
             + (B.real**2 + B.imag**2) * dd)
 
 
-def _modes(n: np.ndarray, mu: np.ndarray, k: float, ops, data) -> ModeTable:
+def _modes(n: np.ndarray, mu: np.ndarray, k, ops, data) -> ModeTable:
     """The modes n with eigenvalues mu under the operators ops = (at t=0,
-    at t=1) with the data (d0, d1).
+    at t=1) with the data (d0, d1), at the wavenumber k, a float or one per
+    row.  Every formula is elementwise per row, so a row does not depend on
+    the other rows of its table.
 
     The rows of the 2x2 system apply each operator to the pair's boundary
     values a(0) = 1, a'(0) = sigma, d(0) = 0, d'(0) = e^sigma,
@@ -225,7 +234,7 @@ def _modes(n: np.ndarray, mu: np.ndarray, k: float, ops, data) -> ModeTable:
     d'(1) = (1 + e^{2 sigma})/2.  Normal derivatives point outward: -d/dt
     at t=0, +d/dt at t=1.
     """
-    k = _check_wavenumber(k)
+    k = np.broadcast_to(_check_wavenumber(k), n.shape)
     code, sigma = _regimes(k, mu)
     es, d_end = np.exp(sigma), _phi(2.0 * sigma)
     r0 = (_apply(ops[0], 1.0, -sigma, k), _apply(ops[0], 0.0, -es, k))
@@ -243,7 +252,7 @@ def _modes(n: np.ndarray, mu: np.ndarray, k: float, ops, data) -> ModeTable:
 
 def x_modes(
     ns: Sequence[int],
-    k: float,
+    k,
     b_right: BoundaryOperator,
     data_side: Side,
     family: BasisFamily,
@@ -251,10 +260,10 @@ def x_modes(
     """Horizontal modal profiles with a unit datum on the given vertical side.
 
     One row per mode index in `ns`, with the eigenvalue of that member of
-    `family`; a row depends on its eigenvalue alone, so the sine and cosine
-    families of one lattice give the same rows.  The left side always
-    carries the impedance operator, the right side b_right; the datum rides
-    on the operator of `data_side`.
+    `family`, at k (a float, or one per row); a row depends on its k and
+    eigenvalue alone, so the sine and cosine families of one lattice give
+    the same rows.  The left side always carries the impedance operator,
+    the right side b_right; the datum rides on the operator of `data_side`.
     """
     if data_side not in (Side.LEFT, Side.RIGHT):
         raise ValueError("x-direction data lives on the LEFT or RIGHT side")
@@ -308,7 +317,7 @@ def choose_lifting_family(
 
 def y_modes_lifting(
     ns: Sequence[int],
-    k: float,
+    k,
     b_bottom: BoundaryOperator,
     b_top: BoundaryOperator,
     data_side: Side,
@@ -317,13 +326,14 @@ def y_modes_lifting(
     """Vertical auxiliary profiles with a unit datum on a horizontal side.
 
     One row per mode index in `ns`, with the eigenvalue of that member of
-    the datum's basis `family`; as for x_modes, the sine and cosine families
-    of one lattice give the same rows.  The datum rides on the operator of
-    `data_side` (at t = 0 for BOTTOM, t = 1 for TOP); the opposite side is
-    homogeneous.  A mode whose boundary system is numerically singular
-    raises ResonantLiftingError naming the mode: the resonances, and the
-    Neumann/Neumann cutoff, where constants are null solutions.  A family on
-    the lattice of choose_lifting_family provably avoids both.
+    the datum's basis `family`, at k (a float, or one per row); as for
+    x_modes, the sine and cosine families of one lattice give the same
+    rows.  The datum rides on the operator of `data_side` (at t = 0 for
+    BOTTOM, t = 1 for TOP); the opposite side is homogeneous.  A mode whose
+    boundary system is numerically singular raises ResonantLiftingError
+    naming the mode: the resonances, and the Neumann/Neumann cutoff, where
+    constants are null solutions.  A family on the lattice of
+    choose_lifting_family provably avoids both.
     """
     if data_side not in (Side.BOTTOM, Side.TOP):
         raise ValueError("lifting data lives on the BOTTOM or TOP side")

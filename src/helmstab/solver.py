@@ -31,8 +31,10 @@ from .eigenbasis import (
     select_eigenpairs,
     _coefficients,
     _contract,
+    _fsums,
     _project_samples,
     _sample,
+    _sqrt,
     _zero_member,
 )
 from .modal1d import (
@@ -128,9 +130,11 @@ class EnergyReport:
     energy: float
 
 
-def _energy_report(grad_sq: float, l2_sq: float, k: float) -> EnergyReport:
-    grad = math.sqrt(max(grad_sq, 0.0))
-    l2 = math.sqrt(max(l2_sq, 0.0))
+def _energy_report(grad_sq, l2_sq, k) -> EnergyReport:
+    """The energy from the squared norms: floats for floats, arrays over
+    rows for arrays."""
+    grad = _sqrt(np.maximum(grad_sq, 0.0))
+    l2 = _sqrt(np.maximum(l2_sq, 0.0))
     return EnergyReport(grad_norm=grad, l2_norm=l2, energy=grad + k * l2)
 
 
@@ -365,15 +369,16 @@ def energy_parseval(u: SeriesSolution) -> EnergyReport:
     return _parseval_energy(np.abs(block.c) ** 2, block.profiles, u.k)
 
 
-def _parseval_energy(w: np.ndarray, profiles, k: float, rows=slice(None)) -> EnergyReport:
+def _parseval_energy(w: np.ndarray, profiles, k, rows=slice(None)) -> EnergyReport:
     """The Parseval energy of the terms with squared coefficient moduli w on
-    the given rows of a profile table: sum w |P|^2 and sum w (|P'|^2 +
-    mu^2 |P|^2), each correctly rounded, so the order of the modes does not
-    matter."""
+    the given rows of a profile table (a slice, or an index array shaped
+    like w): sum w |P|^2 and sum w (|P'|^2 + mu^2 |P|^2) along the last
+    axis, each correctly rounded (_fsums), so the order of the modes does
+    not matter.  A matrix w holds one solution per row, at k (a float, or
+    one per row), and gives arrays over its rows."""
     norm_sq, mu = profiles.norm_sq[rows], profiles.mu[rows]
-    l2 = (w * norm_sq).tolist()
-    grad = (w * (profiles.dnorm_sq[rows] + mu * mu * norm_sq)).tolist()
-    return _energy_report(math.fsum(grad), math.fsum(l2), k)
+    grad = _fsums(w * (profiles.dnorm_sq[rows] + mu * mu * norm_sq))
+    return _energy_report(grad, _fsums(w * norm_sq), k)
 
 
 @functools.lru_cache(maxsize=8)
@@ -634,8 +639,7 @@ class SourceTable:
 def _panel_norms_sq(values: np.ndarray) -> np.ndarray:
     """The panel quadrature of |row|^2 for each row of values on the panel
     nodes, each sum correctly rounded."""
-    rows = (_WEIGHTS * np.abs(values.reshape(len(values), _WEIGHTS.size)) ** 2).tolist()
-    return np.array([math.fsum(row) for row in rows])
+    return _fsums(_WEIGHTS * np.abs(values.reshape(len(values), _WEIGHTS.size)) ** 2)
 
 
 def _listed_source(f, family: BasisFamily) -> tuple[np.ndarray, np.ndarray]:

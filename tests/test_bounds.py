@@ -1,6 +1,8 @@
 """Theorem constants, certificates, sharpness cases, sweeps."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from helmstab.eigenbasis import (
     DataNormReport,
     Spectrum,
 )
-from helmstab.modal1d import Side, choose_lifting_family
+from helmstab.modal1d import ModeTable, Side, choose_lifting_family, x_modes, y_modes_lifting
 from helmstab.solver import (
     BoundaryConfig,
     SourceTable,
@@ -427,12 +429,84 @@ def test_grouped_sweep_equals_certify(theorem, sabotage, monkeypatch):
     assert len(rep.failures) == (len(ref) if sabotage else 0)
 
 
-def test_sweep_builds_one_table_per_k_operator_pair_and_lattice(monkeypatch):
+@pytest.mark.parametrize("sabotage", [False, True], ids=["real", "sabotaged"])
+@pytest.mark.parametrize("theorem", [TheoremId.T1_G4, TheoremId.T3_LIFT_DIR,
+                                     TheoremId.T2_G2_DIR], ids=lambda t: t.value)
+def test_chunked_sweep_equals_the_unchunked_one(theorem, sabotage, monkeypatch):
+    """A boundary sweep certifies _SWEEP_CHUNK drawn coefficients' worth of
+    k at a time.  Chunks of 1 and of 3 k give the report of one chunk over
+    the whole grid; sabotaged, every certificate fails and the failure
+    lists compare every certificate."""
+    from helmstab import bounds as bounds_mod
+
+    if sabotage:
+        real_rhs = bounds_mod.rhs_bound
+        monkeypatch.setattr(bounds_mod, "rhs_bound",
+                            lambda theorem, k, norms: real_rhs(theorem, k, norms) * 1e-6)
+    modes, trials = 12, 24
+    assert bounds_mod._SWEEP_CHUNK >= len(_GROUPED_GRID) * trials * modes
+    whole = sweep(theorem, _GROUPED_GRID, modes=modes, trials=trials, seed=5)
+    assert len(whole.failures) == (whole.certificates if sabotage else 0)
+    for ks_per_chunk in (1, 3):
+        monkeypatch.setattr(bounds_mod, "_SWEEP_CHUNK", ks_per_chunk * trials * modes)
+        assert sweep(theorem, _GROUPED_GRID, modes=modes, trials=trials, seed=5) == whole
+
+
+def _assert_tables_equal(table, parts):
+    """`table` is the tables `parts` stacked, every field bit for bit."""
+    for field in dataclasses.fields(ModeTable):
+        got = getattr(table, field.name)
+        want = np.concatenate([getattr(part, field.name) for part in parts])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field.name
+
+
+def test_a_k_per_row_is_the_stacked_one_k_tables():
+    """A table with a k per row is the one-k tables of its rows stacked, bit
+    for bit: x tables of 3 right operators, both data sides and both
+    lattices over the grouped grid, and lifting tables of the 4 bottom/top
+    pairs and both data sides over the grid's k on each lattice (the
+    lattice that choose_lifting_family picks, as a sweep builds them)."""
+    ns = np.arange(13)
+
+    def check(build, ks, *args):
+        whole = build(np.tile(ns, len(ks)), np.repeat(ks, len(ns)), *args)
+        _assert_tables_equal(whole, [build(ns, k, *args) for k in ks])
+
+    lattices = (BasisFamily.COS_INT, BasisFamily.COS_HALF)
+    for right in (I, N, D):
+        for side in (Side.LEFT, Side.RIGHT):
+            for cos in lattices:
+                check(x_modes, _GROUPED_GRID, right, side, cos)
+    for bottom in (D, N):
+        for top in (D, N):
+            for cos in lattices:
+                ks = [k for k in _GROUPED_GRID
+                      if choose_lifting_family(k, bottom, top).basis is cos]
+                assert ks
+                for side in (Side.BOTTOM, Side.TOP):
+                    check(y_modes_lifting, ks, bottom, top, side, cos)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 1e200])
+def test_a_bad_k_in_a_row_array_is_refused_by_name(bad):
+    """Each entry of a k per row is checked as one k is: a bad one raises
+    the k= message naming the first bad entry, here before a later -5."""
+    ks = [1.0, 2.0, bad, 3.0, -5.0]
+    message = re.escape(f"got k={bad!r}") + "$"
+    with pytest.raises(ValueError, match=message):
+        x_modes(np.arange(5), ks, I, Side.LEFT, BasisFamily.COS_INT)
+    with pytest.raises(ValueError, match=message):
+        y_modes_lifting(np.arange(5), ks, N, D, Side.BOTTOM, BasisFamily.COS_INT)
+
+
+def test_sweep_builds_one_table_per_operator_pair_and_lattice(monkeypatch):
     """T1 cycles 12 configs over 3 right operators and both lattices;
-    T3_DIR alternates 2 top operators on the one lifting lattice of each k;
-    T2_NEU has one right operator and both lattices.  Each (k, operator
-    pair, lattice) builds one table, whatever its trials' basis families,
-    over 0..modes on the integer lattice and 0..modes-1 on the other."""
+    T3_DIR alternates 2 top operators on the one lifting lattice of each k,
+    and the grid meets both lattices; T2_NEU has one right operator and
+    both lattices.  Each (operator pair, lattice) builds one table over the
+    whole grid, a k per row, whatever its trials' basis families: 0..modes
+    on the integer lattice and 0..modes-1 on the other, at each k with such
+    a trial, so the rows are those of one table per k."""
     from helmstab import modal1d
 
     rows = []
@@ -444,9 +518,9 @@ def test_sweep_builds_one_table_per_k_operator_pair_and_lattice(monkeypatch):
 
     monkeypatch.setattr(modal1d, "_modes", counted)
     ks = np.geomspace(0.05, 200.0, 8)
-    for theorem, builds, built in ((TheoremId.T1_G4, 48, 3096),
-                                   (TheoremId.T3_LIFT_DIR, 16, 1033),
-                                   (TheoremId.T2_G2_NEU, 16, 1032)):
+    for theorem, builds, built in ((TheoremId.T1_G4, 6, 3096),
+                                   (TheoremId.T3_LIFT_DIR, 4, 1033),
+                                   (TheoremId.T2_G2_NEU, 2, 1032)):
         rows.clear()
         rep = sweep(theorem, ks, trials=20)
         assert rep.certificates == 160 and rep.all_passed
@@ -479,11 +553,11 @@ def test_source_certificates_agree_with_a_resolved_quadrature():
     k = 60, so this check can fail."""
     sweep_rng, draw_rng = np.random.default_rng(0), np.random.default_rng(0)
     for k in (0.5, 5.0, 20.0, 60.0):
-        for cert in _source_trials(sweep_rng, TheoremId.TF_SOURCE, k, 64, 16):
+        for lhs in _source_trials(sweep_rng, TheoremId.TF_SOURCE, k, 64, 16).lhs:
             cfg, source = _source_draw(draw_rng, 64)
             u = solve_source(source, cfg, k)
             parseval = energy_parseval(u).energy
-            assert cert.lhs == parseval
+            assert lhs == parseval
             assert abs(energy_quadrature(u, 65).energy - parseval) <= 1e-12 * parseval, k
 
 

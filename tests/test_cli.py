@@ -319,6 +319,32 @@ def test_usage_errors_exit_1(capsys):
         assert f"\nhelmstab: error: {reason}" in err
 
 
+def test_shared_parser_runs_as_a_fresh_one(tmp_path, capsys):
+    """The parser is built once per process: a usage error, a sweep and the
+    same usage error again give the exit codes, stderr and report bytes of
+    runs that each build their own parser."""
+    from helmstab import cli
+
+    bad = ["sweep", "--theorem", "T1", "--trials", "x"]
+    good = ["sweep", "--theorem", "T3_DIR", "--k-count", "3", "--trials", "4", "--modes", "6"]
+
+    def outcomes(tag, fresh):
+        said = []
+        for i, argv in enumerate((bad, good, bad)):
+            if fresh:
+                cli._build_parser.cache_clear()
+            report = tmp_path / f"{tag}-{i}.json"
+            code = run_cli([*argv, "--report", str(report)])
+            said.append((code, capsys.readouterr().err,
+                         report.read_bytes() if report.exists() else None))
+        return said
+
+    shared, fresh = outcomes("shared", False), outcomes("fresh", True)
+    assert [code for code, _, _ in shared] == [1, 0, 1]
+    assert shared[0][1].startswith("usage: helmstab") and shared[1][2] is not None
+    assert shared == fresh
+
+
 def test_config_error_messages_carry_field_path(tmp_path):
     doc = {"k": 5.0, "boundary": {"bottom": "neumann", "right": "impedance",
                                   "top": "neumann", "left": "impedance"},

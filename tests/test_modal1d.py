@@ -459,11 +459,11 @@ def assert_rows_match_exact_integrals(table):
     exponential = np.flatnonzero(table.regime != CUTOFF)
     for i in exponential:
         (a, b), sigma = amplitudes(table, i), complex(table.sigma[i])
-        ref = mode_from_amplitudes(table.k, float(table.mu[i]), a, b)
+        ref = mode_from_amplitudes(float(table.k[i]), float(table.mu[i]), a, b)
         scale = amplitude_scale(sigma, a, b)
         for got, want, size in ((table.norm_sq[i], ref.norm_sq[0], scale),
                                 (table.dnorm_sq[i], ref.dnorm_sq[0], abs(sigma) ** 2 * scale)):
-            assert abs(got - want) <= 1e-12 * max(got, size), (table.k, int(table.n[i]))
+            assert abs(got - want) <= 1e-12 * max(got, size), (table.k[i], int(table.n[i]))
 
 
 def assert_row_equals(whole, n, one):

@@ -30,9 +30,19 @@ def test_same_results_lifts_cover_the_four_lifting_cases():
 
 def test_same_results_output_names_are_unique(tmp_path):
     files = [f for _, outputs in same_results.runs(tmp_path) for f in outputs]
-    assert len(files) == len(set(files)) == 74
+    assert len(files) == len(set(files)) == 77
     for doc in {**same_results.PIPELINE, **same_results.LIFTING}.values():
         parse_run_config(doc)  # every config parses
+
+
+def test_same_results_grouped_grid_is_the_grouped_sweep_grid():
+    """The grouped sweeps run on the grid of the grouped sweep test, and at
+    100 modes and 50 trials they certify it in more than one chunk."""
+    from helmstab.bounds import _SWEEP_CHUNK
+    from test_bounds import _GROUPED_GRID
+
+    assert [float(k) for k in same_results.GROUPED_K.split(",")] == _GROUPED_GRID
+    assert 1 <= _SWEEP_CHUNK // (50 * 100) < len(_GROUPED_GRID)
 
 
 def test_same_results_compares_warnings_and_errors_without_their_location():

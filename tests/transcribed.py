@@ -34,7 +34,7 @@ def mode_from_amplitudes(
     cross = 2.0 * (a * b.conjugate() * es.conjugate() * complex(_phi(sigma - sigma.conjugate()))).real
     norm_sq = (abs(a) ** 2 + abs(b) ** 2) * e_same + cross
     dnorm_sq = abs(sigma) ** 2 * ((abs(a) ** 2 + abs(b) ** 2) * e_same - cross)
-    return ModeTable(k, np.array([n], dtype=np.int64), mu, code, sigmas,
+    return ModeTable(np.array([k]), np.array([n], dtype=np.int64), mu, code, sigmas,
                      np.array([a + b * es]), np.array([-2.0 * sigma * b]),
                      np.array([norm_sq]), np.array([dnorm_sq]))
 

@@ -8,7 +8,10 @@ BASE_DIR is a checkout of the commit to compare with (a `git worktree` or a
 package and once with this tree's, each tree in its own scratch directory,
 so relative output paths echo the same in both reports:
 
-- sweep reports of all seven theorems
+- sweep reports of all seven theorems, and of T1, T3_DIR and T2_DIR on
+  the grid GROUPED_K, whose one table per operator pair and lattice crosses
+  the lifting-lattice switch and two cutoffs; at 100 modes and 50 trials a
+  k draws 5,000 coefficients, so the 7 k certify in two chunks (6 and 1)
 - certify reports of all seven theorems, on three fixed configs
 - lift reports and CSVs of the four (bottom, top) pairs at k = 3.2 and 3.5,
   which cover the four lifting cases, and of the five pipeline configs
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -76,6 +80,13 @@ LIFTING = {
     for bottom, top in (("dirichlet", "dirichlet"), ("neumann", "neumann"),
                         ("dirichlet", "neumann"), ("neumann", "dirichlet"))
 }
+#: A k on each side of T3's lifting-lattice switch at k^2 = 2.125 pi^2, the
+#: half-integer cutoff of mode 2 at 2.5 pi and a k within 1e-10 of integer
+#: mode 3, as 17 significant digits, which give each float back exactly.
+_SWITCH_K = math.pi * math.sqrt(2.125)
+GROUPED_K = ",".join(f"{k:.17g}" for k in (
+    0.05, 0.9, _SWITCH_K * (1 - 1e-9), _SWITCH_K * (1 + 1e-9), 2.5 * math.pi,
+    3 * math.pi * (1 + 1e-10), 40.0))
 #: The pipeline config each theorem is certified on.
 CERTIFY_CONFIG = {"T1": "a", "T2_IMP": "a", "T3_NEU": "a", "T2_NEU": "b", "T2_DIR": "c",
                   "TF": "c", "T3_DIR": "c"}
@@ -87,6 +98,10 @@ def runs(configs: Path) -> list[tuple[list[str], list[str]]]:
     for t in THEOREMS:
         out.append((["sweep", "--theorem", t, "--k-count", "8", "--trials", "24", "--seed", "0",
                      "--report", f"sweep-{t}.json"], [f"sweep-{t}.json"]))
+    for t in ("T1", "T3_DIR", "T2_DIR"):
+        report = f"sweep-grouped-{t}.json"
+        out.append((["sweep", "--theorem", t, "--k-list", GROUPED_K, "--modes", "100",
+                     "--seed", "0", "--report", report], [report]))
     for t, name in CERTIFY_CONFIG.items():
         out.append((["certify", "--theorem", t, "--config", str(configs / f"{name}.json"),
                      "--report", f"certify-{t}.json"], [f"certify-{t}.json"]))
