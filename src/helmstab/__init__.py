@@ -25,8 +25,7 @@ from .modal1d import (
     choose_lifting_family,
     energy_densities,
     gap_lower_bound,
-    x_modes,
-    y_modes_lifting,
+    mode_table,
 )
 from .solver import (
     Block,

@@ -33,6 +33,7 @@ from .modal1d import (
     ModeTable,
     Side,
     choose_lifting_family,
+    mode_table,
     _check_wavenumber,
 )
 from .solver import (
@@ -41,7 +42,6 @@ from .solver import (
     solve_datum,
     solve_source,
     _NODES,
-    _datum_profiles,
     _parseval_energy,
     _profile_ends,
 )
@@ -209,8 +209,9 @@ def _check_operators(theorem: TheoremId, config: BoundaryConfig) -> None:
 class Example:
     """One extremal example as the paper gives it: its theorem, the operator
     of its far side (the right side, or the top side of a lifting example),
-    whether its wavenumber is detuned, and its exact energy in (k, mu, w),
-    for a detuned example (grad^2 + k^2 l2^2, a lower bound of the energy)."""
+    whether its wavenumber is detuned, and its exact energy in (k, mu, w)
+    with w = sqrt(k^2 - mu^2) of the float k, for a detuned example
+    (grad^2 + k^2 l2^2, a lower bound of the energy)."""
 
     theorem: TheoremId
     far: BoundaryOperator
@@ -291,7 +292,7 @@ def sharpness_case(case_id: str, n: int,
     mu, theta = family.eigenvalue(n), cfg.vertical_family().eigenvalue(n)
     w = theta + 1.0 / theta if row.detuned else (_PI / 2.0 if row.far is _N else _PI)
     k = math.sqrt(mu * mu + w * w)
-    energy = row.energy(k, mu, w)
+    energy = row.energy(k, mu, math.sqrt((k - mu) * (k + mu)))
     expected, expected_sq, lower = (None, *energy) if row.detuned else (energy, None, None)
     return SharpnessCase(case_id, n, k, row.theorem, cfg, Spectrum.from_pairs(family, [(n, 1.0)]),
                          expected, expected_sq, lower)
@@ -433,12 +434,12 @@ def _boundary_chunk(rng: np.random.Generator, theorem: TheoremId, ks: list[float
     trial t mod _CYCLE, and choose_lifting_family runs once per (k, top
     operator).  A table row depends only on its k, the operators at the
     profile's ends and its eigenvalue, and the sine and cosine families of
-    a lattice have the same eigenvalues.  So the chunk builds one table per
-    (operators, lattice), in the lattice's cosine family with a k per row,
-    over the rows its trials read at each k that has such a trial: 0..modes
-    on the integer lattice, 0..modes-1 on the half-integer one.  The tables
-    are stacked into one, and _certificate certifies every trial from its
-    rows, as it certifies certify's one datum.
+    a lattice have the same eigenvalues.  So the chunk builds one mode_table
+    per (operators, lattice), in the lattice's cosine family with a k per
+    row, over the rows its trials read at each k that has such a trial:
+    0..modes on the integer lattice, 0..modes-1 on the half-integer one.
+    The tables are stacked into one, and _certificate certifies every trial
+    from its rows, as it certifies certify's one datum.
     """
     side = THEOREMS[theorem].side
     draws = rng.standard_normal((len(ks), trials, 2, modes)).reshape(-1, 2, modes)
@@ -448,7 +449,7 @@ def _boundary_chunk(rng: np.random.Generator, theorem: TheoremId, ks: list[float
     coeffs /= np.sqrt(re @ np.swapaxes(re, 1, 2) + im @ np.swapaxes(im, 1, 2)).reshape(-1, 1)
     lifting = functools.cache(choose_lifting_family)
     cycle = min(trials, _CYCLE)
-    # (operators, lattice) -> (a config with those operators, {k index: its block})
+    # (operators, lattice) -> {k index: its block}
     found: dict = {}
     # (operators, lattice, block of the k, data family's first_nonzero) per (k, config)
     slots = []
@@ -456,15 +457,15 @@ def _boundary_chunk(rng: np.random.Generator, theorem: TheoremId, ks: list[float
         for c in range(cycle):
             cfg, fam = _trial_config(theorem, c, k, lifting)
             key = (_profile_ends(cfg, side), fam.half_integer)
-            blocks = found.setdefault(key, (cfg, {}))[1]
+            blocks = found.setdefault(key, {})
             slots.append((key, blocks.setdefault(i, len(blocks)), fam.first_nonzero))
     tables, first = [], {}  # (operators, lattice) -> (its first row, rows per block)
-    for key, (cfg, blocks) in found.items():
-        size = modes + (not key[1])
-        first[key] = (sum(map(len, tables)), size)
-        cos = BasisFamily.COS_HALF if key[1] else BasisFamily.COS_INT
-        tables.append(_datum_profiles(cfg, side, np.tile(np.arange(size), len(blocks)),
-                                      np.repeat([ks[i] for i in blocks], size), cos))
+    for (ends, half), blocks in found.items():
+        size = modes + (not half)
+        first[ends, half] = (sum(map(len, tables)), size)
+        cos = BasisFamily.COS_HALF if half else BasisFamily.COS_INT
+        tables.append(mode_table(np.tile(np.arange(size), len(blocks)),
+                                 np.repeat([ks[i] for i in blocks], size), ends, side, cos))
     table = ModeTable(*(np.concatenate([getattr(t, f.name) for t in tables])
                         for f in fields(ModeTable)))
     base = np.reshape([first[key][0] + block * first[key][1] + start

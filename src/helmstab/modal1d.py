@@ -14,9 +14,10 @@ case sigma = 0.  X' = (sigma A + e^sigma B) a - sigma B d lies in the same
 pair, so both squared norms are quadratic forms in one 2x2 Gram matrix of
 (a, d), stable from the cutoff through z ~ 800.
 
-All modes of one problem are built together as a ModeTable, a struct of
-arrays with one row per mode index and a k per row, so one table can hold
-the modes of many wavenumbers; it tabulates every row's profile on a set of
+mode_table builds all modes of one problem, the x factor of a left or right
+datum or the y factor of a lifted one, as a ModeTable: a struct of arrays
+with one row per mode index and a k per row, so one table can hold the
+modes of many wavenumbers; it tabulates every row's profile on a set of
 nodes in one broadcast.
 
 Also provides the lifting eigenvalue-family selection driven by the distance
@@ -246,31 +247,40 @@ def _modes(n: np.ndarray, mu: np.ndarray, k, ops, data) -> ModeTable:
 
 
 # --------------------------------------------------------------------------
-# mode constructors
+# mode tables
 # --------------------------------------------------------------------------
 
 
-def x_modes(
-    ns: Sequence[int],
-    k,
-    b_right: BoundaryOperator,
-    data_side: Side,
-    family: BasisFamily,
-) -> ModeTable:
-    """Horizontal modal profiles with a unit datum on the given vertical side.
+def mode_table(ns: Sequence[int], k, ends, data_side: Side,
+               family: BasisFamily) -> ModeTable:
+    """The profiles X on [0, 1] with a unit datum on the end of `data_side`.
 
-    One row per mode index in `ns`, with the eigenvalue of that member of
-    `family`, at k (a float, or one per row); a row depends on its k and
-    eigenvalue alone, so the sine and cosine families of one lattice give
-    the same rows.  The left side always carries the impedance operator,
-    the right side b_right; the datum rides on the operator of `data_side`.
+    One row per mode index in `ns`, with the eigenvalue mu of that member of
+    `family`, at k (a float, or one per row); row i solves
+    X'' + (k^2 - mu^2) X = 0 under ends = (operator at t = 0, operator at
+    t = 1), each a BoundaryOperator or its value.  The datum rides on the
+    operator at t = 0 for BOTTOM and LEFT, at t = 1 for TOP and RIGHT; the
+    other end is homogeneous.  A row depends on its k and eigenvalue alone,
+    so the sine and cosine families of one lattice give the same rows.  A
+    mode whose boundary system is numerically singular raises
+    ResonantLiftingError naming the mode: the resonances, and the
+    Neumann/Neumann cutoff, where constants are null solutions.  A lifting
+    family on the lattice of choose_lifting_family provably avoids both.
     """
-    if data_side not in (Side.LEFT, Side.RIGHT):
-        raise ValueError("x-direction data lives on the LEFT or RIGHT side")
+    t0, t1 = (_operator(f"the operator at t = {t}", op) for t, op in enumerate(ends))
     n = np.asarray(ns, dtype=np.int64).reshape(-1)
-    d_left = 1.0 if data_side is Side.LEFT else 0.0
-    return _modes(n, family.eigenvalue(n), k, (BoundaryOperator.IMPEDANCE, b_right),
-                  (d_left, 1.0 - d_left))
+    d0 = 1.0 if Side(data_side) in (Side.BOTTOM, Side.LEFT) else 0.0
+    return _modes(n, family.eigenvalue(n), k, (t0, t1), (d0, 1.0 - d0))
+
+
+def _operator(name: str, op) -> BoundaryOperator:
+    """op as a BoundaryOperator, from a member or its value; anything else
+    raises ValueError naming it."""
+    try:
+        return BoundaryOperator(op)
+    except ValueError:
+        raise ValueError(f"{name} must be one of "
+                         f"{[o.value for o in BoundaryOperator]}, got {op!r}") from None
 
 
 @dataclass(frozen=True)
@@ -315,34 +325,6 @@ def choose_lifting_family(
     return LiftingFamilyChoice(d0=d0, d1=d1, basis=basis, case_index=case)
 
 
-def y_modes_lifting(
-    ns: Sequence[int],
-    k,
-    b_bottom: BoundaryOperator,
-    b_top: BoundaryOperator,
-    data_side: Side,
-    family: BasisFamily,
-) -> ModeTable:
-    """Vertical auxiliary profiles with a unit datum on a horizontal side.
-
-    One row per mode index in `ns`, with the eigenvalue of that member of
-    the datum's basis `family`, at k (a float, or one per row); as for
-    x_modes, the sine and cosine families of one lattice give the same
-    rows.  The datum rides on the operator of `data_side` (at t = 0 for
-    BOTTOM, t = 1 for TOP); the opposite side is homogeneous.  A mode whose
-    boundary system is numerically singular raises ResonantLiftingError
-    naming the mode: the resonances, and the Neumann/Neumann cutoff, where
-    constants are null solutions.  A family on the lattice of
-    choose_lifting_family provably avoids both.
-    """
-    if data_side not in (Side.BOTTOM, Side.TOP):
-        raise ValueError("lifting data lives on the BOTTOM or TOP side")
-    select_eigenpairs(b_bottom, b_top)
-    n = np.asarray(ns, dtype=np.int64).reshape(-1)
-    d_bottom = 1.0 if data_side is Side.BOTTOM else 0.0
-    return _modes(n, family.eigenvalue(n), k, (b_bottom, b_top), (d_bottom, 1.0 - d_bottom))
-
-
 def gap_lower_bound(k: float, mu_tilde: float, same_ops: bool) -> tuple[float, float]:
     """Distance of k*lam to the resonant lattice, and its proven lower bound.
 
@@ -375,8 +357,10 @@ def energy_densities(
     data_side: Side,
     family: BasisFamily,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """|X'|^2 + (mu^2 + k^2)|X|^2 of each x_modes row, and its regime code:
-    the density is phi on a PROPAGATING row, theta on a CUTOFF row and psi
-    on an EVANESCENT row."""
-    t = x_modes(ns, k, b_right, data_side, family)
+    """|X'|^2 + (mu^2 + k^2)|X|^2 of each mode_table row under the ends
+    (IMPEDANCE, b_right), and its regime code: the density is phi on a
+    PROPAGATING row, theta on a CUTOFF row and psi on an EVANESCENT row."""
+    if data_side not in (Side.LEFT, Side.RIGHT):
+        raise ValueError("x-direction data lives on the LEFT or RIGHT side")
+    t = mode_table(ns, k, (BoundaryOperator.IMPEDANCE, b_right), data_side, family)
     return t.dnorm_sq + (t.mu * t.mu + t.k * t.k) * t.norm_sq, t.regime

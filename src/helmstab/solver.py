@@ -38,13 +38,12 @@ from .eigenbasis import (
     _zero_member,
 )
 from .modal1d import (
-    ModeTable,
     Side,
     choose_lifting_family,
-    x_modes,
-    y_modes_lifting,
+    mode_table,
     _apply,
     _check_wavenumber,
+    _operator,
     _regimes,
     _tphi,
 )
@@ -79,6 +78,9 @@ class BoundaryConfig:
     left: BoundaryOperator = BoundaryOperator.IMPEDANCE
 
     def __post_init__(self):
+        for side in Side:
+            object.__setattr__(self, side.value,
+                               _operator(f"the {side.value} operator", self.operator(side)))
         if self.left is not BoundaryOperator.IMPEDANCE:
             raise ValueError("the left side must carry the impedance operator")
         for side_name, op in (("bottom", self.bottom), ("top", self.top)):
@@ -174,18 +176,18 @@ def solve_datum(
     Each nonzero coefficient pairs a member of g's basis with the 1D profile
     carrying a unit datum on `side` through that side's operator.  On the
     left or right the basis is the vertical eigenbasis and the profile the
-    x factor (x_modes).  On the bottom or top the datum is lifted: its basis
-    must lie on the resonance-avoiding lattice for this k, and the profile
-    is the y factor (y_modes_lifting).  A nonzero mode above `truncation`
-    raises ValueError.
+    x factor.  On the bottom or top the datum is lifted: its basis must lie
+    on the resonance-avoiding lattice for this k, and the profile is the y
+    factor.  Both are mode_table rows under the side's _profile_ends.  A
+    nonzero mode above `truncation` raises ValueError.
     """
     _check_datum_family(config, side, g.family, k)
     n_cap = default_truncation(k, g.top_mode) if truncation is None else truncation
     kept = g.c != 0
     ns = g.n[kept]
     _check_truncation(ns, n_cap)
-    block = Block(ns, g.c[kept], _datum_profiles(config, side, ns, k, g.family), g.family,
-                  _lifted(side))
+    profiles = mode_table(ns, k, _profile_ends(config, side), side, g.family)
+    block = Block(ns, g.c[kept], profiles, g.family, _lifted(side))
     return SeriesSolution(config, k, n_cap, (block,))
 
 
@@ -225,15 +227,6 @@ def _profile_ends(config: BoundaryConfig, side: Side) -> tuple:
     """The operators at the two ends of the profiles of a datum on `side`,
     which with k, the side and the rows' eigenvalues decide its table."""
     return (config.bottom, config.top) if _lifted(side) else (config.left, config.right)
-
-
-def _datum_profiles(config: BoundaryConfig, side: Side, ns, k: float, family) -> ModeTable:
-    """The profiles of the modes ns carrying a unit datum on `side`, one
-    table row per mode: y factors (y_modes_lifting) on the bottom or top, x
-    factors (x_modes) on the left or right.  `family` is as for those."""
-    if _lifted(side):
-        return y_modes_lifting(ns, k, config.bottom, config.top, side, family)
-    return x_modes(ns, k, config.right, side, family)
 
 
 def superpose(parts: Sequence[SeriesSolution]) -> SeriesSolution:

@@ -25,8 +25,7 @@ from helmstab.modal1d import (
     choose_lifting_family,
     energy_densities,
     gap_lower_bound,
-    x_modes,
-    y_modes_lifting,
+    mode_table,
 )
 from helmstab.oracle import compare, fdm_solve
 from helmstab.solver import (
@@ -194,7 +193,7 @@ def test_criterion_6_closed_form_vs_quadrature_norms():
         ns = (1, 4, 11) if family is BasisFamily.SIN_INT else (0, 1, 4, 11)
         for b2, side in x_cases:
             for k in (0.3, 2.7, 9.4, 33.0):
-                check(x_modes(ns, k, b2, side, family))
+                check(mode_table(ns, k, (I, b2), side, family))
     # near-cutoff gaps from both sides
     fam = BasisFamily.SIN_INT
     mu = fam.eigenvalue(3)
@@ -202,12 +201,12 @@ def test_criterion_6_closed_form_vs_quadrature_norms():
         for sign in (+1, -1):
             k = mu * math.sqrt(1 + sign * relgap)
             for b2, side in x_cases:
-                check(x_modes([3], k, b2, side, fam))
+                check(mode_table([3], k, (I, b2), side, fam))
     # lifting profiles
     for bb, bt in ((N, N), (N, D), (D, N), (D, D)):
         for k in (0.7, 9.1, 44.0):
             ch = choose_lifting_family(k, bb, bt)
-            check(y_modes_lifting((0, 2, 9, 17), k, bb, bt, Side.BOTTOM, ch.basis))
+            check(mode_table((0, 2, 9, 17), k, (bb, bt), Side.BOTTOM, ch.basis))
     dt = time.time() - t0
     _report(6, "closed-form vs quadrature norms", worst <= 1e-10 and dt < 30.0,
             f"(worst rel {worst:.2e}, {dt:.1f}s)")

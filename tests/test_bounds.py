@@ -29,7 +29,7 @@ from helmstab.eigenbasis import (
     DataNormReport,
     Spectrum,
 )
-from helmstab.modal1d import ModeTable, Side, choose_lifting_family, x_modes, y_modes_lifting
+from helmstab.modal1d import ModeTable, Side, choose_lifting_family, mode_table
 from helmstab.solver import (
     BoundaryConfig,
     SourceTable,
@@ -240,7 +240,9 @@ def test_sharpness_cases_are_the_papers_examples():
 def test_sharpness_cases_hold_up_to_the_mode_cap(n):
     """Every example matches its closed form to 1e-5 at high modes, whose
     profiles lie within 1e-4 k of the cutoff: the band labelled CUTOFF keeps
-    its exponent sigma (it used to be set to 0, an error of about 1)."""
+    its exponent sigma (it used to be set to 0, an error of about 1).  The
+    detuned examples, whose closed form is taken at the rounded k, match to
+    1e-8."""
     for case_id in SHARPNESS_IDS:
         case = sharpness_case(case_id, n)
         rep = energy_parseval(solve_datum(case.config, case.data_side, case.datum, case.k))
@@ -248,7 +250,7 @@ def test_sharpness_cases_hold_up_to_the_mode_cap(n):
             assert rep.energy == pytest.approx(case.expected_energy, rel=1e-5), case_id
         else:
             esq = rep.grad_norm**2 + case.k**2 * rep.l2_norm**2
-            assert esq == pytest.approx(case.expected_energy_sq, rel=1e-5), case_id
+            assert esq == pytest.approx(case.expected_energy_sq, rel=1e-8), case_id
             assert rep.energy >= case.lower_bound
 
 
@@ -468,15 +470,15 @@ def test_a_k_per_row_is_the_stacked_one_k_tables():
     lattice that choose_lifting_family picks, as a sweep builds them)."""
     ns = np.arange(13)
 
-    def check(build, ks, *args):
-        whole = build(np.tile(ns, len(ks)), np.repeat(ks, len(ns)), *args)
-        _assert_tables_equal(whole, [build(ns, k, *args) for k in ks])
+    def check(ks, *args):
+        whole = mode_table(np.tile(ns, len(ks)), np.repeat(ks, len(ns)), *args)
+        _assert_tables_equal(whole, [mode_table(ns, k, *args) for k in ks])
 
     lattices = (BasisFamily.COS_INT, BasisFamily.COS_HALF)
     for right in (I, N, D):
         for side in (Side.LEFT, Side.RIGHT):
             for cos in lattices:
-                check(x_modes, _GROUPED_GRID, right, side, cos)
+                check(_GROUPED_GRID, (I, right), side, cos)
     for bottom in (D, N):
         for top in (D, N):
             for cos in lattices:
@@ -484,7 +486,7 @@ def test_a_k_per_row_is_the_stacked_one_k_tables():
                       if choose_lifting_family(k, bottom, top).basis is cos]
                 assert ks
                 for side in (Side.BOTTOM, Side.TOP):
-                    check(y_modes_lifting, ks, bottom, top, side, cos)
+                    check(ks, (bottom, top), side, cos)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 1e200])
@@ -494,9 +496,9 @@ def test_a_bad_k_in_a_row_array_is_refused_by_name(bad):
     ks = [1.0, 2.0, bad, 3.0, -5.0]
     message = re.escape(f"got k={bad!r}") + "$"
     with pytest.raises(ValueError, match=message):
-        x_modes(np.arange(5), ks, I, Side.LEFT, BasisFamily.COS_INT)
+        mode_table(np.arange(5), ks, (I, I), Side.LEFT, BasisFamily.COS_INT)
     with pytest.raises(ValueError, match=message):
-        y_modes_lifting(np.arange(5), ks, N, D, Side.BOTTOM, BasisFamily.COS_INT)
+        mode_table(np.arange(5), ks, (N, D), Side.BOTTOM, BasisFamily.COS_INT)
 
 
 def test_sweep_builds_one_table_per_operator_pair_and_lattice(monkeypatch):

@@ -148,6 +148,16 @@ def test_sharpness_exit_and_report(tmp_path):
     assert doc["pass"] is True
 
 
+@pytest.mark.parametrize("case,n", [("lift-dn", 5000), ("lift-dn", 10000),
+                                    ("lift-dn", 16384), ("lift-dd", 5000)])
+def test_detuned_sharpness_passes_at_high_modes(tmp_path, case, n):
+    """A detuned example's closed form is taken at the rounded k the solver
+    solves at, so it matches the solve to roundoff at any mode."""
+    report = tmp_path / "sharp.json"
+    assert run_cli(["sharpness", "--case", case, "--n", str(n), "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["relative_difference"] <= 1e-14
+
+
 def test_sweep_report(tmp_path):
     report = tmp_path / "sweep.json"
     rc = run_cli(["sweep", "--theorem", "T1", "--k-list", "0.5,5.0",

@@ -21,8 +21,7 @@ from helmstab.modal1d import (
     choose_lifting_family,
     energy_densities,
     gap_lower_bound,
-    x_modes,
-    y_modes_lifting,
+    mode_table,
     _regimes,
 )
 from helmstab.oracle import fdm_solve
@@ -111,7 +110,7 @@ def test_cutoff_tolerance_band():
 
 def test_plane_wave_mode():
     k = 3.7
-    mode = x_modes([0], k, I, Side.LEFT, BasisFamily.COS_INT)
+    mode = mode_table([0], k, (I, I), Side.LEFT, BasisFamily.COS_INT)
     x = np.array([0.0, 0.31, 0.77, 1.0])
     expect = (1j / (2 * k)) * np.exp(1j * k * x)
     assert np.max(np.abs(mode.value_and_derivative(x)[0][0] - expect)) < 1e-14
@@ -133,7 +132,7 @@ CASES = [
     (60.0, 22, BasisFamily.SIN_INT),      # evanescent, large z
 ])
 def test_x_mode_norms_match_quadrature(b2, side, k, n, family):
-    mode = x_modes([n], k, b2, side, family)
+    mode = mode_table([n], k, (I, b2), side, family)
     value, derivative = row_functions(mode)
     assert abs(mode.norm_sq[0] - quad_norm_sq(value)) <= 1e-10 * mode.norm_sq[0]
     assert abs(mode.dnorm_sq[0] - quad_norm_sq(derivative)) <= 1e-10 * mode.dnorm_sq[0]
@@ -143,7 +142,7 @@ def test_x_mode_norms_match_quadrature(b2, side, k, n, family):
 def test_x_mode_boundary_conditions(b2, side):
     k = 6.1
     for n, family in ((1, BasisFamily.SIN_INT), (4, BasisFamily.COS_HALF)):
-        mode = x_modes([n], k, b2, side, family)
+        mode = mode_table([n], k, (I, b2), side, family)
         datum_at_left = 1.0 if side is Side.LEFT else 0.0
         assert abs(boundary_residual(mode, I, 0, k) - datum_at_left) < 1e-10 * (1 + k)
         assert abs(boundary_residual(mode, b2, 1, k) - (1.0 - datum_at_left)) < 1e-10 * (1 + k)
@@ -153,7 +152,7 @@ def test_x_mode_boundary_conditions(b2, side):
 def test_x_mode_ode_residual(b2, side):
     """Fourth-order finite differences of the closed form satisfy the ODE."""
     k, n, family = 8.3, 2, BasisFamily.COS_INT
-    value, _ = row_functions(x_modes([n], k, b2, side, family))
+    value, _ = row_functions(mode_table([n], k, (I, b2), side, family))
     mu = family.eigenvalue(n)
     h = 1e-3
     ts = 0.5 * (1.0 - np.cos(PI * np.arange(33) / 32))
@@ -176,17 +175,17 @@ def test_x_mode_cutoff_theta_values():
     def theta(mode):
         return mode.dnorm_sq[0] + (fam.eigenvalue(n) ** 2 + k * k) * mode.norm_sq[0]
 
-    assert theta(x_modes([n], k, I, Side.LEFT, fam)) == pytest.approx(
+    assert theta(mode_table([n], k, (I, I), Side.LEFT, fam)) == pytest.approx(
         (2 * k**2 + 9) / (3 * k**2 + 12), rel=1e-12
     )
-    assert theta(x_modes([n], k, N, Side.LEFT, fam)) == pytest.approx(2.0, rel=1e-12)
-    assert theta(x_modes([n], k, D, Side.LEFT, fam)) == pytest.approx(
+    assert theta(mode_table([n], k, (I, N), Side.LEFT, fam)) == pytest.approx(2.0, rel=1e-12)
+    assert theta(mode_table([n], k, (I, D), Side.LEFT, fam)) == pytest.approx(
         (2 * k**2 + 3) / (3 * k**2 + 3), rel=1e-12
     )
-    assert theta(x_modes([n], k, N, Side.RIGHT, fam)) == pytest.approx(
+    assert theta(mode_table([n], k, (I, N), Side.RIGHT, fam)) == pytest.approx(
         (2 / 3) * k**2 + 3, rel=1e-12
     )
-    assert theta(x_modes([n], k, D, Side.RIGHT, fam)) == pytest.approx(
+    assert theta(mode_table([n], k, (I, D), Side.RIGHT, fam)) == pytest.approx(
         k**2 * (2 * k**2 + 9) / (3 * (k**2 + 1)), rel=1e-12
     )
 
@@ -195,12 +194,12 @@ def test_x_mode_continuity_across_cutoff():
     fam = BasisFamily.SIN_INT
     n = 2
     mu = fam.eigenvalue(n)
-    cut = x_modes([n], mu, D, Side.LEFT, fam)
+    cut = mode_table([n], mu, (I, D), Side.LEFT, fam)
     assert cut.regime[0] == CUTOFF
     for relgap, tol in ((1e-4, 1e-3), (1e-6, 1e-5)):
         for sign in (+1, -1):
             k = mu * math.sqrt(1.0 + sign * relgap)
-            near = x_modes([n], k, D, Side.LEFT, fam)
+            near = mode_table([n], k, (I, D), Side.LEFT, fam)
             assert near.regime[0] != CUTOFF
             assert abs(near.norm_sq[0] - cut.norm_sq[0]) <= tol * cut.norm_sq[0]
             assert abs(near.dnorm_sq[0] - cut.dnorm_sq[0]) <= tol * cut.dnorm_sq[0]
@@ -214,7 +213,7 @@ def test_x_mode_near_cutoff_norms_match_quadrature():
         for sign in (+1, -1):
             k = mu * math.sqrt(1.0 + sign * relgap)
             for b2, side in CASES:
-                mode = x_modes([n], k, b2, side, fam)
+                mode = mode_table([n], k, (I, b2), side, fam)
                 value, derivative = row_functions(mode)
                 assert abs(mode.norm_sq[0] - quad_norm_sq(value)) <= 1e-10 * mode.norm_sq[0]
                 assert abs(mode.dnorm_sq[0] - quad_norm_sq(derivative)) <= 1e-10 * mode.dnorm_sq[0]
@@ -222,7 +221,7 @@ def test_x_mode_near_cutoff_norms_match_quadrature():
 
 def test_mode_from_amplitudes_matches_lemma_norms():
     k, n, family = 7.7, 1, BasisFamily.COS_INT
-    mode = x_modes([n], k, I, Side.LEFT, family)
+    mode = mode_table([n], k, (I, I), Side.LEFT, family)
     rebuilt = mode_from_amplitudes(k, family.eigenvalue(n), *amplitudes(mode))
     assert len(rebuilt) == 1
     assert rebuilt.norm_sq[0] == pytest.approx(mode.norm_sq[0], rel=1e-12)
@@ -267,7 +266,7 @@ def test_y_mode_cutoff_neumann_polynomial_norms():
     k = 2.5 * PI
     ch = choose_lifting_family(k, N, D)
     assert ch.basis is BasisFamily.COS_HALF
-    mode = y_modes_lifting([2], k, N, D, Side.BOTTOM, ch.basis)  # mu = 2.5*pi = k
+    mode = mode_table([2], k, (N, D), Side.BOTTOM, ch.basis)  # mu = 2.5*pi = k
     assert mode.regime[0] == CUTOFF and mode.sigma[0] == 0
     assert (mode.A[0], mode.B[0]) == (1.0, -1.0)  # Y = 1 - t in the pair {1, t}
     assert mode.norm_sq[0] == pytest.approx(1.0 / 3.0, rel=1e-14)
@@ -278,7 +277,7 @@ def test_y_mode_cutoff_neumann_polynomial_norms():
     # Neumann on both sides at the cutoff is resonant: constants solve the
     # homogeneous problem, and Y'' = 0 has no solution with Y'(0) = -1, Y'(1) = 0.
     with pytest.raises(ResonantLiftingError, match="mode 2 "):
-        y_modes_lifting([2], k, N, N, Side.BOTTOM, BasisFamily.COS_HALF)
+        mode_table([2], k, (N, N), Side.BOTTOM, BasisFamily.COS_HALF)
 
 
 @pytest.mark.parametrize("other", [N, D])
@@ -289,7 +288,7 @@ def test_y_mode_cutoff_dirichlet_polynomial(other, side):
     side is Neumann."""
     k = 2.5 * PI
     bb, bt = (D, other) if side is Side.BOTTOM else (other, D)
-    mode = y_modes_lifting([2], k, bb, bt, side, BasisFamily.COS_HALF)  # mu = 2.5*pi = k
+    mode = mode_table([2], k, (bb, bt), side, BasisFamily.COS_HALF)  # mu = 2.5*pi = k
     value, derivative = row_functions(mode)
     assert mode.regime[0] == CUTOFF and mode.sigma[0] == 0
     alpha = 1.0 if other is N else 0.0
@@ -313,7 +312,7 @@ def test_y_mode_propagating_boundary_residuals():
     for bb, bt in ((N, N), (N, D), (D, N), (D, D)):
         ch = choose_lifting_family(k, bb, bt)
         for n in (0, 1, 2):
-            mode = y_modes_lifting([n], k, bb, bt, Side.BOTTOM, ch.basis)
+            mode = mode_table([n], k, (bb, bt), Side.BOTTOM, ch.basis)
             datum = boundary_residual(mode, bb, 0, k)
             hom = boundary_residual(mode, bt, 1, k)
             assert abs(datum - 1.0) <= 1e-12 * (1 + abs(mode.sigma[0]) + k)
@@ -323,7 +322,7 @@ def test_y_mode_propagating_boundary_residuals():
 def test_y_mode_top_datum_reflection():
     k = 9.1
     ch = choose_lifting_family(k, N, D)
-    mode = y_modes_lifting([1], k, N, D, Side.TOP, ch.basis)
+    mode = mode_table([1], k, (N, D), Side.TOP, ch.basis)
     # datum rides on the top side through the top operator (Dirichlet here)
     assert abs(boundary_residual(mode, D, 1, k) - 1.0) < 1e-12 * (1 + k)
     assert abs(boundary_residual(mode, N, 0, k)) < 1e-12 * (1 + k)
@@ -333,7 +332,7 @@ def test_y_mode_top_datum_reflection():
 def test_y_mode_norms_match_quadrature(bb, bt):
     for k in (0.7, 9.1, 44.0):
         ch = choose_lifting_family(k, bb, bt)
-        table = y_modes_lifting((0, 3, 17), k, bb, bt, Side.BOTTOM, ch.basis)
+        table = mode_table((0, 3, 17), k, (bb, bt), Side.BOTTOM, ch.basis)
         for i in range(len(table)):
             value, derivative = row_functions(table, i)
             assert abs(table.norm_sq[i] - quad_norm_sq(value)) <= 1e-10 * table.norm_sq[i]
@@ -401,7 +400,7 @@ def test_energy_densities_match_mode_assembly():
         b2 = (I, N, D)[int(rng.integers(0, 3))]
         side = Side.LEFT if b2 is I else (Side.LEFT, Side.RIGHT)[int(rng.integers(0, 2))]
         density, code = energy_densities([n], k, b2, side, fam)
-        mode = x_modes([n], k, b2, side, fam)
+        mode = mode_table([n], k, (I, b2), side, fam)
         mu = fam.eigenvalue(n)
         assert density[0] == mode.dnorm_sq[0] + (mu * mu + k * k) * mode.norm_sq[0]
         assert code[0] == mode.regime[0]
@@ -475,9 +474,9 @@ def assert_row_equals(whole, n, one):
         assert np.array_equal(got, want), (field, n)
 
 
-def build_or_error(build, *args):
+def table_or_error(*args):
     try:
-        return build(*args)
+        return mode_table(*args)
     except ValueError as exc:
         return type(exc)
 
@@ -487,7 +486,7 @@ def build_or_error(build, *args):
 @given(k=wavenumbers)
 def test_x_table_rows_match_exact_integrals(family, k):
     for b2, side in X_PROBLEMS:
-        assert_rows_match_exact_integrals(x_modes(range(257), k, b2, side, family))
+        assert_rows_match_exact_integrals(mode_table(range(257), k, (I, b2), side, family))
 
 
 @pytest.mark.parametrize("bb,bt", LIFT_PAIRS)
@@ -496,16 +495,16 @@ def test_x_table_rows_match_exact_integrals(family, k):
 def test_lifting_table_rows_match_exact_integrals(bb, bt, k):
     basis = choose_lifting_family(k, bb, bt).basis
     for side in (Side.BOTTOM, Side.TOP):
-        assert_rows_match_exact_integrals(y_modes_lifting(range(257), k, bb, bt, side, basis))
+        assert_rows_match_exact_integrals(mode_table(range(257), k, (bb, bt), side, basis))
 
 
 @pytest.mark.parametrize("b2,side", X_PROBLEMS)
 @settings(max_examples=3, deadline=None)
 @given(k=wavenumbers, family=st.sampled_from(list(BasisFamily)))
 def test_x_table_equals_one_mode_tables(b2, side, k, family):
-    whole = x_modes(range(257), k, b2, side, family)
+    whole = mode_table(range(257), k, (I, b2), side, family)
     for n in range(257):
-        assert_row_equals(whole, n, x_modes([n], k, b2, side, family))
+        assert_row_equals(whole, n, mode_table([n], k, (I, b2), side, family))
 
 
 @pytest.mark.parametrize("bb,bt", LIFT_PAIRS)
@@ -513,8 +512,8 @@ def test_x_table_equals_one_mode_tables(b2, side, k, family):
 @given(k=wavenumbers, side=st.sampled_from([Side.BOTTOM, Side.TOP]))
 def test_lifting_table_equals_one_mode_tables(bb, bt, k, side):
     basis = choose_lifting_family(k, bb, bt).basis
-    whole = build_or_error(y_modes_lifting, range(257), k, bb, bt, side, basis)
-    ones = [build_or_error(y_modes_lifting, [n], k, bb, bt, side, basis) for n in range(257)]
+    whole = table_or_error(range(257), k, (bb, bt), side, basis)
+    ones = [table_or_error([n], k, (bb, bt), side, basis) for n in range(257)]
     if whole is ResonantLiftingError:
         assert ResonantLiftingError in ones
         return
@@ -552,13 +551,13 @@ def test_sine_tables_are_rows_of_the_cosine_table_of_their_lattice():
     for k in STACK_KS:
         for sin, sin_ns, cos, cos_ns, rows in LATTICES.values():
             for b2, side in ((I, Side.LEFT), (N, Side.LEFT), (D, Side.RIGHT)):
-                assert_rows_equal(x_modes(cos_ns, k, b2, side, cos), rows,
-                                  x_modes(sin_ns, k, b2, side, sin))
+                assert_rows_equal(mode_table(cos_ns, k, (I, b2), side, cos), rows,
+                                  mode_table(sin_ns, k, (I, b2), side, sin))
         for bb, bt in LIFT_PAIRS:
             sin, sin_ns, cos, cos_ns, rows = LATTICES[
                 choose_lifting_family(k, bb, bt).basis.half_integer]
-            whole = build_or_error(y_modes_lifting, cos_ns, k, bb, bt, Side.BOTTOM, cos)
-            part = build_or_error(y_modes_lifting, sin_ns, k, bb, bt, Side.BOTTOM, sin)
+            whole = table_or_error(cos_ns, k, (bb, bt), Side.BOTTOM, cos)
+            part = table_or_error(sin_ns, k, (bb, bt), Side.BOTTOM, sin)
             if ResonantLiftingError in (whole, part):
                 assert whole is part is ResonantLiftingError, (k, bb, bt)
                 continue
@@ -575,14 +574,14 @@ def test_lifting_tables_raise_where_one_mode_builds_raise(bb, bt, lattice, j):
     k = j * PI / 2
     for side in (Side.BOTTOM, Side.TOP):
         failing = [n for n in range(12)
-                   if build_or_error(y_modes_lifting, [n], k, bb, bt, side, lattice)
+                   if table_or_error([n], k, (bb, bt), side, lattice)
                    is ResonantLiftingError]
         if failing:
             with pytest.raises(ResonantLiftingError) as info:
-                y_modes_lifting(range(12), k, bb, bt, side, lattice)
+                mode_table(range(12), k, (bb, bt), side, lattice)
             assert int(re.search(r"mode (\d+) ", str(info.value)).group(1)) in failing
         else:
-            y_modes_lifting(range(12), k, bb, bt, side, lattice)
+            mode_table(range(12), k, (bb, bt), side, lattice)
 
 
 def mp_norms(k, sigma, ops, data):
@@ -628,24 +627,22 @@ def test_table_rows_match_mpmath_through_the_cutoff_band(j):
     mu = j * PI / 2
     n = j // 2
     family = BasisFamily.COS_INT if j % 2 == 0 else BasisFamily.COS_HALF
-    problems = [(x_modes, (b2, side, family), (I, b2), side is Side.LEFT)
-                for b2, side in X_PROBLEMS]
-    problems += [(y_modes_lifting, (bb, bt, side, family), (bb, bt), side is Side.BOTTOM)
-                 for bb, bt in LIFT_PAIRS for side in (Side.BOTTOM, Side.TOP)]
+    problems = [((I, b2), side) for b2, side in X_PROBLEMS]
+    problems += [((bb, bt), side) for bb, bt in LIFT_PAIRS for side in (Side.BOTTOM, Side.TOP)]
     for gap in (0.0, 1e-7, -1e-7, 1e-6, -1e-6, 1e-4, -1e-4):
         k = mu * math.sqrt(1.0 + gap)
-        for build, args, ops, datum_at_0 in problems:
-            if gap == 0 and ops == (N, N):
+        for ends, side in problems:
+            if gap == 0 and ends == (N, N):
                 with pytest.raises(ResonantLiftingError, match=f"mode {n} "):
-                    build([n], k, *args)
+                    mode_table([n], k, ends, side, family)
                 continue
-            table = build([n], k, *args)
+            table = mode_table([n], k, ends, side, family)
             assert float(table.mu[0]) == pytest.approx(mu, rel=1e-15)
             assert (table.sigma[0] == 0) == (gap == 0)
-            data = (1, 0) if datum_at_0 else (0, 1)
-            norm_sq, dnorm_sq = mp_norms(k, complex(table.sigma[0]), ops, data)
+            data = (1, 0) if side in (Side.LEFT, Side.BOTTOM) else (0, 1)
+            norm_sq, dnorm_sq = mp_norms(k, complex(table.sigma[0]), ends, data)
             density = dnorm_sq + (table.mu[0] ** 2 + k * k) * norm_sq
-            case = (gap, build.__name__, args)
+            case = (gap, ends, side)
             assert abs(table.norm_sq[0] - norm_sq) <= 1e-12 * norm_sq, case
             assert abs(table.dnorm_sq[0] - dnorm_sq) <= 1e-12 * density, case
 
@@ -654,33 +651,48 @@ def test_tables_reject_what_one_mode_builds_reject():
     fam = BasisFamily.COS_INT
     basis = choose_lifting_family(3.0, N, D).basis
     bad = [
-        (x_modes, ([2, -1], 3.0, D, Side.LEFT, fam)),
-        (x_modes, ([2], 3.0, D, Side.TOP, fam)),
-        (y_modes_lifting, ([0, -2], 3.0, N, D, Side.BOTTOM, basis)),
-        (y_modes_lifting, ([0], 3.0, N, I, Side.BOTTOM, basis)),
-        (y_modes_lifting, ([0], 3.0, N, D, Side.LEFT, basis)),
+        ([2, -1], 3.0, (I, D), Side.LEFT, fam),
+        ([0, -2], 3.0, (N, D), Side.BOTTOM, basis),
     ]
     for k in (math.nan, math.inf, 0.0, -1.0):
-        bad.append((x_modes, ([1], k, D, Side.LEFT, fam)))
-        bad.append((y_modes_lifting, ([1], k, N, D, Side.BOTTOM, basis)))
-    for build, (ns, *rest) in bad:
+        bad.append(([1], k, (I, D), Side.LEFT, fam))
+        bad.append(([1], k, (N, D), Side.BOTTOM, basis))
+    for ns, *rest in bad:
         with pytest.raises(ValueError):
-            build(ns, *rest)
+            mode_table(ns, *rest)
         with pytest.raises(ValueError):
             for n in ns:
-                build([n], *rest)
+                mode_table([n], *rest)
     # a negative index is named in the error
     with pytest.raises(ValueError, match="got -1"):
-        x_modes([2, -1], 3.0, D, Side.LEFT, fam)
+        mode_table([2, -1], 3.0, (I, D), Side.LEFT, fam)
     with pytest.raises(ValueError, match="got -2"):
-        y_modes_lifting([0, -2], 3.0, N, D, Side.BOTTOM, basis)
+        mode_table([0, -2], 3.0, (N, D), Side.BOTTOM, basis)
+
+
+def test_table_ends_are_operators_or_their_values():
+    fam = BasisFamily.COS_INT
+    assert_rows_equal(mode_table([0, 3], 3.0, ("impedance", "dirichlet"), "left", fam),
+                      slice(None), mode_table([0, 3], 3.0, (I, D), Side.LEFT, fam))
+    with pytest.raises(ValueError, match="^the operator at t = 1 must be one of "):
+        mode_table([1], 3.0, (I, "Dirichlet"), Side.LEFT, fam)
+    with pytest.raises(ValueError, match="^the operator at t = 0 must be one of "):
+        mode_table([1], 3.0, (None, D), Side.BOTTOM, fam)
+    with pytest.raises(ValueError):
+        mode_table([1], 3.0, (N, D, D), Side.BOTTOM, fam)
+
+
+@pytest.mark.parametrize("side", [Side.BOTTOM, Side.TOP])
+def test_energy_densities_refuse_a_horizontal_side(side):
+    with pytest.raises(ValueError, match="LEFT or RIGHT"):
+        energy_densities([1], 3.0, D, side, BasisFamily.COS_INT)
 
 
 def test_empty_tables():
-    table = x_modes([], 3.0, I, Side.LEFT, BasisFamily.COS_INT)
+    table = mode_table([], 3.0, (I, I), Side.LEFT, BasisFamily.COS_INT)
     assert len(table) == 0 and table.norm_sq.shape == (0,)
     basis = choose_lifting_family(3.0, N, D).basis
-    assert len(y_modes_lifting([], 3.0, N, D, Side.TOP, basis)) == 0
+    assert len(mode_table([], 3.0, (N, D), Side.TOP, basis)) == 0
 
 
 @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, -3.0])

@@ -3,11 +3,13 @@ what its comments say."""
 
 import cmath
 import re
+import shlex
+import subprocess
 from pathlib import Path
 
 import pytest
 
-from helmstab import THEOREMS, energy_parseval, evaluate
+from helmstab import THEOREMS, cli, energy_parseval, evaluate
 from helmstab.solver import ProjectionTruncationWarning
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -26,6 +28,24 @@ def test_readme_quickstart_runs():
     w = namespace["w"]
     assert abs(-evaluate(w, [(0.5, 0.0)])[2][0] - 1.0) < 1e-10
     assert [t.side.value for t in w.tails] == ["right", "left"]
+
+
+@pytest.mark.filterwarnings("ignore::helmstab.solver.ProjectionTruncationWarning")
+def test_readme_command_line_block_runs(tmp_path, monkeypatch):
+    """Every line of the README's command-line block exits 0, in order, in
+    one directory: `helmstab` lines through cli.run, the others in sh."""
+    blocks = [block for block in re.findall(r"```sh\n(.*?)```",
+                                            README.read_text(encoding="utf-8"), re.S)
+              if block.startswith("helmstab ")]
+    assert len(blocks) == 1, "the README has no one command-line block"
+    monkeypatch.chdir(tmp_path)
+    lines = [line for line in blocks[0].splitlines() if line.strip()]
+    assert sum(line.startswith("helmstab ") for line in lines) == 8
+    for line in lines:
+        if line.startswith("helmstab "):
+            assert cli.run(shlex.split(line, comments=True)[1:]) == 0, line
+        else:
+            subprocess.run(line, shell=True, cwd=tmp_path, check=True)
 
 
 def test_readme_lists_every_theorem_alias():

@@ -34,7 +34,7 @@ from helmstab.modal1d import (
     ModeTable,
     Side,
     choose_lifting_family,
-    y_modes_lifting,
+    mode_table,
     _apply,
 )
 from helmstab.solver import (
@@ -122,6 +122,27 @@ def test_config_validation():
         BoundaryConfig(bottom=D, right=D, top=D, left=D)
     cfg = BoundaryConfig(bottom=D, right=I, top=N)
     assert cfg.vertical_family() is BasisFamily.SIN_HALF
+
+
+def test_config_operators_given_by_value_solve_the_same_problem():
+    """An operator given by its value is that operator, on every side: a
+    "dirichlet" right side is solved as Dirichlet, not as impedance."""
+    by_value = BoundaryConfig("neumann", "dirichlet", "dirichlet", "impedance")
+    assert by_value == BoundaryConfig(N, D, D)
+    assert all(isinstance(by_value.operator(side), BoundaryOperator) for side in Side)
+    g = Spectrum.from_pairs(BasisFamily.COS_HALF, [(0, 1.0)])
+    energy = energy_parseval(solve_datum(by_value, Side.LEFT, g, 4.0)).energy
+    assert energy == energy_parseval(solve_datum(BoundaryConfig(N, D, D), Side.LEFT, g, 4.0)).energy
+    assert energy != energy_parseval(solve_datum(BoundaryConfig(N, I, D), Side.LEFT, g, 4.0)).energy
+
+
+@pytest.mark.parametrize("side,args", [("bottom", ("Neumann", D, D)),
+                                       ("right", (N, "dirichlet ", D)),
+                                       ("top", (N, D, 1)),
+                                       ("left", (N, D, D, None))])
+def test_config_refuses_what_is_no_operator_by_side(side, args):
+    with pytest.raises(ValueError, match=f"^the {side} operator must be one of "):
+        BoundaryConfig(*args)
 
 
 # --------------------------------------------------------------------------
@@ -414,7 +435,7 @@ def test_lifting_profiles_are_real_up_to_roundoff(b_bottom, b_top):
         family = choose_lifting_family(k, b_bottom, b_top).basis
         ns = np.arange(default_projection_depth(k) + 1)
         for side in (Side.BOTTOM, Side.TOP):
-            table = y_modes_lifting(ns, k, b_bottom, b_top, side, family)
+            table = mode_table(ns, k, (b_bottom, b_top), side, family)
             cutoff_rows += np.count_nonzero(table.regime == CUTOFF)
             for f in table.value_and_derivative(t):
                 peak = np.max(np.abs(f), axis=1)  # 0 for Y' = 0 at a Neumann cutoff
