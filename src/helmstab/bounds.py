@@ -3,7 +3,8 @@
 Each certified inequality bounds the energy ||grad u|| + k ||u|| by an
 explicit k-power times data norms.  Certificates compare the modal energy of
 an assembled solution against the bound; sharpness cases rebuild the
-closed-form extremal examples and their exact energies.
+closed-form extremal examples and their exact energies, and give the
+verdict on a solve of one.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .modal1d import (
 )
 from .solver import (
     BoundaryConfig,
+    EnergyReport,
     SourceTable,
     solve_datum,
     solve_source,
@@ -162,13 +164,15 @@ def certify(
     `data` is a Spectrum for the boundary theorems and a list of
     (mode, profile) pairs for the source theorem.  The datum side is implied
     by the theorem; all other sides are homogeneous.  A datum mode above
-    `truncation` raises ValueError from the solve instead of being dropped.
+    `truncation` raises ValueError from the solve instead of being dropped,
+    and so does data the certificate would pass vacuously (_check_data).
     The solve's block is certified by _certificate as one row, the way a
     sweep certifies all its trials.
     """
     k = _check_wavenumber(k)
     row = THEOREMS[theorem]
     _check_operators(theorem, config)
+    _check_data(theorem, data)
     block = (solve_source(data, config, k, truncation) if row.side is None
              else solve_datum(config, row.side, data, k, truncation)).blocks[0]
     w = np.abs(block.c) ** 2
@@ -199,6 +203,17 @@ def _check_operators(theorem: TheoremId, config: BoundaryConfig) -> None:
         if want is not None and getattr(config, name) is not want:
             raise ValueError(f"{theorem.value} requires the {name} operator {want.value}, "
                              f"got {getattr(config, name).value}")
+
+
+def _check_data(theorem: TheoremId, data) -> None:
+    """Raise ValueError naming the theorem for data whose certificate
+    would read 0 <= 0, a pass that checks nothing: a source with no mode,
+    or a datum with no nonzero coefficient.  None is no data."""
+    if THEOREMS[theorem].side is None:
+        if not data:
+            raise ValueError(f"{theorem.value} certifies a source; none given")
+    elif data is None or not np.any(data.c):
+        raise ValueError(f"{theorem.value} certifies a nonzero datum on this side; none given")
 
 
 # --------------------------------------------------------------------------
@@ -245,9 +260,15 @@ EXAMPLES: dict[str, Example] = {
 SHARPNESS_IDS = tuple(EXAMPLES)
 
 
+#: The relative difference within which a sharpness solve matches its case.
+SHARPNESS_RTOL = 1e-8
+
+
 @dataclass(frozen=True)
 class SharpnessCase:
-    """One closed-form extremal example: its problem and its exact energy."""
+    """One closed-form extremal example: its problem, its exact `expected`
+    value (the energy, or for a detuned case grad^2 + k^2 l2^2) and, for a
+    detuned case only, the `lower_bound` of its energy."""
 
     case_id: str
     n: int
@@ -255,9 +276,19 @@ class SharpnessCase:
     theorem: TheoremId
     config: BoundaryConfig
     datum: Spectrum
-    expected_energy: Optional[float]
-    expected_energy_sq: Optional[float]  # grad^2 + k^2 l2^2 for the >=-bounded cases
+    expected: float
     lower_bound: Optional[float]
+
+    def verdict(self, rep: EnergyReport) -> tuple[float, float, bool]:
+        """The solve's value of `expected` from its energy report, the
+        relative difference between the two, and whether that is at most
+        SHARPNESS_RTOL and the energy reaches any `lower_bound`."""
+        computed = (rep.energy if self.lower_bound is None
+                    else rep.grad_norm**2 + self.k**2 * rep.l2_norm**2)
+        rel = abs(computed - self.expected) / self.expected
+        passed = rel <= SHARPNESS_RTOL and (self.lower_bound is None
+                                            or rep.energy >= self.lower_bound)
+        return computed, rel, passed
 
     @property
     def data_side(self) -> Side:
@@ -293,9 +324,9 @@ def sharpness_case(case_id: str, n: int,
     w = theta + 1.0 / theta if row.detuned else (_PI / 2.0 if row.far is _N else _PI)
     k = math.sqrt(mu * mu + w * w)
     energy = row.energy(k, mu, math.sqrt((k - mu) * (k + mu)))
-    expected, expected_sq, lower = (None, *energy) if row.detuned else (energy, None, None)
+    expected, lower = energy if row.detuned else (energy, None)
     return SharpnessCase(case_id, n, k, row.theorem, cfg, Spectrum.from_pairs(family, [(n, 1.0)]),
-                         expected, expected_sq, lower)
+                         expected, lower)
 
 
 # --------------------------------------------------------------------------

@@ -9,6 +9,7 @@ mismatch, 1 usage/config errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -27,6 +28,7 @@ from .bounds import (
     certify,
     sharpness_case,
     sweep,
+    _check_data,
     _check_sweep,
 )
 from .eigenbasis import BasisFamily, BoundaryOperator, Spectrum, project, _zero_member
@@ -49,6 +51,16 @@ from .solver import (
 
 class ConfigError(ValueError):
     """Malformed run configuration; message carries the field path."""
+
+
+@contextlib.contextmanager
+def _field(path: str):
+    """Name `path`, a config field or a `--` flag, in a ValueError its body
+    raises: as a ConfigError for a field, a ValueError for a flag."""
+    try:
+        yield
+    except ValueError as exc:
+        raise (ValueError if path.startswith("--") else ConfigError)(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -80,10 +92,8 @@ def parse_run_config(doc: dict) -> RunConfig:
         k = float(raw_k)
     except (TypeError, ValueError):
         raise not_a_number from None
-    try:
+    with _field("config.k"):
         _check_wavenumber(k)
-    except ValueError as exc:
-        raise ConfigError(f"config.k: {exc}") from None
 
     bdoc = doc.get("boundary")
     if not isinstance(bdoc, dict):
@@ -102,10 +112,8 @@ def parse_run_config(doc: dict) -> RunConfig:
                 f"config.boundary.{name}: unknown operator {raw!r} "
                 f"(expected one of {sorted(op.value for op in BoundaryOperator)})"
             ) from None
-    try:
+    with _field("config.boundary"):
         config = BoundaryConfig(ops["bottom"], ops["right"], ops["top"], ops["left"])
-    except ValueError as exc:
-        raise ConfigError(f"config.boundary: {exc}") from None
 
     cap = eigenbasis.MAX_MODE
     truncation = doc.get("truncation")
@@ -196,8 +204,8 @@ def _parse_datum(path: str, raw, cap: int, family: BasisFamily, depth: int) -> S
     if isinstance(raw, str):
         if raw.startswith("mode:"):
             n = _mode_index(path, raw[len("mode:"):], cap)
-            _check_member(path, family, n)
-            return Spectrum.from_pairs(family, [(n, 1.0)])
+            with _field(path):  # a zero member
+                return Spectrum.from_pairs(family, [(n, 1.0)])
         if raw.startswith("constant:"):
             try:
                 values = [float(v) for v in raw[len("constant:"):].split(",")]
@@ -222,10 +230,8 @@ def _parse_datum(path: str, raw, cap: int, family: BasisFamily, depth: int) -> S
                 raise ConfigError(f"{path}[{i}]: coefficient is not a number") from None
             if triples[-1][1] != 0:
                 _check_member(f"{path}[{i}]", family, n)
-        try:
+        with _field(path):  # a non-finite coefficient
             return Spectrum.from_pairs(family, triples)
-        except ValueError as exc:  # a non-finite coefficient
-            raise ConfigError(f"{path}: {exc}") from None
     raise ConfigError(f"{path}: expected a triple list or a named datum string")
 
 
@@ -260,12 +266,6 @@ def _write_csv(path: str, t: np.ndarray, values: np.ndarray) -> None:
             fh.write(template % tuple(fields))
 
 
-def _write_samples(path: str, u: SeriesSolution, grid: int) -> None:
-    """The CSV of u on the grid x, y = linspace(0, 1, grid)."""
-    t = np.linspace(0.0, 1.0, grid)
-    _write_csv(path, t, _grid_values(u, t, t))
-
-
 def _write_report(path: Optional[str], payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if path:
@@ -286,21 +286,8 @@ def _energy_payload(u: SeriesSolution, grid: int) -> dict:
     return payload
 
 
-def _norms_payload(report) -> dict:
-    """The data norms, a norm the theorem does not use (NaN) as null."""
-    return {name: None if math.isnan(v) else v for name, v in vars(report).items()}
-
-
-def _diagnostics_payload(u: SeriesSolution) -> dict:
-    """How far to trust the answer: each residual trace's projection tail."""
-    return {
-        "projection_tail": [
-            {"side": t.side.value, "depth": t.depth, "tail": t.fraction} for t in u.tails
-        ],
-    }
-
-
 def _certificate_payload(cert) -> dict:
+    norms = vars(cert.datum_norms)
     return {
         "theorem": cert.theorem.value,
         "k": cert.k,
@@ -308,18 +295,9 @@ def _certificate_payload(cert) -> dict:
         "rhs": cert.rhs,
         "ratio": cert.ratio,
         "pass": cert.passed,
-        "norms": _norms_payload(cert.datum_norms),
+        # a norm the theorem does not use (NaN) is null
+        "norms": {name: None if math.isnan(v) else v for name, v in norms.items()},
     }
-
-
-def _load_config(path: str) -> RunConfig:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from None
-    return parse_run_config(doc)
 
 
 def _theorem(tag: str) -> TheoremId:
@@ -338,64 +316,59 @@ def _theorem(tag: str) -> TheoremId:
 # --------------------------------------------------------------------------
 
 
-def _cmd_solve(args) -> int:
-    run = _load_config(args.config)
+def _cmd_config(args) -> int:
+    """The one path of solve, certify, lift and oracle: load the config and
+    run the command's body.  A body that solves returns its solution, whose
+    projection tails the report carries as diagnostics (how far to trust
+    the answer); a command with a CSV samples it on the grid x, y =
+    linspace(0, 1, grid).  The report gets the seed; exits 2 if it failed."""
+    try:
+        doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {args.config}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file is not valid JSON: {exc}") from None
+    run = parse_run_config(doc)
+    payload, u = args.body(run, args)
+    if u is not None:
+        payload["diagnostics"] = {"projection_tail": [
+            {"side": t.side.value, "depth": t.depth, "tail": t.fraction} for t in u.tails]}
+    if "csv" in args:
+        payload["csv"] = args.csv or run.outputs.get("csv")
+        if payload["csv"]:
+            t = np.linspace(0.0, 1.0, run.grid)
+            _write_csv(payload["csv"], t, _grid_values(u, t, t))
+    payload["seed"] = run.seed
+    _write_report(args.report or run.outputs.get("report"), payload)
+    return 0 if payload.get("pass", True) else 2
+
+
+def _solve(run: RunConfig, args) -> tuple[dict, SeriesSolution]:
     u = solve_problem(run.config, run.data, run.k, run.source, run.truncation)
-    csv_path = args.csv or run.outputs.get("csv")
-    if csv_path:
-        _write_samples(csv_path, u, run.grid)
-    payload = {
+    return {
         "command": "solve",
         "k": run.k,
         "truncation": u.truncation,
         "terms": len(u.modes),
         "grid": run.grid,
-        "seed": run.seed,
         "energy": _energy_payload(u, run.grid),
-        "csv": csv_path,
-        "diagnostics": _diagnostics_payload(u),
-    }
-    _write_report(args.report or run.outputs.get("report"), payload)
-    return 0
+    }, u
 
 
-def _cmd_certify(args) -> int:
-    run = _load_config(args.config)
+def _certify(run: RunConfig, args) -> tuple[dict, None]:
     theorem = _theorem(args.theorem)
     side = THEOREMS[theorem].side
-    # Without a datum the certificate reads 0 <= 0: a pass that checks nothing.
-    if side is None:
-        data = run.source
-        if data is None:
-            raise ConfigError(f"config.source: {theorem.value} certifies a source; none given")
-    else:
-        data = run.data.get(side)
-        if data is None or not np.any(data.c):
-            raise ConfigError(f"config.data.{side.value}: {theorem.value} certifies a nonzero "
-                              f"datum on this side; none given")
-    cert = certify(theorem, run.config, data, run.k, run.truncation)
-    payload = _certificate_payload(cert)
-    payload["seed"] = run.seed
-    _write_report(args.report or run.outputs.get("report"), payload)
-    return 0 if cert.passed else 2
+    data = run.source if side is None else run.data.get(side)
+    with _field("config.source" if side is None else f"config.data.{side.value}"):
+        _check_data(theorem, data)
+    return _certificate_payload(certify(theorem, run.config, data, run.k, run.truncation)), None
 
 
 def _cmd_sharpness(args) -> int:
     family = BasisFamily(args.family)
     case = sharpness_case(args.case, args.n, family)
     rep = energy_parseval(solve_datum(case.config, case.data_side, case.datum, case.k))
-    if case.expected_energy is not None:
-        expected = case.expected_energy
-        computed = rep.energy
-        rel = abs(computed - expected) / expected
-        ok = rel <= 1e-8
-        extra = {}
-    else:
-        expected = case.expected_energy_sq
-        computed = rep.grad_norm**2 + case.k**2 * rep.l2_norm**2
-        rel = abs(computed - expected) / expected
-        ok = rel <= 1e-8 and rep.energy >= case.lower_bound
-        extra = {"lower_bound": case.lower_bound, "energy": rep.energy}
+    computed, rel, passed = case.verdict(rep)
     payload = {
         "command": "sharpness",
         "case": case.case_id,
@@ -403,22 +376,15 @@ def _cmd_sharpness(args) -> int:
         "family": family.value,
         "k": case.k,
         "theorem": case.theorem.value,
-        "expected": expected,
+        "expected": case.expected,
         "computed": computed,
         "relative_difference": rel,
-        "pass": ok,
-        **extra,
+        "pass": passed,
     }
+    if case.lower_bound is not None:
+        payload.update(lower_bound=case.lower_bound, energy=rep.energy)
     _write_report(args.report, payload)
-    return 0 if ok else 2
-
-
-def _check_wavenumbers(flag: str, ks) -> None:
-    for k in ks:
-        try:
-            _check_wavenumber(k)
-        except ValueError as exc:
-            raise ValueError(f"{flag}: {exc}") from None
+    return 0 if passed else 2
 
 
 def _cmd_sweep(args) -> int:
@@ -435,7 +401,8 @@ def _cmd_sweep(args) -> int:
             k_grid = [float(v) for v in k_list.split(",")]
         except ValueError:
             raise ValueError(f"--k-list must be comma-separated numbers, got {k_list!r}") from None
-        _check_wavenumbers("--k-list", k_grid)
+        with _field("--k-list"):
+            _check_wavenumber(k_grid)
     else:
         k_min = 0.05 if args.k_min is None else args.k_min
         k_max = 200.0 if args.k_max is None else args.k_max
@@ -443,8 +410,9 @@ def _cmd_sweep(args) -> int:
         # A sweep of no wavenumbers would pass vacuously.
         if k_count < 1:
             raise ValueError(f"--k-count must be at least 1, got {k_count}")
-        _check_wavenumbers("--k-min", [k_min])
-        _check_wavenumbers("--k-max", [k_max])
+        for flag, k in (("--k-min", k_min), ("--k-max", k_max)):
+            with _field(flag):
+                _check_wavenumber(k)
         k_grid = list(np.geomspace(k_min, k_max, k_count))
     _check_sweep(theorem, k_grid, args.modes, args.trials, args.seed, prefix="--")
     report = sweep(theorem, k_grid, modes=args.modes, trials=args.trials, seed=args.seed)
@@ -466,16 +434,12 @@ def _cmd_sweep(args) -> int:
     return 0 if report.all_passed else 2
 
 
-def _cmd_lift(args) -> int:
-    run = _load_config(args.config)
+def _lift(run: RunConfig, args) -> tuple[dict, SeriesSolution]:
     if Side.BOTTOM not in run.data and Side.TOP not in run.data:
         raise ConfigError("config.data: lift needs a bottom or top datum")
     u, residual_right, residual_left = lift(run.config, run.data, run.k, run.truncation)
-    csv_path = args.csv or run.outputs.get("csv")
-    if csv_path:
-        _write_samples(csv_path, u, run.grid)
     choice = choose_lifting_family(run.k, run.config.bottom, run.config.top)
-    payload = {
+    return {
         "command": "lift",
         "k": run.k,
         "eigenvalue_family": "half-integer" if choice.basis.half_integer else "integer",
@@ -485,18 +449,16 @@ def _cmd_lift(args) -> int:
         "residual_right": [[n, c.real, c.imag] for n, c in residual_right],
         "residual_left": [[n, c.real, c.imag] for n, c in residual_left],
         "energy": _energy_payload(u, run.grid),
-        "csv": csv_path,
-        "seed": run.seed,
-        "diagnostics": _diagnostics_payload(u),
-    }
-    _write_report(args.report or run.outputs.get("report"), payload)
-    return 0
+    }, u
 
 
 def _cmd_oracle(args) -> int:
-    if args.n is not None and args.n < 17:
+    if args.n is not None and args.n < 17:  # before the config is read
         raise ValueError(f"--n: oracle grids start at 17x17, got {args.n}")
-    run = _load_config(args.config)
+    return _cmd_config(args)
+
+
+def _oracle(run: RunConfig, args) -> tuple[dict, SeriesSolution]:
     u = solve_problem(run.config, run.data, run.k, run.source, run.truncation)
     n = max(run.grid, 65) if args.n is None else args.n
     fsrc = None
@@ -509,7 +471,7 @@ def _cmd_oracle(args) -> int:
 
     gs = fdm_solve(run.config, run.data, fsrc, run.k, n)
     comparison = compare(u, gs)
-    payload = {
+    return {
         "command": "oracle",
         "k": run.k,
         "grid_n": n,
@@ -517,11 +479,7 @@ def _cmd_oracle(args) -> int:
         "max_abs": comparison.max_abs,
         "rel_l2": comparison.rel_l2,
         "fdm_energy": fdm_energy(gs).energy,
-        "seed": run.seed,
-        "diagnostics": _diagnostics_payload(u),
-    }
-    _write_report(args.report or run.outputs.get("report"), payload)
-    return 0
+    }, u
 
 
 _SELFTEST_CONFIG = {
@@ -563,8 +521,7 @@ def _cmd_selftest(args) -> int:
     checks.append(("certificate", cert.passed))
     case = sharpness_case("ex2.3-2", 2)
     sol = solve_datum(case.config, case.data_side, case.datum, case.k)
-    rel = abs(energy_parseval(sol).energy - case.expected_energy) / case.expected_energy
-    checks.append(("sharpness", rel < 1e-9))
+    checks.append(("sharpness", case.verdict(energy_parseval(sol))[2]))
     for name, ok in checks:
         print(f"{name}: {'ok' if ok else 'FAIL'}")
     return 0 if all(ok for _, ok in checks) else 2
@@ -596,13 +553,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--csv")
     p.add_argument("--report")
-    p.set_defaults(func=_cmd_solve)
+    p.set_defaults(func=_cmd_config, body=_solve)
 
     p = sub.add_parser("certify", help="check one stability bound")
     p.add_argument("--theorem", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--report")
-    p.set_defaults(func=_cmd_certify)
+    p.set_defaults(func=_cmd_config, body=_certify)
 
     p = sub.add_parser("sharpness", help="reproduce one sharpness example")
     p.add_argument("--case", required=True, choices=SHARPNESS_IDS)
@@ -629,13 +586,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--csv")
     p.add_argument("--report")
-    p.set_defaults(func=_cmd_lift)
+    p.set_defaults(func=_cmd_config, body=_lift)
 
     p = sub.add_parser("oracle", help="finite-difference cross-validation")
     p.add_argument("--config", required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--report")
-    p.set_defaults(func=_cmd_oracle)
+    p.set_defaults(func=_cmd_oracle, body=_oracle)
 
     p = sub.add_parser("selftest", help="quick internal consistency battery")
     p.add_argument("--dump-config", help="write a canonical example config")

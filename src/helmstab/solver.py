@@ -461,6 +461,10 @@ def _caller_stacklevel() -> int:
 SOURCE_PANELS = 48
 #: Rows of a SourceTable built at once; the work arrays take about 0.3 MB a row.
 _SOURCE_CHUNK = 8
+#: A callable source keeps the modes whose largest sample exceeds this share
+#: of the largest sample of any mode: its projection leaves roundoff, about
+#: 1e-16 of that, in every mode the source does not have.
+CALLABLE_SOURCE_FLOOR = 1e-12
 
 _KERNEL_NODES, _KERNEL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _H = 1.0 / SOURCE_PANELS
@@ -661,11 +665,12 @@ def solve_source(
     Requires the right side Dirichlet (the impedance side is always the
     left).  `f` is either a list of (mode, profile callable) pairs giving the
     source's expansion over the vertical eigenbasis, or a callable f(x, y)
-    projected onto that basis at every panel node.  Either way each mode's
-    profile is sampled on the panel nodes, once.  A listed mode above
-    `truncation`, or on the family's zero member, raises ValueError.  The
-    block's profiles are one SourceTable, whose samples `f` also give the
-    source norm (f_norm_sq).
+    projected onto that basis at every panel node, whose modes at or below
+    CALLABLE_SOURCE_FLOOR of the largest are roundoff and dropped.  Either
+    way each mode's profile is sampled on the panel nodes, once.  A listed
+    mode above `truncation`, or on the family's zero member, raises
+    ValueError.  The block's profiles are one SourceTable, whose samples `f`
+    also give the source norm (f_norm_sq).
     """
     if config.right is not BoundaryOperator.DIRICHLET:
         raise ValueError("the source bound is stated for a Dirichlet right side")
@@ -677,7 +682,8 @@ def solve_source(
         t, _ = quadrature_rule(n_cap)
         samples = _coefficients(_sample(f, _NODES.reshape(-1, 1), t, what="the source f"),
                                 family, n_cap)
-        ns = np.flatnonzero(np.any(samples != 0, axis=0))
+        size = np.max(np.abs(samples), axis=0)
+        ns = np.flatnonzero(size > CALLABLE_SOURCE_FLOOR * size.max())
         profiles = samples[:, ns].T
     else:
         ns, profiles = _listed_source(f, family)

@@ -32,6 +32,7 @@ from helmstab.eigenbasis import (
 from helmstab.modal1d import ModeTable, Side, choose_lifting_family, mode_table
 from helmstab.solver import (
     BoundaryConfig,
+    EnergyReport,
     SourceTable,
     energy_parseval,
     energy_quadrature,
@@ -117,10 +118,19 @@ def test_certify_plane_wave():
     assert cert.rhs == pytest.approx(math.sqrt(12) * k * 2 * k, rel=1e-12)
 
 
-def test_certify_zero_data():
-    cfg = BoundaryConfig(bottom=N, right=I, top=N)
-    cert = certify(TheoremId.T1_G4, cfg, Spectrum.zero(BasisFamily.COS_INT), 2.0)
-    assert cert.passed and cert.lhs == 0.0 and cert.ratio == 0.0
+@pytest.mark.parametrize("theorem,cfg,data", [
+    (TheoremId.T1_G4, BoundaryConfig(N, I, N), Spectrum.zero(BasisFamily.COS_INT)),
+    (TheoremId.T1_G4, BoundaryConfig(N, I, N),
+     Spectrum.from_pairs(BasisFamily.COS_INT, [(0, 0.0), (3, 0.0)])),
+    (TheoremId.T3_LIFT_DIR, BoundaryConfig(D, D, N), Spectrum.zero(BasisFamily.SIN_INT)),
+    (TheoremId.TF_SOURCE, BoundaryConfig(D, D, D), []),
+], ids=["T1-zero", "T1-zero-coefficients", "T3_DIR-zero", "TF-no-mode"])
+def test_certify_zero_data(theorem, cfg, data):
+    """A datum with no nonzero coefficient, or a source with no mode,
+    would certify 0 <= 0, a pass that checks nothing: certify refuses it,
+    naming the theorem."""
+    with pytest.raises(ValueError, match=rf"^{theorem.value} certifies a "):
+        certify(theorem, cfg, data, 3.0)
 
 
 def test_certify_example_ratio():
@@ -184,17 +194,18 @@ def test_sharpness_case_side_is_its_theorems_side():
 def test_sharpness_case_values():
     case = sharpness_case("ex2.3-2", 1, BasisFamily.SIN_INT)
     assert case.k == pytest.approx(math.sqrt(PI**2 + PI**2 / 4), rel=1e-15)
-    assert case.expected_energy == pytest.approx(2 * math.sqrt(2) / PI * case.k, rel=1e-15)
+    assert case.expected == pytest.approx(2 * math.sqrt(2) / PI * case.k, rel=1e-15)
+    assert case.lower_bound is None
 
     case = sharpness_case("ex2.5-dirichlet", 3)
-    assert case.expected_energy == pytest.approx(
+    assert case.expected == pytest.approx(
         math.sqrt(2) / PI * math.sqrt(case.k**4 + PI**2 * case.k**2), rel=1e-15
     )
 
     case = sharpness_case("ex2.3-1", 1, BasisFamily.SIN_INT)
     k = math.sqrt(2) * PI
     assert case.k == pytest.approx(k, rel=1e-15)
-    assert case.expected_energy == pytest.approx(
+    assert case.expected == pytest.approx(
         (math.sqrt(2) / 2) * k * math.sqrt(1 / PI**2 + 1 / k**2), rel=1e-15
     )
 
@@ -246,12 +257,29 @@ def test_sharpness_cases_hold_up_to_the_mode_cap(n):
     for case_id in SHARPNESS_IDS:
         case = sharpness_case(case_id, n)
         rep = energy_parseval(solve_datum(case.config, case.data_side, case.datum, case.k))
-        if case.expected_energy is not None:
-            assert rep.energy == pytest.approx(case.expected_energy, rel=1e-5), case_id
-        else:
-            esq = rep.grad_norm**2 + case.k**2 * rep.l2_norm**2
-            assert esq == pytest.approx(case.expected_energy_sq, rel=1e-8), case_id
+        computed = case.verdict(rep)[0]
+        rel = 1e-5 if case.lower_bound is None else 1e-8
+        assert computed == pytest.approx(case.expected, rel=rel), case_id
+        if case.lower_bound is not None:
             assert rep.energy >= case.lower_bound
+
+
+@pytest.mark.parametrize("case_id", SHARPNESS_IDS)
+def test_sharpness_verdict_can_fail(case_id):
+    """The verdict passes each case's solve at n = 1 and 7 and fails it
+    with every norm of its energy report 1e-7 too large; a detuned case
+    also fails on an energy just below its lower bound, which only it has."""
+    for n in (1, 7):
+        case = sharpness_case(case_id, n)
+        rep = energy_parseval(solve_datum(case.config, case.data_side, case.datum, case.k))
+        assert case.verdict(rep)[2], (case_id, n)
+        off = EnergyReport(*(v * (1.0 + 1e-7) for v in dataclasses.astuple(rep)))
+        assert not case.verdict(off)[2], (case_id, n)
+        assert (case.lower_bound is None) is (case_id not in ("lift-dn", "lift-dd"))
+        if case.lower_bound is not None:
+            below = dataclasses.replace(rep, energy=math.nextafter(case.lower_bound, 0.0))
+            assert case.verdict(below)[:2] == case.verdict(rep)[:2]
+            assert not case.verdict(below)[2], (case_id, n)
 
 
 @pytest.mark.parametrize("case_id", SHARPNESS_IDS)
@@ -264,11 +292,10 @@ def test_sharpness_transcription_consistency(case_id):
             case = sharpness_case(case_id, n, fam)
             exact = exact_solution(case)
             rep = energy_parseval(exact)
-            if case.expected_energy is not None:
-                assert rep.energy == pytest.approx(case.expected_energy, rel=1e-11)
-            else:
-                esq = rep.grad_norm**2 + case.k**2 * rep.l2_norm**2
-                assert esq == pytest.approx(case.expected_energy_sq, rel=1e-10)
+            computed = case.verdict(rep)[0]
+            rel = 1e-11 if case.lower_bound is None else 1e-10
+            assert computed == pytest.approx(case.expected, rel=rel)
+            if case.lower_bound is not None:
                 assert rep.energy >= case.lower_bound
             sol = solve_datum(case.config, case.data_side, case.datum, case.k)
             pts = [(x, y) for x in np.linspace(0, 1, 5) for y in np.linspace(0, 1, 5)]

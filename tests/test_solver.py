@@ -960,6 +960,26 @@ def test_solve_source_callable_matches_modal(n, fx, k):
     assert abs(energy_parseval(u_callable).energy - want) <= 1e-13 * want
 
 
+@pytest.mark.parametrize("k", [5.0, 60.0])
+def test_callable_source_drops_roundoff_modes(k, monkeypatch):
+    """f = sin(120x) Z_1(y) projects to mode 1 plus roundoff in every other
+    mode up to the truncation (18 rows at k = 5, 36 at k = 60, each with
+    sqrt(f_norm_sq) at most 1.6e-16 against 0.706): only mode 1 is kept,
+    and the dropped rows hold below 1e-28 of ||f||^2."""
+    cfg = BoundaryConfig(bottom=N, right=D, top=N)
+    fam = cfg.vertical_family()
+
+    def f(x, y):
+        return _sin120(x) * basis_value(fam, 1, y)
+
+    assert solve_source(f, cfg, k).modes.tolist() == [1]
+    monkeypatch.setattr(solver, "CALLABLE_SOURCE_FLOOR", 0.0)
+    every = solve_source(f, cfg, k)
+    norms = every.blocks[0].profiles.f_norm_sq
+    assert len(every.modes) > 1
+    assert math.fsum(norms[every.modes != 1]) < 1e-28 * math.fsum(norms)
+
+
 def test_source_energy_bound_random():
     rng = np.random.default_rng(5)
     for k in (0.5, 1.0, 5.0, 20.0):

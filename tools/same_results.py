@@ -16,7 +16,8 @@ so relative output paths echo the same in both reports:
 - lift reports and CSVs of the four (bottom, top) pairs at k = 3.2 and 3.5,
   which cover the four lifting cases, and of the five pipeline configs
 - solve reports and CSVs and oracle reports of the five pipeline configs
-- sharpness reports of all nine cases at n = 1 and 7
+- sharpness reports of all nine cases at n = 1 and 7, and at n = 10000,
+  where five of them fail and exit 2
 - selftest, the one command that reaches solver.evaluate, and the config
   that `selftest --dump-config` writes
 
@@ -116,7 +117,7 @@ def runs(configs: Path) -> list[tuple[list[str], list[str]]]:
         out.append((["oracle", "--config", str(configs / f"{name}.json"),
                      "--report", f"oracle-{name}.json"], [f"oracle-{name}.json"]))
     for case in CASES:
-        for n in ("1", "7"):
+        for n in ("1", "7", "10000"):
             report = f"sharpness-{case}-{n}.json"
             out.append((["sharpness", "--case", case, "--n", n, "--report", report], [report]))
     out.append((["selftest"], []))
