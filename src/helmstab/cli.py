@@ -461,15 +461,7 @@ def _cmd_oracle(args) -> int:
 def _oracle(run: RunConfig, args) -> tuple[dict, SeriesSolution]:
     u = solve_problem(run.config, run.data, run.k, run.source, run.truncation)
     n = max(run.grid, 65) if args.n is None else args.n
-    fsrc = None
-    if run.source is not None:
-        family = run.config.vertical_family()
-
-        def fsrc(x, y):
-            return sum(np.asarray(fx(x), dtype=complex) * eigenbasis.basis_value(family, m, y)
-                       for m, fx in run.source)
-
-    gs = fdm_solve(run.config, run.data, fsrc, run.k, n)
+    gs = fdm_solve(run.config, run.data, run.source, run.k, n)
     comparison = compare(u, gs)
     return {
         "command": "oracle",

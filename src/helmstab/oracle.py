@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .solver import (
     SeriesSolution,
     _energy_report,
     _grid_values,
+    _source_grid,
 )
 
 
@@ -119,7 +120,7 @@ def _solve_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
 def fdm_solve(
     config: BoundaryConfig,
     data: Optional[Mapping[Side, object]] = None,
-    f: Optional[Callable[[float, float], complex]] = None,
+    f=None,
     k: float = 1.0,
     n: int = 65,
 ) -> GridSolution:
@@ -128,7 +129,8 @@ def fdm_solve(
     `data` maps sides to boundary data (callable of the arclength coordinate,
     or a Spectrum); missing sides are homogeneous.  Dirichlet corners take
     the horizontal side's datum when both adjacent sides are Dirichlet.
-    `f` is sampled in one array call f(x, y) where it accepts arrays.
+    The source `f` takes either form solve_source takes, a (mode, profile)
+    list or a callable f(x, y), put on the grid by solver._source_grid.
     """
     if n < 17:
         raise ValueError("oracle grids start at 17x17")
@@ -153,9 +155,10 @@ def fdm_solve(
 
     # Right-hand side of the PDE rows: -f, and -2g/h from each ghost value.
     x, y = t[xs], t[ys]
+    family = config.vertical_family()
     rhs = np.zeros((n, n), dtype=complex)
     if f is not None:
-        rhs[xs, ys] = -_sample(f, x[:, None], y[None, :], what="the source f")
+        rhs[xs, ys] = -_source_grid(f, family, x, y)
     for side, line in ((Side.LEFT, rhs[0, :]), (Side.RIGHT, rhs[-1, :]),
                        (Side.BOTTOM, rhs[:, 0]), (Side.TOP, rhs[:, -1])):
         if not dirichlet[side]:
@@ -168,7 +171,6 @@ def fdm_solve(
 
     # y: the vertical family on the unknown rows is the eigenbasis of the
     # ghost-point second difference, orthogonal in the trapezoidal weights.
-    family = config.vertical_family()
     modes = np.arange(len(y)) + family.first_nonzero
     basis = basis_value(family, modes, y[:, None])
     w = np.full(len(y), h)

@@ -266,11 +266,11 @@ def evaluate(u: SeriesSolution, points) -> tuple[np.ndarray, np.ndarray, np.ndar
     """Values, d/dx and d/dy at points inside the closed unit square, as
     three complex arrays with one entry per point.
 
-    Each chunk of points tabulates the factors once per distinct x (or y)
-    coordinate and gathers them to the points.  Terms accumulate in
-    ascending mode order, so the result is independent of how the series
-    was put together.  On a tensor grid, evaluate_grid does the same work
-    as a few array products.
+    Each chunk of points tabulates the factors at its points' x and y
+    coordinates, as evaluate_grid does on a grid's axes, and sums the
+    products point by point.  Terms accumulate in ascending mode order, so
+    the result is independent of how the series was put together.  On a
+    tensor grid, evaluate_grid does the same work as a few array products.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[-1] != 2:
@@ -279,10 +279,7 @@ def evaluate(u: SeriesSolution, points) -> tuple[np.ndarray, np.ndarray, np.ndar
     fields = np.empty((3, len(pts)), dtype=complex)
     for lo in range(0, len(pts), _CHUNK):
         part = slice(lo, lo + _CHUNK)
-        ux, ix = np.unique(pts[part, 0], return_inverse=True)
-        uy, iy = np.unique(pts[part, 1], return_inverse=True)
-        cx, cdx, y, dy = _grid_tables(u, ux, uy)
-        cx, cdx, y, dy = cx[:, ix], cdx[:, ix], y[:, iy], dy[:, iy]
+        cx, cdx, y, dy = _grid_tables(u, pts[part, 0], pts[part, 1])
         for field, a, b in zip(fields, (cx, cdx, cx), (y, y, dy)):
             field[part] = np.einsum("rp,rp->p", a, b, optimize=False)
     return fields[0], fields[1], fields[2]
@@ -393,8 +390,8 @@ def energy_quadrature(u: SeriesSolution, grid_n: int = 65) -> EnergyReport:
         raise ValueError("energy quadrature needs at least a 17x17 grid")
     t, W = _gauss_grid(grid_n)
     vals, gxs, gys = evaluate_grid(u, t, t)
-    l2_sq = math.fsum((W * np.abs(vals) ** 2).ravel().tolist())
-    grad_sq = math.fsum((W * (np.abs(gxs) ** 2 + np.abs(gys) ** 2)).ravel().tolist())
+    l2_sq = _fsums((W * np.abs(vals) ** 2).ravel())
+    grad_sq = _fsums((W * (np.abs(gxs) ** 2 + np.abs(gys) ** 2)).ravel())
     return _energy_report(grad_sq, l2_sq, u.k)
 
 
@@ -437,7 +434,7 @@ def _residual_traces(lifted: SeriesSolution, right: Spectrum, left: Spectrum,
         for (side, _, _), samples, projected in zip(live, traces, projections):
             residuals[side] = residuals[side].minus(projected)
             total_sq = float(np.sum(w * np.abs(samples) ** 2))
-            captured_sq = math.fsum((np.abs(projected.c) ** 2).tolist())
+            captured_sq = _fsums(np.abs(projected.c) ** 2)
             if total_sq > 0:
                 fractions[side] = (total_sq - captured_sq) / total_sq
     tails = tuple(ProjectionTail(side, depth, fraction) for side, fraction in fractions.items())
@@ -478,15 +475,11 @@ _ETA = 0.5 * (_KERNEL_NODES + 1.0)
 _BARY = 1.0 / np.prod(np.where(np.eye(16, dtype=bool), 1.0, _ETA[:, None] - _ETA), axis=1)
 
 
-@functools.lru_cache(maxsize=4)
-def _sub_rules(ends: bytes) -> np.ndarray:
-    """The 16-point Gauss rule on [0, end] of the unit panel, for each end
-    of the float64 buffer `ends`, applied to the Lagrange interpolant of
-    samples on the panel nodes: entry [e, l, m] is sub-node l's weight times
-    node m's Lagrange polynomial there (barycentric form, exactly 1 or 0 on
-    a node).  Memoized per set of ends, since an energy quadrature asks for
-    the same points every time; read-only."""
-    ends = np.frombuffer(ends)
+def _sub_rules(ends: np.ndarray) -> np.ndarray:
+    """The 16-point Gauss rule on [0, end] of the unit panel, for each of
+    the `ends`, applied to the Lagrange interpolant of samples on the panel
+    nodes: entry [e, l, m] is sub-node l's weight times node m's Lagrange
+    polynomial there (barycentric form, exactly 1 or 0 on a node)."""
     diff = (ends[:, None] * _ETA)[..., None] - _ETA
     with np.errstate(divide="ignore", invalid="ignore"):
         lagrange = _BARY / diff
@@ -494,13 +487,13 @@ def _sub_rules(ends: bytes) -> np.ndarray:
     lagrange[exact] = diff[exact] == 0
     lagrange /= lagrange.sum(axis=-1, keepdims=True)
     lagrange *= (0.5 * ends[:, None] * _KERNEL_WEIGHTS)[..., None]
-    lagrange.setflags(write=False)
     return lagrange
 
 
-#: Ends of the sub-rules at the panel nodes: row e < 16 integrates up to
-#: node e, row 16 over the whole panel.
+#: The sub-rules at the panel nodes, built once: row e < 16 integrates up
+#: to node e, row 16 over the whole panel.
 _NODE_ENDS = np.append(_ETA, 1.0)
+_NODE_RULES = _sub_rules(_NODE_ENDS)
 
 
 def _homogeneous(sigma: np.ndarray, k: float, t: np.ndarray):
@@ -562,8 +555,8 @@ class SourceTable:
         """P and Q at the edges and the norms of the rows r, from the
         factors v1, v1', v2, v2' of those rows at the panel edges."""
         sigma, f = self.sigma[r], self.f[r]
-        kernels = np.einsum("rgel,elm->rgem", self._kernels(_NODE_ENDS, r),
-                            _sub_rules(_NODE_ENDS.tobytes()), optimize=False)
+        kernels = np.einsum("rgel,elm->rgem", self._kernels(_NODE_ENDS, r), _NODE_RULES,
+                            optimize=False)
         sides = np.stack([f, f[..., ::-1]], axis=1)
         local = np.einsum("rsgj,rsjge->rsje", self._coef[r],
                           np.einsum("rsjm,rgem->rsjge", sides, kernels, optimize=False),
@@ -623,7 +616,7 @@ class SourceTable:
         # The interpolated samples at the sub-nodes, then the kernels: the
         # left part of each panel for P, the reflected right part for Q.
         f = self.f[:, j]
-        sub = np.einsum("elm,rem->rel", _sub_rules(ends.tobytes()),
+        sub = np.einsum("elm,rem->rel", _sub_rules(ends),
                         np.concatenate([f, f[..., ::-1]], axis=1), optimize=False)
         local = np.einsum("rgel,rel->rge", self._kernels(ends), sub, optimize=False)
         local = np.einsum("rsge,rgse->rse", self._coef[..., j],
@@ -639,19 +632,29 @@ def _panel_norms_sq(values: np.ndarray) -> np.ndarray:
     return _fsums(_WEIGHTS * np.abs(values.reshape(len(values), _WEIGHTS.size)) ** 2)
 
 
-def _listed_source(f, family: BasisFamily) -> tuple[np.ndarray, np.ndarray]:
+def _listed_source(f, family: BasisFamily, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The modes of a (mode, profile) list in ascending order, and each
-    profile sampled once on the panel nodes.  A mode below the family's
-    first_nonzero, the zero function, raises ValueError."""
+    profile sampled once on the nodes x.  A repeated mode, or one below the
+    family's first_nonzero (the zero function), raises ValueError."""
     pairs = sorted(((int(n), fx) for n, fx in f), key=lambda pair: pair[0])
     ns = np.array([n for n, _ in pairs], dtype=np.int64)
     if np.count_nonzero(ns[1:] == ns[:-1]):
         raise ValueError("duplicate source mode")
     if len(ns) and ns[0] < family.first_nonzero:
         raise ValueError(_zero_member(family, ns[0]))
-    x = _NODES.ravel()
     samples = [_sample(fx, x, what=f"the profile of source mode {n}") for n, fx in pairs]
     return ns, np.array(samples, dtype=complex).reshape(len(ns), x.size)
+
+
+def _source_grid(f, family: BasisFamily, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """A source in either form solve_source takes on the tensor grid x by y,
+    entry [i, j] at (x[i], y[j]): a callable sampled in one call (_sample),
+    or a listed source's sum of fx(x) Z_n(y) over its modes in ascending
+    order, each fx sampled once on x (_listed_source)."""
+    if callable(f):
+        return _sample(f, x[:, None], y[None, :], what="the source f")
+    ns, samples = _listed_source(f, family, x)
+    return sum(s[:, None] * basis_value(family, n, y) for n, s in zip(ns, samples))
 
 
 def solve_source(
@@ -680,13 +683,12 @@ def solve_source(
         # Each mode's profile is f projected at every panel node.
         n_cap = default_truncation(k, 0) if truncation is None else truncation
         t, _ = quadrature_rule(n_cap)
-        samples = _coefficients(_sample(f, _NODES.reshape(-1, 1), t, what="the source f"),
-                                family, n_cap)
+        samples = _coefficients(_source_grid(f, family, _NODES.ravel(), t), family, n_cap)
         size = np.max(np.abs(samples), axis=0)
         ns = np.flatnonzero(size > CALLABLE_SOURCE_FLOOR * size.max())
         profiles = samples[:, ns].T
     else:
-        ns, profiles = _listed_source(f, family)
+        ns, profiles = _listed_source(f, family, _NODES.ravel())
         n_cap = default_truncation(k, int(ns.max(initial=0))) if truncation is None else truncation
         _check_truncation(ns, n_cap)
 
@@ -698,8 +700,8 @@ def solve_source(
 def source_l2_norm(f, config: BoundaryConfig) -> float:
     """L2 norm of a modal source (mode, profile) list: Parseval across the
     vertical eigenbasis, panel quadrature along x."""
-    samples = _listed_source(f, config.vertical_family())[1]
-    return math.sqrt(math.fsum(_panel_norms_sq(samples).tolist()))
+    samples = _listed_source(f, config.vertical_family(), _NODES.ravel())[1]
+    return math.sqrt(_fsums(_panel_norms_sq(samples)))
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from helmstab.eigenbasis import BasisFamily, BoundaryOperator, Spectrum
+from helmstab.eigenbasis import BasisFamily, BoundaryOperator, Spectrum, basis_value
 from helmstab.modal1d import Side
 from helmstab.oracle import _solve_tridiagonal, compare, fdm_energy, fdm_solve
 from helmstab.solver import (
@@ -112,28 +112,46 @@ def test_fdm_energy_matches_parseval_for_single_mode():
     assert abs(e_f - e_p) <= 5e-3 * e_p
 
 
+SOURCE_K = 4.2
+
+
+def fhat(x):
+    """The x profile of the mode-1 source on D/D/D at SOURCE_K whose solution
+    is (1 - x)(1 + (1 - ik)x) Z_1(y)."""
+    k, mu = SOURCE_K, BasisFamily.SIN_INT.eigenvalue(1)
+    return 2 * (1 - 1j * k) - (k * k - mu * mu) * ((1 - x) * (1 + (1 - 1j * k) * x))
+
+
 def test_fdm_with_source_term():
-    """FDM agrees with the kernel-built source solve."""
-    k = 4.2
+    """FDM agrees with the kernel-built source solve of the same listed source."""
     cfg = BoundaryConfig(bottom=D, right=D, top=D)
-    fam = cfg.vertical_family()
-    mu = fam.eigenvalue(1)
-
-    def xstar(x):
-        return (1 - x) * (1 + (1 - 1j * k) * x)
-
-    def fhat(x):
-        return 2 * (1 - 1j * k) - (k * k - mu * mu) * xstar(x)
-
-    from helmstab.eigenbasis import basis_value
-
-    def f2d(x, y):
-        return complex(fhat(x)) * float(basis_value(fam, 1, y))
-
-    spectral = solve_source([(1, fhat)], cfg, k)
-    gs = fdm_solve(cfg, {}, f2d, k, 129)
+    spectral = solve_source([(1, fhat)], cfg, SOURCE_K)
+    gs = fdm_solve(cfg, {}, [(1, fhat)], SOURCE_K, 129)
     cr = compare(spectral, gs)
     assert cr.rel_l2 <= 2e-3
+
+
+def test_fdm_takes_a_listed_source_as_solve_source_does():
+    """A (mode, profile) list is the callable sum of fx(x) Z_n(y) over its
+    modes in ascending order, to the byte, and the oracle refuses a
+    repeated mode and the zero member with solve_source's messages."""
+    cfg = BoundaryConfig(bottom=D, right=D, top=D)
+    fam = cfg.vertical_family()
+    listed = [(3, np.cos), (1, fhat), (2, np.exp)]
+
+    def summed(x, y):
+        return sum(np.asarray(fx(x), dtype=complex) * basis_value(fam, n, y)
+                   for n, fx in sorted(listed, key=lambda pair: pair[0]))
+
+    grid = fdm_solve(cfg, {}, listed, SOURCE_K, 65).values
+    assert grid.tobytes() == fdm_solve(cfg, {}, summed, SOURCE_K, 65).values.tobytes()
+    assert np.max(np.abs(grid)) > 0
+    for bad, message in (([(1, fhat), (1, np.cos)], "duplicate source mode"),
+                         ([(0, np.cos)], "mode 0 of sin-int is the zero function")):
+        with pytest.raises(ValueError, match=message):
+            solve_source(bad, cfg, SOURCE_K)
+        with pytest.raises(ValueError, match=message):
+            fdm_solve(cfg, {}, bad, SOURCE_K, 33)
 
 
 def test_impedance_both_vertical_sides():

@@ -35,6 +35,14 @@ def test_same_results_output_names_are_unique(tmp_path):
         parse_run_config(doc)  # every config parses
 
 
+def test_same_results_runs_the_oracle_on_a_source(tmp_path):
+    """Some oracle run reads a config with a source, so the oracle's listed
+    source is compared between the trees."""
+    configs = [Path(args[args.index("--config") + 1]).stem
+               for args, _ in same_results.runs(tmp_path) if args[0] == "oracle"]
+    assert any(same_results.PIPELINE[name].get("source") for name in configs)
+
+
 def test_same_results_grouped_grid_is_the_grouped_sweep_grid():
     """The grouped sweeps run on the grid of the grouped sweep test, and at
     100 modes and 50 trials they certify it in more than one chunk."""
