@@ -140,7 +140,7 @@ class BoundCertificate:
 
     def row(self, i: int) -> "BoundCertificate":
         """Certificate i of a certificate of rows, in Python scalars; a
-        norm that is one float for every row (a source's unused NaN norms)
+        norm that is one float for every row (a source's unused NaN half norm)
         stays that float."""
         def pick(x):
             return x[i].item() if isinstance(x, np.ndarray) else x
@@ -149,7 +149,7 @@ class BoundCertificate:
         return BoundCertificate(
             self.theorem, *(pick(x) for x in (self.k, self.lhs, self.rhs, self.ratio,
                                                self.passed)),
-            DataNormReport(pick(n.l2), pick(n.fractional_half), pick(n.fractional_three_half)))
+            DataNormReport(pick(n.l2), pick(n.fractional_half)))
 
 
 def certify(
@@ -189,7 +189,7 @@ def _certificate(theorem: TheoremId, k: np.ndarray, w: np.ndarray, table,
     one certificate of certify and of every sweep trial."""
     lhs = _parseval_energy(w, table, k, rows).energy
     if THEOREMS[theorem].side is None:
-        norms = DataNormReport(np.sqrt(_fsums(w * table.f_norm_sq[rows])), math.nan, math.nan)
+        norms = DataNormReport(np.sqrt(_fsums(w * table.f_norm_sq[rows])), math.nan)
     else:
         norms = _weighted_norms(w, table.mu[rows])
     return BoundCertificate.from_sides(theorem, k, lhs, rhs_bound(theorem, k, norms), norms)
@@ -311,12 +311,10 @@ def sharpness_case(case_id: str, n: int,
     """
     if case_id not in EXAMPLES:
         raise ValueError(f"unknown sharpness case {case_id!r}")
-    if n < 1:
-        raise ValueError("sharpness cases are stated for mode index n >= 1")
+    _check_case_mode(n)
+    _check_case_family(case_id, family)
     row = EXAMPLES[case_id]
     lifting = THEOREMS[row.theorem].side is Side.BOTTOM
-    if lifting and family.half_integer:
-        raise ValueError("the lifting examples use the integer-eigenvalue basis")
     b_bottom, b_top = homogeneous_operators(family)
     cfg = (BoundaryConfig(THEOREMS[row.theorem].bottom, _D, row.far) if lifting
            else BoundaryConfig(b_bottom, row.far, b_top))
@@ -327,6 +325,18 @@ def sharpness_case(case_id: str, n: int,
     expected, lower = energy if row.detuned else (energy, None)
     return SharpnessCase(case_id, n, k, row.theorem, cfg, Spectrum.from_pairs(family, [(n, 1.0)]),
                          expected, lower)
+
+
+def _check_case_mode(n: int) -> None:
+    """Raise ValueError unless n is a mode index of a sharpness case."""
+    if not 1 <= n <= MAX_MODE:
+        raise ValueError(f"sharpness cases are stated for mode index n in [1, {MAX_MODE}], got {n}")
+
+
+def _check_case_family(case_id: str, family: BasisFamily) -> None:
+    """Raise ValueError for a half-integer family in a lifting example."""
+    if THEOREMS[EXAMPLES[case_id].theorem].side is Side.BOTTOM and family.half_integer:
+        raise ValueError("the lifting examples use the integer-eigenvalue basis")
 
 
 # --------------------------------------------------------------------------

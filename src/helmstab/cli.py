@@ -28,6 +28,8 @@ from .bounds import (
     certify,
     sharpness_case,
     sweep,
+    _check_case_family,
+    _check_case_mode,
     _check_data,
     _check_sweep,
 )
@@ -319,8 +321,8 @@ def _theorem(tag: str) -> TheoremId:
 def _cmd_config(args) -> int:
     """The one path of solve, certify, lift and oracle: load the config and
     run the command's body.  A body that solves returns its solution, whose
-    projection tails the report carries as diagnostics (how far to trust
-    the answer); a command with a CSV samples it on the grid x, y =
+    projection tails and warnings the report carries as diagnostics (the
+    warnings on stderr too); a command with a CSV samples it on the grid x, y =
     linspace(0, 1, grid).  The report gets the seed; exits 2 if it failed."""
     try:
         doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -331,8 +333,10 @@ def _cmd_config(args) -> int:
     run = parse_run_config(doc)
     payload, u = args.body(run, args)
     if u is not None:
-        payload["diagnostics"] = {"projection_tail": [
+        payload["diagnostics"] = {"warnings": u.warnings, "projection_tail": [
             {"side": t.side.value, "depth": t.depth, "tail": t.fraction} for t in u.tails]}
+        for text in u.warnings:
+            print(f"helmstab: warning: {text}", file=sys.stderr)
     if "csv" in args:
         payload["csv"] = args.csv or run.outputs.get("csv")
         if payload["csv"]:
@@ -366,6 +370,10 @@ def _certify(run: RunConfig, args) -> tuple[dict, None]:
 
 def _cmd_sharpness(args) -> int:
     family = BasisFamily(args.family)
+    with _field("--n"):
+        _check_case_mode(args.n)
+    with _field("--family"):
+        _check_case_family(args.case, family)
     case = sharpness_case(args.case, args.n, family)
     rep = energy_parseval(solve_datum(case.config, case.data_side, case.datum, case.k))
     computed, rel, passed = case.verdict(rep)

@@ -215,11 +215,10 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class DataNormReport:
-    """Eigen-expansion data norms: squared sums of |coeff|^2 * mu^(2s)."""
+    """Eigen-expansion data norms: squared sums of |coeff|^2 * mu^(2s), s = 0 and 1/2."""
 
     l2: float
     fractional_half: float
-    fractional_three_half: float
 
 
 def quadrature_rule(max_mode: int) -> tuple[np.ndarray, np.ndarray]:
@@ -304,8 +303,7 @@ def _weighted_norms(sq: np.ndarray, mu: np.ndarray) -> DataNormReport:
     """data_norms from the squared coefficient moduli and the eigenvalues
     of their modes, along the last axis: floats for one datum, arrays for a
     matrix with one datum per row."""
-    return DataNormReport(l2=_sqrt(_fsums(sq)), fractional_half=_sqrt(_fsums(sq * mu)),
-                          fractional_three_half=_sqrt(_fsums(sq * mu**3)))
+    return DataNormReport(l2=_sqrt(_fsums(sq)), fractional_half=_sqrt(_fsums(sq * mu)))
 
 
 def _fsums(a: np.ndarray):

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -49,8 +47,8 @@ from .modal1d import (
 )
 
 
-class ProjectionTruncationWarning(UserWarning):
-    """Residual-trace projection left more than the allowed tail energy."""
+#: A projection tail above this share of its trace's energy is a warning.
+TAIL_WARNING_LIMIT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -123,6 +121,12 @@ class SeriesSolution:
     def modes(self) -> np.ndarray:
         """The mode index of every term, block after block."""
         return np.concatenate([b.n for b in self.blocks] or [np.zeros(0, dtype=np.int64)])
+
+    @property
+    def warnings(self) -> list[str]:
+        """One text per projection tail above TAIL_WARNING_LIMIT, in tail order."""
+        return [f"trace projection on the {t.side.value} side left {t.fraction:.2e} of its energy "
+                f"beyond mode {t.depth}" for t in self.tails if t.fraction > TAIL_WARNING_LIMIT]
 
 
 @dataclass(frozen=True)
@@ -441,15 +445,6 @@ def _residual_traces(lifted: SeriesSolution, right: Spectrum, left: Spectrum,
     return residuals[Side.RIGHT], residuals[Side.LEFT], tails
 
 
-def _caller_stacklevel() -> int:
-    """The warnings stacklevel, for a warning issued by the function that
-    calls this one, of the first frame outside the helmstab package."""
-    frame, level = sys._getframe(1), 1
-    while frame is not None and frame.f_globals.get("__name__", "").split(".")[0] == "helmstab":
-        frame, level = frame.f_back, level + 1
-    return level
-
-
 # --------------------------------------------------------------------------
 # volumetric sources
 # --------------------------------------------------------------------------
@@ -719,8 +714,8 @@ def lift(config: BoundaryConfig, data: dict, k: float,
     right and left residual spectra.  The traces are projected at
     `truncation` when one is given, so no residual mode lies beyond it.
     The lifted field's tails hold one ProjectionTail per vertical side,
-    right then left, and a tail above 1e-8 warns; with no bottom or top
-    datum nothing is projected and there are no tails.
+    right then left, and a tail above TAIL_WARNING_LIMIT is a warning;
+    with no bottom or top datum nothing is projected and there are no tails.
     """
     family = config.vertical_family()
     zero = Spectrum.zero(family)
@@ -739,11 +734,6 @@ def lift(config: BoundaryConfig, data: dict, k: float,
     if depth is None:
         depth = max(lifted.truncation, default_projection_depth(k), right.top_mode, left.top_mode)
     right, left, tails = _residual_traces(lifted, right, left, depth)
-    for tail in tails:
-        if tail.fraction > 1e-8:
-            warnings.warn(f"trace projection on the {tail.side.value} side left "
-                          f"{tail.fraction:.2e} of its energy beyond mode {depth}",
-                          ProjectionTruncationWarning, stacklevel=_caller_stacklevel())
     return replace(lifted, tails=tails), right, left
 
 
@@ -752,8 +742,8 @@ def solve_problem(config: BoundaryConfig, data: dict, k: float, source=None,
     """Series solution for `data` (as for lift) and a `source` (as for
     solve_source): the lifted field, the right and left residual solves and
     the source solve, superposed in that order, with the lifted field's
-    tails.  No data and no source make the zero solution, at `truncation`
-    or the default one."""
+    tails and so its warnings.  No data and no source make the zero
+    solution, at `truncation` or the default one."""
     lifted, right, left = lift(config, data, k, truncation)
     pieces = [lifted] + [solve_datum(config, side, g, k, truncation)
                          for side, g in ((Side.RIGHT, right), (Side.LEFT, left)) if len(g)]

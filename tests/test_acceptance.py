@@ -6,7 +6,6 @@ lines and timings.
 
 import math
 import time
-import warnings
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from helmstab.modal1d import (
 from helmstab.oracle import compare, fdm_solve
 from helmstab.solver import (
     BoundaryConfig,
-    ProjectionTruncationWarning,
     energy_parseval,
     energy_quadrature,
     evaluate,
@@ -304,9 +302,7 @@ def test_criterion_9_lifting_round_trip():
     g2 = project(right_trace, fam_v, depth)
     g4 = project(left_trace, fam_v, depth)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ProjectionTruncationWarning)
-        u_rec = solve_problem(cfg, {Side.BOTTOM: g1, Side.RIGHT: g2, Side.LEFT: g4}, k)
+    u_rec = solve_problem(cfg, {Side.BOTTOM: g1, Side.RIGHT: g2, Side.LEFT: g4}, k)
 
     pts = [(x, y) for x in np.linspace(0, 1, 33) for y in np.linspace(0, 1, 33)]
     a = evaluate(u_star, pts)

@@ -52,14 +52,14 @@ PI = math.pi
 
 
 def test_rhs_examples():
-    unit = DataNormReport(1.0, 0.0, 0.0)
+    unit = DataNormReport(1.0, 0.0)
     assert rhs_bound(TheoremId.T1_G4, 2.0, unit) == pytest.approx(2 * math.sqrt(12), rel=1e-15)
     assert rhs_bound(TheoremId.T1_G4, 0.5, unit) == pytest.approx(math.sqrt(12), rel=1e-15)
     assert rhs_bound(TheoremId.T2_G2_DIR, 1.0, unit) == pytest.approx(math.sqrt(14), rel=1e-15)
 
 
 def test_rhs_constants():
-    norms = DataNormReport(1.0, 1.0, 0.0)
+    norms = DataNormReport(1.0, 1.0)
     k = 3.0
     assert rhs_bound(TheoremId.T2_G2_IMP, k, norms) == pytest.approx(math.sqrt(12) * k)
     assert rhs_bound(TheoremId.T2_G2_NEU, k, norms) == pytest.approx(math.sqrt(20) * k * k)
@@ -75,7 +75,7 @@ def test_rhs_constants():
 
 def test_rhs_requires_fractional_norm():
     with pytest.raises(ValueError):
-        rhs_bound(TheoremId.T2_G2_DIR, 1.0, DataNormReport(1.0, math.nan, math.nan))
+        rhs_bound(TheoremId.T2_G2_DIR, 1.0, DataNormReport(1.0, math.nan))
 
 
 @settings(max_examples=40, deadline=None)
@@ -87,16 +87,16 @@ def test_rhs_requires_fractional_norm():
     bump=st.floats(min_value=1e-6, max_value=10.0),
 )
 def test_rhs_monotone_in_norms(theorem, k, l2, half, bump):
-    base = rhs_bound(theorem, k, DataNormReport(l2, half, 0.0))
-    more_l2 = rhs_bound(theorem, k, DataNormReport(l2 + bump, half, 0.0))
+    base = rhs_bound(theorem, k, DataNormReport(l2, half))
+    more_l2 = rhs_bound(theorem, k, DataNormReport(l2 + bump, half))
     assert more_l2 > base
     if theorem in (TheoremId.T2_G2_DIR, TheoremId.T3_LIFT_DIR):
-        more_half = rhs_bound(theorem, k, DataNormReport(l2, half + bump, 0.0))
+        more_half = rhs_bound(theorem, k, DataNormReport(l2, half + bump))
         assert more_half > base
 
 
 def test_rhs_continuous_at_unit_wavenumber():
-    norms = DataNormReport(1.0, 1.0, 1.0)
+    norms = DataNormReport(1.0, 1.0)
     for theorem in TheoremId:
         below = rhs_bound(theorem, 1.0 - 1e-9, norms)
         above = rhs_bound(theorem, 1.0 + 1e-9, norms)
@@ -211,11 +211,13 @@ def test_sharpness_case_values():
 
 
 def test_sharpness_unknown_id():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown sharpness case"):
         sharpness_case("ex9.9", 1)
-    with pytest.raises(ValueError):
-        sharpness_case("ex2.3-1", 0)
-    with pytest.raises(ValueError):
+    for n in (0, MAX_MODE + 1):
+        with pytest.raises(ValueError, match=rf"mode index n in \[1, {MAX_MODE}\], got {n}$"):
+            sharpness_case("ex2.3-1", n)
+    assert sharpness_case("ex2.3-1", MAX_MODE).n == MAX_MODE
+    with pytest.raises(ValueError, match="integer-eigenvalue basis"):
         sharpness_case("lift-nn", 2, BasisFamily.SIN_HALF)
 
 
@@ -660,7 +662,7 @@ def test_no_certificate_has_a_non_finite_side():
         certify(TheoremId.T1_G4, cfg, data, 1e155)
     with pytest.raises(ValueError, match="k=1e\\+155"):
         sweep(TheoremId.T1_G4, [1.0, 1e155], modes=4, trials=1)
-    norms = DataNormReport(1.0, math.nan, math.nan)
+    norms = DataNormReport(1.0, math.nan)
     for lhs, rhs in ((math.nan, 1.0), (1.0, math.inf), (math.inf, math.inf)):
         with pytest.raises(ValueError, match="non-finite side"):
             BoundCertificate.from_sides(TheoremId.T1_G4, 2.0, lhs, rhs, norms)

@@ -22,7 +22,7 @@ from helmstab.cli import (
 )
 from helmstab.eigenbasis import MAX_MODE, data_norms
 from helmstab.modal1d import ModeTable, Side
-from helmstab.solver import ProjectionTruncationWarning, evaluate_grid, lift, solve_problem
+from helmstab.solver import evaluate_grid, lift, solve_problem
 
 
 def run_cli(args):
@@ -248,11 +248,7 @@ def test_lift_command(tmp_path, k, bottom, right, top, family, case):
     path = tmp_path / "lift.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     report = tmp_path / "lift_report.json"
-    with warnings.catch_warnings():
-        # The lifted traces leave energy beyond the default projection
-        # depth; the report's projection_tail carries it.
-        warnings.simplefilter("ignore", ProjectionTruncationWarning)
-        rc = run_cli(["lift", "--config", str(path), "--report", str(report)])
+    rc = run_cli(["lift", "--config", str(path), "--report", str(report)])
     assert rc == 0
     out = json.loads(report.read_text())
     assert (out["eigenvalue_family"], out["case_index"]) == (family, case)
@@ -327,6 +323,18 @@ def test_usage_errors_exit_1(capsys):
         err = capsys.readouterr().err
         assert err.startswith("usage: helmstab")
         assert f"\nhelmstab: error: {reason}" in err
+    # A flag value the parser takes but the command refuses: the reason
+    # names the flag, without the usage.
+    for argv, reason in [
+        (["sharpness", "--case", "ex2.3-2", "--n", "20000"],
+         "--n: sharpness cases are stated for mode index n in [1, 16384], got 20000"),
+        (["sharpness", "--case", "ex2.3-2", "--n", "0"],
+         "--n: sharpness cases are stated for mode index n in [1, 16384], got 0"),
+        (["sharpness", "--case", "lift-nn", "--n", "3", "--family", "sin-half"],
+         "--family: the lifting examples use the integer-eigenvalue basis"),
+    ]:
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == f"helmstab: error: {reason}\n"
 
 
 def test_shared_parser_runs_as_a_fresh_one(tmp_path, capsys):
@@ -443,11 +451,10 @@ def test_one_factor_table_build_per_block(tmp_path, monkeypatch):
         return build(table, t)
 
     monkeypatch.setattr(ModeTable, "value_and_derivative", counted)
-    with pytest.warns(ProjectionTruncationWarning):
-        lifted, _, _ = lift(run.config, run.data, run.k)
+    lifted, _, _ = lift(run.config, run.data, run.k)
     assert builds == [len(block.n) for block in lifted.blocks] == [3, 3]
-    with pytest.warns(ProjectionTruncationWarning):
-        u = solve_problem(run.config, run.data, run.k)
+    u = solve_problem(run.config, run.data, run.k)
+    assert u.warnings == lifted.warnings and len(u.warnings) == 1
     builds.clear()
     t = np.linspace(0.0, 1.0, 129)
     evaluate_grid(u, t, t)
@@ -456,44 +463,31 @@ def test_one_factor_table_build_per_block(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["solve", "lift", "oracle"])
-def test_reports_carry_projection_tails(tmp_path, command):
+def test_reports_carry_projection_tails(tmp_path, capsys, command):
     """At k = 60 the lifted field's left trace leaves energy beyond the
-    default depth; the report says how much, once per vertical side, as the
-    warning does.  The right trace is 0 in closed form (COS_HALF x factors
-    on a Dirichlet side): tail 0 and no warning."""
+    default depth; the report says how much, once per vertical side, and
+    its one warning, which stderr prints and no Python warning repeats.
+    The right trace is 0 in closed form (COS_HALF x factors on a Dirichlet
+    side): tail 0 and no warning."""
     cfg = field_doc(tmp_path, {"left": [[1, 1.0, 0.0]], "bottom": [[2, 0.5, -1.0]],
                                "top": [[3, 1.0, 1.0]]})
     report = tmp_path / "report.json"
     args = [command, "--config", str(cfg), "--report", str(report)]
     if command == "oracle":
         args += ["--n", "33"]
-    with pytest.warns(ProjectionTruncationWarning, match="beyond mode 72") as caught:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert run_cli(args) == 0
-    assert [str(w.message).split(" side")[0] for w in caught] == ["trace projection on the left"]
-    tails = json.loads(report.read_text())["diagnostics"]["projection_tail"]
+    assert caught == []
+    diagnostics = json.loads(report.read_text())["diagnostics"]
+    tails = diagnostics["projection_tail"]
     assert [t["side"] for t in tails] == ["right", "left"]
     assert all(t["depth"] == 72 for t in tails)
     assert tails[0]["tail"] == 0.0 and tails[1]["tail"] > 1e-8
-
-
-@pytest.mark.parametrize("entry", ["lift", "solve_problem", "cli.run"])
-def test_projection_warning_names_the_caller(tmp_path, entry):
-    """A ProjectionTruncationWarning points at the caller's line, the first
-    frame outside the package, whichever entry the caller used."""
-    cfg = field_doc(tmp_path, {"left": [[1, 1.0, 0.0]], "bottom": [[2, 0.5, -1.0]],
-                               "top": [[3, 1.0, 1.0]]})
-    run = parse_run_config(json.loads(cfg.read_text()))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        if entry == "lift":
-            lift(run.config, run.data, run.k)
-        elif entry == "solve_problem":
-            solve_problem(run.config, run.data, run.k)
-        else:
-            assert helmstab.cli.run(["solve", "--config", str(cfg),
-                                     "--report", str(tmp_path / "report.json")]) == 0
-    assert [w.category for w in caught] == [ProjectionTruncationWarning]
-    assert all(w.filename == __file__ for w in caught)
+    assert diagnostics["warnings"] == [
+        f"trace projection on the left side left {tails[1]['tail']:.2e} of its energy "
+        "beyond mode 72"]
+    assert capsys.readouterr().err == f"helmstab: warning: {diagnostics['warnings'][0]}\n"
 
 
 def test_reports_without_lifting_have_no_tails(tmp_path):
@@ -503,12 +497,13 @@ def test_reports_without_lifting_have_no_tails(tmp_path):
     for command in ("solve", "oracle"):
         report = tmp_path / f"{command}.json"
         assert run_cli([command, "--config", str(cfg), "--report", str(report)]) == 0
-        assert json.loads(report.read_text())["diagnostics"] == {"projection_tail": []}
+        diagnostics = json.loads(report.read_text())["diagnostics"]
+        assert diagnostics == {"projection_tail": [], "warnings": []}
     report = tmp_path / "zero.json"
     assert run_cli(["solve", "--config", str(plane_wave_doc(tmp_path, data={})),
                     "--report", str(report)]) == 0
     out = json.loads(report.read_text())
-    assert out["diagnostics"] == {"projection_tail": []}
+    assert out["diagnostics"] == {"projection_tail": [], "warnings": []}
     assert out["terms"] == 0 and out["truncation"] == 24
     assert out["energy"]["quadrature"]["energy"] == out["energy"]["parseval"]["energy"] == 0.0
 
@@ -640,13 +635,14 @@ def test_truncation_bounds_every_mode(tmp_path, command):
     }
     cfg = write_doc(tmp_path, doc)
     report = tmp_path / "report.json"
-    with pytest.warns(ProjectionTruncationWarning, match="beyond mode 10"):
-        assert run_cli([command, "--config", str(cfg), "--report", str(report)]) == 0
-        run = parse_run_config(doc)
-        _, residual_right, residual_left = lift(run.config, run.data, run.k, run.truncation)
-        u = solve_problem(run.config, run.data, run.k, run.source, run.truncation)
+    assert run_cli([command, "--config", str(cfg), "--report", str(report)]) == 0
+    run = parse_run_config(doc)
+    _, residual_right, residual_left = lift(run.config, run.data, run.k, run.truncation)
+    u = solve_problem(run.config, run.data, run.k, run.source, run.truncation)
     out = json.loads(report.read_text())
     assert [t["depth"] for t in out["diagnostics"]["projection_tail"]] == [10, 10]
+    assert out["diagnostics"]["warnings"] == u.warnings
+    assert u.warnings and all(text.endswith("beyond mode 10") for text in u.warnings)
     assert np.all(u.modes <= 10)
     assert all(n <= 10 for n, _ in residual_right)
     assert all(n <= 10 for n, _ in residual_left)
@@ -686,9 +682,10 @@ def test_field_solve_keeps_every_residual_mode(tmp_path):
     cfg = field_doc(tmp_path, {"left": [[1, 1.0, 0.0]], "bottom": [[2, 0.5, -1.0]],
                                "top": [[3, 1.0, 1.0]]})
     report = tmp_path / "report.json"
-    with pytest.warns(ProjectionTruncationWarning):
-        assert run_cli(["solve", "--config", str(cfg), "--report", str(report)]) == 0
-    assert json.loads(report.read_text())["terms"] == 75
+    assert run_cli(["solve", "--config", str(cfg), "--report", str(report)]) == 0
+    out = json.loads(report.read_text())
+    assert out["terms"] == 75
+    assert len(out["diagnostics"]["warnings"]) == 1
 
 
 def _with_blas_threads(threads: int, args: list) -> subprocess.CompletedProcess:

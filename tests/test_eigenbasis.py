@@ -270,7 +270,7 @@ def test_data_norms_examples():
 
     empty = Spectrum.zero(BasisFamily.COS_HALF)
     rep0 = data_norms(empty)
-    assert rep0.l2 == rep0.fractional_half == rep0.fractional_three_half == 0.0
+    assert rep0.l2 == rep0.fractional_half == 0.0
 
     two = Spectrum.from_pairs(BasisFamily.SIN_INT, [(1, 1.0), (2, 1.0)])
     assert data_norms(two).fractional_half ** 2 == pytest.approx(3 * math.pi, rel=1e-14)
@@ -371,8 +371,6 @@ def test_array_spectrum_matches_dict_reference(a, b, family, t):
     assert rep.l2 == pytest.approx(math.sqrt(math.fsum(sq)), rel=1e-15)
     assert rep.fractional_half == pytest.approx(
         math.sqrt(math.fsum(q * m for q, m in zip(sq, mu))), rel=1e-15)
-    assert rep.fractional_three_half == pytest.approx(
-        math.sqrt(math.fsum(q * m**3 for q, m in zip(sq, mu))), rel=1e-15)
 
 
 def test_spectrum_arrays_are_read_only_copies():

@@ -7,10 +7,7 @@ import shlex
 import subprocess
 from pathlib import Path
 
-import pytest
-
 from helmstab import THEOREMS, cli, energy_parseval, evaluate
-from helmstab.solver import ProjectionTruncationWarning
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -19,8 +16,7 @@ def test_readme_quickstart_runs():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     assert blocks, "the README has no python block"
     namespace = {}
-    with pytest.warns(ProjectionTruncationWarning):
-        exec(compile(blocks[0], "README quickstart", "exec"), namespace)
+    exec(compile(blocks[0], "README quickstart", "exec"), namespace)
     k, u = namespace["k"], namespace["u"]
     assert abs(namespace["values"][0] - cmath.exp(0.5j * k)) < 1e-10
     assert abs(energy_parseval(u).energy - 2 * k) < 1e-9 * k
@@ -28,9 +24,10 @@ def test_readme_quickstart_runs():
     w = namespace["w"]
     assert abs(-evaluate(w, [(0.5, 0.0)])[2][0] - 1.0) < 1e-10
     assert [t.side.value for t in w.tails] == ["right", "left"]
+    assert [text.split(" side left ")[0] for text in w.warnings] == [
+        "trace projection on the right", "trace projection on the left"]
 
 
-@pytest.mark.filterwarnings("ignore::helmstab.solver.ProjectionTruncationWarning")
 def test_readme_command_line_block_runs(tmp_path, monkeypatch):
     """Every line of the README's command-line block exits 0, in order, in
     one directory: `helmstab` lines through cli.run, the others in sh."""

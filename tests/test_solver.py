@@ -40,9 +40,9 @@ from helmstab.modal1d import (
 from helmstab.solver import (
     BoundaryConfig,
     ProjectionTail,
-    ProjectionTruncationWarning,
     SeriesSolution,
     SourceTable,
+    TAIL_WARNING_LIMIT,
     default_projection_depth,
     default_truncation,
     energy_parseval,
@@ -399,7 +399,6 @@ def test_grid_tables_hold_real_y_factors():
                  "bottom": [[0, 0.7, 0.0], [2, 0.3, -0.1]], "top": "constant:0.4"},
         "source": "mode:3"})
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ProjectionTruncationWarning)
         warnings.simplefilter("error", np.exceptions.ComplexWarning)
         u = solve_problem(run.config, run.data, run.k, run.source, run.truncation)
         assert [b.lifted for b in u.blocks] == [True, True, False, False, False]
@@ -536,14 +535,20 @@ def test_superpose_rejects_mismatch():
 
 
 def test_superpose_keeps_every_parts_tails_in_part_order():
+    """The parts' tails in part order, and so their warnings: one per tail
+    above TAIL_WARNING_LIMIT."""
     cfg, data = plane_wave_problem(2.0)
     u = solve_datum(cfg, Side.LEFT, data, 2.0)
     a = (ProjectionTail(Side.RIGHT, 40, 0.0), ProjectionTail(Side.LEFT, 40, 1e-3))
-    b = (ProjectionTail(Side.RIGHT, 24, 2e-9), ProjectionTail(Side.LEFT, 24, 0.5))
+    b = (ProjectionTail(Side.RIGHT, 24, TAIL_WARNING_LIMIT), ProjectionTail(Side.LEFT, 24, 0.5))
     parts = [SeriesSolution(cfg, 2.0, 24, u.blocks, a), u, SeriesSolution(cfg, 2.0, 40, (), b)]
-    assert u.tails == ()
+    assert u.tails == () and u.warnings == []
     assert superpose(parts).tails == a + b
     assert superpose(parts[::-1]).tails == b + a
+    assert superpose(parts).warnings == [
+        "trace projection on the left side left 1.00e-03 of its energy beyond mode 40",
+        "trace projection on the left side left 5.00e-01 of its energy beyond mode 24"]
+    assert superpose(parts[::-1]).warnings == superpose(parts).warnings[::-1]
 
 
 # --------------------------------------------------------------------------
@@ -665,9 +670,7 @@ def test_right_trace_is_zero_iff_the_operator_annihilates_the_family(family, rig
     data = {Side.BOTTOM: Spectrum.from_pairs(family, [(1, 1.0), (3, 0.5j)]),
             Side.RIGHT: Spectrum.from_pairs(cfg.vertical_family(), [(2, 0.25)])}
     datum = data[Side.RIGHT]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ProjectionTruncationWarning)
-        lifted, residual, _ = lift(cfg, data, k)
+    lifted, residual, _ = lift(cfg, data, k)
     tails = lifted.tails
     annihilates = (family, right) in {(BasisFamily.SIN_INT, D), (BasisFamily.COS_HALF, D),
                                       (BasisFamily.COS_INT, N), (BasisFamily.SIN_HALF, N)}
@@ -716,10 +719,8 @@ def test_field_solve_skips_the_zero_right_trace(seed):
     152-term solve that carried the right trace's roundoff, to 1e-12."""
     workloads = _script("bench/workloads.py", "bench_workloads")
     run = parse_run_config(workloads.field_config(seed, 129))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        u = solve_problem(run.config, run.data, run.k, run.source, run.truncation)
-    assert not [w for w in caught if "right side" in str(w.message)]
+    u = solve_problem(run.config, run.data, run.k, run.source, run.truncation)
+    assert not [text for text in u.warnings if "right side" in text]
     assert len(u.modes) == 79
     assert [t.side for t in u.tails] == [Side.RIGHT, Side.LEFT] and u.tails[0].fraction == 0.0
     rep = energy_quadrature(u, 129)
@@ -748,9 +749,7 @@ def test_two_sided_lift_projects_each_side_once(entry, monkeypatch):
         return original(aux, *args)
 
     monkeypatch.setattr(solver, "_residual_traces", counted)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ProjectionTruncationWarning)
-        u = getattr(solver, entry)(cfg, data, k)
+    u = getattr(solver, entry)(cfg, data, k)
     u = u[0] if entry == "lift" else u
     assert calls == [2]
     assert [t.side for t in u.tails] == [Side.RIGHT, Side.LEFT]
@@ -768,16 +767,54 @@ def test_reports_carry_the_solutions_tails(tmp_path, name, command):
     config.write_text(json.dumps(doc), encoding="utf-8")
     run = parse_run_config(doc)
     flags = ["--n", "17"] if command == "oracle" else []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ProjectionTruncationWarning)
-        assert cli.run([command, "--config", str(config), "--report", str(report), *flags]) == 0
-        u = solve_problem(run.config, run.data, run.k, run.source, run.truncation)
-        lifted = lift(run.config, run.data, run.k, run.truncation)[0]
+    assert cli.run([command, "--config", str(config), "--report", str(report), *flags]) == 0
+    u = solve_problem(run.config, run.data, run.k, run.source, run.truncation)
+    lifted = lift(run.config, run.data, run.k, run.truncation)[0]
     assert u.tails == lifted.tails
     reported = json.loads(report.read_text())["diagnostics"]["projection_tail"]
     assert [(t["side"], t["depth"], t["tail"]) for t in reported] == [
         (t.side.value, t.depth, t.fraction) for t in u.tails]
     assert len(u.tails) == 2
+
+
+#: The warnings of the benchmark's field workload at seed 0: solve and lift
+#: on the k = 60 field config, and the oracle on its k = 6.5 config.
+_FIELD_WARNINGS_SEED_0 = {
+    "solve": ["trace projection on the left side left 2.94e-03 of its energy beyond mode 72"],
+    "lift": ["trace projection on the left side left 2.94e-03 of its energy beyond mode 72"],
+    "oracle": ["trace projection on the right side left 5.11e-07 of its energy beyond mode 38",
+               "trace projection on the left side left 9.79e-07 of its energy beyond mode 38"],
+}
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_field_workload_reports_print_their_warnings(tmp_path, capsys, seed):
+    """Through cli.run on the benchmark's field workload configs (coarse
+    grids), solve, lift and oracle raise no Python warning: each report's
+    diagnostics.warnings are its solution's warnings and its stderr's
+    `helmstab: warning:` lines, in order."""
+    workloads = _script("bench/workloads.py", "bench_workloads")
+    docs = {"solve": workloads.field_config(seed, 17), "lift": workloads.field_config(seed, 17),
+            "oracle": workloads.oracle_config(seed)}
+    said = {}
+    for command, doc in docs.items():
+        config, report = tmp_path / f"{command}.json", tmp_path / f"{command}-report.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        flags = ["--n", "17"] if command == "oracle" else []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.run([command, "--config", str(config), "--report", str(report),
+                            *flags]) == 0
+        assert caught == []
+        lines = capsys.readouterr().err.splitlines()
+        assert all(line.startswith("helmstab: warning: ") for line in lines)
+        said[command] = [line[len("helmstab: warning: "):] for line in lines]
+        assert json.loads(report.read_text())["diagnostics"]["warnings"] == said[command]
+        run = parse_run_config(doc)
+        u = solve_problem(run.config, run.data, run.k, run.source, run.truncation)
+        assert u.warnings == said[command]
+    if seed == 0:
+        assert said == _FIELD_WARNINGS_SEED_0
 
 
 @pytest.mark.parametrize("name", list(_LIFTING))
@@ -791,9 +828,7 @@ def test_lift_residuals_are_linear_in_the_lifted_data(name):
     residuals, tails = {}, []
     for lifted in ((Side.BOTTOM,), (Side.TOP,), (Side.BOTTOM, Side.TOP)):
         kept = {side: g for side, g in run.data.items() if side in lifted or side is Side.LEFT}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ProjectionTruncationWarning)
-            field, *residuals[lifted] = lift(run.config, kept, run.k, run.truncation)
+        field, *residuals[lifted] = lift(run.config, kept, run.k, run.truncation)
         tails += field.tails
     assert len({t.depth for t in tails}) == 1
     bottom, top, both = residuals.values()
@@ -817,8 +852,10 @@ def test_residual_traces_warns_on_shallow_depth():
     k = 7.3
     cfg = BoundaryConfig(bottom=D, right=D, top=D)
     fam_x = choose_lifting_family(k, D, D).basis
-    with pytest.warns(ProjectionTruncationWarning):
-        lift(cfg, {Side.BOTTOM: Spectrum.from_pairs(fam_x, [(1, 1.0)])}, k, truncation=3)
+    lifted = lift(cfg, {Side.BOTTOM: Spectrum.from_pairs(fam_x, [(1, 1.0)])}, k, truncation=3)[0]
+    assert lifted.warnings == [
+        f"trace projection on the {side} side left 1.46e-02 of its energy beyond mode 3"
+        for side in ("right", "left")]
 
 
 def lifted_round_trip(k, cfg, g1, vert_spec):

@@ -58,6 +58,8 @@ def test_same_results_compares_warnings_and_errors_without_their_location():
         "/a/src/helmstab/solver.py:745: ProjectionTruncationWarning: trace projection on "
         "the left side left 5.63e-03 of its energy beyond mode 72\n"
         "  right, left = residual_traces(lifted, right, left, depth=truncation, tails=tails)\n"
+        "helmstab: warning: trace projection on the left side left 5.63e-03 of its energy "
+        "beyond mode 72\n"
         "helmstab: config error: config.data.left: mode 40 lies above truncation 10\n"
         "Traceback (most recent call last):\n"
         "usage: helmstab [-h]\n"
@@ -66,12 +68,16 @@ def test_same_results_compares_warnings_and_errors_without_their_location():
         "/b/src/helmstab/__main__.py:4: ProjectionTruncationWarning: trace projection on "
         "the left side left 5.63e-03 of its energy beyond mode 72\n"
         "  raise SystemExit(main())\n"
+        "helmstab: warning: trace projection on the left side left 5.63e-03 of its energy "
+        "beyond mode 72\n"
         "helmstab: config error: config.data.left: mode 40 lies above truncation 10\n"
     )
     said = same_results.messages(stderr)
     assert said == [
         "ProjectionTruncationWarning: trace projection on the left side left 5.63e-03 of "
         "its energy beyond mode 72",
+        "helmstab: warning: trace projection on the left side left 5.63e-03 of its energy "
+        "beyond mode 72",
         "helmstab: config error: config.data.left: mode 40 lies above truncation 10",
     ]
     assert same_results.messages(moved) == said

@@ -22,8 +22,9 @@ so relative output paths echo the same in both reports:
   that `selftest --dump-config` writes
 
 Each output file is compared byte for byte and each exit code exactly,
-and so are each run's warnings (category and text, without the file and
-line they name) and `helmstab: ...` error lines on stderr.  Then the
+and so are the `helmstab: ...` lines of each run's stderr, its warnings
+(`helmstab: warning: <text>`) and errors, as printed, and any Python
+warning (category and text, without the file and line it names).  Then the
 benchmark smoke of both workloads runs in each tree, and
 bench/compare.py checks the two records.  Prints every output that differs
 and exits 1 if any does, 0 otherwise.
@@ -130,9 +131,10 @@ _WARNING = re.compile(r"^\S.*?:\d+: (\w+Warning): (.*)$")
 
 
 def messages(stderr: str) -> list[str]:
-    """The warnings (category and text) and `helmstab: ...` error lines of
-    a run's stderr, in order; a warning's file, line and source are left
-    out, as they name where the warning was attributed."""
+    """The `helmstab: ...` warning and error lines and the Python warnings
+    (category and text) of a run's stderr, in order; a Python warning's
+    file, line and source are left out, as they name where it was
+    attributed."""
     out = []
     for line in stderr.splitlines():
         warning = _WARNING.match(line)
