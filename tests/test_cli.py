@@ -490,6 +490,32 @@ def test_reports_carry_projection_tails(tmp_path, capsys, command):
     assert capsys.readouterr().err == f"helmstab: warning: {diagnostics['warnings'][0]}\n"
 
 
+@pytest.mark.parametrize("entry", ["lift", "solve_problem", "cli.run"])
+def test_projection_warning_is_data_at_every_entry(tmp_path, capsys, entry):
+    """Whichever entry the caller used, the projection tail above the limit
+    comes back as the same one text, on the solution or in the report, and
+    no Python warning is raised."""
+    cfg = field_doc(tmp_path, {"left": [[1, 1.0, 0.0]], "bottom": [[2, 0.5, -1.0]],
+                               "top": [[3, 1.0, 1.0]]})
+    run = parse_run_config(json.loads(cfg.read_text()))
+    report = tmp_path / "report.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if entry == "lift":
+            said = lift(run.config, run.data, run.k)[0].warnings
+        elif entry == "solve_problem":
+            said = solve_problem(run.config, run.data, run.k).warnings
+        else:
+            assert run_cli(["solve", "--config", str(cfg), "--report", str(report)]) == 0
+            said = json.loads(report.read_text())["diagnostics"]["warnings"]
+    assert caught == []
+    assert len(said) == 1
+    assert said[0].startswith("trace projection on the left side left ")
+    assert said[0].endswith(" of its energy beyond mode 72")
+    printed = [f"helmstab: warning: {said[0]}\n"] if entry == "cli.run" else []
+    assert capsys.readouterr().err == "".join(printed)
+
+
 def test_reports_without_lifting_have_no_tails(tmp_path):
     """No horizontal datum, no projected trace; with no data and no source
     at all, solve reports the zero solution."""
