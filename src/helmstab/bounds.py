@@ -362,7 +362,7 @@ class SweepReport:
 #: D/D, N/N, D/N and N/D, in that order.
 _HORIZONTAL_PAIRS = tuple(_EIGENPAIRS)
 
-#: Trial t has the config of trial t mod _CYCLE: _trial_config cycles 4
+#: Trial t has the config of trial t mod _CYCLE: _trial_configs cycles 4
 #: operator pairs and 3 right operators, or 2 top operators and 2 families.
 _CYCLE = 12
 
@@ -371,24 +371,31 @@ _CYCLE = 12
 #: draws, weights and tables whatever the grid.
 _SWEEP_CHUNK = 1 << 15
 
+#: The sine family of each lifting lattice's cosine family.
+_SINE = {BasisFamily.COS_INT: BasisFamily.SIN_INT, BasisFamily.COS_HALF: BasisFamily.SIN_HALF}
 
-def _trial_config(theorem: TheoremId, trial: int, k: float,
-                  lifting=choose_lifting_family) -> tuple[BoundaryConfig, BasisFamily]:
-    """The config and data family of trial `trial` at k; `lifting` picks a
-    lifting lattice as choose_lifting_family does."""
+
+def _trial_configs(theorem: TheoremId, trials: int) -> list[tuple[BoundaryConfig, Callable]]:
+    """The config of each trial t < min(trials, _CYCLE), which every trial
+    t + j _CYCLE shares, with the function from k to the trial's data
+    family.  A lifting theorem's is the cosine or sine family of the
+    lattice that choose_lifting_family picks, once per (k, top operator)."""
     row = THEOREMS[theorem]
-    right = row.right or _D
-    if row.side is Side.BOTTOM:
-        b_top = (_D, _N)[trial % 2]
-        cfg = BoundaryConfig(row.bottom, right, b_top)
-        cosine = lifting(k, row.bottom, b_top).basis
-        sine = BasisFamily.SIN_HALF if cosine.half_integer else BasisFamily.SIN_INT
-        return cfg, (cosine, sine)[(trial // 2) % 2]
-    pair = _HORIZONTAL_PAIRS[trial % 4]
-    if row.right is None:  # any right operator: cycle through all three
-        right = (_I, _N, _D)[(trial // 4) % 3]
-    cfg = BoundaryConfig(pair[0], right, pair[1])
-    return cfg, select_eigenpairs(*pair)
+    lattice = functools.cache(lambda k, top: choose_lifting_family(k, row.bottom, top).basis)
+    cycle = []
+    for t in range(min(trials, _CYCLE)):
+        if row.side is Side.BOTTOM:
+            cfg = BoundaryConfig(row.bottom, row.right or _D, (_D, _N)[t % 2])
+
+            def family(k, top=cfg.top, sine=t // 2 % 2):
+                cosine = lattice(k, top)
+                return (cosine, _SINE[cosine])[sine]
+        else:
+            pair = _HORIZONTAL_PAIRS[t % 4]
+            cfg = BoundaryConfig(pair[0], row.right or (_I, _N, _D)[t // 4 % 3], pair[1])
+            family = lambda k, fam=select_eigenpairs(*pair): fam
+        cycle.append((cfg, family))
+    return cycle
 
 
 def sweep(
@@ -419,13 +426,14 @@ def sweep(
     _check_sweep(theorem, ks, modes, trials, seed)
     source = THEOREMS[theorem].side is None
     per_chunk = 1 if source else max(1, _SWEEP_CHUNK // (trials * modes))
+    cycle = None if source else _trial_configs(theorem, trials)
     rng = np.random.default_rng(seed)
     failures: list[BoundCertificate] = []
     max_ratio = -1.0
     argmax: tuple[Optional[float], Optional[int]] = (None, None)
     for lo in range(0, len(ks), per_chunk):
         certs = (_source_trials(rng, theorem, ks[lo], modes, trials) if source
-                 else _boundary_chunk(rng, theorem, ks[lo:lo + per_chunk], modes, trials))
+                 else _boundary_chunk(rng, theorem, cycle, ks[lo:lo + per_chunk], modes, trials))
         best = int(np.argmax(certs.ratio))
         if certs.ratio[best] > max_ratio:
             max_ratio, argmax = certs.ratio[best].item(), (ks[lo + best // trials], best % trials)
@@ -457,28 +465,28 @@ def _check_sweep(theorem: TheoremId, ks, modes: int, trials: int, seed: int,
     if seed < 0:
         raise ValueError(f"{prefix}seed must be nonnegative, got {seed}")
     if THEOREMS[theorem].side is not None and modes > MAX_MODE:
-        top = max(modes - 1 + _trial_config(theorem, t, k)[1].first_nonzero
-                  for k in ks for t in range(trials))
+        cycle = _trial_configs(theorem, trials)
+        top = max(modes - 1 + family(k).first_nonzero for k in ks for _, family in cycle)
         if top > MAX_MODE:
             raise ValueError(f"{prefix}modes {modes} puts datum mode {top} past the cap "
                              f"{MAX_MODE}")
 
 
-def _boundary_chunk(rng: np.random.Generator, theorem: TheoremId, ks: list[float],
-                    modes: int, trials: int) -> BoundCertificate:
+def _boundary_chunk(rng: np.random.Generator, theorem: TheoremId, cycle: list,
+                    ks: list[float], modes: int, trials: int) -> BoundCertificate:
     """The certificates of a boundary theorem's trials at the wavenumbers
     ks, as row arrays in (k, trial) order.
 
     Trial t draws `modes` complex coefficients, real parts then imaginary
     parts, and scales them to unit norm; the chunk draws at once, which is
-    the same stream as drawing k by k.  Trial t at k has the config of
-    trial t mod _CYCLE, and choose_lifting_family runs once per (k, top
-    operator).  A table row depends only on its k, the operators at the
-    profile's ends and its eigenvalue, and the sine and cosine families of
-    a lattice have the same eigenvalues.  So the chunk builds one mode_table
-    per (operators, lattice), in the lattice's cosine family with a k per
-    row, over the rows its trials read at each k that has such a trial:
-    0..modes on the integer lattice, 0..modes-1 on the half-integer one.
+    the same stream as drawing k by k.  Trial t at k has the config and
+    data family of cycle[t mod _CYCLE] (_trial_configs).  A table row
+    depends only on its k, the operators at the profile's ends and its
+    eigenvalue, and the sine and cosine families of a lattice have the
+    same eigenvalues.  So the chunk builds one mode_table per (operators,
+    lattice), in the lattice's cosine family with a k per row, over the
+    rows its trials read at each k that has such a trial: 0..modes on the
+    integer lattice, 0..modes-1 on the half-integer one.
     The tables are stacked into one, and _certificate certifies every trial
     from its rows, as it certifies certify's one datum.
     """
@@ -488,15 +496,13 @@ def _boundary_chunk(rng: np.random.Generator, theorem: TheoremId, ks: list[float
     # One ddot per row, as np.linalg.norm takes it, so each norm keeps its bytes.
     re, im = coeffs.real[:, None], coeffs.imag[:, None]
     coeffs /= np.sqrt(re @ np.swapaxes(re, 1, 2) + im @ np.swapaxes(im, 1, 2)).reshape(-1, 1)
-    lifting = functools.cache(choose_lifting_family)
-    cycle = min(trials, _CYCLE)
     # (operators, lattice) -> {k index: its block}
     found: dict = {}
     # (operators, lattice, block of the k, data family's first_nonzero) per (k, config)
     slots = []
     for i, k in enumerate(ks):
-        for c in range(cycle):
-            cfg, fam = _trial_config(theorem, c, k, lifting)
+        for cfg, family in cycle:
+            fam = family(k)
             key = (_profile_ends(cfg, side), fam.half_integer)
             blocks = found.setdefault(key, {})
             slots.append((key, blocks.setdefault(i, len(blocks)), fam.first_nonzero))
@@ -510,8 +516,8 @@ def _boundary_chunk(rng: np.random.Generator, theorem: TheoremId, ks: list[float
     table = ModeTable(*(np.concatenate([getattr(t, f.name) for t in tables])
                         for f in fields(ModeTable)))
     base = np.reshape([first[key][0] + block * first[key][1] + start
-                       for key, block, start in slots], (len(ks), cycle))
-    rows = base[:, np.arange(trials) % cycle].reshape(-1, 1) + np.arange(modes)
+                       for key, block, start in slots], (len(ks), len(cycle)))
+    rows = base[:, np.arange(trials) % len(cycle)].reshape(-1, 1) + np.arange(modes)
     return _certificate(theorem, np.repeat(ks, trials), np.abs(coeffs) ** 2, table, rows)
 
 
@@ -520,15 +526,15 @@ def _source_trials(rng: np.random.Generator, theorem: TheoremId, k: float, modes
     """The certificates of one k's trials of the source theorem, as row
     arrays in trial order.  Trial t draws an operator pair, 1 to
     min(6, modes) of the first 12 modes of its family and, mode by mode,
-    the profile c0 + c1 sin(omega x) + c2 x^2 on the panel nodes; both
-    sides of the bound scale with the source, so it is certified as drawn.
+    the c and omega of the profile c0 + c1 sin(omega x) + c2 x^2, which is
+    sampled on the panel nodes for every row at once; both sides of the
+    bound scale with the source, so it is certified as drawn.
     A SourceTable row depends only on k, its eigenvalue and its samples, so
     the trials share one table, and _certificate certifies each on its
     rows: weight 1 on them, 0 on the padding up to min(6, modes) rows."""
     x = _NODES.ravel()
     most = min(6, modes)
-    samples = np.empty((trials * most, x.size), dtype=complex)
-    mu, first, counts = [], [], []
+    mu, first, counts, cs, omegas = [], [], [], [], []
     for _ in range(trials):
         fam = select_eigenpairs(*_HORIZONTAL_PAIRS[int(rng.integers(0, 4))])
         count = int(rng.integers(1, most + 1))
@@ -536,11 +542,11 @@ def _source_trials(rng: np.random.Generator, theorem: TheoremId, k: float, modes
         first.append(len(mu))
         counts.append(count)
         mu.extend(fam.eigenvalue(np.sort(rng.choice(ns, size=count, replace=False))))
-        for row in samples[first[-1]:len(mu)]:
-            c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            omega = float(rng.uniform(0.5, 2.5)) * math.pi
-            row[:] = c[0] + c[1] * np.sin(omega * x) + c[2] * x ** 2
-    table = SourceTable(k, mu, samples[:len(mu)])
+        for _ in range(count):
+            cs.append(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+            omegas.append(float(rng.uniform(0.5, 2.5)) * math.pi)
+    c, omega = np.array(cs).T[..., None], np.array(omegas)[:, None]
+    table = SourceTable(k, mu, c[0] + c[1] * np.sin(omega * x) + c[2] * x ** 2)
     span = np.arange(most)
     w = (span < np.array(counts)[:, None]).astype(float)
     rows = np.minimum(np.array(first)[:, None] + span, len(mu) - 1)

@@ -309,10 +309,35 @@ def _weighted_norms(sq: np.ndarray, mu: np.ndarray) -> DataNormReport:
 def _fsums(a: np.ndarray):
     """math.fsum along the last axis, so each sum is correctly rounded and
     does not depend on the order of the terms: a float for a vector, a float
-    array with one sum per row for a matrix."""
+    array with one sum per row for a matrix.
+
+    Rows are summed pairwise by TwoSum (Ogita, Rump & Oishi 2005): over d =
+    ceil(log2 n) levels a row sums exactly to hi + its rounding errors, of
+    moduli at most d u (1+u)^d Sum|a| in all (u = 2^-53); lo adds them in
+    at most 2d roundings, so |hi + lo - sum| < 2.1 d^2 u^2 Sum|a|, whatever
+    the signs.  fl(hi + lo) is fsum's if hi + (lo -/+ tol) also round to it:
+    tol = 16 d^2 u^2 Sum|a| covers the rounding of lo -/+ tol.  Others, 0
+    sums (fsum signs zero) and Sum|a| >= 2^1023 (fsum may overflow), use fsum.
+    """
     if a.ndim == 1:
         return math.fsum(a.tolist())
-    return np.array([math.fsum(row) for row in a.tolist()])
+    hi, lo, depth = a, np.zeros_like(a), (a.shape[1] - 1).bit_length()
+    with np.errstate(all="ignore"):
+        while hi.shape[1] > 1:
+            if hi.shape[1] % 2:
+                hi, lo = (np.concatenate([v, np.zeros_like(v[:, :1])], axis=1) for v in (hi, lo))
+            m = hi.shape[1] // 2
+            x, y = hi[:, :m], hi[:, m:]
+            hi = x + y
+            z = hi - x
+            lo = lo[:, :m] + lo[:, m:] + ((x - (hi - z)) + (y - z))
+        hi, lo, mag = hi.sum(axis=1), lo.sum(axis=1), np.abs(a).sum(axis=1)  # one column, or none
+        tol = (depth / 2.0**51) ** 2 * mag
+        out = hi + lo
+        fast = (out != 0) & (mag < 2.0**1023) & (hi + (lo - tol) == out) & (hi + (lo + tol) == out)
+    for i in np.flatnonzero(~fast):
+        out[i] = math.fsum(a[i].tolist())
+    return out
 
 
 def _sqrt(x):

@@ -20,7 +20,7 @@ from helmstab.bounds import (
     sweep,
     _HORIZONTAL_PAIRS,
     _source_trials,
-    _trial_config,
+    _trial_configs,
 )
 from helmstab.eigenbasis import (
     MAX_MODE,
@@ -407,6 +407,7 @@ def _certified_one_by_one(theorem, k_grid, modes, trials, seed):
     a boundary theorem real parts then imaginary parts, scaled to unit
     norm; for the source theorem _source_draw's sources."""
     rng = np.random.default_rng(seed)
+    cycle = _trial_configs(theorem, trials)
     certs = []
     for k in k_grid:
         for trial in range(trials):
@@ -414,7 +415,8 @@ def _certified_one_by_one(theorem, k_grid, modes, trials, seed):
                 cfg, source = _source_draw(rng, modes)
                 certs.append((trial, certify(theorem, cfg, source, float(k))))
                 continue
-            cfg, fam = _trial_config(theorem, trial, float(k))
+            cfg, family = cycle[trial % len(cycle)]
+            fam = family(float(k))
             start = 1 if fam is BasisFamily.SIN_INT else 0
             coeffs = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
             coeffs /= np.linalg.norm(coeffs)
@@ -681,3 +683,58 @@ def test_source_certificate_is_homogeneous_in_the_source():
                          [(n, lambda x, f=f: f(x) / 7.25) for n, f in source], k)
         assert raw.ratio == pytest.approx(scaled.ratio, rel=1e-12)
         assert raw.passed is scaled.passed is True
+
+
+#: The CLI's default grids: 64 geometric k for a boundary theorem, four k for TF.
+_DEFAULT_GRID = {TheoremId.T1_G4: np.geomspace(0.05, 200.0, 64).tolist(),
+                 TheoremId.T3_LIFT_DIR: np.geomspace(0.05, 200.0, 64).tolist(),
+                 TheoremId.TF_SOURCE: [0.5, 1.0, 5.0, 20.0]}
+
+
+@pytest.mark.parametrize("theorem", list(_DEFAULT_GRID), ids=lambda t: t.value)
+def test_every_sweep_certificate_is_the_fsum_reference(theorem, monkeypatch):
+    """Every certificate of a default-size sweep (50 trials of 64 modes at
+    seed 3), not only the max ratio a report prints, has the lhs, rhs,
+    ratio and norms of the same sweep summed by one math.fsum per row, bit
+    for bit: every row sum and every source norm goes through _fsums."""
+    from test_eigenbasis import _fsums_reference
+
+    from helmstab import bounds as bounds_mod
+    from helmstab import eigenbasis, solver
+
+    real_certificate = bounds_mod._certificate
+
+    def certificates():
+        got = []
+        monkeypatch.setattr(bounds_mod, "_certificate",
+                            lambda *args: got.append(real_certificate(*args)) or got[-1])
+        assert sweep(theorem, _DEFAULT_GRID[theorem], seed=3).all_passed
+        return got
+
+    fast = certificates()
+    for module in (eigenbasis, bounds_mod, solver):
+        monkeypatch.setattr(module, "_fsums", _fsums_reference)
+    reference = certificates()
+    assert sum(len(c.lhs) for c in fast) == 50 * len(_DEFAULT_GRID[theorem])
+    assert len(fast) == len(reference)
+    for got, want in zip(fast, reference):
+        for name in ("lhs", "rhs", "ratio"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        for name in ("l2", "fractional_half"):
+            got_norm, want_norm = (np.asarray(getattr(c.datum_norms, name)) for c in (got, want))
+            assert got_norm.tobytes() == want_norm.tobytes(), name
+
+
+@pytest.mark.parametrize("theorem", [TheoremId.T1_G4, TheoremId.T3_LIFT_DIR],
+                         ids=lambda t: t.value)
+def test_sweep_mode_cap_refusal_text(theorem, capsys):
+    """The refusal of data past MAX_MODE on the default grid, word for
+    word, from sweep and from the CLI."""
+    from helmstab.cli import main
+
+    with pytest.raises(ValueError) as refused:
+        sweep(theorem, _DEFAULT_GRID[theorem], modes=16385)
+    assert str(refused.value) == "sweep modes 16385 puts datum mode 16385 past the cap 16384"
+    assert main(["sweep", "--theorem", THEOREMS[theorem].alias, "--modes", "16385"]) == 1
+    assert capsys.readouterr().err == (
+        "helmstab: error: --modes 16385 puts datum mode 16385 past the cap 16384\n")

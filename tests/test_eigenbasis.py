@@ -21,6 +21,7 @@ from helmstab.eigenbasis import (
     quadrature_rule,
     select_eigenpairs,
     _contract,
+    _fsums,
     _project_samples,
 )
 
@@ -421,3 +422,133 @@ def test_basis_derivative_is_the_calculus_derivative(family):
     got = basis_derivative(family, ns[:, None], t)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     assert float(basis_derivative(family, 3, float(t[13]))) == pytest.approx(got[3, 13], rel=1e-13)
+
+
+# --------------------------------------------------------------------------
+# correctly rounded row sums
+# --------------------------------------------------------------------------
+
+def _fsums_reference(a):
+    """One math.fsum per row: the reference _fsums must equal bit for bit."""
+    if a.ndim == 1:
+        return math.fsum(a.tolist())
+    return np.array([math.fsum(row) for row in a.tolist()])
+
+
+@pytest.fixture
+def fsum_calls(monkeypatch):
+    """The rows _fsums hands to math.fsum, as lists."""
+    from types import SimpleNamespace
+
+    from helmstab import eigenbasis
+
+    calls = []
+    monkeypatch.setattr(eigenbasis, "math", SimpleNamespace(
+        fsum=lambda row: calls.append(row) or math.fsum(row)))
+    return calls
+
+
+_HALF = 2.0 ** -53  # half a spacing above 1.0, a quarter below 2.0
+_MAX = float(np.finfo(float).max)
+
+#: Rows whose pairwise sum can miss the correctly rounded one: exact ties,
+#: sums just off a tie or just below a power of two, subnormal sums, zeros
+#: of either sign, and cancelling mixed signs.
+_ADVERSARIAL = [
+    [1.0, _HALF], [1.0, 3 * _HALF], [-1.0, -_HALF],
+    [1.0, _HALF, 2.0 ** -200], [1.0, _HALF, -2.0 ** -200], [1.0, 2.0 ** -200, _HALF],
+    [1.0 + 2 * _HALF, _HALF, -2.0 ** -200], [1.0 + 2 * _HALF, _HALF, 2.0 ** -200],
+    [2.0, -_HALF], [2.0, -_HALF, -2.0 ** -200], [2.0, -_HALF, 2.0 ** -200],
+    [2.0, -_HALF / 2, -2.0 ** -300], [2.0, -_HALF / 2, 2.0 ** -300], [4.0, -2 * _HALF],
+    [2.0 ** -1074], [2.0 ** -1074, 2.0 ** -1074, -2.0 ** -1073, 2.0 ** -1074],
+    [2.0 ** -1022, -2.0 ** -1074], [1e-310, 3e-310, -2e-310], [2.0 ** -1022, 2.0 ** -1074],
+    [0.0], [-0.0], [0.0, 0.0, 0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, -0.0, -0.0, -0.0],
+    [1e16, 1.0, -1e16], [1e100, 1.0, -1e100, 1e-100], [1.0, -1.0, 2.0 ** -1074],
+    [0.1, 0.2, 0.3, -0.6], [1.0, -1.0], [3.0, -1e-17, 1e-17, -4 * _HALF],
+    [1e300, 1e-300, -1e300, 1e-300],
+]
+
+
+def _rows_of_width(width: int, rng: np.random.Generator) -> np.ndarray:
+    """Each adversarial row that fits in `width` columns, forwards and
+    backwards, at random columns among zeros; and at width 4 or more rows
+    whose exact sum is a tie, or a tie moved by 2^-150 of half a spacing,
+    hidden among terms that cancel."""
+    rows = []
+    for terms in _ADVERSARIAL:
+        for ordered in (terms, terms[::-1]):
+            if len(ordered) <= width:
+                row = np.zeros(width)
+                row[np.sort(rng.permutation(width)[:len(ordered)])] = ordered
+                rows.append(row)
+    for _ in range(200 if width >= 4 else 0):
+        x = float(rng.uniform(1.0, 2.0)) * 2.0 ** int(rng.integers(-60, 60))
+        t = float(rng.standard_normal()) * 2.0 ** int(rng.integers(-40, 80))
+        h = float(np.spacing(x)) / 2 * float(rng.choice([-1.0, 1.0]))
+        terms = [x, h, t, -t, h * 2.0 ** -150 * float(rng.choice([-1.0, 0.0, 1.0]))]
+        row = np.zeros(width)
+        row[rng.permutation(width)[:len(terms)]] = terms
+        rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 7, 64, 768])
+def test_fsums_are_fsum_bit_for_bit_on_adversarial_rows(width):
+    """Every row of a matrix sums to math.fsum's float, sign of zero
+    included, on rows built to defeat a pairwise sum, and on random rows of
+    mixed signs over 60 decades with 10% zeros."""
+    rng = np.random.default_rng(width)
+    rows = _rows_of_width(width, rng)
+    assert _fsums(rows).tobytes() == _fsums_reference(rows).tobytes()
+    mixed = rng.standard_normal((500, width)) * 10.0 ** rng.uniform(-30, 30, (500, width))
+    mixed[rng.random(mixed.shape) < 0.1] = 0.0
+    assert _fsums(mixed).tobytes() == _fsums_reference(mixed).tobytes()
+
+
+@pytest.mark.parametrize("width", [4, 5, 768])
+@pytest.mark.parametrize("terms", [
+    [math.nan, 1.0], [math.inf, 1.0], [-math.inf, 2.0], [math.inf, -math.inf],
+    [math.inf, math.nan], [1e308, 1e308], [1e308, 1e308, -1e308, 0.0],
+    [_MAX, 2.0 ** 969, 2.0 ** 969, -2.0 ** 960], [-_MAX, -2.0 ** 969, -2.0 ** 969, 2.0 ** 960],
+], ids=repr)
+def test_fsums_of_nonfinite_or_overflowing_rows_are_fsums(terms, width):
+    """A row with a NaN or an infinity, or whose sum overflows in fsum,
+    gives fsum's value or raises fsum's exception type.  fsum overflows on
+    1e308 + 1e308 - 1e308 + 0, whose pairwise sum is finite at these
+    widths, and on the largest float + 2^969 + 2^969 - 2^960, whose
+    correctly rounded sum is the largest float."""
+    rows = np.zeros((2, width))
+    rows[0, :2] = 1.0, 2.0
+    rows[1, :len(terms)] = terms
+    try:
+        want = _fsums_reference(rows).tobytes()
+    except (ValueError, OverflowError) as error:
+        with pytest.raises(type(error)):
+            _fsums(rows)
+    else:
+        assert _fsums(rows).tobytes() == want
+
+
+def test_fsums_take_fsum_only_for_the_exact_ties_of_random_rows(fsum_calls):
+    """Nonnegative rows, like the squared moduli times weights every
+    caller sums, are summed without math.fsum except where the exact sum
+    is a tie, which needs fsum's round-half-even: 2 of these 800 rows of
+    64 or 768 terms (uniform draws have few significant bits)."""
+    from fractions import Fraction
+
+    rng = np.random.default_rng(5)
+    for width in (64, 768):
+        rows = rng.random((400, width)) * 10.0 ** rng.uniform(-20, 20, (400, 1))
+        assert _fsums(rows).tobytes() == _fsums_reference(rows).tobytes()
+    assert len(fsum_calls) == 2
+    for row in fsum_calls:
+        near = math.fsum(row)
+        assert abs(sum(map(Fraction, row)) - Fraction(near)) == Fraction(np.spacing(near)) / 2
+
+
+def test_fsums_leave_a_zero_sum_to_fsum(fsum_calls):
+    """A row that sums to 0 takes fsum's zero, whose sign depends on the
+    Python: fsum([-0.0]) is 0.0 up to 3.11 and -0.0 from 3.12."""
+    rows = np.array([[-0.0, -0.0, -0.0], [0.0, -0.0, 0.0], [0.0, 0.0, 0.0], [1.0, -1.0, 0.0]])
+    assert _fsums(rows).tobytes() == _fsums_reference(rows).tobytes()
+    assert fsum_calls == rows.tolist()

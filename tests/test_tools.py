@@ -30,7 +30,7 @@ def test_same_results_lifts_cover_the_four_lifting_cases():
 
 def test_same_results_output_names_are_unique(tmp_path):
     files = [f for _, outputs in same_results.runs(tmp_path) for f in outputs]
-    assert len(files) == len(set(files)) == 86
+    assert len(files) == len(set(files)) == 88
     for doc in {**same_results.PIPELINE, **same_results.LIFTING}.values():
         parse_run_config(doc)  # every config parses
 
@@ -51,6 +51,15 @@ def test_same_results_grouped_grid_is_the_grouped_sweep_grid():
 
     assert [float(k) for k in same_results.GROUPED_K.split(",")] == _GROUPED_GRID
     assert 1 <= _SWEEP_CHUNK // (50 * 100) < len(_GROUPED_GRID)
+
+
+def test_same_results_runs_default_size_sweeps(tmp_path):
+    """T1 and T3_DIR are also swept at the CLI's default size, 64 k by 50
+    trials of 64 modes: no grid, trials or modes flag, at seed 3."""
+    sweeps = [args for args, _ in same_results.runs(tmp_path)
+              if args[0] == "sweep" and args[3:5] == ["--seed", "3"]]
+    assert [args[2] for args in sweeps] == ["T1", "T3_DIR"]
+    assert all(len(args) == 7 for args in sweeps)
 
 
 def test_same_results_compares_warnings_and_errors_without_their_location():

@@ -12,6 +12,8 @@ so relative output paths echo the same in both reports:
   the grid GROUPED_K, whose one table per operator pair and lattice crosses
   the lifting-lattice switch and two cutoffs; at 100 modes and 50 trials a
   k draws 5,000 coefficients, so the 7 k certify in two chunks (6 and 1)
+- the default-size sweep reports (64 k by 50 trials of 64 modes) of T1 and
+  T3_DIR at seed 3, which send the most rows through the row sums
 - certify reports of all seven theorems, on three fixed configs
 - lift reports and CSVs of the four (bottom, top) pairs at k = 3.2 and 3.5,
   which cover the four lifting cases, and of the five pipeline configs
@@ -104,6 +106,9 @@ def runs(configs: Path) -> list[tuple[list[str], list[str]]]:
         report = f"sweep-grouped-{t}.json"
         out.append((["sweep", "--theorem", t, "--k-list", GROUPED_K, "--modes", "100",
                      "--seed", "0", "--report", report], [report]))
+    for t in ("T1", "T3_DIR"):
+        report = f"sweep-default-{t}.json"
+        out.append((["sweep", "--theorem", t, "--seed", "3", "--report", report], [report]))
     for t, name in CERTIFY_CONFIG.items():
         out.append((["certify", "--theorem", t, "--config", str(configs / f"{name}.json"),
                      "--report", f"certify-{t}.json"], [f"certify-{t}.json"]))
