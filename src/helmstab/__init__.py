@@ -12,7 +12,6 @@ from .eigenbasis import (
     DataNormReport,
     Spectrum,
     basis_value,
-    data_norms,
     project,
     select_eigenpairs,
 )
@@ -41,7 +40,6 @@ from .solver import (
     solve_datum,
     solve_problem,
     solve_source,
-    source_l2_norm,
     superpose,
 )
 from .bounds import (

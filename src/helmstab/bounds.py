@@ -370,6 +370,9 @@ _CYCLE = 12
 #: max(1, _SWEEP_CHUNK // (trials * modes)) wavenumbers, which bounds its
 #: draws, weights and tables whatever the grid.
 _SWEEP_CHUNK = 1 << 15
+#: The most trials of a sweep (a TF sweep's tables take ~0.6 GB there), and a
+#: boundary sweep's most trials x modes, its rows at one k (~0.45 GB).
+MAX_TRIALS, _MAX_DRAWS = 4096, 1 << 22
 
 #: The sine family of each lifting lattice's cosine family.
 _SINE = {BasisFamily.COS_INT: BasisFamily.SIN_INT, BasisFamily.COS_HALF: BasisFamily.SIN_HALF}
@@ -456,9 +459,9 @@ def sweep(
 def _check_sweep(theorem: TheoremId, ks, modes: int, trials: int, seed: int,
                  prefix: str = "sweep ") -> None:
     """Raise ValueError, naming the argument as `prefix` + its name, for no
-    trials or no modes (the sweep would pass vacuously), a negative seed, or
-    boundary data past MAX_MODE, which certify refuses.  Data run over
-    `modes` members from their family's first_nonzero."""
+    trials or no modes (the sweep would pass vacuously), a negative seed,
+    boundary data past MAX_MODE, which certify refuses, or trials past the
+    caps.  Data run over `modes` members from their family's first_nonzero."""
     for name, value in (("trials", trials), ("modes", modes)):
         if value < 1:
             raise ValueError(f"{prefix}{name} must be at least 1, got {value}")
@@ -470,6 +473,9 @@ def _check_sweep(theorem: TheoremId, ks, modes: int, trials: int, seed: int,
         if top > MAX_MODE:
             raise ValueError(f"{prefix}modes {modes} puts datum mode {top} past the cap "
                              f"{MAX_MODE}")
+    cap = MAX_TRIALS if THEOREMS[theorem].side is None else min(MAX_TRIALS, _MAX_DRAWS // modes)
+    if trials > cap:
+        raise ValueError(f"{prefix}trials: {trials} exceeds the cap {cap} at {modes} modes")
 
 
 def _boundary_chunk(rng: np.random.Generator, theorem: TheoremId, cycle: list,

@@ -35,7 +35,7 @@ from .bounds import (
 )
 from .eigenbasis import BasisFamily, BoundaryOperator, Spectrum, project, _zero_member
 from .modal1d import Side, choose_lifting_family, _check_wavenumber
-from .oracle import compare, fdm_energy, fdm_solve
+from .oracle import MAX_GRID, compare, fdm_energy, fdm_solve
 from .solver import (
     BoundaryConfig,
     SeriesSolution,
@@ -152,8 +152,8 @@ def parse_run_config(doc: dict) -> RunConfig:
             if max(ns, default=0) > truncation:
                 raise ConfigError(f"{path}: mode {max(ns)} lies above truncation {truncation}")
     grid = _integer("config.grid", doc.get("grid", 33))
-    if grid < 2:
-        raise ConfigError("config.grid: must be at least 2")
+    if not 2 <= grid <= MAX_GRID:
+        raise ConfigError(f"config.grid: must lie in [2, {MAX_GRID}]")
     seed = _integer("config.seed", doc.get("seed", 0))
     outputs = doc.get("outputs") or {}
     if not isinstance(outputs, dict):
@@ -415,9 +415,9 @@ def _cmd_sweep(args) -> int:
         k_min = 0.05 if args.k_min is None else args.k_min
         k_max = 200.0 if args.k_max is None else args.k_max
         k_count = 64 if args.k_count is None else args.k_count
-        # A sweep of no wavenumbers would pass vacuously.
-        if k_count < 1:
-            raise ValueError(f"--k-count must be at least 1, got {k_count}")
+        # A sweep of no wavenumbers would pass vacuously; the report lists every k.
+        if not 1 <= k_count <= 100_000:
+            raise ValueError(f"--k-count: must lie in [1, 100000], got {k_count}")
         for flag, k in (("--k-min", k_min), ("--k-max", k_max)):
             with _field(flag):
                 _check_wavenumber(k)
@@ -461,8 +461,8 @@ def _lift(run: RunConfig, args) -> tuple[dict, SeriesSolution]:
 
 
 def _cmd_oracle(args) -> int:
-    if args.n is not None and args.n < 17:  # before the config is read
-        raise ValueError(f"--n: oracle grids start at 17x17, got {args.n}")
+    if args.n is not None and not 17 <= args.n <= MAX_GRID:  # before the config is read
+        raise ValueError(f"--n: oracle grids run from 17 to {MAX_GRID} nodes a side, got {args.n}")
     return _cmd_config(args)
 
 

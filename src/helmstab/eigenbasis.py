@@ -190,10 +190,6 @@ class Spectrum:
     def top_mode(self) -> int:
         return int(self.n[-1]) if len(self.n) else 0
 
-    def coefficient(self, n: int) -> complex:
-        i = int(np.searchsorted(self.n, n))
-        return complex(self.c[i]) if i < len(self.n) and self.n[i] == n else 0.0 + 0.0j
-
     def expand(self, t):
         """Pointwise value of the represented function at t."""
         basis = basis_value(self.family, self.n, np.asarray(t, dtype=float)[..., None])
@@ -294,15 +290,11 @@ def _project_samples(samples: np.ndarray, family: BasisFamily, max_mode: int) ->
             for row in _coefficients(samples, family, max_mode)]
 
 
-def data_norms(s: Spectrum) -> DataNormReport:
-    """L2 and fractional-order norms of the expanded datum (Parseval sums)."""
-    return _weighted_norms(np.abs(s.c) ** 2, s.family.eigenvalue(s.n))
-
-
 def _weighted_norms(sq: np.ndarray, mu: np.ndarray) -> DataNormReport:
-    """data_norms from the squared coefficient moduli and the eigenvalues
-    of their modes, along the last axis: floats for one datum, arrays for a
-    matrix with one datum per row."""
+    """The L2 and fractional-order norms of a datum (Parseval sums) from
+    its squared coefficient moduli and the eigenvalues of their modes,
+    along the last axis: floats for one datum, arrays for a matrix with one
+    datum per row."""
     return DataNormReport(l2=_sqrt(_fsums(sq)), fractional_half=_sqrt(_fsums(sq * mu)))
 
 

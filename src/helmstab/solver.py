@@ -4,7 +4,7 @@ A solution is a finite sum of terms coeff * X(x) * Y(y) where one factor is
 an orthonormal basis member and the other is a closed-form 1D mode (or, for
 volumetric sources, a kernel-built profile).  The terms are held in blocks
 of arrays: a block is the coefficients, the profiles (a ModeTable, or the
-SourceTable of a source solve), the basis family and the orientation.
+SourceTable of a source solve), the basis family and the part it solves.
 Energies are available both through modal sums (Parseval) and through
 tensor Gauss-Legendre quadrature of the evaluated field.
 """
@@ -94,19 +94,22 @@ class BoundaryConfig:
 
 @dataclass(frozen=True, eq=False)
 class Block:
-    """The terms c_i * P_i * Z_i of one solve, as arrays.
+    """The terms c_i * P_i * Z_i of one part of a solve, as arrays.
 
     Row i is mode n[i] with coefficient c[i]; P_i is row i of `profiles`
-    (a ModeTable, or a SourceTable) and Z_i the member n[i] of
-    the basis family.  The profile is the x factor, or the y factor when
-    `lifted`.  Rows are in ascending mode order.
+    (a ModeTable, or a SourceTable) and Z_i the member n[i] of the basis
+    family.  `part` is the side of the datum solved, None for the source;
+    P is the y factor on the bottom and top (_lifted), else the x factor.
+    Rows are in ascending mode order.  In solve_problem's result the right
+    or left block's (n, c) are the nonzero coefficients of lift's residual
+    on that side, and a side without a block has a zero residual.
     """
 
     n: np.ndarray
     c: np.ndarray
     profiles: object  # a ModeTable, or a SourceTable
     basis: BasisFamily
-    lifted: bool
+    part: Optional[Side]
 
 
 @dataclass(frozen=True)
@@ -191,11 +194,11 @@ def solve_datum(
     ns = g.n[kept]
     _check_truncation(ns, n_cap)
     profiles = mode_table(ns, k, _profile_ends(config, side), side, g.family)
-    block = Block(ns, g.c[kept], profiles, g.family, _lifted(side))
+    block = Block(ns, g.c[kept], profiles, g.family, side)
     return SeriesSolution(config, k, n_cap, (block,))
 
 
-def _lifted(side: Side) -> bool:
+def _lifted(side: Optional[Side]) -> bool:
     """Whether a datum on `side` is lifted: its profiles are y factors."""
     return side in (Side.BOTTOM, Side.TOP)
 
@@ -299,11 +302,11 @@ def _block_tables(block: Block, tx: np.ndarray, ty: np.ndarray):
     pair e^{sigma t}, at most 1.4e-12 of the row's largest value, and is
     dropped.
     """
-    basis_t, profile_t = (tx, ty) if block.lifted else (ty, tx)
+    basis_t, profile_t = (tx, ty) if _lifted(block.part) else (ty, tx)
     p, dp = block.profiles.value_and_derivative(profile_t)
     n = block.n[:, None]
     b, db = basis_value(block.basis, n, basis_t), basis_derivative(block.basis, n, basis_t)
-    x, dx, y, dy = (b, db, p.real, dp.real) if block.lifted else (p, dp, b, db)
+    x, dx, y, dy = (b, db, p.real, dp.real) if _lifted(block.part) else (p, dp, b, db)
     return block.c[:, None] * x, block.c[:, None] * dx, y, dy
 
 
@@ -688,15 +691,8 @@ def solve_source(
         _check_truncation(ns, n_cap)
 
     table = SourceTable(k, family.eigenvalue(ns), profiles)
-    block = Block(ns, np.ones(len(ns), dtype=complex), table, family, lifted=False)
+    block = Block(ns, np.ones(len(ns), dtype=complex), table, family, None)
     return SeriesSolution(config, k, n_cap, (block,))
-
-
-def source_l2_norm(f, config: BoundaryConfig) -> float:
-    """L2 norm of a modal source (mode, profile) list: Parseval across the
-    vertical eigenbasis, panel quadrature along x."""
-    samples = _listed_source(f, config.vertical_family(), _NODES.ravel())[1]
-    return math.sqrt(_fsums(_panel_norms_sq(samples)))
 
 
 # --------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from helmstab.bounds import (
     sharpness_case,
     sweep,
     _HORIZONTAL_PAIRS,
+    _check_sweep,
     _source_trials,
     _trial_configs,
 )
@@ -738,3 +739,21 @@ def test_sweep_mode_cap_refusal_text(theorem, capsys):
     assert main(["sweep", "--theorem", THEOREMS[theorem].alias, "--modes", "16385"]) == 1
     assert capsys.readouterr().err == (
         "helmstab: error: --modes 16385 puts datum mode 16385 past the cap 16384\n")
+
+
+@pytest.mark.parametrize("theorem,modes,cap", [
+    (TheoremId.T1_G4, 64, 4096),
+    (TheoremId.T3_LIFT_DIR, 1024, 4096),
+    (TheoremId.T3_LIFT_DIR, 1025, 4092),
+    (TheoremId.T1_G4, 16384, 256),
+    (TheoremId.TF_SOURCE, 64, 4096),
+    (TheoremId.TF_SOURCE, 16384, 4096),
+])
+def test_sweep_trials_cap(theorem, modes, cap):
+    """A sweep runs at most MAX_TRIALS trials, and a boundary sweep at most
+    trials x modes = 2^22 coefficients at one k, which sweep checks before
+    it draws anything; the refusal names the cap."""
+    _check_sweep(theorem, [5.0], modes, cap, 0)
+    with pytest.raises(ValueError) as refused:
+        _check_sweep(theorem, [5.0], modes, cap + 1, 0)
+    assert str(refused.value) == f"sweep trials: {cap + 1} exceeds the cap {cap} at {modes} modes"

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,7 +21,8 @@ from helmstab.cli import (
     main,
     parse_run_config,
 )
-from helmstab.eigenbasis import MAX_MODE, data_norms
+from helmstab.eigenbasis import MAX_MODE
+from helmstab.oracle import MAX_GRID
 from helmstab.modal1d import ModeTable, Side
 from helmstab.solver import evaluate_grid, lift, solve_problem
 
@@ -185,11 +187,15 @@ def test_sweep_report(tmp_path):
     (["--theorem", "TF", "--k-list", ""], "--k-list"),
     (["--theorem", "T1", "--k-count", "1", "--trials", "1", "--modes", "16386"], "--modes"),
     (["--theorem", "T1", "--k-list", "5", "--seed", "-1"], "--seed"),
+    (["--theorem", "T1", "--k-count", "1", "--trials", str(10**12)], "--trials: "),
+    (["--theorem", "T3_DIR", "--k-list", "5", "--modes", "16384", "--trials", str(10**9)],
+     "--trials: "),
+    (["--theorem", "T1", "--k-count", str(10**15)], "--k-count: "),
 ])
 def test_sweep_rejects_flags_that_leave_nothing_to_check(flags, named, tmp_path, capsys):
     """A sweep flag that would certify nothing, nothing of its data or data
-    certify refuses, and a negative seed, exit 1 naming the flag, and write
-    no report."""
+    certify refuses, a negative seed, and trials or a k count past their
+    caps, exit 1 naming the flag, and write no report."""
     report = tmp_path / "sweep.json"
     assert run_cli(["sweep", *flags, "--report", str(report)]) == 1
     assert named in capsys.readouterr().err
@@ -265,14 +271,31 @@ def test_oracle_command(tmp_path):
     assert doc["rel_l2"] <= 1e-3
 
 
-@pytest.mark.parametrize("n", [0, 5, -3])
+@pytest.mark.parametrize("n", [0, 5, -3, 10**6])
 def test_oracle_refuses_grids_below_17_by_flag(tmp_path, capsys, n):
+    """--n below 17 or above MAX_GRID exits 1 naming the flag."""
     report = tmp_path / "oracle.json"
     rc = run_cli(["oracle", "--config", str(plane_wave_doc(tmp_path)), "--n", str(n),
                   "--report", str(report)])
     assert rc == 1
-    assert "--n" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"helmstab: error: --n: oracle grids run from 17 to "
+                                       f"{MAX_GRID} nodes a side, got {n}\n")
     assert not report.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "lift", "oracle"])
+def test_config_grid_above_the_cap_exits_1(tmp_path, capsys, command):
+    """A config.grid past MAX_GRID (10^12 CSV rows, or oracle nodes) exits
+    1 with one line naming the field, and writes no report or CSV."""
+    doc = json.loads(plane_wave_doc(tmp_path).read_text())
+    doc["data"]["bottom"] = [[1, 1.0, 0.0]]  # so that lift runs
+    report, csv_path = tmp_path / "report.json", tmp_path / "u.csv"
+    flags = [] if command == "oracle" else ["--csv", str(csv_path)]
+    assert run_cli([command, "--config", str(write_doc(tmp_path, {**doc, "grid": 10**6})),
+                    "--report", str(report), *flags]) == 1
+    assert capsys.readouterr().err == (f"helmstab: config error: config.grid: must lie in "
+                                       f"[2, {MAX_GRID}]\n")
+    assert not report.exists() and not csv_path.exists()
 
 
 def test_selftest_and_dump_roundtrip(tmp_path):
@@ -377,6 +400,10 @@ def test_config_error_messages_carry_field_path(tmp_path):
         ("truncation", "abc", r"config\.truncation: not an integer"),
         ("truncation", 3.7, r"config\.truncation: not an integer"),
         ("grid", "x", r"config\.grid: not an integer"),
+        ("grid", 1, r"config\.grid: must lie in \[2, 2049\]$"),
+        ("grid", MAX_GRID + 1, r"config\.grid: must lie in \[2, 2049\]$"),
+        ("grid", 10**6, r"config\.grid: must lie in \[2, 2049\]$"),
+        ("grid", 1e308, r"config\.grid: must lie in \[2, 2049\]$"),
         ("seed", "s", r"config\.seed: not an integer"),
         ("data", {"left": [["a", 1, 0]]}, r"config\.data\.left\[0\]: not an integer"),
         ("data", {"left": [[1, "b", 0]]}, r"config\.data\.left\[0\]: coefficient"),
@@ -696,7 +723,7 @@ def test_certify_uses_the_datum_spectrum_of_solve(tmp_path):
     cert = json.loads(certified.read_text())
     datum = parse_run_config(doc).data[Side.LEFT]
     assert len(datum) > 30  # the sine series of a constant: the depth matters
-    assert cert["norms"]["l2"] == data_norms(datum).l2
+    assert cert["norms"]["l2"] == math.sqrt(math.fsum((np.abs(datum.c) ** 2).tolist()))
     assert cert["lhs"] == json.loads(solved.read_text())["energy"]["parseval"]["energy"]
 
 

@@ -37,6 +37,7 @@ from helmstab.modal1d import (
     mode_table,
     _apply,
 )
+from helmstab.oracle import fdm_solve
 from helmstab.solver import (
     BoundaryConfig,
     ProjectionTail,
@@ -53,7 +54,6 @@ from helmstab.solver import (
     solve_datum,
     solve_problem,
     solve_source,
-    source_l2_norm,
     superpose,
     _NODES,
     _SOURCE_CHUNK,
@@ -239,7 +239,7 @@ def test_solve_linearity(alpha, beta):
     h = Spectrum.from_pairs(fam, [(1, 0.25), (2, 2.0)])
     combo = Spectrum.from_pairs(
         fam,
-        {n: alpha * g.coefficient(n) + beta * h.coefficient(n) for n in (1, 2, 4)}.items(),
+        {n: alpha * dict(g).get(n, 0) + beta * dict(h).get(n, 0) for n in (1, 2, 4)}.items(),
     )
     pts = [(0.3, 0.2), (0.8, 0.9), (0.0, 0.5), (1.0, 0.1)]
     vc = evaluate(solve_datum(cfg, Side.RIGHT, combo, k), pts)[0]
@@ -322,9 +322,10 @@ def pointwise_reference(u, pts):
     for x, y in pts:
         v = gx = gy = 0.0 + 0.0j
         for n, block, i in rows:
-            p = profile_at(block.profiles, i, y if block.lifted else x)
-            m = member_at(block.basis, n, x if block.lifted else y)
-            (xv, xd), (yv, yd) = (m, p) if block.lifted else (p, m)
+            y_profile = block.part in (Side.BOTTOM, Side.TOP)
+            p = profile_at(block.profiles, i, y if y_profile else x)
+            m = member_at(block.basis, n, x if y_profile else y)
+            (xv, xd), (yv, yd) = (m, p) if y_profile else (p, m)
             c = complex(block.c[i])
             v += c * xv * yv
             gx += c * xd * yv
@@ -401,7 +402,7 @@ def test_grid_tables_hold_real_y_factors():
     with warnings.catch_warnings():
         warnings.simplefilter("error", np.exceptions.ComplexWarning)
         u = solve_problem(run.config, run.data, run.k, run.source, run.truncation)
-        assert [b.lifted for b in u.blocks] == [True, True, False, False, False]
+        assert [b.part for b in u.blocks] == [Side.BOTTOM, Side.TOP, Side.RIGHT, Side.LEFT, None]
         assert isinstance(u.blocks[-1].profiles, SourceTable)
         tx, ty = np.linspace(0.0, 1.0, 17), np.linspace(0.0, 1.0, 9)
         for part in [SeriesSolution(u.config, u.k, u.truncation, (b,)) for b in u.blocks] + [u]:
@@ -551,6 +552,23 @@ def test_superpose_keeps_every_parts_tails_in_part_order():
     assert superpose(parts[::-1]).warnings == superpose(parts).warnings[::-1]
 
 
+def test_superpose_keeps_every_parts_blocks_in_part_order():
+    """Each block names the part it solves, the side of its datum or None
+    for the source, and superpose keeps the parts' blocks in part order."""
+    k = 7.3
+    cfg = BoundaryConfig(bottom=N, right=D, top=D)
+    vertical, lattice = cfg.vertical_family(), choose_lifting_family(k, N, D).basis
+    parts = [solve_datum(cfg, Side.TOP, Spectrum.from_pairs(lattice, [(1, 1.0)]), k),
+             solve_source([(1, np.cos)], cfg, k),
+             solve_datum(cfg, Side.LEFT, Spectrum.from_pairs(vertical, [(2, 1.0)]), k),
+             solve_datum(cfg, Side.RIGHT, Spectrum.from_pairs(vertical, [(0, 1j)]), k)]
+    blocks = [b for p in parts for b in p.blocks]
+    assert [b.part for b in blocks] == [Side.TOP, None, Side.LEFT, Side.RIGHT]
+    for order in (parts, parts[::-1]):
+        expected, kept = [b for p in order for b in p.blocks], superpose(order).blocks
+        assert len(kept) == len(expected) and all(a is b for a, b in zip(kept, expected))
+
+
 # --------------------------------------------------------------------------
 # lifting and residual traces
 # --------------------------------------------------------------------------
@@ -562,7 +580,7 @@ def test_lift_family_admissibility():
     with pytest.raises(ValueError):
         solve_datum(cfg, Side.BOTTOM, Spectrum.from_pairs(BasisFamily.COS_INT, [(1, 1)]), k)
     aux = solve_datum(cfg, Side.BOTTOM, Spectrum.from_pairs(BasisFamily.COS_HALF, [(1, 1)]), k)
-    assert [block.lifted for block in aux.blocks] == [True]
+    assert [block.part for block in aux.blocks] == [Side.BOTTOM]
 
 
 def test_lift_zero_datum():
@@ -651,7 +669,7 @@ def test_residual_traces_single_mode_analytic():
         integrand_im = lambda y: (yfun(y) * basis_value(fam_v, m, y)).imag
         cm = complex(quad(integrand_re, 0, 1, epsabs=1e-13)[0],
                      quad(integrand_im, 0, 1, epsabs=1e-13)[0])
-        assert abs(r2.coefficient(m) - (-(xn_at_1) * cm)) < 1e-10
+        assert abs(dict(r2).get(m, 0) - (-(xn_at_1) * cm)) < 1e-10
 
 
 @pytest.mark.parametrize("right", [D, N, I])
@@ -697,8 +715,29 @@ def _script(relative: str, name: str):
     return module
 
 
-#: The lifting configs of tools/same_results.py.
+#: The lifting and pipeline configs of tools/same_results.py.
 _LIFTING = _script("tools/same_results.py", "same_results").LIFTING
+_PIPELINE = _script("tools/same_results.py", "same_results").PIPELINE
+
+
+@pytest.mark.parametrize("truncation", [None, 40])
+@pytest.mark.parametrize("name", [*_PIPELINE, *_LIFTING])
+def test_residual_blocks_hold_lifts_residuals(name, truncation):
+    """Each vertical side's residual is read off solve_problem's result: the
+    (n, c) of the block whose part is that side are lift's nonzero residual
+    coefficients, bit for bit, and a zero residual has no block."""
+    run = parse_run_config({**{**_PIPELINE, **_LIFTING}[name], "truncation": truncation})
+    u = solve_problem(run.config, run.data, run.k, run.source, run.truncation)
+    _, right, left = lift(run.config, run.data, run.k, run.truncation)
+    for side, residual in ((Side.RIGHT, right), (Side.LEFT, left)):
+        blocks = [b for b in u.blocks if b.part is side]
+        kept = residual.c != 0
+        if not np.count_nonzero(kept):
+            assert blocks == []
+            continue
+        (block,) = blocks
+        assert block.n.tobytes() == residual.n[kept].tobytes()
+        assert block.c.tobytes() == residual.c[kept].tobytes()
 
 
 #: The quadrature (grad, l2, energy) of the field solves, seeds 0-3, when the
@@ -947,11 +986,11 @@ def test_solve_source_requires_dirichlet_right():
 
 def test_solve_source_refuses_the_zero_member():
     """Mode 0 of sin-int is the zero function: a source there is refused,
-    not dropped, in the solve and in the source norm."""
+    not dropped, in the solve and in the oracle."""
     cfg = BoundaryConfig(bottom=D, right=D, top=D)
     for call in (lambda: solve_source([(0, np.cos)], cfg, 2.0),
                  lambda: solve_source([(2, np.sin), (0, np.cos)], cfg, 2.0),
-                 lambda: source_l2_norm([(0, np.cos)], cfg)):
+                 lambda: fdm_solve(cfg, f=[(0, np.cos)], k=2.0, n=17)):
         with pytest.raises(ValueError, match="mode 0 of sin-int is the zero function"):
             call()
 
@@ -1027,7 +1066,7 @@ def test_source_energy_bound_random():
             source.append((n, lambda x, c=c: c[0] + c[1] * np.cos(2.1 * np.asarray(x))))
         u = solve_source(source, cfg, k)
         lhs = energy_parseval(u).energy
-        fnorm = source_l2_norm(source, cfg)
+        fnorm = math.sqrt(math.fsum(u.blocks[0].profiles.f_norm_sq))
         assert lhs <= math.sqrt(30) * max(k * k, 1.0) * fnorm
 
 
@@ -1047,8 +1086,9 @@ def test_source_norms_batched_equal_scalar_wrapped():
 
     with pytest.raises(TypeError):
         scalar_only(np.array([0.25, 0.75]))
-    batched = source_l2_norm([(1, fhat), (2, np.cos)], cfg)
-    wrapped = source_l2_norm([(1, scalar_only), (2, math.cos)], cfg)
+    batched, wrapped = (
+        math.sqrt(math.fsum(solve_source(f, cfg, 4.2).blocks[0].profiles.f_norm_sq))
+        for f in ([(1, fhat), (2, np.cos)], [(1, scalar_only), (2, math.cos)]))
     assert abs(batched - wrapped) <= 1e-14 * batched
     for k in (4.2, 3 * PI, 40.0):
         for mu in (PI, 3 * PI, 20 * PI):
@@ -1223,7 +1263,7 @@ def test_source_fx_errors_propagate():
     with pytest.raises(ZeroDivisionError):
         solve_source([(1, broken)], cfg, 3.0)
     with pytest.raises(ZeroDivisionError):
-        source_l2_norm([(1, broken)], cfg)
+        fdm_solve(cfg, f=[(1, broken)], k=3.0, n=17)
 
     def truthy(x):  # ValueError on arrays: the scalar-only case
         return 1.0 if x < 0.5 else 2.0

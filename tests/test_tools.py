@@ -30,7 +30,7 @@ def test_same_results_lifts_cover_the_four_lifting_cases():
 
 def test_same_results_output_names_are_unique(tmp_path):
     files = [f for _, outputs in same_results.runs(tmp_path) for f in outputs]
-    assert len(files) == len(set(files)) == 88
+    assert len(files) == len(set(files)) == 98
     for doc in {**same_results.PIPELINE, **same_results.LIFTING}.values():
         parse_run_config(doc)  # every config parses
 
@@ -41,6 +41,16 @@ def test_same_results_runs_the_oracle_on_a_source(tmp_path):
     configs = [Path(args[args.index("--config") + 1]).stem
                for args, _ in same_results.runs(tmp_path) if args[0] == "oracle"]
     assert any(same_results.PIPELINE[name].get("source") for name in configs)
+
+
+def test_same_results_solves_without_a_lift_and_a_source_alone(tmp_path):
+    """Some compared solve and oracle runs lift nothing, so they take lift's
+    return without a lift, and some solve a source alone."""
+    for command in ("solve", "oracle"):
+        docs = [same_results.PIPELINE[Path(args[args.index("--config") + 1]).stem]
+                for args, _ in same_results.runs(tmp_path) if args[0] == command]
+        assert any(set(doc.get("data", {})) == {"left", "right"} for doc in docs)
+        assert any(doc.get("source") and not doc.get("data") for doc in docs)
 
 
 def test_same_results_grouped_grid_is_the_grouped_sweep_grid():

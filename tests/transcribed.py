@@ -83,5 +83,6 @@ def exact_solution(case: SharpnessCase) -> SeriesSolution:
     lifted = case.case_id.startswith("lift")
     mu = n * pi if lifted else family.eigenvalue(n)
     profile = mode_from_amplitudes(k, mu, *prof, n=n)
-    block = Block(np.array([n], dtype=np.int64), np.ones(1, dtype=complex), profile, family, lifted)
+    block = Block(np.array([n], dtype=np.int64), np.ones(1, dtype=complex), profile, family,
+                  case.data_side)
     return SeriesSolution(case.config, k, n, (block,))

@@ -16,8 +16,10 @@ so relative output paths echo the same in both reports:
   T3_DIR at seed 3, which send the most rows through the row sums
 - certify reports of all seven theorems, on three fixed configs
 - lift reports and CSVs of the four (bottom, top) pairs at k = 3.2 and 3.5,
-  which cover the four lifting cases, and of the five pipeline configs
-- solve reports and CSVs and oracle reports of the five pipeline configs
+  which cover the four lifting cases, and of the seven pipeline configs;
+  the two with no bottom or top datum exit 1, lift's refusal
+- solve reports and CSVs and oracle reports of the seven pipeline configs,
+  among them a solve with no lift and a source-only solve
 - sharpness reports of all nine cases at n = 1 and 7, and at n = 10000,
   where five of them fail and exit 2
 - selftest, the one command that reaches solver.evaluate, and the config
@@ -59,8 +61,9 @@ def _boundary(bottom: str, right: str, top: str) -> dict:
 
 
 #: The pipeline configs: data on every side, the third also a source, the
-#: first's data without the top datum (one lifted datum), and a k = 60
-#: field on a 129 grid.
+#: first's data without the top datum (one lifted datum), its left and right
+#: data alone (nothing lifted), a source alone, and a k = 60 field on a 129
+#: grid.
 PIPELINE = {
     "a": {"k": 7.3, "boundary": _boundary("neumann", "impedance", "dirichlet"), "data": _DATA},
     "b": {"k": 7.3, "boundary": _boundary("dirichlet", "neumann", "neumann"), "data": _DATA},
@@ -68,6 +71,10 @@ PIPELINE = {
           "data": _DATA, "source": "mode:3"},
     "a-bottom": {"k": 7.3, "boundary": _boundary("neumann", "impedance", "dirichlet"),
                  "data": {side: _DATA[side] for side in ("left", "right", "bottom")}},
+    "left-right": {"k": 7.3, "boundary": _boundary("neumann", "impedance", "dirichlet"),
+                   "data": {side: _DATA[side] for side in ("left", "right")}},
+    "source": {"k": 7.3, "boundary": _boundary("neumann", "dirichlet", "dirichlet"),
+               "source": "mode:2"},
     "field": {"k": 60.0, "boundary": _boundary("dirichlet", "dirichlet", "neumann"),
               "data": {"left": [[1, 0.3, -0.2], [4, 1.0, 0.5]],
                        "bottom": [[2, 0.5, -1.0], [3, 0.1, 0.2]],
