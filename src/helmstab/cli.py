@@ -219,21 +219,21 @@ def _parse_datum(path: str, raw, cap: int, family: BasisFamily, depth: int) -> S
             return project(lambda t: np.full(np.shape(t), complex(*values)), family, depth)
         raise ConfigError(f"{path}: unknown named datum {raw!r}")
     if isinstance(raw, list):
-        triples = []
+        coefficients = {}  # by mode
         for i, item in enumerate(raw):
             if not (isinstance(item, list) and len(item) == 3):
                 raise ConfigError(f"{path}[{i}]: expected an [index, re, im] triple")
             n = _mode_index(f"{path}[{i}]", item[0], cap)
-            if any(m == n for m, _ in triples):
+            if n in coefficients:
                 raise ConfigError(f"{path}[{i}]: duplicate mode {n}")
             try:
-                triples.append((n, complex(float(item[1]), float(item[2]))))
+                coefficients[n] = complex(float(item[1]), float(item[2]))
             except (TypeError, ValueError):
                 raise ConfigError(f"{path}[{i}]: coefficient is not a number") from None
-            if triples[-1][1] != 0:
+            if coefficients[n] != 0:
                 _check_member(f"{path}[{i}]", family, n)
         with _field(path):  # a non-finite coefficient
-            return Spectrum.from_pairs(family, triples)
+            return Spectrum.from_pairs(family, coefficients.items())
     raise ConfigError(f"{path}: expected a triple list or a named datum string")
 
 
@@ -318,19 +318,22 @@ def _theorem(tag: str) -> TheoremId:
 # --------------------------------------------------------------------------
 
 
-def _cmd_config(args) -> int:
-    """The one path of solve, certify, lift and oracle: load the config and
-    run the command's body.  A body that solves returns its solution, whose
-    projection tails and warnings the report carries as diagnostics (the
-    warnings on stderr too); a command with a CSV samples it on the grid x, y =
-    linspace(0, 1, grid).  The report gets the seed; exits 2 if it failed."""
-    try:
-        doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {args.config}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from None
-    run = parse_run_config(doc)
+def _cmd(args) -> int:
+    """Run solve, certify, sharpness, sweep, lift or oracle.  A command with
+    a --config loads and parses it for its body; other bodies get None.  A
+    body that solves returns its solution, whose projection tails and
+    warnings the report carries as diagnostics (the warnings on stderr too);
+    a command with a CSV samples it on the grid x, y = linspace(0, 1, grid).
+    A config's report gets its seed.  Exits 2 if pass (all_pass) is false."""
+    run = None
+    if "config" in args:
+        try:
+            doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {args.config}") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file is not valid JSON: {exc}") from None
+        run = parse_run_config(doc)
     payload, u = args.body(run, args)
     if u is not None:
         payload["diagnostics"] = {"warnings": u.warnings, "projection_tail": [
@@ -342,9 +345,10 @@ def _cmd_config(args) -> int:
         if payload["csv"]:
             t = np.linspace(0.0, 1.0, run.grid)
             _write_csv(payload["csv"], t, _grid_values(u, t, t))
-    payload["seed"] = run.seed
-    _write_report(args.report or run.outputs.get("report"), payload)
-    return 0 if payload.get("pass", True) else 2
+    if run is not None:
+        payload["seed"] = run.seed
+    _write_report(args.report or (run and run.outputs.get("report")), payload)
+    return 0 if payload.get("pass", payload.get("all_pass", True)) else 2
 
 
 def _solve(run: RunConfig, args) -> tuple[dict, SeriesSolution]:
@@ -368,7 +372,7 @@ def _certify(run: RunConfig, args) -> tuple[dict, None]:
     return _certificate_payload(certify(theorem, run.config, data, run.k, run.truncation)), None
 
 
-def _cmd_sharpness(args) -> int:
+def _sharpness(run: None, args) -> tuple[dict, None]:
     family = BasisFamily(args.family)
     with _field("--n"):
         _check_case_mode(args.n)
@@ -391,11 +395,10 @@ def _cmd_sharpness(args) -> int:
     }
     if case.lower_bound is not None:
         payload.update(lower_bound=case.lower_bound, energy=rep.energy)
-    _write_report(args.report, payload)
-    return 0 if passed else 2
+    return payload, None
 
 
-def _cmd_sweep(args) -> int:
+def _sweep(run: None, args) -> tuple[dict, None]:
     theorem = _theorem(args.theorem)
     grid_flags = {"--k-min": args.k_min, "--k-max": args.k_max, "--k-count": args.k_count}
     given = [flag for flag, value in grid_flags.items() if value is not None]
@@ -424,7 +427,7 @@ def _cmd_sweep(args) -> int:
         k_grid = list(np.geomspace(k_min, k_max, k_count))
     _check_sweep(theorem, k_grid, args.modes, args.trials, args.seed, prefix="--")
     report = sweep(theorem, k_grid, modes=args.modes, trials=args.trials, seed=args.seed)
-    payload = {
+    return {
         "command": "sweep",
         "theorem": theorem.value,
         "k_grid": list(report.k_grid),
@@ -437,9 +440,7 @@ def _cmd_sweep(args) -> int:
         "argmax_k": report.argmax_k,
         "argmax_trial": report.argmax_trial,
         "failures": [_certificate_payload(c) for c in report.failures],
-    }
-    _write_report(args.report, payload)
-    return 0 if report.all_passed else 2
+    }, None
 
 
 def _lift(run: RunConfig, args) -> tuple[dict, SeriesSolution]:
@@ -460,15 +461,11 @@ def _lift(run: RunConfig, args) -> tuple[dict, SeriesSolution]:
     }, u
 
 
-def _cmd_oracle(args) -> int:
-    if args.n is not None and not 17 <= args.n <= MAX_GRID:  # before the config is read
-        raise ValueError(f"--n: oracle grids run from 17 to {MAX_GRID} nodes a side, got {args.n}")
-    return _cmd_config(args)
-
-
 def _oracle(run: RunConfig, args) -> tuple[dict, SeriesSolution]:
+    n = max(run.grid, 65) if args.n is None else args.n  # the default lies in range
+    if not 17 <= n <= MAX_GRID:  # before the series solve
+        raise ValueError(f"--n: oracle grids run from 17 to {MAX_GRID} nodes a side, got {n}")
     u = solve_problem(run.config, run.data, run.k, run.source, run.truncation)
-    n = max(run.grid, 65) if args.n is None else args.n
     gs = fdm_solve(run.config, run.data, run.source, run.k, n)
     comparison = compare(u, gs)
     return {
@@ -496,10 +493,7 @@ _SELFTEST_CONFIG = {
 
 def _cmd_selftest(args) -> int:
     if args.dump_config:
-        Path(args.dump_config).write_text(
-            json.dumps(_SELFTEST_CONFIG, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        _write_report(args.dump_config, _SELFTEST_CONFIG)
         print(f"wrote {args.dump_config}")
         return 0
     checks: list[tuple[str, bool]] = []
@@ -553,13 +547,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--csv")
     p.add_argument("--report")
-    p.set_defaults(func=_cmd_config, body=_solve)
+    p.set_defaults(func=_cmd, body=_solve)
 
     p = sub.add_parser("certify", help="check one stability bound")
     p.add_argument("--theorem", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--report")
-    p.set_defaults(func=_cmd_config, body=_certify)
+    p.set_defaults(func=_cmd, body=_certify)
 
     p = sub.add_parser("sharpness", help="reproduce one sharpness example")
     p.add_argument("--case", required=True, choices=SHARPNESS_IDS)
@@ -567,7 +561,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--family", default="sin-int",
                    choices=[f.value for f in BasisFamily])
     p.add_argument("--report")
-    p.set_defaults(func=_cmd_sharpness)
+    p.set_defaults(func=_cmd, body=_sharpness)
 
     p = sub.add_parser("sweep", help="randomized certification sweep")
     p.add_argument("--theorem", required=True)
@@ -580,19 +574,19 @@ def _build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report")
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_cmd, body=_sweep)
 
     p = sub.add_parser("lift", help="lift horizontal data, report residual traces")
     p.add_argument("--config", required=True)
     p.add_argument("--csv")
     p.add_argument("--report")
-    p.set_defaults(func=_cmd_config, body=_lift)
+    p.set_defaults(func=_cmd, body=_lift)
 
     p = sub.add_parser("oracle", help="finite-difference cross-validation")
     p.add_argument("--config", required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--report")
-    p.set_defaults(func=_cmd_oracle, body=_oracle)
+    p.set_defaults(func=_cmd, body=_oracle)
 
     p = sub.add_parser("selftest", help="quick internal consistency battery")
     p.add_argument("--dump-config", help="write a canonical example config")

@@ -26,6 +26,9 @@ QUAD_NODES_PER_PANEL = 32
 
 _QUAD_NODES, _QUAD_WEIGHTS = np.polynomial.legendre.leggauss(QUAD_NODES_PER_PANEL)
 
+#: Values of the basis matrix a projection builds at once (32 MiB of floats).
+_PROJECTION_CHUNK = 1 << 22
+
 
 class BoundaryOperator(Enum):
     DIRICHLET = "dirichlet"
@@ -250,20 +253,19 @@ def _check_depth(max_mode: int) -> None:
 
 
 def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_t a[t, i] * b[t, j], as an array indexed [i, j].
+    """sum_t a[t, i] * b[t, j], as an array indexed [i, j], of one complex
+    operand and one real one (every caller's pair, in either order).
 
     numpy's own einsum loop, never BLAS: its order of summation does not
     depend on a BLAS thread count, so the result is the same bytes however
-    many threads BLAS is given, which a GEMM does not promise.  Against a
-    real operand a complex one is contracted as its real and imaginary
-    parts, two real loops that give the complex loop's bytes (each product
-    with the real operand's zero imaginary part is an exact zero) in about
-    half the time.  Each part is contracted into a contiguous array and
-    then copied into the complex result: written straight into the result's
-    strided real or imaginary view, the loop runs about twice as slow.
+    many threads BLAS is given, which a GEMM does not promise.  The complex
+    operand is contracted as its real and imaginary parts, two real loops
+    that give the complex loop's bytes (each product with the real operand's
+    zero imaginary part is an exact zero) in about half the time.  Each part
+    is contracted into a contiguous array and then copied into the complex
+    result: written straight into the result's strided real or imaginary
+    view, the loop runs about twice as slow.
     """
-    if np.iscomplexobj(a) == np.iscomplexobj(b):
-        return np.einsum("ti,tj->ij", a, b, optimize=False)
     out = np.empty((a.shape[1], b.shape[1]), dtype=complex)
     parts = ((a.real, b), (a.imag, b)) if np.iscomplexobj(a) else ((a, b.real), (a, b.imag))
     for (x, y), part in zip(parts, (out.real, out.imag)):
@@ -274,13 +276,16 @@ def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _coefficients(samples: np.ndarray, family: BasisFamily, max_mode: int) -> np.ndarray:
     """Modal coefficients 0..max_mode of functions given by their samples
     on the nodes of quadrature_rule(max_mode), one row of samples (and of
-    coefficients) per function."""
+    coefficients) per function.  The basis is built in blocks of modes of at
+    most _PROJECTION_CHUNK values (one block up to depth 723)."""
     samples = np.atleast_2d(samples)
     if not np.all(np.isfinite(samples)):
         raise ValueError("boundary datum produced non-finite samples")
     t, w = quadrature_rule(max_mode)
-    basis = basis_value(family, np.arange(max_mode + 1), t[:, None])
-    return _contract((w * samples).T, basis)
+    step = max(1, _PROJECTION_CHUNK // len(t))  # modes per block
+    blocks = np.split(np.arange(max_mode + 1), range(step, max_mode + 1, step))
+    return np.concatenate([_contract((w * samples).T, basis_value(family, ns, t[:, None]))
+                           for ns in blocks], axis=1)
 
 
 def _project_samples(samples: np.ndarray, family: BasisFamily, max_mode: int) -> list[Spectrum]:

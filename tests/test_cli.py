@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -281,6 +283,9 @@ def test_oracle_refuses_grids_below_17_by_flag(tmp_path, capsys, n):
     assert capsys.readouterr().err == (f"helmstab: error: --n: oracle grids run from 17 to "
                                        f"{MAX_GRID} nodes a side, got {n}\n")
     assert not report.exists()
+    # The config is read first: a config error wins over the flag's.
+    assert run_cli(["oracle", "--config", str(tmp_path / "missing.json"), "--n", str(n)]) == 1
+    assert capsys.readouterr().err.startswith("helmstab: config error: config file not found")
 
 
 @pytest.mark.parametrize("command", ["solve", "lift", "oracle"])
@@ -311,7 +316,7 @@ def test_selftest_and_dump_roundtrip(tmp_path):
     assert run_cli(["selftest"]) == 0
 
 
-def test_config_errors_exit_1(tmp_path):
+def test_config_errors_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     assert run_cli(["solve", "--config", str(bad)]) == 1
@@ -330,6 +335,15 @@ def test_config_errors_exit_1(tmp_path):
 
     assert run_cli(["certify", "--theorem", "T99", "--config",
                     str(plane_wave_doc(tmp_path))]) == 1
+
+    # A file that holds no JSON object, or none at all, is named.
+    not_an_object = tmp_path / "list.json"
+    not_an_object.write_text("[1]", encoding="utf-8")
+    capsys.readouterr()
+    for path, said in ((not_an_object, "config: expected a JSON object"),
+                       (tmp_path / "missing.json", "config file not found: ")):
+        assert run_cli(["solve", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"helmstab: config error: {said}")
 
 
 def test_usage_errors_exit_1(capsys):
@@ -426,10 +440,56 @@ def test_config_error_messages_carry_field_path(tmp_path):
         ("boundary", {**doc["boundary"], "lfet": "impedance"},
          r"config\.boundary\.lfet: unknown key"),
         ("outputs", {"csvv": "u.csv"}, r"config\.outputs\.csvv: unknown key"),
+        ("k", [1], r"config\.k: not a number \(\[1\]\)"),
+        ("boundary", "neumann", r"config\.boundary: expected an object"),
+        ("truncation", -1, rf"config\.truncation: must lie in \[0, {MAX_MODE}\]"),
+        ("truncation", MAX_MODE + 1, rf"config\.truncation: must lie in \[0, {MAX_MODE}\]"),
+        ("data", {"middle": [[1, 1, 0]]}, r"config\.data\.middle: unknown side"),
+        ("outputs", ["u.csv"], r"config\.outputs: expected an object"),
+        ("data", {"left": "constant:abc"}, r"config\.data\.left: a constant datum"),
+        ("data", {"left": 5}, r"config\.data\.left: expected a triple list or a named datum"),
+        ("data", {"left": [[1, 1, 0], [2, 1, 0], [1, 1, 0], [2, 1, 0]]},
+         r"config\.data\.left\[2\]: duplicate mode 1$"),
+        ("source", "wave:2", r"config\.source: unknown named source 'wave:2'"),
+        ("source", 3, r"config\.source: expected a named source string"),
     ]:
         with pytest.raises(ConfigError, match=path):
             parse_run_config({**doc, "data": {}, field: value})
     assert parse_run_config({**doc, "data": {}, "truncation": 24.0}).truncation == 24
+
+
+def test_a_datum_of_every_mode_parses_in_linear_time():
+    """A triple list of every mode 0..MAX_MODE parses in well under a
+    second: the duplicate check looks each mode up once."""
+    doc = {"k": 5.0, "boundary": {"bottom": "neumann", "right": "impedance", "top": "neumann"},
+           "data": {"left": [[n, 1.0, 0.0] for n in range(MAX_MODE + 1)]}}
+    start = time.perf_counter()
+    run = parse_run_config(doc)
+    assert time.perf_counter() - start < 1.0
+    assert run.data[Side.LEFT].n.tolist() == list(range(MAX_MODE + 1))
+
+
+@pytest.mark.parametrize("entry", ["solve", "lift"])
+def test_deep_projections_build_the_basis_in_blocks(entry):
+    """At truncation 2048 the projection basis of every mode on 16,384 nodes
+    is 256 MiB, and its temporary as much again.  Built in blocks of modes,
+    a solve of a constant datum and a lift of a bottom datum, each projected
+    at that depth, stay below 128 MiB of traced memory."""
+    data = {"left": "constant:1"} if entry == "solve" else {"bottom": [[1, 1.0, 0.0]]}
+    doc = {"k": 5.0, "boundary": {"bottom": "neumann", "right": "impedance", "top": "neumann"},
+           "data": data, "truncation": 2048}
+    tracemalloc.start()
+    try:
+        run = parse_run_config(doc)
+        if entry == "solve":
+            u = solve_problem(run.config, run.data, run.k, run.source, run.truncation)
+            assert len(u.modes) > 1000  # the projected constant
+        else:
+            assert lift(run.config, run.data, run.k, run.truncation)[0].tails
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
 
 
 def test_named_data_forms(tmp_path):
@@ -756,7 +816,8 @@ import hashlib
 import numpy as np
 from helmstab.eigenbasis import _contract
 rng = np.random.default_rng(5)
-a, b = (rng.standard_normal((300, 257)) + 1j * rng.standard_normal((300, 257)) for _ in "ab")
+a = rng.standard_normal((300, 257)) + 1j * rng.standard_normal((300, 257))
+b = rng.standard_normal((300, 257))
 print(hashlib.sha256(_contract(a, b).tobytes()).hexdigest())
 """
 
@@ -764,8 +825,8 @@ print(hashlib.sha256(_contract(a, b).tobytes()).hexdigest())
 def test_outputs_identical_across_blas_thread_counts(tmp_path):
     """A k = 60 solve on a 257 grid writes the same CSV and report bytes with
     one BLAS thread as with two, and so does the contraction behind it on a
-    random complex 300 x 257 pair (a GEMM gives different bytes here), and
-    so does an oracle report on a 129 grid."""
+    random complex 300 x 257 operand and a real one, and so does an oracle
+    report on a 129 grid."""
     doc = json.loads(field_doc(tmp_path, {"left": [[1, 1.0, 0.0]], "bottom": [[2, 0.5, -1.0]],
                                           "top": [[3, 1.0, 1.0]]}).read_text())
     cfg = tmp_path / "field257.json"

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from helmstab import eigenbasis
 from helmstab.eigenbasis import (
     MAX_MODE,
     BasisFamily,
@@ -189,10 +190,12 @@ def test_project_constant_against_analytic_and_adaptive_quadrature():
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_project_samples_match_fsum_reference(family):
+def test_project_samples_match_fsum_reference(family, monkeypatch):
     """The basis-matrix projection of several sample rows at once equals the
     correctly rounded per-mode sums to 1e-14 of the largest coefficient, and
-    drops exactly the coefficients that are exactly zero."""
+    drops exactly the coefficients that are exactly zero: with the basis in
+    one block, in blocks of one mode, and in blocks of 5 modes (the last of
+    3 modes)."""
     depth = 72
     t, w = quadrature_rule(depth)
     rows = np.stack([
@@ -200,22 +203,28 @@ def test_project_samples_match_fsum_reference(family):
         np.cos(7.3 * t) - 2j * t ** 3,
         np.zeros_like(t, dtype=complex),
     ])
-    projected = _project_samples(rows, family, depth)
-    assert len(projected) == len(rows)
-    for row, spectrum in zip(rows, projected):
-        assert spectrum.family is family
+    references = []
+    for row in rows:
         reference = {}
         for n in range(depth + 1):
             products = w * row * basis_value(family, n, t)
             c = complex(math.fsum(products.real), math.fsum(products.imag))
             if c != 0:
                 reference[n] = c
-        assert [n for n, _ in spectrum] == sorted(reference)
-        scale = max((abs(c) for c in reference.values()), default=0.0)
-        for n, c in spectrum:
-            assert abs(c - reference[n]) <= 1e-14 * scale
-    assert len(projected[2]) == 0
-    assert (0 in dict(projected[0])) is (family is not BasisFamily.SIN_INT)
+        references.append(reference)
+    for block in (None, 1, 5):
+        if block is not None:
+            monkeypatch.setattr(eigenbasis, "_PROJECTION_CHUNK", block * len(t))
+        projected = _project_samples(rows, family, depth)
+        assert len(projected) == len(rows)
+        for reference, spectrum in zip(references, projected):
+            assert spectrum.family is family
+            assert [n for n, _ in spectrum] == sorted(reference)
+            scale = max((abs(c) for c in reference.values()), default=0.0)
+            for n, c in spectrum:
+                assert abs(c - reference[n]) <= 1e-14 * scale
+        assert len(projected[2]) == 0
+        assert (0 in dict(projected[0])) is (family is not BasisFamily.SIN_INT)
 
 
 def test_project_zero_gives_empty():
@@ -252,6 +261,8 @@ def test_spectrum_invariants():
         Spectrum(BasisFamily.SIN_INT, [4, 2], [1.0, 2.0])
     with pytest.raises(ValueError, match="outside"):
         Spectrum(BasisFamily.SIN_INT, [MAX_MODE + 1], [1.0])
+    with pytest.raises(ValueError, match="different basis families"):
+        s.minus(Spectrum.from_pairs(BasisFamily.COS_INT, [(2, 1.0)]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf),

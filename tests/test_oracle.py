@@ -83,6 +83,14 @@ def test_compare_identical_grid():
     self_diff = np.max(np.abs(gs.values - gs.values))
     assert self_diff == 0.0
     assert same.rel_l2 < 1e-2  # spectral vs its own coarse FDM stays small
+    # A grid of another problem is refused, not compared.
+    with pytest.raises(ValueError, match="different wavenumbers"):
+        compare(solve_datum(cfg, Side.LEFT, Spectrum.from_pairs(BasisFamily.COS_INT,
+                                                                [(0, 1.0)]), 2.5), gs)
+    other = BoundaryConfig(bottom=N, right=D, top=N)
+    with pytest.raises(ValueError, match="different boundary configurations"):
+        compare(solve_datum(other, Side.LEFT, Spectrum.from_pairs(BasisFamily.COS_INT,
+                                                                  [(0, 1.0)]), k), gs)
 
 
 def test_mixed_boundary_case_convergence_order():

@@ -277,6 +277,9 @@ def test_evaluate_rejects_outside_domain():
         evaluate(u, [(1.2, 0.5)])
     with pytest.raises(ValueError):
         evaluate(u, [(0.5, -0.01)])
+    for points in ([(0.5, 0.5, 0.5)], [0.5, 0.5, 0.5], [[0.5], [0.5]]):
+        with pytest.raises(ValueError, match=r"points must be \(x, y\) pairs"):
+            evaluate(u, points)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             evaluate(u, [(bad, 0.5)])
@@ -581,6 +584,9 @@ def test_lift_family_admissibility():
         solve_datum(cfg, Side.BOTTOM, Spectrum.from_pairs(BasisFamily.COS_INT, [(1, 1)]), k)
     aux = solve_datum(cfg, Side.BOTTOM, Spectrum.from_pairs(BasisFamily.COS_HALF, [(1, 1)]), k)
     assert [block.part for block in aux.blocks] == [Side.BOTTOM]
+    # Right and left data expand in the vertical family, cos-int here.
+    with pytest.raises(ValueError, match="vertical data must be in the vertical eigenbasis"):
+        lift(cfg, {Side.RIGHT: Spectrum.from_pairs(BasisFamily.SIN_INT, [(1, 1)])}, k)
 
 
 def test_lift_zero_datum():

@@ -1,11 +1,13 @@
 """tools/same_results.py: its commands cover every theorem, sharpness case
 and lifting case of the package."""
 
+import argparse
 import importlib.util
+import json
 from pathlib import Path
 
 from helmstab.bounds import SHARPNESS_IDS, THEOREMS
-from helmstab.cli import parse_run_config
+from helmstab.cli import _build_parser, _cmd, main, parse_run_config
 from helmstab.modal1d import choose_lifting_family
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "same_results.py"
@@ -30,7 +32,7 @@ def test_same_results_lifts_cover_the_four_lifting_cases():
 
 def test_same_results_output_names_are_unique(tmp_path):
     files = [f for _, outputs in same_results.runs(tmp_path) for f in outputs]
-    assert len(files) == len(set(files)) == 98
+    assert len(files) == len(set(files)) == 103
     for doc in {**same_results.PIPELINE, **same_results.LIFTING}.values():
         parse_run_config(doc)  # every config parses
 
@@ -45,10 +47,11 @@ def test_same_results_runs_the_oracle_on_a_source(tmp_path):
 
 def test_same_results_solves_without_a_lift_and_a_source_alone(tmp_path):
     """Some compared solve and oracle runs lift nothing, so they take lift's
-    return without a lift, and some solve a source alone."""
+    return without a lift, and some solve a source alone (refusals aside)."""
     for command in ("solve", "oracle"):
         docs = [same_results.PIPELINE[Path(args[args.index("--config") + 1]).stem]
-                for args, _ in same_results.runs(tmp_path) if args[0] == command]
+                for args, files in same_results.runs(tmp_path)
+                if args[0] == command and not files[0].startswith("refusal-")]
         assert any(set(doc.get("data", {})) == {"left", "right"} for doc in docs)
         assert any(doc.get("source") and not doc.get("data") for doc in docs)
 
@@ -102,3 +105,29 @@ def test_same_results_compares_warnings_and_errors_without_their_location():
     assert same_results.messages(moved) == said
     assert same_results.messages(moved.replace("5.63e-03", "5.64e-03")) != said
     assert same_results.messages("") == []
+
+
+def test_same_results_compares_a_refusal_of_every_subcommand(tmp_path, monkeypatch, capsys):
+    """Every subcommand but selftest runs through cli._cmd, and each has a
+    compared run that exits 1 with one `helmstab: ...error:` line and writes
+    no report: lift's on the configs without a bottom or top datum, the
+    others' in REFUSALS."""
+    for name, doc in {**same_results.PIPELINE, **same_results.LIFTING}.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    refused = set()
+    for args, files in same_results.runs(tmp_path):
+        if args[0] == "lift":
+            data = json.loads(Path(args[args.index("--config") + 1]).read_text()).get("data", {})
+            if {"bottom", "top"} & set(data):
+                continue
+        elif not files or not files[0].startswith("refusal-"):
+            continue
+        assert main(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("helmstab: ") and " error: " in err[0]
+        assert not Path(files[0]).exists()
+        refused.add(args[0])
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    runner = {name for name, parser in sub.choices.items() if parser.get_default("func") is _cmd}
+    assert refused == runner == set(sub.choices) - {"selftest"}

@@ -24,6 +24,9 @@ so relative output paths echo the same in both reports:
   where five of them fail and exit 2
 - selftest, the one command that reaches solver.evaluate, and the config
   that `selftest --dump-config` writes
+- REFUSALS: one run of oracle, sharpness, sweep, certify and solve that
+  must exit 1 and write no report; with lift's two, every subcommand but
+  selftest has a compared refusal
 
 Each output file is compared byte for byte and each exit code exactly,
 and so are the `helmstab: ...` lines of each run's stderr, its warnings
@@ -101,6 +104,17 @@ GROUPED_K = ",".join(f"{k:.17g}" for k in (
 #: The pipeline config each theorem is certified on.
 CERTIFY_CONFIG = {"T1": "a", "T2_IMP": "a", "T3_NEU": "a", "T2_NEU": "b", "T2_DIR": "c",
                   "TF": "c", "T3_DIR": "c"}
+#: Runs that must exit 1, as (arguments, the name of the config they read or
+#: None): an oracle grid below 17 on a valid config, sharpness mode 0, a
+#: sweep of no trials, a TF certificate of a config without a source, and
+#: a solve of a config file that does not exist.
+REFUSALS = (
+    (["oracle", "--n", "5"], "a"),
+    (["sharpness", "--case", "ex2.3-2", "--n", "0"], None),
+    (["sweep", "--theorem", "T1", "--trials", "0"], None),
+    (["certify", "--theorem", "TF"], "a"),
+    (["solve"], "missing"),
+)
 
 
 def runs(configs: Path) -> list[tuple[list[str], list[str]]]:
@@ -133,6 +147,10 @@ def runs(configs: Path) -> list[tuple[list[str], list[str]]]:
         for n in ("1", "7", "10000"):
             report = f"sharpness-{case}-{n}.json"
             out.append((["sharpness", "--case", case, "--n", n, "--report", report], [report]))
+    for args, name in REFUSALS:
+        report = f"refusal-{args[0]}.json"
+        config = [] if name is None else ["--config", str(configs / f"{name}.json")]
+        out.append(([*args, *config, "--report", report], [report]))
     out.append((["selftest"], []))
     out.append((["selftest", "--dump-config", "selftest.json"], ["selftest.json"]))
     return out
