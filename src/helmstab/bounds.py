@@ -13,7 +13,7 @@ import functools
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -366,13 +366,12 @@ _HORIZONTAL_PAIRS = tuple(_EIGENPAIRS)
 #: operator pairs and 3 right operators, or 2 top operators and 2 families.
 _CYCLE = 12
 
-#: Drawn coefficients per chunk of a boundary sweep.  A chunk takes
-#: max(1, _SWEEP_CHUNK // (trials * modes)) wavenumbers, which bounds its
-#: draws, weights and tables whatever the grid.
+#: Drawn coefficients per slice of a boundary sweep: a chunk takes
+#: max(1, _SWEEP_CHUNK // (trials * modes)) wavenumbers and certifies them in
+#: slices of max(1, _SWEEP_CHUNK // modes) rows (k, trial), whatever the grid.
 _SWEEP_CHUNK = 1 << 15
-#: The most trials of a sweep (a TF sweep's tables take ~0.6 GB there), and a
-#: boundary sweep's most trials x modes, its rows at one k (~0.45 GB).
-MAX_TRIALS, _MAX_DRAWS = 4096, 1 << 22
+#: The most trials of a sweep (a TF sweep's tables take ~0.6 GB there).
+MAX_TRIALS = 4096
 
 #: The sine family of each lifting lattice's cosine family.
 _SINE = {BasisFamily.COS_INT: BasisFamily.SIN_INT, BasisFamily.COS_HALF: BasisFamily.SIN_HALF}
@@ -413,9 +412,9 @@ def sweep(
     Every (k, trial) pair draws unit-norm data (or a smooth modal source of
     random norm for the source theorem; its bound is homogeneous of degree
     one in the source) and certifies the bound.  The boundary theorems
-    certify a chunk of k at a time (_SWEEP_CHUNK), all its trials as row
-    arrays from one mode table per (operator pair, eigenvalue lattice) with
-    a k per row (_boundary_chunk); the source theorem certifies one k at a
+    certify a chunk of k at a time (_SWEEP_CHUNK), its trials as row arrays
+    in slices, from one mode table per (operator pair, eigenvalue lattice)
+    with a k per row (_boundary_chunk); the source theorem certifies one k at a
     time from one SourceTable (_source_trials).  Every certificate is the
     one certify gives for the same datum, bit for bit, and only the failing
     ones are built as BoundCertificate objects: every one lands in the
@@ -435,12 +434,14 @@ def sweep(
     max_ratio = -1.0
     argmax: tuple[Optional[float], Optional[int]] = (None, None)
     for lo in range(0, len(ks), per_chunk):
-        certs = (_source_trials(rng, theorem, ks[lo], modes, trials) if source
+        chunk = ([(0, _source_trials(rng, theorem, ks[lo], modes, trials))] if source
                  else _boundary_chunk(rng, theorem, cycle, ks[lo:lo + per_chunk], modes, trials))
-        best = int(np.argmax(certs.ratio))
-        if certs.ratio[best] > max_ratio:
-            max_ratio, argmax = certs.ratio[best].item(), (ks[lo + best // trials], best % trials)
-        failures += [certs.row(i) for i in np.flatnonzero(~certs.passed)]
+        for first, certs in chunk:
+            best = int(np.argmax(certs.ratio))
+            if certs.ratio[best] > max_ratio:
+                row = lo * trials + first + best
+                max_ratio, argmax = certs.ratio[best].item(), (ks[row // trials], row % trials)
+            failures += [certs.row(i) for i in np.flatnonzero(~certs.passed)]
     return SweepReport(
         theorem=theorem,
         k_grid=tuple(ks),
@@ -460,8 +461,8 @@ def _check_sweep(theorem: TheoremId, ks, modes: int, trials: int, seed: int,
                  prefix: str = "sweep ") -> None:
     """Raise ValueError, naming the argument as `prefix` + its name, for no
     trials or no modes (the sweep would pass vacuously), a negative seed,
-    boundary data past MAX_MODE, which certify refuses, or trials past the
-    caps.  Data run over `modes` members from their family's first_nonzero."""
+    boundary data past MAX_MODE, which certify refuses, or trials past
+    MAX_TRIALS.  Data run over `modes` members from their family's first_nonzero."""
     for name, value in (("trials", trials), ("modes", modes)):
         if value < 1:
             raise ValueError(f"{prefix}{name} must be at least 1, got {value}")
@@ -473,35 +474,29 @@ def _check_sweep(theorem: TheoremId, ks, modes: int, trials: int, seed: int,
         if top > MAX_MODE:
             raise ValueError(f"{prefix}modes {modes} puts datum mode {top} past the cap "
                              f"{MAX_MODE}")
-    cap = MAX_TRIALS if THEOREMS[theorem].side is None else min(MAX_TRIALS, _MAX_DRAWS // modes)
-    if trials > cap:
-        raise ValueError(f"{prefix}trials: {trials} exceeds the cap {cap} at {modes} modes")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"{prefix}trials: {trials} exceeds the cap {MAX_TRIALS}")
 
 
-def _boundary_chunk(rng: np.random.Generator, theorem: TheoremId, cycle: list,
-                    ks: list[float], modes: int, trials: int) -> BoundCertificate:
-    """The certificates of a boundary theorem's trials at the wavenumbers
-    ks, as row arrays in (k, trial) order.
+def _boundary_chunk(rng: np.random.Generator, theorem: TheoremId, cycle: list, ks: list[float],
+                    modes: int, trials: int) -> Iterator[tuple[int, BoundCertificate]]:
+    """(first row, certificates as row arrays) of each slice of at most
+    max(1, _SWEEP_CHUNK // modes) of a boundary theorem's rows (k, trial)
+    at the wavenumbers ks, in that order.
 
     Trial t draws `modes` complex coefficients, real parts then imaginary
-    parts, and scales them to unit norm; the chunk draws at once, which is
-    the same stream as drawing k by k.  Trial t at k has the config and
-    data family of cycle[t mod _CYCLE] (_trial_configs).  A table row
-    depends only on its k, the operators at the profile's ends and its
-    eigenvalue, and the sine and cosine families of a lattice have the
-    same eigenvalues.  So the chunk builds one mode_table per (operators,
-    lattice), in the lattice's cosine family with a k per row, over the
-    rows its trials read at each k that has such a trial: 0..modes on the
-    integer lattice, 0..modes-1 on the half-integer one.
-    The tables are stacked into one, and _certificate certifies every trial
-    from its rows, as it certifies certify's one datum.
+    parts, and scales them to unit norm; a slice draws its rows as it certifies
+    them, the same stream as drawing k by k.  Trial t at k has the config and
+    data family of cycle[t mod _CYCLE] (_trial_configs).  A table row depends
+    only on its k, the operators at the profile's ends and its eigenvalue, and
+    the sine and cosine families of a lattice have the same eigenvalues.  So
+    the chunk builds one mode_table per (operators, lattice), in the lattice's
+    cosine family with a k per row, over the rows its trials read at each k
+    that has such a trial: 0..modes on the integer lattice, 0..modes-1 on the
+    half-integer one.  _certificate certifies each slice on these tables
+    stacked into one, as it certifies certify's one datum.
     """
     side = THEOREMS[theorem].side
-    draws = rng.standard_normal((len(ks), trials, 2, modes)).reshape(-1, 2, modes)
-    coeffs = draws[:, 0] + 1j * draws[:, 1]
-    # One ddot per row, as np.linalg.norm takes it, so each norm keeps its bytes.
-    re, im = coeffs.real[:, None], coeffs.imag[:, None]
-    coeffs /= np.sqrt(re @ np.swapaxes(re, 1, 2) + im @ np.swapaxes(im, 1, 2)).reshape(-1, 1)
     # (operators, lattice) -> {k index: its block}
     found: dict = {}
     # (operators, lattice, block of the k, data family's first_nonzero) per (k, config)
@@ -523,8 +518,16 @@ def _boundary_chunk(rng: np.random.Generator, theorem: TheoremId, cycle: list,
                         for f in fields(ModeTable)))
     base = np.reshape([first[key][0] + block * first[key][1] + start
                        for key, block, start in slots], (len(ks), len(cycle)))
-    rows = base[:, np.arange(trials) % len(cycle)].reshape(-1, 1) + np.arange(modes)
-    return _certificate(theorem, np.repeat(ks, trials), np.abs(coeffs) ** 2, table, rows)
+    base, k = base[:, np.arange(trials) % len(cycle)].ravel(), np.repeat(ks, trials)
+    step = max(1, _SWEEP_CHUNK // modes)
+    for lo in range(0, len(k), step):
+        draws = rng.standard_normal((len(k[lo:lo + step]), 2, modes))
+        coeffs = draws[:, 0] + 1j * draws[:, 1]
+        # One ddot per row, as np.linalg.norm takes it, so each norm keeps its bytes.
+        re, im = coeffs.real[:, None], coeffs.imag[:, None]
+        coeffs /= np.sqrt(re @ np.swapaxes(re, 1, 2) + im @ np.swapaxes(im, 1, 2)).reshape(-1, 1)
+        yield lo, _certificate(theorem, k[lo:lo + step], np.abs(coeffs) ** 2, table,
+                               base[lo:lo + step, None] + np.arange(modes))
 
 
 def _source_trials(rng: np.random.Generator, theorem: TheoremId, k: float, modes: int,

@@ -31,6 +31,7 @@ from .bounds import (
     _check_case_family,
     _check_case_mode,
     _check_data,
+    _check_operators,
     _check_sweep,
 )
 from .eigenbasis import BasisFamily, BoundaryOperator, Spectrum, project, _zero_member
@@ -155,7 +156,7 @@ def parse_run_config(doc: dict) -> RunConfig:
     if not 2 <= grid <= MAX_GRID:
         raise ConfigError(f"config.grid: must lie in [2, {MAX_GRID}]")
     seed = _integer("config.seed", doc.get("seed", 0))
-    outputs = doc.get("outputs") or {}
+    outputs = {} if doc.get("outputs") is None else doc["outputs"]
     if not isinstance(outputs, dict):
         raise ConfigError("config.outputs: expected an object")
     paths = ("csv", "report")
@@ -227,6 +228,8 @@ def _parse_datum(path: str, raw, cap: int, family: BasisFamily, depth: int) -> S
             if n in coefficients:
                 raise ConfigError(f"{path}[{i}]: duplicate mode {n}")
             try:
+                if any(isinstance(x, bool) for x in item[1:]):  # float(True) is 1
+                    raise TypeError
                 coefficients[n] = complex(float(item[1]), float(item[2]))
             except (TypeError, ValueError):
                 raise ConfigError(f"{path}[{i}]: coefficient is not a number") from None
@@ -369,6 +372,8 @@ def _certify(run: RunConfig, args) -> tuple[dict, None]:
     data = run.source if side is None else run.data.get(side)
     with _field("config.source" if side is None else f"config.data.{side.value}"):
         _check_data(theorem, data)
+    with _field("config.boundary"):
+        _check_operators(theorem, run.config)
     return _certificate_payload(certify(theorem, run.config, data, run.k, run.truncation)), None
 
 

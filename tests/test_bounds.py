@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -468,9 +469,10 @@ def test_grouped_sweep_equals_certify(theorem, sabotage, monkeypatch):
                                      TheoremId.T2_G2_DIR], ids=lambda t: t.value)
 def test_chunked_sweep_equals_the_unchunked_one(theorem, sabotage, monkeypatch):
     """A boundary sweep certifies _SWEEP_CHUNK drawn coefficients' worth of
-    k at a time.  Chunks of 1 and of 3 k give the report of one chunk over
-    the whole grid; sabotaged, every certificate fails and the failure
-    lists compare every certificate."""
+    rows at a time: chunks of 3 and of 1 k, and a k in slices of 5 trials
+    and of 1, give the report of one chunk over the whole grid, bit for
+    bit; sabotaged, every certificate fails and the failure lists compare
+    every certificate."""
     from helmstab import bounds as bounds_mod
 
     if sabotage:
@@ -481,9 +483,24 @@ def test_chunked_sweep_equals_the_unchunked_one(theorem, sabotage, monkeypatch):
     assert bounds_mod._SWEEP_CHUNK >= len(_GROUPED_GRID) * trials * modes
     whole = sweep(theorem, _GROUPED_GRID, modes=modes, trials=trials, seed=5)
     assert len(whole.failures) == (whole.certificates if sabotage else 0)
-    for ks_per_chunk in (1, 3):
-        monkeypatch.setattr(bounds_mod, "_SWEEP_CHUNK", ks_per_chunk * trials * modes)
-        assert sweep(theorem, _GROUPED_GRID, modes=modes, trials=trials, seed=5) == whole
+    for chunk in (3 * trials * modes, trials * modes, 5 * modes, 1):
+        monkeypatch.setattr(bounds_mod, "_SWEEP_CHUNK", chunk)
+        got = sweep(theorem, _GROUPED_GRID, modes=modes, trials=trials, seed=5)
+        assert got == whole and repr(got) == repr(whole)
+
+
+def test_a_sweep_of_many_trials_holds_one_slice_of_draws():
+    """One k of 1024 trials x 1024 modes draws and certifies 32 trials at a
+    time, so the sweep's peak allocation stays a small multiple of one
+    slice; all the k's rows at once take over 100 MiB."""
+    tracemalloc.start()
+    try:
+        rep = sweep(TheoremId.T3_LIFT_DIR, [40.0], modes=1024, trials=1024, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.certificates == 1024 and rep.all_passed
+    assert peak < 32 * 2**20
 
 
 def _assert_tables_equal(table, parts):
@@ -741,19 +758,14 @@ def test_sweep_mode_cap_refusal_text(theorem, capsys):
         "helmstab: error: --modes 16385 puts datum mode 16385 past the cap 16384\n")
 
 
-@pytest.mark.parametrize("theorem,modes,cap", [
-    (TheoremId.T1_G4, 64, 4096),
-    (TheoremId.T3_LIFT_DIR, 1024, 4096),
-    (TheoremId.T3_LIFT_DIR, 1025, 4092),
-    (TheoremId.T1_G4, 16384, 256),
-    (TheoremId.TF_SOURCE, 64, 4096),
-    (TheoremId.TF_SOURCE, 16384, 4096),
-])
-def test_sweep_trials_cap(theorem, modes, cap):
-    """A sweep runs at most MAX_TRIALS trials, and a boundary sweep at most
-    trials x modes = 2^22 coefficients at one k, which sweep checks before
-    it draws anything; the refusal names the cap."""
-    _check_sweep(theorem, [5.0], modes, cap, 0)
+@pytest.mark.parametrize("modes", [64, 1025, 16384])
+@pytest.mark.parametrize("theorem", list(TheoremId), ids=lambda t: t.value)
+def test_sweep_trials_cap(theorem, modes):
+    """Every sweep runs at most MAX_TRIALS = 4096 trials, at any number of
+    modes: a boundary sweep certifies a k's trials in slices, so its draws
+    do not grow with them.  sweep checks before it draws anything, and the
+    refusal names the cap."""
+    _check_sweep(theorem, [5.0], modes, 4096, 0)
     with pytest.raises(ValueError) as refused:
-        _check_sweep(theorem, [5.0], modes, cap + 1, 0)
-    assert str(refused.value) == f"sweep trials: {cap + 1} exceeds the cap {cap} at {modes} modes"
+        _check_sweep(theorem, [5.0], modes, 4097, 0)
+    assert str(refused.value) == "sweep trials: 4097 exceeds the cap 4096"

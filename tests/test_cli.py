@@ -142,6 +142,26 @@ def test_certify_zero_data(tmp_path, capsys, theorem, data, field):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("theorem,data,said", [
+    ("T2_DIR", {"right": [[1, 1, 0]]},
+     "config.boundary: T2_G2_DIR requires the right operator dirichlet, got neumann"),
+    ("T3_DIR", {"bottom": [[2, 1, 0]]},
+     "config.boundary: T3_LIFT_DIR requires the bottom operator dirichlet, got neumann"),
+    ("T2_DIR", {}, "config.data.right: T2_G2_DIR certifies a nonzero datum"),
+], ids=["right", "bottom", "datum-first"])
+def test_certify_names_the_boundary_its_theorem_rules_out(tmp_path, capsys, theorem, data, said):
+    """An operator the theorem rules out is a config error of
+    config.boundary, checked after the datum: certify exits 1 and writes
+    no report."""
+    doc = {"k": 5, "boundary": {"bottom": "neumann", "right": "neumann", "top": "neumann"},
+           "data": data}
+    report = tmp_path / "report.json"
+    assert run_cli(["certify", "--theorem", theorem, "--config", str(write_doc(tmp_path, doc)),
+                    "--report", str(report)]) == 1
+    assert capsys.readouterr().err.startswith(f"helmstab: config error: {said}")
+    assert not report.exists()
+
+
 def test_sharpness_exit_and_report(tmp_path):
     report = tmp_path / "sharp.json"
     rc = run_cli(["sharpness", "--case", "ex2.3-2", "--n", "3",
@@ -446,6 +466,12 @@ def test_config_error_messages_carry_field_path(tmp_path):
         ("truncation", MAX_MODE + 1, rf"config\.truncation: must lie in \[0, {MAX_MODE}\]"),
         ("data", {"middle": [[1, 1, 0]]}, r"config\.data\.middle: unknown side"),
         ("outputs", ["u.csv"], r"config\.outputs: expected an object"),
+        ("outputs", False, r"config\.outputs: expected an object"),
+        ("outputs", 0, r"config\.outputs: expected an object"),
+        ("outputs", "", r"config\.outputs: expected an object"),
+        ("outputs", [], r"config\.outputs: expected an object"),
+        ("data", {"left": [[0, True, False]]}, r"config\.data\.left\[0\]: coefficient is not"),
+        ("data", {"left": [[1, 0.5, True]]}, r"config\.data\.left\[0\]: coefficient is not"),
         ("data", {"left": "constant:abc"}, r"config\.data\.left: a constant datum"),
         ("data", {"left": 5}, r"config\.data\.left: expected a triple list or a named datum"),
         ("data", {"left": [[1, 1, 0], [2, 1, 0], [1, 1, 0], [2, 1, 0]]},
@@ -456,6 +482,7 @@ def test_config_error_messages_carry_field_path(tmp_path):
         with pytest.raises(ConfigError, match=path):
             parse_run_config({**doc, "data": {}, field: value})
     assert parse_run_config({**doc, "data": {}, "truncation": 24.0}).truncation == 24
+    assert parse_run_config({**doc, "data": {}, "outputs": None}).outputs == {}
 
 
 def test_a_datum_of_every_mode_parses_in_linear_time():

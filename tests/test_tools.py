@@ -32,7 +32,7 @@ def test_same_results_lifts_cover_the_four_lifting_cases():
 
 def test_same_results_output_names_are_unique(tmp_path):
     files = [f for _, outputs in same_results.runs(tmp_path) for f in outputs]
-    assert len(files) == len(set(files)) == 103
+    assert len(files) == len(set(files)) == 105
     for doc in {**same_results.PIPELINE, **same_results.LIFTING}.values():
         parse_run_config(doc)  # every config parses
 
@@ -64,6 +64,16 @@ def test_same_results_grouped_grid_is_the_grouped_sweep_grid():
 
     assert [float(k) for k in same_results.GROUPED_K.split(",")] == _GROUPED_GRID
     assert 1 <= _SWEEP_CHUNK // (50 * 100) < len(_GROUPED_GRID)
+
+
+def test_same_results_sliced_sweeps_split_a_k():
+    """Each k of a SLICED sweep draws more than _SWEEP_CHUNK coefficients,
+    so it certifies in more than one slice of trials."""
+    from helmstab.bounds import _SWEEP_CHUNK
+
+    for _, flags in same_results.SLICED:
+        modes, trials = (int(flags[flags.index(flag) + 1]) for flag in ("--modes", "--trials"))
+        assert 1 <= _SWEEP_CHUNK // modes < trials
 
 
 def test_same_results_runs_default_size_sweeps(tmp_path):

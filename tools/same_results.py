@@ -14,6 +14,9 @@ so relative output paths echo the same in both reports:
   k draws 5,000 coefficients, so the 7 k certify in two chunks (6 and 1)
 - the default-size sweep reports (64 k by 50 trials of 64 modes) of T1 and
   T3_DIR at seed 3, which send the most rows through the row sums
+- SLICED: two sweeps whose k draw more than 2^15 coefficients each, so a
+  k certifies in slices of trials: T3_DIR's two k at 1024 modes in two
+  slices of 32 trials each, and T2_DIR's in slices of 327, 327 and 46
 - certify reports of all seven theorems, on three fixed configs
 - lift reports and CSVs of the four (bottom, top) pairs at k = 3.2 and 3.5,
   which cover the four lifting cases, and of the seven pipeline configs;
@@ -101,6 +104,11 @@ _SWITCH_K = math.pi * math.sqrt(2.125)
 GROUPED_K = ",".join(f"{k:.17g}" for k in (
     0.05, 0.9, _SWITCH_K * (1 - 1e-9), _SWITCH_K * (1 + 1e-9), 2.5 * math.pi,
     3 * math.pi * (1 + 1e-10), 40.0))
+#: Sweeps that certify each k in slices of trials, as (theorem, flags).
+SLICED = (
+    ("T3_DIR", ["--k-list", "5,40", "--modes", "1024", "--trials", "64", "--seed", "0"]),
+    ("T2_DIR", ["--k-count", "2", "--modes", "100", "--trials", "700", "--seed", "4"]),
+)
 #: The pipeline config each theorem is certified on.
 CERTIFY_CONFIG = {"T1": "a", "T2_IMP": "a", "T3_NEU": "a", "T2_NEU": "b", "T2_DIR": "c",
                   "TF": "c", "T3_DIR": "c"}
@@ -130,6 +138,9 @@ def runs(configs: Path) -> list[tuple[list[str], list[str]]]:
     for t in ("T1", "T3_DIR"):
         report = f"sweep-default-{t}.json"
         out.append((["sweep", "--theorem", t, "--seed", "3", "--report", report], [report]))
+    for t, flags in SLICED:
+        report = f"sweep-sliced-{t}.json"
+        out.append((["sweep", "--theorem", t, *flags, "--report", report], [report]))
     for t, name in CERTIFY_CONFIG.items():
         out.append((["certify", "--theorem", t, "--config", str(configs / f"{name}.json"),
                      "--report", f"certify-{t}.json"], [f"certify-{t}.json"]))
